@@ -433,15 +433,12 @@ def _lyons_members(S_o: Ball, r: float, b_minus: float, b_plus: float, D: Ball,
 
 def _ring_samples(S_o: Ball, width: float, n: int, seed: int) -> np.ndarray:
     """Sample points of (S_o dilated by width) minus S_o."""
-    rng = quadrature.rng_for(seed, "ring-samples")
-    d = S_o.dimension
-    pts = []
-    while len(pts) < n:
-        u = S_o.center + (S_o.radius + width) * (2.0 * rng.random(d) - 1.0)
-        rho = float(np.linalg.norm(u - S_o.center))
-        if S_o.radius < rho < S_o.radius + width:
-            pts.append(u)
-    return np.array(pts)
+    def in_ring(pts):
+        rho = np.linalg.norm(pts - S_o.center, axis=1)
+        return (S_o.radius < rho) & (rho < S_o.radius + width)
+
+    return quadrature.sample_in(quadrature.rng_for(seed, "ring-samples"), S_o.center,
+                                S_o.radius + width, n, in_ring)
 
 
 def _validate_family(family: TestFamily, D: Ball, tag: str, tol: float = 1e-7):

@@ -102,8 +102,7 @@ def _build_family(spec: dict, measures: dict, where: str):
 # check execution
 
 
-def _run_check(spec: dict, ctx: dict, seed: int, grid: int, tol_scale: float,
-               index: int):
+def _run_check(spec: dict, ctx: dict, seed: int, tol_scale: float, index: int):
     where = f"checks[{index}]"
     _require(isinstance(spec, dict) and "type" in spec, "check needs a type", where)
     ctype = spec["type"]
@@ -112,7 +111,7 @@ def _run_check(spec: dict, ctx: dict, seed: int, grid: int, tol_scale: float,
 
     if ctype == "preset":
         _require(spec.get("name") in PRESETS, f"unknown preset {spec.get('name')!r}", where)
-        checks, exports = run_preset(spec["name"], seed=seed, grid=grid, tol_scale=tol_scale)
+        checks, exports = run_preset(spec["name"], seed=seed, tol_scale=tol_scale)
         rows = []
         for c in checks:
             rows.append({"name": c.name, "pass": c.passed, "data": _jsonable(c.data)})
@@ -191,7 +190,7 @@ def run_scenario(data: dict, seed: int, grid: int, tol_scale: float,
     seed = int(data.get("seed", seed))
     grid = int(data.get("grid", grid))
     for i, cspec in enumerate(data["checks"]):
-        result, margins, exports = _run_check(cspec, ctx, seed, grid, tol_scale, i)
+        result, margins, exports = _run_check(cspec, ctx, seed, tol_scale, i)
         results.append(result)
         all_margins.extend(margins)
         all_exports.update(exports)

@@ -89,18 +89,16 @@ def to_potential(mu: Measure, x, kind: str = "jensen", D: Ball | None = None,
         raise CertificationError("provided certificate does not pass")
 
     delta = Measure(d, [Atom(x, 1.0)])
-    V = difference_potential(mu, delta, cfg, seed=seed)
+    V = difference_potential(mu, delta, cfg)
     coeff, r2 = fit_pole_coefficient(V, x, d)
     if not (math.isfinite(coeff) and r2 >= 0.999):
         raise CertificationError(f"pole-coefficient fit unreliable (r^2 = {r2:.5f})")
 
     # vanishing outside the hull of {x} and supp mu; grid-backed measures
     # carry O(h^2) discretization multipoles, so they get a looser bar
-    from .measures import GridDensity
-
+    h = max((c.resolution for c in mu.components), default=0.0)
     vanish_tol = tol * (1.0 + abs(total_mass(mu)))
-    if any(isinstance(c, GridDensity) for c in mu.components):
-        h = max(c.grid.spacing for c in mu.components if isinstance(c, GridDensity))
+    if h > 0.0:
         vanish_tol = max(vanish_tol, h ** 2)
     outside = Ball(x, 1.05 * radius + 0.05).boundary_points(64)
     vals = V.evaluate_array(outside)
@@ -110,8 +108,7 @@ def to_potential(mu: Measure, x, kind: str = "jensen", D: Ball | None = None,
         # lumped grid cells push the potential down by O(h^2) inside the
         # support; exact-representation measures are held to 1e-9
         pos_tol = 1e-9
-        if any(isinstance(c, GridDensity) for c in mu.components):
-            h = max(c.grid.spacing for c in mu.components if isinstance(c, GridDensity))
+        if h > 0.0:
             pos_tol = max(pos_tol, 0.1 * h ** 2)
         probes = _window_probes(window, x, 200, seed)
         if float(np.min(V.evaluate_array(probes))) < -pos_tol:
@@ -120,18 +117,14 @@ def to_potential(mu: Measure, x, kind: str = "jensen", D: Ball | None = None,
 
 
 def _window_probes(window: Ball, x: np.ndarray, n: int, seed: int) -> np.ndarray:
-    rng = quadrature.rng_for(seed, "as-window-probes")
     gap = min(1e-3, 0.2 * window.radius)  # pole exclusion scaled to the window
-    pts = []
-    for _ in range(200 * n):
-        p = window.center + window.radius * (2.0 * rng.random(window.dimension) - 1.0)
-        if window.contains(p) and np.linalg.norm(p - x) > gap:
-            pts.append(p)
-            if len(pts) == n:
-                break
-    if not pts:
+    pts = quadrature.sample_in(
+        quadrature.rng_for(seed, "as-window-probes"), window.center, window.radius, n,
+        lambda p: window.contains_array(p) & (np.linalg.norm(p - x, axis=1) > gap),
+        max_draws=200 * n)
+    if not len(pts):
         raise ValueError("could not sample probes in the support window")
-    return np.array(pts)
+    return pts
 
 
 def from_potential(V: ASPotential, grid: GridDomain,
@@ -255,8 +248,8 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
         riesz_u = riesz_measure(u, K)
     riesz_K = restrict(riesz_u, K)
 
-    pt_mu = potential(mu, cfg, seed=seed)
-    pt_theta = potential(theta, cfg, seed=seed)
+    pt_mu = potential(mu, cfg)
+    pt_theta = potential(theta, cfg)
     try:
         t_u_theta = integrate(theta, u, seed=seed)
         t_mu_riesz = integrate(riesz_K, pt_mu, seed=seed)
@@ -308,13 +301,9 @@ def phragmen_lindelof_bound(V: ASPotential, green, S_o: Ball | None = None,
     if V.pole_coefficient > 1.0 + 1e-6:
         raise ValueError(f"pole coefficient {V.pole_coefficient:.6g} exceeds 1")
     D = green.domain
-    rng = quadrature.rng_for(seed, "pl-probes")
-    pts = []
-    while len(pts) < n_probes:
-        p = D.center + D.radius * (2.0 * rng.random(D.dimension) - 1.0)
-        if D.contains(p) and np.linalg.norm(p - V.pole) > 1e-3:
-            pts.append(p)
-    pts = np.array(pts)
+    pts = quadrature.sample_in(
+        quadrature.rng_for(seed, "pl-probes"), D.center, D.radius, n_probes,
+        lambda p: D.contains_array(p) & (np.linalg.norm(p - V.pole, axis=1) > 1e-3))
     excess = V.evaluate_array(pts) - green.evaluate_array(pts)
     worst = float(np.max(excess))
     upper_ok = worst <= tol

@@ -256,6 +256,8 @@ def random_probes(domain, n: int, seed: int, r_lo: float | None = None) -> list:
         raise TypeError("random probes implemented for Ball/Annulus")
     probes = []
     floor = 1e-3 if r_lo is None else r_lo
+    # a scalar loop, not quadrature.sample_in: every accepted point draws its
+    # radius from the same stream, so block draws would change the points
     while len(probes) < n:
         x = lo + (hi - lo) * rng.random(domain.dimension)
         if not domain.contains(x):
@@ -515,13 +517,10 @@ def glue_with_green(v: ScalarField, green, S_o: Ball, S: Ball, m_v: float, M_v: 
             raise GlueError("D is not contained in S", witness=x)
 
     # sampled bound verification on S \ S_o
-    rng = quadrature.rng_for(0, "glue-green-samples")
-    count = 0
-    while count < n_samples:
-        x = S.center + S.radius * (2.0 * rng.random(S.dimension) - 1.0)
-        if not S.contains(x) or S_o.closure_contains(x):
-            continue
-        count += 1
+    samples = quadrature.sample_in(
+        quadrature.rng_for(0, "glue-green-samples"), S.center, S.radius, n_samples,
+        lambda p: S.contains_array(p) & (np.linalg.norm(p - S_o.center, axis=1) > S_o.radius))
+    for x in samples:
         val = v(x)
         if val > M_v + tol or val < m_v - tol:
             raise GlueError("v violates its stated bounds on S \\ S_o", witness=x)

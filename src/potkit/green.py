@@ -16,7 +16,8 @@ import numpy as np
 from .fields import ScalarField
 from .geometry import Ball
 from .kernels import KernelConfig
-from .measures import Atom, Measure, Mollifier, SphereUniform, convolve_balayage
+from .measures import (Atom, Measure, Mollifier, SphereUniform, convolve_balayage,
+                       density_from_spec)
 
 __all__ = [
     "GreenModel",
@@ -123,20 +124,8 @@ def harmonic_measure(green: GreenModel, x) -> Measure:
         comp = SphereUniform(ball.center, ball.radius, 1.0)
     else:
         comp = SphereUniform(ball.center, ball.radius, 1.0,
-                             density=_poisson_density(ball, x), density_spec=spec)
+                             density=density_from_spec(spec), density_spec=spec)
     return Measure(d, [comp])
-
-
-def _poisson_density(ball: Ball, x: np.ndarray):
-    d = x.size
-    dist2 = float(np.sum((x - ball.center) ** 2))
-    R = ball.radius
-
-    def density(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return R ** (d - 2) * (R ** 2 - dist2) / np.linalg.norm(pts - x[None, :], axis=1) ** d
-
-    return density
 
 
 def jensen_measure_family(D: Ball, x, kind: str, *, a: float = 0.0, b: float = 1.0,

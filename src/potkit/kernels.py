@@ -109,19 +109,3 @@ def riesz_kernel(cfg: KernelConfig, x, y) -> float:
         return -math.inf if cfg.d >= 2 else 0.0
     return k_eval(cfg.q, r)
 
-
-def riesz_kernel_array(cfg: KernelConfig, points: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """K_{d-2}(x_i, y) for a stack of points, with the diagonal convention."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    y = np.asarray(y, dtype=float)
-    r = np.linalg.norm(points - y[None, :], axis=1)
-    out = np.empty(len(r))
-    hit = r == 0.0
-    if cfg.q == 0:
-        with np.errstate(divide="ignore"):
-            out = np.where(hit, -np.inf, np.log(np.where(hit, 1.0, r)))
-    elif cfg.q > 0:
-        out = np.where(hit, -np.inf, -(np.where(hit, 1.0, r) ** (-cfg.q)))
-    else:
-        out = np.where(hit, 0.0 if cfg.d == 1 else -np.inf, np.where(hit, 1.0, r) ** (-cfg.q))
-    return out

@@ -1,6 +1,6 @@
 """Finite compactly supported charges built from atoms, layers and grid densities.
 
-A Measure is a finite list of components:
+A Measure is a finite list of components of four kinds:
 
 * ``Atom(point, weight)``
 * ``SphereUniform(center, radius, total)`` -- uniform (or density-weighted)
@@ -8,14 +8,46 @@ A Measure is a finite list of components:
 * ``BallUniform(center, radius, total)`` -- uniform mass on a solid ball
 * ``GridDensity(grid, values)`` -- per-cell masses on a GridDomain
 
-Integration is component-wise: atoms exactly, circle layers by periodic
-trapezoid, d=3 plain sphere layers by seeded Monte-Carlo (2^16 samples),
-density-weighted sphere layers by the product rule, ball layers by product
-Gauss-Legendre, grid densities by midpoint.  Values are extended reals with
-the 0*(+-inf)=0 convention; a -inf/+inf collision raises.
+Every kind implements one component protocol, and the measure-level
+operations (integrate, total_mass, restrict, jordan, support, scaling,
+JSON, mollifier sources) are plain loops over it:
+
+* ``dimension``, ``mass()``, ``scaled(a)``, ``jordan()`` -> (positive, negative)
+* ``to_json()`` and ``from_json(data)``; ``Measure.from_json`` picks the
+  class by the ``"type"`` key
+* ``support_radius(center)`` (exact) and ``support_points()`` (sampled)
+* ``discretize(use, seed, index)`` -> (points, weights) for a use below
+* ``restrict(S, complement)`` -> list of components
+* ``resolution``: the lattice spacing of grid densities, 0 for exact kinds
+* ``newton_potential()`` (layers only): the exact potential of plain sphere
+  and ball layers in d = 2, 3 by Newton's theorem, else None
+
+Atoms discretize to themselves and grid densities to their charged cell
+centers, for every use.  Layers use quadrature nodes whose counts depend on
+the use; each count is defined once, in the ``NODES`` table of its class:
+
+=========  =======================  ====================  ===================
+use        sphere, d = 2 or         sphere, plain,        ball (radial x
+           density-weighted         d = 3                 angular nodes)
+=========  =======================  ====================  ===================
+support    64                       64                    8 x 64
+integrate  rule default: 4096       2^16 seeded Monte-    32 x 256 (d = 2),
+           trapezoid (d = 2),       Carlo, stream         32 x 1024 (d = 3)
+           4096 product (d = 3)     ``sphere-mc-{i}``
+clip       rule default (as above)  16384                 32 x 512
+mollify    1024                     1024                  16 x 128
+=========  =======================  ====================  ===================
+
+``support`` feeds hulls and gaps, ``integrate`` feeds integration and the
+quadrature clouds of potentials, ``clip`` feeds restriction of a layer to a
+set it is not concentric with (against a concentric ball or annulus a
+sphere layer is kept or dropped whole and a ball layer is split
+analytically) and ``mollify`` feeds the sources of mollifier smoothing.
+Integrals are extended reals with the 0*(+-inf)=0 convention; a -inf/+inf
+collision raises.
 
 Measures are immutable after construction; integrate is pure, and the
-Monte-Carlo streams are derived from (seed, component tag) so concurrent
+Monte-Carlo streams are derived from (seed, component index) so concurrent
 calls are deterministic.
 """
 
@@ -23,13 +55,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import quadrature
 from .geometry import Annulus, Ball, GridDomain
-from .kernels import unit_ball_volume
+from .kernels import k_eval_array, unit_ball_volume
 
 __all__ = [
     "Atom",
@@ -55,12 +87,108 @@ class Atom:
     point: np.ndarray
     weight: float
 
+    kind = "atom"
+    resolution = 0.0
+
     def __post_init__(self):
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
 
+    @property
+    def dimension(self) -> int:
+        return self.point.size
+
+    def mass(self) -> float:
+        return self.weight
+
+    def scaled(self, a: float) -> "Atom":
+        return Atom(self.point, a * self.weight)
+
+    def jordan(self) -> tuple[list, list]:
+        part = [Atom(self.point, abs(self.weight))]
+        return (part, []) if self.weight >= 0 else ([], part)
+
+    def to_json(self) -> dict:
+        return {"type": self.kind, "point": self.point.tolist(), "weight": self.weight}
+
+    @staticmethod
+    def from_json(data: dict) -> "Atom":
+        return Atom(np.asarray(data["point"], float), float(data["weight"]))
+
+    def support_radius(self, center: np.ndarray) -> float:
+        return float(np.linalg.norm(self.point - center))
+
+    def support_points(self) -> np.ndarray:
+        return self.point[None, :]
+
+    def discretize(self, use: str = "integrate", seed: int = 0, index: int = 0):
+        return self.point[None, :], np.array([self.weight])
+
+    def restrict(self, S, complement: bool = False) -> list:
+        return [self] if S.contains(self.point) != complement else []
+
 
 @dataclass(frozen=True, eq=False)
-class SphereUniform:
+class _Layer:
+    """Mass `total` on the sphere or ball of `radius` around `center`."""
+
+    center: np.ndarray
+    radius: float
+    total: float
+
+    resolution = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if self.radius <= 0:
+            raise ValueError(f"{self.kind.split('_')[0]} layer radius must be positive")
+
+    @property
+    def dimension(self) -> int:
+        return self.center.size
+
+    def mass(self) -> float:
+        return self.total
+
+    def scaled(self, a: float):
+        return replace(self, total=a * self.total)
+
+    def jordan(self) -> tuple[list, list]:
+        part = [replace(self, total=abs(self.total))]
+        return (part, []) if self.total >= 0 else ([], part)
+
+    def support_radius(self, center: np.ndarray) -> float:
+        return float(np.linalg.norm(self.center - center)) + self.radius
+
+    def support_points(self) -> np.ndarray:
+        return self._nodes("support")[0]
+
+    def _rule(self, use: str, seed: int = 0, index: int = 0):
+        """Nodes and mean-normalized weights of the layer for `use`."""
+        return self._nodes(use, seed, index)
+
+    def discretize(self, use: str = "integrate", seed: int = 0, index: int = 0):
+        pts, w = self._rule(use, seed, index)
+        return pts, self.total * w
+
+    def _clip(self, S, complement: bool) -> list:
+        """Node cloud of the layer clipped to S (or its complement), as atoms."""
+        pts, w = self._rule("clip")
+        keep = S.contains_array(pts) != complement
+        return [Atom(p, self.total * wi) for p, wi, k in zip(pts, w, keep) if k and wi != 0.0]
+
+    def newton_potential(self):
+        """Exact potential pts -> values (Newton's theorem) in d = 2, 3, else None."""
+        return self._newton if self.dimension in (2, 3) else None
+
+    def _distance(self, pts: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(pts - self.center[None, :], axis=1)
+
+    def _concentric(self, S) -> bool:
+        return bool(np.allclose(self.center, S.center, atol=1e-14))
+
+
+@dataclass(frozen=True, eq=False)
+class SphereUniform(_Layer):
     """Mass `total` spread over the sphere |x - center| = radius.
 
     An optional density reweights the normalized surface measure; it is a
@@ -68,28 +196,125 @@ class SphereUniform:
     should average to 1 for `total` to be the actual mass.
     """
 
-    center: np.ndarray
-    radius: float
-    total: float
     density: object = None
     density_spec: dict | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
-            raise ValueError("sphere layer radius must be positive")
+    kind = "sphere_uniform"
+    # sphere-rule nodes per use: (d = 2 or density-weighted, plain in d = 3);
+    # None is the rule's default, "mc" the seeded Monte-Carlo stream
+    NODES = {"support": (64, 64), "integrate": (None, "mc"), "clip": (None, 16384),
+             "mollify": (1024, 1024)}
+
+    def _nodes(self, use: str, seed: int = 0, index: int = 0):
+        d = self.dimension
+        n = self.NODES[use][self.density is None and d != 2]
+        if n == "mc":
+            nodes = quadrature.sphere_mc_nodes(d, quadrature.SPHERE_MC_SAMPLES, seed,
+                                               f"sphere-mc-{index}")
+            w = np.full(len(nodes), 1.0 / len(nodes))
+        else:
+            nodes, w = quadrature.sphere_rule(d, n)
+        return self.center[None, :] + self.radius * nodes, w
+
+    def _rule(self, use: str, seed: int = 0, index: int = 0):
+        pts, w = self._nodes(use, seed, index)
+        if self.density is not None:
+            w = w * _eval_field(self.density, pts)
+        return pts, w
+
+    def mass(self) -> float:
+        """`total`, or the quadrature mass of a density-weighted layer."""
+        if self.density is None:
+            return self.total
+        pts, w = self._nodes("integrate")
+        return self.total * float(np.dot(w, _eval_field(self.density, pts)))
+
+    def to_json(self) -> dict:
+        if self.density is not None and self.density_spec is None:
+            raise ValueError("cannot serialize a sphere layer with an opaque density callable")
+        return {"type": self.kind, "center": self.center.tolist(), "radius": self.radius,
+                "total": self.total, "density_spec": self.density_spec}
+
+    @staticmethod
+    def from_json(data: dict) -> "SphereUniform":
+        spec = data.get("density_spec")
+        density = density_from_spec(spec) if spec else None
+        return SphereUniform(np.asarray(data["center"], float), float(data["radius"]),
+                             float(data["total"]), density, spec)
+
+    def restrict(self, S, complement: bool = False) -> list:
+        if isinstance(S, Ball) and self._concentric(S):
+            return [self] if (self.radius < S.radius) != complement else []
+        if isinstance(S, Annulus) and self._concentric(S):
+            return [self] if (S.r_in < self.radius < S.r_out) != complement else []
+        return self._clip(S, complement)
+
+    def newton_potential(self):
+        return None if self.density is not None else super().newton_potential()
+
+    def _newton(self, pts: np.ndarray) -> np.ndarray:
+        return self.total * k_eval_array(self.dimension - 2,
+                                         np.maximum(self._distance(pts), self.radius))
 
 
 @dataclass(frozen=True, eq=False)
-class BallUniform:
-    center: np.ndarray
-    radius: float
-    total: float
+class BallUniform(_Layer):
+    """Mass `total` spread uniformly over the solid ball |x - center| < radius."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
-            raise ValueError("ball layer radius must be positive")
+    kind = "ball_uniform"
+    # ball-rule (radial, angular) nodes per use; None is the rule's default
+    NODES = {"support": (8, 64), "integrate": (None, None), "clip": (32, 512),
+             "mollify": (16, 128)}
+
+    def _nodes(self, use: str, seed: int = 0, index: int = 0):
+        nodes, w = quadrature.ball_rule(self.dimension, *self.NODES[use])
+        return self.center[None, :] + self.radius * nodes, w
+
+    def to_json(self) -> dict:
+        return {"type": self.kind, "center": self.center.tolist(), "radius": self.radius,
+                "total": self.total}
+
+    @staticmethod
+    def from_json(data: dict) -> "BallUniform":
+        return BallUniform(np.asarray(data["center"], float), float(data["radius"]),
+                           float(data["total"]))
+
+    def restrict(self, S, complement: bool = False) -> list:
+        if isinstance(S, Ball) and self._concentric(S):
+            return self._shell(S.radius, None) if complement else self._shell(None, S.radius)
+        if isinstance(S, Annulus) and self._concentric(S):
+            if complement:
+                return self._shell(None, S.r_in) + self._shell(S.r_out, None)
+            return self._shell(S.r_in, S.r_out)
+        return self._clip(S, complement)
+
+    def _shell(self, lo: float | None, hi: float | None) -> list:
+        """Uniform-density slice {lo < |x-c| < hi} of the ball, analytic."""
+        d = self.dimension
+        density = self.total / (unit_ball_volume(d) * self.radius ** d)
+        hi_r = self.radius if hi is None else min(hi, self.radius)
+        lo_r = 0.0 if lo is None else min(lo, self.radius)
+        if hi_r <= lo_r:
+            return []
+        parts = [BallUniform(self.center, hi_r, density * unit_ball_volume(d) * hi_r ** d)]
+        if lo_r > 0.0:
+            parts.append(BallUniform(self.center, lo_r,
+                                     -density * unit_ball_volume(d) * lo_r ** d))
+        return parts
+
+    def _newton(self, pts: np.ndarray) -> np.ndarray:
+        r = self._distance(pts)
+        a, m = self.radius, self.total
+        inside = r < a
+        out = np.empty(len(r))
+        if self.dimension == 2:
+            with np.errstate(divide="ignore"):
+                out[~inside] = m * np.log(r[~inside])
+            out[inside] = m * (math.log(a) + (r[inside] ** 2 - a ** 2) / (2.0 * a ** 2))
+        else:
+            out[~inside] = -m / r[~inside]
+            out[inside] = -m * (3.0 * a ** 2 - r[inside] ** 2) / (2.0 * a ** 3)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +324,8 @@ class GridDensity:
     grid: GridDomain
     values: np.ndarray = field(repr=False)
 
+    kind = "grid_density"
+
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.shape:
@@ -107,8 +334,77 @@ class GridDensity:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    @property
+    def dimension(self) -> int:
+        return self.grid.dimension
 
-Component = object  # Atom | SphereUniform | BallUniform | GridDensity
+    @property
+    def resolution(self) -> float:
+        return self.grid.spacing
+
+    def mass(self) -> float:
+        return float(np.sum(self.values))
+
+    def scaled(self, a: float) -> "GridDensity":
+        return GridDensity(self.grid, a * np.asarray(self.values))
+
+    def jordan(self) -> tuple[list, list]:
+        vals = np.asarray(self.values)
+        return ([GridDensity(self.grid, np.maximum(vals, 0.0))],
+                [GridDensity(self.grid, np.maximum(-vals, 0.0))])
+
+    def to_json(self) -> dict:
+        return {"type": self.kind, "grid": self.grid.to_json(),
+                "values": np.asarray(self.values).ravel().tolist()}
+
+    @staticmethod
+    def from_json(data: dict) -> "GridDensity":
+        grid = GridDomain.from_json(data["grid"])
+        return GridDensity(grid, np.asarray(data["values"], float).reshape(grid.shape))
+
+    def support_radius(self, center: np.ndarray) -> float:
+        pts = self.support_points()
+        if not len(pts):
+            return 0.0
+        return (float(np.max(np.linalg.norm(pts - center, axis=1)))
+                + 0.5 * self.grid.spacing * math.sqrt(self.dimension))
+
+    def support_points(self) -> np.ndarray:
+        return self.discretize()[0]
+
+    def discretize(self, use: str = "integrate", seed: int = 0, index: int = 0):
+        """Centers and masses of the charged cells."""
+        vals = np.asarray(self.values)
+        live = vals != 0.0
+        return self.grid.origin[None, :] + np.argwhere(live) * self.grid.spacing, vals[live]
+
+    def restrict(self, S, complement: bool = False) -> list:
+        keep = S.contains_array(self.grid.cell_centers()) != complement
+        vals = np.zeros(self.grid.shape)
+        kept = tuple(np.argwhere(self.grid.mask)[keep].T)
+        vals[kept] = np.asarray(self.values)[kept]
+        return [GridDensity(self.grid, vals)]
+
+
+_KINDS = {cls.kind: cls for cls in (Atom, SphereUniform, BallUniform, GridDensity)}
+
+
+def density_from_spec(spec: dict):
+    """Density callable of a serializable spec; ``poisson`` is the Poisson kernel
+    of the ball B(center, radius) at the interior point x."""
+    if spec["kind"] != "poisson":
+        raise ValueError(f"unknown density spec {spec!r}")
+    x = np.asarray(spec["x"], float)
+    center = np.asarray(spec["center"], float)
+    radius = float(spec["radius"])
+    d = x.size
+    scale = radius ** (d - 2) * (radius ** 2 - float(np.sum((x - center) ** 2)))
+
+    def poisson(pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(pts)
+        return scale / np.linalg.norm(pts - x[None, :], axis=1) ** d
+
+    return poisson
 
 
 class Measure:
@@ -118,9 +414,9 @@ class Measure:
         self.dimension = int(dimension)
         self.components = tuple(components)
         for c in self.components:
-            d = _component_dim(c)
-            if d != self.dimension:
-                raise ValueError(f"component dimension {d} != measure dimension {self.dimension}")
+            if c.dimension != self.dimension:
+                raise ValueError(f"component dimension {c.dimension} != measure dimension "
+                                 f"{self.dimension}")
 
     def __add__(self, other: "Measure") -> "Measure":
         if other.dimension != self.dimension:
@@ -128,7 +424,7 @@ class Measure:
         return Measure(self.dimension, list(self.components) + list(other.components))
 
     def scaled(self, a: float) -> "Measure":
-        return Measure(self.dimension, [_scale_component(c, a) for c in self.components])
+        return Measure(self.dimension, [c.scaled(a) for c in self.components])
 
     def __rmul__(self, a: float) -> "Measure":
         return self.scaled(a)
@@ -136,60 +432,36 @@ class Measure:
     def __sub__(self, other: "Measure") -> "Measure":
         return self + other.scaled(-1.0)
 
-    def support_points(self, coarse: int = 64) -> np.ndarray:
-        """Representative support points (exact for atoms, sampled for layers)."""
-        pts = []
-        for c in self.components:
-            if isinstance(c, Atom):
-                pts.append(c.point[None, :])
-            elif isinstance(c, SphereUniform):
-                nodes, _ = quadrature.sphere_rule(self.dimension, coarse)
-                pts.append(c.center[None, :] + c.radius * nodes)
-            elif isinstance(c, BallUniform):
-                nodes, _ = quadrature.ball_rule(self.dimension, 8, coarse)
-                pts.append(c.center[None, :] + c.radius * nodes)
-            elif isinstance(c, GridDensity):
-                idx = np.argwhere(c.values != 0.0)
-                if len(idx):
-                    pts.append(c.grid.origin[None, :] + idx * c.grid.spacing)
-        if not pts:
-            return np.zeros((0, self.dimension))
-        return np.vstack(pts)
+    def support_points(self) -> np.ndarray:
+        """Representative support points (exact for atoms and cells, sampled for layers)."""
+        return np.vstack([np.zeros((0, self.dimension))]
+                         + [c.support_points() for c in self.components])
 
     def support_radius(self, center=None) -> float:
         """Radius of a ball around `center` (default origin) containing the support."""
         center = np.zeros(self.dimension) if center is None else np.asarray(center, float)
-        r = 0.0
-        for c in self.components:
-            if isinstance(c, Atom):
-                r = max(r, float(np.linalg.norm(c.point - center)))
-            elif isinstance(c, (SphereUniform, BallUniform)):
-                r = max(r, float(np.linalg.norm(c.center - center)) + c.radius)
-            elif isinstance(c, GridDensity):
-                idx = np.argwhere(c.values != 0.0)
-                if len(idx):
-                    pts = c.grid.origin[None, :] + idx * c.grid.spacing
-                    r = max(r, float(np.max(np.linalg.norm(pts - center, axis=1)))
-                            + 0.5 * c.grid.spacing * math.sqrt(self.dimension))
-        return r
+        return max((c.support_radius(center) for c in self.components), default=0.0)
 
     def atom_mass_at(self, points, tol: float = 1e-9) -> float:
         """Total atomic mass sitting on the given finite point set."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         mass = 0.0
         for c in self.components:
-            if isinstance(c, Atom):
-                if np.any(np.linalg.norm(pts - c.point[None, :], axis=1) <= tol):
-                    mass += c.weight
+            if c.kind == "atom" and np.any(np.linalg.norm(pts - c.point[None, :], axis=1) <= tol):
+                mass += c.weight
         return mass
 
     def to_json(self) -> dict:
         return {"dimension": self.dimension,
-                "components": [_component_to_json(c) for c in self.components]}
+                "components": [c.to_json() for c in self.components]}
 
     @staticmethod
     def from_json(data: dict) -> "Measure":
-        comps = [_component_from_json(c) for c in data["components"]]
+        comps = []
+        for c in data["components"]:
+            if c["type"] not in _KINDS:
+                raise ValueError(f"unknown component type {c['type']!r}")
+            comps.append(_KINDS[c["type"]].from_json(c))
         return Measure(int(data["dimension"]), comps)
 
     def dumps(self) -> str:
@@ -198,80 +470,6 @@ class Measure:
     def __repr__(self):
         kinds = ", ".join(type(c).__name__ for c in self.components)
         return f"Measure(d={self.dimension}, [{kinds}])"
-
-
-def _component_dim(c) -> int:
-    if isinstance(c, Atom):
-        return c.point.size
-    if isinstance(c, (SphereUniform, BallUniform)):
-        return c.center.size
-    if isinstance(c, GridDensity):
-        return c.grid.dimension
-    raise TypeError(f"unknown component {type(c).__name__}")
-
-
-def _scale_component(c, a: float):
-    if isinstance(c, Atom):
-        return Atom(c.point, a * c.weight)
-    if isinstance(c, SphereUniform):
-        return SphereUniform(c.center, c.radius, a * c.total, c.density, c.density_spec)
-    if isinstance(c, BallUniform):
-        return BallUniform(c.center, c.radius, a * c.total)
-    if isinstance(c, GridDensity):
-        return GridDensity(c.grid, a * np.asarray(c.values))
-    raise TypeError(type(c).__name__)
-
-
-def _component_to_json(c) -> dict:
-    if isinstance(c, Atom):
-        return {"type": "atom", "point": c.point.tolist(), "weight": c.weight}
-    if isinstance(c, SphereUniform):
-        if c.density is not None and c.density_spec is None:
-            raise ValueError("cannot serialize a sphere layer with an opaque density callable")
-        return {"type": "sphere_uniform", "center": c.center.tolist(), "radius": c.radius,
-                "total": c.total, "density_spec": c.density_spec}
-    if isinstance(c, BallUniform):
-        return {"type": "ball_uniform", "center": c.center.tolist(), "radius": c.radius,
-                "total": c.total}
-    if isinstance(c, GridDensity):
-        return {"type": "grid_density", "grid": c.grid.to_json(),
-                "values": np.asarray(c.values).ravel().tolist()}
-    raise TypeError(type(c).__name__)
-
-
-def _component_from_json(data: dict):
-    t = data["type"]
-    if t == "atom":
-        return Atom(np.asarray(data["point"], float), float(data["weight"]))
-    if t == "sphere_uniform":
-        spec = data.get("density_spec")
-        density = _density_from_spec(spec) if spec else None
-        return SphereUniform(np.asarray(data["center"], float), float(data["radius"]),
-                             float(data["total"]), density, spec)
-    if t == "ball_uniform":
-        return BallUniform(np.asarray(data["center"], float), float(data["radius"]),
-                           float(data["total"]))
-    if t == "grid_density":
-        grid = GridDomain.from_json(data["grid"])
-        vals = np.asarray(data["values"], float).reshape(grid.shape)
-        return GridDensity(grid, vals)
-    raise ValueError(f"unknown component type {t!r}")
-
-
-def _density_from_spec(spec: dict):
-    if spec["kind"] == "poisson":
-        x = np.asarray(spec["x"], float)
-        center = np.asarray(spec["center"], float)
-        radius = float(spec["radius"])
-        d = x.size
-
-        def poisson(pts: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(pts)
-            return (radius ** (d - 2) * (radius ** 2 - float(np.sum((x - center) ** 2)))
-                    / np.linalg.norm(pts - x[None, :], axis=1) ** d)
-
-        return poisson
-    raise ValueError(f"unknown density spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +495,6 @@ class _ExtSum:
         self.finite = 0.0
         self.pos_inf = False
         self.neg_inf = False
-
-    def add(self, x: float):
-        if math.isnan(x):
-            raise IndeterminateIntegral("indeterminate contribution (nan)")
-        if x == math.inf:
-            self.pos_inf = True
-        elif x == -math.inf:
-            self.neg_inf = True
-        else:
-            self.finite += x
 
     def add_weighted(self, weights: np.ndarray, values: np.ndarray):
         w = np.asarray(weights, float)
@@ -335,51 +523,19 @@ class _ExtSum:
         return self.finite
 
 
-def _layer_rule(c: SphereUniform, d: int, seed: int, tag: str):
-    """Quadrature nodes/weights (mean-normalized) for a sphere layer."""
-    if c.density is not None or d == 2:
-        nodes, w = quadrature.sphere_rule(d)
-    else:
-        nodes = quadrature.sphere_mc_nodes(d, quadrature.SPHERE_MC_SAMPLES, seed, tag)
-        w = np.full(len(nodes), 1.0 / len(nodes))
-    pts = c.center[None, :] + c.radius * nodes
-    if c.density is not None:
-        w = w * _eval_field(c.density, pts)
-    return pts, w
-
-
 def integrate(mu: Measure, f, seed: int = 0) -> float:
     """Integral of a field against the charge, as an extended real.
 
     The field must be evaluable |mu|-a.e. on the support; -inf values are
     legal and propagate by the usual conventions.  `seed` feeds the d=3
-    Monte-Carlo sphere streams only.
+    Monte-Carlo sphere streams only.  Components without mass never see
+    the field.
     """
     acc = _ExtSum()
     for i, c in enumerate(mu.components):
-        if isinstance(c, Atom):
-            if c.weight == 0.0:
-                continue
-            val = float(_eval_field(f, c.point[None, :])[0])
-            if math.isinf(val):
-                acc.add(math.copysign(math.inf, val * c.weight))
-            else:
-                acc.add(c.weight * val)
-        elif isinstance(c, SphereUniform):
-            pts, w = _layer_rule(c, mu.dimension, seed, f"sphere-mc-{i}")
-            acc.add_weighted(c.total * w, _eval_field(f, pts))
-        elif isinstance(c, BallUniform):
-            nodes, w = quadrature.ball_rule(mu.dimension)
-            pts = c.center[None, :] + c.radius * nodes
-            acc.add_weighted(c.total * w, _eval_field(f, pts))
-        elif isinstance(c, GridDensity):
-            live = np.asarray(c.values) != 0.0
-            if not live.any():
-                continue
-            pts = c.grid.origin[None, :] + np.argwhere(live) * c.grid.spacing
-            acc.add_weighted(np.asarray(c.values)[live], _eval_field(f, pts))
-        else:
-            raise TypeError(type(c).__name__)
+        pts, w = c.discretize("integrate", seed, i)
+        if np.any(w):
+            acc.add_weighted(w, _eval_field(f, pts))
     return acc.value()
 
 
@@ -387,19 +543,7 @@ def total_mass(mu: Measure) -> float:
     """Sum of component masses (density-weighted layers by their quadrature)."""
     m = 0.0
     for c in mu.components:
-        if isinstance(c, Atom):
-            m += c.weight
-        elif isinstance(c, SphereUniform):
-            if c.density is None:
-                m += c.total
-            else:
-                nodes, w = quadrature.sphere_rule(mu.dimension)
-                pts = c.center[None, :] + c.radius * nodes
-                m += c.total * float(np.dot(w, _eval_field(c.density, pts)))
-        elif isinstance(c, BallUniform):
-            m += c.total
-        elif isinstance(c, GridDensity):
-            m += float(np.sum(c.values))
+        m += c.mass()
     return m
 
 
@@ -407,110 +551,26 @@ def total_mass(mu: Measure) -> float:
 # restriction / decomposition
 
 
-def _concentric(c_center, S) -> bool:
-    return bool(np.allclose(c_center, S.center, atol=1e-14))
-
-
-def _layer_to_atoms(pts: np.ndarray, w: np.ndarray, total: float, keep: np.ndarray) -> list:
-    return [Atom(p, total * wi) for p, wi, k in zip(pts, w, keep) if k and wi != 0.0]
-
-
 def restrict(mu: Measure, S, complement: bool = False) -> Measure:
     """Restriction of the charge to S (or to its complement).
 
-    Atoms and grid cells are kept or dropped by membership; ball layers are
+    Atoms and grid cells are kept or dropped by membership; layers are
     split analytically against concentric balls/annuli, other layer/domain
-    pairs are clipped by their quadrature nodes (stratified node clouds).
+    pairs are clipped by their ``clip`` quadrature nodes.
     """
     out = []
-    for i, c in enumerate(mu.components):
-        if isinstance(c, Atom):
-            inside = S.contains(c.point)
-            if inside != complement:
-                out.append(c)
-        elif isinstance(c, BallUniform):
-            out.extend(_restrict_ball(c, S, complement, mu.dimension))
-        elif isinstance(c, SphereUniform):
-            out.extend(_restrict_sphere(c, S, complement, mu.dimension))
-        elif isinstance(c, GridDensity):
-            keep = S.contains_array(c.grid.cell_centers())
-            if complement:
-                keep = ~keep
-            vals = np.zeros(c.grid.shape)
-            idx = np.argwhere(c.grid.mask)
-            kept = idx[keep]
-            vals[tuple(kept.T)] = np.asarray(c.values)[tuple(kept.T)]
-            out.append(GridDensity(c.grid, vals))
+    for c in mu.components:
+        out.extend(c.restrict(S, complement))
     return Measure(mu.dimension, out)
-
-
-def _restrict_ball(c: BallUniform, S, complement: bool, d: int) -> list:
-    if isinstance(S, Ball) and _concentric(c.center, S):
-        lo, hi = (S.radius, None) if complement else (None, S.radius)
-        return _ball_shell(c, lo, hi, d)
-    if isinstance(S, Annulus) and _concentric(c.center, S):
-        if complement:
-            inner = _ball_shell(c, None, S.r_in, d)
-            outer = _ball_shell(c, S.r_out, None, d)
-            return inner + outer
-        return _ball_shell(c, S.r_in, S.r_out, d)
-    nodes, w = quadrature.ball_rule(d, 32, 512)
-    pts = c.center[None, :] + c.radius * nodes
-    keep = S.contains_array(pts)
-    if complement:
-        keep = ~keep
-    return _layer_to_atoms(pts, w, c.total, keep)
-
-
-def _ball_shell(c: BallUniform, lo: float | None, hi: float | None, d: int) -> list:
-    """Uniform-density slice {lo < |x-c| < hi} of a uniform ball, analytic."""
-    density = c.total / (unit_ball_volume(d) * c.radius ** d)
-    hi_r = c.radius if hi is None else min(hi, c.radius)
-    lo_r = 0.0 if lo is None else min(lo, c.radius)
-    if hi_r <= lo_r:
-        return []
-    parts = [BallUniform(c.center, hi_r, density * unit_ball_volume(d) * hi_r ** d)]
-    if lo_r > 0.0:
-        parts.append(BallUniform(c.center, lo_r, -density * unit_ball_volume(d) * lo_r ** d))
-    return parts
-
-
-def _restrict_sphere(c: SphereUniform, S, complement: bool, d: int) -> list:
-    if isinstance(S, Ball) and _concentric(c.center, S):
-        inside = c.radius < S.radius
-        return [c] if inside != complement else []
-    if isinstance(S, Annulus) and _concentric(c.center, S):
-        inside = S.r_in < c.radius < S.r_out
-        return [c] if inside != complement else []
-    if c.density is not None or d == 2:
-        nodes, w = quadrature.sphere_rule(d)
-    else:
-        nodes, w = quadrature.sphere_rule(d, 16384)
-    pts = c.center[None, :] + c.radius * nodes
-    if c.density is not None:
-        w = w * _eval_field(c.density, pts)
-    keep = S.contains_array(pts)
-    if complement:
-        keep = ~keep
-    return _layer_to_atoms(pts, w, c.total, keep)
 
 
 def jordan(mu: Measure) -> tuple:
     """Jordan decomposition (mu+, mu-) by the sign of weights/values."""
     pos, neg = [], []
     for c in mu.components:
-        if isinstance(c, Atom):
-            (pos if c.weight >= 0 else neg).append(Atom(c.point, abs(c.weight)))
-        elif isinstance(c, SphereUniform):
-            target = pos if c.total >= 0 else neg
-            target.append(SphereUniform(c.center, c.radius, abs(c.total), c.density,
-                                        c.density_spec))
-        elif isinstance(c, BallUniform):
-            (pos if c.total >= 0 else neg).append(BallUniform(c.center, c.radius, abs(c.total)))
-        elif isinstance(c, GridDensity):
-            vals = np.asarray(c.values)
-            pos.append(GridDensity(c.grid, np.maximum(vals, 0.0)))
-            neg.append(GridDensity(c.grid, np.maximum(-vals, 0.0)))
+        p, n = c.jordan()
+        pos.extend(p)
+        neg.extend(n)
     return Measure(mu.dimension, pos), Measure(mu.dimension, neg)
 
 
@@ -554,28 +614,9 @@ class Mollifier:
         return vol * float(np.dot(w, vals))
 
 
-def _source_atoms(mu: Measure, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _source_atoms(mu: Measure) -> tuple[np.ndarray, np.ndarray]:
     """Flatten a measure to a weighted atom cloud for convolution purposes."""
-    pts, wts = [], []
-    for c in mu.components:
-        if isinstance(c, Atom):
-            pts.append(c.point[None, :])
-            wts.append(np.array([c.weight]))
-        elif isinstance(c, SphereUniform):
-            nodes, w = quadrature.sphere_rule(d, 1024 if d == 2 else 1024)
-            p = c.center[None, :] + c.radius * nodes
-            if c.density is not None:
-                w = w * _eval_field(c.density, p)
-            pts.append(p)
-            wts.append(c.total * w)
-        elif isinstance(c, BallUniform):
-            nodes, w = quadrature.ball_rule(d, 16, 128)
-            pts.append(c.center[None, :] + c.radius * nodes)
-            wts.append(c.total * w)
-        elif isinstance(c, GridDensity):
-            live = np.asarray(c.values) != 0.0
-            pts.append(c.grid.origin[None, :] + np.argwhere(live) * c.grid.spacing)
-            wts.append(np.asarray(c.values)[live])
+    pts, wts = zip(*(c.discretize("mollify") for c in mu.components))
     return np.vstack(pts), np.concatenate(wts)
 
 
@@ -588,36 +629,28 @@ def convolve_balayage(mu: Measure, smoother, O, cells_per_radius: int = 8) -> Me
     requires each pushed measure to fit inside B(x, dist(supp mu, bd O)/2).
     """
     d = mu.dimension
-    radius_budget = _support_margin(mu, O) / 2.0
+    if not isinstance(O, Ball):
+        raise TypeError("the support condition is implemented for Ball ambient sets")
+    radius_budget = (O.radius - mu.support_radius(O.center)) / 2.0
 
     if isinstance(smoother, Mollifier):
         if smoother.radius >= radius_budget:
             raise ValueError(
                 f"support condition violated: mollifier radius {smoother.radius} "
                 f">= dist(supp, boundary)/2 = {radius_budget}")
-        pts, wts = _source_atoms(mu, d)
+        pts, wts = _source_atoms(mu)
         return Measure(d, [_bumps_on_grid(pts, wts, smoother, cells_per_radius)])
 
     # point -> Measure family; atomic sources only
     out = []
     for c in mu.components:
-        if not isinstance(c, Atom):
+        if c.kind != "atom":
             raise ValueError("measure-family smoothing is implemented for atomic charges")
         iota = smoother(c.point)
         if iota.support_radius(c.point) >= radius_budget:
             raise ValueError("support condition violated for the family measure at an atom")
         out.extend(iota.scaled(c.weight).components)
     return Measure(d, out)
-
-
-def _support_margin(mu: Measure, O) -> float:
-    pts = mu.support_points()
-    if isinstance(O, Ball):
-        return float(O.radius - np.max(np.linalg.norm(pts - O.center[None, :], axis=1)))
-    if isinstance(O, Annulus):
-        r = np.linalg.norm(pts - O.center[None, :], axis=1)
-        return float(min(np.min(r) - O.r_in, O.r_out - np.max(r)))
-    raise TypeError("support margin implemented for Ball/Annulus ambient sets")
 
 
 def _bumps_on_grid(pts: np.ndarray, wts: np.ndarray, moll: Mollifier,

@@ -21,8 +21,7 @@ import numpy as np
 from . import quadrature
 from .fields import ScalarField
 from .kernels import KernelConfig, k_eval, k_eval_array
-from .measures import (Atom, BallUniform, GridDensity, Measure, SphereUniform,
-                       _eval_field)
+from .measures import Atom, GridDensity, Measure, total_mass
 
 __all__ = [
     "DomValue",
@@ -82,19 +81,17 @@ class DomValue:
 class Potential(ScalarField):
     """Kernel potential of a compactly supported charge."""
 
-    def __init__(self, charge: Measure, cfg: KernelConfig, seed: int = 0,
-                 n_sphere: int | None = None, n_ball_radial: int | None = None,
-                 n_ball_angular: int | None = None):
+    def __init__(self, charge: Measure, cfg: KernelConfig):
         if cfg.d != charge.dimension:
             raise ValueError("kernel dimension must match the charge")
         self.charge = charge
         self.cfg = cfg
         self._atoms: list[tuple[np.ndarray, float]] = []
-        self._closed: list = []  # uniform layers with exact radial potentials
+        self._closed: list = []  # exact radial potentials of plain layers
         self._cloud_pts: list[np.ndarray] = []
         self._cloud_w: list[np.ndarray] = []
         self._grids: list[GridDensity] = []
-        for i, c in enumerate(charge.components):
+        for c in charge.components:
             if isinstance(c, Atom):
                 # merge atoms sharing a location so the diagonal value gets
                 # the sign of the net weight, not a +-inf collision
@@ -104,27 +101,14 @@ class Potential(ScalarField):
                         break
                 else:
                     self._atoms.append((c.point, c.weight))
-            elif isinstance(c, SphereUniform):
-                if c.density is None and cfg.d in (2, 3):
-                    self._closed.append(c)  # Newton: exact radial formula
-                else:
-                    nodes, w = quadrature.sphere_rule(cfg.d, n_sphere)
-                    pts = c.center[None, :] + c.radius * nodes
-                    if c.density is not None:
-                        w = w * _eval_field(c.density, pts)
-                    self._cloud_pts.append(pts)
-                    self._cloud_w.append(c.total * w)
-            elif isinstance(c, BallUniform):
-                if cfg.d in (2, 3):
-                    self._closed.append(c)
-                else:
-                    nodes, w = quadrature.ball_rule(cfg.d, n_ball_radial, n_ball_angular)
-                    self._cloud_pts.append(c.center[None, :] + c.radius * nodes)
-                    self._cloud_w.append(c.total * w)
             elif isinstance(c, GridDensity):
-                self._grids.append(c)
+                self._grids.append(c)  # point masses plus the self-cell correction
+            elif (newton := c.newton_potential()) is not None:
+                self._closed.append(newton)
             else:
-                raise TypeError(type(c).__name__)
+                pts, w = c.discretize()
+                self._cloud_pts.append(pts)
+                self._cloud_w.append(w)
         super().__init__(self._evaluate, domain=None, kind="analytic-form")
 
     # -- evaluation ---------------------------------------------------------
@@ -143,8 +127,8 @@ class Potential(ScalarField):
             # at the atom itself: K = -inf for d >= 2; sign follows the weight
             contrib[hit] = 0.0 if self.cfg.d == 1 else -math.copysign(math.inf, w)
             out += contrib
-        for c in self._closed:
-            out += _closed_layer_potential(pts, c, self.cfg.d)
+        for newton in self._closed:
+            out += newton(pts)
         for nodes, w in zip(self._cloud_pts, self._cloud_w):
             out += _chunked_kernel_sum(pts, nodes, w, q)
         for g in self._grids:
@@ -153,11 +137,9 @@ class Potential(ScalarField):
 
     def _grid_contribution(self, pts: np.ndarray, g: GridDensity) -> np.ndarray:
         vals = np.asarray(g.values)
-        live = vals != 0.0
-        if not live.any():
+        centers, masses = g.discretize()
+        if not len(masses):
             return np.zeros(len(pts))
-        centers = g.grid.origin[None, :] + np.argwhere(live) * g.grid.spacing
-        masses = vals[live]
         out = _chunked_kernel_sum(pts, centers, masses, self.cfg.q)
         # when an evaluation point lies inside a charged cell, replace that
         # cell's point-kernel contribution by the exact cell average (removes
@@ -194,8 +176,6 @@ class Potential(ScalarField):
         return DomValue("finite", val)
 
     def total_mass(self) -> float:
-        from .measures import total_mass
-
         return total_mass(self.charge)
 
     # -- export -------------------------------------------------------------
@@ -218,24 +198,6 @@ class Potential(ScalarField):
         return payload
 
 
-def _closed_layer_potential(pts: np.ndarray, c, d: int) -> np.ndarray:
-    """Exact potential of a uniform sphere or ball layer (Newton's theorem)."""
-    r = np.linalg.norm(pts - c.center[None, :], axis=1)
-    a, m = c.radius, c.total
-    if isinstance(c, SphereUniform):
-        return m * k_eval_array(d - 2, np.maximum(r, a))
-    inside = r < a
-    out = np.empty(len(r))
-    if d == 2:
-        with np.errstate(divide="ignore"):
-            out[~inside] = m * np.log(r[~inside])
-        out[inside] = m * (math.log(a) + (r[inside] ** 2 - a ** 2) / (2.0 * a ** 2))
-    else:
-        out[~inside] = -m / r[~inside]
-        out[inside] = -m * (3.0 * a ** 2 - r[inside] ** 2) / (2.0 * a ** 3)
-    return out
-
-
 def _chunked_kernel_sum(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
                         q: float, block: int = 8_000_000) -> np.ndarray:
     """sum_i w_i k_q(|y - node_i|) for every y, with bounded memory."""
@@ -254,15 +216,14 @@ def _chunked_kernel_sum(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
     return out
 
 
-def potential(mu: Measure, cfg: KernelConfig, seed: int = 0) -> Potential:
+def potential(mu: Measure, cfg: KernelConfig) -> Potential:
     """Potential field of the charge under the dimension-d Riesz kernel."""
-    return Potential(mu, cfg, seed)
+    return Potential(mu, cfg)
 
 
-def difference_potential(mu: Measure, theta: Measure, cfg: KernelConfig,
-                         seed: int = 0) -> Potential:
+def difference_potential(mu: Measure, theta: Measure, cfg: KernelConfig) -> Potential:
     """Potential of mu - theta (value at infinity is 0 when the masses match)."""
-    diff = Potential(mu - theta, cfg, seed)
+    diff = Potential(mu - theta, cfg)
     diff.value_at_infinity = 0.0
     return diff
 
@@ -292,7 +253,7 @@ class AsymptoticReport:
 
 def asymptotic_check(mu: Measure, radii, cfg: KernelConfig | None = None,
                      directions: int = 16, ratio_cap: float = 1.1,
-                     floor: float = 1e-10, seed: int = 0) -> AsymptoticReport:
+                     floor: float = 1e-10) -> AsymptoticReport:
     """Check pt_mu(x) = m k_{d-2}(|x|) + O(1/|x|^{d-1}) on the given radii.
 
     Needs every radius beyond twice the support radius.  The scaled error
@@ -300,7 +261,7 @@ def asymptotic_check(mu: Measure, radii, cfg: KernelConfig | None = None,
     (errors below `floor` count as zero).
     """
     cfg = cfg or KernelConfig(mu.dimension)
-    pt = potential(mu, cfg, seed)
+    pt = potential(mu, cfg)
     m = pt.total_mass()
     support = mu.support_radius()
     radii = sorted(float(R) for R in radii)
@@ -343,14 +304,10 @@ def _set_distance(L, pts: np.ndarray) -> float:
 
 
 def _probe_points(L, n: int, seed: int) -> np.ndarray:
-    rng = quadrature.rng_for(seed, "lower-bound-probes")
-    d = L.dimension
-    inner = []
-    while len(inner) < n:
-        x = L.center + L.radius * (2.0 * rng.random(d) - 1.0)
-        if np.linalg.norm(x - L.center) <= L.radius:
-            inner.append(x)
-    return np.vstack([np.array(inner), L.boundary_points(n)])
+    inner = quadrature.sample_in(
+        quadrature.rng_for(seed, "lower-bound-probes"), L.center, L.radius, n,
+        lambda p: np.linalg.norm(p - L.center, axis=1) <= L.radius)
+    return np.vstack([inner, L.boundary_points(n)])
 
 
 def lower_bound_check(mu: Measure, L, o=None, n_probes: int = 128,
@@ -361,13 +318,13 @@ def lower_bound_check(mu: Measure, L, o=None, n_probes: int = 128,
     L): inf_L pt_{mu - delta_o} >= the same minus k_{d-2}(sup_L |x - o|).
     """
     cfg = KernelConfig(mu.dimension)
-    m = sum(w for w in [_component_mass(c) for c in mu.components])
+    m = total_mass(mu)
     support = mu.support_points()
     gap = _set_distance(L, support)
     bound = -math.inf if gap == 0.0 else m * k_eval(cfg.q, gap)
     probes = _probe_points(L, n_probes, seed)
     if o is None:
-        pt = potential(mu, cfg, seed)
+        pt = potential(mu, cfg)
         observed = float(np.min(pt.evaluate_array(probes)))
         variant = "interior"
     else:
@@ -375,19 +332,10 @@ def lower_bound_check(mu: Measure, L, o=None, n_probes: int = 128,
         if L.closure_contains(o):
             raise ValueError("o must lie outside L")
         delta = Measure(mu.dimension, [Atom(o, 1.0)])
-        pt = difference_potential(mu, delta, cfg, seed)
+        pt = difference_potential(mu, delta, cfg)
         sup_dist = float(np.linalg.norm(L.center - o) + L.radius)
         bound = bound - k_eval(cfg.q, sup_dist)
         observed = float(np.min(pt.evaluate_array(probes)))
         variant = "difference"
     return LowerBoundReport(bound, observed, bool(observed >= bound - tol), variant)
 
-
-def _component_mass(c) -> float:
-    if isinstance(c, Atom):
-        return c.weight
-    if isinstance(c, (SphereUniform, BallUniform)):
-        return c.total
-    if isinstance(c, GridDensity):
-        return float(np.sum(c.values))
-    raise TypeError(type(c).__name__)

@@ -53,7 +53,7 @@ def _probes_avoiding(domain, n, seed, holes=(), min_r=2e-3):
 # ---------------------------------------------------------------------------
 
 
-def preset_glue_basic(seed: int, grid: int, tol_scale: float):
+def preset_glue_basic(seed: int, tol_scale: float):
     tol = 1e-6 * tol_scale
     checks = []
     O = Annulus(point(0, 0), 1.0, 3.0)
@@ -117,7 +117,7 @@ def preset_glue_basic(seed: int, grid: int, tol_scale: float):
     return checks, {}
 
 
-def preset_glue_green(seed: int, grid: int, tol_scale: float):
+def preset_glue_green(seed: int, tol_scale: float):
     tol = 1e-6 * tol_scale
     checks = []
     O = Ball(point(0, 0), 1.0)
@@ -140,6 +140,9 @@ def preset_glue_green(seed: int, grid: int, tol_scale: float):
                         {"worst_margin": rep.worst_margin()},
                         [("probe", r.value, r.average, r.margin, r.passed) for r in rep.rows]))
 
+    # these rng.uniform loops stay scalar rather than use quadrature.sample_in:
+    # uniform(lo, hi) rounds differently from center + half * (2u - 1), and the
+    # two loops share one generator, so block draws would shift the second set
     rng = np.random.default_rng(seed + 1)
     ring_pts = []
     while len(ring_pts) < 200:
@@ -180,7 +183,7 @@ def preset_glue_green(seed: int, grid: int, tol_scale: float):
     return checks, {"glued_field": (V, 1.0)}
 
 
-def preset_green_ball(seed: int, grid: int, tol_scale: float):
+def preset_green_ball(seed: int, tol_scale: float):
     checks = []
     g2 = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
     val = g2(point(0.5, 0))
@@ -233,6 +236,7 @@ def preset_green_ball(seed: int, grid: int, tol_scale: float):
     checks.append(Check("M_g positive for shifted S_o", mg_s > 0, {"M_g": mg_s}))
 
     # domination: g - M_g >= 0 on S_o minus the pole
+    # scalar rng.uniform loop, not sample_in: uniform(lo, hi) rounds differently
     rng2 = np.random.default_rng(seed + 2)
     pts = []
     while len(pts) < 500:
@@ -245,7 +249,7 @@ def preset_green_ball(seed: int, grid: int, tol_scale: float):
     return checks, {"green_field": (g2, 1.2)}
 
 
-def preset_harmonic_measure(seed: int, grid: int, tol_scale: float):
+def preset_harmonic_measure(seed: int, tol_scale: float):
     checks = []
     g2 = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
     x = point(0.5, 0)
@@ -300,7 +304,7 @@ def preset_harmonic_measure(seed: int, grid: int, tol_scale: float):
     return checks, {}
 
 
-def preset_balayage_mass(seed: int, grid: int, tol_scale: float):
+def preset_balayage_mass(seed: int, tol_scale: float):
     checks = []
     d = 2
     g2 = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
@@ -355,7 +359,7 @@ def preset_balayage_mass(seed: int, grid: int, tol_scale: float):
     return checks, {}
 
 
-def preset_lyons_example(seed: int, grid: int, tol_scale: float):
+def preset_lyons_example(seed: int, tol_scale: float):
     checks = []
     theta, mu_E, pts = bal.lyons_example_pair(seed=seed)
     S = Ball(point(0, 0), 0.75)
@@ -437,7 +441,7 @@ def _pj_instances(seed: int):
     ]
 
 
-def preset_classical_pj(seed: int, grid: int, tol_scale: float):
+def preset_classical_pj(seed: int, tol_scale: float):
     checks = []
     d = 2
     g1 = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
@@ -464,7 +468,7 @@ def preset_classical_pj(seed: int, grid: int, tol_scale: float):
     return checks, {}
 
 
-def preset_pj_suite(seed: int, grid: int, tol_scale: float):
+def preset_pj_suite(seed: int, tol_scale: float):
     checks = []
     rows = []
     all_ok = True
@@ -480,7 +484,7 @@ def preset_pj_suite(seed: int, grid: int, tol_scale: float):
     return checks, {}
 
 
-def preset_duality_roundtrip(seed: int, grid: int, tol_scale: float):
+def preset_duality_roundtrip(seed: int, tol_scale: float):
     checks = []
     d = 2
     x0 = point(0, 0)
@@ -560,7 +564,7 @@ def preset_duality_roundtrip(seed: int, grid: int, tol_scale: float):
     return checks, {}
 
 
-def preset_zeros_polynomial(seed: int, grid: int, tol_scale: float):
+def preset_zeros_polynomial(seed: int, tol_scale: float):
     checks = []
     S_o = Ball(point(0, 0), 0.05)
     f = zeros.HoloFunction.polynomial([1, 0, -0.25])
@@ -585,7 +589,7 @@ def preset_zeros_polynomial(seed: int, grid: int, tol_scale: float):
     return checks, {}
 
 
-def preset_zeros_blaschke(seed: int, grid: int, tol_scale: float):
+def preset_zeros_blaschke(seed: int, tol_scale: float):
     checks = []
     S_o = Ball(point(0, 0), 0.05)
     zs = [1 - 2.0 ** (-k) for k in range(1, 11)]
@@ -610,7 +614,7 @@ def preset_zeros_blaschke(seed: int, grid: int, tol_scale: float):
     return checks, {}
 
 
-def preset_zeros_adversarial(seed: int, grid: int, tol_scale: float):
+def preset_zeros_adversarial(seed: int, tol_scale: float):
     checks = []
     S_o = Ball(point(0, 0), 0.05)
     zs = [1 - 1.0 / k for k in range(2, 201)]
@@ -656,11 +660,11 @@ PRESETS = {
 }
 
 
-def run_preset(name: str, seed: int = 0, grid: int = 256, tol_scale: float = 1.0):
+def run_preset(name: str, seed: int = 0, tol_scale: float = 1.0):
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}")
     fn, _, _ = PRESETS[name]
-    return fn(seed, grid, tol_scale)
+    return fn(seed, tol_scale)
 
 
 def preset_table() -> list:

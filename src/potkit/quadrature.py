@@ -11,8 +11,6 @@ import zlib
 
 import numpy as np
 
-from .kernels import sphere_surface_area, unit_ball_volume
-
 # default node counts; see the module docstrings of measures/green for
 # which rule is used where
 CIRCLE_NODES = 4096          # 2**12, periodic trapezoid on circles
@@ -25,6 +23,30 @@ def rng_for(seed: int, tag: str) -> np.random.Generator:
     """Deterministic generator for a (global seed, stream tag) pair."""
     return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF,
                                                          zlib.crc32(tag.encode())]))
+
+
+def sample_in(rng: np.random.Generator, center, half: float, n: int, accept,
+              max_draws: int | None = None) -> np.ndarray:
+    """First n accepted candidates ``center + half * (2u - 1)``, u uniform in [0, 1)^d.
+
+    Candidates are drawn in blocks; block row k is the k-th ``rng.random(d)``
+    draw, so the accepted points equal those of a rejection loop drawing one
+    candidate at a time.  `accept` maps an (m, d) candidate block to a boolean
+    mask.  With `max_draws`, at most that many candidates are tried and fewer
+    than n points may come back.
+    """
+    center = np.asarray(center, dtype=float)
+    d = center.size
+    out, kept, drawn = [np.zeros((0, d))], 0, 0
+    while kept < n and (max_draws is None or drawn < max_draws):
+        m = max(64, 2 * (n - kept))
+        if max_draws is not None:
+            m = min(m, max_draws - drawn)
+        cand = center + half * (2.0 * rng.random((m, d)) - 1.0)
+        drawn += m
+        out.append(cand[accept(cand)][:n - kept])
+        kept += len(out[-1])
+    return np.concatenate(out)
 
 
 def circle_nodes(n: int) -> np.ndarray:
@@ -105,10 +127,3 @@ def gauss_legendre_cell(ndim: int, order: int = 3):
         weights *= w[idx]
     return nodes, weights
 
-
-def surface_area(d: int) -> float:
-    return sphere_surface_area(d)
-
-
-def ball_volume(d: int) -> float:
-    return unit_ball_volume(d)

@@ -204,14 +204,9 @@ class GrowthMajorant:
     def check_dominates(self, f: HoloFunction, n_samples: int = 10_000,
                         tol: float = 1e-9, seed: int = 0):
         """Verify |f| <= exp(M) on samples; returns the witness on failure."""
-        rng = quadrature.rng_for(seed, "majorant-samples")
         D = f.domain
-        pts = []
-        while len(pts) < n_samples:
-            p = D.center + D.radius * (2.0 * rng.random((min(n_samples, 4096), 2)) - 1.0)
-            keep = D.contains_array(p)
-            pts.extend(p[keep])
-        pts = np.array(pts[:n_samples])
+        pts = quadrature.sample_in(quadrature.rng_for(seed, "majorant-samples"), D.center,
+                                   D.radius, n_samples, D.contains_array)
         lhs = np.log(np.maximum(f.abs_at(_as_complex(pts)), 1e-300))
         rhs = self.value(pts)
         bad = lhs > rhs + tol

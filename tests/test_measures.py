@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from potkit import fields, green
-from potkit.geometry import Ball, point
+from potkit.geometry import Annulus, Ball, GridDomain, point
 from potkit.measures import (Atom, BallUniform, GridDensity, Measure, Mollifier,
                              SphereUniform, convolve_balayage, integrate, jordan,
                              restrict, total_mass)
@@ -137,6 +137,19 @@ def test_convolve_support_condition_enforced():
         convolve_balayage(mu, Mollifier(0.2, 2), Ball(point(0, 0), 1.0))
 
 
+@pytest.mark.parametrize("kind", [SphereUniform, BallUniform])
+def test_convolve_support_condition_is_exact(kind):
+    # layer of radius 0.5 centred 0.3 away in B(0, 1): the exact budget is
+    # (1 - 0.8) / 2 = 0.1, so a mollifier just above it must be refused even
+    # where sampled support nodes miss the outermost point
+    c = 0.3 * np.array([math.cos(math.pi / 64), math.sin(math.pi / 64)])
+    mu = Measure(2, [kind(c, 0.5, 1.0)])
+    with pytest.raises(ValueError):
+        convolve_balayage(mu, Mollifier(0.10005, 2), Ball(point(0, 0), 1.0))
+    with pytest.raises(TypeError):
+        convolve_balayage(mu, Mollifier(0.05, 2), Annulus(point(0, 0), 0.1, 1.0))
+
+
 def test_convolve_family_variant():
     # point -> measure family: push a two-atom charge through parallel shifts
     def family(x):
@@ -148,6 +161,27 @@ def test_convolve_family_variant():
     assert all(isinstance(c, SphereUniform) for c in beta.components)
 
 
+def _protocol_cases():
+    """One component of each kind: d = 2, and d = 3 for the layers."""
+    om = green.harmonic_measure(green.green_ball(point(0, 0), 1.0, point(0, 0), 2),
+                                point(0.4, 0.1))
+    values = np.sin(np.arange(81.0)).reshape(9, 9)
+    return {
+        "atom": Atom(point(0.3, -0.2), -1.5),
+        "sphere-d2": SphereUniform(point(0.1, 0), 0.5, 2.0),
+        "sphere-poisson-d2": om.scaled(-0.7).components[0],
+        "sphere-d3": SphereUniform(point(0, 0, 0.1), 0.4, -1.25),
+        "ball-d2": BallUniform(point(0, 0.1), 0.6, -0.8),
+        "ball-d3": BallUniform(point(0.1, 0, 0), 0.5, 1.1),
+        "grid-d2": GridDensity(GridDomain(point(-0.4, -0.4), 0.1, np.ones((9, 9), bool)),
+                               values),
+    }
+
+
+def _smooth_field():
+    return fields.ScalarField(lambda p: np.cos(p[:, 0]) + p[:, 1] + p[:, -1] ** 2)
+
+
 def test_measure_serialization_roundtrip():
     om = green.harmonic_measure(green.green_ball(point(0, 0), 1.0, point(0, 0), 2),
                                 point(0.4, 0.1))
@@ -157,6 +191,33 @@ def test_measure_serialization_roundtrip():
     back = Measure.from_json(data)
     f = fields.ScalarField(lambda p: np.cos(p[:, 0]) + p[:, 1])
     assert integrate(back, f) == pytest.approx(integrate(mu, f), abs=1e-12)
+    # every component kind survives the round trip exactly
+    for name, c in _protocol_cases().items():
+        mu = Measure(c.dimension, [c])
+        back = Measure.from_json(json.loads(mu.dumps()))
+        assert back.to_json() == mu.to_json(), name
+        assert integrate(back, _smooth_field()) == integrate(mu, _smooth_field()), name
+    with pytest.raises(ValueError):
+        Measure.from_json({"dimension": 2, "components": [{"type": "ring"}]})
+
+
+@pytest.mark.parametrize("name", list(_protocol_cases()))
+def test_component_protocol(name):
+    c = _protocol_cases()[name]
+    mu = Measure(c.dimension, [c])
+    f = _smooth_field()
+    assert c.scaled(-2.5).mass() == pytest.approx(-2.5 * c.mass(), rel=1e-14)
+    pos, neg = jordan(mu)
+    assert integrate(pos, f) - integrate(neg, f) == pytest.approx(integrate(mu, f), abs=1e-12)
+    S = Ball(np.full(c.dimension, 0.15), 0.45)  # off-center: layers are clipped
+    kept, dropped = restrict(mu, S), restrict(mu, S, complement=True)
+    assert total_mass(kept) + total_mass(dropped) == pytest.approx(c.mass(), abs=1e-12)
+    for use in ("integrate", "clip", "mollify"):
+        pts, w = c.discretize(use)
+        assert pts.shape == (len(w), c.dimension)
+        assert float(np.sum(w)) == pytest.approx(c.mass(), rel=1e-9), use
+    assert c.support_radius(np.zeros(c.dimension)) >= np.max(
+        np.linalg.norm(c.support_points(), axis=1)) - 1e-12
 
 
 def test_indeterminate_integral_raises():
@@ -188,6 +249,31 @@ def test_seeded_streams_are_deterministic_and_independent():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, c)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_sample_in_matches_scalar_rejection_loop(seed):
+    from potkit.quadrature import rng_for, sample_in
+
+    o2, o3 = point(0.2, -0.1), point(0.0, 0.3, -0.2)
+    cases = [  # (center, half, scalar test, n, max_draws)
+        (o2, 0.7, lambda x: np.linalg.norm(x - o2) < 0.7, 300, None),
+        (o3, 1.0, lambda x: 0.6 < np.linalg.norm(x - o3) < 1.0, 150, None),
+        (o2, 0.5, lambda x: x[0] > o2[0] + 0.45, 100, 400),
+    ]
+    for center, half, ok, n, max_draws in cases:
+        rng = rng_for(seed, "sample-in")
+        want = []
+        for _ in range(max_draws or 10 ** 6):
+            x = center + half * (2.0 * rng.random(center.size) - 1.0)
+            if ok(x):
+                want.append(x)
+                if len(want) == n:
+                    break
+        got = sample_in(rng_for(seed, "sample-in"), center, half, n,
+                        lambda p: np.array([ok(x) for x in p], dtype=bool), max_draws)
+        assert np.array_equal(got, np.array(want).reshape(-1, center.size))
+    assert len(got) < 100  # the capped case stops at max_draws
 
 
 def test_restrict_by_grid_domain():
