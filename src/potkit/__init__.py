@@ -8,9 +8,9 @@ zero-distribution criteria for holomorphic functions, plus a scenario CLI.
 """
 
 from . import (balayage, duality, fields, geometry, green, kernels, measures,
-               potentials, presets, quadrature, zeros)
+               potentials, presets, quadrature, verdict, zeros)
 
 __all__ = ["balayage", "duality", "fields", "geometry", "green", "kernels",
-           "measures", "potentials", "presets", "quadrature", "zeros"]
+           "measures", "potentials", "presets", "quadrature", "verdict", "zeros"]
 
 __version__ = "0.1.0"

@@ -12,8 +12,6 @@ keep increasing without decay.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,10 +23,10 @@ from .geometry import Ball
 from .kernels import KernelConfig
 from .measures import (Atom, BallUniform, IndeterminateIntegral, Measure,
                        SphereUniform, integrate, restrict)
+from .verdict import Row, Verdict
 
 __all__ = [
     "TestFamily",
-    "BalayageVerdict",
     "check_linear",
     "check_affine",
     "harmonic_kernel_family",
@@ -71,69 +69,6 @@ class TestFamily:
         return np.max(vals, axis=0)
 
 
-@dataclass
-class MarginRow:
-    name: str
-    lhs: float
-    rhs: float
-    margin: float
-    tol: float
-    passed: bool
-
-
-class BalayageVerdict:
-    """Outcome of a sampled balayage check."""
-
-    def __init__(self, relation: str, passed: bool, rows: list, witness: str | None,
-                 constant: float | None = None, diverging_orbits: list | None = None,
-                 indeterminate: list | None = None):
-        self.relation = relation
-        self.passed = passed
-        self.rows = rows
-        self.witness = witness
-        self.constant = constant
-        self.diverging_orbits = diverging_orbits or []
-        self.indeterminate = indeterminate or []
-
-    @property
-    def worst_margin(self) -> float:
-        margins = [r.margin for r in self.rows]
-        return max(margins) if margins else -math.inf
-
-    def to_json(self) -> dict:
-        return {
-            "relation": self.relation,
-            "semantics": "sampled verdict",
-            "pass": self.passed,
-            "worst_margin": _json_float(self.worst_margin),
-            "witness": self.witness,
-            "C": None if self.constant is None else _json_float(self.constant),
-            "diverging_orbits": self.diverging_orbits,
-            "indeterminate": self.indeterminate,
-            "margins": {r.name: _json_float(r.margin) for r in self.rows},
-        }
-
-    def margins_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["member", "lhs", "rhs", "margin", "tol", "pass"])
-            for r in self.rows:
-                writer.writerow([r.name, r.lhs, r.rhs, r.margin, r.tol, int(r.passed)])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-
-def _json_float(x: float):
-    if math.isnan(x):
-        return "nan"
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return x
-
-
 class FamilyError(ValueError):
     """A member could not be evaluated; carries the member id."""
 
@@ -162,19 +97,30 @@ def _evaluate_rows(theta: Measure, mu: Measure, family: TestFamily, tol_scale: f
             rhs = integrate(mu, h, seed=seed)
         except IndeterminateIntegral:
             indeterminate.append(name)
-            rows.append(MarginRow(name, math.nan, math.nan, math.nan, 0.0, False))
+            rows.append(Row(name, math.nan, math.nan, math.nan, False))
             continue
         except Exception as exc:
             raise FamilyError(name, exc)
         tol = pair_tol(lhs, rhs, tol_scale)
         m = _margin(lhs, rhs)
         ok = abs(m) <= tol if symmetric else m <= tol
-        rows.append(MarginRow(name, lhs, rhs, m, tol, bool(ok)))
+        rows.append(Row(name, lhs, rhs, m, bool(ok), tol))
     return rows, indeterminate
 
 
+def _verdict(relation: str, passed: bool, rows: list, witness: str | None,
+             constant: float | None = None, diverging: list = (),
+             indeterminate: list = ()) -> Verdict:
+    verdict = Verdict(relation, passed, rows)
+    verdict.data = {"relation": relation, "semantics": "sampled verdict",
+                    "worst_margin": verdict.worst_margin, "witness": witness, "C": constant,
+                    "diverging_orbits": list(diverging), "indeterminate": list(indeterminate),
+                    "margins": {r.member: r.margin for r in rows}}
+    return verdict
+
+
 def check_linear(theta: Measure, mu: Measure, family: TestFamily,
-                 tol_scale: float = 1e-7, seed: int = 0) -> BalayageVerdict:
+                 tol_scale: float = 1e-7, seed: int = 0) -> Verdict:
     """Sampled check of: integral of h against theta <= against mu, for every member.
 
     Symmetric families (H = -H) are held to equality within tolerance.
@@ -184,14 +130,14 @@ def check_linear(theta: Measure, mu: Measure, family: TestFamily,
     failed = [r for r in rows if not r.passed]
     if failed:
         # deterministic reduction: worst margin, lowest index wins ties
-        witness = max(failed, key=lambda r: (0 if math.isnan(r.margin) else r.margin)).name
-    return BalayageVerdict("linear", not failed and not indeterminate, rows, witness,
-                           indeterminate=indeterminate)
+        witness = max(failed, key=lambda r: (0 if math.isnan(r.margin) else r.margin)).member
+    return _verdict("linear", not failed and not indeterminate, rows, witness,
+                    indeterminate=indeterminate)
 
 
 def check_affine(theta: Measure, mu: Measure, family: TestFamily, S_o: Ball,
                  tol_scale: float = 1e-7, divergence_floor: float = 1e-6,
-                 seed: int = 0) -> BalayageVerdict:
+                 seed: int = 0) -> Verdict:
     """Affine balayage outside S_o: report C = max member margin of the restricted
     integrals and probe the family's orbits for divergence.
 
@@ -215,13 +161,13 @@ def check_affine(theta: Measure, mu: Measure, family: TestFamily, S_o: Ball,
     passed = not has_infinite and not indeterminate and not diverging
     witness = None
     if has_infinite:
-        witness = next(r.name for r in rows if r.margin == math.inf)
+        witness = next(r.member for r in rows if r.margin == math.inf)
     elif diverging:
         witness = diverging[0]
     elif rows:
-        witness = max(rows, key=lambda r: (-math.inf if math.isnan(r.margin) else r.margin)).name
-    return BalayageVerdict("affine", passed, rows, witness, constant=constant,
-                           diverging_orbits=diverging, indeterminate=indeterminate)
+        witness = max(rows,
+                      key=lambda r: (-math.inf if math.isnan(r.margin) else r.margin)).member
+    return _verdict("affine", passed, rows, witness, constant, diverging, indeterminate)
 
 
 def _orbit_diverges(margins: list, floor: float) -> bool:

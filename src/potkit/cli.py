@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .fields import ScalarField
 from .geometry import Annulus, Ball, point
 from .measures import Atom, Measure
 from .presets import PRESETS, preset_table, run_preset
+from .verdict import jsonable
 
 SCHEMA_VERSION = 1
 
@@ -112,26 +112,20 @@ def _run_check(spec: dict, ctx: dict, seed: int, tol_scale: float, index: int):
     if ctype == "preset":
         _require(spec.get("name") in PRESETS, f"unknown preset {spec.get('name')!r}", where)
         checks, exports = run_preset(spec["name"], seed=seed, tol_scale=tol_scale)
-        rows = []
-        for c in checks:
-            rows.append({"name": c.name, "pass": c.passed, "data": _jsonable(c.data)})
+        rows = [{"name": c.name, "pass": c.passed, "data": jsonable(c.data)} for c in checks]
         ok = all(c.passed for c in checks)
-        margins = []
-        for c in checks:
-            margins.extend([(f"{spec['name']}::{c.name}",) + tuple(r) for r in c.margins])
-        return {"type": ctype, "preset": spec["name"], "pass": ok == (expect == "pass"),
-                "raw_pass": ok, "checks": rows}, margins, exports
+        return ({"type": ctype, "preset": spec["name"], "pass": ok == (expect == "pass"),
+                 "raw_pass": ok, "checks": rows},
+                _margins([(f"{spec['name']}::{c.name}", c) for c in checks]), exports)
 
     if ctype == "check-linear":
         theta = _build_measure(ctx["measures"][spec["theta"]], where + ".theta")
         mu = _build_measure(ctx["measures"][spec["mu"]], where + ".mu")
         family = _build_family(ctx["family"], ctx, where + ".family")
         verdict = bal.check_linear(theta, mu, family, tol_scale=1e-7 * tol_scale, seed=seed)
-        margins = [("check-linear", r.name, r.lhs, r.rhs, r.margin, r.passed)
-                   for r in verdict.rows]
         return {"type": ctype, "pass": verdict.passed == (expect == "pass"),
                 "raw_pass": verdict.passed,
-                "verdict": verdict.to_json()}, margins, {}
+                "verdict": verdict.to_json()}, _margins([(ctype, verdict)]), {}
 
     if ctype == "poisson-jensen":
         theta = _build_measure(ctx["measures"][spec["theta"]], where + ".theta")
@@ -143,30 +137,14 @@ def _run_check(spec: dict, ctx: dict, seed: int, tol_scale: float, index: int):
         rep = duality.verify_poisson_jensen(theta, mu, u, riesz_u=riesz,
                                             tol_scale=1e-6 * tol_scale, seed=seed)
         return {"type": ctype, "pass": rep.passed == (expect == "pass"),
-                "raw_pass": rep.passed, "report": _jsonable(rep.to_json())}, [], {}
+                "raw_pass": rep.passed, "report": rep.to_json()}, _margins([(ctype, rep)]), {}
 
     raise SchemaError(f"unknown check type {ctype!r}", where)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
+def _margins(labelled: list) -> list:
+    """margins.csv rows (check, member, lhs, rhs, margin, pass) of (label, Verdict) pairs."""
+    return [(label,) + row for label, verdict in labelled for row in verdict.margins]
 
 
 def load_scenario(path: Path) -> dict:
@@ -206,7 +184,7 @@ def run_scenario(data: dict, seed: int, grid: int, tol_scale: float,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "verdicts.json").write_text(
-            json.dumps(_jsonable(verdicts), sort_keys=True, indent=1) + "\n")
+            json.dumps(jsonable(verdicts), sort_keys=True, indent=1) + "\n")
         import csv
 
         with open(out_dir / "margins.csv", "w", newline="") as fh:

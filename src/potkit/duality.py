@@ -19,6 +19,7 @@ from .geometry import Ball, GridDomain, inward_filled_hull, parallel_set
 from .kernels import KernelConfig, k_eval
 from .measures import Atom, IndeterminateIntegral, Measure, integrate, restrict, total_mass
 from .potentials import difference_potential, potential
+from .verdict import Verdict
 
 __all__ = [
     "ASPotential",
@@ -26,7 +27,6 @@ __all__ = [
     "from_potential",
     "verify_poisson_jensen",
     "phragmen_lindelof_bound",
-    "PoissonJensenReport",
 ]
 
 
@@ -62,7 +62,7 @@ def _certify(mu: Measure, x: np.ndarray, kind: str, D: Ball, seed: int):
     verdict = check_linear(delta, mu, family, seed=seed)
     if not verdict.passed:
         raise CertificationError(
-            f"{kind} certification failed (witness {verdict.witness}, "
+            f"{kind} certification failed (witness {verdict.data['witness']}, "
             f"margin {verdict.worst_margin:.3g})")
     return verdict
 
@@ -159,41 +159,6 @@ def from_potential(V: ASPotential, grid: GridDomain,
 # generalized Poisson-Jensen
 
 
-class PoissonJensenReport:
-    """Both sides of the sweep identity, with the rearranged form when finite."""
-
-    def __init__(self, lhs, rhs, terms, tol, rearranged=None):
-        self.lhs = lhs
-        self.rhs = rhs
-        self.terms = terms
-        self.tol = tol
-        self.rearranged = rearranged
-
-    @property
-    def mismatch(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    @property
-    def passed(self) -> bool:
-        ok = self.mismatch <= self.tol
-        if self.rearranged is not None:
-            ok = ok and self.rearranged <= self.tol
-        return bool(ok)
-
-    def to_json(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "mismatch": self.mismatch,
-                "tol": self.tol, "terms": self.terms,
-                "rearranged_mismatch": self.rearranged, "pass": self.passed}
-
-    def text(self) -> str:
-        lines = ["poisson-jensen identity:",
-                 f"  lhs = int u dtheta + int_K pt_mu dRiesz(u) = {self.lhs:.12g}",
-                 f"  rhs = int_K pt_theta dRiesz(u) + int u dmu = {self.rhs:.12g}",
-                 f"  |lhs - rhs| = {self.mismatch:.3g} (tol {self.tol:.3g})",
-                 f"  verdict: {'pass' if self.passed else 'FAIL'}"]
-        return "\n".join(lines)
-
-
 def _hull_window(theta: Measure, mu: Measure, extra: Measure | None,
                  cells: int = 96) -> GridDomain:
     """Inward-filled hull of the supports on a covering grid, padded one cell."""
@@ -220,7 +185,7 @@ def _hull_window(theta: Measure, mu: Measure, extra: Measure | None,
 def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
                           riesz_u: Measure | None = None, K=None,
                           certify: bool = True, tol_scale: float = 1e-6,
-                          seed: int = 0) -> PoissonJensenReport:
+                          seed: int = 0) -> Verdict:
     """Check the generalized Poisson-Jensen identity for a har-balayage pair.
 
     int u dtheta + int_K pt_mu dRiesz(u) = int_K pt_theta dRiesz(u) + int u dmu,
@@ -240,7 +205,7 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
         verdict = check_linear(theta, mu, harmonic_kernel_family(S, ring, d), seed=seed)
         if not verdict.passed:
             raise CertificationError(
-                f"har-balayage certification failed (witness {verdict.witness})")
+                f"har-balayage certification failed (witness {verdict.data['witness']})")
 
     if K is None:
         K = _hull_window(theta, mu, riesz_u, cells=96)
@@ -268,34 +233,21 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
     if math.isfinite(t_u_theta):
         # Eq-style rearrangement: int u dtheta = int u dmu - int_K pt_{mu-theta} dRiesz
         rearranged = abs(t_u_theta - (t_u_mu - (t_mu_riesz - t_theta_riesz)))
-    return PoissonJensenReport(lhs, rhs, terms, tol_scale * scale, rearranged)
+    tol = tol_scale * scale
+    mismatch = abs(lhs - rhs)
+    passed = mismatch <= tol and (rearranged is None or rearranged <= tol)
+    return Verdict("poisson-jensen", bool(passed), [],
+                   {"lhs": lhs, "rhs": rhs, "mismatch": mismatch, "tol": tol, "terms": terms,
+                    "rearranged_mismatch": rearranged})
 
 
 # ---------------------------------------------------------------------------
 # Phragmen-Lindelof style bound
 
 
-class PhragmenLindelofReport:
-    def __init__(self, upper_ok, worst_excess, lower_ok, lower_bound, observed_inf):
-        self.upper_ok = upper_ok
-        self.worst_excess = worst_excess
-        self.lower_ok = lower_ok
-        self.lower_bound = lower_bound
-        self.observed_inf = observed_inf
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.upper_ok and (self.lower_ok is not False))
-
-    def to_json(self) -> dict:
-        return {"upper_ok": self.upper_ok, "worst_excess": self.worst_excess,
-                "lower_ok": self.lower_ok, "lower_bound": self.lower_bound,
-                "observed_inf": self.observed_inf, "pass": self.passed}
-
-
 def phragmen_lindelof_bound(V: ASPotential, green, S_o: Ball | None = None,
                             r: float | None = None, n_probes: int = 500,
-                            tol: float = 1e-7, seed: int = 0) -> PhragmenLindelofReport:
+                            tol: float = 1e-7, seed: int = 0) -> Verdict:
     """Check V <= g_D(., o) on probes (pole coefficient <= 1 required), and the
     kernel lower bound for V on the enlarged S_o when the source is known."""
     if V.pole_coefficient > 1.0 + 1e-6:
@@ -322,4 +274,6 @@ def phragmen_lindelof_bound(V: ASPotential, green, S_o: Ball | None = None,
             probes2 = _window_probes(enlarged, V.pole, 200, seed)
             observed = float(np.min(V.evaluate_array(probes2)))
             lower_ok = observed >= bound - tol
-    return PhragmenLindelofReport(upper_ok, worst, lower_ok, bound, observed)
+    return Verdict("phragmen-lindelof", bool(upper_ok and lower_ok is not False), [],
+                   {"upper_ok": upper_ok, "worst_excess": worst, "lower_ok": lower_ok,
+                    "lower_bound": bound, "observed_inf": observed})

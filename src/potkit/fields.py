@@ -8,7 +8,6 @@ immutable field.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ from . import quadrature
 from .geometry import Annulus, Ball, GridDomain
 from .kernels import riesz_normalizer, k_eval_array
 from .measures import GridDensity, Measure
+from .verdict import Row, Verdict
 
 __all__ = [
     "ScalarField",
@@ -192,46 +192,8 @@ def ball_average(v: ScalarField, x, r: float, n_radial: int | None = None) -> fl
     return float(np.dot(w, vals))
 
 
-@dataclass
-class ProbeRow:
-    x: np.ndarray
-    r: float
-    value: float
-    average: float
-    margin: float
-    passed: bool
-
-
-class SubharmonicReport:
-    """Outcome of sub-mean-value probes; failures are carried, not raised."""
-
-    def __init__(self, rows: list, tol: float):
-        self.rows = rows
-        self.tol = tol
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    @property
-    def violations(self) -> list:
-        return [r for r in self.rows if not r.passed]
-
-    def worst_margin(self) -> float:
-        finite = [r.margin for r in self.rows if math.isfinite(r.margin)]
-        return max(finite) if finite else -math.inf
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "r", "value", "average", "margin", "pass"])
-            for row in self.rows:
-                writer.writerow([" ".join(f"{c:.12g}" for c in row.x), row.r,
-                                 row.value, row.average, row.margin, int(row.passed)])
-
-
 def check_subharmonic(v: ScalarField, probes, tol: float = 1e-6,
-                      n_nodes: int | None = None) -> SubharmonicReport:
+                      n_nodes: int | None = None) -> Verdict:
     """Sub-mean-value test v(x) <= sphere mean + tol at each (point, radius) probe."""
     rows = []
     for x, r in probes:
@@ -239,8 +201,8 @@ def check_subharmonic(v: ScalarField, probes, tol: float = 1e-6,
         val = v(x)
         avg = sphere_average(v, x, r, n_nodes)
         margin = val - avg  # positive margin beyond tol = violation
-        rows.append(ProbeRow(x, r, val, avg, margin, bool(margin <= tol)))
-    return SubharmonicReport(rows, tol)
+        rows.append(Row("probe", val, avg, margin, bool(margin <= tol), tol))
+    return Verdict("sub-mean", all(r.passed for r in rows), rows)
 
 
 def random_probes(domain, n: int, seed: int, r_lo: float | None = None) -> list:

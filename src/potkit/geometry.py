@@ -8,7 +8,6 @@ and safe to share between threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,9 +216,6 @@ class GridDomain:
         shape = tuple(data["shape"])
         mask = _rle_decode(data["mask_rle"], int(np.prod(shape))).reshape(shape)
         return GridDomain(np.asarray(data["origin"], float), float(data["spacing"]), mask)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def _face_structure(d: int) -> np.ndarray:

@@ -53,7 +53,6 @@ calls are deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -463,9 +462,6 @@ class Measure:
                 raise ValueError(f"unknown component type {c['type']!r}")
             comps.append(_KINDS[c["type"]].from_json(c))
         return Measure(int(data["dimension"]), comps)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
     def __repr__(self):
         kinds = ", ".join(type(c).__name__ for c in self.components)

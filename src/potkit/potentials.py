@@ -22,6 +22,7 @@ from . import quadrature
 from .fields import ScalarField
 from .kernels import KernelConfig, k_eval, k_eval_array
 from .measures import Atom, GridDensity, Measure, total_mass
+from .verdict import Row, Verdict
 
 __all__ = [
     "DomValue",
@@ -232,28 +233,9 @@ def difference_potential(mu: Measure, theta: Measure, cfg: KernelConfig) -> Pote
 # asymptotics and lower bounds
 
 
-@dataclass
-class AsymptoticRow:
-    radius: float
-    error: float
-
-
-class AsymptoticReport:
-    """Decay of |pt(x) - m k(|x|)| * |x|^(d-1) across doubling radii."""
-
-    def __init__(self, rows, passed, ratio_cap):
-        self.rows = rows
-        self.passed = passed
-        self.ratio_cap = ratio_cap
-
-    def to_json(self):
-        return {"passed": self.passed, "ratio_cap": self.ratio_cap,
-                "rows": [{"radius": r.radius, "error": r.error} for r in self.rows]}
-
-
 def asymptotic_check(mu: Measure, radii, cfg: KernelConfig | None = None,
                      directions: int = 16, ratio_cap: float = 1.1,
-                     floor: float = 1e-10) -> AsymptoticReport:
+                     floor: float = 1e-10) -> Verdict:
     """Check pt_mu(x) = m k_{d-2}(|x|) + O(1/|x|^{d-1}) on the given radii.
 
     Needs every radius beyond twice the support radius.  The scaled error
@@ -271,30 +253,17 @@ def asymptotic_check(mu: Measure, radii, cfg: KernelConfig | None = None,
         dirs = quadrature.circle_nodes(directions)
     else:
         dirs = quadrature.sphere_spiral_nodes(directions)
-    rows = []
+    rows, prev = [], None
     for R in radii:
         pts = R * dirs
-        err = np.abs(pt.evaluate_array(pts) - m * k_eval(cfg.q, R)) * R ** (cfg.d - 1)
-        rows.append(AsymptoticRow(R, float(np.max(err))))
-    passed = True
-    for prev, cur in zip(rows, rows[1:]):
-        if max(prev.error, cur.error) <= floor:
-            continue
-        if cur.error > ratio_cap * max(prev.error, floor):
-            passed = False
-    return AsymptoticReport(rows, passed, ratio_cap)
-
-
-class LowerBoundReport:
-    def __init__(self, bound, observed_inf, passed, variant):
-        self.bound = bound
-        self.observed_inf = observed_inf
-        self.passed = passed
-        self.variant = variant
-
-    def to_json(self):
-        return {"variant": self.variant, "bound": self.bound,
-                "observed_inf": self.observed_inf, "passed": self.passed}
+        err = float(np.max(np.abs(pt.evaluate_array(pts) - m * k_eval(cfg.q, R))
+                            * R ** (cfg.d - 1)))
+        # the first radius has nothing to grow from: its cap is +inf
+        cap = math.inf if prev is None else ratio_cap * max(prev, floor)
+        ok = prev is None or max(prev, err) <= floor or err <= cap
+        rows.append(Row(f"R={R:g}", err, cap, err - cap, ok))
+        prev = err
+    return Verdict("asymptotic", all(r.passed for r in rows), rows, {"ratio_cap": ratio_cap})
 
 
 def _set_distance(L, pts: np.ndarray) -> float:
@@ -311,7 +280,7 @@ def _probe_points(L, n: int, seed: int) -> np.ndarray:
 
 
 def lower_bound_check(mu: Measure, L, o=None, n_probes: int = 128,
-                      tol: float = 1e-9, seed: int = 0) -> LowerBoundReport:
+                      tol: float = 1e-9, seed: int = 0) -> Verdict:
     """Verify the kernel lower bounds for positive charges on a compact ball L.
 
     Without o: inf_L pt_mu >= m k_{d-2}(dist(L, supp mu)).  With o (not in
@@ -337,5 +306,8 @@ def lower_bound_check(mu: Measure, L, o=None, n_probes: int = 128,
         bound = bound - k_eval(cfg.q, sup_dist)
         observed = float(np.min(pt.evaluate_array(probes)))
         variant = "difference"
-    return LowerBoundReport(bound, observed, bool(observed >= bound - tol), variant)
+    passed = bool(observed >= bound - tol)
+    row = Row(variant, bound, observed, bound - observed, passed, tol)
+    return Verdict("lower-bound", passed, [row],
+                   {"variant": variant, "bound": bound, "observed_inf": observed})
 

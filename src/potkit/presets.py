@@ -1,7 +1,7 @@
 """The twelve built-in scenario suites.
 
 Each preset assembles concrete measures/fields/domains and runs the checks
-its subject asserts, returning a list of Check records (and optional
+its subject asserts, returning a list of Verdict records (and optional
 sampled-field exports).  Expected failures (the Lyons contrast) are encoded
 inside the preset: the preset passes when the expected failure occurs.
 """
@@ -9,7 +9,6 @@ inside the preset: the preset passes when the expected failure occurs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -20,16 +19,9 @@ from .fields import (GluingSpec, ScalarField, check_subharmonic, fit_pole_coeffi
 from .geometry import Annulus, Ball, GridDomain, point
 from .measures import (Atom, BallUniform, Measure, Mollifier, SphereUniform,
                        convolve_balayage, integrate, total_mass)
+from .verdict import Row, Verdict
 
 __all__ = ["PRESETS", "run_preset", "preset_table"]
-
-
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    data: dict = dc_field(default_factory=dict)
-    margins: list = dc_field(default_factory=list)  # rows for margins.csv
 
 
 def _probes_avoiding(domain, n, seed, holes=(), min_r=2e-3):
@@ -64,15 +56,14 @@ def preset_glue_basic(seed: int, tol_scale: float):
     V = glue_max(GluingSpec(O=O, O0=O0, v=v, v0=v0), tol=tol)
     probes = _probes_avoiding(Ball(point(0, 0), 2.9), 500, seed, holes=[((0.0, 0.0), 0.0)])
     rep = check_subharmonic(V, probes, tol=tol)
-    checks.append(Check("glue-max accepted + 500-probe sub-mean", rep.passed,
-                        {"worst_margin": rep.worst_margin(), "probes": len(probes)},
-                        [("probe", r.value, r.average, r.margin, r.passed) for r in rep.rows]))
+    checks.append(Verdict("glue-max accepted + 500-probe sub-mean", rep.passed, rep.rows,
+                          {"worst_margin": rep.worst_margin, "probes": len(probes)}))
 
     # trivial identity glue: v0 == v on the same set
     V_id = glue_max(GluingSpec(O=O0, O0=O0, v=v0, v0=v0), tol=tol)
     pts = np.array([[0.3, 0.2], [-0.8, 0.1], [1.1, -0.4]])
     ident = float(np.max(np.abs(V_id.evaluate_array(pts) - v0.evaluate_array(pts))))
-    checks.append(Check("glue-max identity case", ident == 0.0, {"max_diff": ident}))
+    checks.append(Verdict("glue-max identity case", ident == 0.0, data={"max_diff": ident}))
 
     # incompatible pair must be rejected
     try:
@@ -81,7 +72,7 @@ def preset_glue_basic(seed: int, tol_scale: float):
         rejected = False
     except Exception:
         rejected = True
-    checks.append(Check("glue-max rejects discontinuous pair", rejected, {}))
+    checks.append(Verdict("glue-max rejects discontinuous pair", rejected))
 
     # quantitative form: coefficient formula and sub-mean probes
     g_fn = green.green_ball(point(0, 0), 3.0, point(0, 0), 2)
@@ -91,8 +82,8 @@ def preset_glue_basic(seed: int, tol_scale: float):
     spec = GluingSpec(O=O, O0=O0, v=vq, g=g_fn, m_v=0.0, M_v=0.0, m_g=m_g, M_g=M_g)
     Vq = glue_quantitative(spec, tol=tol)
     zero_amp = float(np.max(np.abs(Vq.evaluate_array(np.array([[0.5, 0.0], [1.5, 0.5]])))))
-    checks.append(Check("glue-quantitative zero-amplitude case", zero_amp <= tol,
-                        {"max_abs": zero_amp}))
+    checks.append(Verdict("glue-quantitative zero-amplitude case", zero_amp <= tol,
+                          data={"max_abs": zero_amp}))
 
     # direct substitution M_v=1, m_v=-1, M_g=2, m_g=0: v0 = 2 g - 2
     g_h = ScalarField(lambda pts: -2.0 + 0.25 * (pts[:, 0] ** 2 - pts[:, 1] ** 2))
@@ -107,13 +98,13 @@ def preset_glue_basic(seed: int, tol_scale: float):
         formula_ok = bool(np.max(np.abs(got - want)) <= 1e-12)
     except Exception as exc:
         formula_ok, got = False, str(exc)
-    checks.append(Check("glue-quantitative v0 formula", formula_ok, {}))
+    checks.append(Verdict("glue-quantitative v0 formula", formula_ok))
 
     if formula_ok:
         probes_q = _probes_avoiding(Ball(point(0, 0), 3.9), 500, seed + 3)
         rep_q = check_subharmonic(Vq2, probes_q, tol=tol)
-        checks.append(Check("glue-quantitative 500-probe sub-mean", rep_q.passed,
-                            {"worst_margin": rep_q.worst_margin()}))
+        checks.append(Verdict("glue-quantitative 500-probe sub-mean", rep_q.passed, rep_q.rows,
+                              {"worst_margin": rep_q.worst_margin, "probes": len(probes_q)}))
     return checks, {}
 
 
@@ -130,15 +121,14 @@ def preset_glue_green(seed: int, tol_scale: float):
     gm = green.green_ball(D.center, D.radius, point(0, 0), 2)
     V = glue_with_green(v, gm, S_o, S, m_v, M_v, ambient=O, tol=tol)
     amp = V.amplitude
-    checks.append(Check("glue-green constants", abs(V.M_g - math.log(2.0)) < 1e-12,
-                        {"amplitude": amp, "M_g": V.M_g}))
+    checks.append(Verdict("glue-green constants", abs(V.M_g - math.log(2.0)) < 1e-12,
+                          data={"amplitude": amp, "M_g": V.M_g}))
 
     probes = _probes_avoiding(Ball(point(0, 0), 0.98), 500, seed,
                               holes=[((0.0, 0.0), 0.0), ((0.8, 0.0), 0.0)])
     rep = check_subharmonic(V, probes, tol=tol)
-    checks.append(Check("glue-green 500-probe sub-mean", rep.passed,
-                        {"worst_margin": rep.worst_margin()},
-                        [("probe", r.value, r.average, r.margin, r.passed) for r in rep.rows]))
+    checks.append(Verdict("glue-green 500-probe sub-mean", rep.passed, rep.rows,
+                          {"worst_margin": rep.worst_margin}))
 
     # these rng.uniform loops stay scalar rather than use quadrature.sample_in:
     # uniform(lo, hi) rounds differently from center + half * (2u - 1), and the
@@ -155,9 +145,9 @@ def preset_glue_green(seed: int, tol_scale: float):
     gv = gm.evaluate_array(ring_pts)
     upper = max(M_v, 0.0) + 2.0 * (amp / V.M_g) * gv
     mid_ok = bool(np.all(Vv >= vv - tol) and np.all(Vv <= upper + tol))
-    checks.append(Check("glue-green bound v <= V <= M_v^+ + 2A/M_g g on S\\S_o", mid_ok,
-                        {"min_over_v": float(np.min(Vv - vv)),
-                         "max_under_cap": float(np.max(Vv - upper))}))
+    checks.append(Verdict("glue-green bound v <= V <= M_v^+ + 2A/M_g g on S\\S_o", mid_ok,
+                          data={"min_over_v": float(np.min(Vv - vv)),
+                                "max_under_cap": float(np.max(Vv - upper))}))
 
     core_pts = []
     while len(core_pts) < 100:
@@ -168,18 +158,20 @@ def preset_glue_green(seed: int, tol_scale: float):
     Vc = V.evaluate_array(core_pts)
     cap = 2.0 * (amp / V.M_g) * gm.evaluate_array(core_pts)
     core_ok = bool(np.all(Vc >= -tol) and np.all(Vc <= cap + tol))
-    checks.append(Check("glue-green bound 0 <= V <= 2A/M_g g on S_o", core_ok,
-                        {"min": float(np.min(Vc)), "max_under_cap": float(np.max(Vc - cap))}))
+    checks.append(Verdict("glue-green bound 0 <= V <= 2A/M_g g on S_o", core_ok,
+                          data={"min": float(np.min(Vc)),
+                                "max_under_cap": float(np.max(Vc - cap))}))
 
     slope, r2 = fit_pole_coefficient(V, point(0, 0), 2)
     target = V.pole_coefficient
     ratio_ok = abs(slope - target) <= 0.05 * abs(target) and r2 >= 0.999
-    checks.append(Check("glue-green pole-ratio fit within 5%", bool(ratio_ok),
-                        {"fitted": slope, "target": target, "r2": r2}))
+    checks.append(Verdict("glue-green pole-ratio fit within 5%", bool(ratio_ok),
+                          data={"fitted": slope, "target": target, "r2": r2}))
 
     far = np.array([[0.7, 0.3], [-0.75, 0.2], [0.0, 0.9]])
     outside_ok = float(np.max(np.abs(V.evaluate_array(far) - v.evaluate_array(far))))
-    checks.append(Check("glue-green V = v off S", outside_ok == 0.0, {"max_diff": outside_ok}))
+    checks.append(Verdict("glue-green V = v off S", outside_ok == 0.0,
+                          data={"max_diff": outside_ok}))
     return checks, {"glued_field": (V, 1.0)}
 
 
@@ -187,18 +179,19 @@ def preset_green_ball(seed: int, tol_scale: float):
     checks = []
     g2 = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
     val = g2(point(0.5, 0))
-    checks.append(Check("unit-disk g(0.5 e1, 0) = ln 2", abs(val - math.log(2)) <= 1e-9,
-                        {"value": val}))
+    checks.append(Verdict("unit-disk g(0.5 e1, 0) = ln 2", abs(val - math.log(2)) <= 1e-9,
+                          data={"value": val}))
     g3 = green.green_ball(point(0, 0, 0), 1.0, point(0, 0, 0), 3)
     val3 = g3(point(0.5, 0, 0))
-    checks.append(Check("unit-ball d=3 g(0.5 e1, 0) = 1", abs(val3 - 1.0) <= 1e-9,
-                        {"value": val3}))
+    checks.append(Verdict("unit-ball d=3 g(0.5 e1, 0) = 1", abs(val3 - 1.0) <= 1e-9,
+                          data={"value": val3}))
 
     bnd = np.array([g2(x) for x in Ball(point(0, 0), 1.0).boundary_points(256)])
     outside = np.array([g2(point(1.5, 0.3)), g2(point(-2.0, 0.1))])
-    checks.append(Check("boundary and exterior values vanish",
-                        bool(np.max(np.abs(bnd)) <= 1e-10 and np.max(np.abs(outside)) == 0.0),
-                        {"max_boundary": float(np.max(np.abs(bnd)))}))
+    checks.append(Verdict("boundary and exterior values vanish",
+                          bool(np.max(np.abs(bnd)) <= 1e-10
+                               and np.max(np.abs(outside)) == 0.0),
+                          data={"max_boundary": float(np.max(np.abs(bnd)))}))
 
     ga = green.green_ball(point(0, 0), 1.0, point(0.3, 0.2), 2)
     rng = np.random.default_rng(seed)
@@ -211,29 +204,29 @@ def preset_green_ball(seed: int, tol_scale: float):
         gx = green.green_ball(point(0, 0), 1.0, x1, 2)
         gy = green.green_ball(point(0, 0), 1.0, x2, 2)
         worst_sym = max(worst_sym, abs(gx(x2) - gy(x1)))
-    checks.append(Check("Green symmetry at 100 pairs", worst_sym <= 1e-9,
-                        {"worst": worst_sym}))
+    checks.append(Verdict("Green symmetry at 100 pairs", worst_sym <= 1e-9,
+                          data={"worst": worst_sym}))
 
     probes = _probes_avoiding(Ball(point(0, 0), 0.95), 100, seed,
                               holes=[((0.3, 0.2), 0.0)], min_r=5e-3)
     ok, worst = ga.harmonic_off_pole_report(probes, tol=1e-8 * tol_scale)
-    checks.append(Check("mean-value equality off the pole", ok, {"worst": worst}))
+    checks.append(Verdict("mean-value equality off the pole", ok, data={"worst": worst}))
 
     slope, r2 = fit_pole_coefficient(ga, point(0.3, 0.2), 2)
-    checks.append(Check("pole expansion g = -K + O(1)",
-                        abs(slope - 1.0) <= 1e-6 and r2 >= 0.999,
-                        {"slope": slope, "r2": r2}))
+    checks.append(Verdict("pole expansion g = -K + O(1)",
+                          abs(slope - 1.0) <= 1e-6 and r2 >= 0.999,
+                          data={"slope": slope, "r2": r2}))
 
     S_o = Ball(point(0, 0), 0.2)
     mg = green.mg_constant(g2, S_o)
-    checks.append(Check("M_g for S_o = 0.2 disk is ln 5", abs(mg - math.log(5.0)) <= 1e-9,
-                        {"M_g": mg}))
+    checks.append(Verdict("M_g for S_o = 0.2 disk is ln 5", abs(mg - math.log(5.0)) <= 1e-9,
+                          data={"M_g": mg}))
     mg3 = green.mg_constant(g3, Ball(point(0, 0, 0), 0.5))
-    checks.append(Check("M_g d=3 for S_o = 0.5 ball is 1", abs(mg3 - 1.0) <= 1e-9,
-                        {"M_g": mg3}))
+    checks.append(Verdict("M_g d=3 for S_o = 0.5 ball is 1", abs(mg3 - 1.0) <= 1e-9,
+                          data={"M_g": mg3}))
     S_shift = Ball(point(0.05, 0.02), 0.2)
     mg_s = green.mg_constant(g2, S_shift)
-    checks.append(Check("M_g positive for shifted S_o", mg_s > 0, {"M_g": mg_s}))
+    checks.append(Verdict("M_g positive for shifted S_o", mg_s > 0, data={"M_g": mg_s}))
 
     # domination: g - M_g >= 0 on S_o minus the pole
     # scalar rng.uniform loop, not sample_in: uniform(lo, hi) rounds differently
@@ -244,8 +237,8 @@ def preset_green_ball(seed: int, tol_scale: float):
         if 1e-6 < np.linalg.norm(x) < 0.2:
             pts.append(x)
     vals = g2.evaluate_array(np.array(pts)) - mg
-    checks.append(Check("domination g >= M_g on S_o", bool(np.min(vals) >= -1e-9),
-                        {"min_excess": float(np.min(vals))}))
+    checks.append(Verdict("domination g >= M_g on S_o", bool(np.min(vals) >= -1e-9),
+                          data={"min_excess": float(np.min(vals))}))
     return checks, {"green_field": (g2, 1.2)}
 
 
@@ -255,8 +248,8 @@ def preset_harmonic_measure(seed: int, tol_scale: float):
     x = point(0.5, 0)
     om = green.harmonic_measure(g2, x)
     mass = total_mass(om)
-    checks.append(Check("harmonic measure is a probability", abs(mass - 1.0) <= 1e-10,
-                        {"mass": mass}))
+    checks.append(Verdict("harmonic measure is a probability", abs(mass - 1.0) <= 1e-10,
+                          data={"mass": mass}))
 
     harmonics = [
         ("1", ScalarField.constant(1.0), 1.0),
@@ -269,10 +262,11 @@ def preset_harmonic_measure(seed: int, tol_scale: float):
     rows, worst = [], 0.0
     for name, h, want in harmonics:
         got = integrate(om, h, seed=seed)
-        rows.append((name, got, want, got - want, abs(got - want) <= 1e-8 * tol_scale))
+        rows.append(Row(name, got, want, got - want, abs(got - want) <= 1e-8 * tol_scale,
+                        1e-8 * tol_scale))
         worst = max(worst, abs(got - want))
-    checks.append(Check("Poisson reproduction of 6 harmonic probes", worst <= 1e-8 * tol_scale,
-                        {"worst": worst}, rows))
+    checks.append(Verdict("Poisson reproduction of 6 harmonic probes",
+                          worst <= 1e-8 * tol_scale, rows, {"worst": worst}))
 
     # d=3 reproduction through the product rule
     g3 = green.green_ball(point(0, 0, 0), 1.0, point(0, 0, 0), 3)
@@ -280,14 +274,14 @@ def preset_harmonic_measure(seed: int, tol_scale: float):
     h3 = ScalarField(lambda p: p[:, 0] ** 2 - p[:, 2] ** 2)
     got3 = integrate(om3, h3, seed=seed)
     want3 = 0.3 ** 2 - 0.2 ** 2
-    checks.append(Check("d=3 Poisson reproduction", abs(got3 - want3) <= 1e-8 * tol_scale,
-                        {"got": got3, "want": want3}))
+    checks.append(Verdict("d=3 Poisson reproduction", abs(got3 - want3) <= 1e-8 * tol_scale,
+                          data={"got": got3, "want": want3}))
 
     om0 = green.harmonic_measure(g2, point(0, 0))
     comp = om0.components[0]
-    checks.append(Check("center gives the uniform sphere measure",
-                        isinstance(comp, SphereUniform) and comp.density is None
-                        and abs(total_mass(om0) - 1.0) <= 1e-12, {}))
+    checks.append(Verdict("center gives the uniform sphere measure",
+                          isinstance(comp, SphereUniform) and comp.density is None
+                          and abs(total_mass(om0) - 1.0) <= 1e-12))
 
     rng = np.random.default_rng(seed)
     rows, worst = [], -math.inf
@@ -298,9 +292,10 @@ def preset_harmonic_measure(seed: int, tol_scale: float):
         rhs = integrate(om, u, seed=seed)
         margin = lhs - rhs
         worst = max(worst, margin)
-        rows.append((f"ln|z-a| #{j}", lhs, rhs, margin, margin <= 1e-8))
-    checks.append(Check("Jensen inequality for 20 subharmonic probes",
-                        worst <= 1e-8 * tol_scale, {"worst_margin": worst}, rows))
+        rows.append(Row(f"ln|z-a| #{j}", lhs, rhs, margin, margin <= 1e-8 * tol_scale,
+                        1e-8 * tol_scale))
+    checks.append(Verdict("Jensen inequality for 20 subharmonic probes",
+                          worst <= 1e-8 * tol_scale, rows, {"worst_margin": worst}))
     return checks, {}
 
 
@@ -318,13 +313,13 @@ def preset_balayage_mass(seed: int, tol_scale: float):
     fam.members.append(("const-1", ScalarField.constant(-1.0)))
     verdict = bal.check_linear(theta, om, fam, seed=seed)
     mass_gap = abs(total_mass(theta) - total_mass(om))
-    checks.append(Check("Prop 5.2 equal masses under +-1", verdict.passed and mass_gap <= 1e-9,
-                        {"mass_gap": mass_gap, "worst_margin": verdict.worst_margin},
-                        [(r.name, r.lhs, r.rhs, r.margin, r.passed) for r in verdict.rows]))
+    checks.append(Verdict("Prop 5.2 equal masses under +-1",
+                          verdict.passed and mass_gap <= 1e-9, verdict.rows,
+                          {"mass_gap": mass_gap, "worst_margin": verdict.worst_margin}))
 
     sub = bal.TestFamily(fam.tag, fam.members[:10], symmetric=True)
     verdict_sub = bal.check_linear(theta, om, sub, seed=seed)
-    checks.append(Check("Prop 5.2(3) subfamily keeps the pass", verdict_sub.passed, {}))
+    checks.append(Verdict("Prop 5.2(3) subfamily keeps the pass", verdict_sub.passed))
 
     # Prop 5.6 closure under mollification
     mu_j = green.harmonic_measure(green.green_ball(point(0, 0), 0.7, point(0, 0), 2),
@@ -332,30 +327,29 @@ def preset_balayage_mass(seed: int, tol_scale: float):
     moll = Mollifier(0.1, d)
     beta = convolve_balayage(mu_j, moll, Ball(point(0, 0), 1.0))
     mass_drift = abs(total_mass(beta) - total_mass(mu_j))
-    checks.append(Check("Prop 5.6 mass conservation", mass_drift <= 1e-9,
-                        {"drift": mass_drift}))
+    checks.append(Verdict("Prop 5.6 mass conservation", mass_drift <= 1e-9,
+                          data={"drift": mass_drift}))
     subfam = bal.standard_jensen_family(Ball(point(0, 0), 1.0), point(0, 0), seed=seed)
     v_mu = bal.check_linear(theta, mu_j, subfam, seed=seed)
     v_beta = bal.check_linear(theta, beta, subfam, seed=seed)
     degrade = v_beta.worst_margin - v_mu.worst_margin
-    checks.append(Check("Prop 5.6 margins degrade <= 1e-6",
-                        v_beta.passed and degrade <= 1e-6 * tol_scale,
-                        {"degradation": degrade},
-                        [(r.name, r.lhs, r.rhs, r.margin, r.passed) for r in v_beta.rows]))
+    checks.append(Verdict("Prop 5.6 margins degrade <= 1e-6",
+                          v_beta.passed and degrade <= 1e-6 * tol_scale, v_beta.rows,
+                          {"degradation": degrade}))
 
     # Prop 5.8 transfer: ball average of delta is swept by the harmonic measure
     lam = Measure(d, [BallUniform(point(0, 0), 0.15, 1.0)])
     v_tr = bal.check_linear(lam, om, subfam, seed=seed)
-    checks.append(Check("Prop 5.8 transfer instance", v_tr.passed,
-                        {"worst_margin": v_tr.worst_margin}))
+    checks.append(Verdict("Prop 5.8 transfer instance", v_tr.passed,
+                          data={"worst_margin": v_tr.worst_margin}))
 
     # Prop 5.10 vs the Lyons example on a polar probe set
     _, mu_E, pts = bal.lyons_example_pair(seed=seed)
     sbh_mass = om.atom_mass_at(pts)
     har_mass = mu_E.atom_mass_at(pts)
-    checks.append(Check("Prop 5.10 polar-set mass contrast",
-                        sbh_mass <= 1e-9 and har_mass > 0,
-                        {"sbh_balayage_mass": sbh_mass, "har_balayage_mass": har_mass}))
+    checks.append(Verdict("Prop 5.10 polar-set mass contrast",
+                          sbh_mass <= 1e-9 and har_mass > 0,
+                          data={"sbh_balayage_mass": sbh_mass, "har_balayage_mass": har_mass}))
     return checks, {}
 
 
@@ -365,20 +359,19 @@ def preset_lyons_example(seed: int, tol_scale: float):
     S = Ball(point(0, 0), 0.75)
     ring = Ball(point(0, 0), 1.2).boundary_points(20)
     fam_h = bal.harmonic_kernel_family(S, ring)
-    v1 = bal.check_linear(theta, mu_E, fam_h, seed=seed)
-    checks.append(Check("harmonic kernel family passes", v1.passed,
-                        {"worst_margin": v1.worst_margin},
-                        [(r.name, r.lhs, r.rhs, r.margin, r.passed) for r in v1.rows]))
+    v1 = bal.check_linear(theta, mu_E, fam_h, tol_scale=1e-7 * tol_scale, seed=seed)
+    checks.append(Verdict("harmonic kernel family passes", v1.passed, v1.rows,
+                          {"worst_margin": v1.worst_margin}))
 
     members = [(f"k@atom[{j}]", ScalarField.kernel(2, e)) for j, e in enumerate(pts)]
     near = pts * (1.0 + 1e-4)
     members += [(f"k@near[{j}]", ScalarField.kernel(2, e)) for j, e in enumerate(near)]
     fam_s = bal.TestFamily("subharmonic-kernels", members)
-    v2 = bal.check_linear(theta, mu_E, fam_s, seed=seed)
-    expected_fail = (not v2.passed) and v2.witness is not None
-    checks.append(Check("subharmonic kernel family fails (expected)", expected_fail,
-                        {"witness": v2.witness},
-                        [(r.name, r.lhs, r.rhs, r.margin, r.passed) for r in v2.rows]))
+    v2 = bal.check_linear(theta, mu_E, fam_s, tol_scale=1e-7 * tol_scale, seed=seed)
+    witness = v2.data["witness"]
+    expected_fail = (not v2.passed) and witness is not None
+    checks.append(Verdict("subharmonic kernel family fails (expected)", expected_fail, v2.rows,
+                          {"witness": witness}))
     return checks, {}
 
 
@@ -453,18 +446,21 @@ def preset_classical_pj(seed: int, tol_scale: float):
     rep = duality.verify_poisson_jensen(theta, om, u, riesz_u=riesz_u,
                                         tol_scale=1e-6 * tol_scale, seed=seed)
     # u(0) = ln 0.5 must equal 0 - g(a, 0) = -ln 2
-    classical = abs(rep.terms["u_theta"] - (rep.terms["u_mu"] - g1(a)))
-    checks.append(Check("classical Poisson-Jensen instance", rep.passed and classical <= 1e-9,
-                        {"lhs": rep.lhs, "rhs": rep.rhs, "mismatch": rep.mismatch,
-                         "classical_residual": classical}))
+    terms = rep.data["terms"]
+    classical = abs(terms["u_theta"] - (terms["u_mu"] - g1(a)))
+    checks.append(Verdict("classical Poisson-Jensen instance",
+                          rep.passed and classical <= 1e-9,
+                          data={"lhs": rep.data["lhs"], "rhs": rep.data["rhs"],
+                                "mismatch": rep.data["mismatch"],
+                                "classical_residual": classical}))
 
     u_h = ScalarField(lambda p: 2.0 * p[:, 0] * p[:, 1])
     rep_h = duality.verify_poisson_jensen(theta, om, u_h, riesz_u=Measure(d, []),
                                           tol_scale=1e-6 * tol_scale, seed=seed)
-    reduction = abs(rep_h.terms["u_theta"] - rep_h.terms["u_mu"])
-    checks.append(Check("harmonic u reduces to the mean identity",
-                        rep_h.passed and reduction <= rep_h.tol,
-                        {"mismatch": rep_h.mismatch}))
+    reduction = abs(rep_h.data["terms"]["u_theta"] - rep_h.data["terms"]["u_mu"])
+    checks.append(Verdict("harmonic u reduces to the mean identity",
+                          rep_h.passed and reduction <= rep_h.data["tol"],
+                          data={"mismatch": rep_h.data["mismatch"]}))
     return checks, {}
 
 
@@ -476,11 +472,12 @@ def preset_pj_suite(seed: int, tol_scale: float):
     for name, theta, mu, u, riesz_u, K in _pj_instances(seed):
         rep = duality.verify_poisson_jensen(theta, mu, u, riesz_u=riesz_u, K=K,
                                             tol_scale=1e-6 * tol_scale, seed=seed)
-        rows.append((name, rep.lhs, rep.rhs, rep.mismatch, rep.passed))
-        worst = max(worst, rep.mismatch / (1e-12 + abs(rep.lhs) + abs(rep.rhs) + 1.0))
+        lhs, rhs, mismatch = rep.data["lhs"], rep.data["rhs"], rep.data["mismatch"]
+        rows.append(Row(name, lhs, rhs, mismatch, rep.passed, rep.data["tol"]))
+        worst = max(worst, mismatch / (1e-12 + abs(lhs) + abs(rhs) + 1.0))
         all_ok &= rep.passed
-    checks.append(Check("generalized Poisson-Jensen on 12 instances", all_ok,
-                        {"worst_relative": worst}, rows))
+    checks.append(Verdict("generalized Poisson-Jensen on 12 instances", all_ok, rows,
+                          {"worst_relative": worst}))
     return checks, {}
 
 
@@ -536,22 +533,22 @@ def preset_duality_roundtrip(seed: int, tol_scale: float):
             mu = mk(i)
             e_coarse = roundtrip_err(mu, kind, 0.02)
             e_fine = roundtrip_err(mu, kind, 0.01)
-            rows.append((f"{kind}[{i}] h=0.02", e_coarse, 0.02, e_coarse - 0.02,
-                         e_coarse <= 0.02))
+            rows.append(Row(f"{kind}[{i}] h=0.02", e_coarse, 0.02, e_coarse - 0.02,
+                            e_coarse <= 0.02))
             ok &= e_coarse <= 0.02
-            improve_rows.append((f"{kind}[{i}] refine", e_coarse, e_fine,
-                                 e_fine - e_coarse, e_fine <= e_coarse + 1e-12))
+            improve_rows.append(Row(f"{kind}[{i}] refine", e_coarse, e_fine,
+                                    e_fine - e_coarse, e_fine <= e_coarse + 1e-12, 1e-12))
             improve_ok &= e_fine <= e_coarse + 1e-12
-    checks.append(Check("round-trip integrals within 2% at h=0.02", ok, {}, rows))
-    checks.append(Check("round-trip error decreases at h=0.01", improve_ok, {},
-                        improve_rows))
+    checks.append(Verdict("round-trip integrals within 2% at h=0.02", ok, rows))
+    checks.append(Verdict("round-trip error decreases at h=0.01", improve_ok, improve_rows))
 
     # Lemma-style domination: potentials of swept measures sit under the Green function
     om09 = green.harmonic_measure(green.green_ball(x0, 0.9, x0, 2), x0)
     V9 = duality.to_potential(om09, x0, kind="jensen", seed=seed)
-    pl = duality.phragmen_lindelof_bound(V9, g1, S_o=Ball(x0, 0.1), r=0.05, seed=seed)
-    checks.append(Check("V <= g_D at 500 probes (pole coefficient <= 1)", pl.passed,
-                        pl.to_json()))
+    pl = duality.phragmen_lindelof_bound(V9, g1, S_o=Ball(x0, 0.1), r=0.05,
+                                         tol=1e-7 * tol_scale, seed=seed)
+    checks.append(Verdict("V <= g_D at 500 probes (pole coefficient <= 1)", pl.passed,
+                          data=pl.to_json()))
 
     scaled = ScalarField(lambda p: 1.5 * V9.evaluate_array(p))
     bad = duality.ASPotential(scaled, x0, 1.5, 1.0, V9.support_window, "arens-singer")
@@ -560,7 +557,7 @@ def preset_duality_roundtrip(seed: int, tol_scale: float):
         rejected = False
     except ValueError:
         rejected = True
-    checks.append(Check("pole coefficient 1.5 is rejected", rejected, {}))
+    checks.append(Verdict("pole coefficient 1.5 is rejected", rejected))
     return checks, {}
 
 
@@ -571,21 +568,21 @@ def preset_zeros_polynomial(seed: int, tol_scale: float):
     M = zeros.GrowthMajorant.constant(math.log(5.0 / 4.0))
     b_plus = 1.0
     rep = zeros.check_thm_hol(f, M, S_o, 0.03, -1.0, b_plus, seed=seed)
-    c3 = rep.results["ZIII"].constant
-    checks.append(Check("polynomial [ZI]/[ZII]/[ZIII] pass with C <= 2 b_plus",
-                        rep.passed and c3 <= 2.0 * b_plus + 1e-9,
-                        {k: v.to_json() for k, v in rep.results.items()}))
-    impl = rep.extras["implication_ZI_to_ZII"]
-    checks.append(Check("implication bound C2 <= C1 + max(b+,-b-)|mu_M|(ring)",
-                        impl["ok"], impl))
+    c3 = rep.data["variants"]["ZIII"].data["C"]
+    checks.append(Verdict("polynomial [ZI]/[ZII]/[ZIII] pass with C <= 2 b_plus",
+                          rep.passed and c3 <= 2.0 * b_plus + 1e-9,
+                          data=rep.data["variants"]))
+    impl = rep.data["implication_ZI_to_ZII"]
+    checks.append(Verdict("implication bound C2 <= C1 + max(b+,-b-)|mu_M|(ring)",
+                          impl["ok"], data=impl))
 
     crit = zeros.check_criterium3_forward(f, f, M, S_o, 0.03, -1.0, b_plus, seed=seed)
-    checks.append(Check("criterium forward stages z2/z3/z4 pass", crit.passed,
-                        {k: v.to_json() for k, v in crit.results.items()}))
+    checks.append(Verdict("criterium forward stages z2/z3/z4 pass", crit.passed,
+                          data=crit.data["variants"]))
 
     cm = zeros.counting_measure(f, Ball(point(0, 0), 1.0))
-    checks.append(Check("counting measure mass equals degree",
-                        total_mass(cm) == 2.0, {"mass": total_mass(cm)}))
+    checks.append(Verdict("counting measure mass equals degree",
+                          total_mass(cm) == 2.0, data={"mass": total_mass(cm)}))
     return checks, {}
 
 
@@ -596,21 +593,21 @@ def preset_zeros_blaschke(seed: int, tol_scale: float):
     f = zeros.HoloFunction.blaschke(zs)
     M = zeros.GrowthMajorant.constant(0.0)
     rep = zeros.check_thm_hol(f, M, S_o, 0.03, -1.0, 3.5, seed=seed)
-    checks.append(Check("blaschke [ZI]/[ZII]/[ZIII] finite and passing", rep.passed,
-                        {k: v.to_json() for k, v in rep.results.items()}))
+    checks.append(Verdict("blaschke [ZI]/[ZII]/[ZIII] finite and passing", rep.passed,
+                          data=rep.data["variants"]))
 
     # the clipped-Green member reproduces the direct zero sum
     gm = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
     c = 1e-4
     direct = sum(max(gm(point(z, 0)) - c, 0.0) for z in zs)
     oracle = sum(math.log(1.0 / z) for z in zs)
-    checks.append(Check("clipped Green member sums ~ sum ln(1/|z_k|) ~ 1.242",
-                        abs(direct - oracle) <= 0.01 * oracle + 10 * c,
-                        {"direct": direct, "oracle": oracle}))
+    checks.append(Verdict("clipped Green member sums ~ sum ln(1/|z_k|) ~ 1.242",
+                          abs(direct - oracle) <= 0.01 * oracle + 10 * c,
+                          data={"direct": direct, "oracle": oracle}))
 
     crit = zeros.check_criterium3_forward(f, f, M, S_o, 0.03, -1.0, 3.5, seed=seed)
-    checks.append(Check("criterium forward stages pass", crit.passed,
-                        {"blaschke_sum": f.blaschke_sum}))
+    checks.append(Verdict("criterium forward stages pass", crit.passed,
+                          data={"blaschke_sum": f.blaschke_sum}))
     return checks, {}
 
 
@@ -621,10 +618,10 @@ def preset_zeros_adversarial(seed: int, tol_scale: float):
     f = zeros.HoloFunction.blaschke(zs)
     M = zeros.GrowthMajorant.constant(0.0)
     rep = zeros.check_thm_hol(f, M, S_o, 0.03, -1.0, 3.5, seed=seed)
-    flagged = any(v.diverging for v in rep.results.values()) and not rep.passed
-    checks.append(Check("divergent zero set flagged (expected)", flagged,
-                        {"blaschke_sum": f.blaschke_sum,
-                         **{k: v.to_json() for k, v in rep.results.items()}}))
+    variants = rep.data["variants"]
+    flagged = any(v.data["diverging"] for v in variants.values()) and not rep.passed
+    checks.append(Verdict("divergent zero set flagged (expected)", flagged,
+                          data={"blaschke_sum": f.blaschke_sum, **variants}))
     return checks, {}
 
 

@@ -7,7 +7,6 @@ inequality suites that relate zero distributions to growth majorants.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ from .balayage import TestFamily, _orbit_diverges, build_test_family, pair_tol
 from .fields import ScalarField, riesz_measure
 from .geometry import Annulus, Ball, GridDomain
 from .measures import Atom, Measure, integrate, jordan, restrict, total_mass
+from .verdict import Row, Verdict
 
 __all__ = [
     "HoloFunction",
@@ -118,9 +118,6 @@ class HoloFunction:
     def to_json(self) -> list:
         return [{"re": float(z.real), "im": float(z.imag), "multiplicity": int(m)}
                 for z, m in zip(self.zeros, self.multiplicities)]
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def _dedupe(zeros: np.ndarray, tol: float = 1e-12):
@@ -226,21 +223,8 @@ def counting_measure(f: HoloFunction, S) -> Measure:
     return Measure(2, comps)
 
 
-class PoincareLelongReport:
-    def __init__(self, rows, total_recovered, passed):
-        self.rows = rows  # (zero, multiplicity, window_mass, rel_error)
-        self.total_recovered = total_recovered
-        self.passed = passed
-
-    def to_json(self):
-        return {"pass": self.passed, "total_recovered": self.total_recovered,
-                "rows": [{"re": z.real, "im": z.imag, "multiplicity": m,
-                          "window_mass": w, "rel_error": e}
-                         for z, m, w, e in self.rows]}
-
-
 def poincare_lelong_check(f: HoloFunction, grid: GridDomain, window: int = 2,
-                          rel_tol: float = 0.05) -> PoincareLelongReport:
+                          rel_tol: float = 0.05) -> Verdict:
     """Recover each zero's multiplicity from the grid Riesz measure of ln|f|.
 
     Window masses are summed over (2*window+1)^2 cells around each zero;
@@ -265,57 +249,16 @@ def poincare_lelong_check(f: HoloFunction, grid: GridDomain, window: int = 2,
         sl = tuple(slice(max(0, i - window), i + window + 1) for i in idx)
         w = float(np.sum(masses[sl]))
         err = abs(w - m) / m
-        rows.append((complex(p[0], p[1]), int(m), w, err))
+        rows.append(Row(str(complex(p[0], p[1])), w, int(m), err, err <= rel_tol, rel_tol))
         passed &= err <= rel_tol
     total = float(np.sum(masses))
     if len(pts) == 0:
         passed = abs(total) <= 1e-6
-    return PoincareLelongReport(rows, total, bool(passed))
+    return Verdict("poincare-lelong", bool(passed), rows, {"total_recovered": total})
 
 
 # ---------------------------------------------------------------------------
 # growth criteria suites
-
-
-class VariantResult:
-    def __init__(self, name, constant, margins, diverging, passed):
-        self.name = name
-        self.constant = constant
-        self.margins = margins  # (member name, lhs, rhs, margin)
-        self.diverging = diverging
-        self.passed = passed
-
-    def to_json(self):
-        return {"variant": self.name,
-                "C": self.constant if math.isfinite(self.constant) else "inf",
-                "diverging": self.diverging, "pass": self.passed,
-                "margins": {n: m for n, _, _, m in self.margins}}
-
-
-class ZeroSuiteReport:
-    def __init__(self, results: dict, extras: dict | None = None):
-        self.results = results
-        self.extras = extras or {}
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results.values())
-
-    def to_json(self):
-        out = {k: v.to_json() for k, v in self.results.items()}
-        out["pass"] = self.passed
-        out.update(self.extras)
-        return out
-
-    def margins_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["variant", "member", "lhs", "rhs", "margin"])
-            for vname, res in self.results.items():
-                for n, lhs, rhs, m in res.margins:
-                    writer.writerow([vname, n, lhs, rhs, m])
 
 
 def _zero_sum(f_zeros, f_mults, v: ScalarField, S_o: Ball, subdivisor=None) -> float:
@@ -333,75 +276,82 @@ def _zero_sum(f_zeros, f_mults, v: ScalarField, S_o: Ball, subdivisor=None) -> f
 
 def _variant(name: str, f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
              family: TestFamily, subdivisor=None, seed: int = 0,
-             divergence_floor: float = 1e-6) -> VariantResult:
-    """One inequality variant: zero sums against the majorant charge integrals."""
+             divergence_floor: float = 1e-6) -> Verdict:
+    """One inequality variant: zero sums against the majorant charge integrals.
+
+    [ZI] and the criterium's [z2] charge the minus part on the 3r ring; the
+    other variants integrate the majorant charge off the plain core.
+    """
     zeros_pts = f.zero_points()
     mults = f.multiplicities
     mu_M = majorant.charge()
     mu_minus = majorant.minus_charge()
     enlarged = Ball(S_o.center, S_o.radius + 3.0 * r)
-    margins, rows = [], []
+    rows = []
     for mname, v in family.members:
         lhs = _zero_sum(zeros_pts, mults, v, S_o, subdivisor)
-        if name == "ZI":
+        if name in ("ZI", "z2"):
             rhs = integrate(restrict(mu_M, enlarged, complement=True), v, seed=seed)
             ring_minus = restrict(restrict(mu_minus, enlarged), S_o, complement=True)
             rhs += -integrate(ring_minus, v, seed=seed)
         else:
             rhs = integrate(restrict(mu_M, S_o, complement=True), v, seed=seed)
         m = lhs - rhs
-        rows.append((mname, lhs, rhs, m))
-        margins.append(m)
+        rows.append(Row(mname, lhs, rhs, m, math.isfinite(m)))
+    margins = [r.margin for r in rows]
     finite = [m for m in margins if math.isfinite(m)]
     constant = max(finite) if finite else math.inf
     diverging = []
     for orbit_name, idxs in family.orbits.items():
         if _orbit_diverges([margins[i] for i in idxs], divergence_floor):
             diverging.append(orbit_name)
-    passed = all(math.isfinite(m) for m in margins) and not diverging
-    return VariantResult(name, constant, rows, diverging, passed)
+    passed = all(r.passed for r in rows) and not diverging
+    return Verdict(name, passed, rows,
+                   {"variant": name, "C": constant, "diverging": diverging,
+                    "margins": {r.member: r.margin for r in rows}})
 
 
 def check_thm_hol(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
                   b_minus: float, b_plus: float, family: TestFamily | None = None,
-                  subdivisor=None, seed: int = 0) -> ZeroSuiteReport:
+                  subdivisor=None, seed: int = 0) -> Verdict:
     """Run the three zero-distribution inequality variants against a majorant.
 
     [ZI] integrates the majorant charge off the 3r-enlarged core and charges
     the minus part on the intermediate ring; [ZII] uses the plain core
     complement; [ZIII] does the same for a positive family and an optional
-    subdivisor.  Reports the empirical constants and divergence flags, plus
-    the internal implication bound C_II <= C_I + max(b_plus, -b_minus) *
-    |mu_M|(ring).
+    subdivisor.  ``data["variants"]`` holds the per-variant verdicts (their
+    empirical constants and divergence flags), next to the internal
+    implication bound C_II <= C_I + max(b_plus, -b_minus) * |mu_M|(ring).
     """
     witness = majorant.check_dominates(f, seed=seed)
     if witness is not None:
         raise ValueError(f"majorant violated at {witness}")
     D = f.domain
-    results = {}
+    variants = {}
     fam_ring = family or build_test_family("sbh+0o", S_o, r, b_minus, b_plus, D, seed=seed)
-    results["ZI"] = _variant("ZI", f, majorant, S_o, r, fam_ring, None, seed)
+    variants["ZI"] = _variant("ZI", f, majorant, S_o, r, fam_ring, None, seed)
     fam_plain = family or build_test_family("sbh+0", S_o, r, b_minus, b_plus, D, seed=seed)
-    results["ZII"] = _variant("ZII", f, majorant, S_o, r, fam_plain, None, seed)
+    variants["ZII"] = _variant("ZII", f, majorant, S_o, r, fam_plain, None, seed)
     fam_pos = family or build_test_family("sbh00+", S_o, r, b_minus, b_plus, D, seed=seed)
-    results["ZIII"] = _variant("ZIII", f, majorant, S_o, r, fam_pos, subdivisor, seed)
+    variants["ZIII"] = _variant("ZIII", f, majorant, S_o, r, fam_pos, subdivisor, seed)
 
     ring = Annulus(S_o.center, S_o.radius, S_o.radius + 3.0 * r)
     mu_plus_ring, mu_minus_ring = jordan(restrict(majorant.charge(), ring))
     ring_variation = total_mass(mu_plus_ring) + total_mass(mu_minus_ring)
-    c1, c2 = results["ZI"].constant, results["ZII"].constant
+    c1, c2 = variants["ZI"].data["C"], variants["ZII"].data["C"]
     bound = c1 + max(b_plus, -b_minus) * ring_variation
     implication_ok = (not math.isfinite(c1)) or c2 <= bound + pair_tol(c2, bound, 1e-6)
-    extras = {"implication_ZI_to_ZII": {"C1": c1, "C2": c2, "bound": bound,
-                                        "ok": bool(implication_ok)},
-              "blaschke_sum": f.blaschke_sum}
-    return ZeroSuiteReport(results, extras)
+    return Verdict("thm-hol", all(v.passed for v in variants.values()), [],
+                   {"variants": variants,
+                    "implication_ZI_to_ZII": {"C1": c1, "C2": c2, "bound": bound,
+                                              "ok": bool(implication_ok)},
+                    "blaschke_sum": f.blaschke_sum})
 
 
 def check_criterium3_forward(Z: HoloFunction, f: HoloFunction | None,
                              majorant: GrowthMajorant, S_o: Ball, r: float,
                              b_minus: float, b_plus: float,
-                             seed: int = 0) -> ZeroSuiteReport:
+                             seed: int = 0) -> Verdict:
     """Forward stages of the unit-disk zero-set criterium.
 
     Given a zero set Z realized by f with |f| <= exp M, the [z2]/[z3]/[z4]
@@ -414,14 +364,12 @@ def check_criterium3_forward(Z: HoloFunction, f: HoloFunction | None,
     if witness is not None:
         raise ValueError(f"majorant violated at {witness}")
     D = Z.domain
-    results = {}
+    variants = {}
     fam2 = build_test_family("sbh+0o", S_o, r, b_minus, b_plus, D, seed=seed)
-    results["z2"] = _variant("ZI", Z, majorant, S_o, r, fam2, None, seed)
-    results["z2"].name = "z2"
+    variants["z2"] = _variant("z2", Z, majorant, S_o, r, fam2, None, seed)
     fam3 = build_test_family("sbh+0", S_o, r, b_minus, b_plus, D, seed=seed)
-    results["z3"] = _variant("ZII", Z, majorant, S_o, r, fam3, None, seed)
-    results["z3"].name = "z3"
+    variants["z3"] = _variant("z3", Z, majorant, S_o, r, fam3, None, seed)
     fam4 = build_test_family("sbh00", S_o, r, b_minus, b_plus, D, seed=seed)
-    results["z4"] = _variant("ZII", Z, majorant, S_o, r, fam4, None, seed)
-    results["z4"].name = "z4"
-    return ZeroSuiteReport(results, {"blaschke_sum": Z.blaschke_sum})
+    variants["z4"] = _variant("z4", Z, majorant, S_o, r, fam4, None, seed)
+    return Verdict("criterium3-forward", all(v.passed for v in variants.values()), [],
+                   {"variants": variants, "blaschke_sum": Z.blaschke_sum})

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -54,7 +53,7 @@ def test_check_linear_lyons_contrast():
     verdict = check_linear(theta, mu_E, fam_s)
     assert not verdict.passed
     assert verdict.worst_margin == math.inf
-    assert verdict.witness.startswith("k@atom")
+    assert verdict.data["witness"].startswith("k@atom")
 
 
 def test_symmetric_family_requires_equality():
@@ -115,7 +114,7 @@ def test_check_affine_submeasure():
                             Ball(point(0, 0), 1.0), count=8)
     verdict = check_affine(half, om, fam, Ball(point(0, 0), 0.1))
     assert verdict.passed
-    assert verdict.constant <= 1e-9  # positive family, sub-measure: C <= 0
+    assert verdict.data["C"] <= 1e-9  # positive family, sub-measure: C <= 0
 
 
 def test_check_affine_criterium_instance():
@@ -129,7 +128,7 @@ def test_check_affine_criterium_instance():
     mu_M = Measure(2, [])
     verdict = check_affine(upsilon, mu_M, fam, S_o)
     assert verdict.passed
-    assert verdict.constant <= 2.0 * b_plus + 1e-9
+    assert verdict.data["C"] <= 2.0 * b_plus + 1e-9
 
 
 def test_check_affine_divergence_flag():
@@ -144,7 +143,7 @@ def test_check_affine_divergence_flag():
     fam = TestFamily("scaled", members, orbits={"amplitude": [0, 1, 2, 3]})
     verdict = check_affine(theta, mu, fam, S_o)
     assert not verdict.passed
-    assert verdict.diverging_orbits == ["amplitude"]
+    assert verdict.data["diverging_orbits"] == ["amplitude"]
 
 
 def test_family_error_carries_member_id():
@@ -186,7 +185,7 @@ def test_check_affine_indeterminate_verdict():
     fam = TestFamily("probe", [("patch", MinusInfPatch())])
     verdict = check_affine(theta, mu, fam, Ball(point(-1, -1), 0.1))
     assert not verdict.passed
-    assert verdict.indeterminate == ["patch"]
+    assert verdict.data["indeterminate"] == ["patch"]
 
 
 def test_harmonic_kernel_family_construction():
@@ -264,16 +263,3 @@ def test_prop84_limit_structure():
             assert np.min(vals - prev) >= -1e-12
         assert np.max(vals - cap) <= 1e-9
         prev = vals
-
-
-def test_verdict_reports(tmp_path):
-    om = _om_disk()
-    fam = standard_jensen_family(Ball(point(0, 0), 1.0), point(0, 0))
-    verdict = check_linear(delta(), om, fam)
-    data = json.loads(verdict.dumps())
-    assert data["semantics"] == "sampled verdict"
-    assert data["pass"] is True
-    path = tmp_path / "margins.csv"
-    verdict.margins_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("member,") and len(lines) == len(fam.members) + 1

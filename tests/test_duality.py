@@ -120,10 +120,11 @@ def test_verify_poisson_jensen_classical():
     rep = verify_poisson_jensen(delta(), om, u, riesz_u=riesz_u)
     assert rep.passed
     # u(0) = ln 1/2 = 0 - ln 2: the classical display
-    assert rep.terms["u_theta"] == pytest.approx(math.log(0.5), abs=1e-12)
-    rearranged = rep.terms["u_mu"] - (rep.terms["pt_mu_riesz"] - rep.terms["pt_theta_riesz"])
+    terms = rep.data["terms"]
+    assert terms["u_theta"] == pytest.approx(math.log(0.5), abs=1e-12)
+    rearranged = terms["u_mu"] - (terms["pt_mu_riesz"] - terms["pt_theta_riesz"])
     assert rearranged == pytest.approx(math.log(0.5), abs=1e-9)
-    assert "verdict" in rep.text()
+    assert rep.to_json()["pass"] is True
 
 
 def test_verify_poisson_jensen_harmonic_reduction():
@@ -131,8 +132,9 @@ def test_verify_poisson_jensen_harmonic_reduction():
     u = ScalarField(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2)
     rep = verify_poisson_jensen(delta(), om, u, riesz_u=Measure(2, []))
     assert rep.passed
-    assert rep.terms["pt_mu_riesz"] == 0.0 and rep.terms["pt_theta_riesz"] == 0.0
-    assert abs(rep.terms["u_theta"] - rep.terms["u_mu"]) <= rep.tol
+    terms = rep.data["terms"]
+    assert terms["pt_mu_riesz"] == 0.0 and terms["pt_theta_riesz"] == 0.0
+    assert abs(terms["u_theta"] - terms["u_mu"]) <= rep.data["tol"]
 
 
 def test_verify_poisson_jensen_two_zero():
@@ -140,9 +142,9 @@ def test_verify_poisson_jensen_two_zero():
     u = ScalarField.log_distance(point(0.5, 0)) + ScalarField.log_distance(point(-0.5, 0))
     riesz_u = delta((0.5, 0.0)) + delta((-0.5, 0.0))
     rep = verify_poisson_jensen(delta(), om, u, riesz_u=riesz_u)
-    assert rep.passed and rep.mismatch <= rep.tol
+    assert rep.passed and rep.data["mismatch"] <= rep.data["tol"]
     # oracle: u(0) = 2 ln(1/2); mean over circle = 0; sum of greens = 2 ln 2
-    assert rep.terms["u_theta"] == pytest.approx(2 * math.log(0.5), abs=1e-12)
+    assert rep.data["terms"]["u_theta"] == pytest.approx(2 * math.log(0.5), abs=1e-12)
 
 
 def test_verify_poisson_jensen_rejects_non_balayage():
@@ -157,13 +159,13 @@ def test_phragmen_lindelof_bounds():
     g1 = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
     V_self = to_potential(_om(), point(0, 0), kind="arens-singer")
     rep = phragmen_lindelof_bound(V_self, g1)
-    assert rep.passed and rep.worst_excess <= 1e-7
+    assert rep.passed and rep.data["worst_excess"] <= 1e-7
 
     # omega of the 0.9 disk: V = ln(0.9/|x|)^+ <= ln(1/|x|)
     V9 = to_potential(_om(0.9), point(0, 0), kind="arens-singer")
     rep9 = phragmen_lindelof_bound(V9, g1, S_o=Ball(point(0, 0), 0.1), r=0.05)
-    assert rep9.passed and rep9.lower_ok
-    assert rep9.observed_inf >= rep9.lower_bound - 1e-7
+    assert rep9.passed and rep9.data["lower_ok"]
+    assert rep9.data["observed_inf"] >= rep9.data["lower_bound"] - 1e-7
 
     scaled = ASPotential(ScalarField(lambda p: 1.5 * V9.evaluate_array(p)), point(0, 0),
                          1.5, 1.0, V9.support_window, "arens-singer")

@@ -191,7 +191,7 @@ def test_inward_filled_hull_preconditions():
 def test_grid_serialization_roundtrip():
     mask = _disk_grid(17, 6)
     g = GridDomain(point(-0.5, 0.25), 0.125, mask)
-    data = json.loads(g.dumps())
+    data = json.loads(json.dumps(g.to_json()))
     g2 = GridDomain.from_json(data)
     assert np.array_equal(g.mask, g2.mask)
     assert g2.spacing == g.spacing

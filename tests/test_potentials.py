@@ -84,12 +84,12 @@ def test_difference_potential_decay():
 def test_asymptotic_check_examples():
     cfg = KernelConfig(2)
     rep0 = asymptotic_check(atom((0.0, 0.0)), [10, 20, 40], cfg)
-    assert rep0.passed and max(r.error for r in rep0.rows) <= 1e-10
+    assert rep0.passed and max(r.lhs for r in rep0.rows) <= 1e-10
 
     rep1 = asymptotic_check(atom((1.0, 0.0)), [10, 20, 40], cfg)
     assert rep1.passed
     for a, b in zip(rep1.rows, rep1.rows[1:]):
-        assert b.error <= 1.1 * max(a.error, 1e-10)
+        assert b.lhs <= 1.1 * max(a.lhs, 1e-10)
 
     mu3 = Measure(3, [Atom(point(0.5, 0, 0), 1.0), Atom(point(-0.5, 0, 0), 1.0)])
     rep3 = asymptotic_check(mu3, [10, 20, 40], KernelConfig(3))
@@ -106,16 +106,16 @@ def test_lower_bound_check_examples():
     mu = atom((2.0, 0.0))
     L = Ball(point(0, 0), 1.0)
     rep = lower_bound_check(mu, L)
-    assert rep.passed and rep.bound == 0.0
+    assert rep.passed and rep.data["bound"] == 0.0
 
     mu2 = Measure(2, [SphereUniform(point(0, 0), 2.0, 1.0)])
     rep2 = lower_bound_check(mu2, L)
-    assert rep2.passed and rep2.bound == pytest.approx(0.0, abs=1e-12)
-    assert rep2.observed_inf >= -1e-9
+    assert rep2.passed and rep2.data["bound"] == pytest.approx(0.0, abs=1e-12)
+    assert rep2.data["observed_inf"] >= -1e-9
 
     rep3 = lower_bound_check(mu2, L, o=point(3, 0))
-    assert rep3.variant == "difference"
-    assert rep3.bound == pytest.approx(-math.log(4), abs=1e-9)
+    assert rep3.data["variant"] == "difference"
+    assert rep3.data["bound"] == pytest.approx(-math.log(4), abs=1e-9)
     assert rep3.passed
 
 
