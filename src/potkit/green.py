@@ -181,6 +181,6 @@ def jensen_measure_family(D: Ball, x, kind: str, *, a: float = 0.0, b: float = 1
         family = standard_jensen_family(D, x, seed=seed)
         verdict = check_linear(Measure(d, [Atom(x, 1.0)]), mu, family, seed=seed)
         if not verdict.passed:
-            raise ValueError(f"Jensen certification failed: {verdict.witness} "
+            raise ValueError(f"Jensen certification failed: {verdict.data['witness']} "
                              f"margin {verdict.worst_margin:.3g}")
     return mu

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import potkit
 from potkit.cli import main, preset_scenario, run_scenario
 from potkit.presets import PRESETS, preset_table
 
@@ -125,8 +128,11 @@ def test_scenario_out_path(tmp_path):
 
 
 def test_console_entry_point():
+    # the child must import the same potkit as this test, installed or not
+    path = [str(Path(potkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run([sys.executable, "-m", "potkit.cli", "list-presets"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 12
 

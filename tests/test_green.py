@@ -125,6 +125,17 @@ def test_jensen_measure_family_kinds():
         green.jensen_measure_family(D, x, "mixture", a=0.7, b=0.7)
 
 
+def test_jensen_certification_failure_names_witness(monkeypatch):
+    # a superharmonic probe -k(. - y) with y inside D is violated by every
+    # Jensen measure, so certification must raise with that member as witness
+    D = Ball(point(0, 0), 1.0)
+    bad = balayage.TestFamily("superharmonic",
+                              [("k-neg", ScalarField.kernel(2, point(0.5, 0), sign=-1.0))])
+    monkeypatch.setattr(balayage, "standard_jensen_family", lambda *a, **k: bad)
+    with pytest.raises(ValueError, match=r"Jensen certification failed: k-neg margin"):
+        green.jensen_measure_family(D, point(0, 0), "mixture", a=0.0, b=1.0)
+
+
 def test_duality_instance_potential_equality_and_domination():
     # pt_{omega(x,.)} = pt_{delta_x} outside clos D, and >= everywhere
     g = green.green_ball(point(0, 0), 1.0, point(0.2, -0.1), 2)

@@ -96,6 +96,13 @@ def test_asymptotic_check_examples():
     assert rep3.passed
 
 
+def test_asymptotic_check_fails_on_nan_error():
+    # a nan-weight atom makes every scaled error nan, which must not pass
+    rep = asymptotic_check(atom((1.0, 0.0), math.nan), [10, 20, 40], KernelConfig(2))
+    assert all(math.isnan(r.lhs) for r in rep.rows)
+    assert not rep.passed
+
+
 def test_asymptotic_check_radius_precondition():
     with pytest.raises(ValueError):
         asymptotic_check(atom((8.0, 0.0)), [10, 20], KernelConfig(2))

@@ -92,7 +92,7 @@ def _poincare_lelong():
 
 def _variant_zi():
     f, M, S_o, r, fam = _zeros_setup()
-    v = _variant("ZI", f, M, S_o, r, fam)
+    v = _variant("ZI", f, M, S_o, r, fam, ring=True)
     assert v.name == "ZI" and len(v.rows) == len(fam.members)
     return v
 
