@@ -54,6 +54,10 @@ class GlueError(ValueError):
 class ScalarField:
     """Evaluable extended-real function on a domain."""
 
+    # set on kernel fields sign * K_{d-2}(., y): the pole y and the sign
+    kernel_pole = None
+    kernel_sign = 1.0
+
     def __init__(self, evaluator, domain=None, kind: str = "analytic-form"):
         self._evaluator = evaluator
         self.domain = domain
@@ -94,7 +98,9 @@ class ScalarField:
             out[ok] = k_eval_array(d - 2, r[ok])
             return sign * out
 
-        return ScalarField(_eval, domain)
+        field = ScalarField(_eval, domain)
+        field.kernel_pole, field.kernel_sign = y, float(sign)
+        return field
 
     def __add__(self, other) -> "ScalarField":
         other = as_field(other)

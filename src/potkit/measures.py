@@ -19,8 +19,8 @@ JSON, mollifier sources) are plain loops over it:
 * ``discretize(use, seed, index)`` -> (points, weights) for a use below
 * ``restrict(S, complement)`` -> list of components
 * ``resolution``: the lattice spacing of grid densities, 0 for exact kinds
-* ``newton_potential()`` (layers only): the exact potential of plain sphere
-  and ball layers in d = 2, 3 by Newton's theorem, else None
+* ``newton_potential()``: the exact potential of plain sphere and ball
+  layers in d = 2, 3 by Newton's theorem; None for every other component
 
 Atoms discretize to themselves and grid densities to their charged cell
 centers, for every use.  Layers use quadrature nodes whose counts depend on
@@ -121,6 +121,9 @@ class Atom:
 
     def discretize(self, use: str = "integrate", seed: int = 0, index: int = 0):
         return self.point[None, :], np.array([self.weight])
+
+    def newton_potential(self):
+        return None
 
     def restrict(self, S, complement: bool = False) -> list:
         return [self] if S.contains(self.point) != complement else []
@@ -377,6 +380,9 @@ class GridDensity:
         live = vals != 0.0
         return self.grid.origin[None, :] + np.argwhere(live) * self.grid.spacing, vals[live]
 
+    def newton_potential(self):
+        return None
+
     def restrict(self, S, complement: bool = False) -> list:
         keep = S.contains_array(self.grid.cell_centers()) != complement
         vals = np.zeros(self.grid.shape)
@@ -525,10 +531,18 @@ def integrate(mu: Measure, f, seed: int = 0) -> float:
     The field must be evaluable |mu|-a.e. on the support; -inf values are
     legal and propagate by the usual conventions.  `seed` feeds the d=3
     Monte-Carlo sphere streams only.  Components without mass never see
-    the field.
+    the field.  A kernel field sign * K_{d-2}(., y) (``ScalarField.kernel``)
+    integrates exactly against layers with a ``newton_potential``: the
+    result is sign times that potential at y.
     """
     acc = _ExtSum()
+    pole = getattr(f, "kernel_pole", None)
     for i, c in enumerate(mu.components):
+        newton = None if pole is None else c.newton_potential()
+        if newton is not None:
+            # a kernel field against a plain layer: Newton's closed form at the pole
+            acc.add_weighted(np.ones(1), f.kernel_sign * newton(pole[None, :]))
+            continue
         pts, w = c.discretize("integrate", seed, i)
         if np.any(w):
             acc.add_weighted(w, _eval_field(f, pts))

@@ -3,9 +3,18 @@
 A Potential is a ScalarField view of the kernel integral of a charge.
 Evaluations can also be requested in tagged form {finite, -inf, +inf,
 indeterminate} so divergence bookkeeping is visible to callers.  Atom
-contributions are exact; layers and grid densities go through their
-component quadratures, with an exact-cell-average correction when an
-evaluation point lands inside a charged grid cell.
+contributions are exact and plain sphere/ball layers use Newton's closed
+forms; other layers and grid densities go through one dense direct kernel
+sum over their nodes.  When an evaluation point lies inside a charged grid
+cell, that cell's point-mass term is replaced by the exact potential of the
+uniformly charged cell at the point: four corner-rectangle closed forms of
+the ln integral in 2-D, eight corner boxes of the 1/r antiderivative in 3-D.
+
+The kernel sum fills its kernel matrix in row blocks of a fixed size, each
+reduced by one matrix-vector product; calls with several blocks run them on
+a thread pool sized from the CPUs this process may run on (its CPU
+affinity).  The block rule fixes the last bits of every sum, so the result
+is the same with or without threads.
 """
 
 from __future__ import annotations
@@ -13,8 +22,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,35 +44,74 @@ __all__ = [
 
 # mean of ln|x| over the unit square [-1/2, 1/2]^2 (closed form)
 LOG_SQUARE_MEAN = -0.5 * math.log(2.0) + math.pi / 4.0 - 1.5
+# mean of 1/|x| over the unit cube [-1/2, 1/2]^3: 2 * _box_inv_r(1, 1, 1)
+CUBE_MEAN_INV_R = 6.0 * math.asinh(1.0 / math.sqrt(2.0)) - 0.5 * math.pi
 
-
-@lru_cache(maxsize=1)
-def _cube_mean_inv_r() -> float:
-    """Mean of 1/|x| over the unit cube centered at the origin.
-
-    Fixed point of the 5^3 self-similar split: the central subcell scales
-    like 5 * mean / 125, the 124 off-center subcells are integrated with
-    order-8 Gauss per axis.  M = (sum of off-center means) / 120.
-    """
-    nodes, w = quadrature.gauss_legendre_cell(3, 8)
-    total = 0.0
-    for i in range(-2, 3):
-        for j in range(-2, 3):
-            for k in range(-2, 3):
-                if i == j == k == 0:
-                    continue
-                c = np.array([i, j, k], dtype=float) / 5.0
-                pts = c[None, :] + nodes / 5.0
-                total += float(np.dot(w, 1.0 / np.linalg.norm(pts, axis=1)))
-    return total / 120.0
+# the dense kernel sum fills each block of its (rows x nodes) matrix in tiles
+# of about this many bytes, and runs the blocks of one call on one thread per
+# CPU in this process's affinity mask (single-block calls stay inline)
+TILE_BYTES = 2 << 20
+try:
+    WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    WORKERS = os.cpu_count() or 1
 
 
 def _self_cell_mean(d: int, h: float) -> float:
-    """Exact-ish cell average of k_{d-2} over a cell of side h around its center."""
+    """Cell average of k_{d-2} over a cell of side h around its center."""
     if d == 2:
         return math.log(h) + LOG_SQUARE_MEAN
     if d == 3:
-        return -_cube_mean_inv_r() / h
+        return -CUBE_MEAN_INV_R / h
+    raise NotImplementedError("self-cell correction for d in {2, 3}")
+
+
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * ln(y) with 0 * ln(0) = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > 0.0, x * np.log(y), 0.0)
+
+
+def _rect_log_r(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integral of ln|x| over the rectangle [0, a] x [0, b] (a, b >= 0)."""
+    return 0.5 * (_xlogy(a * b, a * a + b * b) - 3.0 * a * b
+                  + a * a * np.arctan2(b, a) + b * b * np.arctan2(a, b))
+
+
+def _box_inv_r(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Integral of 1/|x| over the box [0, a] x [0, b] x [0, c] (a, b, c >= 0).
+
+    The antiderivative bc asinh(a / |(b, c)|) + ... - a^2/2 atan(bc / (a r)) - ...
+    is odd in each variable, so it vanishes on the coordinate planes.
+    """
+    r = np.sqrt(a * a + b * b + c * c)
+    out = np.zeros(np.shape(r))
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        yz = y * z
+        rho = np.sqrt(y * y + z * z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out += np.where(yz > 0.0, yz * np.arcsinh(x / rho), 0.0)
+        out -= 0.5 * x * x * np.arctan2(yz, x * r)
+    return out
+
+
+def _cell_mean(d: int, h: float, off: np.ndarray) -> np.ndarray:
+    """Exact average of k_{d-2}(|y - x|) over x in a cell of side h, for points y
+    at offsets `off` (n, d) from the cell center with |off|_inf <= h/2.
+
+    The cell splits at y into 2^d boxes with y as a corner: four corner
+    rectangles of the closed-form ln integral in 2-D, eight corner boxes of
+    the 1/r box antiderivative in 3-D.
+    """
+    lo, hi = 0.5 * h + off, 0.5 * h - off
+    sides = [(lo[:, k], hi[:, k]) for k in range(d)]
+    if d == 2:
+        total = sum(_rect_log_r(a, b) for a in sides[0] for b in sides[1])
+        return total / h ** 2
+    if d == 3:
+        total = sum(_box_inv_r(a, b, c) for a in sides[0] for b in sides[1]
+                    for c in sides[2])
+        return -total / h ** 3
     raise NotImplementedError("self-cell correction for d in {2, 3}")
 
 
@@ -141,28 +189,30 @@ class Potential(ScalarField):
         centers, masses = g.discretize()
         if not len(masses):
             return np.zeros(len(pts))
-        out = _chunked_kernel_sum(pts, centers, masses, self.cfg.q)
+        d, q = self.cfg.d, self.cfg.q
+        out = _chunked_kernel_sum(pts, centers, masses, q)
         # when an evaluation point lies inside a charged cell, replace that
-        # cell's point-kernel contribution by the exact cell average (removes
-        # the dominant near-diagonal bias, and the -inf on exact hits)
+        # cell's point-kernel contribution by the exact potential of the
+        # uniform cell at the point (removes the near-diagonal bias, and the
+        # -inf on exact hits, where it is the cell average)
         h = g.grid.spacing
-        mean_k = _self_cell_mean(self.cfg.d, h)
-        for j, y in enumerate(pts):
-            idx = g.grid.index_of(y)
-            if idx is None or vals[idx] == 0.0:
-                continue
-            center = g.grid.origin + np.asarray(idx) * h
-            if np.max(np.abs(y - center)) > 0.5 * h:
-                continue
-            r = float(np.linalg.norm(y - center))
-            if r == 0.0:
-                # exact hit: rebuild this row without the self node
-                dist = np.linalg.norm(centers - y[None, :], axis=1)
-                keep = dist > 0.0
-                out[j] = float(np.dot(masses[keep], k_eval_array(self.cfg.q, dist[keep])))
-                out[j] += vals[idx] * mean_k
-            else:
-                out[j] += vals[idx] * (mean_k - k_eval(self.cfg.q, r))
+        mean_k = _self_cell_mean(d, h)
+        idx = np.rint((pts - g.grid.origin[None, :]) / h).astype(int)
+        inside = np.flatnonzero(np.all((idx >= 0) & (idx < np.asarray(g.grid.shape)), axis=1))
+        cell_mass = vals[tuple(idx[inside].T)]
+        off = pts[inside] - (g.grid.origin[None, :] + idx[inside] * h)
+        keep = (cell_mass != 0.0) & (np.max(np.abs(off), axis=1) <= 0.5 * h)
+        rows, cell_mass, off = inside[keep], cell_mass[keep], off[keep]
+        r = np.sqrt(np.sum(off * off, axis=1))
+        hit = r == 0.0
+        for j, m in zip(rows[hit], cell_mass[hit]):
+            # exact hit: rebuild this row without the self node
+            dist = np.linalg.norm(centers - pts[j][None, :], axis=1)
+            live = dist > 0.0
+            out[j] = float(np.dot(masses[live], k_eval_array(q, dist[live]))) + m * mean_k
+        near = ~hit
+        out[rows[near]] += cell_mass[near] * (_cell_mean(d, h, off[near])
+                                              - k_eval_array(q, r[near]))
         return out
 
     def evaluate_tagged(self, y) -> DomValue:
@@ -199,21 +249,64 @@ class Potential(ScalarField):
         return payload
 
 
+def _kernel_rows(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray, q: float,
+                 out: np.ndarray):
+    """out = K @ weights for the C-ordered kernel matrix K[i, j] = k_q(|pts_i - node_j|),
+    filled in place tile by tile (-inf on exact hits)."""
+    n, m = len(pts), len(nodes)
+    K = np.empty((n, m))
+    tile = max(1, TILE_BYTES // max(1, 8 * m))
+    scratch = np.empty((min(tile, n), m))
+    for a in range(0, n, tile):
+        t = K[a:a + tile]
+        sq = scratch[:len(t)]
+        # |y - node|^2 summed coordinate by coordinate, as np.linalg.norm does
+        for k in range(nodes.shape[1]):
+            dst = t if k == 0 else sq
+            np.subtract(pts[a:a + tile, k:k + 1], nodes[None, :, k], out=dst)
+            np.multiply(dst, dst, out=dst)
+            if k:
+                t += sq
+        np.sqrt(t, out=t)
+        hit = t == 0.0
+        any_hit = hit.any()
+        if any_hit:
+            t[hit] = 1.0
+        if q == 0:
+            np.log(t, out=t)
+        else:
+            np.power(t, -q, out=t)
+            if q > 0:
+                np.negative(t, out=t)
+        if any_hit:
+            t[hit] = -math.inf
+    out[:] = K @ weights
+
+
 def _chunked_kernel_sum(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
                         q: float, block: int = 8_000_000) -> np.ndarray:
-    """sum_i w_i k_q(|y - node_i|) for every y, with bounded memory."""
+    """sum_i w_i k_q(|y - node_i|) for every y, with bounded memory.
+
+    Rows go in blocks of about `block` kernel values, each one matrix-vector
+    product; the per-row sums depend on the block boundaries in the last
+    bits, so the block rule is fixed.  Several blocks run on a thread pool.
+    """
     out = np.empty(len(pts))
     step = max(1, block // max(1, len(nodes)))
-    for a in range(0, len(pts), step):
-        chunk = pts[a:a + step]
-        r = np.linalg.norm(chunk[:, None, :] - nodes[None, :, :], axis=2)
-        bad = r == 0.0
-        if bad.any():
-            r = np.where(bad, 1.0, r)
-        vals = k_eval_array(q, r)
-        if bad.any():
-            vals = np.where(bad, -math.inf, vals)
-        out[a:a + step] = vals @ weights
+    starts = range(0, len(pts), step)
+
+    def run(a):
+        _kernel_rows(pts[a:a + step], nodes, weights, q, out[a:a + step])
+
+    if len(starts) <= 1 or WORKERS <= 1:
+        for a in starts:
+            run(a)
+    else:
+        # imported here: processes whose sums fit one block never load the pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(min(WORKERS, len(starts))) as pool:
+            list(pool.map(run, starts))
     return out
 
 

@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from potkit import green
+from potkit import duality, green, potentials
 from potkit.fields import GridField, ScalarField, riesz_measure, sphere_average
 from potkit.geometry import Ball, GridDomain, point
-from potkit.kernels import KernelConfig
-from potkit.measures import (Atom, BallUniform, Measure, SphereUniform, integrate,
-                             total_mass)
+from potkit.kernels import KernelConfig, k_eval_array
+from potkit.measures import (Atom, BallUniform, GridDensity, Measure, Mollifier,
+                             SphereUniform, convolve_balayage, integrate, total_mass)
 from potkit.potentials import (asymptotic_check, difference_potential,
                                lower_bound_check, potential)
 
 
 def atom(x, w=1.0):
     return Measure(len(x), [Atom(np.asarray(x, float), w)])
+
+
+def quadrature_kernel(d, y):
+    """K_{d-2}(., y) as a plain field, so integrate takes its quadrature route."""
+    return ScalarField(ScalarField.kernel(d, y).evaluate_array)
 
 
 def test_potential_single_atom():
@@ -32,7 +37,7 @@ def test_potential_sphere_layer_closed_vs_quadrature():
     assert pt(point(0.5, 0)) == 0.0
     assert pt(point(2, 0)) == pytest.approx(math.log(2), rel=1e-14)
     for y in (point(0.5, 0.2), point(1.7, -0.4)):
-        quad = integrate(mu, ScalarField.kernel(2, y))
+        quad = integrate(mu, quadrature_kernel(2, y))
         assert pt(y) == pytest.approx(quad, abs=1e-9)
 
 
@@ -42,7 +47,7 @@ def test_potential_ball_layer_closed_vs_quadrature():
     y_out = point(1.5, 0.5)
     assert pt(y_out) == pytest.approx(math.log(np.hypot(1.5, 0.5)), rel=1e-12)
     y_in = point(0.3, -0.2)
-    quad = integrate(mu, ScalarField.kernel(2, y_in))
+    quad = integrate(mu, quadrature_kernel(2, y_in))
     assert pt(y_in) == pytest.approx(quad, abs=1e-3)  # quadrature is the rough side
 
 
@@ -195,3 +200,136 @@ def test_potential_d1_atoms():
     assert pt(np.array([0.0])) == pytest.approx(0.0 + 2.0 * 1.0)
     rep = asymptotic_check(mu, [10, 20, 40], KernelConfig(1))
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# the direct kernel-sum engine
+
+
+def dense_kernel_sum(pts, nodes, weights, q, block=8_000_000):
+    """Reference: the (n, m, d) difference tensor per row block, then its norm."""
+    out = np.empty(len(pts))
+    step = max(1, block // max(1, len(nodes)))
+    for a in range(0, len(pts), step):
+        chunk = pts[a:a + step]
+        r = np.linalg.norm(chunk[:, None, :] - nodes[None, :, :], axis=2)
+        bad = r == 0.0
+        if bad.any():
+            r = np.where(bad, 1.0, r)
+        vals = k_eval_array(q, r)
+        if bad.any():
+            vals = np.where(bad, -math.inf, vals)
+        out[a:a + step] = vals @ weights
+    return out
+
+
+def lattice_source(d, n, seed):
+    """F-ordered lattice points and charged-cell centers, as the duality maps build them."""
+    rng = np.random.default_rng(seed)
+    pts = np.indices((n,) * d).reshape(d, -1).T * 0.02 - 0.3
+    live = rng.random((n,) * d) < 0.4
+    nodes = -0.25 + np.argwhere(live) * 0.03
+    return pts, nodes, rng.normal(size=len(nodes))
+
+
+@pytest.mark.parametrize("d,n", [(2, 40), (3, 12)])
+@pytest.mark.parametrize("block", [8_000_000, 9_999])
+def test_kernel_sum_matches_dense_reference_bitwise(d, n, block, monkeypatch):
+    # the small block splits the rows into many blocks, which run on the pool
+    monkeypatch.setattr(potentials, "WORKERS", 3)
+    pts, nodes, w = lattice_source(d, n, seed=d)
+    assert pts.flags.f_contiguous and nodes.flags.f_contiguous
+    for p in (pts, np.ascontiguousarray(pts)):
+        ref = dense_kernel_sum(p, nodes, w, d - 2, block)
+        got = potentials._chunked_kernel_sum(p, nodes, w, d - 2, block)
+        assert np.array_equal(ref, got)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kernel_sum_exact_hits_are_infinite_by_weight(d):
+    nodes = np.array([[0.0] * d, [0.5] + [0.0] * (d - 1)])
+    far = [[2.0] * d]
+    got = potentials._chunked_kernel_sum(np.array([nodes[0], nodes[1]] + far), nodes,
+                                         np.array([1.0, -2.0]), d - 2)
+    assert got[0] == -math.inf and got[1] == math.inf and math.isfinite(got[2])
+    assert np.array_equal(got, dense_kernel_sum(np.array([nodes[0], nodes[1]] + far),
+                                                nodes, np.array([1.0, -2.0]), d - 2))
+
+
+def test_cell_potential_matches_quadrature_2d():
+    from scipy import integrate as sp
+
+    a, b = 0.013, 0.007
+    ref = sp.dblquad(lambda y, x: 0.5 * math.log(x * x + y * y), 0, a, 0, b,
+                     epsabs=1e-15, epsrel=1e-13)[0]
+    assert potentials._rect_log_r(np.array([a]), np.array([b]))[0] == pytest.approx(
+        ref, abs=1e-12 * abs(ref))
+    h, off = 0.02, np.array([[0.003, -0.0071]])
+    total = 0.0
+    for x0, x1 in ((-h / 2 - off[0, 0], 0.0), (0.0, h / 2 - off[0, 0])):
+        for y0, y1 in ((-h / 2 - off[0, 1], 0.0), (0.0, h / 2 - off[0, 1])):
+            total += sp.dblquad(lambda y, x: 0.5 * math.log(x * x + y * y), x0, x1, y0, y1,
+                                epsabs=1e-15, epsrel=1e-13)[0]
+    assert potentials._cell_mean(2, h, off)[0] == pytest.approx(total / h ** 2, abs=1e-12)
+    assert potentials._cell_mean(2, h, np.zeros((1, 2)))[0] == pytest.approx(
+        potentials._self_cell_mean(2, h), abs=1e-14)
+
+
+def test_cell_potential_matches_quadrature_3d():
+    from scipy import integrate as sp
+
+    a, b, c = 0.013, 0.007, 0.01
+    ref = sp.tplquad(lambda z, y, x: 1.0 / math.sqrt(x * x + y * y + z * z),
+                     0, a, 0, b, 0, c, epsabs=1e-15, epsrel=1e-13)[0]
+    got = potentials._box_inv_r(np.array([a]), np.array([b]), np.array([c]))[0]
+    assert got == pytest.approx(ref, abs=1e-12 * ref)
+    # edges and faces of the cell: no nan from 0 * log 0 or 0 / 0
+    edge = potentials._cell_mean(3, 0.1, np.array([[0.05, 0.05, 0.0], [0.05, 0.05, 0.05]]))
+    assert np.all(np.isfinite(edge))
+    h = 0.1
+    assert potentials._cell_mean(3, h, np.zeros((1, 3)))[0] == pytest.approx(
+        potentials._self_cell_mean(3, h), rel=1e-14)
+    assert potentials.CUBE_MEAN_INV_R == pytest.approx(2.3800773639795, rel=1e-13)
+
+
+def test_grid_charge_potential_inside_a_cell_is_the_cell_potential():
+    # one charged cell: the value anywhere in it is the uniform-cell potential
+    h = 0.1
+    grid = GridDomain(point(0.0, 0.0), h, np.ones((3, 3), bool))
+    vals = np.zeros((3, 3))
+    vals[1, 1] = 2.0
+    pt = potential(Measure(2, [GridDensity(grid, vals)]), KernelConfig(2))
+    off = np.array([[0.0, 0.0], [0.02, -0.03], [0.049, 0.049]])
+    got = pt.evaluate_array(point(0.1, 0.1)[None, :] + off)
+    assert got == pytest.approx(2.0 * potentials._cell_mean(2, h, off), rel=1e-14)
+    assert got[0] == 2.0 * potentials._self_cell_mean(2, h)
+
+
+def test_mollified_jensen_potential_is_positive_at_seed_4():
+    # the centre-value self-cell rule pushed the minimum below -pos_tol here
+    x0 = point(0, 0)
+    om = green.harmonic_measure(green.green_ball(x0, 0.6, x0, 2), x0)
+    beta = convolve_balayage(om, Mollifier(0.1 * (1.0 - 0.6), 2), Ball(x0, 1.0),
+                             cells_per_radius=6)
+    V = duality.to_potential(beta, x0, kind="jensen", D=Ball(x0, 1.6), seed=4)
+    assert V.pole_coefficient == pytest.approx(1.0, abs=1e-3)
+
+
+def test_jensen_certification_of_a_circle_at_seed_2():
+    # the jittered inner probe ring lands at r = 0.9016, next to the 0.9 circle
+    x0 = point(0, 0)
+    om09 = green.harmonic_measure(green.green_ball(x0, 0.9, x0, 2), x0)
+    V = duality.to_potential(om09, x0, kind="jensen", seed=2)
+    assert V.potential_kind == "jensen"
+
+
+def test_kernel_integral_against_a_layer_is_exact():
+    R = 0.9
+    mu = Measure(2, [SphereUniform(point(0, 0), R, 1.0)])
+    for y in (point(R * (1 + 1e-4), 0.0), point(0.0, R * (1 - 1e-4)), point(0.3, 0.2)):
+        expect = math.log(max(float(np.linalg.norm(y)), R))
+        assert integrate(mu, ScalarField.kernel(2, y)) == expect
+        assert integrate(mu, ScalarField.kernel(2, y, -1.0)) == -expect
+    ball = Measure(3, [BallUniform(point(0, 0, 0), 0.5, 2.0)])
+    y3 = point(1.0, 0.0, 0.0)
+    assert integrate(ball, ScalarField.kernel(3, y3)) == -2.0

@@ -126,12 +126,21 @@ def test_checker_returns_verdict(build):
     json.dumps(v.to_json(), allow_nan=False)
 
 
-def test_lyons_example_tolerances_follow_tol_scale():
+@pytest.mark.parametrize("preset", ["lyons-example", "balayage-mass"])
+def test_preset_tolerances_follow_tol_scale(preset):
     rows = {}
     for s in (1.0, 10.0):
-        checks, _ = run_preset("lyons-example", 0, s)
+        checks, _ = run_preset(preset, 0, s)
         rows[s] = [row for c in checks for row in c.rows]
     assert rows[1.0] and len(rows[1.0]) == len(rows[10.0])
     for a, b in zip(rows[1.0], rows[10.0]):
         assert a.member == b.member and a.tol > 0
         assert b.tol == pytest.approx(10.0 * a.tol, rel=1e-12)
+
+
+def test_probes_avoiding_refuses_a_short_probe_set():
+    from potkit.presets import _probes_avoiding
+
+    assert len(_probes_avoiding(DISK, 50, 0, holes=[((0.0, 0.0), 0.0)])) == 50
+    with pytest.raises(ValueError, match="of 50 probes"):
+        _probes_avoiding(DISK, 50, 0, holes=[((0.0, 0.0), 0.97)])
