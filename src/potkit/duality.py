@@ -135,7 +135,8 @@ def from_potential(V: ASPotential, grid: GridDomain,
     exclusion radius of the pole are masked out of the recovery.  Keep the
     exclusion a fixed physical radius (not a cell count) when comparing
     refinements: the pole's stencil truncation error lives on the exclusion
-    rim, so a shrinking rim does not converge.
+    rim, so a shrinking rim does not converge.  The result carries the
+    recovery's ``singular_cells``.
     """
     x = V.pole
     h = grid.spacing
@@ -152,7 +153,9 @@ def from_potential(V: ASPotential, grid: GridDomain,
     comps = list(rec.components)
     if abs(atom_weight) > 0:
         comps.append(Atom(x, atom_weight))
-    return Measure(V.pole.size if hasattr(V.pole, "size") else len(V.pole), comps)
+    out = Measure(V.pole.size if hasattr(V.pole, "size") else len(V.pole), comps)
+    out.singular_cells = rec.singular_cells
+    return out
 
 
 # ---------------------------------------------------------------------------

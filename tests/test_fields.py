@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from potkit import fields, green
-from potkit.fields import (GluingSpec, GlueError, GridField, ScalarField,
-                           check_subharmonic, fit_pole_coefficient, glue_max,
-                           glue_quantitative, glue_with_green, harmonize_layer,
-                           riesz_measure, sphere_average, ball_average)
+from potkit.fields import (SWEEPS_PER_NODE, GluingSpec, GlueError, GridField,
+                           NumericError, ScalarField, check_subharmonic,
+                           fit_pole_coefficient, glue_max, glue_quantitative,
+                           glue_with_green, harmonize_layer, riesz_measure,
+                           sphere_average, ball_average)
 from potkit.geometry import Annulus, Ball, GridDomain, point
 from potkit.measures import total_mass
 
@@ -283,6 +284,18 @@ def test_harmonize_layer_dominates_at_pole():
     # off the layer, untouched
     far = np.array([[0.2, 0.1], [0.0, -1.3]])
     assert np.array_equal(out.evaluate_array(far), v.evaluate_array(far))
+
+
+def test_harmonize_layer_sweep_budget():
+    # the slowest solve of this file converges well inside its budget; an
+    # unreachable residual (exact 0) stops at the budget with NumericError
+    layer = Annulus(point(0, 0), 0.5, 1.0)
+    v = ScalarField.log_distance(point(0.75, 0))
+    out = harmonize_layer(v, layer, cells=96)
+    n = out.solver_grid.grid.shape[0]
+    assert out.sweeps <= SWEEPS_PER_NODE * n / 4
+    with pytest.raises(NumericError, match=f"within {SWEEPS_PER_NODE * 21} sweeps"):
+        harmonize_layer(v, layer, cells=16, residual_target=0.0)
 
 
 def test_harmonize_layer_maximum_principle():

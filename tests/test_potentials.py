@@ -256,6 +256,161 @@ def test_kernel_sum_exact_hits_are_infinite_by_weight(d):
                                                 nodes, np.array([1.0, -2.0]), d - 2))
 
 
+# ---------------------------------------------------------------------------
+# the fast multipole path
+
+
+@pytest.fixture
+def fmm_calls(monkeypatch):
+    """Send every 2-D log-kernel sum to the FMM path and record the calls."""
+    from potkit import _fmm
+
+    calls, real = [], _fmm.log_kernel_sum
+
+    def spy(*args):
+        calls.append(len(args[0]) * len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(_fmm, "log_kernel_sum", spy)
+    monkeypatch.setattr(potentials, "FMM_PAIRS", 1)
+    monkeypatch.setattr(potentials, "FMM_MIN_SIDE", 1)
+    return calls
+
+
+def assert_within_fmm_bound(pts, nodes, w):
+    """FMM vs the dense reference: identical non-finite entries, finite ones
+    within the a-priori bound error_bound(ORDER) * sum |w|."""
+    from potkit import _fmm
+
+    got = potentials._chunked_kernel_sum(pts, nodes, w, 0)
+    ref = dense_kernel_sum(pts, nodes, w, 0)
+    fin = np.isfinite(ref)
+    assert np.array_equal(got[~fin], ref[~fin], equal_nan=True)
+    err = np.max(np.abs(got[fin] - ref[fin]), initial=0.0)
+    assert err <= _fmm.error_bound(_fmm.ORDER) * np.sum(np.abs(w))
+    return got, ref
+
+
+def test_fmm_order_is_the_least_within_tolerance():
+    from potkit import _fmm
+
+    assert _fmm.error_bound(_fmm.ORDER) <= _fmm.TOL == 1e-13
+    assert _fmm.error_bound(_fmm.ORDER - 1) > _fmm.TOL
+    bounds = [_fmm.error_bound(p) for p in range(1, 80)]
+    assert all(a > b for a, b in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("p", [4, 8, 16])
+def test_fmm_error_is_within_its_bound_at_low_order(p, fmm_calls, monkeypatch):
+    # low orders make the truncation visible, and the bound must still hold
+    from potkit import _fmm
+
+    monkeypatch.setattr(_fmm, "ORDER", p)
+    rng = np.random.default_rng(p)
+    pts = rng.uniform(-1.0, 1.0, (3000, 2))
+    nodes = rng.uniform(-0.6, 0.9, (2000, 2))
+    got, ref = assert_within_fmm_bound(pts, nodes, rng.normal(size=2000))
+    assert np.max(np.abs(got - ref)) > 1e-10  # the truncation shows
+    assert fmm_calls
+
+
+def test_fmm_random_cloud_mixed_signs(fmm_calls):
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.0, 1.0, (4000, 2))
+    nodes = rng.normal(0.2, 0.3, (2500, 2))
+    assert_within_fmm_bound(pts, nodes, rng.normal(size=2500))
+    assert fmm_calls == [4000 * 2500]
+
+
+def test_fmm_lattice_on_lattice_exact_hits(fmm_calls):
+    # nodes on every other point of the target lattice, mixed signs: every
+    # node is an exact hit, -inf times its weight (+inf for negative weights)
+    pts, _, _ = lattice_source(2, 60, seed=1)
+    nodes = pts[::2]
+    w = np.random.default_rng(1).normal(size=len(nodes))
+    got, ref = assert_within_fmm_bound(pts, nodes, w)
+    hit = ~np.isfinite(ref)
+    assert hit.sum() == len(nodes)
+    assert np.array_equal(got[::2], np.where(w > 0, -math.inf, math.inf))
+    assert fmm_calls
+
+
+def test_fmm_exact_hits_zero_weight_and_collisions(fmm_calls):
+    # one target on each node: weights 1 and -2 give -inf and +inf, a zero
+    # weight the dense sum's nan, and two opposite nodes on one point nan
+    nodes = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [-0.5, 0.5], [-0.5, 0.5]])
+    w = np.array([1.0, -2.0, 0.0, 1.0, -1.0])
+    far = np.random.default_rng(2).uniform(-1.0, 1.0, (400, 2))
+    with np.errstate(invalid="ignore"):
+        got, ref = assert_within_fmm_bound(np.vstack([nodes, far]), nodes, w)
+    assert got[0] == -math.inf and got[1] == math.inf
+    assert math.isnan(got[2]) and math.isnan(got[3]) and math.isnan(got[4])
+    assert np.all(np.isfinite(got[5:]))
+
+
+@pytest.mark.parametrize("case", ["one-leaf", "collinear", "single-node", "far-targets"])
+def test_fmm_degenerate_layouts(case, fmm_calls):
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.0, 1.0, (2000, 2))
+    if case == "one-leaf":  # every node inside one leaf box
+        nodes = 0.3 + rng.uniform(0.0, 1e-4, (500, 2))
+    elif case == "collinear":  # nodes and targets on one line: a flat bounding box
+        nodes = np.column_stack([rng.uniform(-1.0, 1.0, 500), np.full(500, 0.25)])
+        pts = np.vstack([np.column_stack([pts[:, 0], np.full(2000, 0.25)]), nodes[:7]])
+    elif case == "single-node":
+        nodes = np.array([[0.1, -0.2]])
+    else:  # targets 1e3 to 1e4 away from a unit node box
+        nodes = rng.uniform(0.0, 1.0, (500, 2))
+        pts = rng.uniform(1e3, 1e4, (2000, 2)) * rng.choice([-1.0, 1.0], (2000, 2))
+    assert_within_fmm_bound(pts, nodes, rng.normal(size=len(nodes)))
+    assert fmm_calls
+
+
+def test_fmm_never_takes_other_kernels_dimensions_or_thin_sums(fmm_calls, monkeypatch):
+    # only d = 2, q = 0 sums switch engines; the rest stay bitwise direct
+    for d, q in ((3, 1), (2, 0.5), (2, -1)):
+        pts, nodes, w = lattice_source(d, 12, seed=d)
+        assert np.array_equal(potentials._chunked_kernel_sum(pts, nodes, w, q),
+                              dense_kernel_sum(pts, nodes, w, q))
+    # as do log sums with fewer than FMM_MIN_SIDE points or nodes
+    monkeypatch.setattr(potentials, "FMM_MIN_SIDE", 128)
+    pts, nodes, w = lattice_source(2, 40, seed=2)
+    for p, x, v in ((pts[:127], nodes, w), (pts, nodes[:127], w[:127])):
+        assert np.array_equal(potentials._chunked_kernel_sum(p, x, v, 0),
+                              dense_kernel_sum(p, x, v, 0))
+    assert fmm_calls == []
+
+
+def test_fmm_round_trip_of_a_mollified_jensen_measure(monkeypatch):
+    # duality-roundtrip's jensen[2] at h = 0.02, whose grid sampling is above
+    # the pair threshold: both engines give the same round-trip errors
+    from potkit import _fmm
+
+    x0 = point(0, 0)
+    om = green.harmonic_measure(green.green_ball(x0, 0.6, x0, 2), x0)
+    mu = convolve_balayage(om, Mollifier(0.1 * (1.0 - 0.6), 2), Ball(x0, 1.0),
+                           cells_per_radius=6)
+    V = duality.to_potential(mu, x0, kind="jensen", D=Ball(x0, 1.6), seed=0)
+    grid = GridDomain(point(-1.2, -1.2), 0.02, np.ones((121, 121), bool))
+    probes = [ScalarField(lambda p, k=k: np.cos(0.7 * k * p[:, 0]) * np.exp(0.2 * k * p[:, 1]))
+              for k in range(1, 6)]
+    probes += [ScalarField(lambda p, k=k: (p[:, 0] ** 2 - p[:, 1] ** 2) * 0.1 * k + 1.0)
+               for k in range(1, 6)]
+    exact = np.array([integrate(mu, f) for f in probes])
+    calls, real = [], _fmm.log_kernel_sum
+    monkeypatch.setattr(_fmm, "log_kernel_sum", lambda *a: calls.append(1) or real(*a))
+    errs, cells = {}, {}
+    for engine, pairs in (("direct", math.inf), ("fmm", potentials.FMM_PAIRS)):
+        monkeypatch.setattr(potentials, "FMM_PAIRS", pairs)
+        rec = duality.from_potential(V, grid, pole_exclusion=0.1)
+        errs[engine] = (np.abs(exact - [integrate(rec, f) for f in probes])
+                        / (1.0 + np.abs(exact)))
+        cells[engine] = rec.singular_cells
+        assert bool(calls) == (engine == "fmm")
+    assert np.max(np.abs(errs["fmm"] - errs["direct"])) <= 1e-12
+    assert cells["fmm"] == cells["direct"]
+
+
 def test_cell_potential_matches_quadrature_2d():
     from scipy import integrate as sp
 

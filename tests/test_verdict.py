@@ -126,15 +126,25 @@ def test_checker_returns_verdict(build):
     json.dumps(v.to_json(), allow_nan=False)
 
 
-@pytest.mark.parametrize("preset", ["lyons-example", "balayage-mass"])
+# rows without a tolerance, by member suffix: duality-roundtrip's "h=0.02"
+# rows hold each error to criterion 7's fixed 2 %, a contract threshold
+UNTOLERANCED = {"duality-roundtrip": "h=0.02"}
+
+
+@pytest.mark.parametrize("preset", ["lyons-example", "balayage-mass", "duality-roundtrip"])
 def test_preset_tolerances_follow_tol_scale(preset):
+    untoleranced = UNTOLERANCED.get(preset)
     rows = {}
     for s in (1.0, 10.0):
         checks, _ = run_preset(preset, 0, s)
         rows[s] = [row for c in checks for row in c.rows]
     assert rows[1.0] and len(rows[1.0]) == len(rows[10.0])
     for a, b in zip(rows[1.0], rows[10.0]):
-        assert a.member == b.member and a.tol > 0
+        assert a.member == b.member
+        if untoleranced and a.member.endswith(untoleranced):
+            assert a.tol == b.tol == 0.0
+            continue
+        assert a.tol > 0
         assert b.tol == pytest.approx(10.0 * a.tol, rel=1e-12)
 
 
