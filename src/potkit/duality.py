@@ -15,7 +15,7 @@ import numpy as np
 
 from . import quadrature
 from .fields import GridField, ScalarField, fit_pole_coefficient, riesz_measure
-from .geometry import Ball, GridDomain, inward_filled_hull, parallel_set
+from .geometry import Ball, GridDomain, _stencil, inward_filled_hull, parallel_set
 from .kernels import KernelConfig, k_eval
 from .measures import Atom, IndeterminateIntegral, Measure, integrate, restrict, total_mass
 from .potentials import difference_potential, potential
@@ -175,11 +175,13 @@ def _hull_window(theta: Measure, mu: Measure, extra: Measure | None,
     lo = lo - 4 * h
     shape = tuple(int(math.ceil((hi[k] - lo[k] + 8 * h) / h)) + 1 for k in range(pts.shape[1]))
     window = GridDomain(lo, h, np.ones(shape, dtype=bool))
-    centers = window.origin[None, :] + np.indices(window.shape).reshape(
-        window.dimension, -1).T * h
-    occupied = np.zeros(len(centers), dtype=bool)
-    for p in pts:
-        occupied |= np.max(np.abs(centers - p[None, :]), axis=1) <= 0.75 * h
+    # a cell is occupied iff a support point lies within 0.75 h of its centre
+    # (max norm); every such cell is within one index of the point's nearest cell
+    base = np.rint((pts - window.origin) / h).astype(int)
+    idx, flat = _stencil(base, 1, shape)
+    near = np.max(np.abs(window.origin + idx * h - pts[:, None, :]), axis=2) <= 0.75 * h
+    occupied = np.zeros(window.mask.size, dtype=bool)
+    occupied[flat[near]] = True
     K = window.with_mask(occupied.reshape(window.shape))
     hull = inward_filled_hull(K, window)
     return parallel_set(hull, 1.5 * h)  # one-cell pad

@@ -218,6 +218,23 @@ class GridDomain:
         return GridDomain(np.asarray(data["origin"], float), float(data["spacing"]), mask)
 
 
+def _stencil(base: np.ndarray, reach: int, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The (2 reach + 1)^d lattice cells around each row of the (n, d) index array `base`.
+
+    Returns `(idx, flat)`: idx is (n, (2 reach + 1)^d, d) with the offsets in
+    C order (last axis fastest, as `np.indices` lists a box), flat the C-order
+    positions of those cells in an array of `shape`.  A cell outside `shape`
+    raises: callers pad their lattice so that this cannot happen, and never clip.
+    """
+    d = base.shape[1]
+    if np.any(base < reach) or np.any(base + reach >= np.asarray(shape)):
+        raise ValueError(f"a {2 * reach + 1}^{d} stencil leaves the {shape} lattice")
+    offsets = np.indices((2 * reach + 1,) * d).reshape(d, -1).T - reach
+    idx = base[:, None, :] + offsets[None, :, :]
+    flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), shape)
+    return idx, flat
+
+
 def _face_structure(d: int) -> np.ndarray:
     # 4-connectivity in d=2, 6-connectivity in d=3
     return ndimage.generate_binary_structure(d, 1)

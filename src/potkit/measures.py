@@ -59,7 +59,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quadrature
-from .geometry import Annulus, Ball, GridDomain
+from .geometry import Annulus, Ball, GridDomain, _stencil
 from .kernels import k_eval_array, unit_ball_volume
 
 __all__ = [
@@ -610,9 +610,14 @@ class Mollifier:
         return math.gamma(d / 2.0 + 5.0) / (24.0 * math.pi ** (d / 2.0) * self.radius ** d)
 
     def density(self, pts: np.ndarray, center=None) -> np.ndarray:
+        """Density at points `pts` (..., d) of the bump centred at `center`.
+
+        `center` broadcasts against `pts`, so one call can evaluate a batch
+        of bumps, e.g. pts (n, m, d) against centres (n, 1, d).
+        """
         pts = np.atleast_2d(pts)
         c = np.zeros(self.dimension) if center is None else np.asarray(center, float)
-        u2 = np.sum((pts - c[None, :]) ** 2, axis=1) / self.radius ** 2
+        u2 = np.sum((pts - c) ** 2, axis=-1) / self.radius ** 2
         body = np.clip(1.0 - u2, 0.0, None) ** 4
         return self.normalizer * body
 
@@ -663,6 +668,11 @@ def convolve_balayage(mu: Measure, smoother, O, cells_per_radius: int = 8) -> Me
     return Measure(d, out)
 
 
+# bytes of Gauss-Legendre sample coordinates per chunk of bumps (80 bumps in
+# 2-D at 8 cells per radius, one at a time in 3-D), so the temporaries stay a few MB
+BUMP_CHUNK_BYTES = 1 << 22
+
+
 def _bumps_on_grid(pts: np.ndarray, wts: np.ndarray, moll: Mollifier,
                    cells_per_radius: int) -> GridDensity:
     d = pts.shape[1]
@@ -677,26 +687,23 @@ def _bumps_on_grid(pts: np.ndarray, wts: np.ndarray, moll: Mollifier,
     values = np.zeros(shape)
 
     gl_nodes, gl_w = quadrature.gauss_legendre_cell(d, 3)
-    reach = cells_per_radius + 1
-    for p, w in zip(pts, wts):
-        if w == 0.0:
-            continue
-        base = np.rint((p - lo) / h).astype(int)
-        slices, offsets = [], []
-        for k in range(d):
-            a = max(0, base[k] - reach)
-            b = min(shape[k] - 1, base[k] + reach)
-            slices.append(slice(a, b + 1))
-            offsets.append(np.arange(a, b + 1))
-        centers = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1).reshape(-1, d) * h \
-            + lo[None, :]
-        # per-cell Gauss-Legendre mass of the translated bump, then exact rescale
-        sample = centers[:, None, :] + h * gl_nodes[None, :, :]
-        dens = moll.density(sample.reshape(-1, d), center=p).reshape(len(centers), -1)
-        cell_mass = (dens @ gl_w) * h ** d
-        s = cell_mass.sum()
-        if s <= 0.0:
+    reach = cells_per_radius + 1  # the padding by radius + h keeps every patch inside
+    live = wts != 0.0
+    pts, wts = pts[live], wts[live]
+    cells = (2 * reach + 1) ** d
+    step = max(1, BUMP_CHUNK_BYTES // (8 * cells * len(gl_w) * d))
+    flat_values = values.reshape(-1)
+    for a in range(0, len(pts), step):
+        p, w = pts[a:a + step], wts[a:a + step]
+        idx, flat = _stencil(np.rint((p - lo) / h).astype(int), reach, shape)
+        # per-cell Gauss-Legendre mass of each translated bump, then exact rescale;
+        # the (cells, nodes) block is C-ordered because gemv's last bits follow layout
+        sample = (idx * h + lo)[:, :, None, :] + h * gl_nodes
+        dens = np.ascontiguousarray(moll.density(sample, center=p[:, None, None, :]))
+        cell_mass = (dens.reshape(-1, len(gl_w)) @ gl_w).reshape(len(p), cells) * h ** d
+        s = cell_mass.sum(axis=1)
+        if np.any(s <= 0.0):
             raise ValueError("mollifier bump lost under the grid resolution")
-        patch = (w / s) * cell_mass
-        values[tuple(slices)] += patch.reshape([len(o) for o in offsets])
+        # np.add.at adds in source order, so each cell sums its bumps as one loop would
+        np.add.at(flat_values, flat.reshape(-1), ((w / s)[:, None] * cell_mass).reshape(-1))
     return GridDensity(grid, values)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from potkit import green
+from potkit import duality, green
 from potkit.duality import (ASPotential, CertificationError, from_potential,
                             phragmen_lindelof_bound, to_potential,
                             verify_poisson_jensen)
@@ -194,3 +194,122 @@ def test_to_potential_skips_recheck_with_certificate():
     cert = bal.check_linear(delta(), om, fam)
     V = to_potential(om, point(0, 0), kind="jensen", certificate=cert)
     assert V.pole_coefficient == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the Poisson-Jensen hull window
+
+
+def hull_window_loop(theta, mu, extra, cells=96):
+    """Reference: every support point against every window cell, one point at a time."""
+    pts = [theta.support_points(), mu.support_points()]
+    if extra is not None:
+        pts.append(extra.support_points())
+    pts = np.vstack([p for p in pts if len(p)])
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = float(np.max(hi - lo))
+    h = max(span, 1e-3) / cells
+    lo = lo - 4 * h
+    shape = tuple(int(math.ceil((hi[k] - lo[k] + 8 * h) / h)) + 1 for k in range(pts.shape[1]))
+    window = GridDomain(lo, h, np.ones(shape, dtype=bool))
+    centers = window.origin[None, :] + np.indices(window.shape).reshape(
+        window.dimension, -1).T * h
+    occupied = np.zeros(len(centers), dtype=bool)
+    for p in pts:
+        occupied |= np.max(np.abs(centers - p[None, :]), axis=1) <= 0.75 * h
+    K = window.with_mask(occupied.reshape(window.shape))
+    hull = duality.inward_filled_hull(K, window)
+    return duality.parallel_set(hull, 1.5 * h)
+
+
+def atoms(pts):
+    pts = np.atleast_2d(np.asarray(pts, float))
+    return Measure(pts.shape[1], [Atom(p, 1.0) for p in pts])
+
+
+def assert_same_window(a, b):
+    assert a.spacing == b.spacing
+    assert a.origin.tobytes() == b.origin.tobytes()
+    assert a.shape == b.shape and np.array_equal(a.mask, b.mask)
+
+
+def _raw_occupancy(monkeypatch):
+    # compare the occupied cells themselves, before hull filling and padding
+    monkeypatch.setattr(duality, "inward_filled_hull", lambda K, O: K)
+    monkeypatch.setattr(duality, "parallel_set", lambda K, r: K)
+
+
+def _window_of(pts, cells):
+    pts = np.asarray(pts, float)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    h = max(float(np.max(hi - lo)), 1e-3) / cells
+    return lo - 4 * h, h
+
+
+@pytest.mark.parametrize("raw", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+def test_hull_window_matches_point_loop_on_random_clouds(d, raw, monkeypatch):
+    if raw:
+        _raw_occupancy(monkeypatch)
+    rng = np.random.default_rng(d)
+    cells = 24 if d == 3 else 96
+    for trial in range(3):
+        theta = atoms(rng.normal(size=(5, d)) * 0.2)
+        mu = atoms(rng.uniform(-1, 1, size=(40, d)))
+        extra = atoms(rng.uniform(-0.5, 0.5, size=(7, d))) if trial else None
+        assert_same_window(duality._hull_window(theta, mu, extra, cells=cells),
+                           hull_window_loop(theta, mu, extra, cells=cells))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hull_window_single_point(d, monkeypatch):
+    x = atoms(np.full(d, 0.3))
+    assert_same_window(duality._hull_window(x, x, None), hull_window_loop(x, x, None))
+    _raw_occupancy(monkeypatch)
+    K = duality._hull_window(x, x, None)
+    assert_same_window(K, hull_window_loop(x, x, None))
+    assert K.mask.sum() == 1
+
+
+@pytest.mark.parametrize("raw", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+def test_hull_window_borderline_points(d, raw, monkeypatch):
+    """Points 0.75 h and 0.5 h (a cell edge) from a centre along each axis, both signs.
+
+    The frame makes h = 1/16, so every offset below is exact in floating point.
+    """
+    if raw:
+        _raw_occupancy(monkeypatch)
+    cells = 16
+    frame = np.vstack([np.zeros(d), np.ones(d)])
+    lo, h = _window_of(frame, cells)
+    centre = lo + np.array([9 + k for k in range(d)]) * h
+    probes = [centre + s * f * h * np.eye(d)[k]
+              for f in (0.75, 0.5) for s in (1.0, -1.0) for k in range(d)]
+    probes.append(centre + 0.5 * h)  # a cell corner
+    probes.append(centre + 0.75 * h)
+    assert h == 0.0625
+    assert _window_of(np.vstack([frame, probes]), cells)[0].tobytes() == lo.tobytes()
+    for p in probes:
+        mu = atoms(np.vstack([frame, p]))
+        assert_same_window(duality._hull_window(mu, mu, None, cells=cells),
+                           hull_window_loop(mu, mu, None, cells=cells))
+
+
+def test_hull_window_matches_point_loop_on_pj_suite(monkeypatch):
+    from potkit.presets import run_preset
+
+    seen = []
+    real = duality._hull_window
+
+    def spy(theta, mu, extra, cells=96):
+        seen.append((theta, mu, extra, cells))
+        return real(theta, mu, extra, cells=cells)
+
+    monkeypatch.setattr(duality, "_hull_window", spy)
+    run_preset("pj-suite", 0, 1.0)
+    monkeypatch.undo()
+    assert len(seen) == 11
+    for theta, mu, extra, cells in seen:
+        assert_same_window(real(theta, mu, extra, cells=cells),
+                           hull_window_loop(theta, mu, extra, cells=cells))

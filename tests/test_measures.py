@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from potkit import fields, green
+from potkit import fields, green, measures, quadrature
 from potkit.geometry import Annulus, Ball, GridDomain, point
 from potkit.measures import (Atom, BallUniform, GridDensity, Measure, Mollifier,
                              SphereUniform, convolve_balayage, integrate, jordan,
@@ -287,3 +287,100 @@ def test_restrict_by_grid_domain():
     assert total_mass(kept) == 2.0
     dropped = restrict(mu, S, complement=True)
     assert total_mass(dropped) == 3.0
+
+
+# ---------------------------------------------------------------------------
+# mollifier bumps on the lattice
+
+
+def bumps_on_grid_loop(pts, wts, moll, cells_per_radius):
+    """Reference: one bump per source atom, clipped to the lattice, added in source order."""
+    d = pts.shape[1]
+    h = moll.radius / cells_per_radius
+    lo = pts.min(axis=0) - moll.radius - h
+    lo = pts[0] - h * np.ceil((pts[0] - lo) / h)
+    hi = pts.max(axis=0) + moll.radius + h
+    shape = tuple(int(math.ceil((hi[k] - lo[k]) / h)) + 1 for k in range(d))
+    values = np.zeros(shape)
+    gl_nodes, gl_w = quadrature.gauss_legendre_cell(d, 3)
+    reach = cells_per_radius + 1
+    for p, w in zip(pts, wts):
+        if w == 0.0:
+            continue
+        base = np.rint((p - lo) / h).astype(int)
+        slices, offsets = [], []
+        for k in range(d):
+            a = max(0, base[k] - reach)
+            b = min(shape[k] - 1, base[k] + reach)
+            slices.append(slice(a, b + 1))
+            offsets.append(np.arange(a, b + 1))
+        centers = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1).reshape(-1, d) * h \
+            + lo[None, :]
+        sample = centers[:, None, :] + h * gl_nodes[None, :, :]
+        dens = moll.density(sample.reshape(-1, d), center=p).reshape(len(centers), -1)
+        cell_mass = (dens @ gl_w) * h ** d
+        s = cell_mass.sum()
+        if s <= 0.0:
+            raise ValueError("mollifier bump lost under the grid resolution")
+        values[tuple(slices)] += (w / s) * cell_mass.reshape([len(o) for o in offsets])
+    return GridDensity(GridDomain(lo, h, np.ones(shape, dtype=bool)), values)
+
+
+def assert_same_density(a, b):
+    assert a.grid.spacing == b.grid.spacing
+    assert a.grid.origin.tobytes() == b.grid.origin.tobytes()
+    assert a.values.shape == b.values.shape
+    assert np.ascontiguousarray(a.values).tobytes() == np.ascontiguousarray(b.values).tobytes()
+
+
+def _bump_cloud(d, n, seed):
+    """Mixed-sign weights, some zero, and a run of coincident atoms."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-0.5, 0.5, size=(n, d))
+    pts[5:9] = pts[3]
+    wts = rng.normal(size=n)
+    wts[::7] = 0.0
+    return pts, wts
+
+
+@pytest.mark.parametrize("d, n, cells_per_radius, order", [
+    (2, 203, 8, "C"), (2, 203, 8, "F"), (2, 300, 6, "C"), (3, 11, 4, "C"), (3, 11, 4, "F")])
+def test_bumps_on_grid_match_atom_loop_bitwise(d, n, cells_per_radius, order):
+    pts, wts = _bump_cloud(d, n, seed=d + n)
+    pts = np.asarray(pts, order=order)
+    moll = Mollifier(0.15, d)
+    new = measures._bumps_on_grid(pts, wts, moll, cells_per_radius)
+    ref = bumps_on_grid_loop(pts, wts, moll, cells_per_radius)
+    # more than one chunk, and a short last one
+    cells = (2 * cells_per_radius + 3) ** d
+    step = max(1, measures.BUMP_CHUNK_BYTES // (8 * cells * 3 ** d * d))
+    assert np.count_nonzero(wts) > step and np.count_nonzero(wts) % step != 0
+    assert_same_density(new, ref)
+
+
+def test_bumps_on_grid_far_off_small_radius():
+    """Coordinates near 1e3 and a 1e-3 bump: the padding still holds every patch."""
+    rng = np.random.default_rng(4)
+    pts = np.array([1e3, -1e3]) + rng.uniform(-0.01, 0.01, size=(30, 2))
+    wts = rng.uniform(0.5, 1.5, size=30)
+    moll = Mollifier(1e-3, 2)
+    new = measures._bumps_on_grid(pts, wts, moll, 8)
+    assert_same_density(new, bumps_on_grid_loop(pts, wts, moll, 8))
+    assert np.sum(new.values) == pytest.approx(np.sum(wts), rel=1e-12)
+
+
+def test_bump_stencil_never_clips():
+    from potkit.geometry import _stencil
+
+    idx, flat = _stencil(np.array([[1, 1], [3, 2]]), 1, (5, 4))
+    assert idx.shape == (2, 9, 2) and flat[1].tolist() == [9, 10, 11, 13, 14, 15, 17, 18, 19]
+    for base in ([[0, 2]], [[2, 3]]):
+        with pytest.raises(ValueError, match="leaves"):
+            _stencil(np.array(base), 1, (5, 4))
+
+
+def test_bumps_on_grid_rejects_a_lost_bump(monkeypatch):
+    monkeypatch.setattr(Mollifier, "density", lambda self, pts, center=None:
+                        np.zeros(np.shape(pts)[:-1]))
+    with pytest.raises(ValueError, match="lost under the grid"):
+        convolve_balayage(atom((0.0, 0.0)), Mollifier(0.2, 2), Ball(point(0, 0), 1.0))
