@@ -188,13 +188,13 @@ def _orbit_diverges(margins: list, floor: float) -> bool:
 # family constructors
 
 
-def harmonic_kernel_family(S, probe_points, d: int | None = None) -> TestFamily:
+def harmonic_kernel_family(S: Ball, probe_points, d: int | None = None) -> TestFamily:
     """Paired +-kernels centered outside clos S; symmetric, so margins are equalities."""
     probe_points = np.atleast_2d(np.asarray(probe_points, dtype=float))
     d = probe_points.shape[1] if d is None else d
     members = []
     for j, y in enumerate(probe_points):
-        if isinstance(S, Ball) and np.linalg.norm(y - S.center) <= S.radius:
+        if S.closure_contains(y):
             raise ValueError(f"probe point {y} lies in clos S")
         members.append((f"k+[{j}]", ScalarField.kernel(d, y, +1.0)))
         members.append((f"k-[{j}]", ScalarField.kernel(d, y, -1.0)))

@@ -23,7 +23,7 @@ import numpy as np
 from . import balayage as bal
 from . import duality
 from .fields import ScalarField
-from .geometry import Annulus, Ball, point
+from .geometry import Ball
 from .measures import Atom, Measure
 from .presets import PRESETS, preset_table, run_preset
 from .verdict import jsonable
@@ -49,9 +49,6 @@ def _build_domain(spec: dict, where: str):
     _require(isinstance(spec, dict) and "type" in spec, "domain needs a type", where)
     if spec["type"] == "ball":
         return Ball(np.asarray(spec["center"], float), float(spec["radius"]))
-    if spec["type"] == "annulus":
-        return Annulus(np.asarray(spec["center"], float), float(spec["r_in"]),
-                       float(spec["r_out"]))
     raise SchemaError(f"unknown domain type {spec['type']!r}", where)
 
 

@@ -142,7 +142,7 @@ def from_potential(V: ASPotential, grid: GridDomain,
     h = grid.spacing
     if pole_exclusion is None:
         pole_exclusion = 5.0 * h
-    centers = grid.origin[None, :] + np.indices(grid.shape).reshape(grid.dimension, -1).T * h
+    centers = grid.centers()
     keep = (np.linalg.norm(centers - x[None, :], axis=1)
             > pole_exclusion).reshape(grid.shape)
     masked = GridDomain(grid.origin, h, grid.mask & keep)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import quadrature
-from .geometry import Annulus, Ball, GridDomain
+from .geometry import Ball, GridDomain, _Composite
 from .kernels import riesz_normalizer, k_eval_array
 from .measures import GridDensity, Measure
 from .verdict import Row, Verdict
@@ -157,9 +157,7 @@ class GridField(ScalarField):
 
     @staticmethod
     def sample(field: ScalarField, grid: GridDomain) -> "GridField":
-        centers = grid.origin[None, :] + np.indices(grid.shape).reshape(grid.dimension, -1).T \
-            * grid.spacing
-        vals = field.evaluate_array(centers).reshape(grid.shape)
+        vals = field.evaluate_array(grid.centers()).reshape(grid.shape)
         return GridField(grid, vals)
 
 
@@ -212,16 +210,10 @@ def check_subharmonic(v: ScalarField, probes, tol: float = 1e-6,
 
 
 def random_probes(domain, n: int, seed: int, r_lo: float | None = None) -> list:
-    """Seeded probe set: points in the domain, radii in [2h, dist(x, bd)/2]."""
+    """Seeded probe set: points in the ball or annulus, radii in [2h, dist(x, bd)/2]."""
     rng = quadrature.rng_for(seed, "probes")
-    if isinstance(domain, Ball):
-        lo = domain.center - domain.radius
-        hi = domain.center + domain.radius
-    elif isinstance(domain, Annulus):
-        lo = domain.center - domain.r_out
-        hi = domain.center + domain.r_out
-    else:
-        raise TypeError("random probes implemented for Ball/Annulus")
+    lo = domain.center - domain.diameter / 2.0
+    hi = domain.center + domain.diameter / 2.0
     probes = []
     floor = 1e-3 if r_lo is None else r_lo
     # a scalar loop, not quadrature.sample_in: every accepted point draws its
@@ -230,22 +222,12 @@ def random_probes(domain, n: int, seed: int, r_lo: float | None = None) -> list:
         x = lo + (hi - lo) * rng.random(domain.dimension)
         if not domain.contains(x):
             continue
-        gap = _boundary_distance(domain, x)
+        gap = domain.boundary_distance(x)
         if gap / 2.0 <= floor:
             continue
         r = floor + (gap / 2.0 - floor) * rng.random()
         probes.append((x, float(r)))
     return probes
-
-
-def _boundary_distance(domain, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if isinstance(domain, Ball):
-        return float(domain.radius - np.linalg.norm(x - domain.center))
-    if isinstance(domain, Annulus):
-        rho = float(np.linalg.norm(x - domain.center))
-        return min(rho - domain.r_in, domain.r_out - rho)
-    raise TypeError(type(domain).__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +292,6 @@ class GluingSpec:
     M_g: float = 1.0
 
 
-class _UnionDomain:
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-        self.dimension = a.dimension
-
-    def contains(self, x, margin: float = 0.0) -> bool:
-        return self.a.contains(x, margin) or self.b.contains(x, margin)
-
-    def contains_array(self, pts, margin: float = 0.0) -> np.ndarray:
-        return self.a.contains_array(pts, margin) | self.b.contains_array(pts, margin)
-
-
 def _offset_directions(d: int) -> np.ndarray:
     if d == 2:
         return quadrature.circle_nodes(8)
@@ -352,18 +322,6 @@ def _approx_limsup(field: ScalarField, x: np.ndarray, inside, h: float):
     return est, slack
 
 
-class _Intersection:
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-        self.dimension = a.dimension
-
-    def contains_array(self, pts, margin: float = 0.0):
-        return self.a.contains_array(pts, margin) & self.b.contains_array(pts, margin)
-
-    def contains(self, x, margin: float = 0.0):
-        return self.a.contains(x, margin) and self.b.contains(x, margin)
-
-
 def _boundary_in(region, other, n: int) -> np.ndarray:
     pts = region.boundary_points(n)
     keep = other.contains_array(pts)
@@ -381,8 +339,8 @@ def glue_max(spec: GluingSpec, n_boundary: int = 256, tol: float = 1e-6,
     O, O0, v, v0 = spec.O, spec.O0, spec.v, spec.v0
     if v0 is None:
         raise ValueError("glue_max needs v0")
-    overlap = _Intersection(O, O0)
-    h = offset_scale * _diameter(O)
+    overlap = _Composite(O, O0, union=False)
+    h = offset_scale * O.diameter
 
     for x in _boundary_in(O, O0, n_boundary):
         est, slack = _approx_limsup(v, x, overlap, h)
@@ -408,17 +366,7 @@ def glue_max(spec: GluingSpec, n_boundary: int = 256, tol: float = 1e-6,
             out[only] = v.evaluate_array(pts[only])
         return out
 
-    return ScalarField(_eval, _UnionDomain(O, O0))
-
-
-def _diameter(domain) -> float:
-    if isinstance(domain, Ball):
-        return 2.0 * domain.radius
-    if isinstance(domain, Annulus):
-        return 2.0 * domain.r_out
-    if isinstance(domain, GridDomain):
-        return float(max(domain.shape) * domain.spacing)
-    return 1.0
+    return ScalarField(_eval, _Composite(O, O0, union=True))
 
 
 def glue_quantitative(spec: GluingSpec, n_boundary: int = 256, tol: float = 1e-6) -> ScalarField:
@@ -434,8 +382,8 @@ def glue_quantitative(spec: GluingSpec, n_boundary: int = 256, tol: float = 1e-6
     if spec.m_v > spec.M_v:
         raise ValueError("need m_v <= M_v")
     O, O0, v, g = spec.O, spec.O0, spec.v, spec.g
-    overlap = _Intersection(O, O0)
-    h = 1e-3 * _diameter(O)
+    overlap = _Composite(O, O0, union=False)
+    h = 1e-3 * O.diameter
 
     # sampled Eq-style bound checks before construction
     for x in _boundary_in(O0, O, n_boundary):
@@ -590,7 +538,7 @@ def harmonize_layer(v: ScalarField, layer: Annulus, cells: int = 128,
     lo = layer.center - layer.r_out - 2 * h
     n = int(math.ceil(2.0 * (layer.r_out + 2 * h) / h)) + 1
     grid = GridDomain(lo, h, np.ones((n,) * d, dtype=bool))
-    centers = grid.origin[None, :] + np.indices(grid.shape).reshape(d, -1).T * h
+    centers = grid.centers()
     rho = np.linalg.norm(centers - layer.center[None, :], axis=1).reshape(grid.shape)
     inner = (rho > layer.r_in) & (rho < layer.r_out)
 

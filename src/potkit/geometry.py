@@ -4,6 +4,12 @@ Points are plain numpy vectors of length d.  The point at infinity produced
 by inversion at its own center is the module-level sentinel ``INFINITY``,
 never a large float.  All domain objects are immutable after construction
 and safe to share between threads.
+
+Domains answer their own shape questions, so callers never branch on type:
+``contains``/``contains_array``, ``diameter``, ``shell(center)`` (the radii
+(lo, hi) when the domain is {lo < |x - center| < hi}, else None),
+``boundary_distance(x)`` on balls and annuli, and ``centers()`` (every window
+cell) on grids.  ``_Composite`` is the union or intersection of two domains.
 """
 
 from __future__ import annotations
@@ -68,12 +74,23 @@ class Ball:
     def dimension(self) -> int:
         return self.center.size
 
+    @property
+    def diameter(self) -> float:
+        return 2.0 * self.radius
+
+    def shell(self, center) -> tuple | None:
+        return (0.0, self.radius) if np.allclose(center, self.center, atol=1e-14) else None
+
+    def boundary_distance(self, x) -> float:
+        return float(self.radius - np.linalg.norm(np.asarray(x, dtype=float) - self.center))
+
     def contains(self, x, margin: float = 0.0) -> bool:
         """True if x lies in the open ball, shrunk inward by `margin`."""
         if x is INFINITY:
             return False
         return float(np.linalg.norm(np.asarray(x, dtype=float) - self.center)) < self.radius - margin
 
+    # kept apart from contains(): norm(x) and norm(X, axis=1) can differ in the last bit
     def contains_array(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(pts)
         return np.linalg.norm(pts - self.center[None, :], axis=1) < self.radius - margin
@@ -110,6 +127,18 @@ class Annulus:
     @property
     def dimension(self) -> int:
         return self.center.size
+
+    @property
+    def diameter(self) -> float:
+        return 2.0 * self.r_out
+
+    def shell(self, center) -> tuple | None:
+        return (self.r_in, self.r_out) if np.allclose(center, self.center, atol=1e-14) \
+            else None
+
+    def boundary_distance(self, x) -> float:
+        rho = float(np.linalg.norm(np.asarray(x, dtype=float) - self.center))
+        return min(rho - self.r_in, self.r_out - rho)
 
     def contains(self, x, margin: float = 0.0) -> bool:
         if x is INFINITY:
@@ -162,8 +191,20 @@ class GridDomain:
     def shape(self) -> tuple:
         return self.mask.shape
 
+    @property
+    def diameter(self) -> float:
+        return float(max(self.shape) * self.spacing)
+
+    def shell(self, center) -> None:
+        return None
+
     def cell_volume(self) -> float:
         return self.spacing ** self.dimension
+
+    def centers(self) -> np.ndarray:
+        """(n, d) centers of every window cell, masked or not, in C index order."""
+        return self.origin[None, :] + np.indices(self.shape).reshape(self.dimension, -1).T \
+            * self.spacing
 
     def cell_centers(self) -> np.ndarray:
         """(n, d) array of centers of masked cells, in C index order."""
@@ -216,6 +257,23 @@ class GridDomain:
         shape = tuple(data["shape"])
         mask = _rle_decode(data["mask_rle"], int(np.prod(shape))).reshape(shape)
         return GridDomain(np.asarray(data["origin"], float), float(data["spacing"]), mask)
+
+
+class _Composite:
+    """The union (or intersection) of two domains, for membership tests."""
+
+    def __init__(self, a, b, union: bool):
+        self.a, self.b, self.union = a, b, union
+        self.dimension = a.dimension
+
+    def contains(self, x, margin: float = 0.0) -> bool:
+        if self.union:
+            return self.a.contains(x, margin) or self.b.contains(x, margin)
+        return self.a.contains(x, margin) and self.b.contains(x, margin)
+
+    def contains_array(self, pts, margin: float = 0.0) -> np.ndarray:
+        a, b = self.a.contains_array(pts, margin), self.b.contains_array(pts, margin)
+        return a | b if self.union else a & b
 
 
 def _stencil(base: np.ndarray, reach: int, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -313,13 +371,11 @@ def kelvin_transform(u, o, d: int):
             return vals
         return r2 ** ((2.0 - d) / 2.0) * vals
 
+    # a ball around o inverts to the outside of a ball; it stays implicit (None)
     dom = None
     base = getattr(u, "domain", None)
     if isinstance(base, Annulus) and np.allclose(base.center, o):
         dom = Annulus(o, 1.0 / base.r_out, 1.0 / base.r_in)
-    elif isinstance(base, Ball) and np.allclose(base.center, o):
-        # ball around the center inverts to the outside; keep it implicit
-        dom = None
     return ScalarField(_eval, domain=dom, kind="analytic-form")
 
 

@@ -95,10 +95,6 @@ class KernelConfig:
     def c_d(self) -> float:
         return riesz_normalizer(self.d)
 
-    @property
-    def surface_area(self) -> float:
-        return sphere_surface_area(self.d)
-
 
 def riesz_kernel(cfg: KernelConfig, x, y) -> float:
     """K_{d-2}(x, y) = k_{d-2}(|x-y|); -inf on the diagonal for d >= 2, 0 for d = 1."""

@@ -40,9 +40,10 @@ mollify    1024                     1024                  16 x 128
 
 ``support`` feeds hulls and gaps, ``integrate`` feeds integration and the
 quadrature clouds of potentials, ``clip`` feeds restriction of a layer to a
-set it is not concentric with (against a concentric ball or annulus a
-sphere layer is kept or dropped whole and a ball layer is split
-analytically) and ``mollify`` feeds the sources of mollifier smoothing.
+set that is not a shell around its center (against a concentric ball or
+annulus, as ``S.shell(center)`` reports, a sphere layer is kept or dropped
+whole and a ball layer is split analytically) and ``mollify`` feeds the
+sources of mollifier smoothing.
 Integrals are extended reals with the 0*(+-inf)=0 convention; a -inf/+inf
 collision raises.
 
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quadrature
-from .geometry import Annulus, Ball, GridDomain, _stencil
+from .geometry import Ball, GridDomain, _stencil
 from .kernels import k_eval_array, unit_ball_volume
 
 __all__ = [
@@ -185,9 +186,6 @@ class _Layer:
     def _distance(self, pts: np.ndarray) -> np.ndarray:
         return np.linalg.norm(pts - self.center[None, :], axis=1)
 
-    def _concentric(self, S) -> bool:
-        return bool(np.allclose(self.center, S.center, atol=1e-14))
-
 
 @dataclass(frozen=True, eq=False)
 class SphereUniform(_Layer):
@@ -245,11 +243,11 @@ class SphereUniform(_Layer):
                              float(data["total"]), density, spec)
 
     def restrict(self, S, complement: bool = False) -> list:
-        if isinstance(S, Ball) and self._concentric(S):
-            return [self] if (self.radius < S.radius) != complement else []
-        if isinstance(S, Annulus) and self._concentric(S):
-            return [self] if (S.r_in < self.radius < S.r_out) != complement else []
-        return self._clip(S, complement)
+        shell = S.shell(self.center)
+        if shell is None:
+            return self._clip(S, complement)
+        lo, hi = shell
+        return [self] if (lo < self.radius < hi) != complement else []
 
     def newton_potential(self):
         return None if self.density is not None else super().newton_potential()
@@ -282,13 +280,13 @@ class BallUniform(_Layer):
                            float(data["total"]))
 
     def restrict(self, S, complement: bool = False) -> list:
-        if isinstance(S, Ball) and self._concentric(S):
-            return self._shell(S.radius, None) if complement else self._shell(None, S.radius)
-        if isinstance(S, Annulus) and self._concentric(S):
-            if complement:
-                return self._shell(None, S.r_in) + self._shell(S.r_out, None)
-            return self._shell(S.r_in, S.r_out)
-        return self._clip(S, complement)
+        shell = S.shell(self.center)
+        if shell is None:
+            return self._clip(S, complement)
+        lo, hi = shell
+        if complement:
+            return self._shell(None, lo) + self._shell(hi, None)
+        return self._shell(lo, hi)
 
     def _shell(self, lo: float | None, hi: float | None) -> list:
         """Uniform-density slice {lo < |x-c| < hi} of the ball, analytic."""

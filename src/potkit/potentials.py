@@ -29,8 +29,6 @@ near field goes through the direct path's kernel rows, so exact hits keep
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -248,25 +246,6 @@ class Potential(ScalarField):
 
     def total_mass(self) -> float:
         return total_mass(self.charge)
-
-    # -- export -------------------------------------------------------------
-
-    def export_sampled(self, grid, json_path=None, csv_path=None) -> dict:
-        """Sample on a grid and optionally write JSON / CSV (x.., value) rows."""
-        centers = grid.origin[None, :] + np.indices(grid.shape).reshape(
-            grid.dimension, -1).T * grid.spacing
-        vals = self.evaluate_array(centers)
-        payload = {"grid": grid.to_json(), "values": vals.tolist()}
-        if json_path:
-            with open(json_path, "w") as fh:
-                json.dump(payload, fh)
-        if csv_path:
-            with open(csv_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow([f"x{i}" for i in range(grid.dimension)] + ["value"])
-                for p, v in zip(centers, vals):
-                    writer.writerow(list(p) + [v])
-        return payload
 
 
 def _kernel_rows(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray, q: float,

@@ -158,3 +158,38 @@ def test_scenario_test_class_family(tmp_path):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(scenario))
     assert run_cli(["run", str(path)]) == 0
+
+
+def _annulus_scenario(family):
+    return {
+        "schema": 1,
+        "name": "annulus-domain",
+        "measures": {"theta": {"kind": "dirac", "point": [0.0, 0.0]},
+                     "mu": {"kind": "dirac", "point": [0.1, 0.0]}},
+        "family": family,
+        "checks": [{"type": "check-linear", "theta": "theta", "mu": "mu"}],
+    }
+
+
+ANNULUS = {"type": "annulus", "center": [0, 0], "r_in": 0.5, "r_out": 1.0}
+
+
+def test_annulus_kernel_family_is_a_schema_error(tmp_path, capsys):
+    # scenario domains are balls: an annulus S exits 2 and names its path
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(_annulus_scenario(
+        {"kind": "harmonic-kernels", "S": ANNULUS, "count": 6})))
+    assert run_cli(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "checks[0].family.S" in err and "annulus" in err and "Traceback" not in err
+
+
+def test_annulus_test_class_domain_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(_annulus_scenario(
+        {"kind": "test-class", "tag": "sbh00+",
+         "S_o": {"type": "ball", "center": [0, 0], "radius": 0.1},
+         "r": 0.05, "b_minus": -1.0, "b_plus": 1.0, "D": ANNULUS, "count": 6})))
+    assert run_cli(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "checks[0].family.D" in err and "annulus" in err and "Traceback" not in err

@@ -1,12 +1,15 @@
+import ast
 import json
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import potkit
 from potkit import fields
-from potkit.geometry import (Annulus, Ball, GridDomain, INFINITY, inversion,
+from potkit.geometry import (Annulus, Ball, GridDomain, INFINITY, _Composite, inversion,
                              inward_filled_hull, kelvin_transform, parallel_set, point)
 
 
@@ -229,3 +232,141 @@ def test_parallel_set_grid_d3():
     centers = np.indices(mask.shape).reshape(3, -1).T.astype(float)
     brute = (np.linalg.norm(centers - 4.0, axis=1) <= 2.0 + 1e-12).reshape(mask.shape)
     assert np.array_equal(dil.mask, brute)
+
+
+# -- the domain protocol against the type ladders it replaced ------------------
+
+
+def diameter_ladder(domain) -> float:
+    """Reference: the per-type diameter the gluing constructions used to compute."""
+    if isinstance(domain, Ball):
+        return 2.0 * domain.radius
+    if isinstance(domain, Annulus):
+        return 2.0 * domain.r_out
+    return float(max(domain.shape) * domain.spacing)
+
+
+def boundary_distance_ladder(domain, x) -> float:
+    """Reference: the per-type distance to the boundary the probe sets used."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(domain, Ball):
+        return float(domain.radius - np.linalg.norm(x - domain.center))
+    rho = float(np.linalg.norm(x - domain.center))
+    return min(rho - domain.r_in, domain.r_out - rho)
+
+
+def shell_ladder(domain, center):
+    """Reference: the concentric test and radii the layer restrictions used."""
+    concentric = np.allclose(center, getattr(domain, "center", center), atol=1e-14)
+    if isinstance(domain, Ball) and concentric:
+        return (0.0, domain.radius)
+    if isinstance(domain, Annulus) and concentric:
+        return (domain.r_in, domain.r_out)
+    return None
+
+
+def _protocol_domains():
+    grid_mask = np.zeros((7, 5), dtype=bool)
+    grid_mask[2:5, 1:4] = True
+    return {"ball": Ball(point(0, 0), 1.0), "ball-off": Ball(point(0.3, -1.7), 0.37),
+            "ball-3d": Ball(point(0.1, 0.2, -0.3), 2.9),
+            "annulus": Annulus(point(0, 0), 0.12, 0.94),
+            "annulus-off": Annulus(point(-1.1, 0.4), 0.55, 1.9),
+            "annulus-3d": Annulus(point(0.5, 0, 0.25), 0.3, 1.3),
+            "grid": GridDomain(point(-0.5, 0.25), 0.125, grid_mask),
+            "grid-3d": GridDomain(point(0, 0, 0), 0.1, np.ones((3, 9, 4), dtype=bool))}
+
+
+@pytest.mark.parametrize("name", list(_protocol_domains()))
+def test_diameter_matches_ladder(name):
+    domain = _protocol_domains()[name]
+    assert domain.diameter == diameter_ladder(domain)
+    assert type(domain.diameter) is float
+
+
+@pytest.mark.parametrize("name", [n for n in _protocol_domains() if "grid" not in n])
+def test_boundary_distance_matches_ladder_bitwise(name):
+    domain = _protocol_domains()[name]
+    rng = np.random.default_rng(11)
+    R = domain.diameter / 2.0
+    pts = domain.center + rng.uniform(-1.2 * R, 1.2 * R, size=(2000, domain.dimension))
+    for x in pts:
+        assert domain.boundary_distance(x) == boundary_distance_ladder(domain, x)
+
+
+@pytest.mark.parametrize("name", list(_protocol_domains()))
+def test_shell_matches_ladder(name):
+    domain = _protocol_domains()[name]
+    c = getattr(domain, "origin", None)
+    c = domain.center if c is None else c
+    for offset in (0.0, 1e-15, -1e-15, 1e-6, 1e-3):
+        for axis in range(domain.dimension):
+            center = c.copy()
+            center[axis] += offset
+            assert domain.shell(center) == shell_ladder(domain, center)
+
+
+def test_shell_examples():
+    b, a = Ball(point(0, 0), 0.5), Annulus(point(0, 0), 0.2, 0.8)
+    assert b.shell(point(0, 0)) == (0.0, 0.5) and a.shell(point(0, 0)) == (0.2, 0.8)
+    assert b.shell(point(1e-15, 0)) == (0.0, 0.5) and a.shell(point(0, -1e-15)) == (0.2, 0.8)
+    assert b.shell(point(1e-6, 0)) is None and a.shell(point(0, 1e-6)) is None
+    grid = GridDomain(point(0, 0), 0.1, np.ones((3, 3), dtype=bool))
+    assert grid.shell(point(0, 0)) is None and grid.shell(point(0.1, 0.1)) is None
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 3), (3, 2, 5)], ids=["1d", "2d", "3d"])
+def test_grid_centers_are_the_window_in_c_order(shape):
+    d = len(shape)
+    grid = GridDomain(np.linspace(-0.7, 0.3, d), 0.13, np.ones(shape, dtype=bool))
+    want = grid.origin[None, :] + np.indices(grid.shape).reshape(d, -1).T * grid.spacing
+    got = grid.centers()
+    assert got.shape == (int(np.prod(shape)), d)
+    assert np.array_equal(got, want)
+    # the masked cells are a C-ordered subset of the window
+    assert np.array_equal(grid.with_mask(np.arange(got.shape[0]).reshape(shape) % 3 == 0)
+                          .cell_centers(), got[::3])
+
+
+@pytest.mark.parametrize("union", [True, False], ids=["union", "intersection"])
+def test_composite_membership(union):
+    a = Ball(point(0, 0), 1.0)
+    b = Annulus(point(0.8, 0.1), 0.3, 1.2)
+    both = _Composite(a, b, union)
+    assert both.dimension == 2
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-2.2, 2.2, size=(3000, 2))
+    for margin in (0.0, 0.05):
+        ia, ib = a.contains_array(pts, margin), b.contains_array(pts, margin)
+        want = ia | ib if union else ia & ib
+        assert np.array_equal(both.contains_array(pts, margin), want)
+        assert 0 < want.sum() < len(pts)  # the points are mixed
+        for x in pts[:600]:
+            sa, sb = a.contains(x, margin), b.contains(x, margin)
+            assert both.contains(x, margin) == ((sa or sb) if union else (sa and sb))
+    assert not both.contains(INFINITY)
+
+
+def test_domain_type_is_decided_in_geometry():
+    """Outside geometry no isinstance names a domain class, except the listed guard."""
+    allowed = {("measures.py", "convolve_balayage")}  # its support rule holds for balls only
+    domains = {"Ball", "Annulus", "GridDomain"}
+    sites = []
+    for path in sorted(Path(potkit.__file__).parent.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):  # breadth first: inner functions overwrite outer ones
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for sub in ast.walk(node):
+                    owner[id(sub)] = node.name
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+            if names & domains:
+                sites.append((path.name, owner.get(id(node), "<module>"), node.lineno))
+    assert [s for s in sites if s[:2] not in allowed] == []

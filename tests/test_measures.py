@@ -59,17 +59,33 @@ def test_restrict_concentric_ball():
     comp = r.components[0]
     assert isinstance(comp, BallUniform) and comp.radius == 0.5
     assert total_mass(r) == pytest.approx(0.25, rel=1e-12)
+    # the complement, a concentric annulus and its complement split analytically too:
+    # (radius, mass) of each piece, a hole being a ball of negative mass
+    ring = Annulus(point(0, 0), 0.5, 0.8)
+    sphere = Measure(2, [SphereUniform(point(0, 0), 0.6, 2.0)])
+    for S, complement, pieces, sphere_kept in [
+            (Ball(point(0, 0), 0.5), True, [(1.0, 1.0), (0.5, -0.25)], True),
+            (ring, False, [(0.8, 0.64), (0.5, -0.25)], True),
+            (ring, True, [(0.5, 0.25), (1.0, 1.0), (0.8, -0.64)], False),
+            (Ball(point(1e-15, 0), 0.5), False, [(0.5, 0.25)], False)]:
+        r = restrict(mu, S, complement)
+        assert all(isinstance(c, BallUniform) for c in r.components)
+        got = [(c.radius, c.total) for c in r.components]
+        assert got == [pytest.approx(p, rel=1e-12) for p in pieces]
+        kept = restrict(sphere, S, complement).components
+        assert list(kept) == (list(sphere.components) if sphere_kept else [])
 
 
 def test_restrict_reassembles_mass():
     mu = Measure(2, [BallUniform(point(0, 0), 1.0, 1.0),
                      SphereUniform(point(0, 0), 0.7, 0.5),
                      Atom(point(0.2, 0.1), 0.25)])
-    S = Ball(point(0, 0), 0.4)
-    inside = restrict(mu, S)
-    outside = restrict(mu, S, complement=True)
-    recombined = total_mass(inside) + total_mass(outside)
-    assert recombined == pytest.approx(total_mass(mu), abs=1e-12)
+    for S in (Ball(point(0, 0), 0.4), Annulus(point(0, 0), 0.4, 0.9),
+              Annulus(point(0, 0), 0.1, 0.5)):
+        inside = restrict(mu, S)
+        outside = restrict(mu, S, complement=True)
+        recombined = total_mass(inside) + total_mass(outside)
+        assert recombined == pytest.approx(total_mass(mu), abs=1e-12)
 
 
 def test_restrict_non_concentric_sampled():

@@ -181,17 +181,6 @@ def test_fubini_symmetry():
     assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
-def test_export_sampled(tmp_path):
-    pt = potential(atom((0.0, 0.0)), KernelConfig(2))
-    grid = GridDomain(point(0.1, 0.1), 0.2, np.ones((5, 5), bool))
-    payload = pt.export_sampled(grid, json_path=tmp_path / "f.json",
-                                csv_path=tmp_path / "f.csv")
-    assert len(payload["values"]) == 25
-    assert (tmp_path / "f.json").exists()
-    lines = (tmp_path / "f.csv").read_text().strip().splitlines()
-    assert lines[0] == "x0,x1,value" and len(lines) == 26
-
-
 def test_potential_d1_atoms():
     # d=1 kernel is k_{-1}(t) = t; the diagonal value is 0
     mu = Measure(1, [Atom(np.array([0.0]), 1.0), Atom(np.array([1.0]), 2.0)])
