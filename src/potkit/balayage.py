@@ -35,6 +35,14 @@ __all__ = [
     "lyons_example_pair",
 ]
 
+DIVERGENCE_FLOOR = 1e-6  # orbit margins and increments up to this count as decayed
+MAX_CLOSURE_HEAD = 8  # max_closure pairs up this many leading members
+JENSEN_RING = 16  # kernels on each ring of standard_jensen_family
+LYONS_DEFECTS = 4  # wells of each Lyons member of build_test_family
+VALIDATE_TOL = 1e-7  # relative slack of its class-constraint re-validation
+# lyons_example_pair: theta on r0 B; mu_E on r B, punched around n ring atoms
+LYONS_R0, LYONS_R, LYONS_ATOMS, LYONS_DEFECT_RADIUS = 0.35, 0.7, 5, 0.15
+
 
 @dataclass
 class TestFamily:
@@ -54,10 +62,10 @@ class TestFamily:
     def names(self) -> list:
         return [name for name, _ in self.members]
 
-    def max_closure(self, limit: int = 8) -> "TestFamily":
-        """Family extended by pairwise maxima of its first `limit` members."""
+    def max_closure(self) -> "TestFamily":
+        """Family extended by pairwise maxima of its first MAX_CLOSURE_HEAD members."""
         extra = []
-        head = self.members[:limit]
+        head = self.members[:MAX_CLOSURE_HEAD]
         for i, (ni, fi) in enumerate(head):
             for nj, fj in head[i + 1:]:
                 extra.append((f"max({ni},{nj})", fi.maximum(fj)))
@@ -136,8 +144,7 @@ def check_linear(theta: Measure, mu: Measure, family: TestFamily,
 
 
 def check_affine(theta: Measure, mu: Measure, family: TestFamily, S_o: Ball,
-                 tol_scale: float = 1e-7, divergence_floor: float = 1e-6,
-                 seed: int = 0) -> Verdict:
+                 tol_scale: float = 1e-7, seed: int = 0) -> Verdict:
     """Affine balayage outside S_o: report C = max member margin of the restricted
     integrals and probe the family's orbits for divergence.
 
@@ -155,7 +162,7 @@ def check_affine(theta: Measure, mu: Measure, family: TestFamily, S_o: Ball,
     diverging = []
     for orbit_name, idxs in family.orbits.items():
         seq = [rows[i].margin for i in idxs]
-        if _orbit_diverges(seq, divergence_floor):
+        if _orbit_diverges(seq):
             diverging.append(orbit_name)
 
     passed = not has_infinite and not indeterminate and not diverging
@@ -170,18 +177,18 @@ def check_affine(theta: Measure, mu: Measure, family: TestFamily, S_o: Ball,
     return _verdict("affine", passed, rows, witness, constant, diverging, indeterminate)
 
 
-def _orbit_diverges(margins: list, floor: float) -> bool:
+def _orbit_diverges(margins: list) -> bool:
     """Non-decaying increasing margins along an ordered orbit mean C = infinity."""
     if any(m == math.inf for m in margins):
         return True
     seq = [m for m in margins if math.isfinite(m)]
-    if len(seq) < 3 or seq[-1] <= floor:
+    if len(seq) < 3 or seq[-1] <= DIVERGENCE_FLOOR:
         return False
     inc = np.diff(seq)
     if not np.all(inc[-2:] > 0):
         return False
     last, peak = inc[-1], float(np.max(inc))
-    return bool(last > 0.5 * peak and last > floor)
+    return bool(last > 0.5 * peak and last > DIVERGENCE_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +208,7 @@ def harmonic_kernel_family(S: Ball, probe_points, d: int | None = None) -> TestF
     return TestFamily("harmonic-kernels", members, symmetric=True)
 
 
-def standard_jensen_family(D: Ball, x, n_ring: int = 16, with_constants: bool = True,
-                           seed: int = 0) -> TestFamily:
+def standard_jensen_family(D: Ball, x, seed: int = 0) -> TestFamily:
     """Subharmonic probe family certifying Jensen measures for x in D.
 
     Kernels centered on a ring outside D (harmonic near D), on an interior
@@ -212,17 +218,16 @@ def standard_jensen_family(D: Ball, x, n_ring: int = 16, with_constants: bool = 
     x = np.asarray(x, dtype=float)
     d = D.dimension
     members = []
-    outer = Ball(D.center, 1.25 * D.radius).boundary_points(n_ring)
+    outer = Ball(D.center, 1.25 * D.radius).boundary_points(JENSEN_RING)
     rng = quadrature.rng_for(seed, "jensen-family-jitter")
     inner_radius = 0.55 * D.radius + 0.2 * D.radius * rng.random()
-    inner = Ball(D.center, inner_radius).boundary_points(n_ring)
+    inner = Ball(D.center, inner_radius).boundary_points(JENSEN_RING)
     for j, y in enumerate(outer):
         members.append((f"k-out[{j}]", ScalarField.kernel(d, y)))
     for j, y in enumerate(inner):
         members.append((f"k-in[{j}]", ScalarField.kernel(d, y)))
-    if with_constants:
-        members.append(("const+1", ScalarField.constant(1.0)))
-        members.append(("const-1", ScalarField.constant(-1.0)))
+    members.append(("const+1", ScalarField.constant(1.0)))
+    members.append(("const-1", ScalarField.constant(-1.0)))
     return TestFamily("subharmonic-kernels", members)
 
 
@@ -236,8 +241,7 @@ def _ridge_member(green_field, c: float, t: float) -> ScalarField:
 
 
 def build_test_family(tag: str, S_o: Ball, r: float, b_minus: float, b_plus: float,
-                      D: Ball, count: int = 16, seed: int = 0,
-                      validate: bool = True) -> TestFamily:
+                      D: Ball, count: int = 16, seed: int = 0) -> TestFamily:
     """Generate a finite family from one of the test-function classes.
 
     Positive members are scaled truncated Green ridges t * max(g_D(., o) - c, 0)
@@ -283,8 +287,7 @@ def build_test_family(tag: str, S_o: Ball, r: float, b_minus: float, b_plus: flo
 
     family = TestFamily(tag, members, S_o=S_o, r=r, b_minus=b_minus, b_plus=b_plus,
                         orbits={"deepening": deepening})
-    if validate:
-        _validate_family(family, D, tag)
+    _validate_family(family, D, tag)
     return family
 
 
@@ -316,7 +319,7 @@ def _harmonic_polynomial_family(d: int, count: int) -> TestFamily:
 
 
 def _lyons_members(S_o: Ball, r: float, b_minus: float, b_plus: float, D: Ball,
-                   seed: int, n_defects: int = 4) -> list:
+                   seed: int) -> list:
     """Sign-varying members: potentials of a Lyons-type har-balayage defect pair.
 
     theta sits inside S_o (its potential is the subtracted harmonic bump on
@@ -337,11 +340,11 @@ def _lyons_members(S_o: Ball, r: float, b_minus: float, b_plus: float, D: Ball,
     defect_r = 0.1 * rho_big
     ring_radius = rho_big - 1.5 * defect_r
     rng = quadrature.rng_for(seed, "lyons-defects")
-    angles = 2.0 * math.pi * (np.arange(n_defects) + rng.random()) / n_defects
+    angles = 2.0 * math.pi * (np.arange(LYONS_DEFECTS) + rng.random()) / LYONS_DEFECTS
     if d == 2:
         centers = o[None, :] + ring_radius * np.column_stack([np.cos(angles), np.sin(angles)])
     else:
-        nodes = quadrature.sphere_spiral_nodes(n_defects)
+        nodes = quadrature.sphere_spiral_nodes(LYONS_DEFECTS)
         centers = o[None, :] + ring_radius * nodes
 
     theta = Measure(d, [BallUniform(o, 0.5 * S_o.radius, 1.0)])
@@ -387,8 +390,9 @@ def _ring_samples(S_o: Ball, width: float, n: int, seed: int) -> np.ndarray:
                                 S_o.radius + width, n, in_ring)
 
 
-def _validate_family(family: TestFamily, D: Ball, tag: str, tol: float = 1e-7):
+def _validate_family(family: TestFamily, D: Ball, tag: str):
     """Sampled re-validation of the class constraints for every member."""
+    tol = VALIDATE_TOL
     S_o, r, b_minus, b_plus = family.S_o, family.r, family.b_minus, family.b_plus
     bnd = S_o.boundary_points(128)
     ring = _ring_samples(S_o, 3 * r, 128, seed=1)
@@ -413,21 +417,19 @@ def _validate_family(family: TestFamily, D: Ball, tag: str, tol: float = 1e-7):
             raise ValueError(f"member {name} is negative near the D boundary")
 
 
-def lyons_example_pair(r0: float = 0.35, r: float = 0.7, n_atoms: int = 5,
-                       defect_radius: float = 0.15, seed: int = 0):
+def lyons_example_pair(seed: int = 0):
     """The punched-ball/atom pair: a har-balayage that charges a polar set.
 
     theta = normalized area on r0*B; mu_E = normalized area on r*B with small
     balls around ring points removed and their mass reinstated as atoms at
     the ring points.  Returns (theta, mu_E, atom_points).
     """
-    if not 0 < r0 < r < 1:
-        raise ValueError("need 0 < r0 < r < 1")
+    r0, r, n_atoms = LYONS_R0, LYONS_R, LYONS_ATOMS
     d = 2
     theta = Measure(d, [BallUniform(np.zeros(d), r0, 1.0)])
     ring_radius = 0.5 * (r0 + r)
     gap = min(ring_radius - r0, r - ring_radius)
-    rj = min(defect_radius, 0.8 * gap)
+    rj = min(LYONS_DEFECT_RADIUS, 0.8 * gap)
     rng = quadrature.rng_for(seed, "lyons-pair")
     angles = 2.0 * math.pi * (np.arange(n_atoms) + rng.random()) / n_atoms
     pts = ring_radius * np.column_stack([np.cos(angles), np.sin(angles)])

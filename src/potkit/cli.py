@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,7 +49,13 @@ def _require(cond, message, where=""):
 def _build_domain(spec: dict, where: str):
     _require(isinstance(spec, dict) and "type" in spec, "domain needs a type", where)
     if spec["type"] == "ball":
-        return Ball(np.asarray(spec["center"], float), float(spec["radius"]))
+        _require("center" in spec and "radius" in spec, "ball needs center and radius", where)
+        try:
+            ball = Ball(np.asarray(spec["center"], float), float(spec["radius"]))
+        except (TypeError, ValueError) as exc:  # non-numeric, non-finite center, radius <= 0
+            raise SchemaError(f"invalid ball: {exc}", where)
+        _require(math.isfinite(ball.radius), "ball radius must be finite", where)
+        return ball
     raise SchemaError(f"unknown domain type {spec['type']!r}", where)
 
 
@@ -80,7 +87,7 @@ def _build_field(spec: dict, where: str) -> ScalarField:
     raise SchemaError(f"unknown field kind {spec['kind']!r}", where)
 
 
-def _build_family(spec: dict, measures: dict, where: str):
+def _build_family(spec: dict, where: str):
     _require(isinstance(spec, dict) and "kind" in spec, "family needs a kind", where)
     if spec["kind"] == "harmonic-kernels":
         S = _build_domain(spec["S"], where + ".S")
@@ -118,7 +125,7 @@ def _run_check(spec: dict, ctx: dict, seed: int, tol_scale: float, index: int):
     if ctype == "check-linear":
         theta = _build_measure(ctx["measures"][spec["theta"]], where + ".theta")
         mu = _build_measure(ctx["measures"][spec["mu"]], where + ".mu")
-        family = _build_family(ctx["family"], ctx, where + ".family")
+        family = _build_family(ctx["family"], where + ".family")
         verdict = bal.check_linear(theta, mu, family, tol_scale=1e-7 * tol_scale, seed=seed)
         return {"type": ctype, "pass": verdict.passed == (expect == "pass"),
                 "raw_pass": verdict.passed,

@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 
+PL_PROBES = 500  # seeded probes of V <= g_D(., o) in phragmen_lindelof_bound
+
+
 class CertificationError(ValueError):
     pass
 
@@ -39,7 +42,7 @@ class ASPotential(ScalarField):
 
     def __init__(self, field: ScalarField, pole, pole_coefficient: float, fit_r2: float,
                  support_window: Ball, kind: str, source: Measure | None = None):
-        super().__init__(field.evaluate_array, domain=None, kind="analytic-form")
+        super().__init__(field.evaluate_array)
         self.pole = np.asarray(pole, dtype=float)
         self.pole_coefficient = float(pole_coefficient)
         self.fit_r2 = float(fit_r2)
@@ -153,7 +156,7 @@ def from_potential(V: ASPotential, grid: GridDomain,
     comps = list(rec.components)
     if abs(atom_weight) > 0:
         comps.append(Atom(x, atom_weight))
-    out = Measure(V.pole.size if hasattr(V.pole, "size") else len(V.pole), comps)
+    out = Measure(V.pole.size, comps)
     out.singular_cells = rec.singular_cells
     return out
 
@@ -189,8 +192,7 @@ def _hull_window(theta: Measure, mu: Measure, extra: Measure | None,
 
 def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
                           riesz_u: Measure | None = None, K=None,
-                          certify: bool = True, tol_scale: float = 1e-6,
-                          seed: int = 0) -> Verdict:
+                          tol_scale: float = 1e-6, seed: int = 0) -> Verdict:
     """Check the generalized Poisson-Jensen identity for a har-balayage pair.
 
     int u dtheta + int_K pt_mu dRiesz(u) = int_K pt_theta dRiesz(u) + int u dmu,
@@ -199,18 +201,17 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
     data of u is taken analytically when provided, else recovered on the
     hull grid.
     """
+    from .balayage import check_linear, harmonic_kernel_family
+
     d = mu.dimension
     cfg = KernelConfig(d)
-    if certify:
-        from .balayage import check_linear, harmonic_kernel_family
-
-        radius = max(mu.support_radius(), theta.support_radius()) + 1e-9
-        S = Ball(np.zeros(d), radius)
-        ring = Ball(S.center, 1.35 * radius).boundary_points(24)
-        verdict = check_linear(theta, mu, harmonic_kernel_family(S, ring, d), seed=seed)
-        if not verdict.passed:
-            raise CertificationError(
-                f"har-balayage certification failed (witness {verdict.data['witness']})")
+    radius = max(mu.support_radius(), theta.support_radius()) + 1e-9
+    S = Ball(np.zeros(d), radius)
+    ring = Ball(S.center, 1.35 * radius).boundary_points(24)
+    verdict = check_linear(theta, mu, harmonic_kernel_family(S, ring, d), seed=seed)
+    if not verdict.passed:
+        raise CertificationError(
+            f"har-balayage certification failed (witness {verdict.data['witness']})")
 
     if K is None:
         K = _hull_window(theta, mu, riesz_u, cells=96)
@@ -251,15 +252,15 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
 
 
 def phragmen_lindelof_bound(V: ASPotential, green, S_o: Ball | None = None,
-                            r: float | None = None, n_probes: int = 500,
-                            tol: float = 1e-7, seed: int = 0) -> Verdict:
+                            r: float | None = None, tol: float = 1e-7,
+                            seed: int = 0) -> Verdict:
     """Check V <= g_D(., o) on probes (pole coefficient <= 1 required), and the
     kernel lower bound for V on the enlarged S_o when the source is known."""
     if V.pole_coefficient > 1.0 + 1e-6:
         raise ValueError(f"pole coefficient {V.pole_coefficient:.6g} exceeds 1")
     D = green.domain
     pts = quadrature.sample_in(
-        quadrature.rng_for(seed, "pl-probes"), D.center, D.radius, n_probes,
+        quadrature.rng_for(seed, "pl-probes"), D.center, D.radius, PL_PROBES,
         lambda p: D.contains_array(p) & (np.linalg.norm(p - V.pole, axis=1) > 1e-3))
     excess = V.evaluate_array(pts) - green.evaluate_array(pts)
     worst = float(np.max(excess))

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import quadrature
-from .geometry import Ball, GridDomain, _Composite
+from .geometry import Annulus, Ball, GridDomain, _Composite
 from .kernels import riesz_normalizer, k_eval_array
 from .measures import GridDensity, Measure
 from .verdict import Row, Verdict
@@ -58,10 +58,9 @@ class ScalarField:
     kernel_pole = None
     kernel_sign = 1.0
 
-    def __init__(self, evaluator, domain=None, kind: str = "analytic-form"):
+    def __init__(self, evaluator, domain=None):
         self._evaluator = evaluator
         self.domain = domain
-        self.kind = kind
 
     def evaluate_array(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -87,7 +86,7 @@ class ScalarField:
         return ScalarField(_eval, domain)
 
     @staticmethod
-    def kernel(d: int, y, sign: float = 1.0, domain=None) -> "ScalarField":
+    def kernel(d: int, y, sign: float = 1.0) -> "ScalarField":
         """sign * K_{d-2}(x, y) as a field of x."""
         y = np.asarray(y, dtype=float)
 
@@ -98,17 +97,17 @@ class ScalarField:
             out[ok] = k_eval_array(d - 2, r[ok])
             return sign * out
 
-        field = ScalarField(_eval, domain)
+        field = ScalarField(_eval)
         field.kernel_pole, field.kernel_sign = y, float(sign)
         return field
 
     def __add__(self, other) -> "ScalarField":
         other = as_field(other)
         return ScalarField(lambda pts: self.evaluate_array(pts) + other.evaluate_array(pts),
-                           self.domain, self.kind)
+                           self.domain)
 
     def __rmul__(self, a: float) -> "ScalarField":
-        return ScalarField(lambda pts: a * self.evaluate_array(pts), self.domain, self.kind)
+        return ScalarField(lambda pts: a * self.evaluate_array(pts), self.domain)
 
     def __sub__(self, other) -> "ScalarField":
         return self + (-1.0) * as_field(other)
@@ -117,7 +116,7 @@ class ScalarField:
         other = as_field(other)
         return ScalarField(lambda pts: np.maximum(self.evaluate_array(pts),
                                                   other.evaluate_array(pts)),
-                           self.domain, self.kind)
+                           self.domain)
 
 
 def as_field(f) -> ScalarField:
@@ -133,7 +132,7 @@ def as_field(f) -> ScalarField:
 class GridField(ScalarField):
     """Field sampled at the cell centers of a GridDomain, interpolated linearly."""
 
-    def __init__(self, grid: GridDomain, values: np.ndarray, domain=None):
+    def __init__(self, grid: GridDomain, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError("values shape must match the grid")
@@ -144,7 +143,7 @@ class GridField(ScalarField):
             coords = (pts - grid.origin[None, :]).T / grid.spacing
             return ndimage.map_coordinates(values, coords, order=1, mode="nearest")
 
-        super().__init__(_eval, domain if domain is not None else grid, kind="grid")
+        super().__init__(_eval, grid)
 
     def to_json(self) -> dict:
         return {"grid": self.grid.to_json(), "values": self.values.ravel().tolist()}
@@ -184,10 +183,10 @@ def sphere_average(v: ScalarField, x, r: float, n: int | None = None) -> float:
     return float(np.dot(w, vals))
 
 
-def ball_average(v: ScalarField, x, r: float, n_radial: int | None = None) -> float:
+def ball_average(v: ScalarField, x, r: float) -> float:
     """Mean of v over the solid ball of radius r about x."""
     x = np.asarray(x, dtype=float)
-    nodes, w = quadrature.ball_rule(x.size, n_radial)
+    nodes, w = quadrature.ball_rule(x.size)
     pts = x[None, :] + r * nodes
     _require_inside(v.domain, pts, "probe ball")
     vals = v.evaluate_array(pts)
@@ -196,14 +195,13 @@ def ball_average(v: ScalarField, x, r: float, n_radial: int | None = None) -> fl
     return float(np.dot(w, vals))
 
 
-def check_subharmonic(v: ScalarField, probes, tol: float = 1e-6,
-                      n_nodes: int | None = None) -> Verdict:
+def check_subharmonic(v: ScalarField, probes, tol: float = 1e-6) -> Verdict:
     """Sub-mean-value test v(x) <= sphere mean + tol at each (point, radius) probe."""
     rows = []
     for x, r in probes:
         x = np.asarray(x, dtype=float)
         val = v(x)
-        avg = sphere_average(v, x, r, n_nodes)
+        avg = sphere_average(v, x, r)
         margin = val - avg  # positive margin beyond tol = violation
         rows.append(Row("probe", val, avg, margin, bool(margin <= tol), tol))
     return Verdict("sub-mean", all(r.passed for r in rows), rows)
@@ -292,6 +290,12 @@ class GluingSpec:
     M_g: float = 1.0
 
 
+GLUE_BOUNDARY = 256  # sampled interface points per side of a gluing
+GLUE_OFFSET = 1e-3  # inward offset of the limsup surrogate, per unit diameter of O
+GREEN_GLUE_SAMPLES = 512  # seeded samples of the bounds of v in glue_with_green
+POLE_FIT_RADII = (1e-2, 3e-3, 1e-3, 3e-4)  # radius ladder of fit_pole_coefficient
+
+
 def _offset_directions(d: int) -> np.ndarray:
     if d == 2:
         return quadrature.circle_nodes(8)
@@ -328,8 +332,7 @@ def _boundary_in(region, other, n: int) -> np.ndarray:
     return pts[keep]
 
 
-def glue_max(spec: GluingSpec, n_boundary: int = 256, tol: float = 1e-6,
-             offset_scale: float = 1e-3) -> ScalarField:
+def glue_max(spec: GluingSpec, tol: float = 1e-6) -> ScalarField:
     """Two-sided gluing: v0 on O0\\O, max{v0, v} on the overlap, v on O\\O0.
 
     The boundary-compatibility inequalities are verified on sampled boundary
@@ -340,13 +343,13 @@ def glue_max(spec: GluingSpec, n_boundary: int = 256, tol: float = 1e-6,
     if v0 is None:
         raise ValueError("glue_max needs v0")
     overlap = _Composite(O, O0, union=False)
-    h = offset_scale * O.diameter
+    h = GLUE_OFFSET * O.diameter
 
-    for x in _boundary_in(O, O0, n_boundary):
+    for x in _boundary_in(O, O0, GLUE_BOUNDARY):
         est, slack = _approx_limsup(v, x, overlap, h)
         if est > v0(x) + tol + 0.5 * slack:
             raise GlueError("boundary compatibility fails on the O side", witness=x)
-    for x in _boundary_in(O0, O, n_boundary):
+    for x in _boundary_in(O0, O, GLUE_BOUNDARY):
         est, slack = _approx_limsup(v0, x, overlap, h)
         if est > v(x) + tol + 0.5 * slack:
             raise GlueError("boundary compatibility fails on the O0 side", witness=x)
@@ -369,7 +372,7 @@ def glue_max(spec: GluingSpec, n_boundary: int = 256, tol: float = 1e-6,
     return ScalarField(_eval, _Composite(O, O0, union=True))
 
 
-def glue_quantitative(spec: GluingSpec, n_boundary: int = 256, tol: float = 1e-6) -> ScalarField:
+def glue_quantitative(spec: GluingSpec, tol: float = 1e-6) -> ScalarField:
     """Quantitative gluing: builds v0 from g and the (m_v, M_v, m_g, M_g) bounds.
 
     v0 = (M_v^+ + m_v^-) / (M_g - m_g) * (2 g - M_g - m_g), then the
@@ -383,16 +386,16 @@ def glue_quantitative(spec: GluingSpec, n_boundary: int = 256, tol: float = 1e-6
         raise ValueError("need m_v <= M_v")
     O, O0, v, g = spec.O, spec.O0, spec.v, spec.g
     overlap = _Composite(O, O0, union=False)
-    h = 1e-3 * O.diameter
+    h = GLUE_OFFSET * O.diameter
 
     # sampled Eq-style bound checks before construction
-    for x in _boundary_in(O0, O, n_boundary):
+    for x in _boundary_in(O0, O, GLUE_BOUNDARY):
         if v(x) < spec.m_v - tol:
             raise GlueError("v drops below m_v on O boundary-of-O0 samples", witness=x)
         est, slack = _approx_limsup(g, x, overlap, h)
         if est > spec.m_g + tol + 0.5 * slack:
             raise GlueError("g exceeds m_g on the inner interface", witness=x)
-    for x in _boundary_in(O, O0, n_boundary):
+    for x in _boundary_in(O, O0, GLUE_BOUNDARY):
         est, slack = _approx_limsup(v, x, overlap, h)
         if est > spec.M_v + tol + 0.5 * slack:
             raise GlueError("v exceeds M_v on the outer interface", witness=x)
@@ -403,13 +406,13 @@ def glue_quantitative(spec: GluingSpec, n_boundary: int = 256, tol: float = 1e-6
     coeff = amp / (spec.M_g - spec.m_g)
     shift = spec.M_g + spec.m_g
     v0 = ScalarField(lambda pts: coeff * (2.0 * g.evaluate_array(pts) - shift), O0)
-    glued = glue_max(GluingSpec(O=O, O0=O0, v=v, v0=v0), n_boundary, tol)
+    glued = glue_max(GluingSpec(O=O, O0=O0, v=v, v0=v0), tol)
     glued.v0 = v0
     return glued
 
 
 def glue_with_green(v: ScalarField, green, S_o: Ball, S: Ball, m_v: float, M_v: float,
-                    ambient=None, n_samples: int = 512, tol: float = 1e-6) -> ScalarField:
+                    ambient=None, tol: float = 1e-6) -> ScalarField:
     """Green-function gluing: harmonic continuation into S_o with controlled growth.
 
     Builds v0 = A/M_g * (2 g_D - M_g) with A = M_v^+ + m_v^-, places it on
@@ -434,7 +437,7 @@ def glue_with_green(v: ScalarField, green, S_o: Ball, S: Ball, m_v: float, M_v: 
 
     # sampled bound verification on S \ S_o
     samples = quadrature.sample_in(
-        quadrature.rng_for(0, "glue-green-samples"), S.center, S.radius, n_samples,
+        quadrature.rng_for(0, "glue-green-samples"), S.center, S.radius, GREEN_GLUE_SAMPLES,
         lambda p: S.contains_array(p) & (np.linalg.norm(p - S_o.center, axis=1) > S_o.radius))
     for x in samples:
         val = v(x)
@@ -472,17 +475,16 @@ def glue_with_green(v: ScalarField, green, S_o: Ball, S: Ball, m_v: float, M_v: 
     return glued
 
 
-def fit_pole_coefficient(field, o, d: int, radii=None, directions: int = 8):
+def fit_pole_coefficient(field, o, d: int):
     """Least-squares limit of field(x)/(-K_{d-2}(x, o)) along x -> o.
 
-    Fits field = a * (-k_{d-2}(t)) + b over a radius ladder (direction
-    averaged) and returns (a, r_squared).  Replaces the limsup with a
-    fitted limit; callers should require r_squared >= 0.999.
+    Fits field = a * (-k_{d-2}(t)) + b over the radius ladder POLE_FIT_RADII
+    (direction averaged) and returns (a, r_squared).  Replaces the limsup
+    with a fitted limit; callers should require r_squared >= 0.999.
     """
     o = np.asarray(o, dtype=float)
-    if radii is None:
-        radii = np.array([1e-2, 3e-3, 1e-3, 3e-4])
-    dirs = _offset_directions(d)[:directions]
+    radii = np.array(POLE_FIT_RADII)
+    dirs = _offset_directions(d)
     ev = field.evaluate_array if hasattr(field, "evaluate_array") else field
     ys = []
     for t in radii:
@@ -491,7 +493,7 @@ def fit_pole_coefficient(field, o, d: int, radii=None, directions: int = 8):
     ys = np.asarray(ys)
     if not np.all(np.isfinite(ys)):
         return math.nan, 0.0  # a sample hit a singularity: no reliable fit
-    xs = -k_eval_array(d - 2, np.asarray(radii, dtype=float))
+    xs = -k_eval_array(d - 2, radii)
     A = np.column_stack([xs, np.ones_like(xs)])
     sol, *_ = np.linalg.lstsq(A, ys, rcond=None)
     fit = A @ sol
@@ -522,16 +524,15 @@ def _neighbor_mean(values: np.ndarray, d: int) -> np.ndarray:
 
 
 def harmonize_layer(v: ScalarField, layer: Annulus, cells: int = 128,
-                    residual_target: float = 1e-10,
-                    omega: float | None = None) -> ScalarField:
+                    residual_target: float = 1e-10) -> ScalarField:
     """Replace v inside the layer by the harmonic function with boundary data v.
 
-    Grid Dirichlet solve with red-black over-relaxed sweeps (omega=1 is
-    plain Gauss-Seidel) on a grid of n nodes per axis.  Optimal SOR
-    converges in O(n) sweeps, so the solve gets SWEEPS_PER_NODE * n of them
-    and raises NumericError when they run out.  The result equals v off the
-    layer and dominates it inside, up to discretization; its `sweeps` is the
-    number of sweeps taken.
+    Grid Dirichlet solve with red-black sweeps over-relaxed by the optimal
+    SOR factor omega = 2 / (1 + sin(pi / n)) on a grid of n nodes per axis.
+    Optimal SOR converges in O(n) sweeps, so the solve gets SWEEPS_PER_NODE * n
+    of them and raises NumericError when they run out.  The result equals v
+    off the layer and dominates it inside, up to discretization; its `sweeps`
+    is the number of sweeps taken.
     """
     d = layer.dimension
     h = 2.0 * layer.r_out / cells
@@ -547,8 +548,7 @@ def harmonize_layer(v: ScalarField, layer: Annulus, cells: int = 128,
         raise DomainError("boundary data for the layer solve must be finite")
     values[inner & ~np.isfinite(values)] = 0.0  # poles inside the layer get overwritten
 
-    if omega is None:
-        omega = 2.0 / (1.0 + math.sin(math.pi / n))
+    omega = 2.0 / (1.0 + math.sin(math.pi / n))
     parity = np.indices(grid.shape).sum(axis=0) % 2
     colors = [inner & (parity == 0), inner & (parity == 1)]
     scale = float(np.max(np.abs(values[~inner]))) + 1.0
@@ -582,6 +582,5 @@ def harmonize_layer(v: ScalarField, layer: Annulus, cells: int = 128,
 
     result = ScalarField(_eval, v.domain)
     result.solver_grid = solution
-    result.layer = layer
     result.sweeps = sweep + 1
     return result

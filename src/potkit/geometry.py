@@ -376,7 +376,7 @@ def kelvin_transform(u, o, d: int):
     base = getattr(u, "domain", None)
     if isinstance(base, Annulus) and np.allclose(base.center, o):
         dom = Annulus(o, 1.0 / base.r_out, 1.0 / base.r_in)
-    return ScalarField(_eval, domain=dom, kind="analytic-form")
+    return ScalarField(_eval, domain=dom)
 
 
 def parallel_set(base, r: float):

@@ -27,12 +27,14 @@ __all__ = [
     "jensen_measure_family",
 ]
 
+MG_BOUNDARY = 720  # points of the S_o sphere that mg_constant minimizes g over
+
 
 class GreenModel(ScalarField):
     """Extended Green function of a ball with a designated pole, zero outside."""
 
     def __init__(self, domain: Ball, pole, cfg: KernelConfig):
-        ScalarField.__init__(self, self._evaluate, domain=None, kind="analytic-form")
+        ScalarField.__init__(self, self._evaluate)
         # the Green domain; field evaluation itself is global (0 outside)
         self.domain = domain
         self.pole = np.asarray(pole, dtype=float)
@@ -78,10 +80,10 @@ class GreenModel(ScalarField):
             worst = max(worst, abs(self(np.asarray(x)) - sphere_average(self, x, r)))
         return worst <= tol, worst
 
-    def designate_core(self, S_o: Ball, n_boundary: int = 720) -> "GreenModel":
+    def designate_core(self, S_o: Ball) -> "GreenModel":
         """Attach a designated core S_o and its constant M_g to the model."""
         self.S_o = S_o
-        self.M_g = mg_constant(self, S_o, n_boundary)
+        self.M_g = mg_constant(self, S_o)
         return self
 
 
@@ -98,11 +100,11 @@ def green_ball(center, radius: float, pole, d: int) -> GreenModel:
     return GreenModel(ball, pole, KernelConfig(d))
 
 
-def mg_constant(green: GreenModel, S_o: Ball, n_boundary: int = 720) -> float:
+def mg_constant(green: GreenModel, S_o: Ball) -> float:
     """Minimum of the Green function over the boundary of S_o (strictly positive)."""
     if not S_o.contains(green.pole):
         raise ValueError("the pole must lie in the interior of S_o")
-    pts = S_o.boundary_points(n_boundary)
+    pts = S_o.boundary_points(MG_BOUNDARY)
     if not np.all(green.domain.contains_array(pts)):
         raise ValueError("S_o must be compactly contained in the Green domain")
     m = float(np.min(green.evaluate_array(pts)))
@@ -130,7 +132,7 @@ def harmonic_measure(green: GreenModel, x) -> Measure:
 
 def jensen_measure_family(D: Ball, x, kind: str, *, a: float = 0.0, b: float = 1.0,
                           r: float = 0.3, sub_balls: list | None = None,
-                          certify: bool = True, seed: int = 0) -> Measure:
+                          seed: int = 0) -> Measure:
     """Construct a Jensen measure for x in D of the requested kind.
 
     kind 'mixture': a*delta_x + b*omega_D(x, .) with a+b = 1, a, b >= 0.
@@ -175,12 +177,11 @@ def jensen_measure_family(D: Ball, x, kind: str, *, a: float = 0.0, b: float = 1
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    if certify:
-        from .balayage import check_linear, standard_jensen_family
+    from .balayage import check_linear, standard_jensen_family
 
-        family = standard_jensen_family(D, x, seed=seed)
-        verdict = check_linear(Measure(d, [Atom(x, 1.0)]), mu, family, seed=seed)
-        if not verdict.passed:
-            raise ValueError(f"Jensen certification failed: {verdict.data['witness']} "
-                             f"margin {verdict.worst_margin:.3g}")
+    family = standard_jensen_family(D, x, seed=seed)
+    verdict = check_linear(Measure(d, [Atom(x, 1.0)]), mu, family, seed=seed)
+    if not verdict.passed:
+        raise ValueError(f"Jensen certification failed: {verdict.data['witness']} "
+                         f"margin {verdict.worst_margin:.3g}")
     return mu

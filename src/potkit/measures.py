@@ -410,6 +410,9 @@ def density_from_spec(spec: dict):
     return poisson
 
 
+ATOM_TOL = 1e-9  # atom_mass_at counts an atom this close to one of the points
+
+
 class Measure:
     """Finite signed Borel charge with compact support."""
 
@@ -445,12 +448,13 @@ class Measure:
         center = np.zeros(self.dimension) if center is None else np.asarray(center, float)
         return max((c.support_radius(center) for c in self.components), default=0.0)
 
-    def atom_mass_at(self, points, tol: float = 1e-9) -> float:
-        """Total atomic mass sitting on the given finite point set."""
+    def atom_mass_at(self, points) -> float:
+        """Total atomic mass within ATOM_TOL of the given finite point set."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         mass = 0.0
         for c in self.components:
-            if c.kind == "atom" and np.any(np.linalg.norm(pts - c.point[None, :], axis=1) <= tol):
+            if (c.kind == "atom"
+                    and np.any(np.linalg.norm(pts - c.point[None, :], axis=1) <= ATOM_TOL)):
                 mass += c.weight
         return mass
 

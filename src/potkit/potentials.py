@@ -12,10 +12,8 @@ closed forms of the ln integral in 2-D, eight corner boxes of the 1/r
 antiderivative in 3-D.
 
 The kernel sum has two engines.  The direct path fills the kernel matrix in
-row blocks of a fixed size, each reduced by one matrix-vector product; calls
-with several blocks run them on a thread pool sized from the CPUs this
-process may run on (its CPU affinity).  The block rule fixes the last bits
-of every sum, so the result is the same with or without threads.
+row blocks of a fixed size, each reduced by one matrix-vector product; the
+block rule fixes the last bits of every sum.
 
 The fast multipole path (`potkit._fmm`: Greengard & Rokhlin 1987 on a
 uniform quadtree) takes the 2-D log kernel (d = 2, q = 0) when the sum has
@@ -30,7 +28,6 @@ near field goes through the direct path's kernel rows, so exact hits keep
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +53,8 @@ LOG_SQUARE_MEAN = -0.5 * math.log(2.0) + math.pi / 4.0 - 1.5
 CUBE_MEAN_INV_R = 6.0 * math.asinh(1.0 / math.sqrt(2.0)) - 0.5 * math.pi
 
 # the dense kernel sum fills each block of its (rows x nodes) matrix in tiles
-# of about this many bytes, and runs the blocks of one call on one thread per
-# CPU in this process's affinity mask (single-block calls stay inline)
+# of about this many bytes
 TILE_BYTES = 2 << 20
-try:
-    WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity call on this platform
-    WORKERS = os.cpu_count() or 1
 # 2-D log-kernel sums of at least FMM_PAIRS (point, node) pairs, with at
 # least FMM_MIN_SIDE points and nodes, go through the fast multipole path of
 # potkit._fmm.  Measured on a 2-core x86 box: it beats the direct path from
@@ -73,6 +65,11 @@ except AttributeError:  # no affinity call on this platform
 # than 8e6 pairs, so they all stay direct.
 FMM_PAIRS = 1 << 25
 FMM_MIN_SIDE = 128
+
+ASYMPTOTIC_DIRECTIONS = 16  # asymptotic_check probe directions per radius
+RATIO_CAP = 1.1  # growth cap of its scaled error between consecutive radii
+ASYMPTOTIC_FLOOR = 1e-10  # errors below this count as zero
+LOWER_BOUND_PROBES = 128  # lower_bound_check interior (and boundary) probes
 
 
 def _self_cell_mean(d: int, h: float) -> float:
@@ -176,7 +173,7 @@ class Potential(ScalarField):
                 pts, w = c.discretize()
                 self._cloud_pts.append(pts)
                 self._cloud_w.append(w)
-        super().__init__(self._evaluate, domain=None, kind="analytic-form")
+        super().__init__(self._evaluate)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -288,7 +285,7 @@ def _chunked_kernel_sum(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
 
     Rows go in blocks of about `block` kernel values, each one matrix-vector
     product; the per-row sums depend on the block boundaries in the last
-    bits, so the block rule is fixed.  Several blocks run on a thread pool.
+    bits, so the block rule is fixed.
     """
     if (q == 0 and nodes.shape[1] == 2 and len(pts) * len(nodes) >= FMM_PAIRS
             and min(len(pts), len(nodes)) >= FMM_MIN_SIDE
@@ -299,20 +296,8 @@ def _chunked_kernel_sum(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
         return log_kernel_sum(pts, nodes, weights)
     out = np.empty(len(pts))
     step = max(1, block // max(1, len(nodes)))
-    starts = range(0, len(pts), step)
-
-    def run(a):
+    for a in range(0, len(pts), step):
         _kernel_rows(pts[a:a + step], nodes, weights, q, out[a:a + step])
-
-    if len(starts) <= 1 or WORKERS <= 1:
-        for a in starts:
-            run(a)
-    else:
-        # imported here: processes whose sums fit one block never load the pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(min(WORKERS, len(starts))) as pool:
-            list(pool.map(run, starts))
     return out
 
 
@@ -332,14 +317,12 @@ def difference_potential(mu: Measure, theta: Measure, cfg: KernelConfig) -> Pote
 # asymptotics and lower bounds
 
 
-def asymptotic_check(mu: Measure, radii, cfg: KernelConfig | None = None,
-                     directions: int = 16, ratio_cap: float = 1.1,
-                     floor: float = 1e-10) -> Verdict:
+def asymptotic_check(mu: Measure, radii, cfg: KernelConfig | None = None) -> Verdict:
     """Check pt_mu(x) = m k_{d-2}(|x|) + O(1/|x|^{d-1}) on the given radii.
 
     Needs every radius beyond twice the support radius.  The scaled error
-    must not grow by more than `ratio_cap` between consecutive radii
-    (errors below `floor` count as zero).
+    must not grow by more than RATIO_CAP between consecutive radii (errors
+    below ASYMPTOTIC_FLOOR count as zero).
     """
     cfg = cfg or KernelConfig(mu.dimension)
     pt = potential(mu, cfg)
@@ -349,20 +332,20 @@ def asymptotic_check(mu: Measure, radii, cfg: KernelConfig | None = None,
     if radii[0] < 2.0 * support:
         raise ValueError(f"radii must exceed twice the support radius {support:.3g}")
     if cfg.d == 2:
-        dirs = quadrature.circle_nodes(directions)
+        dirs = quadrature.circle_nodes(ASYMPTOTIC_DIRECTIONS)
     else:
-        dirs = quadrature.sphere_spiral_nodes(directions)
+        dirs = quadrature.sphere_spiral_nodes(ASYMPTOTIC_DIRECTIONS)
     rows, prev = [], None
     for R in radii:
         pts = R * dirs
         err = float(np.max(np.abs(pt.evaluate_array(pts) - m * k_eval(cfg.q, R))
                             * R ** (cfg.d - 1)))
         # the first radius has nothing to grow from: its cap is +inf
-        cap = math.inf if prev is None else ratio_cap * max(prev, floor)
-        ok = prev is None or max(prev, err) <= floor or err <= cap
+        cap = math.inf if prev is None else RATIO_CAP * max(prev, ASYMPTOTIC_FLOOR)
+        ok = prev is None or max(prev, err) <= ASYMPTOTIC_FLOOR or err <= cap
         rows.append(Row(f"R={R:g}", err, cap, err - cap, ok))
         prev = err
-    return Verdict("asymptotic", all(r.passed for r in rows), rows, {"ratio_cap": ratio_cap})
+    return Verdict("asymptotic", all(r.passed for r in rows), rows, {"ratio_cap": RATIO_CAP})
 
 
 def _set_distance(L, pts: np.ndarray) -> float:
@@ -378,8 +361,7 @@ def _probe_points(L, n: int, seed: int) -> np.ndarray:
     return np.vstack([inner, L.boundary_points(n)])
 
 
-def lower_bound_check(mu: Measure, L, o=None, n_probes: int = 128,
-                      tol: float = 1e-9, seed: int = 0) -> Verdict:
+def lower_bound_check(mu: Measure, L, o=None, tol: float = 1e-9, seed: int = 0) -> Verdict:
     """Verify the kernel lower bounds for positive charges on a compact ball L.
 
     Without o: inf_L pt_mu >= m k_{d-2}(dist(L, supp mu)).  With o (not in
@@ -390,7 +372,7 @@ def lower_bound_check(mu: Measure, L, o=None, n_probes: int = 128,
     support = mu.support_points()
     gap = _set_distance(L, support)
     bound = -math.inf if gap == 0.0 else m * k_eval(cfg.q, gap)
-    probes = _probe_points(L, n_probes, seed)
+    probes = _probe_points(L, LOWER_BOUND_PROBES, seed)
     if o is None:
         pt = potential(mu, cfg)
         observed = float(np.min(pt.evaluate_array(probes)))

@@ -30,6 +30,13 @@ __all__ = [
 ]
 
 
+RESIDUAL_TOL = 1e-8  # polynomial root residual, relative to the coefficient scale
+DERIVATIVE_TOL = 1e-9  # derivative test of root multiplicity, on the same scale
+ZERO_MERGE_TOL = 1e-12  # Blaschke zeros this close count as one
+DOMINATE_SAMPLES = 10_000  # seeded samples of |f| <= exp(M) in check_dominates
+DOMINATE_TOL = 1e-9  # and its absolute slack
+
+
 class RegridRequest(ValueError):
     """A zero sits too close to the sampling lattice; choose another grid."""
 
@@ -58,29 +65,24 @@ class HoloFunction:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def polynomial(coefficients, domain: Ball | None = None,
-                   residual_tol: float = 1e-8, derivative_tol: float = 1e-9) -> "HoloFunction":
-        """Polynomial from highest-order-first coefficients."""
+    def polynomial(coefficients) -> "HoloFunction":
+        """Polynomial from highest-order-first coefficients, on the unit disk."""
         coeff = np.asarray(coefficients, dtype=complex)
-        if domain is None:
-            domain = Ball(np.zeros(2), 1.0)
         roots = np.roots(coeff)
         scale = float(np.max(np.abs(coeff))) + 1.0
-        zeros, mults = _cluster_roots(coeff, roots, residual_tol, derivative_tol, scale)
+        zeros, mults = _cluster_roots(coeff, roots, scale)
 
         def abs_f(z: np.ndarray) -> np.ndarray:
             return np.abs(np.polyval(coeff, z))
 
-        return HoloFunction("polynomial", domain, zeros, mults, abs_f)
+        return HoloFunction("polynomial", Ball(np.zeros(2), 1.0), zeros, mults, abs_f)
 
     @staticmethod
-    def blaschke(zeros, domain: Ball | None = None) -> "HoloFunction":
+    def blaschke(zeros) -> "HoloFunction":
         """Truncated Blaschke product with the given zeros (listed with multiplicity)."""
         zeros = np.asarray(zeros, dtype=complex)
         if np.any(np.abs(zeros) >= 1.0):
             raise ValueError("Blaschke zeros must lie strictly inside the unit disk")
-        if domain is None:
-            domain = Ball(np.zeros(2), 1.0)
         uniq, mults = _dedupe(zeros)
         bsum = float(np.sum(1.0 - np.abs(zeros)))
 
@@ -92,7 +94,8 @@ class HoloFunction:
                 out *= np.where(den > 0, num / den, np.inf)
             return out
 
-        return HoloFunction("blaschke", domain, uniq, mults, abs_f, blaschke_sum=bsum)
+        return HoloFunction("blaschke", Ball(np.zeros(2), 1.0), uniq, mults, abs_f,
+                            blaschke_sum=bsum)
 
     @staticmethod
     def explicit(zeros, multiplicities, abs_f, domain: Ball) -> "HoloFunction":
@@ -120,11 +123,11 @@ class HoloFunction:
                 for z, m in zip(self.zeros, self.multiplicities)]
 
 
-def _dedupe(zeros: np.ndarray, tol: float = 1e-12):
+def _dedupe(zeros: np.ndarray):
     uniq, mults = [], []
     for z in zeros:
         for i, u in enumerate(uniq):
-            if abs(z - u) <= tol:
+            if abs(z - u) <= ZERO_MERGE_TOL:
                 mults[i] += 1
                 break
         else:
@@ -133,7 +136,7 @@ def _dedupe(zeros: np.ndarray, tol: float = 1e-12):
     return np.asarray(uniq, dtype=complex), np.asarray(mults, dtype=int)
 
 
-def _cluster_roots(coeff, roots, residual_tol, derivative_tol, scale):
+def _cluster_roots(coeff, roots, scale):
     """Cluster companion-matrix roots and confirm multiplicities by derivatives."""
     degree = len(coeff) - 1
     used = np.zeros(len(roots), dtype=bool)
@@ -156,12 +159,12 @@ def _cluster_roots(coeff, roots, residual_tol, derivative_tol, scale):
             der = np.polyval(np.polyder(dm), center)
             if der != 0:
                 center = center - val / der
-        if abs(np.polyval(coeff, center)) > residual_tol * scale:
+        if abs(np.polyval(coeff, center)) > RESIDUAL_TOL * scale:
             raise ValueError(f"root residual too large near {center}")
         # derivative test: |f^(k)| small below the multiplicity, sizable at it
         k = 0
         dk = np.asarray(coeff)
-        while k < degree and abs(np.polyval(dk, center)) <= derivative_tol * scale:
+        while k < degree and abs(np.polyval(dk, center)) <= DERIVATIVE_TOL * scale:
             dk = np.polyder(dk)
             k += 1
         zeros.append(center)
@@ -177,7 +180,6 @@ class GrowthMajorant:
     M_minus: ScalarField | None = None
     mu_plus: Measure | None = None
     mu_minus: Measure | None = None
-    dimension: int = 2
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         out = self.M_plus.evaluate_array(pts)
@@ -186,27 +188,26 @@ class GrowthMajorant:
         return out
 
     def charge(self) -> Measure:
-        mu = self.mu_plus if self.mu_plus is not None else Measure(self.dimension, [])
+        mu = self.mu_plus if self.mu_plus is not None else Measure(2, [])
         if self.mu_minus is not None:
             mu = mu - self.mu_minus
         return mu
 
     def minus_charge(self) -> Measure:
-        return self.mu_minus if self.mu_minus is not None else Measure(self.dimension, [])
+        return self.mu_minus if self.mu_minus is not None else Measure(2, [])
 
     @staticmethod
     def constant(c: float) -> "GrowthMajorant":
         return GrowthMajorant(ScalarField.constant(c))
 
-    def check_dominates(self, f: HoloFunction, n_samples: int = 10_000,
-                        tol: float = 1e-9, seed: int = 0):
+    def check_dominates(self, f: HoloFunction, seed: int = 0):
         """Verify |f| <= exp(M) on samples; returns the witness on failure."""
         D = f.domain
         pts = quadrature.sample_in(quadrature.rng_for(seed, "majorant-samples"), D.center,
-                                   D.radius, n_samples, D.contains_array)
+                                   D.radius, DOMINATE_SAMPLES, D.contains_array)
         lhs = np.log(np.maximum(f.abs_at(_as_complex(pts)), 1e-300))
         rhs = self.value(pts)
-        bad = lhs > rhs + tol
+        bad = lhs > rhs + DOMINATE_TOL
         if bad.any():
             return pts[np.argmax(lhs - rhs)]
         return None
@@ -275,8 +276,7 @@ def _zero_sum(f_zeros, f_mults, v: ScalarField, S_o: Ball, subdivisor=None) -> f
 
 
 def _variant(name: str, f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
-             family: TestFamily, subdivisor=None, seed: int = 0,
-             divergence_floor: float = 1e-6, *, ring: bool) -> Verdict:
+             family: TestFamily, subdivisor=None, seed: int = 0, *, ring: bool) -> Verdict:
     """One inequality variant: zero sums against the majorant charge integrals.
 
     With ``ring`` the majorant charge is integrated off the 3r-enlarged core
@@ -304,7 +304,7 @@ def _variant(name: str, f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r:
     constant = max(finite) if finite else math.inf
     diverging = []
     for orbit_name, idxs in family.orbits.items():
-        if _orbit_diverges([margins[i] for i in idxs], divergence_floor):
+        if _orbit_diverges([margins[i] for i in idxs]):
             diverging.append(orbit_name)
     passed = all(r.passed for r in rows) and not diverging
     return Verdict(name, passed, rows,

@@ -1,8 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import potkit
 from potkit.cli import main, preset_scenario, run_scenario
@@ -160,10 +163,10 @@ def test_scenario_test_class_family(tmp_path):
     assert run_cli(["run", str(path)]) == 0
 
 
-def _annulus_scenario(family):
+def _family_scenario(family):
     return {
         "schema": 1,
-        "name": "annulus-domain",
+        "name": "family-domain",
         "measures": {"theta": {"kind": "dirac", "point": [0.0, 0.0]},
                      "mu": {"kind": "dirac", "point": [0.1, 0.0]}},
         "family": family,
@@ -177,7 +180,7 @@ ANNULUS = {"type": "annulus", "center": [0, 0], "r_in": 0.5, "r_out": 1.0}
 def test_annulus_kernel_family_is_a_schema_error(tmp_path, capsys):
     # scenario domains are balls: an annulus S exits 2 and names its path
     path = tmp_path / "ring.json"
-    path.write_text(json.dumps(_annulus_scenario(
+    path.write_text(json.dumps(_family_scenario(
         {"kind": "harmonic-kernels", "S": ANNULUS, "count": 6})))
     assert run_cli(["run", str(path)]) == 2
     err = capsys.readouterr().err
@@ -186,10 +189,22 @@ def test_annulus_kernel_family_is_a_schema_error(tmp_path, capsys):
 
 def test_annulus_test_class_domain_is_a_schema_error(tmp_path, capsys):
     path = tmp_path / "class.json"
-    path.write_text(json.dumps(_annulus_scenario(
+    path.write_text(json.dumps(_family_scenario(
         {"kind": "test-class", "tag": "sbh00+",
          "S_o": {"type": "ball", "center": [0, 0], "radius": 0.1},
          "r": 0.05, "b_minus": -1.0, "b_plus": 1.0, "D": ANNULUS, "count": 6})))
     assert run_cli(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "checks[0].family.D" in err and "annulus" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("radius", [None, -1.0, math.nan])
+def test_malformed_ball_is_a_schema_error(tmp_path, capsys, radius):
+    S = {"type": "ball", "center": [0, 0]}
+    if radius is not None:
+        S["radius"] = radius
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps(_family_scenario({"kind": "harmonic-kernels", "S": S})))
+    assert run_cli(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "checks[0].family.S" in err and "radius" in err and "Traceback" not in err

@@ -223,9 +223,7 @@ def lattice_source(d, n, seed):
 
 @pytest.mark.parametrize("d,n", [(2, 40), (3, 12)])
 @pytest.mark.parametrize("block", [8_000_000, 9_999])
-def test_kernel_sum_matches_dense_reference_bitwise(d, n, block, monkeypatch):
-    # the small block splits the rows into many blocks, which run on the pool
-    monkeypatch.setattr(potentials, "WORKERS", 3)
+def test_kernel_sum_matches_dense_reference_bitwise(d, n, block):
     pts, nodes, w = lattice_source(d, n, seed=d)
     assert pts.flags.f_contiguous and nodes.flags.f_contiguous
     for p in (pts, np.ascontiguousarray(pts)):

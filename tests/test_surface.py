@@ -1,0 +1,165 @@
+"""Surface checks over the source tree: every option has a caller, and every
+annotation resolves."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+import typing
+from pathlib import Path
+
+import potkit
+
+ROOT = Path(__file__).resolve().parents[1]
+TREES = (Path(potkit.__file__).parent, ROOT / "tests", ROOT / "perfbench")
+
+# defaulted parameters that stay although no call sets them: the tolerance
+# `--tol-scale` scales and the seeded probe stream are part of the contract
+# every check shares, so these two keep them settable like their siblings
+NEVER_SET_ALLOWED = {
+    ("check_affine", "tol_scale"),
+    ("check_affine", "seed"),
+    ("lower_bound_check", "tol"),
+    ("lower_bound_check", "seed"),
+}
+
+
+def _signature(fn: ast.FunctionDef, method: bool):
+    """(call-order positional names, names with a default) of a def."""
+    a = fn.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+    defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    if method and "staticmethod" not in [ast.unparse(d) for d in fn.decorator_list]:
+        positional = positional[1:]  # self or cls
+    return positional, defaulted
+
+
+def _record_fields(cls: ast.ClassDef):
+    """(field names, defaulted field names) of a dataclass or NamedTuple body."""
+    def deco_name(d):
+        d = d.func if isinstance(d, ast.Call) else d
+        return d.id if isinstance(d, ast.Name) else getattr(d, "attr", "")
+
+    record = any(deco_name(d) == "dataclass" for d in cls.decorator_list) or any(
+        isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases)
+    if not record:
+        return None
+    fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)
+              and isinstance(s.target, ast.Name) and "ClassVar" not in ast.unparse(s.annotation)]
+    return [f.target.id for f in fields], [f.target.id for f in fields if f.value is not None]
+
+
+def _definitions(tree: ast.Module):
+    """{callee name: [(qualified name, positional names, defaulted names)]}."""
+    defs = {}
+
+    def add(key, qual, positional, defaulted):
+        defs.setdefault(key, []).append((qual, positional, defaulted))
+
+    def visit(node, owner=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                record = _record_fields(child)
+                if record:
+                    add(child.name, child.name, *record)
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = f"{owner.name}.{child.name}" if owner else child.name
+                sig = _signature(child, owner is not None)
+                # Cls(...) reaches Cls.__init__
+                add(owner.name if child.name == "__init__" else child.name, qual, *sig)
+                visit(child)
+            else:
+                visit(child, owner)
+
+    visit(tree)
+    return defs
+
+
+def _calls(tree: ast.Module):
+    """(callee names, positional args, keywords) of every call.
+
+    Cls(...) and Cls.__init__(self, ...) name Cls, super().__init__(...) names
+    the bases of the class it sits in.
+    """
+    def visit(node, bases=()):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, [b.id for b in child.bases if isinstance(b, ast.Name)])
+                continue
+            if isinstance(child, ast.Call):
+                f, args = child.func, child.args
+                if isinstance(f, ast.Name):
+                    yield [f.id], args, child.keywords
+                elif isinstance(f, ast.Attribute) and f.attr == "__init__":
+                    if isinstance(f.value, ast.Name):
+                        yield [f.value.id], args[1:], child.keywords
+                    elif ast.unparse(f.value) == "super()":
+                        yield bases, args, child.keywords
+                elif isinstance(f, ast.Attribute):
+                    yield [f.attr], args, child.keywords
+            yield from visit(child, bases)
+
+    return visit(tree)
+
+
+def never_set_options():
+    """Defaulted parameters of potkit definitions that no call in the tree passes.
+
+    Calls match definitions by name only.  Positional arguments set the
+    leading parameters, keywords set their own, and a call with *args or
+    **kwargs sets every parameter of every definition it can name.
+    """
+    trees = [ast.parse(p.read_text()) for t in TREES for p in sorted(t.rglob("*.py"))]
+    defs = {}
+    for p in sorted(TREES[0].glob("*.py")):
+        for key, found in _definitions(ast.parse(p.read_text())).items():
+            defs.setdefault(key, []).extend((p.stem,) + f for f in found)
+    passed = set()
+    for tree in trees:
+        for names, args, keywords in _calls(tree):
+            found = [f for name in names for f in defs.get(name, ())]
+            spread = (any(isinstance(a, ast.Starred) for a in args)
+                      or any(k.arg is None for k in keywords))
+            for module, qual, positional, defaulted in found:
+                if spread:
+                    passed.update((module, qual, p) for p in positional + defaulted)
+                    continue
+                passed.update((module, qual, p) for p in positional[:len(args)])
+                passed.update((module, qual, k.arg) for k in keywords)
+    missing = set()
+    for found in defs.values():
+        for module, qual, _, defaulted in found:
+            for p in defaulted:
+                if ((module, qual, p) not in passed
+                        and (qual.rsplit(".", 1)[-1], p) not in NEVER_SET_ALLOWED):
+                    missing.add(f"{module}.{qual}({p})")
+    return sorted(missing)
+
+
+def test_every_option_has_a_caller():
+    """A default no preset, CLI path, test or benchmark overrides is a constant."""
+    assert never_set_options() == []
+
+
+def test_every_annotation_resolves():
+    """typing.get_type_hints works on every function and method potkit defines."""
+    failures = []
+    for info in pkgutil.iter_modules(potkit.__path__):
+        module = importlib.import_module(f"potkit.{info.name}")
+        for _, obj in inspect.getmembers(module):
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj]
+            if inspect.isclass(obj):  # methods, static and class methods unwrapped
+                members = [getattr(m, "__func__", m) for m in vars(obj).values()]
+            for fn in members:
+                # generated functions, such as a NamedTuple's __new__, are not checked
+                if not inspect.isfunction(fn) or fn.__code__.co_filename != module.__file__:
+                    continue
+                try:
+                    typing.get_type_hints(fn)
+                except NameError as exc:
+                    failures.append(f"{module.__name__}.{fn.__qualname__}: {exc}")
+    assert failures == []
