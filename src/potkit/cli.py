@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -52,9 +51,8 @@ def _build_domain(spec: dict, where: str):
         _require("center" in spec and "radius" in spec, "ball needs center and radius", where)
         try:
             ball = Ball(np.asarray(spec["center"], float), float(spec["radius"]))
-        except (TypeError, ValueError) as exc:  # non-numeric, non-finite center, radius <= 0
+        except (TypeError, ValueError) as exc:  # non-numeric, non-finite, radius <= 0
             raise SchemaError(f"invalid ball: {exc}", where)
-        _require(math.isfinite(ball.radius), "ball radius must be finite", where)
         return ball
     raise SchemaError(f"unknown domain type {spec['type']!r}", where)
 
@@ -70,9 +68,14 @@ def _build_measure(spec: dict, where: str) -> Measure:
         return Measure(len(spec["point"]), [Atom(np.asarray(spec["point"], float),
                                                  float(spec.get("weight", 1.0)))])
     if kind == "harmonic-measure":
-        x = np.asarray(spec["x"], float)
-        gm = green.green_ball(np.asarray(spec["center"], float), float(spec["radius"]),
-                              x, len(x))
+        ball = _build_domain(dict(spec, type="ball"), where)
+        try:
+            x = np.asarray(spec["x"], float)
+        except (KeyError, TypeError, ValueError):
+            raise SchemaError("harmonic measure needs a numeric point x", where)
+        _require(x.shape == ball.center.shape and ball.contains(x),
+                 "harmonic measure needs x inside the ball", where)
+        gm = green.green_ball(ball.center, ball.radius, x, len(x))
         return green.harmonic_measure(gm, x)
     raise SchemaError(f"unknown measure kind {kind!r}", where)
 

@@ -14,6 +14,7 @@ cell) on grids.  ``_Composite`` is the union or intersection of two domains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +68,8 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_point(self.center))
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
     @property
     def dimension(self) -> int:
@@ -121,8 +122,8 @@ class Annulus:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_point(self.center))
-        if not (0 < self.r_in < self.r_out):
-            raise ValueError(f"need 0 < r_in < r_out, got {self.r_in}, {self.r_out}")
+        if not 0 < self.r_in < self.r_out < math.inf:
+            raise ValueError(f"need 0 < r_in < r_out < inf, got {self.r_in}, {self.r_out}")
 
     @property
     def dimension(self) -> int:

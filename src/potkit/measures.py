@@ -47,9 +47,15 @@ sources of mollifier smoothing.
 Integrals are extended reals with the 0*(+-inf)=0 convention; a -inf/+inf
 collision raises.
 
-Measures are immutable after construction; integrate is pure, and the
-Monte-Carlo streams are derived from (seed, component index) so concurrent
-calls are deterministic.
+Measures are immutable after construction.  A sphere or ball layer builds
+its node cloud once per (use, seed, index) on first ``discretize`` and hands
+out that same pair of read-only arrays on every later call, so repeated
+integrals of one measure (a family check runs one per member) pay for the
+quadrature rule, and for a Poisson density on its nodes, once.  The cloud
+lives on the component: ``scaled``, ``jordan`` and ``restrict`` build new
+components, which start without one (a layer that ``restrict`` keeps whole
+is returned as itself, cloud and all).  The Monte-Carlo streams are derived
+from (seed, component index), so concurrent calls are deterministic.
 """
 
 from __future__ import annotations
@@ -142,8 +148,13 @@ class _Layer:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
-            raise ValueError(f"{self.kind.split('_')[0]} layer radius must be positive")
+        layer = self.kind.split("_")[0]
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError(f"{layer} layer center must be finite")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"{layer} layer radius must be positive and finite, "
+                             f"got {self.radius}")
+        object.__setattr__(self, "_clouds", {})  # (use, seed, index) -> discretize result
 
     @property
     def dimension(self) -> int:
@@ -170,8 +181,17 @@ class _Layer:
         return self._nodes(use, seed, index)
 
     def discretize(self, use: str = "integrate", seed: int = 0, index: int = 0):
-        pts, w = self._rule(use, seed, index)
-        return pts, self.total * w
+        """Nodes and masses for `use`, built once per key and handed out read-only."""
+        key = (use, seed, index)
+        cloud = self._clouds.get(key)
+        if cloud is None:
+            pts, w = self._rule(use, seed, index)
+            cloud = (pts, self.total * w)
+            for a in cloud:
+                a.setflags(write=False)
+            # threads racing here build equal clouds; every caller gets the first stored
+            cloud = self._clouds.setdefault(key, cloud)
+        return cloud
 
     def _clip(self, S, complement: bool) -> list:
         """Node cloud of the layer clipped to S (or its complement), as atoms."""

@@ -208,3 +208,43 @@ def test_malformed_ball_is_a_schema_error(tmp_path, capsys, radius):
     assert run_cli(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "checks[0].family.S" in err and "radius" in err and "Traceback" not in err
+
+
+def _harmonic_measure_scenario(mu):
+    return {"schema": 1, "name": "sweep",
+            "measures": {"theta": {"kind": "dirac", "point": [0.2, 0.1]}, "mu": mu},
+            "family": {"kind": "harmonic-kernels",
+                       "S": {"type": "ball", "center": [0, 0], "radius": 1.0}, "count": 40},
+            "checks": [{"type": "check-linear", "theta": "theta", "mu": "mu"}]}
+
+
+@pytest.mark.parametrize("change", [
+    {"radius": math.nan}, {"radius": -1.0}, {"radius": math.inf}, {"radius": None},
+    {"center": [0, math.nan]}, {"x": [2.0, 0.0]}, {"x": [0.1, 0.0, 0.0]},
+    {"x": [math.nan, 0.0]}, {"x": "origin"}, {"x": None}])
+def test_malformed_harmonic_measure_is_a_schema_error(tmp_path, capsys, change):
+    mu = {"kind": "harmonic-measure", "center": [0, 0], "radius": 1.0, "x": [0.2, 0.1]}
+    mu.update(change)
+    mu = {k: v for k, v in mu.items() if v is not None}
+    path = tmp_path / "hm.json"
+    path.write_text(json.dumps(_harmonic_measure_scenario(mu)))
+    assert run_cli(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "checks[0].mu" in err and "Traceback" not in err
+
+
+def test_sweep_scenario_bytes_survive_other_runs(tmp_path, capsys):
+    # layer clouds live on the run's own measures: nothing carries over between runs
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps(_harmonic_measure_scenario(
+        {"kind": "harmonic-measure", "center": [0, 0], "radius": 1.0, "x": [0.2, 0.1]})))
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(_harmonic_measure_scenario(
+        {"kind": "harmonic-measure", "center": [0, 0], "radius": 1.0, "x": [-0.3, 0.4]})))
+    outs = []
+    for k, path in enumerate((first, other, first)):
+        out = tmp_path / f"out{k}"
+        assert run_cli(["run", str(path), "--seed", "1", "--out", str(out)]) in (0, 1)
+        outs.append((out / "verdicts.json").read_bytes())
+    assert outs[0] == outs[2] and outs[0] != outs[1]
+    assert json.loads(outs[0])["pass"] is True

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 from collections import deque
 from pathlib import Path
 
@@ -67,6 +68,23 @@ def test_kelvin_transform_center_is_out_of_domain():
     v = kelvin_transform(one, point(0, 0), 2)
     with pytest.raises(ValueError):
         v(point(0, 0))
+
+
+@pytest.mark.parametrize("center, radius", [
+    ((0, 0), math.nan), ((0, 0), math.inf), ((0, 0), 0.0), ((0, 0), -1.0),
+    ((math.nan, 0), 1.0), ((0, math.inf), 1.0)])
+def test_ball_rejects_non_finite_or_non_positive_geometry(center, radius):
+    with pytest.raises(ValueError):
+        Ball(np.asarray(center, float), radius)
+
+
+@pytest.mark.parametrize("center, r_in, r_out", [
+    ((0, 0), math.nan, 1.0), ((0, 0), 0.5, math.nan), ((0, 0), 0.5, math.inf),
+    ((0, 0), math.inf, math.inf), ((0, 0), 0.0, 1.0), ((0, 0), 1.0, 0.5),
+    ((math.nan, 0), 0.5, 1.0)])
+def test_annulus_rejects_non_finite_or_unordered_geometry(center, r_in, r_out):
+    with pytest.raises(ValueError):
+        Annulus(np.asarray(center, float), r_in, r_out)
 
 
 def test_parallel_set_radial():

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from potkit import fields, green, measures, quadrature
+from potkit import balayage, fields, green, measures, quadrature
 from potkit.geometry import Annulus, Ball, GridDomain, point
 from potkit.measures import (Atom, BallUniform, GridDensity, Measure, Mollifier,
                              SphereUniform, convolve_balayage, integrate, jordan,
@@ -400,3 +403,108 @@ def test_bumps_on_grid_rejects_a_lost_bump(monkeypatch):
                         np.zeros(np.shape(pts)[:-1]))
     with pytest.raises(ValueError, match="lost under the grid"):
         convolve_balayage(atom((0.0, 0.0)), Mollifier(0.2, 2), Ball(point(0, 0), 1.0))
+
+
+@pytest.mark.parametrize("kind", [SphereUniform, BallUniform])
+@pytest.mark.parametrize("center, radius", [
+    ((0, 0), math.nan), ((0, 0), math.inf), ((0, 0), 0.0), ((0, 0), -1.0),
+    ((math.nan, 0), 1.0), ((0, -math.inf), 1.0)])
+def test_layers_reject_non_finite_or_non_positive_geometry(kind, center, radius):
+    with pytest.raises(ValueError):
+        kind(np.asarray(center, float), radius, 1.0)
+
+
+def _harmonic_measure(x):
+    x = np.asarray(x, float)
+    return green.harmonic_measure(green.green_ball(point(0, 0), 1.0, x, 2), x)
+
+
+@pytest.mark.parametrize("name", ["sphere-d2", "sphere-poisson-d2", "sphere-d3", "ball-d3"])
+def test_layer_clouds_are_built_once_and_read_only(name):
+    c = _protocol_cases()[name]
+    for use in ("integrate", "clip", "mollify"):
+        pts, w = c.discretize(use)
+        again = c.discretize(use)
+        assert again[0] is pts and again[1] is w, use
+        for a in (pts, w):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+
+def test_check_linear_builds_the_harmonic_measure_cloud_once(monkeypatch):
+    # the work gate: one rule and one Poisson density evaluation for all 400 members
+    calls = {"rule": 0, "density": 0}
+    sphere_rule, density_from_spec = quadrature.sphere_rule, green.density_from_spec
+
+    def counting_rule(*args):
+        calls["rule"] += 1
+        return sphere_rule(*args)
+
+    def counting_spec(spec):
+        poisson = density_from_spec(spec)
+
+        def density(pts):
+            calls["density"] += 1
+            return poisson(pts)
+
+        return density
+
+    monkeypatch.setattr(quadrature, "sphere_rule", counting_rule)
+    monkeypatch.setattr(green, "density_from_spec", counting_spec)
+    x = point(0.3, -0.2)
+    family = balayage.harmonic_kernel_family(
+        Ball(point(0, 0), 1.0), Ball(point(0, 0), 1.5).boundary_points(200))
+    verdict = balayage.check_linear(atom(x), _harmonic_measure(x), family)
+    assert calls == {"rule": 1, "density": 1}
+    assert len(verdict.rows) == 400 and verdict.passed
+    fresh = [integrate(_harmonic_measure(x), h) for _, h in family.members]
+    assert [r.rhs for r in verdict.rows] == fresh
+
+
+def test_threads_integrating_one_measure_agree():
+    x = point(0.3, -0.2)
+    mu = _harmonic_measure(x)
+    members = [h for _, h in balayage.harmonic_kernel_family(
+        Ball(point(0, 0), 1.0), Ball(point(0, 0), 1.5).boundary_points(16)).members]
+    want = [integrate(_harmonic_measure(x), h) for h in members]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda: [integrate(mu, h) for h in members])
+                       for _ in range(8)]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(g == want for g in got)
+    assert len(mu.components[0]._clouds) == 1
+
+
+def test_sphere_mc_cloud_follows_the_seed():
+    def fresh():
+        return Measure(3, [SphereUniform(point(0, 0, 0.1), 0.4, 1.0)])
+
+    mu = fresh()
+    f = _smooth_field()
+    for seed in (0, 1, 0):
+        assert integrate(mu, f, seed=seed) == integrate(fresh(), f, seed=seed), seed
+    assert integrate(mu, f, seed=0) != integrate(mu, f, seed=1)
+
+
+def test_scaled_and_restricted_layers_match_fresh_components():
+    om = _harmonic_measure((0.4, 0.1)).components[0]
+    ball = BallUniform(point(0.1, 0), 0.6, -0.8)
+    f = _smooth_field()
+    for c in (om, ball):
+        args = {a.name: getattr(c, a.name) for a in dataclasses.fields(c)}
+        for use in ("integrate", "clip", "mollify"):
+            c.discretize(use)  # warm the clouds the derived components must not inherit
+        doubled = type(c)(**dict(args, total=2.0 * c.total))
+        for use in ("integrate", "clip", "mollify"):
+            got, want = c.scaled(2.0).discretize(use), doubled.discretize(use)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), use
+        for S in (Ball(c.center, 0.3), Ball(point(0.15, 0.15), 0.45)):
+            for complement in (False, True):
+                got = restrict(Measure(2, [c]), S, complement)
+                want = restrict(Measure(2, [type(c)(**args)]), S, complement)
+                assert integrate(got, f) == integrate(want, f)
