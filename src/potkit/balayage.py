@@ -22,7 +22,7 @@ from .fields import ScalarField, sphere_average
 from .geometry import Ball
 from .kernels import KernelConfig
 from .measures import (Atom, BallUniform, IndeterminateIntegral, Measure,
-                       SphereUniform, integrate, restrict)
+                       SphereUniform, integrate_many, restrict)
 from .verdict import Row, Verdict
 
 __all__ = [
@@ -98,17 +98,18 @@ def _margin(lhs: float, rhs: float) -> float:
 
 def _evaluate_rows(theta: Measure, mu: Measure, family: TestFamily, tol_scale: float,
                    symmetric: bool, seed: int):
+    fields = [h for _, h in family.members]
+    pairs = zip(integrate_many(theta, fields, seed), integrate_many(mu, fields, seed))
     rows, indeterminate = [], []
-    for name, h in family.members:
-        try:
-            lhs = integrate(theta, h, seed=seed)
-            rhs = integrate(mu, h, seed=seed)
-        except IndeterminateIntegral:
+    for (name, _), (lhs, rhs) in zip(family.members, pairs):
+        # member order, lhs before rhs: the first failure decides the row
+        failure = next((v for v in (lhs, rhs) if isinstance(v, Exception)), None)
+        if isinstance(failure, IndeterminateIntegral):
             indeterminate.append(name)
             rows.append(Row(name, math.nan, math.nan, math.nan, False))
             continue
-        except Exception as exc:
-            raise FamilyError(name, exc)
+        if failure is not None:
+            raise FamilyError(name, failure) from failure
         tol = pair_tol(lhs, rhs, tol_scale)
         m = _margin(lhs, rhs)
         ok = abs(m) <= tol if symmetric else m <= tol

@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import quadrature
-from .geometry import Annulus, Ball, GridDomain, _Composite
-from .kernels import riesz_normalizer, k_eval_array
+from .geometry import Annulus, Ball, GridDomain, _Composite, _face_structure
+from .kernels import kernel_rows, riesz_normalizer, k_eval_array
 from .measures import GridDensity, Measure
 from .verdict import Row, Verdict
 
@@ -54,8 +53,9 @@ class GlueError(ValueError):
 class ScalarField:
     """Evaluable extended-real function on a domain."""
 
-    # set on kernel fields sign * K_{d-2}(., y): the pole y and the sign
+    # set on kernel fields sign * K_{d-2}(., y): the pole y, the order d - 2 and the sign
     kernel_pole = None
+    kernel_order = None
     kernel_sign = 1.0
 
     def __init__(self, evaluator, domain=None):
@@ -91,14 +91,10 @@ class ScalarField:
         y = np.asarray(y, dtype=float)
 
         def _eval(pts):
-            r = np.linalg.norm(pts - y[None, :], axis=1)
-            out = np.full(len(pts), -math.inf if d >= 2 else 0.0)
-            ok = r > 0
-            out[ok] = k_eval_array(d - 2, r[ok])
-            return sign * out
+            return sign * kernel_rows(y[None, :], pts, d - 2, np.empty((1, len(pts))))[0]
 
         field = ScalarField(_eval)
-        field.kernel_pole, field.kernel_sign = y, float(sign)
+        field.kernel_pole, field.kernel_order, field.kernel_sign = y, d - 2, float(sign)
         return field
 
     def __add__(self, other) -> "ScalarField":
@@ -140,6 +136,8 @@ class GridField(ScalarField):
         self.values = values
 
         def _eval(pts):
+            from scipy import ndimage  # imported on use: scipy.ndimage is slow to load
+
             coords = (pts - grid.origin[None, :]).T / grid.spacing
             return ndimage.map_coordinates(values, coords, order=1, mode="nearest")
 
@@ -249,8 +247,9 @@ def riesz_measure(v, grid: GridDomain | None = None) -> Measure:
     h = grid.spacing
     finite = np.isfinite(values) & grid.mask
 
-    interior = ndimage.binary_erosion(grid.mask, ndimage.generate_binary_structure(d, 1),
-                                      border_value=0)
+    from scipy import ndimage
+
+    interior = ndimage.binary_erosion(grid.mask, _face_structure(d), border_value=0)
     lap = np.zeros(grid.shape)
     stencil_ok = interior.copy()
     neighbor_sum = np.zeros(grid.shape)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "INFINITY",
@@ -238,6 +237,8 @@ class GridDomain:
 
     def boundary_cells(self) -> np.ndarray:
         """Boolean array marking mask cells adjacent to unmasked/out-of-window cells."""
+        from scipy import ndimage  # imported on use: scipy.ndimage is slow to load
+
         interior = ndimage.binary_erosion(self.mask, structure=_face_structure(self.dimension),
                                           border_value=0)
         return self.mask & ~interior
@@ -296,6 +297,8 @@ def _stencil(base: np.ndarray, reach: int, shape: tuple) -> tuple[np.ndarray, np
 
 def _face_structure(d: int) -> np.ndarray:
     # 4-connectivity in d=2, 6-connectivity in d=3
+    from scipy import ndimage
+
     return ndimage.generate_binary_structure(d, 1)
 
 
@@ -396,6 +399,8 @@ def parallel_set(base, r: float):
             return Ball(base.center, base.r_out + r)
         return Annulus(base.center, r_in, base.r_out + r)
     if isinstance(base, GridDomain):
+        from scipy import ndimage
+
         dist = ndimage.distance_transform_edt(~base.mask) * base.spacing
         return base.with_mask(base.mask | (dist <= r))
     raise TypeError(f"unsupported base set {type(base).__name__}")
@@ -418,6 +423,8 @@ def inward_filled_hull(K: GridDomain, O: GridDomain) -> GridDomain:
     boundary = O.boundary_cells()
     if np.any(K.mask & boundary):
         raise ValueError("hull precondition violated: K touches the boundary cells of O")
+
+    from scipy import ndimage
 
     complement = O.mask & ~K.mask
     labels, n = ndimage.label(complement, structure=_face_structure(K.dimension))

@@ -47,14 +47,25 @@ sources of mollifier smoothing.
 Integrals are extended reals with the 0*(+-inf)=0 convention; a -inf/+inf
 collision raises.
 
+``integrate_many(mu, fields, seed)`` integrates a list of fields in one
+pass over the components, and ``integrate`` is its one-field case, so there
+is one accumulation path.  Kernel fields (``ScalarField.kernel``) are grouped
+by (order, pole).  Against a plain layer they take Newton's closed form;
+against any other component the kernel rows of the distinct poles are filled
+on its node cloud by ``kernels.kernel_rows`` in tiles of at most
+``kernels.TILE_BYTES``, one kernel pass per component, and each member
+reduces its row by its own dot product ``sign * row`` against the weights.
+Every entry is therefore bitwise the integral of that field alone, and
+output bytes do not depend on how a family is batched.  Other fields are
+evaluated one at a time.  A failing member's entry is its exception.
+
 Measures are immutable after construction.  A sphere or ball layer builds
 its node cloud once per (use, seed, index) on first ``discretize`` and hands
 out that same pair of read-only arrays on every later call, so repeated
-integrals of one measure (a family check runs one per member) pay for the
-quadrature rule, and for a Poisson density on its nodes, once.  The cloud
-lives on the component: ``scaled``, ``jordan`` and ``restrict`` build new
-components, which start without one (a layer that ``restrict`` keeps whole
-is returned as itself, cloud and all).  The Monte-Carlo streams are derived
+integrals of one measure pay for the quadrature rule, and for a Poisson
+density on its nodes, once.  The cloud lives on the component: ``scaled``,
+``jordan`` and ``restrict`` build new components, which start without one (a
+layer that ``restrict`` keeps whole is returned as itself, cloud and all).  The Monte-Carlo streams are derived
 from (seed, component index), so concurrent calls are deterministic.
 """
 
@@ -67,7 +78,7 @@ import numpy as np
 
 from . import quadrature
 from .geometry import Ball, GridDomain, _stencil
-from .kernels import k_eval_array, unit_ball_volume
+from .kernels import k_eval_array, kernel_rows, tile_rows, unit_ball_volume
 
 __all__ = [
     "Atom",
@@ -77,6 +88,7 @@ __all__ = [
     "Measure",
     "Mollifier",
     "integrate",
+    "integrate_many",
     "total_mass",
     "restrict",
     "jordan",
@@ -520,9 +532,20 @@ class _ExtSum:
         self.pos_inf = False
         self.neg_inf = False
 
-    def add_weighted(self, weights: np.ndarray, values: np.ndarray):
+    def add_weighted(self, weights: np.ndarray, values: np.ndarray, dense: bool = False):
+        """Add sum_i w_i v_i; `dense` says that no weight is zero.
+
+        Without a zero weight the masks below keep every node, so a finite dot
+        of the contiguous arrays is bitwise the sum they give; anything else
+        takes them.
+        """
         w = np.asarray(weights, float)
         v = np.asarray(values, float)
+        if dense and v.shape == w.shape:
+            s = float(np.dot(np.ascontiguousarray(w), np.ascontiguousarray(v)))
+            if math.isfinite(s):
+                self.finite += s
+                return
         live = w != 0.0  # zero-weight nodes never see the field value
         w, v = w[live], v[live]
         if np.any(np.isnan(v)):
@@ -547,6 +570,10 @@ class _ExtSum:
         return self.finite
 
 
+_ONE = np.ones(1)
+_ONE.setflags(write=False)
+
+
 def integrate(mu: Measure, f, seed: int = 0) -> float:
     """Integral of a field against the charge, as an extended real.
 
@@ -555,20 +582,83 @@ def integrate(mu: Measure, f, seed: int = 0) -> float:
     Monte-Carlo sphere streams only.  Components without mass never see
     the field.  A kernel field sign * K_{d-2}(., y) (``ScalarField.kernel``)
     integrates exactly against layers with a ``newton_potential``: the
-    result is sign times that potential at y.
+    result is sign times that potential at y.  This is ``integrate_many``
+    of one field.
     """
-    acc = _ExtSum()
-    pole = getattr(f, "kernel_pole", None)
+    (value,) = integrate_many(mu, [f], seed)
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def integrate_many(mu: Measure, fields, seed: int = 0) -> list:
+    """Integrals of several fields against one charge, in one pass over its components.
+
+    Entry j is bitwise what integrating ``fields[j]`` alone gives, or the
+    exception that integral raises (the first one in component order): a
+    failing field does not stop the others.  Kernel fields (``kernel_pole``
+    set, of the charge's dimension) are grouped by (order, pole); on each
+    component's node cloud the kernel rows of the distinct poles are filled
+    in tiles of at most ``kernels.TILE_BYTES`` and every member sharing a
+    row reduces it by its own dot product, ``sign * row`` against the
+    weights.  Other fields are evaluated one by one.
+    """
+    fields = list(fields)
+    results: list = [None] * len(fields)  # an exception once a member fails
+    accs = [_ExtSum() for _ in fields]
+    poles: dict = {}  # kernel order -> {pole bytes: indices of the members with it}
+    others = []
+    for j, f in enumerate(fields):
+        pole = getattr(f, "kernel_pole", None)
+        if pole is not None and pole.size == mu.dimension:
+            poles.setdefault(f.kernel_order, {}).setdefault(pole.tobytes(), []).append(j)
+        else:
+            others.append(j)
+    kernel_sets = [(q, np.array([fields[g[0]].kernel_pole for g in by_pole.values()]),
+                    list(by_pole.values())) for q, by_pole in poles.items()]
+
+    def add(j, w, dense, values, *args):
+        """Add values(*args) to member j unless it failed; its first exception is its result."""
+        if results[j] is None:
+            try:
+                accs[j].add_weighted(w, values(*args), dense)
+            except Exception as exc:  # recorded per member; the other members go on
+                results[j] = exc
+
     for i, c in enumerate(mu.components):
-        newton = None if pole is None else c.newton_potential()
+        newton = c.newton_potential() if kernel_sets else None
         if newton is not None:
-            # a kernel field against a plain layer: Newton's closed form at the pole
-            acc.add_weighted(np.ones(1), f.kernel_sign * newton(pole[None, :]))
-            continue
+            # kernel fields against a plain layer: Newton's closed form at each pole
+            for _, P, groups in kernel_sets:
+                for pole, members in zip(P, groups):
+                    at_pole = newton(pole[None, :])
+                    for j in members:
+                        add(j, _ONE, True, np.multiply, fields[j].kernel_sign, at_pole)
+        if not (others or (kernel_sets and newton is None)):
+            continue  # no field needs the node cloud
         pts, w = c.discretize("integrate", seed, i)
-        if np.any(w):
-            acc.add_weighted(w, _eval_field(f, pts))
-    return acc.value()
+        if not np.any(w):
+            continue
+        dense = bool(np.all(w != 0.0))
+        if newton is None:
+            rows = tile_rows(len(pts))
+            for q, P, groups in kernel_sets:
+                tile = np.empty((min(rows, len(P)), len(pts)))
+                for a in range(0, len(P), rows):
+                    K = kernel_rows(P[a:a + rows], pts, q, tile[:len(P) - a])
+                    for members, row in zip(groups[a:a + rows], K):
+                        for j in members:
+                            add(j, w, dense, np.multiply, fields[j].kernel_sign, row)
+        for j in others:
+            add(j, w, dense, _eval_field, fields[j], pts)
+
+    for j, acc in enumerate(accs):
+        if results[j] is None:
+            try:
+                results[j] = acc.value()
+            except IndeterminateIntegral as exc:
+                results[j] = exc
+    return results
 
 
 def total_mass(mu: Measure) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import quadrature
 from .fields import ScalarField
-from .kernels import KernelConfig, k_eval, k_eval_array
+from .kernels import KernelConfig, k_eval, k_eval_array, kernel_rows, tile_rows
 from .measures import Atom, GridDensity, Measure, total_mass
 from .verdict import Row, Verdict
 
@@ -52,9 +52,6 @@ LOG_SQUARE_MEAN = -0.5 * math.log(2.0) + math.pi / 4.0 - 1.5
 # mean of 1/|x| over the unit cube [-1/2, 1/2]^3: 2 * _box_inv_r(1, 1, 1)
 CUBE_MEAN_INV_R = 6.0 * math.asinh(1.0 / math.sqrt(2.0)) - 0.5 * math.pi
 
-# the dense kernel sum fills each block of its (rows x nodes) matrix in tiles
-# of about this many bytes
-TILE_BYTES = 2 << 20
 # 2-D log-kernel sums of at least FMM_PAIRS (point, node) pairs, with at
 # least FMM_MIN_SIDE points and nodes, go through the fast multipole path of
 # potkit._fmm.  Measured on a 2-core x86 box: it beats the direct path from
@@ -248,34 +245,11 @@ class Potential(ScalarField):
 def _kernel_rows(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray, q: float,
                  out: np.ndarray):
     """out = K @ weights for the C-ordered kernel matrix K[i, j] = k_q(|pts_i - node_j|),
-    filled in place tile by tile (-inf on exact hits)."""
-    n, m = len(pts), len(nodes)
-    K = np.empty((n, m))
-    tile = max(1, TILE_BYTES // max(1, 8 * m))
-    scratch = np.empty((min(tile, n), m))
-    for a in range(0, n, tile):
-        t = K[a:a + tile]
-        sq = scratch[:len(t)]
-        # |y - node|^2 summed coordinate by coordinate, as np.linalg.norm does
-        for k in range(nodes.shape[1]):
-            dst = t if k == 0 else sq
-            np.subtract(pts[a:a + tile, k:k + 1], nodes[None, :, k], out=dst)
-            np.multiply(dst, dst, out=dst)
-            if k:
-                t += sq
-        np.sqrt(t, out=t)
-        hit = t == 0.0
-        any_hit = hit.any()
-        if any_hit:
-            t[hit] = 1.0
-        if q == 0:
-            np.log(t, out=t)
-        else:
-            np.power(t, -q, out=t)
-            if q > 0:
-                np.negative(t, out=t)
-        if any_hit:
-            t[hit] = -math.inf
+    filled tile by tile by `kernels.kernel_rows` (-inf on exact hits for q >= 0)."""
+    K = np.empty((len(pts), len(nodes)))
+    tile = tile_rows(len(nodes))
+    for a in range(0, len(pts), tile):
+        kernel_rows(pts[a:a + tile], nodes, q, K[a:a + tile])
     out[:] = K @ weights
 
 

@@ -7,6 +7,7 @@ callers get reproducible, independent streams.
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -64,27 +65,33 @@ def sphere_spiral_nodes(n: int) -> np.ndarray:
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
+@functools.cache
 def sphere_rule(d: int, n: int | None = None):
     """Nodes and weights for the mean over the unit sphere (weights sum to 1).
 
     d=2: periodic trapezoid.  d=3: Gauss-Legendre in cos(theta) crossed with
     trapezoid in the azimuth, spectrally accurate for smooth integrands.
+    Each rule depends on (d, n) alone, so it is built once per key and
+    handed out as read-only arrays.
     """
     if d == 2:
         n = CIRCLE_NODES if n is None else n
-        return circle_nodes(n), np.full(n, 1.0 / n)
-    if d == 3:
+        nodes, w = circle_nodes(n), np.full(n, 1.0 / n)
+    elif d == 3:
         n = SPHERE_PRODUCT_NODES if n is None else n
         m = max(4, int(np.sqrt(n)))
         z, wz = np.polynomial.legendre.leggauss(m)
         phi = 2.0 * np.pi * np.arange(m) / m
         zz = np.repeat(z, m)
-        ww = np.repeat(wz, m) / (2.0 * m)
+        w = np.repeat(wz, m) / (2.0 * m)
         pp = np.tile(phi, m)
         rho = np.sqrt(1.0 - zz * zz)
         nodes = np.column_stack([rho * np.cos(pp), rho * np.sin(pp), zz])
-        return nodes, ww
-    raise NotImplementedError(f"sphere rule for d={d}")
+    else:
+        raise NotImplementedError(f"sphere rule for d={d}")
+    nodes.setflags(write=False)
+    w.setflags(write=False)
+    return nodes, w
 
 
 def sphere_mc_nodes(d: int, n: int, seed: int, tag: str) -> np.ndarray:

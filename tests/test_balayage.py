@@ -160,6 +160,44 @@ def test_family_error_carries_member_id():
     assert err.value.member == "bad"
 
 
+MU_POINT = point(0.5, 0.5)
+
+
+def _member(on_theta, on_mu):
+    """A plain member that is 0, nan (an indeterminate integral) or raises, by measure."""
+    from potkit.fields import DomainError
+
+    def ev(pts):
+        kind = on_mu if np.any(np.all(pts == MU_POINT, axis=1)) else on_theta
+        if kind == "raise":
+            raise DomainError("off domain")
+        return np.full(len(pts), np.nan if kind == "nan" else 0.0)
+
+    return ScalarField(ev)
+
+
+def test_rows_check_lhs_before_rhs():
+    from potkit.balayage import FamilyError
+    from potkit.fields import DomainError
+
+    theta, mu = delta(), delta(MU_POINT)
+    verdict = check_linear(theta, mu, TestFamily("t", [("a", _member("nan", "raise"))]))
+    assert verdict.data["indeterminate"] == ["a"] and not verdict.passed
+    with pytest.raises(FamilyError) as err:
+        check_linear(theta, mu, TestFamily("t", [("b", _member("raise", "nan"))]))
+    assert err.value.member == "b" and isinstance(err.value.__cause__, DomainError)
+
+
+def test_first_failing_member_in_member_order_wins():
+    from potkit.balayage import FamilyError
+
+    members = [("good", _member("ok", "ok")), ("indeterminate", _member("nan", "raise")),
+               ("rhs-bad", _member("ok", "raise")), ("lhs-bad", _member("raise", "ok"))]
+    with pytest.raises(FamilyError) as err:
+        check_linear(delta(), delta(MU_POINT), TestFamily("t", members))
+    assert err.value.member == "rhs-bad"
+
+
 def test_check_affine_indeterminate_verdict():
     # a grid measure against a member that is -inf on a positive-mass set
     # yields an indeterminate verdict rather than a made-up value

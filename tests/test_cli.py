@@ -140,6 +140,17 @@ def test_console_entry_point():
     assert len(proc.stdout.strip().splitlines()) == 12
 
 
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # scipy.ndimage is most of a cold CLI start; only grid work imports it
+    path = [str(Path(potkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    code = "import sys, potkit.cli; print('scipy.ndimage' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_scenario_test_class_family(tmp_path):
     # a generated positive test-class family: a half-weight sub-measure is
     # swept by the full harmonic measure outside the core

@@ -9,6 +9,7 @@ import pytest
 
 from potkit import balayage, fields, green, measures, quadrature
 from potkit.geometry import Annulus, Ball, GridDomain, point
+from potkit.kernels import k_eval_array
 from potkit.measures import (Atom, BallUniform, GridDensity, Measure, Mollifier,
                              SphereUniform, convolve_balayage, integrate, jordan,
                              restrict, total_mass)
@@ -508,3 +509,188 @@ def test_scaled_and_restricted_layers_match_fresh_components():
                 got = restrict(Measure(2, [c]), S, complement)
                 want = restrict(Measure(2, [type(c)(**args)]), S, complement)
                 assert integrate(got, f) == integrate(want, f)
+
+
+# ---------------------------------------------------------------------------
+# integrate_many against the per-member loop
+
+
+def kernel_loop_values(f, pts):
+    """A kernel field's values the scalar way: a norm, then k_eval_array off the pole."""
+    r = np.linalg.norm(pts - f.kernel_pole[None, :], axis=1)
+    out = np.full(len(pts), -math.inf if f.kernel_order >= 0 else 0.0)
+    ok = r > 0
+    out[ok] = k_eval_array(f.kernel_order, r[ok])
+    return f.kernel_sign * out
+
+
+def integrate_loop(mu, f, seed=0):
+    """Reference: one field at a time through every component, zero weights and
+    infinite values masked out before each dot, as the extended-real sum is defined."""
+    finite, signs = 0.0, set()
+    pole = getattr(f, "kernel_pole", None)
+    for i, c in enumerate(mu.components):
+        newton = None if pole is None else c.newton_potential()
+        if newton is not None:
+            w, v = np.ones(1), f.kernel_sign * newton(pole[None, :])
+        else:
+            pts, w = c.discretize("integrate", seed, i)
+            if not np.any(w):
+                continue
+            v = kernel_loop_values(f, pts) if pole is not None else measures._eval_field(f, pts)
+        live = w != 0.0
+        w, v = w[live], v[live]
+        if np.any(np.isnan(v)):
+            raise measures.IndeterminateIntegral("nan")
+        inf = np.isinf(v)
+        signs.update((np.sign(v[inf]) * np.sign(w[inf])).tolist())
+        finite += float(np.dot(w[~inf], v[~inf]))
+    if 1.0 in signs and -1.0 in signs:
+        raise measures.IndeterminateIntegral("+inf and -inf")
+    return math.inf if 1.0 in signs else -math.inf if -1.0 in signs else finite
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+class _Broken(fields.ScalarField):
+    def __init__(self):
+        super().__init__(lambda pts: (_ for _ in ()).throw(fields.DomainError("off domain")))
+
+
+def _striped_sphere(center, radius, total):
+    """A density-weighted layer whose zero-weight nodes come in irregular stripes,
+    so dropping them moves the other nodes by amounts no SIMD width divides."""
+    c = np.asarray(center, float)
+    return SphereUniform(c, radius, total,
+                         lambda p: np.where(np.cos(41.0 * (p[:, 0] - c[0])) > 0.2,
+                                            1.5 + np.sin(13.0 * p[:, 1]), 0.0))
+
+
+def _many_cases():
+    x2, x3 = point(0.3, -0.2), point(0.2, 0.1, -0.3)
+    om2 = _harmonic_measure(x2)
+    om3 = green.harmonic_measure(green.green_ball(point(0, 0, 0), 1.0, x3, 3), x3)
+    grid = _protocol_cases()["grid-d2"]
+    return {
+        # the last two atoms share a point with opposite weights: +-inf collide there
+        "atoms": Measure(2, [Atom(point(0.1, 0.2), 1.5), Atom(point(-0.4, 0.3), -0.7),
+                             Atom(point(0.5, 0.5), 0.0), Atom(point(0.2, -0.6), 1.0),
+                             Atom(point(0.2, -0.6), -2.0)]),
+        "grid": Measure(2, [grid]),
+        "poisson-d2": om2,
+        "poisson-d3": om3,
+        "newton-layers-d2": Measure(2, [SphereUniform(point(0.1, 0), 0.5, 2.0),
+                                        BallUniform(point(0, 0.1), 0.6, -0.8)]),
+        "mc-sphere-d3": Measure(3, [SphereUniform(point(0, 0, 0.1), 0.4, -1.25),
+                                    BallUniform(point(0.1, 0, 0), 0.5, 1.1)]),
+        "zero-weights": Measure(2, [_striped_sphere(point(0.1, 0.1), 0.5, 1.0),
+                                    _striped_sphere(point(-0.2, 0), 0.3, -0.5)]),
+        "mixed": Measure(2, [Atom(point(0.1, 0.2), 1.5), grid, om2.components[0],
+                             BallUniform(point(0, 0.1), 0.6, -0.8),
+                             Atom(point(0.1, 0.2), -0.25)]),
+        "d1": Measure(1, [Atom(np.array([0.0]), 1.0), Atom(np.array([0.5]), -2.0),
+                          Atom(np.array([0.25]), 0.5)]),
+    }
+
+
+def _many_fields(mu, seed):
+    """Kernel members of signs +-1, 0.3 and 0 at poles on a node of each component (a
+    zero-weight node where there is one), inside and far outside the support,
+    interleaved with plain fields: a strided view, a field -inf on a node, a
+    nan field, one that raises and, in 3-D, a kernel of the wrong dimension."""
+    d = mu.dimension
+    poles = [np.full(d, 2.5), np.full(d, 0.05)]
+    for i, c in enumerate(mu.components):
+        pts, w = c.discretize("integrate", seed, i)
+        poles.append(pts[len(pts) // 3].copy())
+        if np.any(w == 0.0):
+            poles.append(pts[np.flatnonzero(w == 0.0)[0]].copy())
+    plain = [fields.ScalarField(lambda p: np.cos(p[:, 0]) + p[:, -1] ** 2),
+             fields.ScalarField(lambda p: p[:, 0]),
+             fields.ScalarField.log_distance(poles[2]),
+             fields.ScalarField(lambda p: np.where(p[:, 0] > 0.2, np.nan, 1.0)),
+             _Broken()]
+    if d == 3:
+        plain.append(fields.ScalarField.kernel(2, point(0.5, 0.5)))
+    out = []
+    for k, y in enumerate(poles):
+        out += [fields.ScalarField.kernel(d, y, s) for s in (1.0, -1.0, 0.3, 0.0)]
+        out.append(plain[k % len(plain)])
+    return out + plain
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf members
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", list(_many_cases()))
+def test_integrate_many_is_the_member_loop_bit_for_bit(name, seed):
+    mu = _many_cases()[name]
+    fs = _many_fields(mu, seed)
+    want = [_outcome(integrate_loop, mu, f, seed) for f in fs]
+    got = [type(v) if isinstance(v, Exception) else v
+           for v in measures.integrate_many(mu, fs, seed)]
+    assert got == want
+    assert [_outcome(integrate, mu, f, seed) for f in fs] == want
+    # every path of the comparison is taken somewhere in the list
+    assert measures.IndeterminateIntegral in want and fields.DomainError in want
+    assert any(isinstance(v, float) and math.isfinite(v) for v in want)
+
+
+def test_integrate_many_keeps_d1_kernel_zero_on_a_node():
+    mu = Measure(1, [Atom(np.array([0.0]), 1.0), Atom(np.array([0.5]), -2.0)])
+    fs = [fields.ScalarField.kernel(1, np.array([0.0]), s) for s in (1.0, -1.0)]
+    assert measures.integrate_many(mu, fs) == [-1.0, 1.0]
+    assert fs[0](np.array([0.0])) == 0.0
+
+
+def test_family_integral_fills_kernel_tiles_not_members(monkeypatch):
+    # the work and memory gate: 400 members against the 4096-node harmonic measure
+    import tracemalloc
+
+    from potkit import kernels
+
+    x = point(0.3, -0.2)
+    family = balayage.harmonic_kernel_family(
+        Ball(point(0, 0), 1.0), Ball(point(0, 0), 1.5).boundary_points(200))
+    mu = _harmonic_measure(x)
+    nodes = len(mu.components[0].discretize("integrate", 0, 0)[0])  # the built cloud
+    member_calls, fills = [], []
+    for _, h in family.members:
+        monkeypatch.setattr(h, "_evaluator",
+                            lambda pts, ev=h._evaluator: member_calls.append(1) or ev(pts))
+    fill = measures.kernel_rows
+
+    def counting_fill(pts, nds, q, out):
+        fills.append(len(nds))
+        return fill(pts, nds, q, out)
+
+    monkeypatch.setattr(measures, "kernel_rows", counting_fill)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        verdict = balayage.check_linear(atom(x), mu, family)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed and len(verdict.rows) == 400
+    assert member_calls == []
+    assert fills.count(nodes) == math.ceil(200 / kernels.tile_rows(nodes))
+    assert peak < 1 << 20, peak
+
+
+def test_sphere_rule_is_built_once_per_key_and_read_only():
+    v = fields.ScalarField(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2)
+    probes = [(point(0.1 * k, 0.05), 0.2) for k in range(20)]
+    quadrature.sphere_rule.cache_clear()
+    verdict = fields.check_subharmonic(v, probes)
+    info = quadrature.sphere_rule.cache_info()
+    assert verdict.passed and len(verdict.rows) == 20
+    assert (info.misses, info.hits) == (1, 19)
+    nodes, w = quadrature.sphere_rule(2, None)
+    for a in (nodes, w):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
