@@ -41,6 +41,13 @@ def _require(cond, message, where=""):
         raise SchemaError(message, where)
 
 
+def _count(value, least: int, where: str) -> int:
+    """`value` itself when it is an integer >= least (a bool is not), else a SchemaError."""
+    _require(type(value) is int and value >= least,
+             f"must be an integer >= {least}, got {value!r}", where)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # scenario object assembly
 
@@ -172,8 +179,8 @@ def run_scenario(data: dict, seed: int, grid: int, tol_scale: float,
     results, all_margins, all_exports = [], [], {}
     ctx = {"measures": data.get("measures", {}), "fields": data.get("fields", {}),
            "family": data.get("family")}
-    seed = int(data.get("seed", seed))
-    grid = int(data.get("grid", grid))
+    seed = _count(data.get("seed", seed), 0, "seed")
+    grid = _count(data.get("grid", grid), 1, "grid")
     for i, cspec in enumerate(data["checks"]):
         result, margins, exports = _run_check(cspec, ctx, seed, tol_scale, i)
         results.append(result)
@@ -262,6 +269,8 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         try:
+            _count(args.seed, 0, "--seed")
+            _count(args.grid, 1, "--grid")
             if args.preset:
                 if args.preset not in PRESETS:
                     print(f"error: unknown preset {args.preset!r}", file=sys.stderr)

@@ -9,12 +9,11 @@ immutable field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import quadrature
-from .geometry import Annulus, Ball, GridDomain, _Composite, _face_structure
+from .geometry import Annulus, Ball, GridDomain, _Composite
 from .kernels import kernel_rows, riesz_normalizer, k_eval_array
 from .measures import GridDensity, Measure
 from .verdict import Row, Verdict
@@ -22,7 +21,6 @@ from .verdict import Row, Verdict
 __all__ = [
     "ScalarField",
     "GridField",
-    "GluingSpec",
     "GlueError",
     "DomainError",
     "sphere_average",
@@ -162,35 +160,28 @@ class GridField(ScalarField):
 # averages and probes
 
 
-def _require_inside(domain, pts: np.ndarray, what: str):
-    if domain is None:
-        return
-    if not np.all(domain.contains_array(pts)):
+def _sampled_mean(v: ScalarField, x: np.ndarray, r: float, rule, what: str) -> float:
+    """Mean of v under the unit-scale (nodes, weights) `rule` moved to x and scaled by r."""
+    nodes, w = rule
+    pts = x[None, :] + r * nodes
+    if v.domain is not None and not np.all(v.domain.contains_array(pts)):
         raise DomainError(f"{what} leaves the field's domain")
+    vals = v.evaluate_array(pts)
+    if np.any(np.isneginf(vals)):
+        return -math.inf
+    return float(np.dot(w, vals))
 
 
 def sphere_average(v: ScalarField, x, r: float, n: int | None = None) -> float:
     """Mean of v over the sphere of radius r about x."""
     x = np.asarray(x, dtype=float)
-    nodes, w = quadrature.sphere_rule(x.size, n)
-    pts = x[None, :] + r * nodes
-    _require_inside(v.domain, pts, "probe sphere")
-    vals = v.evaluate_array(pts)
-    if np.any(np.isneginf(vals)):
-        return -math.inf
-    return float(np.dot(w, vals))
+    return _sampled_mean(v, x, r, quadrature.sphere_rule(x.size, n), "probe sphere")
 
 
 def ball_average(v: ScalarField, x, r: float) -> float:
     """Mean of v over the solid ball of radius r about x."""
     x = np.asarray(x, dtype=float)
-    nodes, w = quadrature.ball_rule(x.size)
-    pts = x[None, :] + r * nodes
-    _require_inside(v.domain, pts, "probe ball")
-    vals = v.evaluate_array(pts)
-    if np.any(np.isneginf(vals)):
-        return -math.inf
-    return float(np.dot(w, vals))
+    return _sampled_mean(v, x, r, quadrature.ball_rule(x.size), "probe ball")
 
 
 def check_subharmonic(v: ScalarField, probes, tol: float = 1e-6) -> Verdict:
@@ -246,10 +237,7 @@ def riesz_measure(v, grid: GridDomain | None = None) -> Measure:
     d = grid.dimension
     h = grid.spacing
     finite = np.isfinite(values) & grid.mask
-
-    from scipy import ndimage
-
-    interior = ndimage.binary_erosion(grid.mask, _face_structure(d), border_value=0)
+    interior = grid.mask & ~grid.boundary_cells()
     lap = np.zeros(grid.shape)
     stencil_ok = interior.copy()
     neighbor_sum = np.zeros(grid.shape)
@@ -272,21 +260,6 @@ def riesz_measure(v, grid: GridDomain | None = None) -> Measure:
 
 # ---------------------------------------------------------------------------
 # gluing
-
-
-@dataclass
-class GluingSpec:
-    """Data for the gluing constructions; `g` is only used by the quantitative form."""
-
-    O: object
-    O0: object
-    v: ScalarField
-    v0: ScalarField | None = None
-    g: ScalarField | None = None
-    m_v: float = 0.0
-    M_v: float = 0.0
-    m_g: float = 0.0
-    M_g: float = 1.0
 
 
 GLUE_BOUNDARY = 256  # sampled interface points per side of a gluing
@@ -331,16 +304,22 @@ def _boundary_in(region, other, n: int) -> np.ndarray:
     return pts[keep]
 
 
-def glue_max(spec: GluingSpec, tol: float = 1e-6) -> ScalarField:
+def _piecewise(pts: np.ndarray, parts) -> np.ndarray:
+    """Values of a field patched from regions: nan, then each (mask, evaluate) in order."""
+    out = np.full(len(pts), np.nan)
+    for mask, evaluate in parts:
+        if mask.any():
+            out[mask] = evaluate(pts[mask])
+    return out
+
+
+def glue_max(O, O0, v: ScalarField, v0: ScalarField, tol: float = 1e-6) -> ScalarField:
     """Two-sided gluing: v0 on O0\\O, max{v0, v} on the overlap, v on O\\O0.
 
     The boundary-compatibility inequalities are verified on sampled boundary
     points with the inward-offset limsup surrogate; a violation rejects the
-    spec with the offending point.
+    pair with the offending point.
     """
-    O, O0, v, v0 = spec.O, spec.O0, spec.v, spec.v0
-    if v0 is None:
-        raise ValueError("glue_max needs v0")
     overlap = _Composite(O, O0, union=False)
     h = GLUE_OFFSET * O.diameter
 
@@ -356,56 +335,47 @@ def glue_max(spec: GluingSpec, tol: float = 1e-6) -> ScalarField:
     def _eval(pts):
         in_O = O.contains_array(pts)
         in_O0 = O0.contains_array(pts)
-        out = np.full(len(pts), np.nan)
-        only0 = in_O0 & ~in_O
-        if only0.any():
-            out[only0] = v0.evaluate_array(pts[only0])
-        both = in_O & in_O0
-        if both.any():
-            out[both] = np.maximum(v.evaluate_array(pts[both]), v0.evaluate_array(pts[both]))
-        only = in_O & ~in_O0
-        if only.any():
-            out[only] = v.evaluate_array(pts[only])
-        return out
+        return _piecewise(pts, [
+            (in_O0 & ~in_O, v0.evaluate_array),
+            (in_O & in_O0, lambda p: np.maximum(v.evaluate_array(p), v0.evaluate_array(p))),
+            (in_O & ~in_O0, v.evaluate_array)])
 
     return ScalarField(_eval, _Composite(O, O0, union=True))
 
 
-def glue_quantitative(spec: GluingSpec, tol: float = 1e-6) -> ScalarField:
+def glue_quantitative(O, O0, v: ScalarField, g: ScalarField, m_v: float, M_v: float,
+                      m_g: float, M_g: float, tol: float = 1e-6) -> ScalarField:
     """Quantitative gluing: builds v0 from g and the (m_v, M_v, m_g, M_g) bounds.
 
     v0 = (M_v^+ + m_v^-) / (M_g - m_g) * (2 g - M_g - m_g), then the
     two-sided gluing applies.
     """
-    if spec.g is None:
-        raise ValueError("glue_quantitative needs g")
-    if not spec.M_g > spec.m_g:
+    if not M_g > m_g:
         raise ValueError("degenerate spec: need m_g < M_g")
-    if spec.m_v > spec.M_v:
+    if m_v > M_v:
         raise ValueError("need m_v <= M_v")
-    O, O0, v, g = spec.O, spec.O0, spec.v, spec.g
     overlap = _Composite(O, O0, union=False)
     h = GLUE_OFFSET * O.diameter
 
     # sampled Eq-style bound checks before construction
     for x in _boundary_in(O0, O, GLUE_BOUNDARY):
-        if v(x) < spec.m_v - tol:
+        if v(x) < m_v - tol:
             raise GlueError("v drops below m_v on O boundary-of-O0 samples", witness=x)
         est, slack = _approx_limsup(g, x, overlap, h)
-        if est > spec.m_g + tol + 0.5 * slack:
+        if est > m_g + tol + 0.5 * slack:
             raise GlueError("g exceeds m_g on the inner interface", witness=x)
     for x in _boundary_in(O, O0, GLUE_BOUNDARY):
         est, slack = _approx_limsup(v, x, overlap, h)
-        if est > spec.M_v + tol + 0.5 * slack:
+        if est > M_v + tol + 0.5 * slack:
             raise GlueError("v exceeds M_v on the outer interface", witness=x)
-        if g(x) < spec.M_g - tol:
+        if g(x) < M_g - tol:
             raise GlueError("g drops below M_g on the outer interface", witness=x)
 
-    amp = max(spec.M_v, 0.0) + max(-spec.m_v, 0.0)
-    coeff = amp / (spec.M_g - spec.m_g)
-    shift = spec.M_g + spec.m_g
+    amp = max(M_v, 0.0) + max(-m_v, 0.0)
+    coeff = amp / (M_g - m_g)
+    shift = M_g + m_g
     v0 = ScalarField(lambda pts: coeff * (2.0 * g.evaluate_array(pts) - shift), O0)
-    glued = glue_max(GluingSpec(O=O, O0=O0, v=v, v0=v0), tol)
+    glued = glue_max(O, O0, v, v0, tol)
     glued.v0 = v0
     return glued
 
@@ -452,19 +422,13 @@ def glue_with_green(v: ScalarField, green, S_o: Ball, S: Ball, m_v: float, M_v: 
     v0 = ScalarField(v0_eval)
 
     def _eval(pts):
-        pts = np.atleast_2d(pts)
-        out = np.empty(len(pts))
         rho = np.linalg.norm(pts - S_o.center[None, :], axis=1)
         in_So = rho <= S_o.radius
         in_S = S.contains_array(pts) & ~in_So
-        rest = ~(in_So | in_S)
-        if in_So.any():
-            out[in_So] = v0.evaluate_array(pts[in_So])
-        if in_S.any():
-            out[in_S] = np.maximum(v0.evaluate_array(pts[in_S]), v.evaluate_array(pts[in_S]))
-        if rest.any():
-            out[rest] = v.evaluate_array(pts[rest])
-        return out
+        return _piecewise(pts, [
+            (in_So, v0.evaluate_array),
+            (in_S, lambda p: np.maximum(v0.evaluate_array(p), v.evaluate_array(p))),
+            (~(in_So | in_S), v.evaluate_array)])
 
     glued = ScalarField(_eval, ambient)
     glued.amplitude = amp
@@ -570,14 +534,8 @@ def harmonize_layer(v: ScalarField, layer: Annulus, cells: int = 128,
     solution = GridField(grid, values)
 
     def _eval(pts):
-        pts = np.atleast_2d(pts)
         inside = layer.contains_array(pts)
-        out = np.empty(len(pts))
-        if inside.any():
-            out[inside] = solution.evaluate_array(pts[inside])
-        if (~inside).any():
-            out[~inside] = v.evaluate_array(pts[~inside])
-        return out
+        return _piecewise(pts, [(inside, solution.evaluate_array), (~inside, v.evaluate_array)])
 
     result = ScalarField(_eval, v.domain)
     result.solver_grid = solution

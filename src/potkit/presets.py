@@ -14,8 +14,8 @@ import numpy as np
 
 from . import balayage as bal
 from . import duality, green, zeros
-from .fields import (GluingSpec, ScalarField, check_subharmonic, fit_pole_coefficient,
-                     glue_max, glue_quantitative, glue_with_green, random_probes)
+from .fields import (ScalarField, check_subharmonic, fit_pole_coefficient, glue_max,
+                     glue_quantitative, glue_with_green, random_probes)
 from .geometry import Annulus, Ball, GridDomain, point
 from .measures import (Atom, BallUniform, Measure, Mollifier, SphereUniform,
                        convolve_balayage, integrate, total_mass)
@@ -53,22 +53,21 @@ def preset_glue_basic(seed: int, tol_scale: float):
     v = ScalarField.log_distance(point(0, 0), coefficient=2.0) - ScalarField.constant(
         2 * math.log(2))
     v0 = ScalarField.log_distance(point(0, 0)) - ScalarField.constant(math.log(2))
-    V = glue_max(GluingSpec(O=O, O0=O0, v=v, v0=v0), tol=tol)
+    V = glue_max(O, O0, v, v0, tol=tol)
     probes = _probes_avoiding(Ball(point(0, 0), 2.9), 500, seed, holes=[((0.0, 0.0), 0.0)])
     rep = check_subharmonic(V, probes, tol=tol)
     checks.append(Verdict("glue-max accepted + 500-probe sub-mean", rep.passed, rep.rows,
                           {"worst_margin": rep.worst_margin, "probes": len(probes)}))
 
     # trivial identity glue: v0 == v on the same set
-    V_id = glue_max(GluingSpec(O=O0, O0=O0, v=v0, v0=v0), tol=tol)
+    V_id = glue_max(O0, O0, v0, v0, tol=tol)
     pts = np.array([[0.3, 0.2], [-0.8, 0.1], [1.1, -0.4]])
     ident = float(np.max(np.abs(V_id.evaluate_array(pts) - v0.evaluate_array(pts))))
     checks.append(Verdict("glue-max identity case", ident == 0.0, data={"max_diff": ident}))
 
     # incompatible pair must be rejected
     try:
-        glue_max(GluingSpec(O=O, O0=O0, v=ScalarField.constant(0.0, O),
-                            v0=ScalarField.constant(1.0, O0)), tol=tol)
+        glue_max(O, O0, ScalarField.constant(0.0, O), ScalarField.constant(1.0, O0), tol=tol)
         rejected = False
     except Exception:
         rejected = True
@@ -79,8 +78,7 @@ def preset_glue_basic(seed: int, tol_scale: float):
     # overlap annulus 1 < |x| < 2: g ranges over [ln(3/2), ln 3]
     m_g, M_g = math.log(3.0 / 2.0), math.log(3.0)
     vq = ScalarField.constant(0.0, O)
-    spec = GluingSpec(O=O, O0=O0, v=vq, g=g_fn, m_v=0.0, M_v=0.0, m_g=m_g, M_g=M_g)
-    Vq = glue_quantitative(spec, tol=tol)
+    Vq = glue_quantitative(O, O0, vq, g_fn, m_v=0.0, M_v=0.0, m_g=m_g, M_g=M_g, tol=tol)
     zero_amp = float(np.max(np.abs(Vq.evaluate_array(np.array([[0.5, 0.0], [1.5, 0.5]])))))
     checks.append(Verdict("glue-quantitative zero-amplitude case", zero_amp <= tol,
                           data={"max_abs": zero_amp}))
@@ -88,11 +86,10 @@ def preset_glue_basic(seed: int, tol_scale: float):
     # direct substitution M_v=1, m_v=-1, M_g=2, m_g=0: v0 = 2 g - 2
     g_h = ScalarField(lambda pts: -2.0 + 0.25 * (pts[:, 0] ** 2 - pts[:, 1] ** 2))
     vb = ScalarField(lambda pts: 0.5 * pts[:, 1])
-    spec2 = GluingSpec(O=Ball(point(0, 0), 4.0), O0=Ball(point(0, 0), 2.0), v=vb,
-                       g=g_h, m_v=-1.0, M_v=1.0, m_g=0.0, M_g=2.0)
     coeff_pts = np.array([[0.2, 0.1], [-0.5, 0.3], [0.8, -0.8]])
     try:
-        Vq2 = glue_quantitative(spec2, tol=tol)
+        Vq2 = glue_quantitative(Ball(point(0, 0), 4.0), Ball(point(0, 0), 2.0), vb, g_h,
+                                m_v=-1.0, M_v=1.0, m_g=0.0, M_g=2.0, tol=tol)
         got = Vq2.v0.evaluate_array(coeff_pts)
         want = 2.0 * g_h.evaluate_array(coeff_pts) - 2.0
         formula_ok = bool(np.max(np.abs(got - want)) <= 1e-12)

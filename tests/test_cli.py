@@ -259,3 +259,38 @@ def test_sweep_scenario_bytes_survive_other_runs(tmp_path, capsys):
         outs.append((out / "verdicts.json").read_bytes())
     assert outs[0] == outs[2] and outs[0] != outs[1]
     assert json.loads(outs[0])["pass"] is True
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--grid", "-4"), ("--grid", "0")])
+def test_bad_seed_or_grid_flag_is_a_schema_error(tmp_path, capsys, flag, value):
+    code = run_cli(["run", "--preset", "green-ball", flag, value, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "x"), ("grid", "abc"), ("seed", 1.5), ("seed", -1), ("grid", 0), ("grid", -4),
+    ("seed", True), ("grid", True)])
+def test_bad_seed_or_grid_key_is_a_schema_error(tmp_path, capsys, key, value):
+    data = preset_scenario("green-ball")
+    data[key] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}:" in err and repr(value) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_and_grid_keys_override_the_flags(tmp_path):
+    data = preset_scenario("green-ball")
+    data.update(seed=1, grid=16)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["run", str(path), "--seed", "0", "--out", str(tmp_path / "out")]) == 0
+    verdicts = json.loads((tmp_path / "out" / "verdicts.json").read_text())
+    assert (verdicts["seed"], verdicts["grid"]) == (1, 16)
+    rows = (tmp_path / "out" / "fields" / "green_field.csv").read_text().splitlines()
+    assert len(rows) == 1 + 16 * 16

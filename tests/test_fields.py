@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from potkit import fields, green
-from potkit.fields import (SWEEPS_PER_NODE, GluingSpec, GlueError, GridField,
+from potkit.fields import (SWEEPS_PER_NODE, GlueError, GridField,
                            NumericError, ScalarField, check_subharmonic,
                            fit_pole_coefficient, glue_max, glue_quantitative,
                            glue_with_green, harmonize_layer, riesz_measure,
@@ -100,6 +100,26 @@ def test_riesz_measure_linearity():
     assert np.max(np.abs(m_lin - (a * m_u + b * m_w))) <= 1e-10
 
 
+@pytest.mark.parametrize("shape", [(23, 17), (9, 11, 8)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_riesz_stencil_interior_is_the_face_erosion(shape, seed):
+    # random masks, with a component along the low face of the window: the
+    # stencil runs exactly on the face-connected erosion with False outside
+    from scipy import ndimage
+
+    d = len(shape)
+    mask = np.random.default_rng(seed).random(shape) < 0.8
+    mask[0] = True
+    grid = GridDomain(np.zeros(d), 0.1, mask)
+    want = ndimage.binary_erosion(mask, ndimage.generate_binary_structure(d, 1),
+                                  border_value=0)
+    assert want.any() and (mask & ~want).any() and want[1].any()
+    assert np.array_equal(grid.mask & ~grid.boundary_cells(), want)
+    sq = ScalarField(lambda p: np.sum(p ** 2, axis=1))  # Laplacian 2d > 0 everywhere
+    masses = np.asarray(riesz_measure(sq, grid).components[0].values)
+    assert np.array_equal(masses != 0, want)
+
+
 def test_riesz_measure_flags_singular_cells():
     grid = GridDomain(point(-1, -1), 0.25, np.ones((9, 9), bool))
     v = ScalarField.log_distance(point(0, 0))  # -inf exactly on a lattice point
@@ -116,11 +136,11 @@ def _valid_glue_pair():
     v = ScalarField.log_distance(point(0, 0), coefficient=2.0) - ScalarField.constant(
         2 * math.log(2))
     v0 = ScalarField.log_distance(point(0, 0)) - ScalarField.constant(math.log(2))
-    return GluingSpec(O=O, O0=O0, v=v, v0=v0)
+    return O, O0, v, v0
 
 
 def test_glue_max_valid_instance():
-    V = glue_max(_valid_glue_pair())
+    V = glue_max(*_valid_glue_pair())
     # v0 rules the disk, v rules beyond |x| = 2
     assert V(point(0.5, 0)) == pytest.approx(math.log(0.25), rel=1e-12)
     assert V(point(2.5, 0)) == pytest.approx(2 * math.log(1.25), rel=1e-12)
@@ -132,7 +152,7 @@ def test_glue_max_valid_instance():
 def test_glue_max_identity_case():
     O0 = Ball(point(0, 0), 2.0)
     v0 = ScalarField.log_distance(point(0, 0))
-    V = glue_max(GluingSpec(O=O0, O0=O0, v=v0, v0=v0))
+    V = glue_max(O0, O0, v0, v0)
     pts = np.array([[0.7, 0.1], [-1.1, 0.4]])
     assert np.array_equal(V.evaluate_array(pts), v0.evaluate_array(pts))
 
@@ -146,7 +166,7 @@ def test_glue_max_rejects_spec_defect_pair():
     v = ScalarField.constant(0.0, O)
     v0 = ScalarField.log_distance(point(0, 0)) - ScalarField.constant(math.log(2))
     with pytest.raises(GlueError) as err:
-        glue_max(GluingSpec(O=O, O0=O0, v=v, v0=v0))
+        glue_max(O, O0, v, v0)
     assert np.linalg.norm(err.value.witness) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -154,30 +174,25 @@ def test_glue_max_rejects_discontinuous_pair():
     O = Annulus(point(0, 0), 1.0, 3.0)
     O0 = Ball(point(0, 0), 2.0)
     with pytest.raises(GlueError):
-        glue_max(GluingSpec(O=O, O0=O0, v=ScalarField.constant(0.0, O),
-                            v0=ScalarField.constant(1.0, O0)))
+        glue_max(O, O0, ScalarField.constant(0.0, O), ScalarField.constant(1.0, O0))
 
 
 def test_glue_quantitative_formula_and_degenerate():
     g_h = ScalarField(lambda p: -2.0 + 0.25 * (p[:, 0] ** 2 - p[:, 1] ** 2))
     vb = ScalarField(lambda p: 0.5 * p[:, 1])
-    spec = GluingSpec(O=Ball(point(0, 0), 4.0), O0=Ball(point(0, 0), 2.0), v=vb,
-                      g=g_h, m_v=-1.0, M_v=1.0, m_g=0.0, M_g=2.0)
-    V = glue_quantitative(spec)
+    O, O0 = Ball(point(0, 0), 4.0), Ball(point(0, 0), 2.0)
+    V = glue_quantitative(O, O0, vb, g_h, m_v=-1.0, M_v=1.0, m_g=0.0, M_g=2.0)
     pts = np.array([[0.2, 0.1], [-0.5, 0.3]])
     assert np.allclose(V.v0.evaluate_array(pts), 2 * g_h.evaluate_array(pts) - 2.0)
 
-    bad = GluingSpec(O=spec.O, O0=spec.O0, v=vb, g=g_h, m_v=0, M_v=0, m_g=2.0, M_g=2.0)
     with pytest.raises(ValueError):
-        glue_quantitative(bad)
+        glue_quantitative(O, O0, vb, g_h, m_v=0, M_v=0, m_g=2.0, M_g=2.0)
 
 
 def test_glue_quantitative_zero_amplitude():
     g_h = ScalarField(lambda p: -2.0 + 0.25 * (p[:, 0] ** 2 - p[:, 1] ** 2))
-    spec = GluingSpec(O=Ball(point(0, 0), 4.0), O0=Ball(point(0, 0), 2.0),
-                      v=ScalarField.constant(0.0), g=g_h, m_v=0.0, M_v=0.0,
-                      m_g=0.0, M_g=2.0)
-    V = glue_quantitative(spec)
+    V = glue_quantitative(Ball(point(0, 0), 4.0), Ball(point(0, 0), 2.0),
+                          ScalarField.constant(0.0), g_h, m_v=0.0, M_v=0.0, m_g=0.0, M_g=2.0)
     pts = np.array([[0.3, 0.0], [1.5, 0.2], [3.0, 0.1]])
     assert np.max(np.abs(V.evaluate_array(pts))) == 0.0
 
@@ -407,3 +422,144 @@ def test_glue_with_green_d3():
     assert slope == pytest.approx(V.pole_coefficient, rel=0.05)
     far = np.array([[0.8, 0.3, 0.0], [0.0, 0.0, -0.9]])
     assert np.allclose(V.evaluate_array(far), v.evaluate_array(far))
+
+
+# -- region dispatch against the evaluators it replaced ------------------------
+# The three gluing and patching evaluators once wrote out their own region
+# dispatch; these are those bodies, kept as references for fields._piecewise.
+
+
+def _glue_max_reference(O, O0, v, v0):
+    def _eval(pts):
+        in_O = O.contains_array(pts)
+        in_O0 = O0.contains_array(pts)
+        out = np.full(len(pts), np.nan)
+        only0 = in_O0 & ~in_O
+        if only0.any():
+            out[only0] = v0.evaluate_array(pts[only0])
+        both = in_O & in_O0
+        if both.any():
+            out[both] = np.maximum(v.evaluate_array(pts[both]), v0.evaluate_array(pts[both]))
+        only = in_O & ~in_O0
+        if only.any():
+            out[only] = v.evaluate_array(pts[only])
+        return out
+
+    return _eval
+
+
+def _glue_with_green_reference(v, v0, S_o, S):
+    def _eval(pts):
+        pts = np.atleast_2d(pts)
+        out = np.empty(len(pts))
+        rho = np.linalg.norm(pts - S_o.center[None, :], axis=1)
+        in_So = rho <= S_o.radius
+        in_S = S.contains_array(pts) & ~in_So
+        rest = ~(in_So | in_S)
+        if in_So.any():
+            out[in_So] = v0.evaluate_array(pts[in_So])
+        if in_S.any():
+            out[in_S] = np.maximum(v0.evaluate_array(pts[in_S]), v.evaluate_array(pts[in_S]))
+        if rest.any():
+            out[rest] = v.evaluate_array(pts[rest])
+        return out
+
+    return _eval
+
+
+def _harmonize_layer_reference(v, layer, solution):
+    def _eval(pts):
+        pts = np.atleast_2d(pts)
+        inside = layer.contains_array(pts)
+        out = np.empty(len(pts))
+        if inside.any():
+            out[inside] = solution.evaluate_array(pts[inside])
+        if (~inside).any():
+            out[~inside] = v.evaluate_array(pts[~inside])
+        return out
+
+    return _eval
+
+
+def _cloud(seed, d, reach, radii, center):
+    """Seeded uniform points in the cube of half-width `reach`, the center, and
+    the points at each of `radii` along both directions of every axis."""
+    rng = np.random.default_rng(seed)
+    rims = [center + sign * r * e for r in radii for e in np.eye(d) for sign in (1.0, -1.0)]
+    return np.vstack([center + rng.uniform(-reach, reach, (3000, d)), [center], rims])
+
+
+def _assert_same(got, want):
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_glue_max_dispatch_matches_reference(seed):
+    O, O0, v, v0 = _valid_glue_pair()
+    # raise v inside |x| < 1 and v0 beyond |x| = 2, off their own sets, so that
+    # a part evaluated on a wrong region changes the glued values
+    v = v + ScalarField(lambda p: 10.0 * np.maximum(0.0, 1.0 - np.linalg.norm(p, axis=1)))
+    v0 = v0 + ScalarField(lambda p: 10.0 * np.maximum(0.0, np.linalg.norm(p, axis=1) - 2.0))
+    pts = _cloud(seed, 2, 3.5, (1.0, 2.0, 3.0), np.zeros(2))
+    in_O, in_O0 = O.contains_array(pts), O0.contains_array(pts)
+    outside = ~(in_O | in_O0)
+    for region in (in_O0 & ~in_O, in_O & in_O0, in_O & ~in_O0, outside):
+        assert region.sum() >= 8
+    got = glue_max(O, O0, v, v0).evaluate_array(pts)
+    _assert_same(got, _glue_max_reference(O, O0, v, v0)(pts))
+    assert np.all(np.isnan(got[outside])) and not np.isnan(got[~outside]).any()
+    # each rim point lands where membership puts it: |x| = 1 and 3 are outside O
+    rho = np.linalg.norm(pts, axis=1)
+    assert np.all(np.isnan(got[rho == 3.0])) and np.all(got[rho == 2.0] == v(point(2, 0)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_glue_quantitative_dispatch_matches_reference(seed):
+    g_h = ScalarField(lambda p: -2.0 + 0.25 * (p[:, 0] ** 2 - p[:, 1] ** 2))
+    vb = ScalarField(lambda p: 0.5 * p[:, 1])
+    O, O0 = Ball(point(0, 0), 4.0), Ball(point(0, 0), 2.0)
+    V = glue_quantitative(O, O0, vb, g_h, m_v=-1.0, M_v=1.0, m_g=0.0, M_g=2.0)
+    pts = _cloud(seed, 2, 4.5, (2.0, 4.0), np.zeros(2))
+    outside = ~O.contains_array(pts)
+    assert outside.sum() >= 8 and (O0.contains_array(pts)).sum() >= 8
+    got = V.evaluate_array(pts)
+    _assert_same(got, _glue_max_reference(O, O0, vb, V.v0)(pts))
+    assert np.all(np.isnan(got[outside])) and not np.isnan(got[~outside]).any()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_glue_with_green_dispatch_matches_reference(seed):
+    O, S_o, S, gm, v, m_v, M_v = _disk_glue_instance()
+    V = glue_with_green(v, gm, S_o, S, m_v, M_v, ambient=O)
+    # the field's pole (0.8, 0) and the Green pole at the origin are in the cloud
+    pts = np.vstack([_cloud(seed, 2, 1.0, (0.2, 0.6, 0.8), np.zeros(2)), [[0.8, 0.0]]])
+    rho = np.linalg.norm(pts, axis=1)
+    in_So = rho <= 0.2
+    in_S = S.contains_array(pts) & ~in_So
+    for region in (in_So, in_S, ~(in_So | in_S), rho == 0.2, rho == 0.6):
+        assert region.sum() >= 4
+    _assert_same(V.evaluate_array(pts), _glue_with_green_reference(v, V.v0, S_o, S)(pts))
+
+
+def test_glue_with_green_d3_dispatch_matches_reference():
+    S_o, S = Ball(point(0, 0, 0), 0.2), Ball(point(0, 0, 0), 0.6)
+    gm = green.green_ball(point(0, 0, 0), 0.4, point(0, 0, 0), 3)
+    p = point(0.8, 0, 0)
+    v = ScalarField(lambda pts: -1.0 / np.linalg.norm(pts - p, axis=1))
+    V = glue_with_green(v, gm, S_o, S, -1.0 / 0.2, -1.0 / 1.4,
+                        ambient=Ball(point(0, 0, 0), 1.0))
+    pts = _cloud(0, 3, 1.0, (0.2, 0.6), np.zeros(3))
+    _assert_same(V.evaluate_array(pts), _glue_with_green_reference(v, V.v0, S_o, S)(pts))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_harmonize_layer_dispatch_matches_reference(seed):
+    layer = Annulus(point(0.1, -0.05), 0.5, 1.0)
+    v = ScalarField.log_distance(point(0.85, -0.05))  # a pole inside the layer
+    out = harmonize_layer(v, layer, cells=48)
+    pts = _cloud(seed, 2, 1.3, (0.5, 1.0, 0.75), layer.center)
+    inside = layer.contains_array(pts)
+    assert inside.sum() >= 8 and (~inside).sum() >= 8
+    got = out.evaluate_array(pts)
+    _assert_same(got, _harmonize_layer_reference(v, layer, out.solver_grid)(pts))
+    assert not np.isnan(got).any()
