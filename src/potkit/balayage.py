@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .fields import ScalarField, sphere_average
+from .fields import ScalarField, sphere_averages
 from .geometry import Ball
 from .kernels import KernelConfig
 from .measures import (Atom, BallUniform, IndeterminateIntegral, Measure,
@@ -398,6 +398,8 @@ def _validate_family(family: TestFamily, D: Ball, tag: str):
     bnd = S_o.boundary_points(128)
     ring = _ring_samples(S_o, 3 * r, 128, seed=1)
     near_boundary = Ball(D.center, 0.995 * D.radius).boundary_points(64)
+    if tag == "sbh+0o":
+        mid = _ring_samples(Ball(S_o.center, S_o.radius + r), r, 32, seed=2)
     for name, f in family.members:
         vb = f.evaluate_array(bnd)
         if np.max(vb) > b_plus + tol * (1 + abs(b_plus)):
@@ -407,9 +409,9 @@ def _validate_family(family: TestFamily, D: Ball, tag: str):
             if np.min(vr) < b_minus - tol * (1 + abs(b_minus)):
                 raise ValueError(f"member {name} drops below b_minus on the 3r ring")
         elif tag == "sbh+0o":
-            mid = _ring_samples(Ball(S_o.center, S_o.radius + r), r, 32, seed=2)
-            for x in mid:
-                if sphere_average(f, x, r, 512) < b_minus - tol * (1 + abs(b_minus)):
+            # one evaluation of f on all 32 spheres; the first low mean in sphere order raises
+            for avg in sphere_averages(f, mid, r, 512):
+                if avg < b_minus - tol * (1 + abs(b_minus)):
                     raise ValueError(f"member {name} sphere-average drops below b_minus")
         vnb = f.evaluate_array(near_boundary)
         if tag == "sbh00+" and np.max(np.abs(vnb)) > tol:

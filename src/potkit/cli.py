@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -171,6 +172,8 @@ def load_scenario(path: Path) -> dict:
              f"schema must be {SCHEMA_VERSION}", str(path))
     _require(isinstance(data.get("checks"), list) and data["checks"],
              "scenario needs a nonempty checks list", str(path))
+    _require(isinstance(data.get("out", ""), str),
+             f"out must be a string, got {data.get('out')!r}", str(path))
     return data
 
 
@@ -271,6 +274,8 @@ def main(argv=None) -> int:
         try:
             _count(args.seed, 0, "--seed")
             _count(args.grid, 1, "--grid")
+            _require(math.isfinite(args.tol_scale) and args.tol_scale > 0,
+                     f"must be finite and > 0, got {args.tol_scale!r}", "--tol-scale")
             if args.preset:
                 if args.preset not in PRESETS:
                     print(f"error: unknown preset {args.preset!r}", file=sys.stderr)

@@ -9,6 +9,7 @@ immutable field.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "GlueError",
     "DomainError",
     "sphere_average",
+    "sphere_averages",
     "ball_average",
     "check_subharmonic",
     "riesz_measure",
@@ -160,28 +162,47 @@ class GridField(ScalarField):
 # averages and probes
 
 
-def _sampled_mean(v: ScalarField, x: np.ndarray, r: float, rule, what: str) -> float:
-    """Mean of v under the unit-scale (nodes, weights) `rule` moved to x and scaled by r."""
+def _sampled_means(v: ScalarField, centers: np.ndarray, r: float, rule,
+                   what: str) -> Iterator[float]:
+    """Means of v under the unit-scale (nodes, weights) `rule` moved to each row of
+    `centers` and scaled by r, yielded in row order.
+
+    v is evaluated once, on the nodes of every row before the first one whose
+    nodes leave v's domain; reaching that row raises DomainError.  A row
+    holding -inf has mean -inf; any other row is one dot product, so each mean
+    is bit for bit the one a call with that row alone gives.
+    """
     nodes, w = rule
-    pts = x[None, :] + r * nodes
-    if v.domain is not None and not np.all(v.domain.contains_array(pts)):
+    pts = centers[:, None, :] + r * nodes
+    d, stop = pts.shape[2], len(centers)
+    if v.domain is not None:
+        inside = v.domain.contains_array(pts.reshape(-1, d)).reshape(stop, -1).all(axis=1)
+        stop = int(np.argmin(inside)) if not inside.all() else stop
+    if stop:
+        vals = v.evaluate_array(pts[:stop].reshape(-1, d)).reshape(stop, -1)
+        for row in vals:
+            yield -math.inf if np.any(np.isneginf(row)) else float(np.dot(w, row))
+    if stop < len(centers):
         raise DomainError(f"{what} leaves the field's domain")
-    vals = v.evaluate_array(pts)
-    if np.any(np.isneginf(vals)):
-        return -math.inf
-    return float(np.dot(w, vals))
+
+
+def sphere_averages(v: ScalarField, centers, r: float, n: int | None) -> Iterator[float]:
+    """Means of v over the spheres of radius r about the rows of `centers`, in order,
+    with the `quadrature.sphere_rule` of n nodes (its default count for None)."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    return _sampled_means(v, centers, r, quadrature.sphere_rule(centers.shape[1], n),
+                          "probe sphere")
 
 
 def sphere_average(v: ScalarField, x, r: float, n: int | None = None) -> float:
     """Mean of v over the sphere of radius r about x."""
-    x = np.asarray(x, dtype=float)
-    return _sampled_mean(v, x, r, quadrature.sphere_rule(x.size, n), "probe sphere")
+    return next(sphere_averages(v, x, r, n))
 
 
 def ball_average(v: ScalarField, x, r: float) -> float:
     """Mean of v over the solid ball of radius r about x."""
-    x = np.asarray(x, dtype=float)
-    return _sampled_mean(v, x, r, quadrature.ball_rule(x.size), "probe ball")
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return next(_sampled_means(v, x, r, quadrature.ball_rule(x.shape[1]), "probe ball"))
 
 
 def check_subharmonic(v: ScalarField, probes, tol: float = 1e-6) -> Verdict:

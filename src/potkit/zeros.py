@@ -262,16 +262,27 @@ def poincare_lelong_check(f: HoloFunction, grid: GridDomain, window: int = 2,
 # growth criteria suites
 
 
-def _zero_sum(f_zeros, f_mults, v: ScalarField, S_o: Ball, subdivisor=None) -> float:
-    """Sum of v at the zeros outside S_o, weighted by (sub-)multiplicities."""
-    total = 0.0
-    for p, m in zip(f_zeros, f_mults):
-        if S_o.contains(p):
+def _kept_zeros(f_zeros: np.ndarray, f_mults, S_o: Ball, subdivisor):
+    """The zeros outside S_o with a nonzero (sub-)multiplicity, and those weights,
+    in zero order."""
+    kept, weights = [], []
+    for i, (p, m) in enumerate(zip(f_zeros, f_mults)):
+        if S_o.contains(p):  # scalar: norm(x) and norm(X, axis=1) can differ in the last bit
             continue
         w = m if subdivisor is None else subdivisor(p, m)
         if w == 0:
             continue
-        total += w * float(v(np.asarray(p)))
+        kept.append(i)
+        weights.append(w)
+    return f_zeros[kept], weights
+
+
+def _zero_sum(pts: np.ndarray, weights: list, v: ScalarField) -> float:
+    """Sum of v at the rows of pts times their weights: one evaluation, added in row order."""
+    total = 0.0
+    if weights:
+        for w, val in zip(weights, v.evaluate_array(pts)):
+            total += w * float(val)
     return total
 
 
@@ -283,20 +294,20 @@ def _variant(name: str, f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r:
     and the minus part is charged on the ring between; without it the charge
     is integrated off the plain core.
     """
-    zeros_pts = f.zero_points()
-    mults = f.multiplicities
-    mu_M = majorant.charge()
-    mu_minus = majorant.minus_charge()
-    enlarged = Ball(S_o.center, S_o.radius + 3.0 * r)
+    kept, weights = _kept_zeros(f.zero_points(), f.multiplicities, S_o, subdivisor)
+    if ring:
+        enlarged = Ball(S_o.center, S_o.radius + 3.0 * r)
+        mu_out = restrict(majorant.charge(), enlarged, complement=True)
+        ring_minus = restrict(restrict(majorant.minus_charge(), enlarged), S_o,
+                              complement=True)
+    else:
+        mu_out = restrict(majorant.charge(), S_o, complement=True)
     rows = []
     for mname, v in family.members:
-        lhs = _zero_sum(zeros_pts, mults, v, S_o, subdivisor)
+        lhs = _zero_sum(kept, weights, v)
+        rhs = integrate(mu_out, v, seed=seed)
         if ring:
-            rhs = integrate(restrict(mu_M, enlarged, complement=True), v, seed=seed)
-            ring_minus = restrict(restrict(mu_minus, enlarged), S_o, complement=True)
             rhs += -integrate(ring_minus, v, seed=seed)
-        else:
-            rhs = integrate(restrict(mu_M, S_o, complement=True), v, seed=seed)
         m = lhs - rhs
         rows.append(Row(mname, lhs, rhs, m, math.isfinite(m)))
     margins = [r.margin for r in rows]

@@ -301,3 +301,156 @@ def test_prop84_limit_structure():
             assert np.min(vals - prev) >= -1e-12
         assert np.max(vals - cap) <= 1e-9
         prev = vals
+
+
+# ---------------------------------------------------------------------------
+# sbh+0o sphere-mean validation against the per-sphere loop it replaced
+
+
+def _sphere_average_reference(v, x, r, n):
+    """fields.sphere_average as it was: one evaluation and one dot per sphere."""
+    from potkit import quadrature
+    from potkit.fields import DomainError
+
+    nodes, w = quadrature.sphere_rule(x.size, n)
+    pts = x[None, :] + r * nodes
+    if v.domain is not None and not np.all(v.domain.contains_array(pts)):
+        raise DomainError("probe sphere leaves the field's domain")
+    vals = v.evaluate_array(pts)
+    if np.any(np.isneginf(vals)):
+        return -math.inf
+    return float(np.dot(w, vals))
+
+
+def _validate_family_reference(family, D, tag):
+    """balayage._validate_family as it was: mid resampled and one sphere average per
+    sphere for every sbh+0o member."""
+    from potkit.balayage import VALIDATE_TOL, _ring_samples
+
+    tol = VALIDATE_TOL
+    S_o, r, b_minus, b_plus = family.S_o, family.r, family.b_minus, family.b_plus
+    bnd = S_o.boundary_points(128)
+    ring = _ring_samples(S_o, 3 * r, 128, seed=1)
+    near_boundary = Ball(D.center, 0.995 * D.radius).boundary_points(64)
+    for name, f in family.members:
+        vb = f.evaluate_array(bnd)
+        if np.max(vb) > b_plus + tol * (1 + abs(b_plus)):
+            raise ValueError(f"member {name} exceeds b_plus on the S_o boundary")
+        vr = f.evaluate_array(ring)
+        if tag in {"sbh00", "sbh+0"}:
+            if np.min(vr) < b_minus - tol * (1 + abs(b_minus)):
+                raise ValueError(f"member {name} drops below b_minus on the 3r ring")
+        elif tag == "sbh+0o":
+            mid = _ring_samples(Ball(S_o.center, S_o.radius + r), r, 32, seed=2)
+            for x in mid:
+                if _sphere_average_reference(f, x, r, 512) < b_minus - tol * (1 + abs(b_minus)):
+                    raise ValueError(f"member {name} sphere-average drops below b_minus")
+        vnb = f.evaluate_array(near_boundary)
+        if tag == "sbh00+" and np.max(np.abs(vnb)) > tol:
+            raise ValueError(f"member {name} fails compact support near the D boundary")
+        if tag in {"sbh00", "sbh+0", "sbh+0o"} and np.min(vnb) < -1e-5:
+            raise ValueError(f"member {name} is negative near the D boundary")
+
+
+def _outcome(fn, *args):
+    """None, or the type and message of what fn(*args) raises."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+DISK = Ball(point(0, 0), 1.0)
+CORE, R = Ball(point(0, 0), 0.05), 0.03
+
+
+def _mid():
+    from potkit.balayage import _ring_samples
+
+    return _ring_samples(Ball(CORE.center, CORE.radius + R), R, 32, seed=2)
+
+
+def _node(j):
+    """Node 0 of validation sphere j, bit for bit as the validation builds it."""
+    from potkit import quadrature
+
+    return _mid()[j] + R * quadrature.sphere_rule(2, 512)[0][0]
+
+
+def _well(j):
+    """0 except depth 5000 at one node of sphere j: that sphere's mean is about -9.8."""
+    c = _node(j)
+    return ScalarField(lambda pts: np.where(np.all(pts == c, axis=1), -5000.0, 0.0))
+
+
+class _Punctured:
+    """Every point but one: the domain of a member that leaves it at one sphere."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def contains_array(self, pts):
+        return ~np.all(np.atleast_2d(pts) == self.c, axis=1)
+
+
+def _leaves_at(k, member):
+    """member, with a domain that sphere k (and no other sphere) leaves."""
+    return ScalarField(member.evaluate_array, domain=_Punctured(_node(k)))
+
+
+def _sbh0o(*members):
+    return TestFamily("sbh+0o", list(members), S_o=CORE, r=R, b_minus=-1.0, b_plus=3.5)
+
+
+ZERO = ScalarField.constant(0.0)
+ADVERSE_FAMILIES = {
+    "passes": _sbh0o(("zero", ZERO)),
+    "bound-at-5": _sbh0o(("zero", ZERO), ("well", _well(5))),
+    "minus-inf-at-3": _sbh0o(("log", ScalarField.log_distance(_node(3), 0.1))),
+    "domain-at-4": _sbh0o(("punctured", _leaves_at(4, ZERO))),
+    "bound-at-2-before-domain-at-6": _sbh0o(("both", _leaves_at(6, _well(2)))),
+    "domain-at-2-before-bound-at-6": _sbh0o(("both", _leaves_at(2, _well(6)))),
+    "first-member-wins": _sbh0o(("zero", ZERO), ("late", _well(7)), ("early", _well(1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADVERSE_FAMILIES))
+def test_sbh0o_validation_matches_per_sphere_reference(case):
+    from potkit.balayage import _validate_family
+
+    family = ADVERSE_FAMILIES[case]
+    got = _outcome(_validate_family, family, DISK, "sbh+0o")
+    assert got == _outcome(_validate_family_reference, family, DISK, "sbh+0o")
+    expected = {"passes": None, "domain-at-4": "DomainError",
+                "domain-at-2-before-bound-at-6": "DomainError"}.get(case, "ValueError")
+    assert (got and got[0].__name__) == expected
+    if expected == "ValueError":
+        assert got[1].endswith("sphere-average drops below b_minus")
+    if case == "first-member-wins":
+        assert got[1].startswith("member late ")
+
+
+@pytest.mark.parametrize("case", ["bound-at-5", "minus-inf-at-3"])
+def test_sbh0o_adverse_members_fail_at_a_later_sphere(case):
+    # the failing sphere is not the first one, so the batched path must scan in order
+    _, member = ADVERSE_FAMILIES[case].members[-1]
+    means = [_sphere_average_reference(member, x, R, 512) for x in _mid()]
+    first = next(k for k, m in enumerate(means) if m < -1.0)
+    assert first == {"bound-at-5": 5, "minus-inf-at-3": 3}[case]
+    assert case != "minus-inf-at-3" or means[first] == -math.inf
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("b_plus", [1.0, 3.5])  # the polynomial and Blaschke presets
+def test_sphere_averages_match_per_sphere_reference(seed, b_plus):
+    from potkit.balayage import _validate_family
+    from potkit.fields import sphere_averages
+
+    family = build_test_family("sbh+0o", CORE, R, -1.0, b_plus, DISK, seed=seed)
+    assert _outcome(_validate_family_reference, family, DISK, "sbh+0o") is None
+    mid = _mid()
+    for _, f in family.members:
+        got = list(sphere_averages(f, mid, R, 512))
+        assert got == [_sphere_average_reference(f, x, R, 512) for x in mid]
+    assert _validate_family(family, DISK, "sbh+0o") is None

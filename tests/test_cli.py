@@ -294,3 +294,43 @@ def test_seed_and_grid_keys_override_the_flags(tmp_path):
     assert (verdicts["seed"], verdicts["grid"]) == (1, 16)
     rows = (tmp_path / "out" / "fields" / "green_field.csv").read_text().splitlines()
     assert len(rows) == 1 + 16 * 16
+
+
+@pytest.mark.parametrize("value", ["inf", "-1", "0", "nan"])
+def test_bad_tol_scale_flag_is_a_schema_error(tmp_path, capsys, value):
+    code = run_cli(["run", "--preset", "green-ball", "--tol-scale", value,
+                    "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: --tol-scale:" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_finite_positive_tol_scale_still_runs(tmp_path):
+    assert run_cli(["run", "--preset", "green-ball", "--tol-scale", "3",
+                    "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "verdicts.json").read_text())["tol_scale"] == 3.0
+
+
+def test_non_string_out_key_is_a_schema_error(tmp_path, capsys, monkeypatch):
+    data = preset_scenario("green-ball")
+    data["out"] = 5
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "out must be a string, got 5" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
+@pytest.mark.parametrize("value", ["", None])
+def test_empty_or_missing_out_key_writes_nothing(tmp_path, monkeypatch, value):
+    data = preset_scenario("green-ball")
+    if value is not None:
+        data["out"] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["run", str(path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]

@@ -217,3 +217,172 @@ def test_explicit_zero_set_variant():
     by_mult = {int(r.rhs): r.lhs for r in rep.rows}
     assert by_mult[1] == pytest.approx(1.0, rel=0.05)
     assert by_mult[2] == pytest.approx(2.0, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# zero sums against the per-zero loop they replaced
+
+
+def _zero_sum_reference(f_zeros, f_mults, v, S_o, subdivisor):
+    """The loop zeros._zero_sum replaced: one single-point call v(p) per kept zero."""
+    total = 0.0
+    for p, m in zip(f_zeros, f_mults):
+        if S_o.contains(p):
+            continue
+        w = m if subdivisor is None else subdivisor(p, m)
+        if w == 0:
+            continue
+        total += w * float(v(np.asarray(p)))
+    return total
+
+
+def _variant_rows_reference(f, majorant, S_o, r, family, subdivisor, seed, ring):
+    """The member loop zeros._variant replaced: restrictions rebuilt for every member."""
+    from potkit.measures import integrate, restrict
+
+    pts, mults = f.zero_points(), f.multiplicities
+    mu_M, mu_minus = majorant.charge(), majorant.minus_charge()
+    enlarged = Ball(S_o.center, S_o.radius + 3.0 * r)
+    rows = []
+    for mname, v in family.members:
+        lhs = _zero_sum_reference(pts, mults, v, S_o, subdivisor)
+        if ring:
+            rhs = integrate(restrict(mu_M, enlarged, complement=True), v, seed=seed)
+            ring_minus = restrict(restrict(mu_minus, enlarged), S_o, complement=True)
+            rhs += -integrate(ring_minus, v, seed=seed)
+        else:
+            rhs = integrate(restrict(mu_M, S_o, complement=True), v, seed=seed)
+        rows.append((mname, lhs, rhs, lhs - rhs))
+    return rows
+
+
+def _assert_same(got, want):
+    """Equal values of the same type; nan matches nan."""
+    assert type(got) is type(want)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+CORE = Ball(point(0, 0), 0.05)
+ZERO_SETS = {
+    "blaschke": lambda: HoloFunction.blaschke([1 - 2.0 ** (-k) for k in range(1, 11)]),
+    "polynomial": lambda: HoloFunction.polynomial([1, 0, -0.25]),
+    # zeros at the core center, inside it, on its rim (0.03 + 0.04i rounds either way
+    # under norm) and outside it, with multiplicities up to 3
+    "rim": lambda: HoloFunction.explicit(
+        [0.0, 0.01 + 0.02j, 0.05, -0.05j, 0.03 + 0.04j, 0.3 + 0.1j, -0.6j, -0.45 - 0.2j],
+        [1, 2, 1, 3, 1, 2, 1, 3], lambda z: np.ones(len(z)), DISK),
+}
+SUBDIVISORS = {
+    "none": None,
+    "zero-or-half": lambda p, m: 0 if p[0] < 0 else 0.5 * m,
+    "third": lambda p, m: m / 3.0,
+}
+
+
+@pytest.fixture(scope="module")
+def zero_families():
+    from potkit.balayage import build_test_family
+
+    return {(tag, seed): build_test_family(tag, CORE, 0.03, -1.0, 3.5, DISK, seed=seed)
+            for tag in ("sbh+0o", "sbh+0", "sbh00+") for seed in (0, 1)}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("zero_set", sorted(ZERO_SETS))
+@pytest.mark.parametrize("sub", sorted(SUBDIVISORS))
+def test_zero_sum_matches_per_zero_reference(zero_families, seed, zero_set, sub):
+    from potkit.zeros import _kept_zeros, _zero_sum
+
+    f, subdivisor = ZERO_SETS[zero_set](), SUBDIVISORS[sub]
+    pts = f.zero_points()
+    kept, weights = _kept_zeros(pts, f.multiplicities, CORE, subdivisor)
+    for tag in ("sbh+0o", "sbh+0", "sbh00+"):
+        for _, v in zero_families[tag, seed].members:
+            _assert_same(_zero_sum(kept, weights, v),
+                         _zero_sum_reference(pts, f.multiplicities, v, CORE, subdivisor))
+
+
+@pytest.mark.parametrize("sub", sorted(SUBDIVISORS))
+def test_zero_sum_infinite_members_match_reference(sub):
+    from potkit.fields import ScalarField
+    from potkit.green import green_ball
+    from potkit.zeros import _kept_zeros, _zero_sum
+
+    f, subdivisor = ZERO_SETS["rim"](), SUBDIVISORS[sub]
+    pts = f.zero_points()
+    kept, weights = _kept_zeros(pts, f.multiplicities, CORE, subdivisor)
+    minus_inf = ScalarField.log_distance(pts[6])  # -inf at -0.6i
+    plus_inf = green_ball(point(0, 0), 1.0, pts[5], 2)  # +inf at 0.3 + 0.1i
+    members = [minus_inf, plus_inf, minus_inf + plus_inf,
+               ScalarField.log_distance(pts[7], 0.5)]  # -inf at a zero "zero-or-half" drops
+    sums = []
+    for v in members:
+        with np.errstate(invalid="ignore"):  # -inf + inf
+            got = _zero_sum(kept, weights, v)
+            want = _zero_sum_reference(pts, f.multiplicities, v, CORE, subdivisor)
+        _assert_same(got, want)
+        sums.append(got)
+    assert sums[0] == -math.inf and sums[1] == math.inf and math.isnan(sums[2])
+    assert math.isfinite(sums[3]) == (sub == "zero-or-half")
+
+
+@pytest.mark.parametrize("zero_set", ["blaschke", "polynomial"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_variant_rows_match_per_member_reference(zero_families, zero_set, seed):
+    from potkit.zeros import _variant
+
+    f = ZERO_SETS[zero_set]()
+    majorants = [GrowthMajorant.constant(0.0)]
+    if zero_set == "polynomial":  # a nonzero charge with a minus part reaches the ring term
+        from potkit.fields import ScalarField
+        from potkit.measures import BallUniform, Measure
+
+        c = math.log(5.0 / 4.0)
+        majorants = [GrowthMajorant(
+            ScalarField(lambda p: c + 0.5 * np.sum(p ** 2, axis=1)),
+            ScalarField(lambda p: 0.1 * np.sum(p ** 2, axis=1)),
+            Measure(2, [BallUniform(point(0, 0), 1.3, 3.38)]),
+            Measure(2, [BallUniform(point(0, 0), 1.3, 0.676)]))]
+    for majorant in majorants:
+        for tag, ring, sub in (("sbh+0o", True, None), ("sbh+0", False, None),
+                               ("sbh00+", False, SUBDIVISORS["zero-or-half"])):
+            family = zero_families[tag, seed]
+            got = _variant("v", f, majorant, CORE, 0.03, family, sub, seed, ring=ring)
+            want = _variant_rows_reference(f, majorant, CORE, 0.03, family, sub, seed, ring)
+            assert len(got.rows) == len(want)
+            for row, (name, lhs, rhs, margin) in zip(got.rows, want):
+                assert row.member == name
+                for a, b in ((row.lhs, lhs), (row.rhs, rhs), (row.margin, margin)):
+                    _assert_same(a, b)
+
+
+# (GreenModel._evaluate calls, single-point ScalarField.__call__ calls) per zeros preset
+# at seed 0; a count that grows means a per-zero or per-sphere loop came back
+ZEROS_PRESET_WORK = {
+    "zeros-polynomial": (422, 0),
+    "zeros-blaschke": (432, 10),  # the preset's own direct sum over its 10 zeros
+    "zeros-adversarial": (211, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZEROS_PRESET_WORK))
+def test_zeros_preset_work_counters(monkeypatch, name):
+    from potkit.fields import ScalarField
+    from potkit.green import GreenModel
+    from potkit.presets import run_preset
+
+    counts = {"_evaluate": 0, "__call__": 0}
+
+    def counted(cls, attr):
+        fn = getattr(cls, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[attr] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    counted(GreenModel, "_evaluate")
+    counted(ScalarField, "__call__")
+    run_preset(name, 0, 1.0)
+    assert (counts["_evaluate"], counts["__call__"]) == ZEROS_PRESET_WORK[name]
