@@ -20,7 +20,6 @@ import numpy as np
 from . import quadrature
 from .fields import ScalarField, sphere_averages
 from .geometry import Ball
-from .kernels import KernelConfig
 from .measures import (Atom, BallUniform, IndeterminateIntegral, Measure,
                        SphereUniform, integrate_many, restrict)
 from .verdict import Row, Verdict
@@ -196,16 +195,15 @@ def _orbit_diverges(margins: list) -> bool:
 # family constructors
 
 
-def harmonic_kernel_family(S: Ball, probe_points, d: int | None = None) -> TestFamily:
+def harmonic_kernel_family(S: Ball, probe_points) -> TestFamily:
     """Paired +-kernels centered outside clos S; symmetric, so margins are equalities."""
     probe_points = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    d = probe_points.shape[1] if d is None else d
     members = []
     for j, y in enumerate(probe_points):
         if S.closure_contains(y):
             raise ValueError(f"probe point {y} lies in clos S")
-        members.append((f"k+[{j}]", ScalarField.kernel(d, y, +1.0)))
-        members.append((f"k-[{j}]", ScalarField.kernel(d, y, -1.0)))
+        members.append((f"k+[{j}]", ScalarField.kernel(y, +1.0)))
+        members.append((f"k-[{j}]", ScalarField.kernel(y, -1.0)))
     return TestFamily("harmonic-kernels", members, symmetric=True)
 
 
@@ -217,16 +215,15 @@ def standard_jensen_family(D: Ball, x, seed: int = 0) -> TestFamily:
     mass.
     """
     x = np.asarray(x, dtype=float)
-    d = D.dimension
     members = []
     outer = Ball(D.center, 1.25 * D.radius).boundary_points(JENSEN_RING)
     rng = quadrature.rng_for(seed, "jensen-family-jitter")
     inner_radius = 0.55 * D.radius + 0.2 * D.radius * rng.random()
     inner = Ball(D.center, inner_radius).boundary_points(JENSEN_RING)
     for j, y in enumerate(outer):
-        members.append((f"k-out[{j}]", ScalarField.kernel(d, y)))
+        members.append((f"k-out[{j}]", ScalarField.kernel(y)))
     for j, y in enumerate(inner):
-        members.append((f"k-in[{j}]", ScalarField.kernel(d, y)))
+        members.append((f"k-in[{j}]", ScalarField.kernel(y)))
     members.append(("const+1", ScalarField.constant(1.0)))
     members.append(("const-1", ScalarField.constant(-1.0)))
     return TestFamily("subharmonic-kernels", members)
@@ -260,14 +257,14 @@ def build_test_family(tag: str, S_o: Ball, r: float, b_minus: float, b_plus: flo
         raise ValueError(f"unknown class tag {tag!r}")
     if tag == "harmonic-kernels":
         ring = Ball(D.center, 1.5 * D.radius).boundary_points(count)
-        return harmonic_kernel_family(D, ring, D.dimension)
+        return harmonic_kernel_family(D, ring)
     if tag == "harmonic-polynomials":
         return _harmonic_polynomial_family(D.dimension, count)
     if not (b_minus < 0 < b_plus):
         raise ValueError("need b_minus < 0 < b_plus")
 
     o = S_o.center
-    green = green_ball(D.center, D.radius, o, D.dimension)
+    green = green_ball(D.center, D.radius, o)
     g_sup_boundary = float(np.max(green.evaluate_array(S_o.boundary_points(256))))
 
     members = []
@@ -328,11 +325,8 @@ def _lyons_members(S_o: Ball, r: float, b_minus: float, b_plus: float, D: Ball,
     punched balls of the base Lebesgue layer, producing finite negative
     wells while keeping exact compact support.
     """
-    from .kernels import KernelConfig
-
     d = S_o.dimension
     o = S_o.center
-    cfg = KernelConfig(d)
     rho_big = float(np.linalg.norm(S_o.center - D.center)) + S_o.radius + 3 * r \
         + 0.5 * (_dist_to_boundary(S_o, D) - 3 * r)
     rho_big = min(rho_big, 0.95 * D.radius)
@@ -357,7 +351,7 @@ def _lyons_members(S_o: Ball, r: float, b_minus: float, b_plus: float, D: Ball,
     mu_e = Measure(d, base)
     from .potentials import Potential
 
-    raw = Potential(mu_e - theta, cfg)
+    raw = Potential(mu_e - theta)
 
     # scale into the class box: <= b_plus on the S_o boundary, >= b_minus on the ring
     bnd = S_o.boundary_points(128)

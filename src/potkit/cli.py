@@ -83,7 +83,7 @@ def _build_measure(spec: dict, where: str) -> Measure:
             raise SchemaError("harmonic measure needs a numeric point x", where)
         _require(x.shape == ball.center.shape and ball.contains(x),
                  "harmonic measure needs x inside the ball", where)
-        gm = green.green_ball(ball.center, ball.radius, x, len(x))
+        gm = green.green_ball(ball.center, ball.radius, x)
         return green.harmonic_measure(gm, x)
     raise SchemaError(f"unknown measure kind {kind!r}", where)
 
@@ -104,7 +104,7 @@ def _build_family(spec: dict, where: str):
         S = _build_domain(spec["S"], where + ".S")
         ring = Ball(S.center, float(spec.get("ring_radius", 1.5 * S.radius))) \
             .boundary_points(int(spec.get("count", 20)))
-        return bal.harmonic_kernel_family(S, ring, S.dimension)
+        return bal.harmonic_kernel_family(S, ring)
     if spec["kind"] == "test-class":
         return bal.build_test_family(
             spec["tag"], _build_domain(spec["S_o"], where + ".S_o"), float(spec["r"]),

@@ -16,9 +16,9 @@ import numpy as np
 from . import quadrature
 from .fields import GridField, ScalarField, fit_pole_coefficient, riesz_measure
 from .geometry import Ball, GridDomain, _stencil, inward_filled_hull, parallel_set
-from .kernels import KernelConfig, k_eval
+from .kernels import k_eval
 from .measures import Atom, IndeterminateIntegral, Measure, integrate, restrict, total_mass
-from .potentials import difference_potential, potential
+from .potentials import Potential, difference_potential
 from .verdict import Verdict
 
 __all__ = [
@@ -59,7 +59,7 @@ def _certify(mu: Measure, x: np.ndarray, kind: str, D: Ball, seed: int):
         family = standard_jensen_family(D, x, seed=seed)
     elif kind == "arens-singer":
         ring = Ball(D.center, 1.3 * D.radius).boundary_points(24)
-        family = harmonic_kernel_family(D, ring, mu.dimension)
+        family = harmonic_kernel_family(D, ring)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     verdict = check_linear(delta, mu, family, seed=seed)
@@ -81,7 +81,6 @@ def to_potential(mu: Measure, x, kind: str = "jensen", D: Ball | None = None,
     """
     x = np.asarray(x, dtype=float)
     d = mu.dimension
-    cfg = KernelConfig(d)
     radius = max(mu.support_radius(x), 1e-6)
     window = Ball(x, 1.000001 * radius)
     if D is None:
@@ -92,8 +91,8 @@ def to_potential(mu: Measure, x, kind: str = "jensen", D: Ball | None = None,
         raise CertificationError("provided certificate does not pass")
 
     delta = Measure(d, [Atom(x, 1.0)])
-    V = difference_potential(mu, delta, cfg)
-    coeff, r2 = fit_pole_coefficient(V, x, d)
+    V = difference_potential(mu, delta)
+    coeff, r2 = fit_pole_coefficient(V, x)
     if not (math.isfinite(coeff) and r2 >= 0.999):
         raise CertificationError(f"pole-coefficient fit unreliable (r^2 = {r2:.5f})")
 
@@ -204,11 +203,10 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
     from .balayage import check_linear, harmonic_kernel_family
 
     d = mu.dimension
-    cfg = KernelConfig(d)
     radius = max(mu.support_radius(), theta.support_radius()) + 1e-9
     S = Ball(np.zeros(d), radius)
     ring = Ball(S.center, 1.35 * radius).boundary_points(24)
-    verdict = check_linear(theta, mu, harmonic_kernel_family(S, ring, d), seed=seed)
+    verdict = check_linear(theta, mu, harmonic_kernel_family(S, ring), seed=seed)
     if not verdict.passed:
         raise CertificationError(
             f"har-balayage certification failed (witness {verdict.data['witness']})")
@@ -219,8 +217,8 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
         riesz_u = riesz_measure(u, K)
     riesz_K = restrict(riesz_u, K)
 
-    pt_mu = potential(mu, cfg)
-    pt_theta = potential(theta, cfg)
+    pt_mu = Potential(mu)
+    pt_theta = Potential(theta)
     try:
         t_u_theta = integrate(theta, u, seed=seed)
         t_mu_riesz = integrate(riesz_K, pt_mu, seed=seed)

@@ -53,9 +53,8 @@ class GlueError(ValueError):
 class ScalarField:
     """Evaluable extended-real function on a domain."""
 
-    # set on kernel fields sign * K_{d-2}(., y): the pole y, the order d - 2 and the sign
+    # set on kernel fields sign * K_{d-2}(., y): the pole y (d = y.size) and the sign
     kernel_pole = None
-    kernel_order = None
     kernel_sign = 1.0
 
     def __init__(self, evaluator, domain=None):
@@ -86,15 +85,15 @@ class ScalarField:
         return ScalarField(_eval, domain)
 
     @staticmethod
-    def kernel(d: int, y, sign: float = 1.0) -> "ScalarField":
-        """sign * K_{d-2}(x, y) as a field of x."""
+    def kernel(y, sign: float = 1.0) -> "ScalarField":
+        """sign * K_{d-2}(x, y) as a field of x, with d = y.size."""
         y = np.asarray(y, dtype=float)
 
         def _eval(pts):
-            return sign * kernel_rows(y[None, :], pts, d - 2, np.empty((1, len(pts))))[0]
+            return sign * kernel_rows(y[None, :], pts, y.size - 2, np.empty((1, len(pts))))[0]
 
         field = ScalarField(_eval)
-        field.kernel_pole, field.kernel_order, field.kernel_sign = y, d - 2, float(sign)
+        field.kernel_pole, field.kernel_sign = y, float(sign)
         return field
 
     def __add__(self, other) -> "ScalarField":
@@ -287,12 +286,7 @@ GLUE_BOUNDARY = 256  # sampled interface points per side of a gluing
 GLUE_OFFSET = 1e-3  # inward offset of the limsup surrogate, per unit diameter of O
 GREEN_GLUE_SAMPLES = 512  # seeded samples of the bounds of v in glue_with_green
 POLE_FIT_RADII = (1e-2, 3e-3, 1e-3, 3e-4)  # radius ladder of fit_pole_coefficient
-
-
-def _offset_directions(d: int) -> np.ndarray:
-    if d == 2:
-        return quadrature.circle_nodes(8)
-    return quadrature.sphere_spiral_nodes(8)
+OFFSET_DIRECTIONS = 8  # directions of the limsup surrogate and of the pole fit
 
 
 def _approx_limsup(field: ScalarField, x: np.ndarray, inside, h: float):
@@ -303,7 +297,7 @@ def _approx_limsup(field: ScalarField, x: np.ndarray, inside, h: float):
     slack is the largest directional increment, a data-driven allowance for
     the surrogate's residual error.
     """
-    dirs = _offset_directions(x.size)
+    dirs = quadrature._unit_directions(x.size, OFFSET_DIRECTIONS)
     near = x[None, :] + h * dirs
     far = x[None, :] + 2 * h * dirs
     ok = inside.contains_array(near) & inside.contains_array(far)
@@ -459,8 +453,8 @@ def glue_with_green(v: ScalarField, green, S_o: Ball, S: Ball, m_v: float, M_v: 
     return glued
 
 
-def fit_pole_coefficient(field, o, d: int):
-    """Least-squares limit of field(x)/(-K_{d-2}(x, o)) along x -> o.
+def fit_pole_coefficient(field, o):
+    """Least-squares limit of field(x)/(-K_{d-2}(x, o)) along x -> o, with d = o.size.
 
     Fits field = a * (-k_{d-2}(t)) + b over the radius ladder POLE_FIT_RADII
     (direction averaged) and returns (a, r_squared).  Replaces the limsup
@@ -468,7 +462,7 @@ def fit_pole_coefficient(field, o, d: int):
     """
     o = np.asarray(o, dtype=float)
     radii = np.array(POLE_FIT_RADII)
-    dirs = _offset_directions(d)
+    dirs = quadrature._unit_directions(o.size, OFFSET_DIRECTIONS)
     ev = field.evaluate_array if hasattr(field, "evaluate_array") else field
     ys = []
     for t in radii:
@@ -477,7 +471,7 @@ def fit_pole_coefficient(field, o, d: int):
     ys = np.asarray(ys)
     if not np.all(np.isfinite(ys)):
         return math.nan, 0.0  # a sample hit a singularity: no reliable fit
-    xs = -k_eval_array(d - 2, radii)
+    xs = -k_eval_array(o.size - 2, radii)
     A = np.column_stack([xs, np.ones_like(xs)])
     sol, *_ = np.linalg.lstsq(A, ys, rcond=None)
     fit = A @ sol
@@ -500,11 +494,11 @@ class NumericError(RuntimeError):
 SWEEPS_PER_NODE = 16
 
 
-def _neighbor_mean(values: np.ndarray, d: int) -> np.ndarray:
+def _neighbor_mean(values: np.ndarray) -> np.ndarray:
     total = np.zeros_like(values)
-    for axis in range(d):
+    for axis in range(values.ndim):
         total += np.roll(values, 1, axis=axis) + np.roll(values, -1, axis=axis)
-    return total / (2 * d)
+    return total / (2 * values.ndim)
 
 
 def harmonize_layer(v: ScalarField, layer: Annulus, cells: int = 128,
@@ -541,10 +535,10 @@ def harmonize_layer(v: ScalarField, layer: Annulus, cells: int = 128,
     max_sweeps = SWEEPS_PER_NODE * n
     for sweep in range(max_sweeps):
         for color in colors:
-            mean = _neighbor_mean(values, d)
+            mean = _neighbor_mean(values)
             values[color] += omega * (mean[color] - values[color])
         if sweep % 16 == 15 or sweep == max_sweeps - 1:
-            residual = float(np.max(np.abs(_neighbor_mean(values, d)[inner] - values[inner])))
+            residual = float(np.max(np.abs(_neighbor_mean(values)[inner] - values[inner])))
             if residual <= residual_target * scale:
                 converged = True
                 break

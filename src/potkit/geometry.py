@@ -96,14 +96,10 @@ class Ball:
         return np.linalg.norm(pts - self.center[None, :], axis=1) < self.radius - margin
 
     def boundary_points(self, n: int) -> np.ndarray:
-        """n points on the sphere: uniform angles (d=2), spiral nodes (d=3)."""
-        from .quadrature import circle_nodes, sphere_spiral_nodes
+        """n points on the sphere, along `quadrature._unit_directions`."""
+        from .quadrature import _unit_directions
 
-        if self.dimension == 2:
-            return self.center + self.radius * circle_nodes(n)
-        if self.dimension == 3:
-            return self.center + self.radius * sphere_spiral_nodes(n)
-        raise NotImplementedError("boundary sampling implemented for d in {2, 3}")
+        return self.center + self.radius * _unit_directions(self.dimension, n)
 
     def closure_contains(self, x) -> bool:
         if x is INFINITY:
@@ -350,8 +346,9 @@ def inversion(x, o):
     return o + diff / r2
 
 
-def kelvin_transform(u, o, d: int):
-    """Conjugate a field by inversion at o: v(y) = |y-o|^(2-d) * u(o + (y-o)/|y-o|^2).
+def kelvin_transform(u, o):
+    """Conjugate a field by inversion at o: v(y) = |y-o|^(2-d) * u(o + (y-o)/|y-o|^2),
+    with d = len(o).
 
     Preserves (sub)harmonicity; needs d >= 2 and u defined away from o.
     Evaluation at o itself is out of domain (raises from the inversion’s
@@ -359,9 +356,10 @@ def kelvin_transform(u, o, d: int):
     """
     from .fields import ScalarField
 
+    o = _as_point(o)
+    d = len(o)
     if d < 2:
         raise ValueError("kelvin transform needs d >= 2")
-    o = _as_point(o)
 
     def _eval(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .fields import ScalarField
 from .geometry import Ball
-from .kernels import KernelConfig
 from .measures import (Atom, Measure, Mollifier, SphereUniform, convolve_balayage,
                        density_from_spec)
 
@@ -31,19 +30,19 @@ MG_BOUNDARY = 720  # points of the S_o sphere that mg_constant minimizes g over
 
 
 class GreenModel(ScalarField):
-    """Extended Green function of a ball with a designated pole, zero outside."""
+    """Extended Green function of a ball with a designated pole, zero outside;
+    d is the pole's size."""
 
-    def __init__(self, domain: Ball, pole, cfg: KernelConfig):
+    def __init__(self, domain: Ball, pole):
         ScalarField.__init__(self, self._evaluate)
         # the Green domain; field evaluation itself is global (0 outside)
         self.domain = domain
         self.pole = np.asarray(pole, dtype=float)
-        self.cfg = cfg
 
     def _evaluate(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         c, R, a = self.domain.center, self.domain.radius, self.pole
-        d = self.cfg.d
+        d = a.size
         x = pts - c[None, :]
         b = a - c
         rho = np.linalg.norm(b)
@@ -87,17 +86,15 @@ class GreenModel(ScalarField):
         return self
 
 
-def green_ball(center, radius: float, pole, d: int) -> GreenModel:
+def green_ball(center, radius: float, pole) -> GreenModel:
     """Closed-form Green model for B(center, radius) with an interior pole."""
     ball = Ball(np.asarray(center, dtype=float), float(radius))
     pole = np.asarray(pole, dtype=float)
     if not ball.contains(pole):
         raise ValueError("pole must lie strictly inside the ball")
-    if d not in (2, 3):
+    if pole.size not in (2, 3):
         raise NotImplementedError("Green models are built for d in {2, 3}")
-    if pole.size != d:
-        raise ValueError("pole dimension mismatch")
-    return GreenModel(ball, pole, KernelConfig(d))
+    return GreenModel(ball, pole)
 
 
 def mg_constant(green: GreenModel, S_o: Ball) -> float:
@@ -119,7 +116,6 @@ def harmonic_measure(green: GreenModel, x) -> Measure:
     ball = green.domain
     if not ball.contains(x):
         raise ValueError("harmonic measure requires x inside the ball")
-    d = green.cfg.d
     spec = {"kind": "poisson", "x": x.tolist(), "center": ball.center.tolist(),
             "radius": ball.radius}
     if np.allclose(x, ball.center):
@@ -127,7 +123,7 @@ def harmonic_measure(green: GreenModel, x) -> Measure:
     else:
         comp = SphereUniform(ball.center, ball.radius, 1.0,
                              density=density_from_spec(spec), density_spec=spec)
-    return Measure(d, [comp])
+    return Measure(ball.dimension, [comp])
 
 
 def jensen_measure_family(D: Ball, x, kind: str, *, a: float = 0.0, b: float = 1.0,
@@ -152,7 +148,7 @@ def jensen_measure_family(D: Ball, x, kind: str, *, a: float = 0.0, b: float = 1
         if a > 0:
             parts.append(Atom(x, a))
         if b > 0:
-            green = green_ball(D.center, D.radius, x, d)
+            green = green_ball(D.center, D.radius, x)
             parts.extend(harmonic_measure(green, x).scaled(b).components)
         mu = Measure(d, parts)
     elif kind == "mollified":
@@ -171,7 +167,7 @@ def jensen_measure_family(D: Ball, x, kind: str, *, a: float = 0.0, b: float = 1
         for ball, w in sub_balls:
             if not ball.contains(x):
                 raise ValueError("every sub-ball must contain x")
-            green = green_ball(ball.center, ball.radius, x, d)
+            green = green_ball(ball.center, ball.radius, x)
             parts.extend(harmonic_measure(green, x).scaled(w).components)
         mu = Measure(d, parts)
     else:

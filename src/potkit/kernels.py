@@ -13,12 +13,9 @@ two in row tiles of at most TILE_BYTES (``tile_rows``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "KernelConfig",
     "k_eval",
     "k_eval_array",
     "kernel_rows",
@@ -126,31 +123,12 @@ def kernel_rows(pts: np.ndarray, nodes: np.ndarray, q: float, out: np.ndarray) -
     return out
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Ambient dimension d with the derived kernel order q = d - 2."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-
-    @property
-    def q(self) -> int:
-        return self.d - 2
-
-    @property
-    def c_d(self) -> float:
-        return riesz_normalizer(self.d)
-
-
-def riesz_kernel(cfg: KernelConfig, x, y) -> float:
-    """K_{d-2}(x, y) = k_{d-2}(|x-y|); -inf on the diagonal for d >= 2, 0 for d = 1."""
+def riesz_kernel(x, y) -> float:
+    """K_{d-2}(x, y) = k_{d-2}(|x-y|) with d = len(x); -inf on the diagonal for
+    d >= 2, 0 for d = 1."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     r = float(np.linalg.norm(x - y))
     if r == 0.0:
-        return -math.inf if cfg.d >= 2 else 0.0
-    return k_eval(cfg.q, r)
-
+        return -math.inf if len(x) >= 2 else 0.0
+    return k_eval(len(x) - 2, r)

@@ -50,7 +50,7 @@ collision raises.
 ``integrate_many(mu, fields, seed)`` integrates a list of fields in one
 pass over the components, and ``integrate`` is its one-field case, so there
 is one accumulation path.  Kernel fields (``ScalarField.kernel``) are grouped
-by (order, pole).  Against a plain layer they take Newton's closed form;
+by pole.  Against a plain layer they take Newton's closed form;
 against any other component the kernel rows of the distinct poles are filled
 on its node cloud by ``kernels.kernel_rows`` in tiles of at most
 ``kernels.TILE_BYTES``, one kernel pass per component, and each member
@@ -597,25 +597,26 @@ def integrate_many(mu: Measure, fields, seed: int = 0) -> list:
     Entry j is bitwise what integrating ``fields[j]`` alone gives, or the
     exception that integral raises (the first one in component order): a
     failing field does not stop the others.  Kernel fields (``kernel_pole``
-    set, of the charge's dimension) are grouped by (order, pole); on each
-    component's node cloud the kernel rows of the distinct poles are filled
-    in tiles of at most ``kernels.TILE_BYTES`` and every member sharing a
-    row reduces it by its own dot product, ``sign * row`` against the
-    weights.  Other fields are evaluated one by one.
+    set, of the charge's dimension d, so all of order d - 2) are grouped by
+    pole; on each component's node cloud the kernel rows of the distinct
+    poles are filled in tiles of at most ``kernels.TILE_BYTES`` and every
+    member sharing a row reduces it by its own dot product, ``sign * row``
+    against the weights.  Other fields are evaluated one by one.
     """
     fields = list(fields)
     results: list = [None] * len(fields)  # an exception once a member fails
     accs = [_ExtSum() for _ in fields]
-    poles: dict = {}  # kernel order -> {pole bytes: indices of the members with it}
+    q = mu.dimension - 2
+    poles: dict = {}  # pole bytes -> indices of the members with it
     others = []
     for j, f in enumerate(fields):
         pole = getattr(f, "kernel_pole", None)
         if pole is not None and pole.size == mu.dimension:
-            poles.setdefault(f.kernel_order, {}).setdefault(pole.tobytes(), []).append(j)
+            poles.setdefault(pole.tobytes(), []).append(j)
         else:
             others.append(j)
-    kernel_sets = [(q, np.array([fields[g[0]].kernel_pole for g in by_pole.values()]),
-                    list(by_pole.values())) for q, by_pole in poles.items()]
+    groups = list(poles.values())
+    P = np.array([fields[g[0]].kernel_pole for g in groups])
 
     def add(j, w, dense, values, *args):
         """Add values(*args) to member j unless it failed; its first exception is its result."""
@@ -626,15 +627,14 @@ def integrate_many(mu: Measure, fields, seed: int = 0) -> list:
                 results[j] = exc
 
     for i, c in enumerate(mu.components):
-        newton = c.newton_potential() if kernel_sets else None
+        newton = c.newton_potential() if groups else None
         if newton is not None:
             # kernel fields against a plain layer: Newton's closed form at each pole
-            for _, P, groups in kernel_sets:
-                for pole, members in zip(P, groups):
-                    at_pole = newton(pole[None, :])
-                    for j in members:
-                        add(j, _ONE, True, np.multiply, fields[j].kernel_sign, at_pole)
-        if not (others or (kernel_sets and newton is None)):
+            for pole, members in zip(P, groups):
+                at_pole = newton(pole[None, :])
+                for j in members:
+                    add(j, _ONE, True, np.multiply, fields[j].kernel_sign, at_pole)
+        if not (others or (groups and newton is None)):
             continue  # no field needs the node cloud
         pts, w = c.discretize("integrate", seed, i)
         if not np.any(w):
@@ -642,13 +642,12 @@ def integrate_many(mu: Measure, fields, seed: int = 0) -> list:
         dense = bool(np.all(w != 0.0))
         if newton is None:
             rows = tile_rows(len(pts))
-            for q, P, groups in kernel_sets:
-                tile = np.empty((min(rows, len(P)), len(pts)))
-                for a in range(0, len(P), rows):
-                    K = kernel_rows(P[a:a + rows], pts, q, tile[:len(P) - a])
-                    for members, row in zip(groups[a:a + rows], K):
-                        for j in members:
-                            add(j, w, dense, np.multiply, fields[j].kernel_sign, row)
+            tile = np.empty((min(rows, len(P)), len(pts)))
+            for a in range(0, len(P), rows):
+                K = kernel_rows(P[a:a + rows], pts, q, tile[:len(P) - a])
+                for members, row in zip(groups[a:a + rows], K):
+                    for j in members:
+                        add(j, w, dense, np.multiply, fields[j].kernel_sign, row)
         for j in others:
             add(j, w, dense, _eval_field, fields[j], pts)
 

@@ -34,14 +34,13 @@ import numpy as np
 
 from . import quadrature
 from .fields import ScalarField
-from .kernels import KernelConfig, k_eval, k_eval_array, kernel_rows, tile_rows
+from .kernels import k_eval, k_eval_array, kernel_rows, tile_rows
 from .measures import Atom, GridDensity, Measure, total_mass
 from .verdict import Row, Verdict
 
 __all__ = [
     "DomValue",
     "Potential",
-    "potential",
     "difference_potential",
     "asymptotic_check",
     "lower_bound_check",
@@ -140,13 +139,10 @@ class DomValue:
 
 
 class Potential(ScalarField):
-    """Kernel potential of a compactly supported charge."""
+    """Kernel potential of a compactly supported charge under K_{d-2}, d its dimension."""
 
-    def __init__(self, charge: Measure, cfg: KernelConfig):
-        if cfg.d != charge.dimension:
-            raise ValueError("kernel dimension must match the charge")
+    def __init__(self, charge: Measure):
         self.charge = charge
-        self.cfg = cfg
         self._atoms: list[tuple[np.ndarray, float]] = []
         self._closed: list = []  # exact radial potentials of plain layers
         self._cloud_pts: list[np.ndarray] = []
@@ -177,17 +173,11 @@ class Potential(ScalarField):
     def _evaluate(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         out = np.zeros(len(pts))
-        q = self.cfg.q
+        q = self.charge.dimension - 2
+        row = np.empty((1, len(pts)))
         for x, w in self._atoms:
-            if w == 0.0:
-                continue
-            r = np.linalg.norm(pts - x[None, :], axis=1)
-            hit = r == 0.0
-            contrib = np.empty(len(r))
-            contrib[~hit] = w * k_eval_array(q, r[~hit])
-            # at the atom itself: K = -inf for d >= 2; sign follows the weight
-            contrib[hit] = 0.0 if self.cfg.d == 1 else -math.copysign(math.inf, w)
-            out += contrib
+            if w != 0.0:  # 0 * -inf would put nan on a massless atom
+                out += w * kernel_rows(x[None, :], pts, q, row)[0]
         for newton in self._closed:
             out += newton(pts)
         for nodes, w in zip(self._cloud_pts, self._cloud_w):
@@ -201,7 +191,8 @@ class Potential(ScalarField):
         centers, masses = g.discretize()
         if not len(masses):
             return np.zeros(len(pts))
-        d, q = self.cfg.d, self.cfg.q
+        d = self.charge.dimension
+        q = d - 2
         out = _chunked_kernel_sum(pts, centers, masses, q)
         # when an evaluation point lies inside a charged cell, replace that
         # cell's point-kernel contribution by the exact potential of the
@@ -275,14 +266,9 @@ def _chunked_kernel_sum(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
     return out
 
 
-def potential(mu: Measure, cfg: KernelConfig) -> Potential:
-    """Potential field of the charge under the dimension-d Riesz kernel."""
-    return Potential(mu, cfg)
-
-
-def difference_potential(mu: Measure, theta: Measure, cfg: KernelConfig) -> Potential:
+def difference_potential(mu: Measure, theta: Measure) -> Potential:
     """Potential of mu - theta (value at infinity is 0 when the masses match)."""
-    diff = Potential(mu - theta, cfg)
+    diff = Potential(mu - theta)
     diff.value_at_infinity = 0.0
     return diff
 
@@ -291,29 +277,26 @@ def difference_potential(mu: Measure, theta: Measure, cfg: KernelConfig) -> Pote
 # asymptotics and lower bounds
 
 
-def asymptotic_check(mu: Measure, radii, cfg: KernelConfig | None = None) -> Verdict:
+def asymptotic_check(mu: Measure, radii) -> Verdict:
     """Check pt_mu(x) = m k_{d-2}(|x|) + O(1/|x|^{d-1}) on the given radii.
 
     Needs every radius beyond twice the support radius.  The scaled error
     must not grow by more than RATIO_CAP between consecutive radii (errors
     below ASYMPTOTIC_FLOOR count as zero).
     """
-    cfg = cfg or KernelConfig(mu.dimension)
-    pt = potential(mu, cfg)
+    d = mu.dimension
+    pt = Potential(mu)
     m = pt.total_mass()
     support = mu.support_radius()
     radii = sorted(float(R) for R in radii)
     if radii[0] < 2.0 * support:
         raise ValueError(f"radii must exceed twice the support radius {support:.3g}")
-    if cfg.d == 2:
-        dirs = quadrature.circle_nodes(ASYMPTOTIC_DIRECTIONS)
-    else:
-        dirs = quadrature.sphere_spiral_nodes(ASYMPTOTIC_DIRECTIONS)
+    dirs = quadrature._unit_directions(d, ASYMPTOTIC_DIRECTIONS)
     rows, prev = [], None
     for R in radii:
         pts = R * dirs
-        err = float(np.max(np.abs(pt.evaluate_array(pts) - m * k_eval(cfg.q, R))
-                            * R ** (cfg.d - 1)))
+        err = float(np.max(np.abs(pt.evaluate_array(pts) - m * k_eval(d - 2, R))
+                            * R ** (d - 1)))
         # the first radius has nothing to grow from: its cap is +inf
         cap = math.inf if prev is None else RATIO_CAP * max(prev, ASYMPTOTIC_FLOOR)
         ok = prev is None or max(prev, err) <= ASYMPTOTIC_FLOOR or err <= cap
@@ -341,14 +324,14 @@ def lower_bound_check(mu: Measure, L, o=None, tol: float = 1e-9, seed: int = 0) 
     Without o: inf_L pt_mu >= m k_{d-2}(dist(L, supp mu)).  With o (not in
     L): inf_L pt_{mu - delta_o} >= the same minus k_{d-2}(sup_L |x - o|).
     """
-    cfg = KernelConfig(mu.dimension)
+    q = mu.dimension - 2
     m = total_mass(mu)
     support = mu.support_points()
     gap = _set_distance(L, support)
-    bound = -math.inf if gap == 0.0 else m * k_eval(cfg.q, gap)
+    bound = -math.inf if gap == 0.0 else m * k_eval(q, gap)
     probes = _probe_points(L, LOWER_BOUND_PROBES, seed)
     if o is None:
-        pt = potential(mu, cfg)
+        pt = Potential(mu)
         observed = float(np.min(pt.evaluate_array(probes)))
         variant = "interior"
     else:
@@ -356,9 +339,9 @@ def lower_bound_check(mu: Measure, L, o=None, tol: float = 1e-9, seed: int = 0) 
         if L.closure_contains(o):
             raise ValueError("o must lie outside L")
         delta = Measure(mu.dimension, [Atom(o, 1.0)])
-        pt = difference_potential(mu, delta, cfg)
+        pt = difference_potential(mu, delta)
         sup_dist = float(np.linalg.norm(L.center - o) + L.radius)
-        bound = bound - k_eval(cfg.q, sup_dist)
+        bound = bound - k_eval(q, sup_dist)
         observed = float(np.min(pt.evaluate_array(probes)))
         variant = "difference"
     passed = bool(observed >= bound - tol)

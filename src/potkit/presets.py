@@ -42,6 +42,21 @@ def _probes_avoiding(domain, n, seed, holes=(), min_r=2e-3):
     raise ValueError(f"only {len(out)} of {n} probes avoid the holes")
 
 
+def _annulus_draws(rng, n: int, r_in: float, r_out: float) -> np.ndarray:
+    """First n planar draws ``rng.uniform(-r_out, r_out, 2)`` with r_in < |x| < r_out.
+
+    One candidate at a time, not quadrature.sample_in: uniform(lo, hi) rounds
+    differently from center + half * (2u - 1), and callers sharing one
+    generator would see block draws shift their later points.
+    """
+    pts = []
+    while len(pts) < n:
+        x = rng.uniform(-r_out, r_out, 2)
+        if r_in < np.linalg.norm(x) < r_out:
+            pts.append(x)
+    return np.array(pts)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -74,7 +89,7 @@ def preset_glue_basic(seed: int, tol_scale: float):
     checks.append(Verdict("glue-max rejects discontinuous pair", rejected))
 
     # quantitative form: coefficient formula and sub-mean probes
-    g_fn = green.green_ball(point(0, 0), 3.0, point(0, 0), 2)
+    g_fn = green.green_ball(point(0, 0), 3.0, point(0, 0))
     # overlap annulus 1 < |x| < 2: g ranges over [ln(3/2), ln 3]
     m_g, M_g = math.log(3.0 / 2.0), math.log(3.0)
     vq = ScalarField.constant(0.0, O)
@@ -115,7 +130,7 @@ def preset_glue_green(seed: int, tol_scale: float):
     p = point(0.8, 0)
     v = ScalarField.log_distance(p)
     m_v, M_v = math.log(0.2), math.log(1.4)
-    gm = green.green_ball(D.center, D.radius, point(0, 0), 2)
+    gm = green.green_ball(D.center, D.radius, point(0, 0))
     V = glue_with_green(v, gm, S_o, S, m_v, M_v, ambient=O, tol=tol)
     amp = V.amplitude
     checks.append(Verdict("glue-green constants", abs(V.M_g - math.log(2.0)) < 1e-12,
@@ -127,16 +142,8 @@ def preset_glue_green(seed: int, tol_scale: float):
     checks.append(Verdict("glue-green 500-probe sub-mean", rep.passed, rep.rows,
                           {"worst_margin": rep.worst_margin}))
 
-    # these rng.uniform loops stay scalar rather than use quadrature.sample_in:
-    # uniform(lo, hi) rounds differently from center + half * (2u - 1), and the
-    # two loops share one generator, so block draws would shift the second set
     rng = np.random.default_rng(seed + 1)
-    ring_pts = []
-    while len(ring_pts) < 200:
-        x = rng.uniform(-0.6, 0.6, size=2)
-        if 0.2 < np.linalg.norm(x) < 0.6:
-            ring_pts.append(x)
-    ring_pts = np.array(ring_pts)
+    ring_pts = _annulus_draws(rng, 200, 0.2, 0.6)
     Vv = V.evaluate_array(ring_pts)
     vv = v.evaluate_array(ring_pts)
     gv = gm.evaluate_array(ring_pts)
@@ -146,12 +153,7 @@ def preset_glue_green(seed: int, tol_scale: float):
                           data={"min_over_v": float(np.min(Vv - vv)),
                                 "max_under_cap": float(np.max(Vv - upper))}))
 
-    core_pts = []
-    while len(core_pts) < 100:
-        x = rng.uniform(-0.2, 0.2, size=2)
-        if 1e-3 < np.linalg.norm(x) < 0.2:
-            core_pts.append(x)
-    core_pts = np.array(core_pts)
+    core_pts = _annulus_draws(rng, 100, 1e-3, 0.2)
     Vc = V.evaluate_array(core_pts)
     cap = 2.0 * (amp / V.M_g) * gm.evaluate_array(core_pts)
     core_ok = bool(np.all(Vc >= -tol) and np.all(Vc <= cap + tol))
@@ -159,7 +161,7 @@ def preset_glue_green(seed: int, tol_scale: float):
                           data={"min": float(np.min(Vc)),
                                 "max_under_cap": float(np.max(Vc - cap))}))
 
-    slope, r2 = fit_pole_coefficient(V, point(0, 0), 2)
+    slope, r2 = fit_pole_coefficient(V, point(0, 0))
     target = V.pole_coefficient
     ratio_ok = abs(slope - target) <= 0.05 * abs(target) and r2 >= 0.999
     checks.append(Verdict("glue-green pole-ratio fit within 5%", bool(ratio_ok),
@@ -174,11 +176,11 @@ def preset_glue_green(seed: int, tol_scale: float):
 
 def preset_green_ball(seed: int, tol_scale: float):
     checks = []
-    g2 = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    g2 = green.green_ball(point(0, 0), 1.0, point(0, 0))
     val = g2(point(0.5, 0))
     checks.append(Verdict("unit-disk g(0.5 e1, 0) = ln 2", abs(val - math.log(2)) <= 1e-9,
                           data={"value": val}))
-    g3 = green.green_ball(point(0, 0, 0), 1.0, point(0, 0, 0), 3)
+    g3 = green.green_ball(point(0, 0, 0), 1.0, point(0, 0, 0))
     val3 = g3(point(0.5, 0, 0))
     checks.append(Verdict("unit-ball d=3 g(0.5 e1, 0) = 1", abs(val3 - 1.0) <= 1e-9,
                           data={"value": val3}))
@@ -190,7 +192,7 @@ def preset_green_ball(seed: int, tol_scale: float):
                                and np.max(np.abs(outside)) == 0.0),
                           data={"max_boundary": float(np.max(np.abs(bnd)))}))
 
-    ga = green.green_ball(point(0, 0), 1.0, point(0.3, 0.2), 2)
+    ga = green.green_ball(point(0, 0), 1.0, point(0.3, 0.2))
     rng = np.random.default_rng(seed)
     worst_sym = 0.0
     for _ in range(100):
@@ -198,8 +200,8 @@ def preset_green_ball(seed: int, tol_scale: float):
         x2 = rng.uniform(-0.7, 0.7, 2)
         if np.linalg.norm(x1 - x2) < 1e-3:
             continue
-        gx = green.green_ball(point(0, 0), 1.0, x1, 2)
-        gy = green.green_ball(point(0, 0), 1.0, x2, 2)
+        gx = green.green_ball(point(0, 0), 1.0, x1)
+        gy = green.green_ball(point(0, 0), 1.0, x2)
         worst_sym = max(worst_sym, abs(gx(x2) - gy(x1)))
     checks.append(Verdict("Green symmetry at 100 pairs", worst_sym <= 1e-9,
                           data={"worst": worst_sym}))
@@ -209,7 +211,7 @@ def preset_green_ball(seed: int, tol_scale: float):
     ok, worst = ga.harmonic_off_pole_report(probes, tol=1e-8 * tol_scale)
     checks.append(Verdict("mean-value equality off the pole", ok, data={"worst": worst}))
 
-    slope, r2 = fit_pole_coefficient(ga, point(0.3, 0.2), 2)
+    slope, r2 = fit_pole_coefficient(ga, point(0.3, 0.2))
     checks.append(Verdict("pole expansion g = -K + O(1)",
                           abs(slope - 1.0) <= 1e-6 and r2 >= 0.999,
                           data={"slope": slope, "r2": r2}))
@@ -226,14 +228,8 @@ def preset_green_ball(seed: int, tol_scale: float):
     checks.append(Verdict("M_g positive for shifted S_o", mg_s > 0, data={"M_g": mg_s}))
 
     # domination: g - M_g >= 0 on S_o minus the pole
-    # scalar rng.uniform loop, not sample_in: uniform(lo, hi) rounds differently
-    rng2 = np.random.default_rng(seed + 2)
-    pts = []
-    while len(pts) < 500:
-        x = rng2.uniform(-0.2, 0.2, 2)
-        if 1e-6 < np.linalg.norm(x) < 0.2:
-            pts.append(x)
-    vals = g2.evaluate_array(np.array(pts)) - mg
+    pts = _annulus_draws(np.random.default_rng(seed + 2), 500, 1e-6, 0.2)
+    vals = g2.evaluate_array(pts) - mg
     checks.append(Verdict("domination g >= M_g on S_o", bool(np.min(vals) >= -1e-9),
                           data={"min_excess": float(np.min(vals))}))
     return checks, {"green_field": (g2, 1.2)}
@@ -241,7 +237,7 @@ def preset_green_ball(seed: int, tol_scale: float):
 
 def preset_harmonic_measure(seed: int, tol_scale: float):
     checks = []
-    g2 = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    g2 = green.green_ball(point(0, 0), 1.0, point(0, 0))
     x = point(0.5, 0)
     om = green.harmonic_measure(g2, x)
     mass = total_mass(om)
@@ -266,7 +262,7 @@ def preset_harmonic_measure(seed: int, tol_scale: float):
                           worst <= 1e-8 * tol_scale, rows, {"worst": worst}))
 
     # d=3 reproduction through the product rule
-    g3 = green.green_ball(point(0, 0, 0), 1.0, point(0, 0, 0), 3)
+    g3 = green.green_ball(point(0, 0, 0), 1.0, point(0, 0, 0))
     om3 = green.harmonic_measure(g3, point(0.3, 0.1, -0.2))
     h3 = ScalarField(lambda p: p[:, 0] ** 2 - p[:, 2] ** 2)
     got3 = integrate(om3, h3, seed=seed)
@@ -299,7 +295,7 @@ def preset_harmonic_measure(seed: int, tol_scale: float):
 def preset_balayage_mass(seed: int, tol_scale: float):
     checks = []
     d = 2
-    g2 = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    g2 = green.green_ball(point(0, 0), 1.0, point(0, 0))
     theta = Measure(d, [Atom(point(0, 0), 1.0)])
     om = green.harmonic_measure(g2, point(0, 0))
 
@@ -319,7 +315,7 @@ def preset_balayage_mass(seed: int, tol_scale: float):
     checks.append(Verdict("Prop 5.2(3) subfamily keeps the pass", verdict_sub.passed))
 
     # Prop 5.6 closure under mollification
-    mu_j = green.harmonic_measure(green.green_ball(point(0, 0), 0.7, point(0, 0), 2),
+    mu_j = green.harmonic_measure(green.green_ball(point(0, 0), 0.7, point(0, 0)),
                                   point(0, 0))
     moll = Mollifier(0.1, d)
     beta = convolve_balayage(mu_j, moll, Ball(point(0, 0), 1.0))
@@ -360,9 +356,9 @@ def preset_lyons_example(seed: int, tol_scale: float):
     checks.append(Verdict("harmonic kernel family passes", v1.passed, v1.rows,
                           {"worst_margin": v1.worst_margin}))
 
-    members = [(f"k@atom[{j}]", ScalarField.kernel(2, e)) for j, e in enumerate(pts)]
+    members = [(f"k@atom[{j}]", ScalarField.kernel(e)) for j, e in enumerate(pts)]
     near = pts * (1.0 + 1e-4)
-    members += [(f"k@near[{j}]", ScalarField.kernel(2, e)) for j, e in enumerate(near)]
+    members += [(f"k@near[{j}]", ScalarField.kernel(e)) for j, e in enumerate(near)]
     fam_s = bal.TestFamily("subharmonic-kernels", members)
     v2 = bal.check_linear(theta, mu_E, fam_s, tol_scale=1e-7 * tol_scale, seed=seed)
     witness = v2.data["witness"]
@@ -375,12 +371,12 @@ def preset_lyons_example(seed: int, tol_scale: float):
 def _pj_instances(seed: int):
     """The twelve (theta, mu, u, riesz_u, K) verification instances."""
     d = 2
-    g1 = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    g1 = green.green_ball(point(0, 0), 1.0, point(0, 0))
     om0 = green.harmonic_measure(g1, point(0, 0))
     x1 = point(0.3, -0.2)
-    gx = green.green_ball(point(0, 0), 1.0, x1, 2)
+    gx = green.green_ball(point(0, 0), 1.0, x1)
     omx = green.harmonic_measure(gx, x1)
-    g07 = green.green_ball(point(0, 0), 0.7, point(0, 0), 2)
+    g07 = green.green_ball(point(0, 0), 0.7, point(0, 0))
     om07 = green.harmonic_measure(g07, point(0, 0))
 
     delta0 = Measure(d, [Atom(point(0, 0), 1.0)])
@@ -408,11 +404,11 @@ def _pj_instances(seed: int):
     K_sq = Ball(point(0, 0), 1.0 + 1e-9)
 
     # d=3: off-center harmonic measure (Poisson product rule) and a kernel u
-    g3 = green.green_ball(point(0, 0, 0), 1.0, point(0.2, 0.0, 0.1), 3)
+    g3 = green.green_ball(point(0, 0, 0), 1.0, point(0.2, 0.0, 0.1))
     om3 = green.harmonic_measure(g3, point(0.2, 0.0, 0.1))
     th3 = Measure(3, [Atom(point(0.2, 0.0, 0.1), 1.0)])
     a3 = point(0.4, 0.1, -0.2)
-    u3 = ScalarField.kernel(3, a3)
+    u3 = ScalarField.kernel(a3)
     r3 = Measure(3, [Atom(a3, 1.0)])
 
     return [
@@ -434,7 +430,7 @@ def _pj_instances(seed: int):
 def preset_classical_pj(seed: int, tol_scale: float):
     checks = []
     d = 2
-    g1 = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    g1 = green.green_ball(point(0, 0), 1.0, point(0, 0))
     om = green.harmonic_measure(g1, point(0, 0))
     theta = Measure(d, [Atom(point(0, 0), 1.0)])
     a = point(0.5, 0)
@@ -483,12 +479,12 @@ def preset_duality_roundtrip(seed: int, tol_scale: float):
     d = 2
     x0 = point(0, 0)
     D = Ball(x0, 1.0)
-    g1 = green.green_ball(x0, 1.0, x0, 2)
+    g1 = green.green_ball(x0, 1.0, x0)
 
     def mk_as(i):
         # Arens-Singer (harmonic-measure based) samples
         radius = 0.55 + 0.08 * i
-        gg = green.green_ball(x0, radius, x0, 2)
+        gg = green.green_ball(x0, radius, x0)
         return green.harmonic_measure(gg, x0)
 
     def mk_jensen(i):
@@ -500,7 +496,7 @@ def preset_duality_roundtrip(seed: int, tol_scale: float):
             # the smooth-class measures of the restricted bijection; the
             # mollification radius follows the fixed 0.1 * dist(supp, bd D) rule
             R_sub = 0.5 + 0.05 * i
-            om_sub = green.harmonic_measure(green.green_ball(x0, R_sub, x0, 2), x0)
+            om_sub = green.harmonic_measure(green.green_ball(x0, R_sub, x0), x0)
             return convolve_balayage(om_sub, Mollifier(0.1 * (1.0 - R_sub), 2),
                                      Ball(x0, 1.0), cells_per_radius=6)
         sub = [(Ball(x0, 0.5), 0.5), (Ball(x0, 0.8), 0.5)]
@@ -542,7 +538,7 @@ def preset_duality_roundtrip(seed: int, tol_scale: float):
     checks.append(Verdict("round-trip error decreases at h=0.01", improve_ok, improve_rows))
 
     # Lemma-style domination: potentials of swept measures sit under the Green function
-    om09 = green.harmonic_measure(green.green_ball(x0, 0.9, x0, 2), x0)
+    om09 = green.harmonic_measure(green.green_ball(x0, 0.9, x0), x0)
     V9 = duality.to_potential(om09, x0, kind="jensen", seed=seed, tol=1e-8 * tol_scale)
     pl = duality.phragmen_lindelof_bound(V9, g1, S_o=Ball(x0, 0.1), r=0.05,
                                          tol=1e-7 * tol_scale, seed=seed)
@@ -596,7 +592,7 @@ def preset_zeros_blaschke(seed: int, tol_scale: float):
                           data=rep.data["variants"]))
 
     # the clipped-Green member reproduces the direct zero sum
-    gm = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    gm = green.green_ball(point(0, 0), 1.0, point(0, 0))
     c = 1e-4
     direct = sum(max(gm(point(z, 0)) - c, 0.0) for z in zs)
     oracle = sum(math.log(1.0 / z) for z in zs)

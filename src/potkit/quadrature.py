@@ -65,6 +65,18 @@ def sphere_spiral_nodes(n: int) -> np.ndarray:
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
+def _unit_directions(d: int, n: int) -> np.ndarray:
+    """n unit vectors in R^d: +1, -1, +1, ... (d = 1), `circle_nodes` (d = 2),
+    `sphere_spiral_nodes` (d = 3)."""
+    if d == 1:
+        return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None]
+    if d == 2:
+        return circle_nodes(n)
+    if d == 3:
+        return sphere_spiral_nodes(n)
+    raise NotImplementedError(f"direction sets for d in {{1, 2, 3}}, got d={d}")
+
+
 @functools.cache
 def sphere_rule(d: int, n: int | None = None):
     """Nodes and weights for the mean over the unit sphere (weights sum to 1).

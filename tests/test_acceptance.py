@@ -13,7 +13,6 @@ from potkit import green, kernels, zeros
 from potkit.cli import preset_scenario, run_scenario
 from potkit.fields import GridField, ScalarField, riesz_measure
 from potkit.geometry import GridDomain, point
-from potkit.kernels import KernelConfig
 from potkit.measures import Atom, BallUniform, Measure, SphereUniform, integrate
 from potkit.potentials import asymptotic_check
 from potkit.presets import PRESETS, run_preset
@@ -58,7 +57,7 @@ def test_criterion_2_potential_asymptotics():
     ]
     ok = True
     for mu in measures_list:
-        rep = asymptotic_check(mu, [10, 20, 40], KernelConfig(mu.dimension))
+        rep = asymptotic_check(mu, [10, 20, 40])
         ok &= rep.passed
     elapsed = time.monotonic() - t0
     _report(2, "potential asymptotics bounded across doublings",
@@ -66,7 +65,7 @@ def test_criterion_2_potential_asymptotics():
 
 
 def test_criterion_3_green_harmonic_measure():
-    g = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    g = green.green_ball(point(0, 0), 1.0, point(0, 0))
     ok = abs(g(point(0.5, 0)) - math.log(2)) <= 1e-9
 
     om = green.harmonic_measure(g, point(0.5, 0))

@@ -19,7 +19,7 @@ def delta(x=(0.0, 0.0), w=1.0):
 
 def _om_disk(x=(0.0, 0.0), R=1.0):
     x = np.asarray(x, float)
-    g = green.green_ball(point(0, 0), R, x, 2)
+    g = green.green_ball(point(0, 0), R, x)
     return green.harmonic_measure(g, x)
 
 
@@ -27,7 +27,7 @@ def test_check_linear_jensen_kernels():
     # delta_0 vs harmonic measure against a ring of subharmonic kernels
     om = _om_disk()
     ring = Ball(point(0, 0), 1.4).boundary_points(40)
-    members = [(f"k[{j}]", ScalarField.kernel(2, y)) for j, y in enumerate(ring)]
+    members = [(f"k[{j}]", ScalarField.kernel(y)) for j, y in enumerate(ring)]
     fam = TestFamily("subharmonic-kernels", members)
     verdict = check_linear(delta(), om, fam)
     assert verdict.passed
@@ -48,7 +48,7 @@ def test_check_linear_lyons_contrast():
     fam_h = harmonic_kernel_family(S, Ball(point(0, 0), 1.2).boundary_points(20))
     assert check_linear(theta, mu_E, fam_h).passed
 
-    members = [(f"k@atom[{j}]", ScalarField.kernel(2, e)) for j, e in enumerate(pts)]
+    members = [(f"k@atom[{j}]", ScalarField.kernel(e)) for j, e in enumerate(pts)]
     fam_s = TestFamily("subharmonic-kernels", members)
     verdict = check_linear(theta, mu_E, fam_s)
     assert not verdict.passed
@@ -284,7 +284,7 @@ def test_prop84_limit_structure():
     r, b_minus, b_plus = 0.05, -1.0, 2.0
     fam = build_test_family("sbh00+", S_o, r, b_minus, b_plus, D, count=12)
     idxs = fam.orbits["deepening"]
-    gm = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    gm = green.green_ball(point(0, 0), 1.0, point(0, 0))
     B = 2.0 * (b_plus - b_minus) / green.mg_constant(gm, S_o)
     rng = np.random.default_rng(9)
     pts = []

@@ -18,7 +18,7 @@ def delta(x=(0.0, 0.0)):
 
 def _om(R=1.0, x=(0.0, 0.0)):
     x = np.asarray(x, float)
-    return green.harmonic_measure(green.green_ball(point(0, 0), R, x, 2), x)
+    return green.harmonic_measure(green.green_ball(point(0, 0), R, x), x)
 
 
 def test_to_potential_harmonic_measure():
@@ -156,7 +156,7 @@ def test_verify_poisson_jensen_rejects_non_balayage():
 
 
 def test_phragmen_lindelof_bounds():
-    g1 = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    g1 = green.green_ball(point(0, 0), 1.0, point(0, 0))
     V_self = to_potential(_om(), point(0, 0), kind="arens-singer")
     rep = phragmen_lindelof_bound(V_self, g1)
     assert rep.passed and rep.data["worst_excess"] <= 1e-7

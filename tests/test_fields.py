@@ -201,7 +201,7 @@ def _disk_glue_instance():
     O = Ball(point(0, 0), 1.0)
     S_o = Ball(point(0, 0), 0.2)
     S = Ball(point(0, 0), 0.6)
-    gm = green.green_ball(point(0, 0), 0.4, point(0, 0), 2)
+    gm = green.green_ball(point(0, 0), 0.4, point(0, 0))
     v = ScalarField.log_distance(point(0.8, 0))
     return O, S_o, S, gm, v, math.log(0.2), math.log(1.4)
 
@@ -237,7 +237,7 @@ def test_glue_with_green_harmonic_in_core():
 
 
 def test_green_model_designated_core():
-    gm = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    gm = green.green_ball(point(0, 0), 1.0, point(0, 0))
     gm.designate_core(Ball(point(0, 0), 0.2))
     assert gm.M_g == pytest.approx(math.log(5), abs=1e-12)
 
@@ -245,7 +245,7 @@ def test_green_model_designated_core():
 def test_glue_with_green_pole_ratio_fit():
     O, S_o, S, gm, v, m_v, M_v = _disk_glue_instance()
     V = glue_with_green(v, gm, S_o, S, m_v, M_v, ambient=O)
-    slope, r2 = fit_pole_coefficient(V, point(0, 0), 2)
+    slope, r2 = fit_pole_coefficient(V, point(0, 0))
     assert r2 >= 0.999
     assert slope == pytest.approx(V.pole_coefficient, rel=0.05)
     # the raw one-point ratio at t = 1e-3 is ~18% off the fitted limit, which
@@ -357,7 +357,7 @@ def test_layer_then_green_glue_composition():
     assert math.isfinite(m_v)
 
     D_r = parallel_set(S_o, 1.5 * r)  # ball of radius 0.225
-    gm = green.green_ball(D_r.center, D_r.radius, point(0, 0), 2)
+    gm = green.green_ball(D_r.center, D_r.radius, point(0, 0))
     core = Ball(point(0, 0), 0.20)   # S_o dilated by r
     S = Ball(point(0, 0), 0.25)      # S_o dilated by 2r
     V = glue_with_green(v_tilde, gm, core, S, m_v, M_v, ambient=Ball(point(0, 0), 1.0))
@@ -410,14 +410,14 @@ def test_harmonize_layer_d3_discrete_harmonic():
 def test_glue_with_green_d3():
     S_o = Ball(point(0, 0, 0), 0.2)
     S = Ball(point(0, 0, 0), 0.6)
-    gm = green.green_ball(point(0, 0, 0), 0.4, point(0, 0, 0), 3)
+    gm = green.green_ball(point(0, 0, 0), 0.4, point(0, 0, 0))
     p = point(0.8, 0, 0)
     v = ScalarField(lambda pts: -1.0 / np.linalg.norm(pts - p, axis=1))
     m_v, M_v = -1.0 / 0.2, -1.0 / 1.4
     V = glue_with_green(v, gm, S_o, S, m_v, M_v, ambient=Ball(point(0, 0, 0), 1.0))
     # M_g = 1/0.2 - 1/0.4 = 2.5
     assert V.M_g == pytest.approx(2.5, abs=1e-12)
-    slope, r2 = fit_pole_coefficient(V, point(0, 0, 0), 3)
+    slope, r2 = fit_pole_coefficient(V, point(0, 0, 0))
     assert r2 >= 0.999
     assert slope == pytest.approx(V.pole_coefficient, rel=0.05)
     far = np.array([[0.8, 0.3, 0.0], [0.0, 0.0, -0.9]])
@@ -543,7 +543,7 @@ def test_glue_with_green_dispatch_matches_reference(seed):
 
 def test_glue_with_green_d3_dispatch_matches_reference():
     S_o, S = Ball(point(0, 0, 0), 0.2), Ball(point(0, 0, 0), 0.6)
-    gm = green.green_ball(point(0, 0, 0), 0.4, point(0, 0, 0), 3)
+    gm = green.green_ball(point(0, 0, 0), 0.4, point(0, 0, 0))
     p = point(0.8, 0, 0)
     v = ScalarField(lambda pts: -1.0 / np.linalg.norm(pts - p, axis=1))
     V = glue_with_green(v, gm, S_o, S, -1.0 / 0.2, -1.0 / 1.4,

@@ -40,12 +40,12 @@ def test_inversion_involution(coords, shift):
 
 def test_kelvin_transform_examples():
     one = fields.ScalarField.constant(1.0)
-    v = kelvin_transform(one, point(0, 0, 0), 3)
+    v = kelvin_transform(one, point(0, 0, 0))
     pts = np.array([[2.0, 0, 0], [0, 0.5, 0]])
     assert np.allclose(v.evaluate_array(pts), 1.0 / np.linalg.norm(pts, axis=1))
 
     lnf = fields.ScalarField.log_distance(point(0, 0))
-    w = kelvin_transform(lnf, point(0, 0), 2)
+    w = kelvin_transform(lnf, point(0, 0))
     pts2 = np.array([[0.5, 0.0], [3.0, 4.0]])
     assert np.allclose(w.evaluate_array(pts2), -np.log(np.linalg.norm(pts2, axis=1)))
 
@@ -55,7 +55,7 @@ def test_kelvin_preserves_subharmonicity():
     # inverted annulus (grid sub-mean-value oracle)
     u = fields.ScalarField.log_distance(point(0.2, 0.1),
                                         domain=Annulus(point(0, 0), 0.5, 2.0))
-    v = kelvin_transform(u, point(0, 0), 2)
+    v = kelvin_transform(u, point(0, 0))
     inverted = Annulus(point(0, 0), 0.5, 2.0)
     probes = fields.random_probes(Annulus(point(0, 0), 0.55, 1.9), 60, seed=5)
     rep = fields.check_subharmonic(
@@ -65,7 +65,7 @@ def test_kelvin_preserves_subharmonicity():
 
 def test_kelvin_transform_center_is_out_of_domain():
     one = fields.ScalarField.constant(1.0)
-    v = kelvin_transform(one, point(0, 0), 2)
+    v = kelvin_transform(one, point(0, 0))
     with pytest.raises(ValueError):
         v(point(0, 0))
 
@@ -85,6 +85,16 @@ def test_ball_rejects_non_finite_or_non_positive_geometry(center, radius):
 def test_annulus_rejects_non_finite_or_unordered_geometry(center, r_in, r_out):
     with pytest.raises(ValueError):
         Annulus(np.asarray(center, float), r_in, r_out)
+
+
+def test_ball_boundary_points_in_each_dimension():
+    # +-1 alternating on the line, circle and spiral nodes in 2-D and 3-D, none beyond
+    assert Ball(point(2), 0.5).boundary_points(5).ravel().tolist() == [2.5, 1.5, 2.5, 1.5, 2.5]
+    for d in (2, 3):
+        pts = Ball(np.zeros(d), 2.0).boundary_points(16)
+        assert pts.shape == (16, d) and np.allclose(np.linalg.norm(pts, axis=1), 2.0)
+    with pytest.raises(NotImplementedError):
+        Ball(np.zeros(4), 1.0).boundary_points(8)
 
 
 def test_parallel_set_radial():

@@ -6,31 +6,30 @@ import pytest
 from potkit import balayage, green
 from potkit.fields import ScalarField, fit_pole_coefficient
 from potkit.geometry import Ball, point
-from potkit.kernels import KernelConfig
 from potkit.measures import Atom, Measure, SphereUniform, integrate, total_mass
-from potkit.potentials import difference_potential, potential
+from potkit.potentials import Potential, difference_potential
 
 
 def test_green_ball_values():
-    g = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    g = green.green_ball(point(0, 0), 1.0, point(0, 0))
     assert g(point(0.5, 0)) == pytest.approx(math.log(2), abs=1e-12)
     assert g(point(1.5, 0)) == 0.0
-    g3 = green.green_ball(point(0, 0, 0), 1.0, point(0, 0, 0), 3)
+    g3 = green.green_ball(point(0, 0, 0), 1.0, point(0, 0, 0))
     assert g3(point(0.5, 0, 0)) == pytest.approx(1.0, abs=1e-12)
     assert g3(point(0, 2, 0)) == 0.0
 
 
 def test_green_ball_preconditions():
     with pytest.raises(ValueError):
-        green.green_ball(point(0, 0), 1.0, point(1.0, 0), 2)
+        green.green_ball(point(0, 0), 1.0, point(1.0, 0))
     with pytest.raises(ValueError):
-        green.green_ball(point(0, 0), 1.0, point(2.0, 0), 2)
+        green.green_ball(point(0, 0), 1.0, point(2.0, 0))
 
 
 def test_green_property_suite_off_center():
     # the Eq-style properties checked numerically: boundary zero, harmonic
     # off the pole, pole expansion slope one
-    g = green.green_ball(point(0, 0), 1.0, point(0.3, 0.2), 2)
+    g = green.green_ball(point(0, 0), 1.0, point(0.3, 0.2))
     bnd = Ball(point(0, 0), 1.0).boundary_points(512)
     assert np.max(np.abs(g.evaluate_array(bnd))) <= 1e-10
     probes = []
@@ -42,7 +41,7 @@ def test_green_property_suite_off_center():
             probes.append((x, r))
     ok, worst = g.harmonic_off_pole_report(probes, tol=1e-8)
     assert ok, worst
-    slope, r2 = fit_pole_coefficient(g, point(0.3, 0.2), 2)
+    slope, r2 = fit_pole_coefficient(g, point(0.3, 0.2))
     assert slope == pytest.approx(1.0, abs=1e-6) and r2 >= 0.999
 
 
@@ -52,16 +51,16 @@ def test_green_symmetry():
         x, y = rng.uniform(-0.7, 0.7, 2), rng.uniform(-0.7, 0.7, 2)
         if np.linalg.norm(x - y) < 1e-2:
             continue
-        gx = green.green_ball(point(0, 0), 1.0, x, 2)
-        gy = green.green_ball(point(0, 0), 1.0, y, 2)
+        gx = green.green_ball(point(0, 0), 1.0, x)
+        gy = green.green_ball(point(0, 0), 1.0, y)
         assert abs(gx(y) - gy(x)) <= 1e-9
 
 
 def test_mg_constant_values():
-    g = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    g = green.green_ball(point(0, 0), 1.0, point(0, 0))
     assert green.mg_constant(g, Ball(point(0, 0), 0.2)) == pytest.approx(math.log(5),
                                                                          abs=1e-12)
-    g3 = green.green_ball(point(0, 0, 0), 1.0, point(0, 0, 0), 3)
+    g3 = green.green_ball(point(0, 0, 0), 1.0, point(0, 0, 0))
     assert green.mg_constant(g3, Ball(point(0, 0, 0), 0.5)) == pytest.approx(1.0, abs=1e-12)
     shifted = green.mg_constant(g, Ball(point(0.05, 0.02), 0.2))
     # sampling oracle: minimum over a dense boundary ring
@@ -71,7 +70,7 @@ def test_mg_constant_values():
 
 
 def test_mg_domination():
-    g = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    g = green.green_ball(point(0, 0), 1.0, point(0, 0))
     mg = green.mg_constant(g, Ball(point(0, 0), 0.2))
     rng = np.random.default_rng(5)
     pts = []
@@ -83,7 +82,7 @@ def test_mg_domination():
 
 
 def test_harmonic_measure_reproduction():
-    g = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    g = green.green_ball(point(0, 0), 1.0, point(0, 0))
     om = green.harmonic_measure(g, point(0.5, 0))
     assert total_mass(om) == pytest.approx(1.0, abs=1e-10)
     h = ScalarField(lambda p: p[:, 0])
@@ -96,7 +95,7 @@ def test_harmonic_measure_reproduction():
 
 
 def test_harmonic_measure_jensen_inequality():
-    g = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    g = green.green_ball(point(0, 0), 1.0, point(0, 0))
     om = green.harmonic_measure(g, point(0, 0))
     u = ScalarField.log_distance(point(0.3, 0.1))
     lhs = u(point(0, 0))
@@ -130,7 +129,7 @@ def test_jensen_certification_failure_names_witness(monkeypatch):
     # Jensen measure, so certification must raise with that member as witness
     D = Ball(point(0, 0), 1.0)
     bad = balayage.TestFamily("superharmonic",
-                              [("k-neg", ScalarField.kernel(2, point(0.5, 0), sign=-1.0))])
+                              [("k-neg", ScalarField.kernel(point(0.5, 0), sign=-1.0))])
     monkeypatch.setattr(balayage, "standard_jensen_family", lambda *a, **k: bad)
     with pytest.raises(ValueError, match=r"Jensen certification failed: k-neg margin"):
         green.jensen_measure_family(D, point(0, 0), "mixture", a=0.0, b=1.0)
@@ -138,12 +137,11 @@ def test_jensen_certification_failure_names_witness(monkeypatch):
 
 def test_duality_instance_potential_equality_and_domination():
     # pt_{omega(x,.)} = pt_{delta_x} outside clos D, and >= everywhere
-    g = green.green_ball(point(0, 0), 1.0, point(0.2, -0.1), 2)
+    g = green.green_ball(point(0, 0), 1.0, point(0.2, -0.1))
     x = point(0.2, -0.1)
     om = green.harmonic_measure(g, x)
-    cfg = KernelConfig(2)
-    pt_om = potential(om, cfg)
-    pt_dx = potential(Measure(2, [Atom(x, 1.0)]), cfg)
+    pt_om = Potential(om)
+    pt_dx = Potential(Measure(2, [Atom(x, 1.0)]))
     outside = Ball(point(0, 0), 1.3).boundary_points(64)
     assert np.max(np.abs(pt_om.evaluate_array(outside)
                          - pt_dx.evaluate_array(outside))) <= 1e-7
@@ -157,9 +155,9 @@ def test_duality_instance_potential_equality_and_domination():
 def test_remark_identity_pt_equals_green():
     # pt_{omega(x,.) - delta_x} = g_D(., x) on D at 200 probes
     x = point(0.3, 0.1)
-    g = green.green_ball(point(0, 0), 1.0, x, 2)
+    g = green.green_ball(point(0, 0), 1.0, x)
     om = green.harmonic_measure(g, x)
-    diff = difference_potential(om, Measure(2, [Atom(x, 1.0)]), KernelConfig(2))
+    diff = difference_potential(om, Measure(2, [Atom(x, 1.0)]))
     rng = np.random.default_rng(7)
     count = 0
     while count < 200:

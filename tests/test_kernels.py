@@ -32,20 +32,16 @@ def test_k_eval_strictly_increasing(q, t1, t2):
 
 
 def test_riesz_kernel_cases():
-    cfg2 = kernels.KernelConfig(2)
-    assert kernels.riesz_kernel(cfg2, (0, 0), (2, 0)) == pytest.approx(math.log(2), abs=1e-12)
-    cfg3 = kernels.KernelConfig(3)
-    assert kernels.riesz_kernel(cfg3, (1, 1, 1), (1, 1, 1)) == -math.inf
-    cfg1 = kernels.KernelConfig(1)
-    assert kernels.riesz_kernel(cfg1, (0.5,), (0.5,)) == 0.0
+    assert kernels.riesz_kernel((0, 0), (2, 0)) == pytest.approx(math.log(2), abs=1e-12)
+    assert kernels.riesz_kernel((1, 1, 1), (1, 1, 1)) == -math.inf
+    assert kernels.riesz_kernel((0.5,), (0.5,)) == 0.0
 
 
 def test_riesz_kernel_symmetry():
-    cfg = kernels.KernelConfig(3)
     rng = np.random.default_rng(0)
     for _ in range(50):
         x, y = rng.normal(size=3), rng.normal(size=3)
-        assert kernels.riesz_kernel(cfg, x, y) == kernels.riesz_kernel(cfg, y, x)
+        assert kernels.riesz_kernel(x, y) == kernels.riesz_kernel(y, x)
 
 
 def test_riesz_normalizer_values():
@@ -72,7 +68,7 @@ def test_normalizer_closed_form_identity():
 def test_kernel_subharmonic_and_harmonic_off_pole(d):
     y = np.zeros(d)
     y[0] = 0.9  # keep the pole outside the probe region
-    K = fields.ScalarField.kernel(d, y)
+    K = fields.ScalarField.kernel(y)
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(30):

@@ -142,7 +142,7 @@ def test_convolve_two_atoms_support_and_mass():
 def test_convolve_jensen_inequality_chain():
     # for u = ln|x - p| with p off the smoothed support, the swept integral
     # dominates (quadrature on both sides)
-    om = green.harmonic_measure(green.green_ball(point(0, 0), 0.6, point(0, 0), 2),
+    om = green.harmonic_measure(green.green_ball(point(0, 0), 0.6, point(0, 0)),
                                 point(0, 0))
     beta = convolve_balayage(om, Mollifier(0.1, 2), Ball(point(0, 0), 1.0))
     u = fields.ScalarField.log_distance(point(0.9, 0.3))
@@ -183,7 +183,7 @@ def test_convolve_family_variant():
 
 def _protocol_cases():
     """One component of each kind: d = 2, and d = 3 for the layers."""
-    om = green.harmonic_measure(green.green_ball(point(0, 0), 1.0, point(0, 0), 2),
+    om = green.harmonic_measure(green.green_ball(point(0, 0), 1.0, point(0, 0)),
                                 point(0.4, 0.1))
     values = np.sin(np.arange(81.0)).reshape(9, 9)
     return {
@@ -203,7 +203,7 @@ def _smooth_field():
 
 
 def test_measure_serialization_roundtrip():
-    om = green.harmonic_measure(green.green_ball(point(0, 0), 1.0, point(0, 0), 2),
+    om = green.harmonic_measure(green.green_ball(point(0, 0), 1.0, point(0, 0)),
                                 point(0.4, 0.1))
     mu = Measure(2, [Atom(point(0.5, 0), 1.5),
                      BallUniform(point(0, 0), 0.7, -0.5)] + list(om.components))
@@ -417,7 +417,7 @@ def test_layers_reject_non_finite_or_non_positive_geometry(kind, center, radius)
 
 def _harmonic_measure(x):
     x = np.asarray(x, float)
-    return green.harmonic_measure(green.green_ball(point(0, 0), 1.0, x, 2), x)
+    return green.harmonic_measure(green.green_ball(point(0, 0), 1.0, x), x)
 
 
 @pytest.mark.parametrize("name", ["sphere-d2", "sphere-poisson-d2", "sphere-d3", "ball-d3"])
@@ -518,9 +518,10 @@ def test_scaled_and_restricted_layers_match_fresh_components():
 def kernel_loop_values(f, pts):
     """A kernel field's values the scalar way: a norm, then k_eval_array off the pole."""
     r = np.linalg.norm(pts - f.kernel_pole[None, :], axis=1)
-    out = np.full(len(pts), -math.inf if f.kernel_order >= 0 else 0.0)
+    q = f.kernel_pole.size - 2
+    out = np.full(len(pts), -math.inf if q >= 0 else 0.0)
     ok = r > 0
-    out[ok] = k_eval_array(f.kernel_order, r[ok])
+    out[ok] = k_eval_array(q, r[ok])
     return f.kernel_sign * out
 
 
@@ -574,7 +575,7 @@ def _striped_sphere(center, radius, total):
 def _many_cases():
     x2, x3 = point(0.3, -0.2), point(0.2, 0.1, -0.3)
     om2 = _harmonic_measure(x2)
-    om3 = green.harmonic_measure(green.green_ball(point(0, 0, 0), 1.0, x3, 3), x3)
+    om3 = green.harmonic_measure(green.green_ball(point(0, 0, 0), 1.0, x3), x3)
     grid = _protocol_cases()["grid-d2"]
     return {
         # the last two atoms share a point with opposite weights: +-inf collide there
@@ -616,10 +617,10 @@ def _many_fields(mu, seed):
              fields.ScalarField(lambda p: np.where(p[:, 0] > 0.2, np.nan, 1.0)),
              _Broken()]
     if d == 3:
-        plain.append(fields.ScalarField.kernel(2, point(0.5, 0.5)))
+        plain.append(fields.ScalarField.kernel(point(0.5, 0.5)))
     out = []
     for k, y in enumerate(poles):
-        out += [fields.ScalarField.kernel(d, y, s) for s in (1.0, -1.0, 0.3, 0.0)]
+        out += [fields.ScalarField.kernel(y, s) for s in (1.0, -1.0, 0.3, 0.0)]
         out.append(plain[k % len(plain)])
     return out + plain
 
@@ -642,7 +643,7 @@ def test_integrate_many_is_the_member_loop_bit_for_bit(name, seed):
 
 def test_integrate_many_keeps_d1_kernel_zero_on_a_node():
     mu = Measure(1, [Atom(np.array([0.0]), 1.0), Atom(np.array([0.5]), -2.0)])
-    fs = [fields.ScalarField.kernel(1, np.array([0.0]), s) for s in (1.0, -1.0)]
+    fs = [fields.ScalarField.kernel(np.array([0.0]), s) for s in (1.0, -1.0)]
     assert measures.integrate_many(mu, fs) == [-1.0, 1.0]
     assert fs[0](np.array([0.0])) == 0.0
 

@@ -6,11 +6,11 @@ import pytest
 from potkit import duality, green, potentials
 from potkit.fields import GridField, ScalarField, riesz_measure, sphere_average
 from potkit.geometry import Ball, GridDomain, point
-from potkit.kernels import KernelConfig, k_eval_array
+from potkit.kernels import k_eval_array
 from potkit.measures import (Atom, BallUniform, GridDensity, Measure, Mollifier,
                              SphereUniform, convolve_balayage, integrate, total_mass)
-from potkit.potentials import (asymptotic_check, difference_potential,
-                               lower_bound_check, potential)
+from potkit.potentials import (Potential, asymptotic_check, difference_potential,
+                               lower_bound_check)
 
 
 def atom(x, w=1.0):
@@ -19,21 +19,21 @@ def atom(x, w=1.0):
 
 def quadrature_kernel(d, y):
     """K_{d-2}(., y) as a plain field, so integrate takes its quadrature route."""
-    return ScalarField(ScalarField.kernel(d, y).evaluate_array)
+    return ScalarField(ScalarField.kernel(y).evaluate_array)
 
 
 def test_potential_single_atom():
-    pt = potential(atom((0.0, 0.0)), KernelConfig(2))
+    pt = Potential(atom((0.0, 0.0)))
     assert pt(point(2, 0)) == pytest.approx(math.log(2), rel=1e-14)
     assert pt(point(0, 0)) == -math.inf
-    pt3 = potential(Measure(3, [Atom(point(0, 0, 0), 1.0)]), KernelConfig(3))
+    pt3 = Potential(Measure(3, [Atom(point(0, 0, 0), 1.0)]))
     assert pt3(point(2, 0, 0)) == -0.5
 
 
 def test_potential_sphere_layer_closed_vs_quadrature():
     # implementation: Newton closed form; oracle: spec quadrature route
     mu = Measure(2, [SphereUniform(point(0, 0), 1.0, 1.0)])
-    pt = potential(mu, KernelConfig(2))
+    pt = Potential(mu)
     assert pt(point(0.5, 0)) == 0.0
     assert pt(point(2, 0)) == pytest.approx(math.log(2), rel=1e-14)
     for y in (point(0.5, 0.2), point(1.7, -0.4)):
@@ -43,7 +43,7 @@ def test_potential_sphere_layer_closed_vs_quadrature():
 
 def test_potential_ball_layer_closed_vs_quadrature():
     mu = Measure(2, [BallUniform(point(0, 0), 0.7, 1.0)])
-    pt = potential(mu, KernelConfig(2))
+    pt = Potential(mu)
     y_out = point(1.5, 0.5)
     assert pt(y_out) == pytest.approx(math.log(np.hypot(1.5, 0.5)), rel=1e-12)
     y_in = point(0.3, -0.2)
@@ -53,7 +53,7 @@ def test_potential_ball_layer_closed_vs_quadrature():
 
 def test_tagged_evaluation():
     mu = atom((0.0, 0.0), 1.0) + atom((1.0, 0.0), -1.0)
-    pt = potential(mu, KernelConfig(2))
+    pt = Potential(mu)
     assert pt.evaluate_tagged(point(0, 0)).tag == "-inf"
     assert pt.evaluate_tagged(point(1, 0)).tag == "+inf"
     assert pt.evaluate_tagged(point(0.5, 0)).tag == "finite"
@@ -61,9 +61,9 @@ def test_tagged_evaluation():
 
 def test_difference_potential_green_identity():
     # pt_{omega - delta} equals the Green function inside, 0 outside
-    g = green.green_ball(point(0, 0), 1.0, point(0, 0), 2)
+    g = green.green_ball(point(0, 0), 1.0, point(0, 0))
     om = green.harmonic_measure(g, point(0, 0))
-    diff = difference_potential(om, atom((0.0, 0.0)), KernelConfig(2))
+    diff = difference_potential(om, atom((0.0, 0.0)))
     assert diff(point(0.5, 0)) == pytest.approx(math.log(2), abs=1e-12)
     assert diff(point(1.5, 0)) == 0.0
     assert diff.value_at_infinity == 0.0
@@ -79,7 +79,7 @@ def test_difference_potential_decay():
     # equal masses: |pt_{mu-theta}(x)| <= C / |x|^{d-1} sampled at 10 and 100
     mu = Measure(2, [SphereUniform(point(0, 0), 0.5, 1.0)])
     th = atom((0.2, 0.1))
-    diff = difference_potential(mu, th, KernelConfig(2))
+    diff = difference_potential(mu, th)
     v10 = abs(diff(point(10, 0)))
     v100 = abs(diff(point(100, 0)))
     assert v100 <= v10 * (10.0 / 100.0) * 3.0  # 1/|x| decay with slack
@@ -87,30 +87,29 @@ def test_difference_potential_decay():
 
 
 def test_asymptotic_check_examples():
-    cfg = KernelConfig(2)
-    rep0 = asymptotic_check(atom((0.0, 0.0)), [10, 20, 40], cfg)
+    rep0 = asymptotic_check(atom((0.0, 0.0)), [10, 20, 40])
     assert rep0.passed and max(r.lhs for r in rep0.rows) <= 1e-10
 
-    rep1 = asymptotic_check(atom((1.0, 0.0)), [10, 20, 40], cfg)
+    rep1 = asymptotic_check(atom((1.0, 0.0)), [10, 20, 40])
     assert rep1.passed
     for a, b in zip(rep1.rows, rep1.rows[1:]):
         assert b.lhs <= 1.1 * max(a.lhs, 1e-10)
 
     mu3 = Measure(3, [Atom(point(0.5, 0, 0), 1.0), Atom(point(-0.5, 0, 0), 1.0)])
-    rep3 = asymptotic_check(mu3, [10, 20, 40], KernelConfig(3))
+    rep3 = asymptotic_check(mu3, [10, 20, 40])
     assert rep3.passed
 
 
 def test_asymptotic_check_fails_on_nan_error():
     # a nan-weight atom makes every scaled error nan, which must not pass
-    rep = asymptotic_check(atom((1.0, 0.0), math.nan), [10, 20, 40], KernelConfig(2))
+    rep = asymptotic_check(atom((1.0, 0.0), math.nan), [10, 20, 40])
     assert all(math.isnan(r.lhs) for r in rep.rows)
     assert not rep.passed
 
 
 def test_asymptotic_check_radius_precondition():
     with pytest.raises(ValueError):
-        asymptotic_check(atom((8.0, 0.0)), [10, 20], KernelConfig(2))
+        asymptotic_check(atom((8.0, 0.0)), [10, 20])
 
 
 def test_lower_bound_check_examples():
@@ -132,12 +131,11 @@ def test_lower_bound_check_examples():
 
 
 def test_potential_linearity():
-    cfg = KernelConfig(2)
     mu = Measure(2, [SphereUniform(point(0, 0), 0.5, 1.0)])
     th = Measure(2, [BallUniform(point(0.2, 0), 0.3, 1.0)])
     a, b = 2.0, 3.0
-    combo = potential(mu.scaled(a) + th.scaled(b), cfg)
-    pa, pb = potential(mu, cfg), potential(th, cfg)
+    combo = Potential(mu.scaled(a) + th.scaled(b))
+    pa, pb = Potential(mu), Potential(th)
     rng = np.random.default_rng(1)
     pts = rng.uniform(-2, 2, size=(200, 2))
     lhs = combo.evaluate_array(pts)
@@ -148,7 +146,7 @@ def test_potential_linearity():
 
 def test_potential_harmonic_off_support():
     mu = Measure(2, [SphereUniform(point(0, 0), 0.5, 1.0), Atom(point(0.2, 0), 0.5)])
-    pt = potential(mu, KernelConfig(2))
+    pt = Potential(mu)
     rng = np.random.default_rng(2)
     count = 0
     while count < 25:
@@ -165,7 +163,7 @@ def test_riesz_consistency_for_grid_charge():
     from potkit.measures import Mollifier, convolve_balayage
 
     beta = convolve_balayage(atom((0.0, 0.0)), Mollifier(0.25, 2), Ball(point(0, 0), 1.0))
-    pt = potential(beta, KernelConfig(2))
+    pt = Potential(beta)
     grid = GridDomain(point(-0.8, -0.8), 0.02, np.ones((81, 81), bool))
     rec = riesz_measure(GridField.sample(pt, grid))
     assert total_mass(rec) == pytest.approx(total_mass(beta), rel=0.03)
@@ -173,22 +171,50 @@ def test_riesz_consistency_for_grid_charge():
 
 def test_fubini_symmetry():
     # int pt_theta dmu = int pt_mu dtheta for positive disjoint-support pairs
-    cfg = KernelConfig(2)
     mu = Measure(2, [SphereUniform(point(0, 0), 0.4, 1.0)])
     th = Measure(2, [BallUniform(point(1.5, 0), 0.3, 2.0)])
-    lhs = integrate(mu, potential(th, cfg))
-    rhs = integrate(th, potential(mu, cfg))
+    lhs = integrate(mu, Potential(th))
+    rhs = integrate(th, Potential(mu))
     assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
 def test_potential_d1_atoms():
     # d=1 kernel is k_{-1}(t) = t; the diagonal value is 0
     mu = Measure(1, [Atom(np.array([0.0]), 1.0), Atom(np.array([1.0]), 2.0)])
-    pt = potential(mu, KernelConfig(1))
+    pt = Potential(mu)
     assert pt(np.array([2.0])) == pytest.approx(2.0 + 2.0 * 1.0)
     assert pt(np.array([0.0])) == pytest.approx(0.0 + 2.0 * 1.0)
-    rep = asymptotic_check(mu, [10, 20, 40], KernelConfig(1))
-    assert rep.passed
+    with pytest.raises(ValueError):
+        pt(point(2, 0))  # a point of another dimension
+    # probes at +-R: pt = 3R -+ 2 against m k(R) = 3R, so every scaled error is 2
+    rep = asymptotic_check(mu, [10, 20, 40])
+    assert rep.passed and [r.lhs for r in rep.rows] == [2.0, 2.0, 2.0]
+
+
+def atom_loop_reference(atoms, pts, d):
+    """Reference atom sum the scalar way: a norm and k_eval_array off each atom,
+    the kernel's limit at 0 on it (-inf signed by the weight, 0 for d = 1)."""
+    out = np.zeros(len(pts))
+    for x, w in atoms:
+        if w == 0.0:
+            continue
+        r = np.linalg.norm(pts - x[None, :], axis=1)
+        hit = r == 0.0
+        contrib = np.empty(len(r))
+        contrib[~hit] = w * k_eval_array(d - 2, r[~hit])
+        contrib[hit] = 0.0 if d == 1 else -math.copysign(math.inf, w)
+        out += contrib
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_atom_potential_is_the_scalar_loop_bitwise(d):
+    rng = np.random.default_rng(d)
+    atoms = list(zip(rng.uniform(-1.0, 1.0, (6, d)), [1.0, -2.0, 0.5, -0.25, 3.0, 0.0]))
+    pts = np.vstack([[x for x, _ in atoms], rng.uniform(-2.0, 2.0, (200, d))])  # hits first
+    got = Potential(Measure(d, [Atom(x, w) for x, w in atoms])).evaluate_array(pts)
+    want = atom_loop_reference(atoms, pts, d)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +400,7 @@ def test_fmm_round_trip_of_a_mollified_jensen_measure(monkeypatch):
     from potkit import _fmm
 
     x0 = point(0, 0)
-    om = green.harmonic_measure(green.green_ball(x0, 0.6, x0, 2), x0)
+    om = green.harmonic_measure(green.green_ball(x0, 0.6, x0), x0)
     mu = convolve_balayage(om, Mollifier(0.1 * (1.0 - 0.6), 2), Ball(x0, 1.0),
                            cells_per_radius=6)
     V = duality.to_potential(mu, x0, kind="jensen", D=Ball(x0, 1.6), seed=0)
@@ -440,7 +466,7 @@ def test_grid_charge_potential_inside_a_cell_is_the_cell_potential():
     grid = GridDomain(point(0.0, 0.0), h, np.ones((3, 3), bool))
     vals = np.zeros((3, 3))
     vals[1, 1] = 2.0
-    pt = potential(Measure(2, [GridDensity(grid, vals)]), KernelConfig(2))
+    pt = Potential(Measure(2, [GridDensity(grid, vals)]))
     off = np.array([[0.0, 0.0], [0.02, -0.03], [0.049, 0.049]])
     got = pt.evaluate_array(point(0.1, 0.1)[None, :] + off)
     assert got == pytest.approx(2.0 * potentials._cell_mean(2, h, off), rel=1e-14)
@@ -450,7 +476,7 @@ def test_grid_charge_potential_inside_a_cell_is_the_cell_potential():
 def test_mollified_jensen_potential_is_positive_at_seed_4():
     # the centre-value self-cell rule pushed the minimum below -pos_tol here
     x0 = point(0, 0)
-    om = green.harmonic_measure(green.green_ball(x0, 0.6, x0, 2), x0)
+    om = green.harmonic_measure(green.green_ball(x0, 0.6, x0), x0)
     beta = convolve_balayage(om, Mollifier(0.1 * (1.0 - 0.6), 2), Ball(x0, 1.0),
                              cells_per_radius=6)
     V = duality.to_potential(beta, x0, kind="jensen", D=Ball(x0, 1.6), seed=4)
@@ -460,7 +486,7 @@ def test_mollified_jensen_potential_is_positive_at_seed_4():
 def test_jensen_certification_of_a_circle_at_seed_2():
     # the jittered inner probe ring lands at r = 0.9016, next to the 0.9 circle
     x0 = point(0, 0)
-    om09 = green.harmonic_measure(green.green_ball(x0, 0.9, x0, 2), x0)
+    om09 = green.harmonic_measure(green.green_ball(x0, 0.9, x0), x0)
     V = duality.to_potential(om09, x0, kind="jensen", seed=2)
     assert V.potential_kind == "jensen"
 
@@ -470,8 +496,8 @@ def test_kernel_integral_against_a_layer_is_exact():
     mu = Measure(2, [SphereUniform(point(0, 0), R, 1.0)])
     for y in (point(R * (1 + 1e-4), 0.0), point(0.0, R * (1 - 1e-4)), point(0.3, 0.2)):
         expect = math.log(max(float(np.linalg.norm(y)), R))
-        assert integrate(mu, ScalarField.kernel(2, y)) == expect
-        assert integrate(mu, ScalarField.kernel(2, y, -1.0)) == -expect
+        assert integrate(mu, ScalarField.kernel(y)) == expect
+        assert integrate(mu, ScalarField.kernel(y, -1.0)) == -expect
     ball = Measure(3, [BallUniform(point(0, 0, 0), 0.5, 2.0)])
     y3 = point(1.0, 0.0, 0.0)
-    assert integrate(ball, ScalarField.kernel(3, y3)) == -2.0
+    assert integrate(ball, ScalarField.kernel(y3)) == -2.0

@@ -1,10 +1,11 @@
-"""Surface checks over the source tree: every option has a caller, and every
-annotation resolves."""
+"""Surface checks over the source tree: every option has a caller, every
+annotation resolves, and the dimension is read from the data."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import typing
 from pathlib import Path
 
@@ -141,6 +142,45 @@ def never_set_options():
 def test_every_option_has_a_caller():
     """A default no preset, CLI path, test or benchmark overrides is a constant."""
     assert never_set_options() == []
+
+
+# the only potkit definitions that take a dimension argument: each builds its
+# object from the dimension alone, so there is no point, pole or charge to read
+# it from
+DIMENSION_ARGUMENT_ALLOWED = {
+    # quadrature rules and direction sets on the unit sphere, ball and cell
+    "quadrature._unit_directions", "quadrature.sphere_rule", "quadrature.sphere_mc_nodes",
+    "quadrature.ball_rule", "quadrature.gauss_legendre_cell",
+    # kernel constants
+    "kernels.sphere_surface_area", "kernels.riesz_normalizer",
+    # a measure carries its dimension, so an empty one has one too
+    "measures.Measure.__init__",
+    # a mollifier is a bump in R^d before it meets a charge
+    "measures.Mollifier",
+    # the closed-form self-cell averages of a grid charge
+    "potentials._self_cell_mean", "potentials._cell_mean",
+    # the face connectivity of a d-dimensional lattice and the harmonic
+    # polynomials of R^d
+    "geometry._face_structure", "balayage._harmonic_polynomial_family",
+}
+
+
+def test_dimension_is_read_from_the_data():
+    """No kernel config, and a dimension argument only where nothing carries d."""
+    configs, dimension_args = [], set()
+    for p in sorted(TREES[0].glob("*.py")):
+        source = p.read_text()
+        configs += [f"{p.stem}: {m}" for m in re.findall(r"\bKernelConfig\b|\bkernel_order\b",
+                                                          source)]
+        for found in _definitions(ast.parse(source)).values():
+            for qual, positional, defaulted in found:
+                params = set(positional) | set(defaulted)
+                if "cfg" in params:
+                    configs.append(f"{p.stem}.{qual}(cfg)")
+                if params & {"d", "dimension", "ndim"}:
+                    dimension_args.add(f"{p.stem}.{qual}")
+    assert configs == []
+    assert dimension_args == DIMENSION_ARGUMENT_ALLOWED
 
 
 def test_every_annotation_resolves():

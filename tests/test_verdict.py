@@ -10,7 +10,6 @@ from potkit.balayage import (TestFamily, build_test_family, check_affine, check_
 from potkit.duality import ASPotential, phragmen_lindelof_bound, verify_poisson_jensen
 from potkit.fields import ScalarField, check_subharmonic
 from potkit.geometry import Ball, GridDomain, point
-from potkit.kernels import KernelConfig
 from potkit.measures import Atom, Measure
 from potkit.potentials import asymptotic_check, lower_bound_check
 from potkit.presets import run_preset
@@ -27,7 +26,7 @@ def delta(x=(0.0, 0.0), w=1.0):
 
 def _om(x=(0.0, 0.0)):
     x = np.asarray(x, float)
-    return green.harmonic_measure(green.green_ball(point(0, 0), 1.0, x, 2), x)
+    return green.harmonic_measure(green.green_ball(point(0, 0), 1.0, x), x)
 
 
 def _zeros_setup():
@@ -63,7 +62,7 @@ def _poisson_jensen():
 def _phragmen_lindelof():
     x = point(0, 0)
     V0 = ASPotential(ScalarField.constant(0.0), x, 0.0, 1.0, Ball(x, 0.5), "jensen")
-    return phragmen_lindelof_bound(V0, green.green_ball(x, 1.0, x, 2))
+    return phragmen_lindelof_bound(V0, green.green_ball(x, 1.0, x))
 
 
 def _subharmonic():
@@ -74,7 +73,7 @@ def _subharmonic():
 
 
 def _asymptotic():
-    return asymptotic_check(delta((1.0, 0.0)), [10, 20, 40], KernelConfig(2))
+    return asymptotic_check(delta((1.0, 0.0)), [10, 20, 40])
 
 
 def _lower_bound_atom_inside():

@@ -312,7 +312,7 @@ def test_zero_sum_infinite_members_match_reference(sub):
     pts = f.zero_points()
     kept, weights = _kept_zeros(pts, f.multiplicities, CORE, subdivisor)
     minus_inf = ScalarField.log_distance(pts[6])  # -inf at -0.6i
-    plus_inf = green_ball(point(0, 0), 1.0, pts[5], 2)  # +inf at 0.3 + 0.1i
+    plus_inf = green_ball(point(0, 0), 1.0, pts[5])  # +inf at 0.3 + 0.1i
     members = [minus_inf, plus_inf, minus_inf + plus_inf,
                ScalarField.log_distance(pts[7], 0.5)]  # -inf at a zero "zero-or-half" drops
     sums = []
