@@ -207,14 +207,13 @@ def harmonic_kernel_family(S: Ball, probe_points) -> TestFamily:
     return TestFamily("harmonic-kernels", members, symmetric=True)
 
 
-def standard_jensen_family(D: Ball, x, seed: int = 0) -> TestFamily:
-    """Subharmonic probe family certifying Jensen measures for x in D.
+def standard_jensen_family(D: Ball, seed: int = 0) -> TestFamily:
+    """Subharmonic probe family certifying Jensen measures of points in D.
 
     Kernels centered on a ring outside D (harmonic near D), on an interior
     ring (genuinely subharmonic probes), plus the constants +-1 pinning the
     mass.
     """
-    x = np.asarray(x, dtype=float)
     members = []
     outer = Ball(D.center, 1.25 * D.radius).boundary_points(JENSEN_RING)
     rng = quadrature.rng_for(seed, "jensen-family-jitter")

@@ -56,7 +56,7 @@ def _certify(mu: Measure, x: np.ndarray, kind: str, D: Ball, seed: int):
 
     delta = Measure(mu.dimension, [Atom(x, 1.0)])
     if kind == "jensen":
-        family = standard_jensen_family(D, x, seed=seed)
+        family = standard_jensen_family(D, seed=seed)
     elif kind == "arens-singer":
         ring = Ball(D.center, 1.3 * D.radius).boundary_points(24)
         family = harmonic_kernel_family(D, ring)

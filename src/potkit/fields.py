@@ -8,13 +8,14 @@ immutable field.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 
 import numpy as np
 
 from . import quadrature
-from .geometry import Annulus, Ball, GridDomain, _Composite
+from .geometry import Annulus, Ball, GridDomain, _Composite, _face_neighbours
 from .kernels import kernel_rows, riesz_normalizer, k_eval_array
 from .measures import GridDensity, Measure
 from .verdict import Row, Verdict
@@ -135,10 +136,15 @@ class GridField(ScalarField):
         self.values = values
 
         def _eval(pts):
-            from scipy import ndimage  # imported on use: scipy.ndimage is slow to load
-
-            coords = (pts - grid.origin[None, :]).T / grid.spacing
-            return ndimage.map_coordinates(values, coords, order=1, mode="nearest")
+            # multilinear, clamped to the window as map_coordinates(mode="nearest") clamps
+            top = np.asarray(grid.shape) - 1
+            x = np.clip((pts - grid.origin[None, :]) / grid.spacing, 0, top)
+            lo = np.minimum(np.floor(x).astype(int), np.maximum(top - 1, 0))
+            out = np.zeros(len(pts))
+            for corner in itertools.product((0, 1), repeat=grid.dimension):
+                weight = np.prod(np.where(corner, x - lo, 1.0 - (x - lo)), axis=1)
+                out += weight * values[tuple(np.minimum(lo + corner, top).T)]
+            return out
 
         super().__init__(_eval, grid)
 
@@ -261,12 +267,9 @@ def riesz_measure(v, grid: GridDomain | None = None) -> Measure:
     lap = np.zeros(grid.shape)
     stencil_ok = interior.copy()
     neighbor_sum = np.zeros(grid.shape)
-    for axis in range(d):
-        for step in (-1, 1):
-            shifted = np.roll(values, step, axis=axis)
-            ok = np.roll(finite, step, axis=axis)
-            neighbor_sum += np.where(ok, shifted, 0.0)
-            stencil_ok &= ok
+    for shifted, ok in zip(_face_neighbours(values), _face_neighbours(finite)):
+        neighbor_sum += np.where(ok, shifted, 0.0)
+        stencil_ok &= ok
     stencil_ok &= finite
     lap[stencil_ok] = (neighbor_sum[stencil_ok] - 2 * d * values[stencil_ok]) / h ** 2
 
@@ -495,9 +498,10 @@ SWEEPS_PER_NODE = 16
 
 
 def _neighbor_mean(values: np.ndarray) -> np.ndarray:
+    neighbours = _face_neighbours(values)
     total = np.zeros_like(values)
-    for axis in range(values.ndim):
-        total += np.roll(values, 1, axis=axis) + np.roll(values, -1, axis=axis)
+    for up, down in zip(neighbours, neighbours):  # each axis's (i + 1, i - 1) pair
+        total += up + down
     return total / (2 * values.ndim)
 
 

@@ -14,7 +14,9 @@ cell) on grids.  ``_Composite`` is the union or intersection of two domains.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +60,14 @@ def _as_point(x) -> np.ndarray:
     return x
 
 
+def _in_dimension_of(domain, pts: np.ndarray) -> np.ndarray:
+    """pts, once its last axis is checked to hold points of the domain's dimension."""
+    if pts.shape[-1:] != (domain.dimension,):
+        raise ValueError(f"a point of dimension {pts.shape[-1] if pts.ndim else 0} "
+                         f"given to a domain of dimension {domain.dimension}")
+    return pts
+
+
 @dataclass(frozen=True, eq=False)
 class Ball:
     """Open Euclidean ball."""
@@ -88,11 +98,12 @@ class Ball:
         """True if x lies in the open ball, shrunk inward by `margin`."""
         if x is INFINITY:
             return False
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - self.center)) < self.radius - margin
+        x = _in_dimension_of(self, np.asarray(x, dtype=float))
+        return float(np.linalg.norm(x - self.center)) < self.radius - margin
 
     # kept apart from contains(): norm(x) and norm(X, axis=1) can differ in the last bit
     def contains_array(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        pts = np.atleast_2d(pts)
+        pts = _in_dimension_of(self, np.atleast_2d(pts))
         return np.linalg.norm(pts - self.center[None, :], axis=1) < self.radius - margin
 
     def boundary_points(self, n: int) -> np.ndarray:
@@ -104,7 +115,8 @@ class Ball:
     def closure_contains(self, x) -> bool:
         if x is INFINITY:
             return False
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - self.center)) <= self.radius
+        x = _in_dimension_of(self, np.asarray(x, dtype=float))
+        return float(np.linalg.norm(x - self.center)) <= self.radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,11 +151,12 @@ class Annulus:
     def contains(self, x, margin: float = 0.0) -> bool:
         if x is INFINITY:
             return False
-        r = float(np.linalg.norm(np.asarray(x, dtype=float) - self.center))
+        x = _in_dimension_of(self, np.asarray(x, dtype=float))
+        r = float(np.linalg.norm(x - self.center))
         return self.r_in + margin < r < self.r_out - margin
 
     def contains_array(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        pts = np.atleast_2d(pts)
+        pts = _in_dimension_of(self, np.atleast_2d(pts))
         r = np.linalg.norm(pts - self.center[None, :], axis=1)
         return (r > self.r_in + margin) & (r < self.r_out - margin)
 
@@ -218,11 +231,11 @@ class GridDomain:
     def contains(self, x, margin: float = 0.0) -> bool:
         if x is INFINITY:
             return False
-        idx = self.index_of(x)
+        idx = self.index_of(_in_dimension_of(self, np.asarray(x, dtype=float)))
         return idx is not None and bool(self.mask[idx])
 
     def contains_array(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        pts = np.atleast_2d(pts)
+        pts = _in_dimension_of(self, np.atleast_2d(pts))
         idx = np.rint((pts - self.origin[None, :]) / self.spacing).astype(int)
         ok = np.all((idx >= 0) & (idx < np.asarray(self.shape)[None, :]), axis=1)
         out = np.zeros(len(pts), dtype=bool)
@@ -233,11 +246,7 @@ class GridDomain:
 
     def boundary_cells(self) -> np.ndarray:
         """Boolean array marking mask cells adjacent to unmasked/out-of-window cells."""
-        from scipy import ndimage  # imported on use: scipy.ndimage is slow to load
-
-        interior = ndimage.binary_erosion(self.mask, structure=_face_structure(self.dimension),
-                                          border_value=0)
-        return self.mask & ~interior
+        return self.mask & ~np.logical_and.reduce(list(_face_neighbours(self.mask)))
 
     def with_mask(self, mask: np.ndarray) -> "GridDomain":
         return GridDomain(self.origin, self.spacing, mask)
@@ -291,11 +300,25 @@ def _stencil(base: np.ndarray, reach: int, shape: tuple) -> tuple[np.ndarray, np
     return idx, flat
 
 
-def _face_structure(d: int) -> np.ndarray:
-    # 4-connectivity in d=2, 6-connectivity in d=3
-    from scipy import ndimage
+def _face_neighbours(a: np.ndarray) -> Iterator[np.ndarray]:
+    """For each axis in turn, the value of every cell's face neighbour at i + 1,
+    then at i - 1; past the window edge the neighbour is False (0)."""
+    for axis in range(a.ndim):
+        for dst, src in ((slice(None, -1), slice(1, None)), (slice(1, None), slice(None, -1))):
+            out = np.zeros_like(a)
+            out[(slice(None),) * axis + (dst,)] = a[(slice(None),) * axis + (src,)]
+            yield out
 
-    return ndimage.generate_binary_structure(d, 1)
+
+def _run_reach(reached: np.ndarray, free: np.ndarray, axis: int) -> np.ndarray:
+    """The cells of `free` on a run of `free` cells along `axis` holding a `reached` cell."""
+    free, reached = np.moveaxis(free, axis, -1), np.moveaxis(reached, axis, -1)
+    start = free.copy()  # a run starts at a free cell whose predecessor is not free
+    start[..., 1:] &= ~free[..., :-1]
+    run = np.cumsum(start, axis=None)  # a row starts a new run, so runs never span rows
+    hit = np.zeros(run[-1] + 1, dtype=bool)
+    hit[run[(reached & free).ravel()]] = True
+    return np.moveaxis(free & hit[run].reshape(free.shape), -1, axis)
 
 
 def _rle_encode(mask: np.ndarray) -> list:
@@ -384,8 +407,10 @@ def kelvin_transform(u, o):
 def parallel_set(base, r: float):
     """Outer r-parallel set: the union of open r-balls over the base set.
 
-    Balls and annuli dilate radially; grid domains dilate by a Euclidean
-    distance-transform threshold on the cell lattice.
+    Balls and annuli dilate radially.  A grid mask dilates by the lattice ball:
+    it is ORed with its shifts by every lattice offset k with |k| h <= r, so a
+    cell joins when its center lies within r of a mask cell's center.  That is
+    one pass over the window per offset, about (r / h)^d of them.
     """
     if r <= 0:
         raise ValueError(f"parallel radius must be positive, got {r}")
@@ -397,10 +422,15 @@ def parallel_set(base, r: float):
             return Ball(base.center, base.r_out + r)
         return Annulus(base.center, r_in, base.r_out + r)
     if isinstance(base, GridDomain):
-        from scipy import ndimage
-
-        dist = ndimage.distance_transform_edt(~base.mask) * base.spacing
-        return base.with_mask(base.mask | (dist <= r))
+        mask, h, shape = base.mask, base.spacing, base.shape
+        m = int(r / h) + 1  # bounds the search only; the |k| h <= r test decides
+        out = mask.copy()
+        for k in itertools.product(*(range(-min(m, n - 1), min(m, n - 1) + 1) for n in shape)):
+            if math.sqrt(sum(i * i for i in k)) * h <= r:
+                dst = tuple(slice(max(i, 0), n + min(i, 0)) for i, n in zip(k, shape))
+                src = tuple(slice(max(-i, 0), n + min(-i, 0)) for i, n in zip(k, shape))
+                out[dst] |= mask[src]
+        return base.with_mask(out)
     raise TypeError(f"unsupported base set {type(base).__name__}")
 
 
@@ -408,11 +438,13 @@ def inward_filled_hull(K: GridDomain, O: GridDomain) -> GridDomain:
     """K together with every component of O \\ K that does not reach O's boundary.
 
     Components are taken with face connectivity (4 in d=2, 6 in d=3).  The
-    exterior is found by flooding from O's boundary cells; everything in
-    O \\ K the flood cannot reach is a hole and gets filled.  The grid
-    window is finite, so components touching the window frame count as
-    touching infinity (the window frame stands in for the Alexandroff
-    point; truncation effects are the caller's responsibility).
+    exterior is found by flooding O \\ K from its cells on O's boundary: each
+    step adds, axis by axis, every run of O \\ K cells along that axis that
+    holds a reached cell, until nothing changes; everything in O \\ K the
+    flood cannot reach is a hole and gets filled.  The grid window is finite,
+    so components touching the window frame count as touching infinity (the
+    window frame stands in for the Alexandroff point; truncation effects are
+    the caller's responsibility).
     """
     if K.shape != O.shape or K.spacing != O.spacing or not np.allclose(K.origin, O.origin):
         raise ValueError("K and O must live on the same grid")
@@ -422,11 +454,10 @@ def inward_filled_hull(K: GridDomain, O: GridDomain) -> GridDomain:
     if np.any(K.mask & boundary):
         raise ValueError("hull precondition violated: K touches the boundary cells of O")
 
-    from scipy import ndimage
-
     complement = O.mask & ~K.mask
-    labels, n = ndimage.label(complement, structure=_face_structure(K.dimension))
-    exterior_labels = np.unique(labels[boundary & complement])
-    exterior_labels = exterior_labels[exterior_labels > 0]
-    hole_mask = complement & ~np.isin(labels, exterior_labels)
-    return K.with_mask(K.mask | hole_mask)
+    reached, before = boundary & complement, None
+    while before is None or not np.array_equal(reached, before):
+        before = reached
+        for axis in range(K.dimension):
+            reached = _run_reach(reached, complement, axis)
+    return K.with_mask(O.mask & ~reached)

@@ -70,21 +70,6 @@ class GreenModel(ScalarField):
         out[inside] = vals[inside]
         return out
 
-    def harmonic_off_pole_report(self, probes, tol: float = 1e-8):
-        """Mean-value equality |g(x) - sphere mean| at probes away from the pole."""
-        from .fields import sphere_average
-
-        worst = 0.0
-        for x, r in probes:
-            worst = max(worst, abs(self(np.asarray(x)) - sphere_average(self, x, r)))
-        return worst <= tol, worst
-
-    def designate_core(self, S_o: Ball) -> "GreenModel":
-        """Attach a designated core S_o and its constant M_g to the model."""
-        self.S_o = S_o
-        self.M_g = mg_constant(self, S_o)
-        return self
-
 
 def green_ball(center, radius: float, pole) -> GreenModel:
     """Closed-form Green model for B(center, radius) with an interior pole."""
@@ -175,7 +160,7 @@ def jensen_measure_family(D: Ball, x, kind: str, *, a: float = 0.0, b: float = 1
 
     from .balayage import check_linear, standard_jensen_family
 
-    family = standard_jensen_family(D, x, seed=seed)
+    family = standard_jensen_family(D, seed=seed)
     verdict = check_linear(Measure(d, [Atom(x, 1.0)]), mu, family, seed=seed)
     if not verdict.passed:
         raise ValueError(f"Jensen certification failed: {verdict.data['witness']} "

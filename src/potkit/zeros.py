@@ -361,19 +361,16 @@ def check_thm_hol(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float
                     "blaschke_sum": f.blaschke_sum})
 
 
-def check_criterium3_forward(Z: HoloFunction, f: HoloFunction | None,
-                             majorant: GrowthMajorant, S_o: Ball, r: float,
-                             b_minus: float, b_plus: float,
-                             seed: int = 0) -> Verdict:
+def check_criterium3_forward(Z: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
+                             b_minus: float, b_plus: float, seed: int = 0) -> Verdict:
     """Forward stages of the unit-disk zero-set criterium.
 
-    Given a zero set Z realized by f with |f| <= exp M, the [z2]/[z3]/[z4]
+    Given the zero set of Z with |Z| <= exp M, the [z2]/[z3]/[z4]
     sampled inequality suites must all pass; their per-stage constants and
     divergence flags are reported.  (The nonconstructive converse is not
     synthesized.)
     """
-    carrier = f if f is not None else Z
-    witness = majorant.check_dominates(carrier, seed=seed)
+    witness = majorant.check_dominates(Z, seed=seed)
     if witness is not None:
         raise ValueError(f"majorant violated at {witness}")
     D = Z.domain

@@ -36,7 +36,7 @@ def test_check_linear_jensen_kernels():
 
 def test_check_linear_identity_measure():
     om = _om_disk()
-    fam = standard_jensen_family(Ball(point(0, 0), 1.0), point(0, 0))
+    fam = standard_jensen_family(Ball(point(0, 0), 1.0))
     verdict = check_linear(om, om, fam)
     assert verdict.passed
     assert abs(verdict.worst_margin) <= 1e-14
@@ -76,7 +76,7 @@ def test_prop52_mass_relations():
     assert check_linear(delta(), om, both).passed
     assert abs(total_mass(delta()) - total_mass(om)) <= 1e-9
     # subset monotonicity preserves a pass
-    fam = standard_jensen_family(Ball(point(0, 0), 1.0), point(0, 0))
+    fam = standard_jensen_family(Ball(point(0, 0), 1.0))
     sub = TestFamily(fam.tag, fam.members[::3])
     assert check_linear(delta(), om, fam).passed
     assert check_linear(delta(), om, sub).passed
@@ -85,7 +85,7 @@ def test_prop52_mass_relations():
 def test_prop56_convolution_closure():
     om = _om_disk(R=0.7)
     beta = convolve_balayage(om, Mollifier(0.1, 2), Ball(point(0, 0), 1.0))
-    fam = standard_jensen_family(Ball(point(0, 0), 1.0), point(0, 0))
+    fam = standard_jensen_family(Ball(point(0, 0), 1.0))
     v_mu = check_linear(delta(), om, fam)
     v_beta = check_linear(delta(), beta, fam)
     assert v_beta.passed
@@ -96,7 +96,7 @@ def test_prop58_transfer_instance():
     # ball-average of delta_0 is swept by measures supported off its hull
     lam = Measure(2, [BallUniform(point(0, 0), 0.15, 1.0)])
     om = _om_disk()
-    fam = standard_jensen_family(Ball(point(0, 0), 1.0), point(0, 0))
+    fam = standard_jensen_family(Ball(point(0, 0), 1.0))
     assert check_linear(lam, om, fam).passed
 
 

@@ -190,7 +190,7 @@ def test_to_potential_skips_recheck_with_certificate():
     from potkit.geometry import Ball as B
 
     om = _om()
-    fam = bal.standard_jensen_family(B(point(0, 0), 1.0), point(0, 0))
+    fam = bal.standard_jensen_family(B(point(0, 0), 1.0))
     cert = bal.check_linear(delta(), om, fam)
     V = to_potential(om, point(0, 0), kind="jensen", certificate=cert)
     assert V.pole_coefficient == pytest.approx(1.0, abs=1e-9)

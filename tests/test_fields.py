@@ -236,12 +236,6 @@ def test_glue_with_green_harmonic_in_core():
         assert abs(V(x) - sphere_average(V, x, r)) <= 1e-8
 
 
-def test_green_model_designated_core():
-    gm = green.green_ball(point(0, 0), 1.0, point(0, 0))
-    gm.designate_core(Ball(point(0, 0), 0.2))
-    assert gm.M_g == pytest.approx(math.log(5), abs=1e-12)
-
-
 def test_glue_with_green_pole_ratio_fit():
     O, S_o, S, gm, v, m_v, M_v = _disk_glue_instance()
     V = glue_with_green(v, gm, S_o, S, m_v, M_v, ambient=O)
@@ -376,6 +370,25 @@ def test_grid_field_serialization(tmp_path):
     gf = GridField(grid, np.arange(16.0).reshape(4, 4))
     back = GridField.from_json(gf.to_json())
     assert np.array_equal(back.values, gf.values)
+
+
+@pytest.mark.parametrize("shape", [(9,), (7, 5), (1, 6), (4, 6, 5)])
+def test_grid_field_interpolation_matches_map_coordinates(shape):
+    # linear interpolation clamped to the window as scipy's mode="nearest" clamps,
+    # at random points inside and outside the window and at the cell centers
+    from scipy import ndimage
+
+    d = len(shape)
+    rng = np.random.default_rng(d)
+    grid = GridDomain(np.array([-0.3, 0.2, 0.1][:d]), 0.25, np.ones(shape, bool))
+    values = rng.normal(size=shape)
+    top = grid.origin + (np.asarray(shape) - 1) * grid.spacing
+    pts = np.vstack([rng.uniform(grid.origin - 0.6, top + 0.6, (400, d)), grid.centers()])
+    outside = np.any((pts < grid.origin) | (pts > top), axis=1)
+    assert outside.any() and (~outside).any()
+    want = ndimage.map_coordinates(values, ((pts - grid.origin) / grid.spacing).T, order=1,
+                                   mode="nearest")
+    assert np.max(np.abs(GridField(grid, values).evaluate_array(pts) - want)) <= 1e-12
 
 
 def test_riesz_measure_d3_quadratic():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 import potkit
 from potkit import fields
@@ -237,6 +238,23 @@ def test_domain_membership():
     assert not a.contains(INFINITY)
 
 
+def test_membership_rejects_points_of_another_dimension():
+    grid = GridDomain(point(0, 0, 0), 0.5, np.ones((3, 3, 3), bool))
+    for domain in [Ball(point(0), 1.0), Annulus(point(0, 0), 1.0, 2.0), grid]:
+        d = domain.dimension
+        other = np.full(d + 1, 0.1)
+        with pytest.raises(ValueError, match=f"dimension {d + 1} given to a domain of "
+                                             f"dimension {d}"):
+            domain.contains(other)
+        if isinstance(domain, Ball):
+            with pytest.raises(ValueError, match=f"of dimension {d}"):
+                domain.closure_contains(other)
+        with pytest.raises(ValueError, match=f"of dimension {d}"):
+            domain.contains_array(np.full((4, d + 1), 0.1))
+        assert not domain.contains(np.full(d, 9.0))
+        assert not domain.contains_array(np.full((2, d), 9.0)).any()
+
+
 def test_inward_filled_hull_d3_shell():
     # a spherical shell in d=3 encloses a cavity; the hull fills it
     n = 25
@@ -260,6 +278,77 @@ def test_parallel_set_grid_d3():
     centers = np.indices(mask.shape).reshape(3, -1).T.astype(float)
     brute = (np.linalg.norm(centers - 4.0, axis=1) <= 2.0 + 1e-12).reshape(mask.shape)
     assert np.array_equal(dil.mask, brute)
+
+
+# -- the lattice morphology against scipy.ndimage -------------------------------
+
+
+def dilation_by_edt(g: GridDomain, r: float) -> np.ndarray:
+    """Reference: the cells within r of a mask cell, by the Euclidean distance transform."""
+    return g.mask | (ndimage.distance_transform_edt(~g.mask) * g.spacing <= r)
+
+
+def hull_by_labels(K: GridDomain, O: GridDomain) -> np.ndarray:
+    """Reference: label the face components of O \\ K and fill those that miss O's
+    boundary cells (the erosion of O with nothing outside the window)."""
+    structure = ndimage.generate_binary_structure(K.dimension, 1)
+    boundary = O.mask & ~ndimage.binary_erosion(O.mask, structure, border_value=0)
+    complement = O.mask & ~K.mask
+    labels, _ = ndimage.label(complement, structure)
+    exterior = np.unique(labels[boundary & complement])
+    return K.mask | (complement & ~np.isin(labels, exterior[exterior > 0]))
+
+
+@pytest.mark.parametrize("shape", [(37, 29), (13, 11, 12)], ids=["2d", "3d"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_parallel_set_grid_is_the_distance_transform_threshold(shape, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.random(shape) < 0.03
+    mask[0] = rng.random(shape[1:]) < 0.3  # components on the window frame
+    g = GridDomain(np.zeros(len(shape)), 0.1, mask)
+    for r in (0.7 * g.spacing, g.spacing, 1.5 * g.spacing, 2.5 * g.spacing):
+        dil = parallel_set(g, r).mask
+        assert np.array_equal(dil, dilation_by_edt(g, r)), r
+    assert (dil & ~mask).any() and not dil.all()
+
+
+@pytest.mark.parametrize("shape", [(41, 37), (15, 14, 13)], ids=["2d", "3d"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_inward_filled_hull_matches_component_labelling(shape, seed):
+    # O has holes of its own, so the flood also starts from inner boundary cells
+    rng = np.random.default_rng(seed)
+    O = GridDomain(np.zeros(len(shape)), 0.1, rng.random(shape) < 0.98)
+    fill = 0.45 if len(shape) == 2 else 0.65  # dense enough to enclose holes
+    K = O.with_mask((rng.random(shape) < fill) & O.mask & ~O.boundary_cells())
+    hull = inward_filled_hull(K, O).mask
+    assert np.array_equal(hull, hull_by_labels(K, O))
+    assert (hull & ~K.mask).any() and (O.mask & ~hull).any()
+
+
+def test_pj_suite_windows_match_the_ndimage_references(monkeypatch):
+    from potkit import duality
+    from potkit.presets import run_preset
+
+    hulls, pads = [], []
+    real_hull, real_pad = duality.inward_filled_hull, duality.parallel_set
+
+    def hull_spy(K, O):
+        hulls.append((K, O, real_hull(K, O)))
+        return hulls[-1][2]
+
+    def pad_spy(base, r):
+        pads.append((base, r, real_pad(base, r)))
+        return pads[-1][2]
+
+    monkeypatch.setattr(duality, "inward_filled_hull", hull_spy)
+    monkeypatch.setattr(duality, "parallel_set", pad_spy)
+    run_preset("pj-suite", 0, 1.0)
+    assert len(hulls) == len(pads) == 11
+    assert {K.dimension for K, _, _ in hulls} == {2, 3}
+    for K, O, hull in hulls:
+        assert np.array_equal(hull.mask, hull_by_labels(K, O))
+    for base, r, pad in pads:
+        assert np.array_equal(pad.mask, dilation_by_edt(base, r))
 
 
 # -- the domain protocol against the type ladders it replaced ------------------

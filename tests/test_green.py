@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from potkit import balayage, green
-from potkit.fields import ScalarField, fit_pole_coefficient
+from potkit.fields import ScalarField, check_subharmonic, fit_pole_coefficient
 from potkit.geometry import Ball, point
 from potkit.measures import Atom, Measure, SphereUniform, integrate, total_mass
 from potkit.potentials import Potential, difference_potential
@@ -24,6 +24,9 @@ def test_green_ball_preconditions():
         green.green_ball(point(0, 0), 1.0, point(1.0, 0))
     with pytest.raises(ValueError):
         green.green_ball(point(0, 0), 1.0, point(2.0, 0))
+    # a 2-D pole is not a point of a 1-D ball
+    with pytest.raises(ValueError, match="dimension 2 given to a domain of dimension 1"):
+        green.green_ball(point(0), 1.0, point(0.1, 0.2))
 
 
 def test_green_property_suite_off_center():
@@ -39,8 +42,8 @@ def test_green_property_suite_off_center():
         r = 0.02 + 0.1 * rng.random()
         if np.linalg.norm(x) + r < 0.97 and np.linalg.norm(x - [0.3, 0.2]) > r + 0.05:
             probes.append((x, r))
-    ok, worst = g.harmonic_off_pole_report(probes, tol=1e-8)
-    assert ok, worst
+    worst = max(abs(row.margin) for row in check_subharmonic(g, probes).rows)
+    assert worst <= 1e-8, worst
     slope, r2 = fit_pole_coefficient(g, point(0.3, 0.2))
     assert slope == pytest.approx(1.0, abs=1e-6) and r2 >= 0.999
 
@@ -113,7 +116,7 @@ def test_jensen_measure_family_kinds():
     # the sigma-normalized unit-sphere measure belongs to J_0(r B) for r > 1,
     # checked for r = 1.1 against the standard subharmonic probe family
     sigma = Measure(2, [SphereUniform(point(0, 0), 1.0, 1.0)])
-    fam = balayage.standard_jensen_family(Ball(point(0, 0), 1.1), x)
+    fam = balayage.standard_jensen_family(Ball(point(0, 0), 1.1))
     verdict = balayage.check_linear(Measure(2, [Atom(x, 1.0)]), sigma, fam)
     assert verdict.passed
 

@@ -159,9 +159,8 @@ DIMENSION_ARGUMENT_ALLOWED = {
     "measures.Mollifier",
     # the closed-form self-cell averages of a grid charge
     "potentials._self_cell_mean", "potentials._cell_mean",
-    # the face connectivity of a d-dimensional lattice and the harmonic
-    # polynomials of R^d
-    "geometry._face_structure", "balayage._harmonic_polynomial_family",
+    # the harmonic polynomials of R^d
+    "balayage._harmonic_polynomial_family",
 }
 
 
@@ -181,6 +180,24 @@ def test_dimension_is_read_from_the_data():
                     dimension_args.add(f"{p.stem}.{qual}")
     assert configs == []
     assert dimension_args == DIMENSION_ARGUMENT_ALLOWED
+
+
+def test_runtime_is_numpy_alone():
+    """No potkit module imports scipy, and numpy is the one runtime dependency;
+    scipy stays a test-only reference (the `test` extra)."""
+    imports = []
+    for p in sorted(TREES[0].glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                imports += [(p.stem, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.append((p.stem, node.module))
+    assert [(m, name) for m, name in imports if name.partition(".")[0] == "scipy"] == []
+    assert ("geometry", "numpy") in imports
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    assert [re.split(r"[<>=!~ ]", dep)[0] for dep in re.findall(r'"([^"]+)"', block)] == \
+        ["numpy"]
 
 
 def test_every_annotation_resolves():

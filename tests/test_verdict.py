@@ -37,7 +37,7 @@ def _zeros_setup():
 
 
 def _check_linear():
-    fam = standard_jensen_family(DISK, point(0, 0))
+    fam = standard_jensen_family(DISK)
     v = check_linear(delta(), _om(), fam)
     data = v.to_json()
     assert data["semantics"] == "sampled verdict" and data["pass"] is True
@@ -105,7 +105,7 @@ def _thm_hol():
 
 def _criterium3_forward():
     f, M, S_o, r, _ = _zeros_setup()
-    v = check_criterium3_forward(f, f, M, S_o, r, -1.0, 1.0)
+    v = check_criterium3_forward(f, M, S_o, r, -1.0, 1.0)
     assert [sub.name for sub in v.data["variants"].values()] == ["z2", "z3", "z4"]
     return v
 

@@ -164,13 +164,13 @@ def test_blaschke_direct_sum_oracle():
 
 def test_criterium_forward_stages():
     f, M, S_o, r = _setup_poly()
-    rep = check_criterium3_forward(f, f, M, S_o, r, -1.0, 1.0)
+    rep = check_criterium3_forward(f, M, S_o, r, -1.0, 1.0)
     assert rep.passed
     assert set(rep.data["variants"]) == {"z2", "z3", "z4"}
 
     zs = [1 - 2.0 ** (-k) for k in range(1, 11)]
     fb = HoloFunction.blaschke(zs)
-    repb = check_criterium3_forward(fb, fb, GrowthMajorant.constant(0.0), S_o, r, -1.0, 3.5)
+    repb = check_criterium3_forward(fb, GrowthMajorant.constant(0.0), S_o, r, -1.0, 3.5)
     assert repb.passed
 
 
