@@ -15,7 +15,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import quadrature
-from .geometry import Annulus, Ball, GridDomain, _Composite, _face_neighbours
+from .geometry import (Annulus, Ball, GridDomain, _Composite, _face_neighbours,
+                       _row_norm)
 from .kernels import kernel_rows, riesz_normalizer, k_eval_array
 from .measures import GridDensity, Measure
 from .verdict import Row, Verdict
@@ -79,7 +80,7 @@ class ScalarField:
         p = np.asarray(p, dtype=float)
 
         def _eval(pts):
-            r = np.linalg.norm(pts - p[None, :], axis=1)
+            r = _row_norm(pts - p[None, :])
             with np.errstate(divide="ignore"):
                 return coefficient * np.log(r)
 
@@ -425,7 +426,7 @@ def glue_with_green(v: ScalarField, green, S_o: Ball, S: Ball, m_v: float, M_v: 
     # sampled bound verification on S \ S_o
     samples = quadrature.sample_in(
         quadrature.rng_for(0, "glue-green-samples"), S.center, S.radius, GREEN_GLUE_SAMPLES,
-        lambda p: S.contains_array(p) & (np.linalg.norm(p - S_o.center, axis=1) > S_o.radius))
+        lambda p: S.contains_array(p) & (_row_norm(p - S_o.center) > S_o.radius))
     for x in samples:
         val = v(x)
         if val > M_v + tol or val < m_v - tol:
@@ -440,7 +441,7 @@ def glue_with_green(v: ScalarField, green, S_o: Ball, S: Ball, m_v: float, M_v: 
     v0 = ScalarField(v0_eval)
 
     def _eval(pts):
-        rho = np.linalg.norm(pts - S_o.center[None, :], axis=1)
+        rho = _row_norm(pts - S_o.center[None, :])
         in_So = rho <= S_o.radius
         in_S = S.contains_array(pts) & ~in_So
         return _piecewise(pts, [
@@ -522,7 +523,7 @@ def harmonize_layer(v: ScalarField, layer: Annulus, cells: int = 128,
     n = int(math.ceil(2.0 * (layer.r_out + 2 * h) / h)) + 1
     grid = GridDomain(lo, h, np.ones((n,) * d, dtype=bool))
     centers = grid.centers()
-    rho = np.linalg.norm(centers - layer.center[None, :], axis=1).reshape(grid.shape)
+    rho = _row_norm(centers - layer.center[None, :]).reshape(grid.shape)
     inner = (rho > layer.r_in) & (rho < layer.r_out)
 
     values = v.evaluate_array(centers).reshape(grid.shape).astype(float)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .fields import ScalarField
-from .geometry import Ball
+from .geometry import Ball, _row_norm
 from .measures import (Atom, Measure, Mollifier, SphereUniform, convolve_balayage,
                        density_from_spec)
 
@@ -46,23 +46,23 @@ class GreenModel(ScalarField):
         x = pts - c[None, :]
         b = a - c
         rho = np.linalg.norm(b)
-        r_xa = np.linalg.norm(pts - a[None, :], axis=1)
+        r_xa = _row_norm(pts - a[None, :])
         out = np.zeros(len(pts))
-        inside = np.linalg.norm(x, axis=1) <= R
+        inside = _row_norm(x) <= R
         with np.errstate(divide="ignore", invalid="ignore"):
             if d == 2:
                 if rho == 0.0:
                     vals = np.log(R / r_xa)
                 else:
                     image = c + (R ** 2 / rho ** 2) * b
-                    r_im = np.linalg.norm(pts - image[None, :], axis=1)
+                    r_im = _row_norm(pts - image[None, :])
                     vals = np.log((rho * r_im) / (R * r_xa))
             elif d == 3:
                 if rho == 0.0:
                     vals = 1.0 / r_xa - 1.0 / R
                 else:
                     image = c + (R ** 2 / rho ** 2) * b
-                    r_im = np.linalg.norm(pts - image[None, :], axis=1)
+                    r_im = _row_norm(pts - image[None, :])
                     vals = 1.0 / r_xa - (R / rho) / r_im
             else:
                 raise NotImplementedError("Green models are built for d in {2, 3}")

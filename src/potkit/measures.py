@@ -77,7 +77,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quadrature
-from .geometry import Ball, GridDomain, _stencil
+from .geometry import Ball, GridDomain, _row_norm, _stencil
 from .kernels import k_eval_array, kernel_rows, tile_rows, unit_ball_volume
 
 __all__ = [
@@ -216,7 +216,7 @@ class _Layer:
         return self._newton if self.dimension in (2, 3) else None
 
     def _distance(self, pts: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(pts - self.center[None, :], axis=1)
+        return _row_norm(pts - self.center[None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,7 +398,7 @@ class GridDensity:
         pts = self.support_points()
         if not len(pts):
             return 0.0
-        return (float(np.max(np.linalg.norm(pts - center, axis=1)))
+        return (float(np.max(_row_norm(pts - center)))
                 + 0.5 * self.grid.spacing * math.sqrt(self.dimension))
 
     def support_points(self) -> np.ndarray:
@@ -437,7 +437,7 @@ def density_from_spec(spec: dict):
 
     def poisson(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        return scale / np.linalg.norm(pts - x[None, :], axis=1) ** d
+        return scale / _row_norm(pts - x[None, :]) ** d
 
     return poisson
 
@@ -486,7 +486,7 @@ class Measure:
         mass = 0.0
         for c in self.components:
             if (c.kind == "atom"
-                    and np.any(np.linalg.norm(pts - c.point[None, :], axis=1) <= ATOM_TOL)):
+                    and np.any(_row_norm(pts - c.point[None, :]) <= ATOM_TOL)):
                 mass += c.weight
         return mass
 

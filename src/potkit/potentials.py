@@ -34,6 +34,7 @@ import numpy as np
 
 from . import quadrature
 from .fields import ScalarField
+from .geometry import _row_norm
 from .kernels import k_eval, k_eval_array, kernel_rows, tile_rows
 from .measures import Atom, GridDensity, Measure, total_mass
 from .verdict import Row, Verdict
@@ -206,11 +207,11 @@ class Potential(ScalarField):
         off = pts[inside] - (g.grid.origin[None, :] + idx[inside] * h)
         keep = (cell_mass != 0.0) & (np.max(np.abs(off), axis=1) <= 0.5 * h)
         rows, cell_mass, off = inside[keep], cell_mass[keep], off[keep]
-        r = np.sqrt(np.sum(off * off, axis=1))
+        r = _row_norm(off)
         hit = r == 0.0
         for j, m in zip(rows[hit], cell_mass[hit]):
             # exact hit: rebuild this row without the self node
-            dist = np.linalg.norm(centers - pts[j][None, :], axis=1)
+            dist = _row_norm(centers - pts[j][None, :])
             live = dist > 0.0
             out[j] = float(np.dot(masses[live], k_eval_array(q, dist[live]))) + m * mean_k
         near = ~hit
@@ -307,14 +308,14 @@ def asymptotic_check(mu: Measure, radii) -> Verdict:
 
 def _set_distance(L, pts: np.ndarray) -> float:
     """dist(L, point set) for a closed ball L."""
-    r = np.linalg.norm(pts - L.center[None, :], axis=1)
+    r = _row_norm(pts - L.center[None, :])
     return float(max(0.0, np.min(r) - L.radius))
 
 
 def _probe_points(L, n: int, seed: int) -> np.ndarray:
     inner = quadrature.sample_in(
         quadrature.rng_for(seed, "lower-bound-probes"), L.center, L.radius, n,
-        lambda p: np.linalg.norm(p - L.center, axis=1) <= L.radius)
+        lambda p: _row_norm(p - L.center) <= L.radius)
     return np.vstack([inner, L.boundary_points(n)])
 
 

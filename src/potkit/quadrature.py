@@ -12,6 +12,8 @@ import zlib
 
 import numpy as np
 
+from .geometry import _row_norm
+
 # default node counts; see the module docstrings of measures/green for
 # which rule is used where
 CIRCLE_NODES = 4096          # 2**12, periodic trapezoid on circles
@@ -110,7 +112,7 @@ def sphere_mc_nodes(d: int, n: int, seed: int, tag: str) -> np.ndarray:
     """Seeded uniform samples on the unit sphere."""
     rng = rng_for(seed, tag)
     x = rng.standard_normal((n, d))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    return x / _row_norm(x)[:, None]
 
 
 def ball_rule(d: int, n_radial: int | None = None, n_angular: int | None = None):

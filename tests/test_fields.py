@@ -11,6 +11,7 @@ from potkit.fields import (SWEEPS_PER_NODE, GlueError, GridField,
                            sphere_average, ball_average)
 from potkit.geometry import Annulus, Ball, GridDomain, point
 from potkit.measures import total_mass
+from potkit.presets import run_preset
 
 
 def test_sphere_average_examples():
@@ -576,3 +577,19 @@ def test_harmonize_layer_dispatch_matches_reference(seed):
     got = out.evaluate_array(pts)
     _assert_same(got, _harmonize_layer_reference(v, layer, out.solver_grid)(pts))
     assert not np.isnan(got).any()
+
+
+def test_gluing_presets_take_no_stack_norm(monkeypatch):
+    """Every point-stack distance of the gluing presets goes through
+    geometry._row_norm; np.linalg.norm sees single points only."""
+    norm, ndims = np.linalg.norm, []
+
+    def counted(x, *args, **kwargs):
+        ndims.append(np.ndim(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    for name in ("glue-basic", "glue-green"):
+        checks, _ = run_preset(name, 0, 1.0)
+        assert all(v.passed for v in checks), name
+    assert ndims and ndims.count(2) == 0

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import math
 from collections import deque
@@ -11,8 +12,9 @@ from scipy import ndimage
 
 import potkit
 from potkit import fields
-from potkit.geometry import (Annulus, Ball, GridDomain, INFINITY, _Composite, inversion,
-                             inward_filled_hull, kelvin_transform, parallel_set, point)
+from potkit.geometry import (Annulus, Ball, GridDomain, INFINITY, _Composite, _row_norm,
+                             inversion, inward_filled_hull, kelvin_transform, parallel_set,
+                             point)
 
 
 def test_inversion_examples():
@@ -253,6 +255,46 @@ def test_membership_rejects_points_of_another_dimension():
             domain.contains_array(np.full((4, d + 1), 0.1))
         assert not domain.contains(np.full(d, 9.0))
         assert not domain.contains_array(np.full((2, d), 9.0)).any()
+
+
+def test_boundary_distance_rejects_points_of_another_dimension():
+    for domain, inside in [(Ball(point(0), 1.0), point(0.5)),
+                           (Annulus(point(0), 1.0, 2.0), point(1.5))]:
+        with pytest.raises(ValueError, match="dimension 2 given to a domain of dimension 1"):
+            domain.boundary_distance(point(0.1, 0.2))
+        assert domain.boundary_distance(inside) == 0.5
+
+
+def _awkward_rows(d: int) -> np.ndarray:
+    """Rows of exact zeros, subnormals, values whose squares overflow or
+    underflow, infinities and nans, each coordinate sign mixed in."""
+    specials = [0.0, -0.0, 5e-324, -2.5e-310, 1e200, -1e200, 1e-200, -1e-200,
+                math.inf, -math.inf, math.nan, -math.nan, 1.0, -3.0]
+    rows = np.array(list(itertools.product(specials, repeat=min(d, 2))))
+    if d == 3:
+        rows = np.column_stack([rows, np.roll(rows[:, 0], 5)])
+    return rows
+
+
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_row_norm_is_bitwise_the_axis_norm(d):
+    rng = np.random.default_rng(d)
+    for n in [1, 7, 4096, 20000]:
+        v = rng.standard_normal((n, d)) * np.exp(rng.uniform(-30, 30, (n, d)))
+        wide = np.hstack([v, v])
+        for stack in [v, np.asfortranarray(v), v[::2], wide[:, :d], wide[:, d - 1:2 * d - 1]]:
+            assert _bitwise_equal(_row_norm(stack), np.linalg.norm(stack, axis=1)), (n, d)
+    awkward = _awkward_rows(d)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = _row_norm(awkward)
+        for stack in [awkward, np.asfortranarray(awkward), awkward[::3]]:
+            assert _bitwise_equal(_row_norm(stack), np.linalg.norm(stack, axis=1))
+    assert np.isinf(got).any() and np.isnan(got).any() and (got == 0.0).any()
 
 
 def test_inward_filled_hull_d3_shell():

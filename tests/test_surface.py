@@ -200,6 +200,24 @@ def test_runtime_is_numpy_alone():
         ["numpy"]
 
 
+
+# A stack of points takes its distances from geometry._row_norm, which is
+# bitwise np.linalg.norm(v, axis=1) at a fraction of the cost.  A single point
+# keeps np.linalg.norm(x): numpy takes its dot-product path there, which
+# rounds the last bit differently from the row sum (on 15,728 of 200,000
+# standard-normal 2-D vectors and 21,250 of 200,000 3-D ones, seed 0), and the
+# scalar tests (Ball.contains, boundary_distance) accept sampled points by
+# those bits.
+def test_point_stack_norms_go_through_row_norm():
+    """No np.linalg.norm call in potkit passes an `axis`."""
+    found = []
+    for p in sorted(TREES[0].glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.norm"
+                    and any(k.arg == "axis" for k in node.keywords)):
+                found.append(f"{p.stem}:{node.lineno}")
+    assert found == []
+
 def test_every_annotation_resolves():
     """typing.get_type_hints works on every function and method potkit defines."""
     failures = []
