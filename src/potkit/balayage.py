@@ -19,7 +19,7 @@ import numpy as np
 
 from . import quadrature
 from .fields import ScalarField, sphere_averages
-from .geometry import Ball, _row_norm
+from .geometry import Ball, _distance
 from .measures import (Atom, BallUniform, IndeterminateIntegral, Measure,
                        SphereUniform, integrate_many, restrict)
 from .verdict import Row, Verdict
@@ -377,7 +377,7 @@ def _lyons_members(S_o: Ball, r: float, b_minus: float, b_plus: float, D: Ball,
 def _ring_samples(S_o: Ball, width: float, n: int, seed: int) -> np.ndarray:
     """Sample points of (S_o dilated by width) minus S_o."""
     def in_ring(pts):
-        rho = _row_norm(pts - S_o.center)
+        rho = _distance(pts, S_o.center)
         return (S_o.radius < rho) & (rho < S_o.radius + width)
 
     return quadrature.sample_in(quadrature.rng_for(seed, "ring-samples"), S_o.center,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import quadrature
 from .fields import GridField, ScalarField, fit_pole_coefficient, riesz_measure
-from .geometry import (Ball, GridDomain, _row_norm, _stencil, inward_filled_hull,
+from .geometry import (Ball, GridDomain, _distance, _stencil, inward_filled_hull,
                        parallel_set)
 from .kernels import k_eval
 from .measures import Atom, IndeterminateIntegral, Measure, integrate, restrict, total_mass
@@ -123,7 +123,7 @@ def _window_probes(window: Ball, x: np.ndarray, n: int, seed: int) -> np.ndarray
     gap = min(1e-3, 0.2 * window.radius)  # pole exclusion scaled to the window
     pts = quadrature.sample_in(
         quadrature.rng_for(seed, "as-window-probes"), window.center, window.radius, n,
-        lambda p: window.contains_array(p) & (_row_norm(p - x) > gap),
+        lambda p: window.contains_array(p) & (_distance(p, x) > gap),
         max_draws=200 * n)
     if not len(pts):
         raise ValueError("could not sample probes in the support window")
@@ -146,7 +146,7 @@ def from_potential(V: ASPotential, grid: GridDomain,
     if pole_exclusion is None:
         pole_exclusion = 5.0 * h
     centers = grid.centers()
-    keep = (_row_norm(centers - x[None, :]) > pole_exclusion).reshape(grid.shape)
+    keep = (_distance(centers, x) > pole_exclusion).reshape(grid.shape)
     masked = GridDomain(grid.origin, h, grid.mask & keep)
     sampled = GridField.sample(V, masked)
     vals = np.where(masked.mask, sampled.values, 0.0)
@@ -259,7 +259,7 @@ def phragmen_lindelof_bound(V: ASPotential, green, S_o: Ball | None = None,
     D = green.domain
     pts = quadrature.sample_in(
         quadrature.rng_for(seed, "pl-probes"), D.center, D.radius, PL_PROBES,
-        lambda p: D.contains_array(p) & (_row_norm(p - V.pole) > 1e-3))
+        lambda p: D.contains_array(p) & (_distance(p, V.pole) > 1e-3))
     excess = V.evaluate_array(pts) - green.evaluate_array(pts)
     worst = float(np.max(excess))
     upper_ok = worst <= tol
@@ -268,7 +268,7 @@ def phragmen_lindelof_bound(V: ASPotential, green, S_o: Ball | None = None,
     if S_o is not None and r is not None and V.source is not None:
         enlarged = Ball(S_o.center, S_o.radius + 3.0 * r)
         supp = V.source.support_points()
-        dist = _row_norm(supp - enlarged.center[None, :]) - enlarged.radius
+        dist = _distance(supp, enlarged.center) - enlarged.radius
         gap = float(np.min(dist))
         if gap > 0:
             d = V.pole.size

@@ -15,8 +15,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import quadrature
-from .geometry import (Annulus, Ball, GridDomain, _Composite, _face_neighbours,
-                       _row_norm)
+from .geometry import (Annulus, Ball, GridDomain, _Composite, _distance,
+                       _face_neighbours)
 from .kernels import kernel_rows, riesz_normalizer, k_eval_array
 from .measures import GridDensity, Measure
 from .verdict import Row, Verdict
@@ -80,7 +80,7 @@ class ScalarField:
         p = np.asarray(p, dtype=float)
 
         def _eval(pts):
-            r = _row_norm(pts - p[None, :])
+            r = _distance(pts, p)
             with np.errstate(divide="ignore"):
                 return coefficient * np.log(r)
 
@@ -179,8 +179,10 @@ def _sampled_means(v: ScalarField, centers: np.ndarray, r: float, rule,
     is bit for bit the one a call with that row alone gives.
     """
     nodes, w = rule
-    pts = centers[:, None, :] + r * nodes
-    d, stop = pts.shape[2], len(centers)
+    d, stop = nodes.shape[1], len(centers)
+    pts, scaled = np.empty((stop, len(nodes), d)), r * nodes
+    for k in range(d):  # axis by axis: the bits of centers[:, None, :] + r * nodes
+        np.add(centers[:, k, None], scaled[:, k], out=pts[:, :, k])
     if v.domain is not None:
         inside = v.domain.contains_array(pts.reshape(-1, d)).reshape(stop, -1).all(axis=1)
         stop = int(np.argmin(inside)) if not inside.all() else stop
@@ -213,10 +215,11 @@ def ball_average(v: ScalarField, x, r: float) -> float:
 
 def check_subharmonic(v: ScalarField, probes, tol: float = 1e-6) -> Verdict:
     """Sub-mean-value test v(x) <= sphere mean + tol at each (point, radius) probe."""
+    probes = [(np.asarray(x, dtype=float), r) for x, r in probes]
+    vals = v.evaluate_array(np.array([x for x, _ in probes])) if probes else []
     rows = []
-    for x, r in probes:
-        x = np.asarray(x, dtype=float)
-        val = v(x)
+    for (x, r), val in zip(probes, vals):
+        val = float(val)
         avg = sphere_average(v, x, r)
         margin = val - avg  # positive margin beyond tol = violation
         rows.append(Row("probe", val, avg, margin, bool(margin <= tol), tol))
@@ -293,28 +296,43 @@ POLE_FIT_RADII = (1e-2, 3e-3, 1e-3, 3e-4)  # radius ladder of fit_pole_coefficie
 OFFSET_DIRECTIONS = 8  # directions of the limsup surrogate and of the pole fit
 
 
-def _approx_limsup(field: ScalarField, x: np.ndarray, inside, h: float):
-    """Boundary limsup surrogate from inward offsets at distances {h, 2h}.
+def _approx_limsup(field: ScalarField, xs: np.ndarray, inside, h: float):
+    """Boundary limsup surrogates from inward offsets at distances {h, 2h}, per row of xs.
 
-    Per admissible direction the two samples are linearly extrapolated to
-    the boundary point (killing the O(h) drift of a raw max); the returned
-    slack is the largest directional increment, a data-driven allowance for
-    the surrogate's residual error.
+    Per admissible direction (both offsets in `inside`) the two samples are
+    linearly extrapolated to the boundary point (killing the O(h) drift of a
+    raw max); the slack is the largest directional increment, a data-driven
+    allowance for the surrogate's residual error.  A row with no admissible
+    direction takes the max over its near offsets in `inside`, with slack 0,
+    and -inf with none.  Returns the (est, slack) arrays.
     """
-    dirs = quadrature._unit_directions(x.size, OFFSET_DIRECTIONS)
-    near = x[None, :] + h * dirs
-    far = x[None, :] + 2 * h * dirs
-    ok = inside.contains_array(near) & inside.contains_array(far)
-    if not ok.any():
-        keep = inside.contains_array(near)
-        if not keep.any():
-            return -math.inf, 0.0
-        return float(np.max(field.evaluate_array(near[keep]))), 0.0
-    f1 = field.evaluate_array(near[ok])
-    f2 = field.evaluate_array(far[ok])
-    est = float(np.max(2.0 * f1 - f2))
-    slack = float(np.max(np.abs(f1 - f2)))
-    return est, slack
+    d = xs.shape[1]
+    dirs = quadrature._unit_directions(d, OFFSET_DIRECTIONS)
+    near = (xs[:, None, :] + h * dirs).reshape(-1, d)
+    far = (xs[:, None, :] + 2 * h * dirs).reshape(-1, d)
+    keep = inside.contains_array(near)
+    ok = keep & inside.contains_array(far)
+    shape = (len(xs), len(dirs))  # a row per point, a column per direction
+    f1 = _piecewise(near, [(keep, field.evaluate_array)]).reshape(shape)
+    f2 = _piecewise(far, [(ok, field.evaluate_array)]).reshape(shape)
+    keep, ok = keep.reshape(shape), ok.reshape(shape)
+
+    def top(mask, vals):  # the max of vals over mask in each row, -inf on none
+        return np.where(mask, vals, -math.inf).max(axis=1)
+
+    any_ok = ok.any(axis=1)
+    est = np.where(any_ok, top(ok, 2.0 * f1 - f2), top(keep, f1))
+    return est, np.where(any_ok, top(ok, np.abs(f1 - f2)), 0.0)
+
+
+def _reject(xs: np.ndarray, checks) -> None:
+    """Raise GlueError at the first row of xs failing a (failed mask, message) check,
+    trying a row's checks in order, as a loop over the points would."""
+    failed = np.array([bad for bad, _ in checks])
+    hit = failed.any(axis=0)
+    if hit.any():
+        i = int(np.argmax(hit))
+        raise GlueError(checks[int(np.argmax(failed[:, i]))][1], witness=xs[i])
 
 
 def _boundary_in(region, other, n: int) -> np.ndarray:
@@ -327,8 +345,8 @@ def _piecewise(pts: np.ndarray, parts) -> np.ndarray:
     """Values of a field patched from regions: nan, then each (mask, evaluate) in order."""
     out = np.full(len(pts), np.nan)
     for mask, evaluate in parts:
-        if mask.any():
-            out[mask] = evaluate(pts[mask])
+        if mask.any():  # np.compress: the bytes of pts[mask], several times faster
+            out[mask] = evaluate(np.compress(mask, pts, axis=0))
     return out
 
 
@@ -342,14 +360,11 @@ def glue_max(O, O0, v: ScalarField, v0: ScalarField, tol: float = 1e-6) -> Scala
     overlap = _Composite(O, O0, union=False)
     h = GLUE_OFFSET * O.diameter
 
-    for x in _boundary_in(O, O0, GLUE_BOUNDARY):
-        est, slack = _approx_limsup(v, x, overlap, h)
-        if est > v0(x) + tol + 0.5 * slack:
-            raise GlueError("boundary compatibility fails on the O side", witness=x)
-    for x in _boundary_in(O0, O, GLUE_BOUNDARY):
-        est, slack = _approx_limsup(v0, x, overlap, h)
-        if est > v(x) + tol + 0.5 * slack:
-            raise GlueError("boundary compatibility fails on the O0 side", witness=x)
+    for side, f, g, xs in (("O", v, v0, _boundary_in(O, O0, GLUE_BOUNDARY)),
+                           ("O0", v0, v, _boundary_in(O0, O, GLUE_BOUNDARY))):
+        est, slack = _approx_limsup(f, xs, overlap, h)
+        _reject(xs, [(est > g.evaluate_array(xs) + tol + 0.5 * slack,
+                      f"boundary compatibility fails on the {side} side")])
 
     def _eval(pts):
         in_O = O.contains_array(pts)
@@ -377,18 +392,15 @@ def glue_quantitative(O, O0, v: ScalarField, g: ScalarField, m_v: float, M_v: fl
     h = GLUE_OFFSET * O.diameter
 
     # sampled Eq-style bound checks before construction
-    for x in _boundary_in(O0, O, GLUE_BOUNDARY):
-        if v(x) < m_v - tol:
-            raise GlueError("v drops below m_v on O boundary-of-O0 samples", witness=x)
-        est, slack = _approx_limsup(g, x, overlap, h)
-        if est > m_g + tol + 0.5 * slack:
-            raise GlueError("g exceeds m_g on the inner interface", witness=x)
-    for x in _boundary_in(O, O0, GLUE_BOUNDARY):
-        est, slack = _approx_limsup(v, x, overlap, h)
-        if est > M_v + tol + 0.5 * slack:
-            raise GlueError("v exceeds M_v on the outer interface", witness=x)
-        if g(x) < M_g - tol:
-            raise GlueError("g drops below M_g on the outer interface", witness=x)
+    xs = _boundary_in(O0, O, GLUE_BOUNDARY)
+    est, slack = _approx_limsup(g, xs, overlap, h)
+    _reject(xs, [(v.evaluate_array(xs) < m_v - tol,
+                  "v drops below m_v on O boundary-of-O0 samples"),
+                 (est > m_g + tol + 0.5 * slack, "g exceeds m_g on the inner interface")])
+    xs = _boundary_in(O, O0, GLUE_BOUNDARY)
+    est, slack = _approx_limsup(v, xs, overlap, h)
+    _reject(xs, [(est > M_v + tol + 0.5 * slack, "v exceeds M_v on the outer interface"),
+                 (g.evaluate_array(xs) < M_g - tol, "g drops below M_g on the outer interface")])
 
     amp = max(M_v, 0.0) + max(-m_v, 0.0)
     coeff = amp / (M_g - m_g)
@@ -426,11 +438,10 @@ def glue_with_green(v: ScalarField, green, S_o: Ball, S: Ball, m_v: float, M_v: 
     # sampled bound verification on S \ S_o
     samples = quadrature.sample_in(
         quadrature.rng_for(0, "glue-green-samples"), S.center, S.radius, GREEN_GLUE_SAMPLES,
-        lambda p: S.contains_array(p) & (_row_norm(p - S_o.center) > S_o.radius))
-    for x in samples:
-        val = v(x)
-        if val > M_v + tol or val < m_v - tol:
-            raise GlueError("v violates its stated bounds on S \\ S_o", witness=x)
+        lambda p: S.contains_array(p) & (_distance(p, S_o.center) > S_o.radius))
+    vals = v.evaluate_array(samples)
+    _reject(samples, [((vals > M_v + tol) | (vals < m_v - tol),
+                       "v violates its stated bounds on S \\ S_o")])
 
     M_g = mg_constant(green, S_o)
     amp = max(M_v, 0.0) + max(-m_v, 0.0)
@@ -441,7 +452,7 @@ def glue_with_green(v: ScalarField, green, S_o: Ball, S: Ball, m_v: float, M_v: 
     v0 = ScalarField(v0_eval)
 
     def _eval(pts):
-        rho = _row_norm(pts - S_o.center[None, :])
+        rho = _distance(pts, S_o.center)
         in_So = rho <= S_o.radius
         in_S = S.contains_array(pts) & ~in_So
         return _piecewise(pts, [
@@ -523,7 +534,7 @@ def harmonize_layer(v: ScalarField, layer: Annulus, cells: int = 128,
     n = int(math.ceil(2.0 * (layer.r_out + 2 * h) / h)) + 1
     grid = GridDomain(lo, h, np.ones((n,) * d, dtype=bool))
     centers = grid.centers()
-    rho = _row_norm(centers - layer.center[None, :]).reshape(grid.shape)
+    rho = _distance(centers, layer.center).reshape(grid.shape)
     inner = (rho > layer.r_in) & (rho < layer.r_out)
 
     values = v.evaluate_array(centers).reshape(grid.shape).astype(float)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .fields import ScalarField
-from .geometry import Ball, _row_norm
+from .geometry import Ball, _distance
 from .measures import (Atom, Measure, Mollifier, SphereUniform, convolve_balayage,
                        density_from_spec)
 
@@ -43,26 +43,25 @@ class GreenModel(ScalarField):
         pts = np.atleast_2d(pts)
         c, R, a = self.domain.center, self.domain.radius, self.pole
         d = a.size
-        x = pts - c[None, :]
         b = a - c
         rho = np.linalg.norm(b)
-        r_xa = _row_norm(pts - a[None, :])
+        r_xa = _distance(pts, a)
         out = np.zeros(len(pts))
-        inside = _row_norm(x) <= R
+        inside = _distance(pts, c) <= R
         with np.errstate(divide="ignore", invalid="ignore"):
             if d == 2:
                 if rho == 0.0:
                     vals = np.log(R / r_xa)
                 else:
                     image = c + (R ** 2 / rho ** 2) * b
-                    r_im = _row_norm(pts - image[None, :])
+                    r_im = _distance(pts, image)
                     vals = np.log((rho * r_im) / (R * r_xa))
             elif d == 3:
                 if rho == 0.0:
                     vals = 1.0 / r_xa - 1.0 / R
                 else:
                     image = c + (R ** 2 / rho ** 2) * b
-                    r_im = _row_norm(pts - image[None, :])
+                    r_im = _distance(pts, image)
                     vals = 1.0 / r_xa - (R / rho) / r_im
             else:
                 raise NotImplementedError("Green models are built for d in {2, 3}")

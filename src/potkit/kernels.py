@@ -98,10 +98,10 @@ def kernel_rows(pts: np.ndarray, nodes: np.ndarray, q: float, out: np.ndarray) -
     """Fill out[i, j] = k_q(|pts_i - nodes_j|) in place and return it.
 
     The squared distance is summed coordinate by coordinate, the convention
-    of every point-stack distance (`geometry._row_norm`, bitwise
-    np.linalg.norm(axis=1)), so each value is bitwise the one _row_norm and
-    k_eval_array give.  An exact hit takes the kernel's limit at 0: -inf for
-    q >= 0, 0 for q < 0 (d = 1).
+    of every point-stack distance (`geometry._distance`, bitwise
+    np.linalg.norm(pts - c, axis=1)), so each value is bitwise the one
+    _distance and k_eval_array give.  An exact hit takes the kernel's limit
+    at 0: -inf for q >= 0, 0 for q < 0 (d = 1).
     """
     if pts.shape[1] != nodes.shape[1]:
         raise ValueError(f"points of dimension {pts.shape[1]} against nodes of "

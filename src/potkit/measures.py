@@ -77,7 +77,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quadrature
-from .geometry import Ball, GridDomain, _row_norm, _stencil
+from .geometry import Ball, GridDomain, _distance, _stencil
 from .kernels import k_eval_array, kernel_rows, tile_rows, unit_ball_volume
 
 __all__ = [
@@ -215,9 +215,6 @@ class _Layer:
         """Exact potential pts -> values (Newton's theorem) in d = 2, 3, else None."""
         return self._newton if self.dimension in (2, 3) else None
 
-    def _distance(self, pts: np.ndarray) -> np.ndarray:
-        return _row_norm(pts - self.center[None, :])
-
 
 @dataclass(frozen=True, eq=False)
 class SphereUniform(_Layer):
@@ -286,7 +283,7 @@ class SphereUniform(_Layer):
 
     def _newton(self, pts: np.ndarray) -> np.ndarray:
         return self.total * k_eval_array(self.dimension - 2,
-                                         np.maximum(self._distance(pts), self.radius))
+                                         np.maximum(_distance(pts, self.center), self.radius))
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,7 +332,7 @@ class BallUniform(_Layer):
         return parts
 
     def _newton(self, pts: np.ndarray) -> np.ndarray:
-        r = self._distance(pts)
+        r = _distance(pts, self.center)
         a, m = self.radius, self.total
         inside = r < a
         out = np.empty(len(r))
@@ -398,7 +395,7 @@ class GridDensity:
         pts = self.support_points()
         if not len(pts):
             return 0.0
-        return (float(np.max(_row_norm(pts - center)))
+        return (float(np.max(_distance(pts, center)))
                 + 0.5 * self.grid.spacing * math.sqrt(self.dimension))
 
     def support_points(self) -> np.ndarray:
@@ -437,7 +434,7 @@ def density_from_spec(spec: dict):
 
     def poisson(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        return scale / _row_norm(pts - x[None, :]) ** d
+        return scale / _distance(pts, x) ** d
 
     return poisson
 
@@ -486,7 +483,7 @@ class Measure:
         mass = 0.0
         for c in self.components:
             if (c.kind == "atom"
-                    and np.any(_row_norm(pts - c.point[None, :]) <= ATOM_TOL)):
+                    and np.any(_distance(pts, c.point) <= ATOM_TOL)):
                 mass += c.weight
         return mass
 

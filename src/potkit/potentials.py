@@ -34,7 +34,7 @@ import numpy as np
 
 from . import quadrature
 from .fields import ScalarField
-from .geometry import _row_norm
+from .geometry import _distance
 from .kernels import k_eval, k_eval_array, kernel_rows, tile_rows
 from .measures import Atom, GridDensity, Measure, total_mass
 from .verdict import Row, Verdict
@@ -207,11 +207,11 @@ class Potential(ScalarField):
         off = pts[inside] - (g.grid.origin[None, :] + idx[inside] * h)
         keep = (cell_mass != 0.0) & (np.max(np.abs(off), axis=1) <= 0.5 * h)
         rows, cell_mass, off = inside[keep], cell_mass[keep], off[keep]
-        r = _row_norm(off)
+        r = _distance(off, np.zeros(d))
         hit = r == 0.0
         for j, m in zip(rows[hit], cell_mass[hit]):
             # exact hit: rebuild this row without the self node
-            dist = _row_norm(centers - pts[j][None, :])
+            dist = _distance(centers, pts[j])
             live = dist > 0.0
             out[j] = float(np.dot(masses[live], k_eval_array(q, dist[live]))) + m * mean_k
         near = ~hit
@@ -308,14 +308,14 @@ def asymptotic_check(mu: Measure, radii) -> Verdict:
 
 def _set_distance(L, pts: np.ndarray) -> float:
     """dist(L, point set) for a closed ball L."""
-    r = _row_norm(pts - L.center[None, :])
+    r = _distance(pts, L.center)
     return float(max(0.0, np.min(r) - L.radius))
 
 
 def _probe_points(L, n: int, seed: int) -> np.ndarray:
     inner = quadrature.sample_in(
         quadrature.rng_for(seed, "lower-bound-probes"), L.center, L.radius, n,
-        lambda p: _row_norm(p - L.center) <= L.radius)
+        lambda p: _distance(p, L.center) <= L.radius)
     return np.vstack([inner, L.boundary_points(n)])
 
 

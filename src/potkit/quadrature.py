@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-from .geometry import _row_norm
+from .geometry import _distance
 
 # default node counts; see the module docstrings of measures/green for
 # which rule is used where
@@ -112,7 +112,7 @@ def sphere_mc_nodes(d: int, n: int, seed: int, tag: str) -> np.ndarray:
     """Seeded uniform samples on the unit sphere."""
     rng = rng_for(seed, tag)
     x = rng.standard_normal((n, d))
-    return x / _row_norm(x)[:, None]
+    return x / _distance(x, np.zeros(d))[:, None]
 
 
 def ball_rule(d: int, n_radial: int | None = None, n_angular: int | None = None):

@@ -26,6 +26,13 @@ def test_sphere_average_examples():
     assert sphere_average(lnz, point(0, 0), 1.0) == pytest.approx(oracle, abs=1e-10)
 
 
+def test_log_distance_rejects_points_of_another_dimension():
+    """A 1-D pole against 2-D points raises instead of broadcasting over both axes."""
+    with pytest.raises(ValueError, match="dimension 2 against a center of dimension 1"):
+        ScalarField.log_distance(point(0.5)).evaluate_array([[0.1, 0.2]])
+    assert ScalarField.log_distance(point(0.5))(point(2.5)) == math.log(2.0)
+
+
 def test_ball_average_examples():
     c = ScalarField.constant(-1.5)
     assert ball_average(c, point(0, 0), 1.0) == pytest.approx(-1.5, rel=1e-14)
@@ -581,7 +588,7 @@ def test_harmonize_layer_dispatch_matches_reference(seed):
 
 def test_gluing_presets_take_no_stack_norm(monkeypatch):
     """Every point-stack distance of the gluing presets goes through
-    geometry._row_norm; np.linalg.norm sees single points only."""
+    geometry._distance; np.linalg.norm sees single points only."""
     norm, ndims = np.linalg.norm, []
 
     def counted(x, *args, **kwargs):
@@ -593,3 +600,297 @@ def test_gluing_presets_take_no_stack_norm(monkeypatch):
         checks, _ = run_preset(name, 0, 1.0)
         assert all(v.passed for v in checks), name
     assert ndims and ndims.count(2) == 0
+
+
+# -- batched gluing checks against the per-point loops they replaced ------------
+# glue_max, glue_quantitative and glue_with_green once checked their sampled
+# inequalities one interface point at a time, with a per-point _approx_limsup;
+# these are those loops, kept as references for the batched checks.
+
+
+def _approx_limsup_reference(field, x, inside, h):
+    dirs = fields.quadrature._unit_directions(x.size, fields.OFFSET_DIRECTIONS)
+    near = x[None, :] + h * dirs
+    far = x[None, :] + 2 * h * dirs
+    ok = inside.contains_array(near) & inside.contains_array(far)
+    if not ok.any():
+        keep = inside.contains_array(near)
+        if not keep.any():
+            return -math.inf, 0.0
+        return float(np.max(field.evaluate_array(near[keep]))), 0.0
+    f1 = field.evaluate_array(near[ok])
+    f2 = field.evaluate_array(far[ok])
+    return float(np.max(2.0 * f1 - f2)), float(np.max(np.abs(f1 - f2)))
+
+
+def _glue_max_checks_reference(O, O0, v, v0, tol=1e-6):
+    overlap = fields._Composite(O, O0, union=False)
+    h = fields.GLUE_OFFSET * O.diameter
+    for x in fields._boundary_in(O, O0, fields.GLUE_BOUNDARY):
+        est, slack = _approx_limsup_reference(v, x, overlap, h)
+        if est > v0(x) + tol + 0.5 * slack:
+            raise GlueError("boundary compatibility fails on the O side", witness=x)
+    for x in fields._boundary_in(O0, O, fields.GLUE_BOUNDARY):
+        est, slack = _approx_limsup_reference(v0, x, overlap, h)
+        if est > v(x) + tol + 0.5 * slack:
+            raise GlueError("boundary compatibility fails on the O0 side", witness=x)
+
+
+def _glue_quantitative_checks_reference(O, O0, v, g, m_v, M_v, m_g, M_g, tol=1e-6):
+    overlap = fields._Composite(O, O0, union=False)
+    h = fields.GLUE_OFFSET * O.diameter
+    for x in fields._boundary_in(O0, O, fields.GLUE_BOUNDARY):
+        if v(x) < m_v - tol:
+            raise GlueError("v drops below m_v on O boundary-of-O0 samples", witness=x)
+        est, slack = _approx_limsup_reference(g, x, overlap, h)
+        if est > m_g + tol + 0.5 * slack:
+            raise GlueError("g exceeds m_g on the inner interface", witness=x)
+    for x in fields._boundary_in(O, O0, fields.GLUE_BOUNDARY):
+        est, slack = _approx_limsup_reference(v, x, overlap, h)
+        if est > M_v + tol + 0.5 * slack:
+            raise GlueError("v exceeds M_v on the outer interface", witness=x)
+        if g(x) < M_g - tol:
+            raise GlueError("g drops below M_g on the outer interface", witness=x)
+    coeff = (max(M_v, 0.0) + max(-m_v, 0.0)) / (M_g - m_g)
+    v0 = ScalarField(lambda pts: coeff * (2.0 * g.evaluate_array(pts) - (M_g + m_g)), O0)
+    _glue_max_checks_reference(O, O0, v, v0, tol)
+
+
+def _glue_outcome(glue, *args):
+    """None if `glue` accepts, else the GlueError's (message, witness bytes)."""
+    try:
+        glue(*args)
+    except GlueError as err:
+        return str(err), np.asarray(err.witness).tobytes()
+    return None
+
+
+def _half_nan(f):
+    """f with nan values on the closed upper half-plane."""
+    return ScalarField(lambda p: np.where(p[:, 1] >= 0, np.nan, f.evaluate_array(p)))
+
+
+_RING = Annulus(point(0, 0), 1.0, 3.0)
+_LN = ScalarField.log_distance(point(0, 0))
+_GLUE_MAX_CASES = {
+    "valid": (_RING, Ball(point(0, 0), 2.0), 2.0 * _LN - 2 * math.log(2), _LN - math.log(2)),
+    "O-side": (_RING, Ball(point(0, 0), 2.0), ScalarField.constant(0.0), _LN - math.log(2)),
+    "O0-side": (_RING, Ball(point(0, 0), 2.0), ScalarField.constant(0.0),
+                ScalarField.constant(1.0)),
+    # the O side is empty: no point of |x| = 4 lies in O0
+    "empty-interface": (Ball(point(0, 0), 4.0), Ball(point(0, 0), 2.0),
+                        ScalarField(lambda p: 0.5 * p[:, 1]), ScalarField.constant(-5.0)),
+    # an overlap 5e-5 wide, under h^2 / 2 = 1.8e-5 from the tangent at 2 h: no
+    # direction keeps its far offset inside, and only the interface points
+    # with a tangent direction (every 32nd) keep a near one
+    "no-admissible-direction": (_RING, Ball(point(0, 0), 1.00005), 0.01 * _LN, 0.01 * _LN),
+    "nan-accepted": (_RING, Ball(point(0, 0), 2.0), _half_nan(2.0 * _LN - 2 * math.log(2)),
+                     _half_nan(_LN - math.log(2))),
+    # v0 is nan on the first half of the interface, so the witness lies past it
+    "nan-then-O-side": (_RING, Ball(point(0, 0), 2.0), ScalarField.constant(0.0),
+                        _half_nan(_LN - math.log(2))),
+}
+
+
+@pytest.mark.parametrize("case", list(_GLUE_MAX_CASES))
+def test_glue_max_checks_match_the_point_loop(case):
+    O, O0, v, v0 = _GLUE_MAX_CASES[case]
+    want = _glue_outcome(_glue_max_checks_reference, O, O0, v, v0)
+    assert _glue_outcome(glue_max, O, O0, v, v0) == want
+    side = {"O-side": "O", "O0-side": "O0", "nan-then-O-side": "O"}.get(case)
+    assert (want and want[0]) == (side and f"boundary compatibility fails on the {side} side")
+
+
+def test_approx_limsup_matches_the_point_loop():
+    """Rows with admissible directions, rows with near offsets only, rows with
+    neither, and nan values on part of the plane."""
+    h = 0.01
+    # a unit ball about (5, 0), and a ring too thin for any far offset (see above)
+    inside = fields._Composite(Ball(point(5, 0), 1.0), Annulus(point(0, 0), 1.0, 1.00005),
+                               union=True)
+    rng = np.random.default_rng(5)
+    angles = np.concatenate([rng.uniform(0, 2 * np.pi, 30), np.arange(8) * np.pi / 4])
+    unit = np.column_stack([np.cos(angles), np.sin(angles)])
+    xs = np.vstack([point(5, 0) + 0.5 * unit[:10], unit[10:20], 3.0 * unit[20:30], unit[30:]])
+    field = _half_nan(ScalarField(lambda p: p[:, 0] ** 2 - 3.0 * p[:, 1]))
+    est, slack = fields._approx_limsup(field, xs, inside, h)
+    want = np.array([_approx_limsup_reference(field, x, inside, h) for x in xs])
+    _assert_same(est, want[:, 0])
+    _assert_same(slack, want[:, 1])
+    near_only = (slack == 0.0) & ~np.isneginf(est)
+    assert (slack > 0).any() and near_only[30:].all() and np.isneginf(est[10:30]).all()
+    assert np.isnan(est[:10]).any() and np.isnan(est[near_only]).any()
+    est, slack = fields._approx_limsup(field, xs[:0], inside, h)
+    assert est.shape == slack.shape == (0,)
+
+
+def _quantitative_case(v=0.0, g_tilt=0.0, m_v=0.0, M_v=0.0, dm_g=0.0, dM_g=0.0):
+    g = green.green_ball(point(0, 0), 3.0, point(0, 0))
+    if g_tilt:
+        g = g + ScalarField(lambda p: g_tilt * p[:, 0])
+    v = ScalarField(v) if callable(v) else ScalarField.constant(v)
+    return (_RING, Ball(point(0, 0), 2.0), v, g, m_v, M_v,
+            math.log(1.5) + dm_g, math.log(3.0) + dM_g)
+
+
+_QUANTITATIVE_CASES = {
+    "valid": _quantitative_case(),
+    "v-below-m_v": _quantitative_case(m_v=0.5, M_v=1.0),
+    "g-above-m_g": _quantitative_case(dm_g=-0.1),
+    "v-above-M_v": _quantitative_case(v=1.0, M_v=0.5),
+    "g-below-M_g": _quantitative_case(dM_g=0.1),
+    # point 0 of |x| = 2 is (2, 0): the tilt lifts g there, while v dips below
+    # m_v only on the upper half, so the g check fails first ...
+    "g-before-v": _quantitative_case(v=lambda p: -p[:, 1], g_tilt=0.2),
+    # ... and where both fail at one point, the v check names it
+    "v-before-g": _quantitative_case(v=lambda p: -1.0 - p[:, 1], g_tilt=0.2),
+    # and on the outer side, the v limsup check comes before the g one
+    "outer-both": _quantitative_case(v=1.0, M_v=0.5, dM_g=0.1),
+    "nan": _quantitative_case(v=lambda p: np.where(p[:, 1] > 0, np.nan, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_QUANTITATIVE_CASES))
+def test_glue_quantitative_checks_match_the_point_loop(case):
+    args = _QUANTITATIVE_CASES[case]
+    want = _glue_outcome(_glue_quantitative_checks_reference, *args)
+    assert _glue_outcome(glue_quantitative, *args) == want
+    message = {"valid": None, "nan": None,
+               "v-below-m_v": "v drops below m_v on O boundary-of-O0 samples",
+               "g-above-m_g": "g exceeds m_g on the inner interface",
+               "v-above-M_v": "v exceeds M_v on the outer interface",
+               "g-below-M_g": "g drops below M_g on the outer interface",
+               "g-before-v": "g exceeds m_g on the inner interface",
+               "v-before-g": "v drops below m_v on O boundary-of-O0 samples",
+               "outer-both": "v exceeds M_v on the outer interface"}[case]
+    assert (want and want[0]) == message
+
+
+def test_glue_quantitative_checks_with_an_empty_interface():
+    g_h = ScalarField(lambda p: -2.0 + 0.25 * (p[:, 0] ** 2 - p[:, 1] ** 2))
+    args = (Ball(point(0, 0), 4.0), Ball(point(0, 0), 2.0),
+            ScalarField(lambda p: 0.5 * p[:, 1]), g_h, -1.0, 1.0, 0.0, 2.0)
+    assert fields._boundary_in(args[0], args[1], fields.GLUE_BOUNDARY).shape == (0, 2)
+    assert _glue_outcome(glue_quantitative, *args) is None
+    assert _glue_outcome(_glue_quantitative_checks_reference, *args) is None
+
+
+def _green_bounds_witness_reference(v, S_o, S, m_v, M_v, tol=1e-6):
+    samples = fields.quadrature.sample_in(
+        fields.quadrature.rng_for(0, "glue-green-samples"), S.center, S.radius,
+        fields.GREEN_GLUE_SAMPLES,
+        lambda p: S.contains_array(p) & (np.linalg.norm(p - S_o.center, axis=1) > S_o.radius))
+    for x in samples:
+        val = v(x)
+        if val > M_v + tol or val < m_v - tol:
+            return x
+    return None
+
+
+@pytest.mark.parametrize("dm_v, dM_v, nan, raises", [
+    (0.0, 0.0, False, False), (0.0, -1.0, False, True), (0.0, -0.3, False, True),
+    (0.5, 0.0, False, True), (0.0, 0.0, True, False), (0.0, -0.3, True, True)])
+def test_glue_with_green_bound_witness_matches_the_point_loop(dm_v, dM_v, nan, raises):
+    O, S_o, S, gm, v, m_v, M_v = _disk_glue_instance()
+    v = _half_nan(v) if nan else v
+    want = _green_bounds_witness_reference(v, S_o, S, m_v + dm_v, M_v + dM_v)
+    try:
+        glue_with_green(v, gm, S_o, S, m_v + dm_v, M_v + dM_v, ambient=O)
+        got = None
+    except GlueError as err:
+        assert str(err) == "v violates its stated bounds on S \\ S_o"
+        got = err.witness.tobytes()
+    assert got == (None if want is None else want.tobytes())
+    assert (want is not None) == raises
+
+
+# -- stacked probe-centre values against the per-probe loop -------------------
+
+
+def _check_subharmonic_reference(v, probes, tol=1e-6):
+    rows = []
+    for x, r in probes:
+        x = np.asarray(x, dtype=float)
+        val = v(x)
+        avg = sphere_average(v, x, r)
+        margin = val - avg
+        rows.append((val, avg, margin, bool(margin <= tol), tol))
+    return rows
+
+
+def _rows_bits(rows):
+    return [np.array([val, avg, margin, tol]).tobytes() + bytes([passed])
+            for val, avg, margin, passed, tol in rows]
+
+
+@pytest.mark.parametrize("name", ["glue-max", "glue-quantitative", "glue-green"])
+def test_check_subharmonic_matches_the_probe_loop(name):
+    if name == "glue-green":
+        O, S_o, S, gm, v, m_v, M_v = _disk_glue_instance()
+        V = glue_with_green(v, gm, S_o, S, m_v, M_v, ambient=O)
+        probes = fields.random_probes(Ball(point(0, 0), 0.98), 60, seed=2)
+    elif name == "glue-max":
+        V = glue_max(*_valid_glue_pair())
+        probes = fields.random_probes(Ball(point(0, 0), 2.9), 60, seed=3)
+    else:
+        V = glue_quantitative(*_QUANTITATIVE_CASES["valid"])
+        probes = fields.random_probes(Ball(point(0, 0), 2.9), 60, seed=4)
+    got = [r[1:] for r in check_subharmonic(V, probes).rows]
+    assert _rows_bits(got) == _rows_bits(_check_subharmonic_reference(V, probes))
+    rep = check_subharmonic(V, [])
+    assert rep.passed and rep.rows == [] == _check_subharmonic_reference(V, [])
+
+
+class _RecordingDomain:
+    """A domain that keeps every stack it is asked about."""
+
+    def __init__(self, domain):
+        self.domain, self.seen = domain, []
+
+    def contains_array(self, pts, margin=0.0):
+        self.seen.append(np.array(pts))
+        return self.domain.contains_array(pts, margin)
+
+
+def test_check_subharmonic_leaves_the_domain_at_the_same_probe():
+    probes = [(point(0, 0), 0.5), (point(0.3, 0.1), 0.4), (point(0.7, 0), 0.5),
+              (point(0.1, 0), 0.2)]
+    seen = []
+    for check in (check_subharmonic, _check_subharmonic_reference):
+        domain = _RecordingDomain(Ball(point(0, 0), 1.0))
+        v = ScalarField.log_distance(point(2.0, 0), domain=domain)
+        with pytest.raises(fields.DomainError, match="probe sphere leaves"):
+            check(v, probes)
+        seen.append(domain.seen)
+    assert len(seen[0]) == len(seen[1]) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(*seen))
+
+
+# -- work done by the gluing presets, in calls --------------------------------
+# Counted at seed 0: the checks and probe centres go through one stacked
+# evaluation each, so no single-point field call is left, and the domain and
+# field calls are those of the 500-probe sphere means (4,096 nodes each).
+GLUING_PRESET_WORK = {
+    "glue-basic": {"Ball.contains_array": 3056, "Annulus.contains_array": 1022,
+                   "ScalarField.evaluate_array": 5978, "ScalarField.__call__": 0},
+    "glue-green": {"Ball.contains_array": 1010, "Annulus.contains_array": 0,
+                   "ScalarField.evaluate_array": 1742, "ScalarField.__call__": 0},
+}
+
+
+@pytest.mark.parametrize("name", list(GLUING_PRESET_WORK))
+def test_gluing_preset_work_counters(monkeypatch, name):
+    counts = dict.fromkeys(GLUING_PRESET_WORK[name], 0)
+    for key in counts:
+        cls, attr = {"Ball": Ball, "Annulus": Annulus, "ScalarField": ScalarField}[
+            key.partition(".")[0]], key.partition(".")[2]
+        fn = getattr(cls, attr)
+
+        def counted(*args, _fn=fn, _key=key, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, counted)
+    checks, _ = run_preset(name, 0, 1.0)
+    assert all(c.passed for c in checks)
+    assert counts == GLUING_PRESET_WORK[name]

@@ -12,7 +12,7 @@ from scipy import ndimage
 
 import potkit
 from potkit import fields
-from potkit.geometry import (Annulus, Ball, GridDomain, INFINITY, _Composite, _row_norm,
+from potkit.geometry import (Annulus, Ball, GridDomain, INFINITY, _Composite, _distance,
                              inversion, inward_filled_hull, kelvin_transform, parallel_set,
                              point)
 
@@ -283,18 +283,26 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_row_norm_is_bitwise_the_axis_norm(d):
+    """_distance(pts, c) is np.linalg.norm(pts - c, axis=1) bit for bit and sign for
+    sign, at c = 0 and at a random c, on C-ordered, F-ordered and strided stacks."""
     rng = np.random.default_rng(d)
+    centers = [np.zeros(d), rng.standard_normal(d) * np.exp(rng.uniform(-5, 5, d))]
     for n in [1, 7, 4096, 20000]:
         v = rng.standard_normal((n, d)) * np.exp(rng.uniform(-30, 30, (n, d)))
         wide = np.hstack([v, v])
         for stack in [v, np.asfortranarray(v), v[::2], wide[:, :d], wide[:, d - 1:2 * d - 1]]:
-            assert _bitwise_equal(_row_norm(stack), np.linalg.norm(stack, axis=1)), (n, d)
+            for c in centers:
+                want = np.linalg.norm(stack - c, axis=1)
+                assert _bitwise_equal(_distance(stack, c), want), (n, d)
     awkward = _awkward_rows(d)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        got = _row_norm(awkward)
+        got = _distance(awkward, centers[0])
         for stack in [awkward, np.asfortranarray(awkward), awkward[::3]]:
-            assert _bitwise_equal(_row_norm(stack), np.linalg.norm(stack, axis=1))
+            for c in centers:
+                assert _bitwise_equal(_distance(stack, c), np.linalg.norm(stack - c, axis=1))
     assert np.isinf(got).any() and np.isnan(got).any() and (got == 0.0).any()
+    with pytest.raises(ValueError, match=f"dimension {d} against a center of dimension {d + 1}"):
+        _distance(v, np.zeros(d + 1))
 
 
 def test_inward_filled_hull_d3_shell():

@@ -201,8 +201,8 @@ def test_runtime_is_numpy_alone():
 
 
 
-# A stack of points takes its distances from geometry._row_norm, which is
-# bitwise np.linalg.norm(v, axis=1) at a fraction of the cost.  A single point
+# A stack of points takes its distances from geometry._distance(pts, c), which
+# is bitwise np.linalg.norm(pts - c, axis=1) at a fraction of the cost.  A single point
 # keeps np.linalg.norm(x): numpy takes its dot-product path there, which
 # rounds the last bit differently from the row sum (on 15,728 of 200,000
 # standard-normal 2-D vectors and 21,250 of 200,000 3-D ones, seed 0), and the
@@ -217,6 +217,22 @@ def test_point_stack_norms_go_through_row_norm():
                     and any(k.arg == "axis" for k in node.keywords)):
                 found.append(f"{p.stem}:{node.lineno}")
     assert found == []
+
+
+# _distance(pts, c) subtracts c axis by axis so that no (n, d) difference is
+# built; a caller handing it `a - b` would build that stack all the same.
+def test_distance_takes_no_difference():
+    """No `_distance` call in potkit passes a subtraction as an argument."""
+    calls, found = 0, []
+    for p in sorted(TREES[0].glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_distance":
+                calls += 1
+                if any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.Sub)
+                       for a in node.args):
+                    found.append(f"{p.stem}:{node.lineno}")
+    assert calls >= 21 and found == []
+
 
 def test_every_annotation_resolves():
     """typing.get_type_hints works on every function and method potkit defines."""
