@@ -130,21 +130,18 @@ def _window_probes(window: Ball, x: np.ndarray, n: int, seed: int) -> np.ndarray
     return pts
 
 
-def from_potential(V: ASPotential, grid: GridDomain,
-                   pole_exclusion: float | None = None) -> Measure:
+def from_potential(V: ASPotential, grid: GridDomain, pole_exclusion: float) -> Measure:
     """Inverse duality map: grid Riesz measure off the pole plus the pole atom.
 
     The atom weight is 1 - (fitted pole coefficient); cells within the
-    exclusion radius of the pole are masked out of the recovery.  Keep the
-    exclusion a fixed physical radius (not a cell count) when comparing
-    refinements: the pole's stencil truncation error lives on the exclusion
-    rim, so a shrinking rim does not converge.  The result carries the
+    exclusion radius of the pole are masked out of the recovery.  The
+    exclusion is a fixed physical radius, not a cell count: the pole's
+    stencil truncation error lives on the exclusion rim, so a rim that
+    shrinks under refinement does not converge.  The result carries the
     recovery's ``singular_cells``.
     """
     x = V.pole
     h = grid.spacing
-    if pole_exclusion is None:
-        pole_exclusion = 5.0 * h
     centers = grid.centers()
     keep = (_distance(centers, x) > pole_exclusion).reshape(grid.shape)
     masked = GridDomain(grid.origin, h, grid.mask & keep)

@@ -179,12 +179,12 @@ def _sampled_means(v: ScalarField, centers: np.ndarray, r: float, rule,
     is bit for bit the one a call with that row alone gives.
     """
     nodes, w = rule
-    d, stop = nodes.shape[1], len(centers)
-    pts, scaled = np.empty((stop, len(nodes), d)), r * nodes
+    (m, d), stop = nodes.shape, len(centers)
+    pts, scaled = np.empty((stop, m, d)), r * nodes
     for k in range(d):  # axis by axis: the bits of centers[:, None, :] + r * nodes
         np.add(centers[:, k, None], scaled[:, k], out=pts[:, :, k])
     if v.domain is not None:
-        inside = v.domain.contains_array(pts.reshape(-1, d)).reshape(stop, -1).all(axis=1)
+        inside = v.domain.contains_array(pts.reshape(-1, d)).reshape(stop, m).all(axis=1)
         stop = int(np.argmin(inside)) if not inside.all() else stop
     if stop:
         vals = v.evaluate_array(pts[:stop].reshape(-1, d)).reshape(stop, -1)
@@ -226,24 +226,39 @@ def check_subharmonic(v: ScalarField, probes, tol: float = 1e-6) -> Verdict:
     return Verdict("sub-mean", all(r.passed for r in rows), rows)
 
 
-def random_probes(domain, n: int, seed: int, r_lo: float | None = None) -> list:
-    """Seeded probe set: points in the ball or annulus, radii in [2h, dist(x, bd)/2]."""
+def random_probes(domain, n: int, seed: int, r_lo: float | None = None, holes=()) -> list:
+    """Seeded probes (x, r): x in the ball or annulus, r in [r_lo, dist(x, bd)/2].
+
+    r_lo defaults to 1e-3.  A hole (center, radius) caps r at half the gap
+    to it and drops the probe when the gap or the capped r is below r_lo;
+    ValueError when fewer than n of the first 4 n stream probes are kept.
+    """
     rng = quadrature.rng_for(seed, "probes")
     lo = domain.center - domain.diameter / 2.0
     hi = domain.center + domain.diameter / 2.0
-    probes = []
+    probes, drawn = [], 0
     floor = 1e-3 if r_lo is None else r_lo
     # a scalar loop, not quadrature.sample_in: every accepted point draws its
     # radius from the same stream, so block draws would change the points
     while len(probes) < n:
+        if drawn == 4 * n:
+            raise ValueError(f"only {len(probes)} of {n} probes avoid the holes")
         x = lo + (hi - lo) * rng.random(domain.dimension)
         if not domain.contains(x):
             continue
         gap = domain.boundary_distance(x)
         if gap / 2.0 <= floor:
             continue
-        r = floor + (gap / 2.0 - floor) * rng.random()
-        probes.append((x, float(r)))
+        r = float(floor + (gap / 2.0 - floor) * rng.random())
+        drawn += 1
+        for c, rad in holes:
+            gap = float(np.linalg.norm(x - np.asarray(c))) - rad
+            if gap < floor:
+                break
+            r = min(r, 0.5 * gap)
+        else:
+            if r >= floor:
+                probes.append((x, r))
     return probes
 
 

@@ -144,21 +144,19 @@ class Potential(ScalarField):
 
     def __init__(self, charge: Measure):
         self.charge = charge
-        self._atoms: list[tuple[np.ndarray, float]] = []
+        # coordinates -> (first point, net weight): the diagonal value gets the
+        # sign of the net weight, not a +-inf collision; the keys match as
+        # np.array_equal does (-0.0 is 0.0, nan matches nothing)
+        atoms: dict[tuple, tuple[np.ndarray, float]] = {}
         self._closed: list = []  # exact radial potentials of plain layers
         self._cloud_pts: list[np.ndarray] = []
         self._cloud_w: list[np.ndarray] = []
         self._grids: list[GridDensity] = []
         for c in charge.components:
             if isinstance(c, Atom):
-                # merge atoms sharing a location so the diagonal value gets
-                # the sign of the net weight, not a +-inf collision
-                for k, (p, w) in enumerate(self._atoms):
-                    if np.array_equal(p, c.point):
-                        self._atoms[k] = (p, w + c.weight)
-                        break
-                else:
-                    self._atoms.append((c.point, c.weight))
+                key = tuple(c.point.tolist())
+                p, w = atoms.get(key, (c.point, None))
+                atoms[key] = (p, c.weight if w is None else w + c.weight)
             elif isinstance(c, GridDensity):
                 self._grids.append(c)  # point masses plus the self-cell correction
             elif (newton := c.newton_potential()) is not None:
@@ -167,6 +165,7 @@ class Potential(ScalarField):
                 pts, w = c.discretize()
                 self._cloud_pts.append(pts)
                 self._cloud_w.append(w)
+        self._atoms = list(atoms.values())
         super().__init__(self._evaluate)
 
     # -- evaluation ---------------------------------------------------------

@@ -18,28 +18,10 @@ from .fields import (ScalarField, check_subharmonic, fit_pole_coefficient, glue_
                      glue_quantitative, glue_with_green, random_probes)
 from .geometry import Annulus, Ball, GridDomain, point
 from .measures import (Atom, BallUniform, Measure, Mollifier, SphereUniform,
-                       convolve_balayage, integrate, total_mass)
+                       convolve_balayage, integrate, integrate_many, total_mass)
 from .verdict import Row, Verdict
 
 __all__ = ["PRESETS", "run_preset", "preset_table"]
-
-
-def _probes_avoiding(domain, n, seed, holes=(), min_r=2e-3):
-    """Seeded probes whose spheres stay inside the domain and off the holes."""
-    out = []
-    for x, r in random_probes(domain, 4 * n, seed, r_lo=min_r):
-        ok = True
-        for c, rad in holes:
-            gap = float(np.linalg.norm(x - np.asarray(c))) - rad
-            if gap < min_r:
-                ok = False
-                break
-            r = min(r, 0.5 * gap)
-        if ok and r >= min_r:
-            out.append((x, r))
-        if len(out) == n:
-            return out
-    raise ValueError(f"only {len(out)} of {n} probes avoid the holes")
 
 
 def _annulus_draws(rng, n: int, r_in: float, r_out: float) -> np.ndarray:
@@ -69,7 +51,8 @@ def preset_glue_basic(seed: int, tol_scale: float):
         2 * math.log(2))
     v0 = ScalarField.log_distance(point(0, 0)) - ScalarField.constant(math.log(2))
     V = glue_max(O, O0, v, v0, tol=tol)
-    probes = _probes_avoiding(Ball(point(0, 0), 2.9), 500, seed, holes=[((0.0, 0.0), 0.0)])
+    probes = random_probes(Ball(point(0, 0), 2.9), 500, seed, r_lo=2e-3,
+                           holes=[((0.0, 0.0), 0.0)])
     rep = check_subharmonic(V, probes, tol=tol)
     checks.append(Verdict("glue-max accepted + 500-probe sub-mean", rep.passed, rep.rows,
                           {"worst_margin": rep.worst_margin, "probes": len(probes)}))
@@ -113,7 +96,7 @@ def preset_glue_basic(seed: int, tol_scale: float):
     checks.append(Verdict("glue-quantitative v0 formula", formula_ok))
 
     if formula_ok:
-        probes_q = _probes_avoiding(Ball(point(0, 0), 3.9), 500, seed + 3)
+        probes_q = random_probes(Ball(point(0, 0), 3.9), 500, seed + 3, r_lo=2e-3)
         rep_q = check_subharmonic(Vq2, probes_q, tol=tol)
         checks.append(Verdict("glue-quantitative 500-probe sub-mean", rep_q.passed, rep_q.rows,
                               {"worst_margin": rep_q.worst_margin, "probes": len(probes_q)}))
@@ -136,8 +119,8 @@ def preset_glue_green(seed: int, tol_scale: float):
     checks.append(Verdict("glue-green constants", abs(V.M_g - math.log(2.0)) < 1e-12,
                           data={"amplitude": amp, "M_g": V.M_g}))
 
-    probes = _probes_avoiding(Ball(point(0, 0), 0.98), 500, seed,
-                              holes=[((0.0, 0.0), 0.0), ((0.8, 0.0), 0.0)])
+    probes = random_probes(Ball(point(0, 0), 0.98), 500, seed, r_lo=2e-3,
+                           holes=[((0.0, 0.0), 0.0), ((0.8, 0.0), 0.0)])
     rep = check_subharmonic(V, probes, tol=tol)
     checks.append(Verdict("glue-green 500-probe sub-mean", rep.passed, rep.rows,
                           {"worst_margin": rep.worst_margin}))
@@ -206,8 +189,8 @@ def preset_green_ball(seed: int, tol_scale: float):
     checks.append(Verdict("Green symmetry at 100 pairs", worst_sym <= 1e-9,
                           data={"worst": worst_sym}))
 
-    probes = _probes_avoiding(Ball(point(0, 0), 0.95), 100, seed,
-                              holes=[((0.3, 0.2), 0.0)], min_r=5e-3)
+    probes = random_probes(Ball(point(0, 0), 0.95), 100, seed, r_lo=5e-3,
+                           holes=[((0.3, 0.2), 0.0)])
     tol = 1e-8 * tol_scale
     worst = max([0.0] + [abs(row.margin) for row in check_subharmonic(ga, probes, tol).rows])
     checks.append(Verdict("mean-value equality off the pole", worst <= tol,
@@ -509,14 +492,17 @@ def preset_duality_roundtrip(seed: int, tol_scale: float):
     probes += [ScalarField(lambda p, k=k: (p[:, 0] ** 2 - p[:, 1] ** 2) * 0.1 * k + 1.0)
                for k in range(1, 6)]
 
-    def roundtrip_err(mu, V, h):
+    def roundtrip_err(swept, V, h):
+        # worst relative gap between the probe integrals `swept` of a measure
+        # and those of its recovery from V on the h grid
         n = int(round(2.4 / h)) + 1
         grid_dom = GridDomain(point(-1.2, -1.2), h, np.ones((n, n), bool))
         rec = duality.from_potential(V, grid_dom, pole_exclusion=0.1)
         errs = []
-        for f in probes:
-            a = integrate(mu, f, seed=seed)
-            b = integrate(rec, f, seed=seed)
+        for a, b in zip(swept, integrate_many(rec, probes, seed)):
+            for value in (a, b):  # the first failing integral, as one call per probe meets it
+                if isinstance(value, Exception):
+                    raise value
             errs.append(abs(a - b) / (1.0 + abs(a)))
         return max(errs)
 
@@ -527,8 +513,9 @@ def preset_duality_roundtrip(seed: int, tol_scale: float):
             mu = mk(i)
             V = duality.to_potential(mu, x0, kind=kind, D=Ball(x0, 1.6), seed=seed,
                                      tol=1e-8 * tol_scale)
-            e_coarse = roundtrip_err(mu, V, 0.02)
-            e_fine = roundtrip_err(mu, V, 0.01)
+            swept = integrate_many(mu, probes, seed)
+            e_coarse = roundtrip_err(swept, V, 0.02)
+            e_fine = roundtrip_err(swept, V, 0.01)
             rows.append(Row(f"{kind}[{i}] h=0.02", e_coarse, 0.02, e_coarse - 0.02,
                             e_coarse <= 0.02))
             ok &= e_coarse <= 0.02

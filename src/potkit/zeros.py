@@ -323,6 +323,21 @@ def _variant(name: str, f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r:
                     "margins": {r.member: r.margin for r in rows}})
 
 
+def _run_variants(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
+                  b_minus: float, b_plus: float, plan, family: TestFamily | None,
+                  seed: int) -> dict:
+    """Check the majorant, then per (variant, class tag, ring, subdivisor) row of
+    `plan` build its test family (or take `family`) and run the variant."""
+    witness = majorant.check_dominates(f, seed=seed)
+    if witness is not None:
+        raise ValueError(f"majorant violated at {witness}")
+    variants = {}
+    for name, tag, ring, subdivisor in plan:
+        fam = family or build_test_family(tag, S_o, r, b_minus, b_plus, f.domain, seed=seed)
+        variants[name] = _variant(name, f, majorant, S_o, r, fam, subdivisor, seed, ring=ring)
+    return variants
+
+
 def check_thm_hol(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
                   b_minus: float, b_plus: float, family: TestFamily | None = None,
                   subdivisor=None, seed: int = 0) -> Verdict:
@@ -335,18 +350,9 @@ def check_thm_hol(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float
     empirical constants and divergence flags), next to the internal
     implication bound C_II <= C_I + max(b_plus, -b_minus) * |mu_M|(ring).
     """
-    witness = majorant.check_dominates(f, seed=seed)
-    if witness is not None:
-        raise ValueError(f"majorant violated at {witness}")
-    D = f.domain
-    variants = {}
-    fam_ring = family or build_test_family("sbh+0o", S_o, r, b_minus, b_plus, D, seed=seed)
-    variants["ZI"] = _variant("ZI", f, majorant, S_o, r, fam_ring, None, seed, ring=True)
-    fam_plain = family or build_test_family("sbh+0", S_o, r, b_minus, b_plus, D, seed=seed)
-    variants["ZII"] = _variant("ZII", f, majorant, S_o, r, fam_plain, None, seed, ring=False)
-    fam_pos = family or build_test_family("sbh00+", S_o, r, b_minus, b_plus, D, seed=seed)
-    variants["ZIII"] = _variant("ZIII", f, majorant, S_o, r, fam_pos, subdivisor, seed,
-                                ring=False)
+    plan = (("ZI", "sbh+0o", True, None), ("ZII", "sbh+0", False, None),
+            ("ZIII", "sbh00+", False, subdivisor))
+    variants = _run_variants(f, majorant, S_o, r, b_minus, b_plus, plan, family, seed)
 
     ring = Annulus(S_o.center, S_o.radius, S_o.radius + 3.0 * r)
     mu_plus_ring, mu_minus_ring = jordan(restrict(majorant.charge(), ring))
@@ -370,16 +376,8 @@ def check_criterium3_forward(Z: HoloFunction, majorant: GrowthMajorant, S_o: Bal
     divergence flags are reported.  (The nonconstructive converse is not
     synthesized.)
     """
-    witness = majorant.check_dominates(Z, seed=seed)
-    if witness is not None:
-        raise ValueError(f"majorant violated at {witness}")
-    D = Z.domain
-    variants = {}
-    fam2 = build_test_family("sbh+0o", S_o, r, b_minus, b_plus, D, seed=seed)
-    variants["z2"] = _variant("z2", Z, majorant, S_o, r, fam2, None, seed, ring=True)
-    fam3 = build_test_family("sbh+0", S_o, r, b_minus, b_plus, D, seed=seed)
-    variants["z3"] = _variant("z3", Z, majorant, S_o, r, fam3, None, seed, ring=False)
-    fam4 = build_test_family("sbh00", S_o, r, b_minus, b_plus, D, seed=seed)
-    variants["z4"] = _variant("z4", Z, majorant, S_o, r, fam4, None, seed, ring=False)
+    plan = (("z2", "sbh+0o", True, None), ("z3", "sbh+0", False, None),
+            ("z4", "sbh00", False, None))
+    variants = _run_variants(Z, majorant, S_o, r, b_minus, b_plus, plan, None, seed)
     return Verdict("criterium3-forward", all(v.passed for v in variants.values()), [],
                    {"variants": variants, "blaschke_sum": Z.blaschke_sum})

@@ -454,3 +454,5 @@ def test_sphere_averages_match_per_sphere_reference(seed, b_plus):
         got = list(sphere_averages(f, mid, R, 512))
         assert got == [_sphere_average_reference(f, x, R, 512) for x in mid]
     assert _validate_family(family, DISK, "sbh+0o") is None
+    for domain in (None, DISK):  # no centres, no means, with or without a domain
+        assert list(sphere_averages(ScalarField.constant(1.0, domain), mid[:0], R, None)) == []

@@ -83,7 +83,7 @@ def test_from_potential_zero_field_gives_atom():
     x = point(0, 0)
     V0 = ASPotential(ScalarField.constant(0.0), x, 0.0, 1.0, Ball(x, 0.5), "jensen")
     grid = GridDomain(point(-1, -1), 0.05, np.ones((41, 41), bool))
-    rec = from_potential(V0, grid)
+    rec = from_potential(V0, grid, pole_exclusion=0.25)  # 5 h
     atoms = [c for c in rec.components if isinstance(c, Atom)]
     assert len(atoms) == 1 and atoms[0].weight == pytest.approx(1.0)
     assert total_mass(rec) == pytest.approx(1.0, abs=1e-10)
@@ -313,3 +313,57 @@ def test_hull_window_matches_point_loop_on_pj_suite(monkeypatch):
     for theta, mu, extra, cells in seen:
         assert_same_window(real(theta, mu, extra, cells=cells),
                            hull_window_loop(theta, mu, extra, cells=cells))
+
+
+# -- one integral pass per round-trip measure ---------------------------------
+# Counted at seed 0: integrate_many runs once per swept measure and once per
+# recovered one (10 + 20 + the preset's other 28), where one integrate call per
+# probe and side made 428 runs; GridDensity.discretize falls from 260 to 42.
+ROUNDTRIP_WORK = {"integrate_many": 58, "GridDensity.discretize": 42}
+
+
+def test_roundtrip_work_counters(monkeypatch):
+    import sys
+
+    from potkit import measures
+    from potkit.presets import run_preset
+
+    counts = dict.fromkeys(ROUNDTRIP_WORK, 0)
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    many = measures.integrate_many
+    for name, module in list(sys.modules.items()):  # every module bound to the name
+        if name.startswith("potkit") and getattr(module, "integrate_many", None) is many:
+            monkeypatch.setattr(module, "integrate_many", counting("integrate_many", many))
+    monkeypatch.setattr(measures.GridDensity, "discretize", counting(
+        "GridDensity.discretize", measures.GridDensity.discretize))
+    checks, _ = run_preset("duality-roundtrip", 0, 1.0)
+    assert all(c.passed for c in checks)
+    assert counts == ROUNDTRIP_WORK
+
+
+@pytest.mark.parametrize("swept_fails, recovered_fails, raised", [
+    (1, 0, "recovered 0"), (0, 0, "swept 0"), (2, 2, "swept 2"), (3, 2, "recovered 2")])
+def test_roundtrip_raises_the_first_failing_integral(monkeypatch, swept_fails,
+                                                     recovered_fails, raised):
+    """The (swept_j, recovered_j) pairs are met in probe order, as one call each made."""
+    from potkit import presets
+
+    real, calls = presets.integrate_many, []
+
+    def failing(mu, fields, seed=0):
+        out = real(mu, fields, seed)
+        side, j = (("swept", swept_fails), ("recovered", recovered_fails))[len(calls)]
+        calls.append(side)
+        out[j] = LookupError(f"{side} {j}")
+        return out
+
+    monkeypatch.setattr(presets, "integrate_many", failing)
+    with pytest.raises(LookupError, match=f"^{raised}$"):
+        presets.run_preset("duality-roundtrip", 0, 1.0)
+    assert calls == ["swept", "recovered"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from potkit import fields, green
+from potkit import fields, green, quadrature
 from potkit.fields import (SWEEPS_PER_NODE, GlueError, GridField,
                            NumericError, ScalarField, check_subharmonic,
                            fit_pole_coefficient, glue_max, glue_quantitative,
@@ -894,3 +894,106 @@ def test_gluing_preset_work_counters(monkeypatch, name):
     checks, _ = run_preset(name, 0, 1.0)
     assert all(c.passed for c in checks)
     assert counts == GLUING_PRESET_WORK[name]
+
+
+# -- one probe stream against the overdraw-then-filter loop -------------------
+
+
+def _random_probes_reference(domain, n, seed, r_lo=None):
+    """The probe stream as one scalar loop with no holes."""
+    rng = quadrature.rng_for(seed, "probes")
+    lo = domain.center - domain.diameter / 2.0
+    hi = domain.center + domain.diameter / 2.0
+    probes = []
+    floor = 1e-3 if r_lo is None else r_lo
+    while len(probes) < n:
+        x = lo + (hi - lo) * rng.random(domain.dimension)
+        if not domain.contains(x):
+            continue
+        gap = domain.boundary_distance(x)
+        if gap / 2.0 <= floor:
+            continue
+        r = floor + (gap / 2.0 - floor) * rng.random()
+        probes.append((x, float(r)))
+    return probes
+
+
+def _probes_avoiding_reference(domain, n, seed, holes=(), min_r=2e-3):
+    """Draw 4 n stream probes, then keep the first n off the holes."""
+    out = []
+    for x, r in _random_probes_reference(domain, 4 * n, seed, r_lo=min_r):
+        ok = True
+        for c, rad in holes:
+            gap = float(np.linalg.norm(x - np.asarray(c))) - rad
+            if gap < min_r:
+                ok = False
+                break
+            r = min(r, 0.5 * gap)
+        if ok and r >= min_r:
+            out.append((x, r))
+        if len(out) == n:
+            return out
+    raise ValueError(f"only {len(out)} of {n} probes avoid the holes")
+
+
+def _probe_bits(probes):
+    return [(x.tobytes(), r) for x, r in probes]
+
+
+# the four preset probe sets: (domain radius, n, seed offset, holes, r_lo)
+PRESET_PROBE_SETS = {
+    "glue-basic": (2.9, 500, 0, [((0.0, 0.0), 0.0)], 2e-3),
+    "glue-quantitative": (3.9, 500, 3, (), 2e-3),
+    "glue-green": (0.98, 500, 0, [((0.0, 0.0), 0.0), ((0.8, 0.0), 0.0)], 2e-3),
+    "green-ball": (0.95, 100, 0, [((0.3, 0.2), 0.0)], 5e-3),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", list(PRESET_PROBE_SETS))
+def test_random_probes_match_the_overdraw_loop(name, seed):
+    radius, n, offset, holes, r_lo = PRESET_PROBE_SETS[name]
+    domain = Ball(point(0, 0), radius)
+    got = fields.random_probes(domain, n, seed + offset, r_lo=r_lo, holes=holes)
+    want = _probes_avoiding_reference(domain, n, seed + offset, holes, min_r=r_lo)
+    assert _probe_bits(got) == _probe_bits(want)
+
+
+@pytest.mark.parametrize("domain", [Ball(point(0, 0), 2.9), Annulus(point(0, 0), 0.55, 1.9)])
+def test_random_probes_without_holes_match_the_scalar_loop(domain):
+    for r_lo in (None, 2e-3):
+        got = fields.random_probes(domain, 200, 5, r_lo=r_lo, holes=())
+        assert _probe_bits(got) == _probe_bits(_random_probes_reference(domain, 200, 5, r_lo))
+
+
+def test_random_probes_refuse_after_4n_stream_probes():
+    disk = Ball(point(0, 0), 1.0)
+    with pytest.raises(ValueError, match="only 0 of 50 probes avoid the holes"):
+        fields.random_probes(disk, 50, 0, holes=[((0.0, 0.0), 1.5)])
+    with pytest.raises(ValueError, match="of 50 probes") as got:
+        fields.random_probes(disk, 50, 0, r_lo=2e-3, holes=[((0.0, 0.0), 0.97)])
+    with pytest.raises(ValueError, match="of 50 probes") as want:
+        _probes_avoiding_reference(disk, 50, 0, [((0.0, 0.0), 0.97)])
+    assert str(got.value) == str(want.value)
+
+
+# -- work done by the probe stream, in calls ----------------------------------
+# Counted at seed 0: one Ball.boundary_distance call per in-domain stream
+# candidate.  The stream stops at the n-th kept probe, where the overdraw loop
+# drew 4 n (glue-basic 4,009 calls, glue-green 2,020, green-ball 408).
+PROBE_STREAM_WORK = {"glue-basic": 1005, "glue-green": 505, "green-ball": 101}
+
+
+@pytest.mark.parametrize("name", list(PROBE_STREAM_WORK))
+def test_probe_stream_work_counters(monkeypatch, name):
+    calls = []
+    fn = Ball.boundary_distance
+
+    def counted(self, x):
+        calls.append(x)
+        return fn(self, x)
+
+    monkeypatch.setattr(Ball, "boundary_distance", counted)
+    checks, _ = run_preset(name, 0, 1.0)
+    assert all(c.passed for c in checks)
+    assert len(calls) == PROBE_STREAM_WORK[name]

@@ -501,3 +501,73 @@ def test_kernel_integral_against_a_layer_is_exact():
     ball = Measure(3, [BallUniform(point(0, 0, 0), 0.5, 2.0)])
     y3 = point(1.0, 0.0, 0.0)
     assert integrate(ball, ScalarField.kernel(y3)) == -2.0
+
+
+# -- one-sweep atom merge against the rescanning loop -------------------------
+
+
+def _merged_atoms_reference(charge):
+    """Atoms merged by rescanning every earlier atom with np.array_equal."""
+    merged = []
+    for c in charge.components:
+        if isinstance(c, Atom):
+            for k, (p, w) in enumerate(merged):
+                if np.array_equal(p, c.point):
+                    merged[k] = (p, w + c.weight)
+                    break
+            else:
+                merged.append((c.point, c.weight))
+    return merged
+
+
+def _atom_bits(atoms):
+    return [(p.tobytes(), np.float64(w).tobytes()) for p, w in atoms]
+
+
+NAN = math.nan
+ATOM_MERGE_CASES = {
+    "signed-zero": [((0.0, 0.0), 1.0), ((-0.0, 0.0), 2.0), ((0.0, -0.0), -0.5),
+                    ((-0.0, -0.0), 0.25)],
+    "nan": [((NAN, 0.0), 1.0), ((NAN, 0.0), 1.0), ((0.0, NAN), 2.0), ((0.5, 0.0), 1.0)],
+    "repeated": [((0.3, 0.1), 0.1), ((0.5, 0.5), 1.0), ((0.3, 0.1), 0.2), ((-0.2, 0.4), 3.0),
+                 ((0.3, 0.1), 0.3), ((0.5, 0.5), -2.0)],
+    "opposite": [((0.3, 0.1), 1.0), ((0.3, 0.1), -1.0), ((0.6, 0.2), -1.5),
+                 ((0.6, 0.2), 1.5), ((0.6, 0.2), 2.0)],
+}
+
+
+@pytest.mark.parametrize("case", list(ATOM_MERGE_CASES))
+def test_potential_atom_merge_matches_the_rescan(case):
+    atoms = [Atom(np.asarray(x, float), w) for x, w in ATOM_MERGE_CASES[case]]
+    atoms.insert(2, atoms[0])  # the same component twice
+    charge = Measure(2, atoms + [SphereUniform((0.0, 0.0), 0.5, 1.0)])
+    got, want = Potential(charge)._atoms, _merged_atoms_reference(charge)
+    assert _atom_bits(got) == _atom_bits(want)
+    assert [id(p) for p, _ in got] == [id(p) for p, _ in want]  # the first point is kept
+
+
+def test_potential_atom_merge_nets_opposite_weights():
+    pt = Potential(Measure(2, [Atom(point(0.3, 0.1), 1.0), Atom(point(0.3, 0.1), -1.0),
+                               Atom(point(0.6, 0.2), -1.0)]))
+    assert pt(point(0.3, 0.1)) == pytest.approx(-math.log(math.hypot(0.3, 0.1)), rel=1e-14)
+    assert pt(point(0.6, 0.2)) == math.inf
+
+
+# the clip of an off-centre layer by a ball is one Atom per kept clip node;
+# rescanning every earlier atom took 77 s for its 5,822 atoms on a 2-core x86 box
+CLIP = (BallUniform((0.1, 0.0), 0.4, 0.2), Ball(point(0, 0), 0.14))
+
+
+def test_potential_of_a_clipped_layer_builds_in_one_sweep():
+    import time
+
+    from potkit.measures import restrict
+
+    clipped = restrict(Measure(2, [CLIP[0]]), CLIP[1])
+    assert len(clipped.components) == 5822
+    start = time.perf_counter()
+    pt = Potential(clipped)
+    assert time.perf_counter() - start < 5.0
+    assert len(pt._atoms) == 5822
+    head = Measure(2, clipped.components[:300] + clipped.components[100:150])
+    assert _atom_bits(Potential(head)._atoms) == _atom_bits(_merged_atoms_reference(head))

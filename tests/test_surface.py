@@ -105,20 +105,19 @@ def _calls(tree: ast.Module):
     return visit(tree)
 
 
-def never_set_options():
-    """Defaulted parameters of potkit definitions that no call in the tree passes.
+def _unset_options(trees):
+    """Defaulted parameters of potkit definitions that no call in `trees` passes.
 
     Calls match definitions by name only.  Positional arguments set the
     leading parameters, keywords set their own, and a call with *args or
     **kwargs sets every parameter of every definition it can name.
     """
-    trees = [ast.parse(p.read_text()) for t in TREES for p in sorted(t.rglob("*.py"))]
     defs = {}
     for p in sorted(TREES[0].glob("*.py")):
         for key, found in _definitions(ast.parse(p.read_text())).items():
             defs.setdefault(key, []).extend((p.stem,) + f for f in found)
     passed = set()
-    for tree in trees:
+    for tree in (ast.parse(p.read_text()) for t in trees for p in sorted(t.rglob("*.py"))):
         for names, args, keywords in _calls(tree):
             found = [f for name in names for f in defs.get(name, ())]
             spread = (any(isinstance(a, ast.Starred) for a in args)
@@ -136,12 +135,60 @@ def never_set_options():
                 if ((module, qual, p) not in passed
                         and (qual.rsplit(".", 1)[-1], p) not in NEVER_SET_ALLOWED):
                     missing.add(f"{module}.{qual}({p})")
-    return sorted(missing)
+    return missing
+
+
+def never_set_options():
+    """Defaulted parameters of potkit definitions that no call in the tree passes."""
+    return sorted(_unset_options(TREES))
+
+
+def options_set_only_by_tests():
+    """Defaulted parameters that tests set but no potkit or perfbench call does."""
+    return sorted(_unset_options((TREES[0], ROOT / "perfbench")) - _unset_options(TREES))
+
+
+# defaulted parameters that only tests set: each stays a parameter because a
+# test drives a path or a size through it that no preset needs; a new one
+# needs a reason here, or it is a constant
+TEST_ONLY_ALLOWED = {
+    # the certified path that skips the re-check of a measure
+    "duality.to_potential(certificate)",
+    # a log field bound to a domain, the field that leaves it in the probe tests
+    "fields.ScalarField.log_distance(domain)",
+    # the layer solve at other resolutions, and an unreachable residual that
+    # runs out its sweep budget
+    "fields.harmonize_layer(cells)",
+    "fields.harmonize_layer(residual_target)",
+    # sphere means against the 512-node per-sphere references
+    "fields.sphere_average(n)",
+    # the kernel sum split into several row blocks against the dense reference;
+    # the block must stay a parameter: perfbench/spans.py reads its default by
+    # signature
+    "potentials._chunked_kernel_sum(block)",
+    # the bound for mu - delta_o, the second form of the lower bound
+    "potentials.lower_bound_check(o)",
+    # two-part majorants: the presets use constant ones only
+    "zeros.GrowthMajorant(M_minus)",
+    "zeros.GrowthMajorant(mu_minus)",
+    "zeros.GrowthMajorant(mu_plus)",
+    # a given test family and a zero subdivisor for [ZIII]
+    "zeros.check_thm_hol(family)",
+    "zeros.check_thm_hol(subdivisor)",
+    # multiplicity recovery at other windows and tolerances
+    "zeros.poincare_lelong_check(rel_tol)",
+    "zeros.poincare_lelong_check(window)",
+}
 
 
 def test_every_option_has_a_caller():
     """A default no preset, CLI path, test or benchmark overrides is a constant."""
     assert never_set_options() == []
+
+
+def test_options_only_tests_set_are_listed():
+    """A default only tests override is kept for a reason TEST_ONLY_ALLOWED gives."""
+    assert options_set_only_by_tests() == sorted(TEST_ONLY_ALLOWED)
 
 
 # the only potkit definitions that take a dimension argument: each builds its

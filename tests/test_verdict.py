@@ -148,8 +148,8 @@ def test_preset_tolerances_follow_tol_scale(preset):
 
 
 def test_probes_avoiding_refuses_a_short_probe_set():
-    from potkit.presets import _probes_avoiding
+    from potkit.fields import random_probes
 
-    assert len(_probes_avoiding(DISK, 50, 0, holes=[((0.0, 0.0), 0.0)])) == 50
+    assert len(random_probes(DISK, 50, 0, r_lo=2e-3, holes=[((0.0, 0.0), 0.0)])) == 50
     with pytest.raises(ValueError, match="of 50 probes"):
-        _probes_avoiding(DISK, 50, 0, holes=[((0.0, 0.0), 0.97)])
+        random_probes(DISK, 50, 0, r_lo=2e-3, holes=[((0.0, 0.0), 0.97)])
