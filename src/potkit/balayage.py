@@ -58,9 +58,6 @@ class TestFamily:
     symmetric: bool = False  # H = -H: balayage margins become equalities
     orbits: dict = field(default_factory=dict)  # orbit name -> ordered member indices
 
-    def names(self) -> list:
-        return [name for name, _ in self.members]
-
     def max_closure(self) -> "TestFamily":
         """Family extended by pairwise maxima of its first MAX_CLOSURE_HEAD members."""
         extra = []

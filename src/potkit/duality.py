@@ -32,6 +32,7 @@ __all__ = [
 
 
 PL_PROBES = 500  # seeded probes of V <= g_D(., o) in phragmen_lindelof_bound
+HULL_CELLS = 96  # cells across the widest extent of the Poisson-Jensen hull window
 
 
 class CertificationError(ValueError):
@@ -161,16 +162,12 @@ def from_potential(V: ASPotential, grid: GridDomain, pole_exclusion: float) -> M
 # generalized Poisson-Jensen
 
 
-def _hull_window(theta: Measure, mu: Measure, extra: Measure | None,
-                 cells: int = 96) -> GridDomain:
+def _hull_window(theta: Measure, mu: Measure) -> GridDomain:
     """Inward-filled hull of the supports on a covering grid, padded one cell."""
-    pts = [theta.support_points(), mu.support_points()]
-    if extra is not None:
-        pts.append(extra.support_points())
-    pts = np.vstack([p for p in pts if len(p)])
+    pts = np.vstack([p for p in (theta.support_points(), mu.support_points()) if len(p)])
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     span = float(np.max(hi - lo))
-    h = max(span, 1e-3) / cells
+    h = max(span, 1e-3) / HULL_CELLS
     lo = lo - 4 * h
     shape = tuple(int(math.ceil((hi[k] - lo[k] + 8 * h) / h)) + 1 for k in range(pts.shape[1]))
     window = GridDomain(lo, h, np.ones(shape, dtype=bool))
@@ -191,11 +188,12 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
                           tol_scale: float = 1e-6, seed: int = 0) -> Verdict:
     """Check the generalized Poisson-Jensen identity for a har-balayage pair.
 
-    int u dtheta + int_K pt_mu dRiesz(u) = int_K pt_theta dRiesz(u) + int u dmu,
-    with K the inward-filled hull of the supports on a covering grid (padded
-    one cell) unless an explicit K (grid or ball) is supplied.  The Riesz
-    data of u is taken analytically when provided, else recovered on the
-    hull grid.
+    int u dtheta + int_K pt_mu dRiesz(u) = int_K pt_theta dRiesz(u) + int u dmu.
+    Without ``riesz_u`` the Riesz data of u is recovered on a grid: K when
+    supplied, else the inward-filled hull of the supports on a covering grid
+    (padded one cell); the recovery charges only that grid's cells.  A given
+    ``riesz_u`` is restricted to an explicit K (grid or ball), and integrated
+    as it is when no K is supplied.
     """
     from .balayage import check_linear, harmonic_kernel_family
 
@@ -208,18 +206,17 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
         raise CertificationError(
             f"har-balayage certification failed (witness {verdict.data['witness']})")
 
-    if K is None:
-        K = _hull_window(theta, mu, riesz_u, cells=96)
     if riesz_u is None:
-        riesz_u = riesz_measure(u, K)
-    riesz_K = restrict(riesz_u, K)
+        riesz_u = riesz_measure(u, _hull_window(theta, mu) if K is None else K)
+    elif K is not None:
+        riesz_u = restrict(riesz_u, K)
 
     pt_mu = Potential(mu)
     pt_theta = Potential(theta)
     try:
         t_u_theta = integrate(theta, u, seed=seed)
-        t_mu_riesz = integrate(riesz_K, pt_mu, seed=seed)
-        t_theta_riesz = integrate(riesz_K, pt_theta, seed=seed)
+        t_mu_riesz = integrate(riesz_u, pt_mu, seed=seed)
+        t_theta_riesz = integrate(riesz_u, pt_theta, seed=seed)
         t_u_mu = integrate(mu, u, seed=seed)
     except IndeterminateIntegral as exc:
         raise IndeterminateIntegral(f"poisson-jensen integrals indeterminate: {exc}")

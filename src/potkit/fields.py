@@ -231,7 +231,7 @@ def random_probes(domain, n: int, seed: int, r_lo: float | None = None, holes=()
 
     r_lo defaults to 1e-3.  A hole (center, radius) caps r at half the gap
     to it and drops the probe when the gap or the capped r is below r_lo;
-    ValueError when fewer than n of the first 4 n stream probes are kept.
+    ValueError when fewer than n of the first 4 n points in the domain are kept.
     """
     rng = quadrature.rng_for(seed, "probes")
     lo = domain.center - domain.diameter / 2.0
@@ -246,11 +246,11 @@ def random_probes(domain, n: int, seed: int, r_lo: float | None = None, holes=()
         x = lo + (hi - lo) * rng.random(domain.dimension)
         if not domain.contains(x):
             continue
+        drawn += 1
         gap = domain.boundary_distance(x)
         if gap / 2.0 <= floor:
             continue
         r = float(floor + (gap / 2.0 - floor) * rng.random())
-        drawn += 1
         for c, rad in holes:
             gap = float(np.linalg.norm(x - np.asarray(c))) - rad
             if gap < floor:

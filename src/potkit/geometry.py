@@ -123,9 +123,9 @@ class Ball:
         return float(np.linalg.norm(x - self.center)) < self.radius - margin
 
     # kept apart from contains(): _distance and norm(x - c) can differ in the last bit
-    def contains_array(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    def contains_array(self, pts: np.ndarray) -> np.ndarray:
         pts = _in_dimension_of(self, np.atleast_2d(pts))
-        return _distance(pts, self.center) < self.radius - margin
+        return _distance(pts, self.center) < self.radius
 
     def boundary_points(self, n: int) -> np.ndarray:
         """n points on the sphere, along `quadrature._unit_directions`."""
@@ -170,17 +170,17 @@ class Annulus:
         rho = float(np.linalg.norm(x - self.center))
         return min(rho - self.r_in, self.r_out - rho)
 
-    def contains(self, x, margin: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         if x is INFINITY:
             return False
         x = _in_dimension_of(self, np.asarray(x, dtype=float))
         r = float(np.linalg.norm(x - self.center))
-        return self.r_in + margin < r < self.r_out - margin
+        return self.r_in < r < self.r_out
 
-    def contains_array(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    def contains_array(self, pts: np.ndarray) -> np.ndarray:
         pts = _in_dimension_of(self, np.atleast_2d(pts))
         r = _distance(pts, self.center)
-        return (r > self.r_in + margin) & (r < self.r_out - margin)
+        return (r > self.r_in) & (r < self.r_out)
 
     def boundary_points(self, n: int) -> np.ndarray:
         inner = Ball(self.center, self.r_in).boundary_points(n // 2)
@@ -250,13 +250,13 @@ class GridDomain:
             return None
         return tuple(idx)
 
-    def contains(self, x, margin: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         if x is INFINITY:
             return False
         idx = self.index_of(_in_dimension_of(self, np.asarray(x, dtype=float)))
         return idx is not None and bool(self.mask[idx])
 
-    def contains_array(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    def contains_array(self, pts: np.ndarray) -> np.ndarray:
         pts = _in_dimension_of(self, np.atleast_2d(pts))
         idx = np.rint((pts - self.origin[None, :]) / self.spacing).astype(int)
         ok = np.all((idx >= 0) & (idx < np.asarray(self.shape)[None, :]), axis=1)
@@ -295,13 +295,13 @@ class _Composite:
         self.a, self.b, self.union = a, b, union
         self.dimension = a.dimension
 
-    def contains(self, x, margin: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         if self.union:
-            return self.a.contains(x, margin) or self.b.contains(x, margin)
-        return self.a.contains(x, margin) and self.b.contains(x, margin)
+            return self.a.contains(x) or self.b.contains(x)
+        return self.a.contains(x) and self.b.contains(x)
 
-    def contains_array(self, pts, margin: float = 0.0) -> np.ndarray:
-        a, b = self.a.contains_array(pts, margin), self.b.contains_array(pts, margin)
+    def contains_array(self, pts) -> np.ndarray:
+        a, b = self.a.contains_array(pts), self.b.contains_array(pts)
         return a | b if self.union else a & b
 
 

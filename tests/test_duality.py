@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from potkit.duality import (ASPotential, CertificationError, from_potential,
                             verify_poisson_jensen)
 from potkit.fields import ScalarField
 from potkit.geometry import Ball, GridDomain, point
-from potkit.measures import Atom, Measure, integrate, total_mass
+from potkit.measures import Atom, Measure, SphereUniform, integrate, total_mass
+from potkit.potentials import Potential
 
 
 def delta(x=(0.0, 0.0)):
@@ -200,12 +202,9 @@ def test_to_potential_skips_recheck_with_certificate():
 # the Poisson-Jensen hull window
 
 
-def hull_window_loop(theta, mu, extra, cells=96):
+def hull_window_loop(theta, mu, cells=duality.HULL_CELLS):
     """Reference: every support point against every window cell, one point at a time."""
-    pts = [theta.support_points(), mu.support_points()]
-    if extra is not None:
-        pts.append(extra.support_points())
-    pts = np.vstack([p for p in pts if len(p)])
+    pts = np.vstack([p for p in (theta.support_points(), mu.support_points()) if len(p)])
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     span = float(np.max(hi - lo))
     h = max(span, 1e-3) / cells
@@ -253,21 +252,23 @@ def test_hull_window_matches_point_loop_on_random_clouds(d, raw, monkeypatch):
         _raw_occupancy(monkeypatch)
     rng = np.random.default_rng(d)
     cells = 24 if d == 3 else 96
+    monkeypatch.setattr(duality, "HULL_CELLS", cells)
     for trial in range(3):
         theta = atoms(rng.normal(size=(5, d)) * 0.2)
         mu = atoms(rng.uniform(-1, 1, size=(40, d)))
-        extra = atoms(rng.uniform(-0.5, 0.5, size=(7, d))) if trial else None
-        assert_same_window(duality._hull_window(theta, mu, extra, cells=cells),
-                           hull_window_loop(theta, mu, extra, cells=cells))
+        if trial:  # a third support, as the Riesz atoms of a pj-suite instance
+            mu = mu + atoms(rng.uniform(-0.5, 0.5, size=(7, d)))
+        assert_same_window(duality._hull_window(theta, mu),
+                           hull_window_loop(theta, mu, cells=cells))
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_hull_window_single_point(d, monkeypatch):
     x = atoms(np.full(d, 0.3))
-    assert_same_window(duality._hull_window(x, x, None), hull_window_loop(x, x, None))
+    assert_same_window(duality._hull_window(x, x), hull_window_loop(x, x))
     _raw_occupancy(monkeypatch)
-    K = duality._hull_window(x, x, None)
-    assert_same_window(K, hull_window_loop(x, x, None))
+    K = duality._hull_window(x, x)
+    assert_same_window(K, hull_window_loop(x, x))
     assert K.mask.sum() == 1
 
 
@@ -281,6 +282,7 @@ def test_hull_window_borderline_points(d, raw, monkeypatch):
     if raw:
         _raw_occupancy(monkeypatch)
     cells = 16
+    monkeypatch.setattr(duality, "HULL_CELLS", cells)
     frame = np.vstack([np.zeros(d), np.ones(d)])
     lo, h = _window_of(frame, cells)
     centre = lo + np.array([9 + k for k in range(d)]) * h
@@ -292,27 +294,79 @@ def test_hull_window_borderline_points(d, raw, monkeypatch):
     assert _window_of(np.vstack([frame, probes]), cells)[0].tobytes() == lo.tobytes()
     for p in probes:
         mu = atoms(np.vstack([frame, p]))
-        assert_same_window(duality._hull_window(mu, mu, None, cells=cells),
-                           hull_window_loop(mu, mu, None, cells=cells))
+        assert_same_window(duality._hull_window(mu, mu), hull_window_loop(mu, mu, cells=cells))
 
 
-def test_hull_window_matches_point_loop_on_pj_suite(monkeypatch):
+def test_hull_window_matches_point_loop_on_pj_suite():
+    # the windows of pj-suite's K-less instances at seed 0, on the supports of
+    # theta, mu and the Riesz data of u
+    from potkit.presets import _pj_instances
+
+    supports = [(theta, mu + riesz_u) for _, theta, mu, _, riesz_u, K in _pj_instances(0)
+                if K is None]
+    assert len(supports) == 11 and {mu.dimension for _, mu in supports} == {2, 3}
+    for theta, mu in supports:
+        assert_same_window(duality._hull_window(theta, mu), hull_window_loop(theta, mu))
+
+
+# -- the hull is built only to recover the Riesz data ---------------------------
+# Counted at seed 0: every pj-suite and classical-pj instance passes the Riesz
+# data of u, so neither builds a hull window (pj-suite built 11, one of them a
+# 1.16M-cell 3-D window, to restrict atoms the window was made to contain).
+PJ_HULL_WINDOWS = {"pj-suite": 0, "classical-pj": 0}
+
+
+def _counting_hull_windows(monkeypatch):
+    built, real = [], duality._hull_window
+
+    def counted(theta, mu):
+        built.append(real(theta, mu))
+        return built[-1]
+
+    monkeypatch.setattr(duality, "_hull_window", counted)
+    return built
+
+
+@pytest.mark.parametrize("name", list(PJ_HULL_WINDOWS))
+def test_pj_preset_hull_work_counters(monkeypatch, name):
     from potkit.presets import run_preset
 
-    seen = []
-    real = duality._hull_window
+    built = _counting_hull_windows(monkeypatch)
+    checks, _ = run_preset(name, 0, 1.0)
+    assert all(c.passed for c in checks)
+    assert len(built) == PJ_HULL_WINDOWS[name]
 
-    def spy(theta, mu, extra, cells=96):
-        seen.append((theta, mu, extra, cells))
-        return real(theta, mu, extra, cells=cells)
 
-    monkeypatch.setattr(duality, "_hull_window", spy)
-    run_preset("pj-suite", 0, 1.0)
-    monkeypatch.undo()
-    assert len(seen) == 11
-    for theta, mu, extra, cells in seen:
-        assert_same_window(real(theta, mu, extra, cells=cells),
-                           hull_window_loop(theta, mu, extra, cells=cells))
+@pytest.mark.parametrize("u", [ScalarField.log_distance(point(0.5, 0)),
+                               ScalarField(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2)],
+                         ids=["classical", "harmonic"])
+def test_riesz_recovery_on_the_hull_matches_the_restricted_recovery(monkeypatch, u):
+    """Without riesz_u one hull is built, and the verdict is that of the recovery
+    restricted to the hull, as the verifier used to integrate it."""
+    built = _counting_hull_windows(monkeypatch)
+    rep = verify_poisson_jensen(delta(), _om(), u)
+    assert len(built) == 1
+
+    real = duality.riesz_measure
+    monkeypatch.setattr(duality, "riesz_measure",
+                        lambda v, K: duality.restrict(real(v, K), K))
+    want = verify_poisson_jensen(delta(), _om(), u)
+    assert len(built) == 2
+    assert json.dumps(rep.to_json()) == json.dumps(want.to_json())
+
+
+def test_layer_riesz_data_is_integrated_whole():
+    # the log potential of a unit circle layer off the origin: its Riesz data is
+    # the layer, integrated by its own rule rather than clipped to a window
+    c, r = point(0.2, 0.1), 0.3
+    layer = Measure(2, [SphereUniform(c, r, 1.0)])
+    u = ScalarField(lambda p: np.log(np.maximum(np.linalg.norm(p - c, axis=1), r)))
+    om = _om()
+    rep = verify_poisson_jensen(delta(), om, u, riesz_u=layer)
+    assert rep.passed
+    terms = rep.data["terms"]
+    assert terms["pt_mu_riesz"] == integrate(layer, Potential(om))
+    assert terms["pt_theta_riesz"] == integrate(layer, Potential(delta()))
 
 
 # -- one integral pass per round-trip measure ---------------------------------

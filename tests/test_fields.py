@@ -273,7 +273,7 @@ def test_harmonize_layer_discrete_harmonic_exact():
     out = harmonize_layer(v, layer, cells=64)
     g = out.solver_grid
     centers = g.grid.cell_centers()
-    inside = layer.contains_array(centers, margin=0.02)
+    inside = Annulus(point(0, 0), 0.52, 0.98).contains_array(centers)
     got = g.values.ravel()[inside]
     want = v.evaluate_array(centers[inside])
     assert np.max(np.abs(got - want)) <= 1e-8
@@ -293,7 +293,7 @@ def test_harmonize_layer_dominates_at_pole():
     out = harmonize_layer(v, layer, cells=96)
     g = out.solver_grid
     centers = g.grid.cell_centers()
-    inside = layer.contains_array(centers, margin=0.03)
+    inside = Annulus(point(0, 0), 0.53, 0.97).contains_array(centers)
     margin = g.values.ravel()[inside] - v.evaluate_array(centers[inside])
     assert np.min(margin) >= -1e-6
     near_pole = np.linalg.norm(centers[inside] - np.array([0.75, 0]), axis=1) < 0.05
@@ -422,7 +422,7 @@ def test_harmonize_layer_d3_discrete_harmonic():
     out = harmonize_layer(v, layer, cells=32)
     g = out.solver_grid
     centers = g.grid.cell_centers()
-    inside = layer.contains_array(centers, margin=0.06)
+    inside = Annulus(point(0, 0, 0), 0.56, 0.94).contains_array(centers)
     got = g.values.ravel()[inside]
     want = v.evaluate_array(centers[inside])
     assert np.max(np.abs(got - want)) <= 1e-7
@@ -847,9 +847,9 @@ class _RecordingDomain:
     def __init__(self, domain):
         self.domain, self.seen = domain, []
 
-    def contains_array(self, pts, margin=0.0):
+    def contains_array(self, pts):
         self.seen.append(np.array(pts))
-        return self.domain.contains_array(pts, margin)
+        return self.domain.contains_array(pts)
 
 
 def test_check_subharmonic_leaves_the_domain_at_the_same_probe():
@@ -975,6 +975,10 @@ def test_random_probes_refuse_after_4n_stream_probes():
     with pytest.raises(ValueError, match="of 50 probes") as want:
         _probes_avoiding_reference(disk, 50, 0, [((0.0, 0.0), 0.97)])
     assert str(got.value) == str(want.value)
+    # every point of a thin annulus lies within 2 r_lo of its boundary: the
+    # refusal counts the points dropped there too
+    with pytest.raises(ValueError, match="only 0 of 5 probes"):
+        fields.random_probes(Annulus(point(0, 0), 1.0, 1.002), 5, 0)
 
 
 # -- work done by the probe stream, in calls ----------------------------------

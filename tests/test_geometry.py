@@ -240,6 +240,21 @@ def test_domain_membership():
     assert not a.contains(INFINITY)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_grid_contains_array_matches_the_scalar_test(d):
+    rng = np.random.default_rng(d)
+    shape = (7, 6, 5)[:d]
+    grid = GridDomain(np.full(d, -0.3), 0.25, rng.random(shape) < 0.5)
+    assert np.array_equal(grid.contains_array(grid.centers()), grid.mask.ravel())
+    # points from a cell before the window to a cell past it
+    pts = rng.uniform(grid.origin - grid.spacing,
+                      grid.origin + np.asarray(shape) * grid.spacing, size=(400, d))
+    got = grid.contains_array(pts)
+    assert np.array_equal(got, [grid.contains(x) for x in pts])
+    in_window = np.array([grid.index_of(x) is not None for x in pts])
+    assert got.any() and (in_window & ~got).any() and (~in_window).any()
+
+
 def test_membership_rejects_points_of_another_dimension():
     grid = GridDomain(point(0, 0, 0), 0.5, np.ones((3, 3, 3), bool))
     for domain in [Ball(point(0), 1.0), Annulus(point(0, 0), 1.0, 2.0), grid]:
@@ -376,8 +391,10 @@ def test_inward_filled_hull_matches_component_labelling(shape, seed):
 
 
 def test_pj_suite_windows_match_the_ndimage_references(monkeypatch):
+    # the hull windows of pj-suite's K-less instances at seed 0, on the supports
+    # of theta, mu and the Riesz data of u
     from potkit import duality
-    from potkit.presets import run_preset
+    from potkit.presets import _pj_instances
 
     hulls, pads = [], []
     real_hull, real_pad = duality.inward_filled_hull, duality.parallel_set
@@ -392,7 +409,9 @@ def test_pj_suite_windows_match_the_ndimage_references(monkeypatch):
 
     monkeypatch.setattr(duality, "inward_filled_hull", hull_spy)
     monkeypatch.setattr(duality, "parallel_set", pad_spy)
-    run_preset("pj-suite", 0, 1.0)
+    for _, theta, mu, _, riesz_u, K in _pj_instances(0):
+        if K is None:
+            duality._hull_window(theta, mu + riesz_u)
     assert len(hulls) == len(pads) == 11
     assert {K.dimension for K, _, _ in hulls} == {2, 3}
     for K, O, hull in hulls:
@@ -503,14 +522,13 @@ def test_composite_membership(union):
     assert both.dimension == 2
     rng = np.random.default_rng(5)
     pts = rng.uniform(-2.2, 2.2, size=(3000, 2))
-    for margin in (0.0, 0.05):
-        ia, ib = a.contains_array(pts, margin), b.contains_array(pts, margin)
-        want = ia | ib if union else ia & ib
-        assert np.array_equal(both.contains_array(pts, margin), want)
-        assert 0 < want.sum() < len(pts)  # the points are mixed
-        for x in pts[:600]:
-            sa, sb = a.contains(x, margin), b.contains(x, margin)
-            assert both.contains(x, margin) == ((sa or sb) if union else (sa and sb))
+    ia, ib = a.contains_array(pts), b.contains_array(pts)
+    want = ia | ib if union else ia & ib
+    assert np.array_equal(both.contains_array(pts), want)
+    assert 0 < want.sum() < len(pts)  # the points are mixed
+    for x in pts[:600]:
+        sa, sb = a.contains(x), b.contains(x)
+        assert both.contains(x) == ((sa or sb) if union else (sa and sb))
     assert not both.contains(INFINITY)
 
 

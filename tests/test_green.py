@@ -29,33 +29,39 @@ def test_green_ball_preconditions():
         green.green_ball(point(0), 1.0, point(0.1, 0.2))
 
 
-def test_green_property_suite_off_center():
+OFF_CENTRE_POLES = [point(0.3, 0.2), point(0.3, 0.2, -0.1)]
+
+
+@pytest.mark.parametrize("pole", OFF_CENTRE_POLES, ids=["2d", "3d"])
+def test_green_property_suite_off_center(pole):
     # the Eq-style properties checked numerically: boundary zero, harmonic
     # off the pole, pole expansion slope one
-    g = green.green_ball(point(0, 0), 1.0, point(0.3, 0.2))
-    bnd = Ball(point(0, 0), 1.0).boundary_points(512)
+    d = pole.size
+    g = green.green_ball(np.zeros(d), 1.0, pole)
+    bnd = Ball(np.zeros(d), 1.0).boundary_points(512)
     assert np.max(np.abs(g.evaluate_array(bnd))) <= 1e-10
     probes = []
     rng = np.random.default_rng(0)
     while len(probes) < 60:
-        x = rng.uniform(-0.9, 0.9, 2)
+        x = rng.uniform(-0.9, 0.9, d)
         r = 0.02 + 0.1 * rng.random()
-        if np.linalg.norm(x) + r < 0.97 and np.linalg.norm(x - [0.3, 0.2]) > r + 0.05:
+        if np.linalg.norm(x) + r < 0.97 and np.linalg.norm(x - pole) > r + 0.05:
             probes.append((x, r))
     worst = max(abs(row.margin) for row in check_subharmonic(g, probes).rows)
     assert worst <= 1e-8, worst
-    slope, r2 = fit_pole_coefficient(g, point(0.3, 0.2))
+    slope, r2 = fit_pole_coefficient(g, pole)
     assert slope == pytest.approx(1.0, abs=1e-6) and r2 >= 0.999
 
 
-def test_green_symmetry():
+@pytest.mark.parametrize("d", [2, 3], ids=["2d", "3d"])
+def test_green_symmetry(d):
     rng = np.random.default_rng(4)
     for _ in range(100):
-        x, y = rng.uniform(-0.7, 0.7, 2), rng.uniform(-0.7, 0.7, 2)
-        if np.linalg.norm(x - y) < 1e-2:
-            continue
-        gx = green.green_ball(point(0, 0), 1.0, x)
-        gy = green.green_ball(point(0, 0), 1.0, y)
+        x, y = rng.uniform(-0.7, 0.7, d), rng.uniform(-0.7, 0.7, d)
+        if np.linalg.norm(x - y) < 1e-2 or max(np.linalg.norm(x), np.linalg.norm(y)) >= 0.99:
+            continue  # the 3-D cube reaches past the ball
+        gx = green.green_ball(np.zeros(d), 1.0, x)
+        gy = green.green_ball(np.zeros(d), 1.0, y)
         assert abs(gx(y) - gy(x)) <= 1e-9
 
 
