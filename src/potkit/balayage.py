@@ -427,6 +427,8 @@ def lyons_example_pair(seed: int = 0):
     angles = 2.0 * math.pi * (np.arange(n_atoms) + rng.random()) / n_atoms
     pts = ring_radius * np.column_stack([np.cos(angles), np.sin(angles)])
     comps = [BallUniform(np.zeros(d), r, 1.0)]
+    # each atom follows the ball punched around it, not one cloud after the
+    # balls: integrals add components in order, so the grouping fixes last bits
     for e in pts:
         m = (rj / r) ** d
         comps.append(BallUniform(e, rj, -m))

@@ -193,7 +193,8 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
     supplied, else the inward-filled hull of the supports on a covering grid
     (padded one cell); the recovery charges only that grid's cells.  A given
     ``riesz_u`` is restricted to an explicit K (grid or ball), and integrated
-    as it is when no K is supplied.
+    as it is when no K is supplied.  Indeterminate integrals fail the check,
+    with the reason in ``data["indeterminate"]``.
     """
     from .balayage import check_linear, harmonic_kernel_family
 
@@ -218,8 +219,9 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
         t_mu_riesz = integrate(riesz_u, pt_mu, seed=seed)
         t_theta_riesz = integrate(riesz_u, pt_theta, seed=seed)
         t_u_mu = integrate(mu, u, seed=seed)
-    except IndeterminateIntegral as exc:
-        raise IndeterminateIntegral(f"poisson-jensen integrals indeterminate: {exc}")
+    except IndeterminateIntegral as exc:  # a failed verdict, not a crash
+        return Verdict("poisson-jensen", False, [],
+                       {"indeterminate": f"poisson-jensen integrals indeterminate: {exc}"})
 
     lhs = t_u_theta + t_mu_riesz
     rhs = t_theta_riesz + t_u_mu

@@ -242,7 +242,8 @@ def random_probes(domain, n: int, seed: int, r_lo: float | None = None, holes=()
     # radius from the same stream, so block draws would change the points
     while len(probes) < n:
         if drawn == 4 * n:
-            raise ValueError(f"only {len(probes)} of {n} probes avoid the holes")
+            cause = "avoid the holes" if holes else f"have room for a radius >= {floor:g}"
+            raise ValueError(f"only {len(probes)} of {n} probes {cause}")
         x = lo + (hi - lo) * rng.random(domain.dimension)
         if not domain.contains(x):
             continue

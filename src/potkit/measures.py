@@ -2,7 +2,8 @@
 
 A Measure is a finite list of components of four kinds:
 
-* ``Atom(point, weight)``
+* ``Atoms(points, weights)`` -- a weighted point cloud, n >= 1 point masses;
+  ``Atom(point, weight)`` is its one-row case
 * ``SphereUniform(center, radius, total)`` -- uniform (or density-weighted)
   mass on a sphere
 * ``BallUniform(center, radius, total)`` -- uniform mass on a solid ball
@@ -12,15 +13,26 @@ Every kind implements one component protocol, and the measure-level
 operations (integrate, total_mass, restrict, jordan, support, scaling,
 JSON, mollifier sources) are plain loops over it:
 
-* ``dimension``, ``mass()``, ``scaled(a)``, ``jordan()`` -> (positive, negative)
-* ``to_json()`` and ``from_json(data)``; ``Measure.from_json`` picks the
-  class by the ``"type"`` key
+* ``dimension``, ``rows``, ``mass()``, ``scaled(a)``, ``jordan()`` -> (positive, negative)
+* ``to_json()`` -> its entries of a measure's ``components`` list, and
+  ``from_json(entry)``; ``Measure.from_json`` picks the class by ``"type"``
 * ``support_radius(center)`` (exact) and ``support_points()`` (sampled)
 * ``discretize(use, seed, index)`` -> (points, weights) for a use below
 * ``restrict(S, complement)`` -> list of components
 * ``resolution``: the lattice spacing of grid densities, 0 for exact kinds
 * ``newton_potential()``: the exact potential of plain sphere and ball
   layers in d = 2, 3 by Newton's theorem; None for every other component
+
+A cloud stands for its rows: each row is the atom component it would be on
+its own, in row order.  It counts ``rows`` components in the index of the
+Monte-Carlo streams, writes one ``atom`` JSON entry per row (and
+``from_json`` reads each back as an ``Atom``: separate atoms never merge),
+is split by ``jordan`` and ``restrict`` row by row (scalar ``S.contains``),
+and is folded into every running sum (integrals, ``total_mass``,
+``atom_mass_at``, atom potentials) with ``np.add.accumulate`` in row order,
+carrying the running value in and out, so results do not depend on how
+atoms are grouped.  Zero-weight rows never see a field.  Clouds arise where
+atoms come from one array: the clip of a layer and ``zeros.counting_measure``.
 
 Atoms discretize to themselves and grid densities to their charged cell
 centers, for every use.  Layers use quadrature nodes whose counts depend on
@@ -45,27 +57,13 @@ annulus, as ``S.shell(center)`` reports, a sphere layer is kept or dropped
 whole and a ball layer is split analytically) and ``mollify`` feeds the
 sources of mollifier smoothing.
 Integrals are extended reals with the 0*(+-inf)=0 convention; a -inf/+inf
-collision raises.
-
-``integrate_many(mu, fields, seed)`` integrates a list of fields in one
-pass over the components, and ``integrate`` is its one-field case, so there
-is one accumulation path.  Kernel fields (``ScalarField.kernel``) are grouped
-by pole.  Against a plain layer they take Newton's closed form;
-against any other component the kernel rows of the distinct poles are filled
-on its node cloud by ``kernels.kernel_rows`` in tiles of at most
-``kernels.TILE_BYTES``, one kernel pass per component, and each member
-reduces its row by its own dot product ``sign * row`` against the weights.
-Every entry is therefore bitwise the integral of that field alone, and
-output bytes do not depend on how a family is batched.  Other fields are
-evaluated one at a time.  A failing member's entry is its exception.
+collision raises.  ``integrate`` is the one-field case of ``integrate_many``,
+so there is one accumulation path.
 
 Measures are immutable after construction.  A sphere or ball layer builds
-its node cloud once per (use, seed, index) on first ``discretize`` and hands
-out that same pair of read-only arrays on every later call, so repeated
-integrals of one measure pay for the quadrature rule, and for a Poisson
-density on its nodes, once.  The cloud lives on the component: ``scaled``,
-``jordan`` and ``restrict`` build new components, which start without one (a
-layer that ``restrict`` keeps whole is returned as itself, cloud and all).  The Monte-Carlo streams are derived
+its node cloud once per (use, seed, index) on first ``discretize`` (see
+``_Layer.discretize``); ``scaled``, ``jordan`` and ``restrict`` build new
+components, which start without one.  The Monte-Carlo streams are derived
 from (seed, component index), so concurrent calls are deterministic.
 """
 
@@ -81,6 +79,7 @@ from .geometry import Ball, GridDomain, _distance, _stencil
 from .kernels import k_eval_array, kernel_rows, tile_rows, unit_ball_volume
 
 __all__ = [
+    "Atoms",
     "Atom",
     "SphereUniform",
     "BallUniform",
@@ -101,51 +100,97 @@ class IndeterminateIntegral(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class Atom:
-    point: np.ndarray
-    weight: float
+class Atoms:
+    """Point masses weights[i] at points[i], n >= 1 rows, each the atom it would be alone."""
+
+    points: np.ndarray
+    weights: np.ndarray
 
     kind = "atom"
     resolution = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
+        pts = np.asarray(self.points, dtype=float)
+        w = np.asarray(self.weights, dtype=float)
+        if pts.ndim != 2 or not len(pts) or w.shape != (len(pts),):
+            raise ValueError(f"atoms need n >= 1 (n, d) points and n weights, not "
+                             f"{pts.shape} and {w.shape}")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "weights", w)
 
     @property
     def dimension(self) -> int:
-        return self.point.size
+        return self.points.shape[1]
+
+    @property
+    def rows(self) -> int:
+        return len(self.weights)
 
     def mass(self) -> float:
-        return self.weight
+        return _fold(0.0, self.weights)
 
-    def scaled(self, a: float) -> "Atom":
-        return Atom(self.point, a * self.weight)
+    def scaled(self, a: float) -> "Atoms":
+        (part,) = _atoms(self.points, a * self.weights)
+        return part
 
     def jordan(self) -> tuple[list, list]:
-        part = [Atom(self.point, abs(self.weight))]
-        return (part, []) if self.weight >= 0 else ([], part)
+        pos = self.weights >= 0
+        w = np.abs(self.weights)
+        return _atoms(self.points[pos], w[pos]), _atoms(self.points[~pos], w[~pos])
 
-    def to_json(self) -> dict:
-        return {"type": self.kind, "point": self.point.tolist(), "weight": self.weight}
+    def to_json(self) -> list:
+        return [{"type": self.kind, "point": p, "weight": w}
+                for p, w in zip(self.points.tolist(), self.weights.tolist())]
 
     @staticmethod
     def from_json(data: dict) -> "Atom":
         return Atom(np.asarray(data["point"], float), float(data["weight"]))
 
     def support_radius(self, center: np.ndarray) -> float:
-        return float(np.linalg.norm(self.point - center))
+        # per row bitwise np.linalg.norm(x - center), which np.linalg.norm(axis=1) is not
+        D = self.points - center
+        return float(np.max(np.sqrt(np.vecdot(D, D))))
 
     def support_points(self) -> np.ndarray:
-        return self.point[None, :]
+        return self.points
 
     def discretize(self, use: str = "integrate", seed: int = 0, index: int = 0):
-        return self.point[None, :], np.array([self.weight])
+        return self.points, self.weights
 
     def newton_potential(self):
         return None
 
     def restrict(self, S, complement: bool = False) -> list:
-        return [self] if S.contains(self.point) != complement else []
+        # scalar membership per row: contains_array can round apart from it
+        keep = [S.contains(p) != complement for p in self.points]
+        return [self] if all(keep) else _atoms(self.points[keep], self.weights[keep])
+
+
+class Atom(Atoms):
+    """Point mass `weight` at `point`: the one-row cloud."""
+
+    def __init__(self, point, weight: float):
+        super().__init__(np.asarray(point, dtype=float).reshape(1, -1), np.array([weight], float))
+
+    point = property(lambda self: self.points[0])
+    weight = property(lambda self: float(self.weights[0]))
+
+
+def _atoms(points, weights) -> list:
+    """Components holding the rows (points[i], weights[i]) in order: none for no
+    row, an Atom for one, else one cloud."""
+    if len(weights) == 1:
+        return [Atom(points[0], weights[0])]
+    return [Atoms(points, weights)] if len(weights) else []
+
+
+def _fold(start: float, terms) -> float:
+    """start + terms[0] + terms[1] + ..., added left to right: np.add.accumulate
+    never regroups, so a cloud folds into a running sum as its rows would."""
+    if len(terms) == 1:
+        return start + float(terms[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: quiet
+        return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +202,7 @@ class _Layer:
     total: float
 
     resolution = 0.0
+    rows = 1
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
@@ -206,10 +252,10 @@ class _Layer:
         return cloud
 
     def _clip(self, S, complement: bool) -> list:
-        """Node cloud of the layer clipped to S (or its complement), as atoms."""
+        """Charged nodes of the layer clipped to S (or its complement), as atoms."""
         pts, w = self._rule("clip")
-        keep = S.contains_array(pts) != complement
-        return [Atom(p, self.total * wi) for p, wi, k in zip(pts, w, keep) if k and wi != 0.0]
+        keep = (S.contains_array(pts) != complement) & (w != 0.0)
+        return _atoms(pts[keep], self.total * w[keep])
 
     def newton_potential(self):
         """Exact potential pts -> values (Newton's theorem) in d = 2, 3, else None."""
@@ -258,11 +304,11 @@ class SphereUniform(_Layer):
         pts, w = self._nodes("integrate")
         return self.total * float(np.dot(w, _eval_field(self.density, pts)))
 
-    def to_json(self) -> dict:
+    def to_json(self) -> list:
         if self.density is not None and self.density_spec is None:
             raise ValueError("cannot serialize a sphere layer with an opaque density callable")
-        return {"type": self.kind, "center": self.center.tolist(), "radius": self.radius,
-                "total": self.total, "density_spec": self.density_spec}
+        return [{"type": self.kind, "center": self.center.tolist(), "radius": self.radius,
+                 "total": self.total, "density_spec": self.density_spec}]
 
     @staticmethod
     def from_json(data: dict) -> "SphereUniform":
@@ -299,9 +345,9 @@ class BallUniform(_Layer):
         nodes, w = quadrature.ball_rule(self.dimension, *self.NODES[use])
         return self.center[None, :] + self.radius * nodes, w
 
-    def to_json(self) -> dict:
-        return {"type": self.kind, "center": self.center.tolist(), "radius": self.radius,
-                "total": self.total}
+    def to_json(self) -> list:
+        return [{"type": self.kind, "center": self.center.tolist(), "radius": self.radius,
+                 "total": self.total}]
 
     @staticmethod
     def from_json(data: dict) -> "BallUniform":
@@ -354,6 +400,7 @@ class GridDensity:
     values: np.ndarray = field(repr=False)
 
     kind = "grid_density"
+    rows = 1
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -382,9 +429,9 @@ class GridDensity:
         return ([GridDensity(self.grid, np.maximum(vals, 0.0))],
                 [GridDensity(self.grid, np.maximum(-vals, 0.0))])
 
-    def to_json(self) -> dict:
-        return {"type": self.kind, "grid": self.grid.to_json(),
-                "values": np.asarray(self.values).ravel().tolist()}
+    def to_json(self) -> list:
+        return [{"type": self.kind, "grid": self.grid.to_json(),
+                 "values": np.asarray(self.values).ravel().tolist()}]
 
     @staticmethod
     def from_json(data: dict) -> "GridDensity":
@@ -418,7 +465,7 @@ class GridDensity:
         return [GridDensity(self.grid, vals)]
 
 
-_KINDS = {cls.kind: cls for cls in (Atom, SphereUniform, BallUniform, GridDensity)}
+_KINDS = {cls.kind: cls for cls in (Atoms, SphereUniform, BallUniform, GridDensity)}
 
 
 def density_from_spec(spec: dict):
@@ -477,19 +524,24 @@ class Measure:
         center = np.zeros(self.dimension) if center is None else np.asarray(center, float)
         return max((c.support_radius(center) for c in self.components), default=0.0)
 
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Points and weights of every atom row, in component order."""
+        clouds = [c for c in self.components if c.kind == "atom"]
+        return (np.vstack([np.zeros((0, self.dimension))] + [c.points for c in clouds]),
+                np.concatenate([np.zeros(0)] + [c.weights for c in clouds]))
+
     def atom_mass_at(self, points) -> float:
         """Total atomic mass within ATOM_TOL of the given finite point set."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        mass = 0.0
-        for c in self.components:
-            if (c.kind == "atom"
-                    and np.any(_distance(pts, c.point) <= ATOM_TOL)):
-                mass += c.weight
-        return mass
+        X, W = self.atoms()
+        near = np.zeros(len(W), dtype=bool)
+        for p in np.atleast_2d(np.asarray(points, dtype=float)):
+            near |= _distance(X, p) <= ATOM_TOL
+        return _fold(0.0, W[near])
 
     def to_json(self) -> dict:
+        """Components as JSON entries; a cloud gives one ``atom`` entry per row."""
         return {"dimension": self.dimension,
-                "components": [c.to_json() for c in self.components]}
+                "components": [e for c in self.components for e in c.to_json()]}
 
     @staticmethod
     def from_json(data: dict) -> "Measure":
@@ -529,20 +581,26 @@ class _ExtSum:
         self.pos_inf = False
         self.neg_inf = False
 
-    def add_weighted(self, weights: np.ndarray, values: np.ndarray, dense: bool = False):
-        """Add sum_i w_i v_i; `dense` says that no weight is zero.
+    def add_weighted(self, weights: np.ndarray, values: np.ndarray, dense: bool = False,
+                     fold: bool = False):
+        """Add sum_i w_i v_i: one dot product, or with `fold` (atoms) the terms one
+        at a time in row order, as one atom after another adds them.
 
-        Without a zero weight the masks below keep every node, so a finite dot
-        of the contiguous arrays is bitwise the sum they give; anything else
-        takes them.
+        `dense` says that no weight is zero.  Then the masks below keep every
+        node, so a finite sum of the contiguous arrays is bitwise the one they
+        give; anything else takes them.
         """
         w = np.asarray(weights, float)
         v = np.asarray(values, float)
-        if dense and v.shape == w.shape:
-            s = float(np.dot(np.ascontiguousarray(w), np.ascontiguousarray(v)))
-            if math.isfinite(s):
-                self.finite += s
-                return
+
+        def plus(w, v):  # the finite part plus the terms
+            if fold:
+                return _fold(self.finite, w * v)
+            return self.finite + float(np.dot(np.ascontiguousarray(w), np.ascontiguousarray(v)))
+
+        if dense and v.shape == w.shape and math.isfinite(s := plus(w, v)):
+            self.finite = s
+            return
         live = w != 0.0  # zero-weight nodes never see the field value
         w, v = w[live], v[live]
         if np.any(np.isnan(v)):
@@ -555,7 +613,7 @@ class _ExtSum:
             if np.any(signs < 0):
                 self.neg_inf = True
             w, v = w[~inf_mask], v[~inf_mask]
-        self.finite += float(np.dot(w, v))
+        self.finite = plus(w, v)
 
     def value(self) -> float:
         if self.pos_inf and self.neg_inf:
@@ -598,7 +656,8 @@ def integrate_many(mu: Measure, fields, seed: int = 0) -> list:
     pole; on each component's node cloud the kernel rows of the distinct
     poles are filled in tiles of at most ``kernels.TILE_BYTES`` and every
     member sharing a row reduces it by its own dot product, ``sign * row``
-    against the weights.  Other fields are evaluated one by one.
+    against the weights (an atom cloud folds it row by row instead).  Other
+    fields are evaluated one by one.
     """
     fields = list(fields)
     results: list = [None] * len(fields)  # an exception once a member fails
@@ -615,28 +674,34 @@ def integrate_many(mu: Measure, fields, seed: int = 0) -> list:
     groups = list(poles.values())
     P = np.array([fields[g[0]].kernel_pole for g in groups])
 
-    def add(j, w, dense, values, *args):
+    def add(j, w, dense, fold, values, *args):
         """Add values(*args) to member j unless it failed; its first exception is its result."""
         if results[j] is None:
             try:
-                accs[j].add_weighted(w, values(*args), dense)
+                accs[j].add_weighted(w, values(*args), dense, fold)
             except Exception as exc:  # recorded per member; the other members go on
                 results[j] = exc
 
-    for i, c in enumerate(mu.components):
+    start = 0  # component index of the Monte-Carlo streams: a cloud counts its rows
+    for c in mu.components:
+        i, start = start, start + c.rows
         newton = c.newton_potential() if groups else None
         if newton is not None:
             # kernel fields against a plain layer: Newton's closed form at each pole
             for pole, members in zip(P, groups):
                 at_pole = newton(pole[None, :])
                 for j in members:
-                    add(j, _ONE, True, np.multiply, fields[j].kernel_sign, at_pole)
+                    add(j, _ONE, True, False, np.multiply, fields[j].kernel_sign, at_pole)
         if not (others or (groups and newton is None)):
             continue  # no field needs the node cloud
         pts, w = c.discretize("integrate", seed, i)
         if not np.any(w):
             continue
         dense = bool(np.all(w != 0.0))
+        fold = c.kind == "atom"
+        if fold and not dense:
+            # zero-weight atoms never see the field
+            pts, w, dense = pts[w != 0.0], w[w != 0.0], True
         if newton is None:
             rows = tile_rows(len(pts))
             tile = np.empty((min(rows, len(P)), len(pts)))
@@ -644,9 +709,9 @@ def integrate_many(mu: Measure, fields, seed: int = 0) -> list:
                 K = kernel_rows(P[a:a + rows], pts, q, tile[:len(P) - a])
                 for members, row in zip(groups[a:a + rows], K):
                     for j in members:
-                        add(j, w, dense, np.multiply, fields[j].kernel_sign, row)
+                        add(j, w, dense, fold, np.multiply, fields[j].kernel_sign, row)
         for j in others:
-            add(j, w, dense, _eval_field, fields[j], pts)
+            add(j, w, dense, fold, _eval_field, fields[j], pts)
 
     for j, acc in enumerate(accs):
         if results[j] is None:
@@ -658,11 +723,10 @@ def integrate_many(mu: Measure, fields, seed: int = 0) -> list:
 
 
 def total_mass(mu: Measure) -> float:
-    """Sum of component masses (density-weighted layers by their quadrature)."""
-    m = 0.0
-    for c in mu.components:
-        m += c.mass()
-    return m
+    """Sum of component masses in order, atom by atom (density-weighted layers
+    by their quadrature)."""
+    return _fold(0.0, np.concatenate(
+        [np.zeros(0)] + [c.weights if c.kind == "atom" else [c.mass()] for c in mu.components]))
 
 
 # ---------------------------------------------------------------------------
@@ -737,12 +801,6 @@ class Mollifier:
         return vol * float(np.dot(w, vals))
 
 
-def _source_atoms(mu: Measure) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten a measure to a weighted atom cloud for convolution purposes."""
-    pts, wts = zip(*(c.discretize("mollify") for c in mu.components))
-    return np.vstack(pts), np.concatenate(wts)
-
-
 def convolve_balayage(mu: Measure, smoother, O, cells_per_radius: int = 8) -> Measure:
     """Smooth a charge by a Jensen/Arens-Singer family or a single Mollifier.
 
@@ -761,18 +819,20 @@ def convolve_balayage(mu: Measure, smoother, O, cells_per_radius: int = 8) -> Me
             raise ValueError(
                 f"support condition violated: mollifier radius {smoother.radius} "
                 f">= dist(supp, boundary)/2 = {radius_budget}")
-        pts, wts = _source_atoms(mu)
-        return Measure(d, [_bumps_on_grid(pts, wts, smoother, cells_per_radius)])
+        pts, wts = zip(*(c.discretize("mollify") for c in mu.components))
+        return Measure(d, [_bumps_on_grid(np.vstack(pts), np.concatenate(wts), smoother,
+                                          cells_per_radius)])
 
     # point -> Measure family; atomic sources only
     out = []
     for c in mu.components:
         if c.kind != "atom":
             raise ValueError("measure-family smoothing is implemented for atomic charges")
-        iota = smoother(c.point)
-        if iota.support_radius(c.point) >= radius_budget:
-            raise ValueError("support condition violated for the family measure at an atom")
-        out.extend(iota.scaled(c.weight).components)
+        for x, w in zip(c.points, c.weights):
+            iota = smoother(x)
+            if iota.support_radius(x) >= radius_budget:
+                raise ValueError("support condition violated for the family measure at an atom")
+            out.extend(iota.scaled(float(w)).components)
     return Measure(d, out)
 
 

@@ -3,7 +3,8 @@
 A Potential is a ScalarField view of the kernel integral of a charge.
 Evaluations can also be requested in tagged form {finite, -inf, +inf,
 indeterminate} so divergence bookkeeping is visible to callers.  Atom
-contributions are exact and plain sphere/ball layers use Newton's closed
+contributions are exact, added atom by atom in order (``np.add.accumulate``
+over a tile of atoms), and plain sphere/ball layers use Newton's closed
 forms; other layers and grid densities go through one kernel sum over their
 nodes, `_chunked_kernel_sum`.  When an evaluation point lies inside a
 charged grid cell, that cell's point-mass term is replaced by the exact
@@ -36,7 +37,7 @@ from . import quadrature
 from .fields import ScalarField
 from .geometry import _distance
 from .kernels import k_eval, k_eval_array, kernel_rows, tile_rows
-from .measures import Atom, GridDensity, Measure, total_mass
+from .measures import Atom, Atoms, GridDensity, Measure, total_mass
 from .verdict import Row, Verdict
 
 __all__ = [
@@ -144,28 +145,19 @@ class Potential(ScalarField):
 
     def __init__(self, charge: Measure):
         self.charge = charge
-        # coordinates -> (first point, net weight): the diagonal value gets the
-        # sign of the net weight, not a +-inf collision; the keys match as
-        # np.array_equal does (-0.0 is 0.0, nan matches nothing)
-        atoms: dict[tuple, tuple[np.ndarray, float]] = {}
+        # atoms at equal coordinates merge into the first with their net weight,
+        # so the diagonal value gets its sign, not a +-inf collision
+        self._atoms = _merge_atoms(*charge.atoms())
         self._closed: list = []  # exact radial potentials of plain layers
-        self._cloud_pts: list[np.ndarray] = []
-        self._cloud_w: list[np.ndarray] = []
+        self._clouds: list = []  # (nodes, weights) of the other layers
         self._grids: list[GridDensity] = []
         for c in charge.components:
-            if isinstance(c, Atom):
-                key = tuple(c.point.tolist())
-                p, w = atoms.get(key, (c.point, None))
-                atoms[key] = (p, c.weight if w is None else w + c.weight)
-            elif isinstance(c, GridDensity):
+            if isinstance(c, GridDensity):
                 self._grids.append(c)  # point masses plus the self-cell correction
             elif (newton := c.newton_potential()) is not None:
                 self._closed.append(newton)
-            else:
-                pts, w = c.discretize()
-                self._cloud_pts.append(pts)
-                self._cloud_w.append(w)
-        self._atoms = list(atoms.values())
+            elif not isinstance(c, Atoms):
+                self._clouds.append(c.discretize())
         super().__init__(self._evaluate)
 
     # -- evaluation ---------------------------------------------------------
@@ -174,13 +166,20 @@ class Potential(ScalarField):
         pts = np.atleast_2d(pts)
         out = np.zeros(len(pts))
         q = self.charge.dimension - 2
-        row = np.empty((1, len(pts)))
-        for x, w in self._atoms:
-            if w != 0.0:  # 0 * -inf would put nan on a massless atom
-                out += w * kernel_rows(x[None, :], pts, q, row)[0]
+        X, W = self._atoms
+        live = W != 0.0  # 0 * -inf would put nan on a massless atom
+        X, W = X[live], W[live]
+        rows = tile_rows(len(pts))
+        tile = np.empty((min(rows, len(W)), len(pts)))
+        for a in range(0, len(W), rows):
+            # atom by atom in merge order, as one `out += w * row` per atom adds
+            terms = kernel_rows(X[a:a + rows], pts, q, tile[:len(W) - a])
+            terms *= W[a:a + rows, None]
+            terms[0] += out
+            out = np.add.accumulate(terms, axis=0)[-1]
         for newton in self._closed:
             out += newton(pts)
-        for nodes, w in zip(self._cloud_pts, self._cloud_w):
+        for nodes, w in self._clouds:
             out += _chunked_kernel_sum(pts, nodes, w, q)
         for g in self._grids:
             out += self._grid_contribution(pts, g)
@@ -231,6 +230,28 @@ class Potential(ScalarField):
 
     def total_mass(self) -> float:
         return total_mass(self.charge)
+
+
+def _merge_atoms(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct atom points, each its first row, and their net weights summed in row order.
+
+    Rows match as np.array_equal says: -0.0 is 0.0, and a row with a nan
+    coordinate matches nothing.
+    """
+    if len(weights) < 2:
+        return points, weights
+    order = np.lexsort(points.T[::-1])  # stable: equal rows are adjacent, in row order
+    rows = points[order]
+    new = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
+    first = order[new]  # the first row of each group
+    heads = np.sort(first)
+    group = np.empty(len(order), dtype=int)
+    group[order] = np.searchsorted(heads, first)[np.cumsum(new) - 1]
+    net = weights[heads]
+    rest = np.ones(len(weights), dtype=bool)
+    rest[heads] = False
+    np.add.at(net, group[rest], weights[rest])  # adds in row order
+    return points[heads], net
 
 
 def _kernel_rows(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray, q: float,

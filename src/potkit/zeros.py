@@ -16,7 +16,7 @@ from . import quadrature
 from .balayage import TestFamily, _orbit_diverges, build_test_family, pair_tol
 from .fields import ScalarField, riesz_measure
 from .geometry import Annulus, Ball, GridDomain
-from .measures import Atom, Measure, integrate, jordan, restrict, total_mass
+from .measures import Measure, _atoms, _fold, integrate, jordan, restrict, total_mass
 from .verdict import Row, Verdict
 
 __all__ = [
@@ -219,9 +219,7 @@ class GrowthMajorant:
 
 def counting_measure(f: HoloFunction, S) -> Measure:
     """Atoms (zero, multiplicity) for the zeros of f inside S."""
-    pts = f.zero_points()
-    comps = [Atom(p, float(m)) for p, m in zip(pts, f.multiplicities) if S.contains(p)]
-    return Measure(2, comps)
+    return restrict(Measure(2, _atoms(f.zero_points(), f.multiplicities)), S)
 
 
 def poincare_lelong_check(f: HoloFunction, grid: GridDomain, window: int = 2,
@@ -265,25 +263,16 @@ def poincare_lelong_check(f: HoloFunction, grid: GridDomain, window: int = 2,
 def _kept_zeros(f_zeros: np.ndarray, f_mults, S_o: Ball, subdivisor):
     """The zeros outside S_o with a nonzero (sub-)multiplicity, and those weights,
     in zero order."""
-    kept, weights = [], []
-    for i, (p, m) in enumerate(zip(f_zeros, f_mults)):
-        if S_o.contains(p):  # scalar: norm(x) and norm(X, axis=1) can differ in the last bit
-            continue
-        w = m if subdivisor is None else subdivisor(p, m)
-        if w == 0:
-            continue
-        kept.append(i)
-        weights.append(w)
-    return f_zeros[kept], weights
+    pts, w = restrict(Measure(2, _atoms(f_zeros, f_mults)), S_o, complement=True).atoms()
+    if subdivisor is not None:  # a scalar callback, one call per zero
+        w = np.array([subdivisor(p, m) for p, m in zip(pts, w)], dtype=float)
+    return pts[w != 0], w[w != 0]
 
 
-def _zero_sum(pts: np.ndarray, weights: list, v: ScalarField) -> float:
-    """Sum of v at the rows of pts times their weights: one evaluation, added in row order."""
-    total = 0.0
-    if weights:
-        for w, val in zip(weights, v.evaluate_array(pts)):
-            total += w * float(val)
-    return total
+def _zero_sum(pts: np.ndarray, weights: np.ndarray, v: ScalarField) -> float:
+    """Sum of v at the rows of pts times their weights: one evaluation, added in row order
+    (an np.float64, as the per-zero loop's integer-weighted terms made it)."""
+    return np.float64(_fold(0.0, weights * v.evaluate_array(pts))) if len(weights) else 0.0
 
 
 def _variant(name: str, f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,

@@ -103,6 +103,30 @@ def test_custom_poisson_jensen_scenario(tmp_path):
     assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+def test_indeterminate_poisson_jensen_is_a_failed_verdict(tmp_path, capsys):
+    # without riesz_u the hull recovery puts rounding-level mass on theta's pole
+    # cell, so int pt_theta dRiesz(u) meets +inf and -inf: a failed check, exit 1
+    theta = [0.235333, 0.38147]
+    scenario = {
+        "schema": 1,
+        "name": "pj-indeterminate",
+        "measures": {
+            "theta": {"kind": "dirac", "point": theta},
+            "mu": {"kind": "harmonic-measure", "center": [0.319162, 0.622376],
+                   "radius": 0.913466, "x": theta},
+        },
+        "fields": {"u": {"kind": "log-distance", "point": [0.000283, 1.032003]}},
+        "checks": [{"type": "poisson-jensen", "theta": "theta", "mu": "mu", "u": "u"}],
+    }
+    path = tmp_path / "pj.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(path), "--out", str(out)]) == 1
+    (check,) = json.loads((out / "verdicts.json").read_text())["checks"]
+    assert check["raw_pass"] is False and check["pass"] is False
+    assert check["report"]["indeterminate"].startswith("poisson-jensen integrals indeterminate")
+
+
 def test_determinism_single_preset(tmp_path):
     data = preset_scenario("lyons-example")
     run_scenario(data, seed=0, grid=128, tol_scale=1.0, out_dir=tmp_path / "a")

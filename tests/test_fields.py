@@ -976,8 +976,8 @@ def test_random_probes_refuse_after_4n_stream_probes():
         _probes_avoiding_reference(disk, 50, 0, [((0.0, 0.0), 0.97)])
     assert str(got.value) == str(want.value)
     # every point of a thin annulus lies within 2 r_lo of its boundary: the
-    # refusal counts the points dropped there too
-    with pytest.raises(ValueError, match="only 0 of 5 probes"):
+    # refusal counts the points dropped there too, and names that cause
+    with pytest.raises(ValueError, match=r"^only 0 of 5 probes have room for a radius >= 0.001$"):
         fields.random_probes(Annulus(point(0, 0), 1.0, 1.002), 5, 0)
 
 

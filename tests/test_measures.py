@@ -695,3 +695,250 @@ def test_sphere_rule_is_built_once_per_key_and_read_only():
     for a in (nodes, w):
         with pytest.raises(ValueError):
             a[0] = 1.0
+
+
+# -- one atom cloud against one component per atom ---------------------------
+# The references below are the per-atom loops an `Atoms` cloud replaced: one
+# single-point evaluation and one running-sum addition per atom component.
+
+
+def _integral_reference(atoms, f, start=0.0):
+    """One Atom component at a time: a single-point value and a one-term dot product
+    added to the finite part (none for a massless atom); +-inf set a sign flag."""
+    finite, signs = start, set()
+    for x, w in atoms:
+        if w == 0.0:
+            continue
+        v = float(measures._eval_field(f, x[None, :])[0])
+        if math.isnan(v):
+            raise measures.IndeterminateIntegral("nan")
+        if math.isinf(v):
+            signs.add(float(np.sign(v) * np.sign(w)))
+            continue
+        finite += float(np.dot([w], [v]))
+    if signs == {1.0, -1.0}:
+        raise measures.IndeterminateIntegral("both")
+    return math.inf if 1.0 in signs else -math.inf if signs else finite
+
+
+def _potential_reference(atoms, pts):
+    """The dict merge and the per-atom `out += w * row` loop of the atom potential."""
+    merged = {}
+    for x, w in atoms:
+        key = tuple(x.tolist())
+        p, m = merged.get(key, (x, None))
+        merged[key] = (p, w if m is None else m + w)
+    out, row = np.zeros(len(pts)), np.empty((1, len(pts)))
+    for x, w in merged.values():
+        if w != 0.0:
+            out += w * measures.kernel_rows(x[None, :], pts, len(x) - 2, row)[0]
+    return out
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def _grouped(atoms, grouping):
+    """The atoms as one component per atom, or as one cloud."""
+    if grouping == "atoms":
+        return [Atom(x, w) for x, w in atoms]
+    return [measures.Atoms(np.array([x for x, _ in atoms]), [w for _, w in atoms])]
+
+
+def _atom_rows(d, n=40, seed=3):
+    """n signed atoms in d dimensions; rows 7 and 19 weigh 0, row 11 repeats row 4."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-0.6, 0.6, (n, d))
+    w = rng.normal(size=n)
+    w[[7, 19]] = 0.0
+    pts[11] = pts[4]
+    return list(zip(pts, w))
+
+
+GROUPINGS = ["atoms", "cloud"]
+
+
+@pytest.mark.parametrize("grouping", GROUPINGS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_atom_integrals_do_not_depend_on_grouping(grouping, d):
+    from potkit.potentials import Potential
+
+    atoms = _atom_rows(d)
+    layer = BallUniform(np.full(d, 0.1), 0.5, 0.7)
+    mu = Measure(d, [layer] + _grouped(atoms, grouping))
+    pos_hit = next(x for x, w in atoms if w > 0)
+    neg_hit = next(x for x, w in atoms if w < 0)
+    seen = []
+
+    def plain(p):
+        seen.append(p.copy())
+        return np.cos(3.0 * p[:, 0]) + p[:, -1] ** 2
+
+    fs = [fields.ScalarField.kernel(np.full(d, 0.9)),
+          fields.ScalarField.kernel(np.full(d, -0.8), -1.0),
+          Potential(Measure(d, [Atom(np.full(d, 0.7), 1.5), Atom(np.full(d, -0.7), -0.5)])),
+          plain,
+          fields.ScalarField.kernel(pos_hit),  # an exact hit: inf signed by the weight
+          fields.ScalarField.kernel(neg_hit),
+          fields.ScalarField.kernel(pos_hit) + fields.ScalarField.kernel(neg_hit),
+          fields.ScalarField(lambda p: np.where(np.all(p == atoms[5][0], axis=1),
+                                                np.nan, 1.0))]
+    got = measures.integrate_many(mu, fs)
+    start = [integrate(Measure(d, [layer]), f) for f in fs]
+    for k, (f, s, value) in enumerate(zip(fs, start, got)):
+        try:
+            want = _integral_reference(atoms, f, s)
+        except measures.IndeterminateIntegral:
+            assert isinstance(value, measures.IndeterminateIntegral), k
+            continue
+        assert _bits(value) == _bits(want), k
+    assert got[4] == -math.inf and got[5] == math.inf
+    assert all(isinstance(v, measures.IndeterminateIntegral) for v in got[6:])
+    # the zero-weight rows never reach the field
+    zero = np.array([x for x, w in atoms if w == 0.0])
+    assert not any((np.abs(p[:, None, :] - zero).max(axis=2) == 0).any() for p in seen)
+
+    m = 0.0
+    for c in [layer.mass()] + [w for _, w in atoms]:
+        m += c
+    assert _bits(total_mass(mu)) == _bits(m)
+    probes = np.array([atoms[4][0], atoms[30][0] + 5e-10, np.full(d, 2.0), atoms[19][0]])
+    ref = 0.0
+    for x, w in atoms:
+        if np.any(measures._distance(probes, x) <= measures.ATOM_TOL):
+            ref += w
+    assert _bits(mu.atom_mass_at(probes)) == _bits(ref)
+
+    # exact hits at every atom, then points off them; the layer adds after the atoms
+    pts = np.vstack([[x for x, _ in atoms], np.random.default_rng(7).uniform(-1, 1, (64, d))])
+    want = _potential_reference(atoms, pts)
+    want += layer.newton_potential()(pts)
+    assert Potential(mu).evaluate_array(pts).tobytes() == want.tobytes()
+
+
+def _boundary_row(rng, center):
+    """A point and a radius at which scalar norm(x - c) < r and the row-stack
+    distance < r disagree: each rounds the same distance to its own last bit."""
+    while True:
+        x = center + rng.uniform(-0.5, 0.5, len(center))
+        scalar = np.linalg.norm(x - center)
+        stacked = measures._distance(x[None, :], center)[0]
+        if scalar != stacked:
+            return x, max(scalar, stacked)
+
+
+@pytest.mark.parametrize("grouping", GROUPINGS)
+def test_atom_splits_and_json_do_not_depend_on_grouping(grouping):
+    atoms = _atom_rows(2, n=24)
+    atoms[9] = (atoms[9][0], -0.0)
+    center = point(0.05, -0.02)
+    x, radius = _boundary_row(np.random.default_rng(0), center)
+    atoms.append((x, 0.75))
+    S = Ball(center, radius)
+    mu = Measure(2, _grouped(atoms, grouping))
+
+    def entries(rows):
+        return [{"type": "atom", "point": x.tolist(), "weight": float(w)} for x, w in rows]
+
+    assert json.dumps(mu.to_json()) == json.dumps({"dimension": 2, "components": entries(atoms)})
+    pos, neg = jordan(mu)
+    assert json.dumps(pos.to_json()["components"]) == json.dumps(
+        entries([(x, abs(w)) for x, w in atoms if w >= 0]))
+    assert json.dumps(neg.to_json()["components"]) == json.dumps(
+        entries([(x, abs(w)) for x, w in atoms if not w >= 0]))
+    for complement in (False, True):  # scalar S.contains per atom, as Atom.restrict did
+        kept = [(x, w) for x, w in atoms if S.contains(x) != complement]
+        got = restrict(mu, S, complement)
+        assert json.dumps(got.to_json()["components"]) == json.dumps(entries(kept))
+        assert sum(c.rows for c in got.components) == len(kept)
+    assert S.contains(x) != S.contains_array(x[None, :])[0]  # the row that tells them apart
+    back = Measure.from_json(json.loads(json.dumps(mu.to_json())))
+    assert [type(c) for c in back.components] == [Atom] * len(atoms)  # never merged
+
+
+@pytest.mark.parametrize("grouping", GROUPINGS)
+def test_atom_potential_merge_does_not_depend_on_grouping(grouping):
+    from potkit.potentials import Potential
+
+    a, b = point(0.3, -0.2), point(-0.4, 0.1)
+    atoms = [(a, 1.0), (point(0.0, -0.0), 2.0), (b, -1.5), (a, -1.0), (point(-0.0, 0.0), 0.5),
+             (b, 0.25), (point(0.6, 0.6), 1.0)]
+    pts = np.array([a, b, [0.0, 0.0], [-0.0, -0.0], [0.6, 0.6], [0.2, 0.9]])
+    got = Potential(Measure(2, _grouped(atoms, grouping))).evaluate_array(pts)
+    assert got.tobytes() == _potential_reference(atoms, pts).tobytes()
+    assert math.isfinite(got[0]) and got[1] == math.inf and got[2] == -math.inf  # a nets to 0
+    # a nan coordinate matches nothing: each nan row is its own atom, and nan spreads
+    nan_atoms = atoms + [(point(math.nan, 0.0), 1.0), (point(math.nan, 0.0), -1.0)]
+    got = Potential(Measure(2, _grouped(nan_atoms, grouping))).evaluate_array(pts)
+    np.testing.assert_array_equal(got, _potential_reference(nan_atoms, pts))
+    assert np.isnan(got).all()
+
+
+def test_atom_support_radius_is_the_scalar_norm_per_row():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3):
+        X = rng.normal(size=(20_000, d)) * rng.lognormal(size=(20_000, 1))
+        c = rng.normal(size=d)
+        scalar = np.array([np.linalg.norm(x - c) for x in X])
+        D = X - c
+        # the row formula Atoms.support_radius takes, bit for bit the scalar norm
+        assert np.sqrt(np.vecdot(D, D)).tobytes() == scalar.tobytes(), d
+        assert measures.Atoms(X, np.ones(len(X))).support_radius(c) == scalar.max()
+        assert all(Atom(x, 1.0).support_radius(c) == r for x, r in zip(X[:200], scalar))
+
+
+# the clip of an off-centre ball layer: a cloud of 5,822 kept nodes
+CLIP_LAYER, CLIP_SET = BallUniform((0.1, 0.0), 0.4, 0.2), Ball(point(0, 0), 0.14)
+
+
+def test_clip_cloud_integrals_match_the_per_atom_walk():
+    from potkit.potentials import Potential
+
+    (cloud,) = restrict(Measure(2, [CLIP_LAYER]), CLIP_SET).components
+    assert type(cloud) is measures.Atoms and cloud.rows == 5822
+    atoms = list(zip(cloud.points, cloud.weights))
+    mu = Measure(2, [cloud])
+    exact = [fields.ScalarField.constant(1.0), fields.ScalarField.kernel(point(0.9, 0.9)),
+             Potential(Measure(2, [Atom(point(0.9, 0.9), 1.0)]))]
+    for f in exact:
+        assert _bits(integrate(mu, f)) == _bits(_integral_reference(atoms, f))
+    # a potential through the dense node sum rounds a stack of points apart from one
+    # point in the last bits
+    om = green.harmonic_measure(green.green_ball(point(0, 0), 1.0, point(0, 0)),
+                                point(0.4, 0.1))
+    pot, head = Potential(om), measures.Atoms(cloud.points[:400], cloud.weights[:400])
+    assert integrate(Measure(2, [head]), pot) == pytest.approx(
+        _integral_reference(atoms[:400], pot), rel=1e-14, abs=0.0)
+
+
+def test_clip_off_a_core_integrates_in_a_millisecond():
+    import time
+
+    clip = restrict(Measure(2, [CLIP_LAYER]), CLIP_SET)
+    off = restrict(clip, Ball(point(0, 0), 0.05), complement=True)
+    assert off.components[0].rows == 5412
+    one = fields.ScalarField.constant(1.0)
+    best = math.inf  # the least of five rounds: load on the box only slows a round
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(10):
+            integrate(off, one)
+        best = min(best, (time.perf_counter() - start) / 10)
+    assert best < 1e-3  # 0.1 s per call as 5,412 Atom components (2-core x86)
+
+
+def test_a_cloud_advances_the_monte_carlo_stream_index_by_its_rows():
+    # the clip of the ball is a 15,488-row cloud; the sphere after it keeps the
+    # stream sphere-mc-15488 it had as the 15,489th component, through jordan too
+    # (counted as one component, the cloud gives 0.1810268472393971)
+    mu = Measure(3, [BallUniform((0.3, 0, 0), 0.2, 1.0), SphereUniform(np.zeros(3), 0.5, 1.0)])
+    clipped = restrict(mu, Ball(np.zeros(3), 0.9))
+    assert [c.rows for c in clipped.components] == [15488, 1]
+
+    def f(p):
+        return p[:, 0] ** 2 + p[:, 1]
+
+    assert integrate(clipped, f, 0) == 0.18126986910615847
+    pos, neg = jordan(clipped)
+    assert integrate(pos, f, 0) == integrate(clipped, f, 0) and not neg.components

@@ -7,7 +7,7 @@ from potkit import duality, green, potentials
 from potkit.fields import GridField, ScalarField, riesz_measure, sphere_average
 from potkit.geometry import Ball, GridDomain, point
 from potkit.kernels import k_eval_array
-from potkit.measures import (Atom, BallUniform, GridDensity, Measure, Mollifier,
+from potkit.measures import (Atom, Atoms, BallUniform, GridDensity, Measure, Mollifier,
                              SphereUniform, convolve_balayage, integrate, total_mass)
 from potkit.potentials import (Potential, asymptotic_check, difference_potential,
                                lower_bound_check)
@@ -507,21 +507,26 @@ def test_kernel_integral_against_a_layer_is_exact():
 
 
 def _merged_atoms_reference(charge):
-    """Atoms merged by rescanning every earlier atom with np.array_equal."""
+    """Atom rows merged by rescanning every earlier one with np.array_equal."""
     merged = []
     for c in charge.components:
-        if isinstance(c, Atom):
-            for k, (p, w) in enumerate(merged):
-                if np.array_equal(p, c.point):
-                    merged[k] = (p, w + c.weight)
-                    break
-            else:
-                merged.append((c.point, c.weight))
+        if isinstance(c, Atoms):
+            for point, weight in zip(c.points, c.weights):
+                for k, (p, w) in enumerate(merged):
+                    if np.array_equal(p, point):
+                        merged[k] = (p, w + weight)
+                        break
+                else:
+                    merged.append((point, weight))
     return merged
 
 
 def _atom_bits(atoms):
     return [(p.tobytes(), np.float64(w).tobytes()) for p, w in atoms]
+
+
+def _merged_atoms(pt):
+    return list(zip(*pt._atoms))
 
 
 NAN = math.nan
@@ -541,9 +546,20 @@ def test_potential_atom_merge_matches_the_rescan(case):
     atoms = [Atom(np.asarray(x, float), w) for x, w in ATOM_MERGE_CASES[case]]
     atoms.insert(2, atoms[0])  # the same component twice
     charge = Measure(2, atoms + [SphereUniform((0.0, 0.0), 0.5, 1.0)])
-    got, want = Potential(charge)._atoms, _merged_atoms_reference(charge)
-    assert _atom_bits(got) == _atom_bits(want)
-    assert [id(p) for p, _ in got] == [id(p) for p, _ in want]  # the first point is kept
+    got, want = _merged_atoms(Potential(charge)), _merged_atoms_reference(charge)
+    assert _atom_bits(got) == _atom_bits(want)  # the first point's bytes are kept
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_potential_atom_merge_matches_the_rescan_on_random_rows(d):
+    # coordinates from a few values, signed zeros and nan, so rows repeat often
+    rng = np.random.default_rng(d)
+    values = np.array([0.0, -0.0, 0.5, -0.5, 1.0, math.nan])
+    for n in (2, 3, 7, 40):
+        points = values[rng.integers(0, len(values), (n, d))]
+        charge = Measure(d, [Atoms(points, rng.normal(size=n))])
+        assert _atom_bits(_merged_atoms(Potential(charge))) == _atom_bits(
+            _merged_atoms_reference(charge))
 
 
 def test_potential_atom_merge_nets_opposite_weights():
@@ -553,7 +569,7 @@ def test_potential_atom_merge_nets_opposite_weights():
     assert pt(point(0.6, 0.2)) == math.inf
 
 
-# the clip of an off-centre layer by a ball is one Atom per kept clip node;
+# the clip of an off-centre layer by a ball is one cloud of its kept clip nodes;
 # rescanning every earlier atom took 77 s for its 5,822 atoms on a 2-core x86 box
 CLIP = (BallUniform((0.1, 0.0), 0.4, 0.2), Ball(point(0, 0), 0.14))
 
@@ -564,10 +580,13 @@ def test_potential_of_a_clipped_layer_builds_in_one_sweep():
     from potkit.measures import restrict
 
     clipped = restrict(Measure(2, [CLIP[0]]), CLIP[1])
-    assert len(clipped.components) == 5822
+    (cloud,) = clipped.components
+    assert cloud.rows == 5822
     start = time.perf_counter()
     pt = Potential(clipped)
     assert time.perf_counter() - start < 5.0
-    assert len(pt._atoms) == 5822
-    head = Measure(2, clipped.components[:300] + clipped.components[100:150])
-    assert _atom_bits(Potential(head)._atoms) == _atom_bits(_merged_atoms_reference(head))
+    assert len(_merged_atoms(pt)) == 5822
+    head = Measure(2, [Atoms(cloud.points[:300], cloud.weights[:300]),
+                       Atoms(cloud.points[100:150], cloud.weights[100:150])])
+    assert _atom_bits(_merged_atoms(Potential(head))) == _atom_bits(
+        _merged_atoms_reference(head))

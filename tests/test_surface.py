@@ -266,6 +266,26 @@ def test_point_stack_norms_go_through_row_norm():
     assert found == []
 
 
+# Atoms that come from one array form one `Atoms` cloud, so no code builds an
+# `Atom` per node.  The one exception is balayage.lyons_example_pair: each of
+# its atoms follows the ball punched around it, and integrals add components
+# in that order, so one cloud after the balls would move the margins' last bits.
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_no_atom_is_built_per_node():
+    """No `Atom(` call in potkit sits in a loop or a comprehension."""
+    found = set()
+    for p in sorted(TREES[0].glob("*.py")):
+        for fn in ast.walk(ast.parse(p.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for loop in (n for n in ast.walk(fn) if isinstance(n, LOOPS)):
+                    if any(isinstance(n, ast.Call) and ast.unparse(n.func) == "Atom"
+                           for n in ast.walk(loop)):
+                        found.add(f"{p.stem}.{fn.name}")
+    assert sorted(found) == ["balayage.lyons_example_pair"]
+
+
 # _distance(pts, c) subtracts c axis by axis so that no (n, d) difference is
 # built; a caller handing it `a - b` would build that stack all the same.
 def test_distance_takes_no_difference():
