@@ -23,16 +23,12 @@ JSON, mollifier sources) are plain loops over it:
 * ``newton_potential()``: the exact potential of plain sphere and ball
   layers in d = 2, 3 by Newton's theorem; None for every other component
 
-A cloud stands for its rows: each row is the atom component it would be on
-its own, in row order.  It counts ``rows`` components in the index of the
-Monte-Carlo streams, writes one ``atom`` JSON entry per row (and
-``from_json`` reads each back as an ``Atom``: separate atoms never merge),
-is split by ``jordan`` and ``restrict`` row by row (scalar ``S.contains``),
-and is folded into every running sum (integrals, ``total_mass``,
-``atom_mass_at``, atom potentials) with ``np.add.accumulate`` in row order,
-carrying the running value in and out, so results do not depend on how
-atoms are grouped.  Zero-weight rows never see a field.  Clouds arise where
-atoms come from one array: the clip of a layer and ``zeros.counting_measure``.
+A cloud stands for its rows, each the atom component it would be alone: it
+counts ``rows`` components in the Monte-Carlo stream index, writes one
+``atom`` JSON entry per row, and every running sum folds it in row order
+with ``np.add.accumulate``, so results do not depend on how atoms are
+grouped.  Clouds arise only where atoms come from one array: the clip of a
+layer and ``zeros.counting_measure``.
 
 Atoms discretize to themselves and grid densities to their charged cell
 centers, for every use.  Layers use quadrature nodes whose counts depend on
@@ -110,8 +106,8 @@ class Atoms:
     resolution = 0.0
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        pts = np.atleast_2d(np.asarray(self.points, dtype=float))  # one point is one row
+        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if pts.ndim != 2 or not len(pts) or w.shape != (len(pts),):
             raise ValueError(f"atoms need n >= 1 (n, d) points and n weights, not "
                              f"{pts.shape} and {w.shape}")
@@ -130,8 +126,7 @@ class Atoms:
         return _fold(0.0, self.weights)
 
     def scaled(self, a: float) -> "Atoms":
-        (part,) = _atoms(self.points, a * self.weights)
-        return part
+        return replace(self, weights=a * self.weights)
 
     def jordan(self) -> tuple[list, list]:
         pos = self.weights >= 0
@@ -149,7 +144,7 @@ class Atoms:
     def support_radius(self, center: np.ndarray) -> float:
         # per row bitwise np.linalg.norm(x - center), which np.linalg.norm(axis=1) is not
         D = self.points - center
-        return float(np.max(np.sqrt(np.vecdot(D, D))))
+        return float(np.max(np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])))
 
     def support_points(self) -> np.ndarray:
         return self.points
@@ -167,10 +162,7 @@ class Atoms:
 
 
 class Atom(Atoms):
-    """Point mass `weight` at `point`: the one-row cloud."""
-
-    def __init__(self, point, weight: float):
-        super().__init__(np.asarray(point, dtype=float).reshape(1, -1), np.array([weight], float))
+    """Point mass `weight` at `point`: the one-row cloud, Atom(point, weight)."""
 
     point = property(lambda self: self.points[0])
     weight = property(lambda self: float(self.weights[0]))
@@ -179,9 +171,7 @@ class Atom(Atoms):
 def _atoms(points, weights) -> list:
     """Components holding the rows (points[i], weights[i]) in order: none for no
     row, an Atom for one, else one cloud."""
-    if len(weights) == 1:
-        return [Atom(points[0], weights[0])]
-    return [Atoms(points, weights)] if len(weights) else []
+    return [(Atom if len(weights) == 1 else Atoms)(points, weights)] if len(weights) else []
 
 
 def _fold(start: float, terms) -> float:
@@ -581,28 +571,21 @@ class _ExtSum:
         self.pos_inf = False
         self.neg_inf = False
 
-    def add_weighted(self, weights: np.ndarray, values: np.ndarray, dense: bool = False,
-                     fold: bool = False):
-        """Add sum_i w_i v_i: one dot product, or with `fold` (atoms) the terms one
-        at a time in row order, as one atom after another adds them.
-
-        `dense` says that no weight is zero.  Then the masks below keep every
-        node, so a finite sum of the contiguous arrays is bitwise the one they
-        give; anything else takes them.
-        """
-        w = np.asarray(weights, float)
-        v = np.asarray(values, float)
+    def add_weighted(self, w: np.ndarray, v: np.ndarray, fold: bool = False):
+        """Add sum_i w_i v_i over nonzero weights: one dot product of the contiguous
+        arrays, or with `fold` (atoms) the terms one at a time in row order, as one
+        atom after another adds them.  A sum that is not finite is taken apart."""
+        if v.shape != w.shape:
+            raise ValueError(f"{v.shape} field values for {w.shape} nodes")
 
         def plus(w, v):  # the finite part plus the terms
             if fold:
                 return _fold(self.finite, w * v)
             return self.finite + float(np.dot(np.ascontiguousarray(w), np.ascontiguousarray(v)))
 
-        if dense and v.shape == w.shape and math.isfinite(s := plus(w, v)):
+        if math.isfinite(s := plus(w, v)):
             self.finite = s
             return
-        live = w != 0.0  # zero-weight nodes never see the field value
-        w, v = w[live], v[live]
         if np.any(np.isnan(v)):
             raise IndeterminateIntegral("field evaluated to nan on the support")
         inf_mask = np.isinf(v)
@@ -674,11 +657,11 @@ def integrate_many(mu: Measure, fields, seed: int = 0) -> list:
     groups = list(poles.values())
     P = np.array([fields[g[0]].kernel_pole for g in groups])
 
-    def add(j, w, dense, fold, values, *args):
+    def add(j, w, fold, values, *args):
         """Add values(*args) to member j unless it failed; its first exception is its result."""
         if results[j] is None:
             try:
-                accs[j].add_weighted(w, values(*args), dense, fold)
+                accs[j].add_weighted(w, values(*args), fold)
             except Exception as exc:  # recorded per member; the other members go on
                 results[j] = exc
 
@@ -691,17 +674,15 @@ def integrate_many(mu: Measure, fields, seed: int = 0) -> list:
             for pole, members in zip(P, groups):
                 at_pole = newton(pole[None, :])
                 for j in members:
-                    add(j, _ONE, True, False, np.multiply, fields[j].kernel_sign, at_pole)
+                    add(j, _ONE, False, np.multiply, fields[j].kernel_sign, at_pole)
         if not (others or (groups and newton is None)):
             continue  # no field needs the node cloud
         pts, w = c.discretize("integrate", seed, i)
-        if not np.any(w):
+        if not np.all(w):  # zero-weight nodes never see a field
+            pts, w = pts[w != 0.0], w[w != 0.0]
+        if not len(w):
             continue
-        dense = bool(np.all(w != 0.0))
         fold = c.kind == "atom"
-        if fold and not dense:
-            # zero-weight atoms never see the field
-            pts, w, dense = pts[w != 0.0], w[w != 0.0], True
         if newton is None:
             rows = tile_rows(len(pts))
             tile = np.empty((min(rows, len(P)), len(pts)))
@@ -709,9 +690,9 @@ def integrate_many(mu: Measure, fields, seed: int = 0) -> list:
                 K = kernel_rows(P[a:a + rows], pts, q, tile[:len(P) - a])
                 for members, row in zip(groups[a:a + rows], K):
                     for j in members:
-                        add(j, w, dense, fold, np.multiply, fields[j].kernel_sign, row)
+                        add(j, w, fold, np.multiply, fields[j].kernel_sign, row)
         for j in others:
-            add(j, w, dense, fold, _eval_field, fields[j], pts)
+            add(j, w, fold, _eval_field, fields[j], pts)
 
     for j, acc in enumerate(accs):
         if results[j] is None:

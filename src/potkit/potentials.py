@@ -145,9 +145,16 @@ class Potential(ScalarField):
 
     def __init__(self, charge: Measure):
         self.charge = charge
-        # atoms at equal coordinates merge into the first with their net weight,
-        # so the diagonal value gets its sign, not a +-inf collision
-        self._atoms = _merge_atoms(*charge.atoms())
+        # coordinates -> (first row, net weight): the diagonal value gets the
+        # sign of the net weight, not a +-inf collision; the keys match as
+        # np.array_equal does (-0.0 is 0.0, nan matches nothing)
+        X, W = charge.atoms()
+        merged: dict[tuple, tuple[int, float]] = {}
+        for i, key in enumerate(map(tuple, X.tolist())):
+            first, net = merged.get(key, (i, None))
+            merged[key] = (first, W[i] if net is None else net + W[i])
+        self._atoms = (X[[i for i, _ in merged.values()]],
+                       np.array([w for _, w in merged.values()], dtype=float))
         self._closed: list = []  # exact radial potentials of plain layers
         self._clouds: list = []  # (nodes, weights) of the other layers
         self._grids: list[GridDensity] = []
@@ -230,28 +237,6 @@ class Potential(ScalarField):
 
     def total_mass(self) -> float:
         return total_mass(self.charge)
-
-
-def _merge_atoms(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct atom points, each its first row, and their net weights summed in row order.
-
-    Rows match as np.array_equal says: -0.0 is 0.0, and a row with a nan
-    coordinate matches nothing.
-    """
-    if len(weights) < 2:
-        return points, weights
-    order = np.lexsort(points.T[::-1])  # stable: equal rows are adjacent, in row order
-    rows = points[order]
-    new = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
-    first = order[new]  # the first row of each group
-    heads = np.sort(first)
-    group = np.empty(len(order), dtype=int)
-    group[order] = np.searchsorted(heads, first)[np.cumsum(new) - 1]
-    net = weights[heads]
-    rest = np.ones(len(weights), dtype=bool)
-    rest[heads] = False
-    np.add.at(net, group[rest], weights[rest])  # adds in row order
-    return points[heads], net
 
 
 def _kernel_rows(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray, q: float,

@@ -263,7 +263,8 @@ def poincare_lelong_check(f: HoloFunction, grid: GridDomain, window: int = 2,
 def _kept_zeros(f_zeros: np.ndarray, f_mults, S_o: Ball, subdivisor):
     """The zeros outside S_o with a nonzero (sub-)multiplicity, and those weights,
     in zero order."""
-    pts, w = restrict(Measure(2, _atoms(f_zeros, f_mults)), S_o, complement=True).atoms()
+    keep = [not S_o.contains(p) for p in f_zeros]  # scalar: see Atoms.restrict
+    pts, w = f_zeros[keep], np.asarray(f_mults, dtype=float)[keep]
     if subdivisor is not None:  # a scalar callback, one call per zero
         w = np.array([subdivisor(p, m) for p, m in zip(pts, w)], dtype=float)
     return pts[w != 0], w[w != 0]

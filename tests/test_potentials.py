@@ -538,28 +538,23 @@ ATOM_MERGE_CASES = {
                  ((0.3, 0.1), 0.3), ((0.5, 0.5), -2.0)],
     "opposite": [((0.3, 0.1), 1.0), ((0.3, 0.1), -1.0), ((0.6, 0.2), -1.5),
                  ((0.6, 0.2), 1.5), ((0.6, 0.2), 2.0)],
+    # coordinates from a few values, signed zeros and nan, so rows repeat often
+    "random": [(x, w) for x, w in zip(
+        np.array([0.0, -0.0, 0.5, math.nan])[np.random.default_rng(2).integers(0, 4, (40, 2))],
+        np.random.default_rng(3).normal(size=40))],
 }
 
 
 @pytest.mark.parametrize("case", list(ATOM_MERGE_CASES))
 def test_potential_atom_merge_matches_the_rescan(case):
-    atoms = [Atom(np.asarray(x, float), w) for x, w in ATOM_MERGE_CASES[case]]
+    rows = ATOM_MERGE_CASES[case]
+    atoms = [Atom(np.asarray(x, float), w) for x, w in rows]
     atoms.insert(2, atoms[0])  # the same component twice
-    charge = Measure(2, atoms + [SphereUniform((0.0, 0.0), 0.5, 1.0)])
-    got, want = _merged_atoms(Potential(charge)), _merged_atoms_reference(charge)
-    assert _atom_bits(got) == _atom_bits(want)  # the first point's bytes are kept
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_potential_atom_merge_matches_the_rescan_on_random_rows(d):
-    # coordinates from a few values, signed zeros and nan, so rows repeat often
-    rng = np.random.default_rng(d)
-    values = np.array([0.0, -0.0, 0.5, -0.5, 1.0, math.nan])
-    for n in (2, 3, 7, 40):
-        points = values[rng.integers(0, len(values), (n, d))]
-        charge = Measure(d, [Atoms(points, rng.normal(size=n))])
-        assert _atom_bits(_merged_atoms(Potential(charge))) == _atom_bits(
-            _merged_atoms_reference(charge))
+    cloud = Atoms(np.array([x for x, _ in rows], float), [w for _, w in rows])
+    for charge in (Measure(2, atoms + [SphereUniform((0.0, 0.0), 0.5, 1.0)]),
+                   Measure(2, [atoms[0], cloud])):
+        got, want = _merged_atoms(Potential(charge)), _merged_atoms_reference(charge)
+        assert _atom_bits(got) == _atom_bits(want)  # the first point's bytes are kept
 
 
 def test_potential_atom_merge_nets_opposite_weights():
