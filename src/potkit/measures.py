@@ -564,12 +564,12 @@ def _eval_field(f, pts: np.ndarray) -> np.ndarray:
 
 
 class _ExtSum:
-    """Extended-real accumulator with the 0*(+-inf) = 0 convention."""
+    """Extended-real accumulator with the 0*(+-inf) = 0 convention: a finite part
+    and the signs (+-1.0) of the infinite terms."""
 
     def __init__(self):
         self.finite = 0.0
-        self.pos_inf = False
-        self.neg_inf = False
+        self.inf_signs: set = set()
 
     def add_weighted(self, w: np.ndarray, v: np.ndarray, fold: bool = False):
         """Add sum_i w_i v_i over nonzero weights: one dot product of the contiguous
@@ -588,24 +588,14 @@ class _ExtSum:
             return
         if np.any(np.isnan(v)):
             raise IndeterminateIntegral("field evaluated to nan on the support")
-        inf_mask = np.isinf(v)
-        if inf_mask.any():
-            signs = np.sign(v[inf_mask]) * np.sign(w[inf_mask])
-            if np.any(signs > 0):
-                self.pos_inf = True
-            if np.any(signs < 0):
-                self.neg_inf = True
-            w, v = w[~inf_mask], v[~inf_mask]
-        self.finite = plus(w, v)
+        inf = np.isinf(v)
+        self.inf_signs.update((np.sign(v[inf]) * np.sign(w[inf])).tolist())
+        self.finite = plus(w[~inf], v[~inf])
 
     def value(self) -> float:
-        if self.pos_inf and self.neg_inf:
+        if len(self.inf_signs) == 2:
             raise IndeterminateIntegral("positive and negative parts both diverge")
-        if self.pos_inf:
-            return math.inf
-        if self.neg_inf:
-            return -math.inf
-        return self.finite
+        return math.inf * max(self.inf_signs) if self.inf_signs else self.finite
 
 
 _ONE = np.ones(1)
