@@ -514,19 +514,17 @@ class Measure:
         center = np.zeros(self.dimension) if center is None else np.asarray(center, float)
         return max((c.support_radius(center) for c in self.components), default=0.0)
 
-    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Points and weights of every atom row, in component order."""
-        clouds = [c for c in self.components if c.kind == "atom"]
-        return (np.vstack([np.zeros((0, self.dimension))] + [c.points for c in clouds]),
-                np.concatenate([np.zeros(0)] + [c.weights for c in clouds]))
-
     def atom_mass_at(self, points) -> float:
         """Total atomic mass within ATOM_TOL of the given finite point set."""
-        X, W = self.atoms()
-        near = np.zeros(len(W), dtype=bool)
-        for p in np.atleast_2d(np.asarray(points, dtype=float)):
-            near |= _distance(X, p) <= ATOM_TOL
-        return _fold(0.0, W[near])
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        mass = 0.0
+        for c in self.components:
+            if c.kind == "atom":
+                near = np.zeros(c.rows, dtype=bool)
+                for p in pts:
+                    near |= _distance(c.points, p) <= ATOM_TOL
+                mass = _fold(mass, c.weights[near])
+        return mass
 
     def to_json(self) -> dict:
         """Components as JSON entries; a cloud gives one ``atom`` entry per row."""

@@ -525,10 +525,6 @@ def _atom_bits(atoms):
     return [(p.tobytes(), np.float64(w).tobytes()) for p, w in atoms]
 
 
-def _merged_atoms(pt):
-    return list(zip(*pt._atoms))
-
-
 NAN = math.nan
 ATOM_MERGE_CASES = {
     "signed-zero": [((0.0, 0.0), 1.0), ((-0.0, 0.0), 2.0), ((0.0, -0.0), -0.5),
@@ -553,7 +549,7 @@ def test_potential_atom_merge_matches_the_rescan(case):
     cloud = Atoms(np.array([x for x, _ in rows], float), [w for _, w in rows])
     for charge in (Measure(2, atoms + [SphereUniform((0.0, 0.0), 0.5, 1.0)]),
                    Measure(2, [atoms[0], cloud])):
-        got, want = _merged_atoms(Potential(charge)), _merged_atoms_reference(charge)
+        got, want = Potential(charge)._atoms, _merged_atoms_reference(charge)
         assert _atom_bits(got) == _atom_bits(want)  # the first point's bytes are kept
 
 
@@ -580,8 +576,8 @@ def test_potential_of_a_clipped_layer_builds_in_one_sweep():
     start = time.perf_counter()
     pt = Potential(clipped)
     assert time.perf_counter() - start < 5.0
-    assert len(_merged_atoms(pt)) == 5822
+    assert len(pt._atoms) == 5822
     head = Measure(2, [Atoms(cloud.points[:300], cloud.weights[:300]),
                        Atoms(cloud.points[100:150], cloud.weights[100:150])])
-    assert _atom_bits(_merged_atoms(Potential(head))) == _atom_bits(
+    assert _atom_bits(Potential(head)._atoms) == _atom_bits(
         _merged_atoms_reference(head))
