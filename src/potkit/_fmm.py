@@ -273,11 +273,10 @@ def log_kernel_sum(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> n
     for a in range(0, len(zt), CHUNK):
         box = t_flat[a:a + CHUNK]
         z = zt[a:a + CHUNK] - centres(box)
-        coef = local[box].T.copy()
-        acc = coef[p]
+        acc = local[box, p]  # one order at a time: no (chunk, p + 1) block is copied
         for k in range(p - 1, -1, -1):
             acc *= z
-            acc += coef[k]
+            acc += local[box, k]
         out[a:a + CHUNK] = acc.real
     near = np.empty(len(pts))
     s_pts, s_w = nodes[s_order], ws

@@ -394,6 +394,22 @@ def test_fmm_never_takes_other_kernels_dimensions_or_thin_sums(fmm_calls, monkey
     assert fmm_calls == []
 
 
+def test_mapped_kernel_blocks_sum_to_the_bits_of_heap_blocks(monkeypatch):
+    # a block of BLOCK_MAP_BYTES or more takes its own mapping; the matrix-vector
+    # product reads the same C-ordered values, so each row sum keeps its bits
+    rng = np.random.default_rng(11)
+    pts, nodes = rng.uniform(-1, 1, (1100, 2)), rng.uniform(-1, 1, (1000, 2))
+    w = rng.normal(size=1000)
+    assert 8 * len(pts) * len(nodes) >= potentials.BLOCK_MAP_BYTES
+    block = potentials._kernel_block(len(pts), len(nodes))
+    assert block.shape == (1100, 1000) and block.flags.c_contiguous and block.flags.writeable
+    mapped, heap = np.empty(len(pts)), np.empty(len(pts))
+    potentials._kernel_rows(pts, nodes, w, 0, mapped)
+    monkeypatch.setattr(potentials, "BLOCK_MAP_BYTES", 1 << 62)
+    potentials._kernel_rows(pts, nodes, w, 0, heap)
+    assert mapped.tobytes() == heap.tobytes()
+
+
 def test_fmm_round_trip_of_a_mollified_jensen_measure(monkeypatch):
     # duality-roundtrip's jensen[2] at h = 0.02, whose grid sampling is above
     # the pair threshold: both engines give the same round-trip errors
