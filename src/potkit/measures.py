@@ -58,9 +58,10 @@ so there is one accumulation path.
 
 Measures are immutable after construction.  A sphere or ball layer builds
 its node cloud once per (use, seed, index) on first ``discretize`` (see
-``_Layer.discretize``); ``scaled``, ``jordan`` and ``restrict`` build new
-components, which start without one.  The Monte-Carlo streams are derived
-from (seed, component index), so concurrent calls are deterministic.
+``_Layer.discretize``), and a grid density its charged cells once for every
+use; ``scaled``, ``jordan`` and ``restrict`` build new components, which
+start without one.  The Monte-Carlo streams are derived from (seed,
+component index), so concurrent calls are deterministic.
 """
 
 from __future__ import annotations
@@ -439,10 +440,18 @@ class GridDensity:
         return self.discretize()[0]
 
     def discretize(self, use: str = "integrate", seed: int = 0, index: int = 0):
-        """Centers and masses of the charged cells."""
-        vals = np.asarray(self.values)
-        live = vals != 0.0
-        return self.grid.origin[None, :] + np.argwhere(live) * self.grid.spacing, vals[live]
+        """Centers and masses of the charged cells, the same for every use, built
+        once and handed out read-only."""
+        cloud = self.__dict__.get("_cloud")
+        if cloud is None:
+            live = self.values != 0.0
+            cloud = (self.grid.origin[None, :] + np.argwhere(live) * self.grid.spacing,
+                     self.values[live])
+            for a in cloud:
+                a.setflags(write=False)
+            # threads racing here build equal clouds; every caller gets the first stored
+            cloud = self.__dict__.setdefault("_cloud", cloud)
+        return cloud
 
     def newton_potential(self):
         return None
@@ -579,7 +588,11 @@ class _ExtSum:
         def plus(w, v):  # the finite part plus the terms
             if fold:
                 return _fold(self.finite, w * v)
-            return self.finite + float(np.dot(np.ascontiguousarray(w), np.ascontiguousarray(v)))
+            # np.vdot runs np.dot's BLAS dot without its floating-point error check,
+            # so a sum meeting +inf and -inf, taken apart below, stays quiet; an
+            # np.errstate per call would cost about 2.5 us, and the scenarios
+            # workload adds some 17,000 such sums per pass
+            return self.finite + float(np.vdot(np.ascontiguousarray(w), np.ascontiguousarray(v)))
 
         if math.isfinite(s := plus(w, v)):
             self.finite = s
@@ -750,17 +763,13 @@ class Mollifier:
         d = self.dimension
         return math.gamma(d / 2.0 + 5.0) / (24.0 * math.pi ** (d / 2.0) * self.radius ** d)
 
-    def density(self, pts: np.ndarray, center=None) -> np.ndarray:
-        """Density at points `pts` (..., d) of the bump centred at `center`.
+    def density(self, pts: np.ndarray) -> np.ndarray:
+        """Density at points `pts` (..., d) of the bump centred at the origin."""
+        return self.profile(np.sum(np.atleast_2d(pts) ** 2, axis=-1))
 
-        `center` broadcasts against `pts`, so one call can evaluate a batch
-        of bumps, e.g. pts (n, m, d) against centres (n, 1, d).
-        """
-        pts = np.atleast_2d(pts)
-        c = np.zeros(self.dimension) if center is None else np.asarray(center, float)
-        u2 = np.sum((pts - c) ** 2, axis=-1) / self.radius ** 2
-        body = np.clip(1.0 - u2, 0.0, None) ** 4
-        return self.normalizer * body
+    def profile(self, r2: np.ndarray) -> np.ndarray:
+        """Density at squared distances `r2` from the centre."""
+        return self.normalizer * np.clip(1.0 - r2 / self.radius ** 2, 0.0, None) ** 4
 
     def mass(self) -> float:
         """Mass under the module's ball quadrature (1 up to rule exactness)."""
@@ -823,8 +832,11 @@ def _bumps_on_grid(pts: np.ndarray, wts: np.ndarray, moll: Mollifier,
     grid = GridDomain(lo, h, np.ones(shape, dtype=bool))
     values = np.zeros(shape)
 
-    gl_nodes, gl_w = quadrature.gauss_legendre_cell(d, 3)
+    order = 3  # Gauss-Legendre nodes per cell axis
+    gl_nodes, gl_w = quadrature.gauss_legendre_cell(d, order)
+    ht = h * gl_nodes[:order, -1]  # the 1-D nodes times h: the last axis runs fastest
     reach = cells_per_radius + 1  # the padding by radius + h keeps every patch inside
+    offsets = np.arange(-reach, reach + 1)
     live = wts != 0.0
     pts, wts = pts[live], wts[live]
     cells = (2 * reach + 1) ** d
@@ -832,11 +844,24 @@ def _bumps_on_grid(pts: np.ndarray, wts: np.ndarray, moll: Mollifier,
     flat_values = values.reshape(-1)
     for a in range(0, len(pts), step):
         p, w = pts[a:a + step], wts[a:a + step]
-        idx, flat = _stencil(np.rint((p - lo) / h).astype(int), reach, shape)
+        base = np.rint((p - lo) / h).astype(int)
+        _, flat = _stencil(base, reach, shape)
+        # squared distance of every Gauss-Legendre node of every stencil cell to
+        # its bump's centre, as an (n, cells, nodes) C-ordered block: coordinate k
+        # of a node depends on the cell's k-th offset and the node's k-th 1-D
+        # node only, so each axis is an (n, 2 reach + 1, order) block broadcast
+        # into place, and the squares add left to right as np.sum adds d < 8 terms
+        squares = []
+        for k in range(d):
+            centre = (base[:, k, None] + offsets) * h + lo[k]
+            x = (centre[:, :, None] + ht) - p[:, k, None, None]
+            at = [len(p)] + [1] * (2 * d)  # axes (bump, cell offsets, node indices)
+            at[1 + k], at[1 + d + k] = len(offsets), order
+            squares.append((x ** 2).reshape(at))
+        r2 = sum(squares[1:], squares[0])
         # per-cell Gauss-Legendre mass of each translated bump, then exact rescale;
         # the (cells, nodes) block is C-ordered because gemv's last bits follow layout
-        sample = (idx * h + lo)[:, :, None, :] + h * gl_nodes
-        dens = np.ascontiguousarray(moll.density(sample, center=p[:, None, None, :]))
+        dens = moll.profile(r2.reshape(len(p), cells, len(gl_w)))
         cell_mass = (dens.reshape(-1, len(gl_w)) @ gl_w).reshape(len(p), cells) * h ** d
         s = cell_mass.sum(axis=1)
         if np.any(s <= 0.0):

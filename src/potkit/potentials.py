@@ -22,7 +22,9 @@ nodes, and finite coordinates; every other call is direct.  Its expansions
 have order p = _fmm.ORDER = 49, the least order whose a-priori bound
 (derived in `potkit._fmm`) gives |FMM - direct| <= 1e-13 * sum_j |w_j|.  Its
 near field goes through the direct path's kernel rows, so exact hits keep
--inf signed by weight.
+-inf signed by weight.  It keeps the far field of its last sum, so sampling
+one charge on a finer lattice of the same box pays only for the near field
+and the evaluation of the kept expansions.
 """
 
 from __future__ import annotations
@@ -165,11 +167,14 @@ class Potential(ScalarField):
             else:
                 self._clouds.append(c.discretize())
         self._atoms = list(atoms.values())
-        super().__init__(self._evaluate)
+        # no ScalarField.__init__: its stored evaluator would be a bound method of
+        # this Potential, a reference cycle that holds the charge and its clouds
+        # until the cyclic collector runs; the evaluator is the method below
+        self.domain = None
 
     # -- evaluation ---------------------------------------------------------
 
-    def _evaluate(self, pts: np.ndarray) -> np.ndarray:
+    def _evaluator(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         out = np.zeros(len(pts))
         q = self.charge.dimension - 2

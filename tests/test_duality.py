@@ -373,13 +373,16 @@ def test_layer_riesz_data_is_integrated_whole():
 # Counted at seed 0: integrate_many runs once per swept measure and once per
 # recovered one (10 + 20 + the preset's other 28), where one integrate call per
 # probe and side made 428 runs; GridDensity.discretize falls from 260 to 42.
-ROUNDTRIP_WORK = {"integrate_many": 58, "GridDensity.discretize": 42}
+# The two mollified Jensen measures are each sampled on the h = 0.02 and
+# h = 0.01 lattices of one box: four FMM sums, and one far field per measure.
+ROUNDTRIP_WORK = {"integrate_many": 58, "GridDensity.discretize": 42,
+                  "log_kernel_sum": 4, "_far_field": 2}
 
 
 def test_roundtrip_work_counters(monkeypatch):
     import sys
 
-    from potkit import measures
+    from potkit import _fmm, measures
     from potkit.presets import run_preset
 
     counts = dict.fromkeys(ROUNDTRIP_WORK, 0)
@@ -396,6 +399,9 @@ def test_roundtrip_work_counters(monkeypatch):
             monkeypatch.setattr(module, "integrate_many", counting("integrate_many", many))
     monkeypatch.setattr(measures.GridDensity, "discretize", counting(
         "GridDensity.discretize", measures.GridDensity.discretize))
+    for name in ("log_kernel_sum", "_far_field"):
+        monkeypatch.setattr(_fmm, name, counting(name, getattr(_fmm, name)))
+    monkeypatch.setattr(_fmm, "_last_far_field", None)
     checks, _ = run_preset("duality-roundtrip", 0, 1.0)
     assert all(c.passed for c in checks)
     assert counts == ROUNDTRIP_WORK

@@ -337,7 +337,7 @@ def bumps_on_grid_loop(pts, wts, moll, cells_per_radius):
         centers = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1).reshape(-1, d) * h \
             + lo[None, :]
         sample = centers[:, None, :] + h * gl_nodes[None, :, :]
-        dens = moll.density(sample.reshape(-1, d), center=p).reshape(len(centers), -1)
+        dens = moll.density(sample.reshape(-1, d) - p).reshape(len(centers), -1)
         cell_mass = (dens @ gl_w) * h ** d
         s = cell_mass.sum()
         if s <= 0.0:
@@ -400,8 +400,7 @@ def test_bump_stencil_never_clips():
 
 
 def test_bumps_on_grid_rejects_a_lost_bump(monkeypatch):
-    monkeypatch.setattr(Mollifier, "density", lambda self, pts, center=None:
-                        np.zeros(np.shape(pts)[:-1]))
+    monkeypatch.setattr(Mollifier, "profile", lambda self, r2: np.zeros(np.shape(r2)))
     with pytest.raises(ValueError, match="lost under the grid"):
         convolve_balayage(atom((0.0, 0.0)), Mollifier(0.2, 2), Ball(point(0, 0), 1.0))
 
@@ -430,6 +429,18 @@ def test_layer_clouds_are_built_once_and_read_only(name):
         for a in (pts, w):
             with pytest.raises(ValueError):
                 a[0] = 1.0
+
+
+def test_grid_cloud_is_built_once_for_every_use_and_read_only():
+    c = _protocol_cases()["grid-d2"]
+    pts, w = c.discretize()
+    for use in ("integrate", "clip", "mollify"):
+        again = c.discretize(use)
+        assert again[0] is pts and again[1] is w, use
+    assert np.count_nonzero(c.values) == len(w) and c.support_points() is pts
+    for a in (pts, w):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_check_linear_builds_the_harmonic_measure_cloud_once(monkeypatch):

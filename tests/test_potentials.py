@@ -440,6 +440,105 @@ def test_fmm_round_trip_of_a_mollified_jensen_measure(monkeypatch):
     assert cells["fmm"] == cells["direct"]
 
 
+# -- one far field per source cloud and box ----------------------------------
+
+
+@pytest.fixture
+def far_fields(monkeypatch):
+    """Start without a kept far field, and record every far field built by its
+    count of leaves holding a target."""
+    from potkit import _fmm
+
+    built, real = [], _fmm._far_field
+    monkeypatch.setattr(_fmm, "_last_far_field", None)
+    monkeypatch.setattr(_fmm, "_far_field", lambda *a: built.append(a[3].sum()) or real(*a))
+    return built
+
+
+def _unit_lattice(k):
+    """(k + 1)^2 targets on [0, 1]^2, corners included: the box of every call below."""
+    t = np.linspace(0.0, 1.0, k + 1)
+    return np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _fresh_log_kernel_sum(monkeypatch, *args):
+    from potkit import _fmm
+
+    monkeypatch.setattr(_fmm, "_last_far_field", None)
+    return _fmm.log_kernel_sum(*args)
+
+
+def test_fmm_far_field_is_reused_bitwise(far_fields, monkeypatch):
+    # a finer lattice of the same box: same nodes, weights, box, leaf level
+    # and occupied leaves, so the second call keeps the first one's far field
+    from potkit import _fmm
+
+    rng = np.random.default_rng(21)
+    nodes, w = rng.uniform(0.1, 0.9, (3000, 2)), rng.normal(size=3000)
+    _fmm.log_kernel_sum(_unit_lattice(50), nodes, w)
+    hit = _fmm.log_kernel_sum(_unit_lattice(100), nodes, w)
+    assert far_fields == [256]  # one far field, all 16 x 16 leaves occupied
+    fresh = _fresh_log_kernel_sum(monkeypatch, _unit_lattice(100), nodes, w)
+    assert len(far_fields) == 2 and hit.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("change", ["weights", "node", "box", "occupancy"])
+def test_fmm_far_field_is_rebuilt_when_an_input_changes(change, far_fields, monkeypatch):
+    from potkit import _fmm
+
+    monkeypatch.setattr(_fmm, "_leaf_level", lambda t_idx, s_idx: 3)  # 8 x 8 leaves
+    rng = np.random.default_rng(22)
+    pts, nodes, w = _unit_lattice(100), rng.uniform(0.1, 0.9, (2000, 2)), rng.normal(size=2000)
+    _fmm.log_kernel_sum(pts, nodes, w)
+    pts, nodes, w = pts.copy(), nodes.copy(), w.copy()
+    if change == "weights":
+        w[7] = np.nextafter(w[7], np.inf)
+    elif change == "node":
+        nodes[7, 0] = np.nextafter(nodes[7, 0], np.inf)
+    elif change == "box":  # the lower corner moves; every leaf keeps its targets
+        pts += 2.0 ** -20
+    else:  # leaf (2, 2), [0.25, 0.375)^2, loses its targets; the corners stay
+        pts = pts[~np.all(np.abs(pts - 0.31) < 0.065, axis=1)]
+    got = _fmm.log_kernel_sum(pts, nodes, w)
+    assert far_fields == [64, 63 if change == "occupancy" else 64]
+    assert got.tobytes() == _fresh_log_kernel_sum(monkeypatch, pts, nodes, w).tobytes()
+
+
+def test_fmm_far_field_is_not_poisoned_by_the_callers_arrays(far_fields, monkeypatch):
+    # the kept far field holds copies: arrays changed in place after a call are new inputs
+    from potkit import _fmm
+
+    rng = np.random.default_rng(23)
+    pts, nodes, w = _unit_lattice(60), rng.uniform(0.1, 0.9, (2000, 2)), rng.normal(size=2000)
+    _fmm.log_kernel_sum(pts, nodes, w)
+    nodes[::5] += 0.01
+    w *= -2.0
+    got = _fmm.log_kernel_sum(pts, nodes, w)
+    assert len(far_fields) == 2
+    assert got.tobytes() == _fresh_log_kernel_sum(monkeypatch, pts, nodes, w).tobytes()
+
+
+def test_a_dropped_potential_is_freed_without_the_cyclic_collector():
+    import gc
+    import weakref
+
+    grid = GridDomain(point(-0.4, -0.4), 0.1, np.ones((9, 9), bool))
+    om = green.harmonic_measure(green.green_ball(point(0, 0), 1.0, point(0, 0)),
+                                point(0.4, 0.1))  # a Poisson-weighted sphere: a node cloud
+    pt = Potential(Measure(2, [GridDensity(grid, np.ones((9, 9))),
+                               Atom(point(0.5, 0.5), 1.0),
+                               BallUniform(point(0.1, 0.0), 0.3, 1.0)] + list(om.components)))
+    pt(point(0.2, 0.1))
+    del om
+    refs = [weakref.ref(pt), weakref.ref(pt.charge), weakref.ref(pt._clouds[0][0])]
+    gc.disable()
+    try:
+        del pt
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
 def test_cell_potential_matches_quadrature_2d():
     from scipy import integrate as sp
 
