@@ -59,8 +59,9 @@ each sum keeps its bits.  One entry is kept: 4^leaf (p + 1) complex values
 plus the copied nodes and weights, about 1 MB at leaf level 5 (13 MB at
 MAX_LEVEL).
 
-The evaluation is single-threaded with one fixed order of every reduction,
-so its result is the same from run to run.
+The evaluation is single-threaded, BLAS included (its caller holds BLAS to
+one thread), with one fixed order of every reduction, so its result is the
+same from run to run.
 """
 
 from __future__ import annotations

@@ -71,7 +71,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import quadrature
+from . import _blas, quadrature
 from .geometry import Ball, GridDomain, _distance, _stencil
 from .kernels import k_eval_array, kernel_rows, tile_rows, unit_ball_volume
 
@@ -588,11 +588,11 @@ class _ExtSum:
         def plus(w, v):  # the finite part plus the terms
             if fold:
                 return _fold(self.finite, w * v)
-            # np.vdot runs np.dot's BLAS dot without its floating-point error check,
+            # _blas.dot runs BLAS dots without np.dot's floating-point error check,
             # so a sum meeting +inf and -inf, taken apart below, stays quiet; an
             # np.errstate per call would cost about 2.5 us, and the scenarios
             # workload adds some 17,000 such sums per pass
-            return self.finite + float(np.vdot(np.ascontiguousarray(w), np.ascontiguousarray(v)))
+            return self.finite + _blas.dot(np.ascontiguousarray(w), np.ascontiguousarray(v))
 
         if math.isfinite(s := plus(w, v)):
             self.finite = s

@@ -13,7 +13,9 @@ antiderivative in 3-D.
 
 The kernel sum has two engines.  The direct path fills the kernel matrix in
 row blocks of a fixed size, each reduced by one matrix-vector product; the
-block rule fixes the last bits of every sum.
+block rule fixes the last bits of every sum.  Both engines run with BLAS held
+to one thread (`potkit._blas`): on two cores a second BLAS thread brought no
+speed, and while it spun it doubled the time of a run that shared the box.
 
 The fast multipole path (`potkit._fmm`: Greengard & Rokhlin 1987 on a
 uniform quadtree) takes the 2-D log kernel (d = 2, q = 0) when the sum has
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
+from . import _blas, quadrature
 from .fields import ScalarField
 from .geometry import _distance
 from .kernels import k_eval, k_eval_array, kernel_rows, tile_rows
@@ -277,20 +279,22 @@ def _chunked_kernel_sum(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
 
     Rows go in blocks of about `block` kernel values, each one matrix-vector
     product; the per-row sums depend on the block boundaries in the last
-    bits, so the block rule is fixed.
+    bits, so the block rule is fixed.  BLAS runs on one thread
+    (`potkit._blas.one_thread`), which gives the same bits as two.
     """
-    if (q == 0 and nodes.shape[1] == 2 and len(pts) * len(nodes) >= FMM_PAIRS
-            and min(len(pts), len(nodes)) >= FMM_MIN_SIDE
-            and np.isfinite(pts).all() and np.isfinite(nodes).all()):
-        # imported here: processes with only small sums never load it
-        from ._fmm import log_kernel_sum
+    with _blas.one_thread():
+        if (q == 0 and nodes.shape[1] == 2 and len(pts) * len(nodes) >= FMM_PAIRS
+                and min(len(pts), len(nodes)) >= FMM_MIN_SIDE
+                and np.isfinite(pts).all() and np.isfinite(nodes).all()):
+            # imported here: processes with only small sums never load it
+            from ._fmm import log_kernel_sum
 
-        return log_kernel_sum(pts, nodes, weights)
-    out = np.empty(len(pts))
-    step = max(1, block // max(1, len(nodes)))
-    for a in range(0, len(pts), step):
-        _kernel_rows(pts[a:a + step], nodes, weights, q, out[a:a + step])
-    return out
+            return log_kernel_sum(pts, nodes, weights)
+        out = np.empty(len(pts))
+        step = max(1, block // max(1, len(nodes)))
+        for a in range(0, len(pts), step):
+            _kernel_rows(pts[a:a + step], nodes, weights, q, out[a:a + step])
+        return out
 
 
 def difference_potential(mu: Measure, theta: Measure) -> Potential:
