@@ -49,19 +49,39 @@ def _count(value, least: int, where: str) -> int:
     return value
 
 
+def _number(value, where: str, above: float = -math.inf) -> float:
+    """`value` as a float if it is a finite number > above (a bool is not), else a SchemaError."""
+    _require(type(value) in (int, float) and above < value and abs(value) <= sys.float_info.max,
+             f"must be a finite number > {above!r}, got {value!r}", where)
+    return float(value)
+
+
+def _point(value, where: str) -> np.ndarray:
+    """`value` as a point when it is a nonempty list of finite numbers, else a SchemaError."""
+    _require(isinstance(value, list) and len(value) > 0,
+             f"must be a nonempty list of coordinates, got {value!r}", where)
+    return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(value)])
+
+
+def _named(build, table: dict, spec: dict, key: str, where: str):
+    """build(declaration, path) of the declaration that spec[key] names in `table`."""
+    where = f"{where}.{key}"
+    name = spec.get(key)
+    _require(isinstance(table, dict) and isinstance(name, str) and name in table,
+             f"names no declared entry: {name!r}", where)
+    return build(table[name], where)
+
+
 # ---------------------------------------------------------------------------
-# scenario object assembly
+# scenario object assembly: a malformed value is a SchemaError at its JSON path
 
 
-def _build_domain(spec: dict, where: str):
+def _build_domain(spec: dict, where: str) -> Ball:
     _require(isinstance(spec, dict) and "type" in spec, "domain needs a type", where)
     if spec["type"] == "ball":
         _require("center" in spec and "radius" in spec, "ball needs center and radius", where)
-        try:
-            ball = Ball(np.asarray(spec["center"], float), float(spec["radius"]))
-        except (TypeError, ValueError) as exc:  # non-numeric, non-finite, radius <= 0
-            raise SchemaError(f"invalid ball: {exc}", where)
-        return ball
+        return Ball(_point(spec["center"], where + ".center"),
+                    _number(spec["radius"], where + ".radius", above=0.0))
     raise SchemaError(f"unknown domain type {spec['type']!r}", where)
 
 
@@ -73,16 +93,13 @@ def _build_measure(spec: dict, where: str) -> Measure:
     if kind == "components":
         return Measure.from_json(spec)
     if kind == "dirac":
-        return Measure(len(spec["point"]), [Atom(np.asarray(spec["point"], float),
-                                                 float(spec.get("weight", 1.0)))])
+        x = _point(spec["point"], where + ".point")
+        return Measure(x.size, [Atom(x, _number(spec.get("weight", 1.0), where + ".weight"))])
     if kind == "harmonic-measure":
         ball = _build_domain(dict(spec, type="ball"), where)
-        try:
-            x = np.asarray(spec["x"], float)
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError("harmonic measure needs a numeric point x", where)
+        x = _point(spec.get("x"), where + ".x")
         _require(x.shape == ball.center.shape and ball.contains(x),
-                 "harmonic measure needs x inside the ball", where)
+                 "harmonic measure needs x inside the ball", where + ".x")
         gm = green.green_ball(ball.center, ball.radius, x)
         return green.harmonic_measure(gm, x)
     raise SchemaError(f"unknown measure kind {kind!r}", where)
@@ -91,10 +108,11 @@ def _build_measure(spec: dict, where: str) -> Measure:
 def _build_field(spec: dict, where: str) -> ScalarField:
     _require(isinstance(spec, dict) and "kind" in spec, "field needs a kind", where)
     if spec["kind"] == "log-distance":
-        return ScalarField.log_distance(np.asarray(spec["point"], float),
-                                        float(spec.get("coefficient", 1.0)))
+        return ScalarField.log_distance(_point(spec["point"], where + ".point"),
+                                        _number(spec.get("coefficient", 1.0),
+                                                where + ".coefficient"))
     if spec["kind"] == "constant":
-        return ScalarField.constant(float(spec["value"]))
+        return ScalarField.constant(_number(spec["value"], where + ".value"))
     raise SchemaError(f"unknown field kind {spec['kind']!r}", where)
 
 
@@ -102,14 +120,19 @@ def _build_family(spec: dict, where: str):
     _require(isinstance(spec, dict) and "kind" in spec, "family needs a kind", where)
     if spec["kind"] == "harmonic-kernels":
         S = _build_domain(spec["S"], where + ".S")
-        ring = Ball(S.center, float(spec.get("ring_radius", 1.5 * S.radius))) \
-            .boundary_points(int(spec.get("count", 20)))
+        # the kernels' poles lie on a ring outside clos S
+        radius = _number(spec.get("ring_radius", 1.5 * S.radius), where + ".ring_radius",
+                         above=S.radius)
+        ring = Ball(S.center, radius).boundary_points(
+            _count(spec.get("count", 20), 1, where + ".count"))
         return bal.harmonic_kernel_family(S, ring)
     if spec["kind"] == "test-class":
         return bal.build_test_family(
-            spec["tag"], _build_domain(spec["S_o"], where + ".S_o"), float(spec["r"]),
-            float(spec["b_minus"]), float(spec["b_plus"]),
-            _build_domain(spec["D"], where + ".D"), int(spec.get("count", 16)))
+            spec["tag"], _build_domain(spec["S_o"], where + ".S_o"),
+            _number(spec["r"], where + ".r"), _number(spec["b_minus"], where + ".b_minus"),
+            _number(spec["b_plus"], where + ".b_plus"),
+            _build_domain(spec["D"], where + ".D"),
+            _count(spec.get("count", 16), 1, where + ".count"))
     raise SchemaError(f"unknown family kind {spec['kind']!r}", where)
 
 
@@ -134,8 +157,8 @@ def _run_check(spec: dict, ctx: dict, seed: int, tol_scale: float, index: int):
                 _margins([(f"{spec['name']}::{c.name}", c) for c in checks]), exports)
 
     if ctype == "check-linear":
-        theta = _build_measure(ctx["measures"][spec["theta"]], where + ".theta")
-        mu = _build_measure(ctx["measures"][spec["mu"]], where + ".mu")
+        theta = _named(_build_measure, ctx["measures"], spec, "theta", where)
+        mu = _named(_build_measure, ctx["measures"], spec, "mu", where)
         family = _build_family(ctx["family"], where + ".family")
         verdict = bal.check_linear(theta, mu, family, tol_scale=1e-7 * tol_scale, seed=seed)
         return {"type": ctype, "pass": verdict.passed == (expect == "pass"),
@@ -143,12 +166,12 @@ def _run_check(spec: dict, ctx: dict, seed: int, tol_scale: float, index: int):
                 "verdict": verdict.to_json()}, _margins([(ctype, verdict)]), {}
 
     if ctype == "poisson-jensen":
-        theta = _build_measure(ctx["measures"][spec["theta"]], where + ".theta")
-        mu = _build_measure(ctx["measures"][spec["mu"]], where + ".mu")
-        u = _build_field(ctx["fields"][spec["u"]], where + ".u")
+        theta = _named(_build_measure, ctx["measures"], spec, "theta", where)
+        mu = _named(_build_measure, ctx["measures"], spec, "mu", where)
+        u = _named(_build_field, ctx["fields"], spec, "u", where)
         riesz = None
         if "riesz_u" in spec:
-            riesz = _build_measure(ctx["measures"][spec["riesz_u"]], where + ".riesz_u")
+            riesz = _named(_build_measure, ctx["measures"], spec, "riesz_u", where)
         rep = duality.verify_poisson_jensen(theta, mu, u, riesz_u=riesz,
                                             tol_scale=1e-6 * tol_scale, seed=seed)
         return {"type": ctype, "pass": rep.passed == (expect == "pass"),
@@ -277,14 +300,10 @@ def main(argv=None) -> int:
             _require(math.isfinite(args.tol_scale) and args.tol_scale > 0,
                      f"must be finite and > 0, got {args.tol_scale!r}", "--tol-scale")
             if args.preset:
-                if args.preset not in PRESETS:
-                    print(f"error: unknown preset {args.preset!r}", file=sys.stderr)
-                    return 2
+                _require(args.preset in PRESETS, f"unknown preset {args.preset!r}", "--preset")
                 data = preset_scenario(args.preset)
             else:
-                if not args.scenario:
-                    print("error: need a scenario file or --preset", file=sys.stderr)
-                    return 2
+                _require(args.scenario, "need a scenario file or --preset")
                 data = load_scenario(Path(args.scenario))
         except (SchemaError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -12,10 +12,10 @@ closed forms of the ln integral in 2-D, eight corner boxes of the 1/r
 antiderivative in 3-D.
 
 The kernel sum has two engines.  The direct path fills the kernel matrix in
-row blocks of a fixed size, each reduced by one matrix-vector product; the
-block rule fixes the last bits of every sum.  Both engines run with BLAS held
-to one thread (`potkit._blas`): on two cores a second BLAS thread brought no
-speed, and while it spun it doubled the time of a run that shared the box.
+row blocks of 1 MiB, each a heap array reduced by one matrix-vector product;
+the block rule fixes the last bits of every sum.  Both engines run with BLAS
+held to one thread (`potkit._blas`): on two cores a second BLAS thread brought
+no speed, and while it spun it doubled the time of a run that shared the box.
 
 The fast multipole path (`potkit._fmm`: Greengard & Rokhlin 1987 on a
 uniform quadtree) takes the 2-D log kernel (d = 2, q = 0) when the sum has
@@ -31,9 +31,7 @@ and the evaluation of the kept expansions.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +63,7 @@ CUBE_MEAN_INV_R = 6.0 * math.asinh(1.0 / math.sqrt(2.0)) - 0.5 * math.pi
 # down to 128 on one side and up to 2.5x slower with 32-64, where its
 # per-point expansion work outweighs the few kernel values per point.  Every
 # sum in the presets other than duality-roundtrip's grid samplings has fewer
-# than 8e6 pairs, so they all stay direct.
+# than 2^21 pairs (at most to_potential's 200 x 9,104 probes), so they stay direct.
 FMM_PAIRS = 1 << 25
 FMM_MIN_SIDE = 128
 
@@ -241,32 +239,11 @@ class Potential(ScalarField):
         return total_mass(self.charge)
 
 
-BLOCK_MAP_BYTES = 8 << 20  # kernel matrices this large get a mapping of their own
-
-
-def _kernel_block(rows: int, cols: int) -> np.ndarray:
-    """An uninitialised C-ordered (rows, cols) float array; on Linux a large one
-    is a private mapping, unmapped when dropped, taken once glibc has handed its
-    free heap pages back.  From the malloc heap a 14 MB block took free heap space
-    or fresh pages as earlier allocations had left the heap, and free pages held
-    below live blocks stayed resident beside it, so the peak resident size of a
-    run moved by up to 14 MB between processes."""
-    nbytes = 8 * rows * cols
-    if nbytes < BLOCK_MAP_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
-        return np.empty((rows, cols))
-    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)  # glibc only
-    if trim is not None:
-        trim(0)
-    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-    buf.madvise(mmap.MADV_HUGEPAGE)  # as numpy does for its large arrays: fewer faults
-    return np.frombuffer(buf).reshape(rows, cols)
-
-
 def _kernel_rows(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray, q: float,
                  out: np.ndarray):
     """out = K @ weights for the C-ordered kernel matrix K[i, j] = k_q(|pts_i - node_j|),
     filled tile by tile by `kernels.kernel_rows` (-inf on exact hits for q >= 0)."""
-    K = _kernel_block(len(pts), len(nodes))
+    K = np.empty((len(pts), len(nodes)))
     tile = tile_rows(len(nodes))
     for a in range(0, len(pts), tile):
         kernel_rows(pts[a:a + tile], nodes, q, K[a:a + tile])
@@ -274,13 +251,16 @@ def _kernel_rows(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray, q: flo
 
 
 def _chunked_kernel_sum(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
-                        q: float, block: int = 8_000_000) -> np.ndarray:
+                        q: float, block: int = 1 << 17) -> np.ndarray:
     """sum_i w_i k_q(|y - node_i|) for every y, with bounded memory.
 
     Rows go in blocks of about `block` kernel values, each one matrix-vector
     product; the per-row sums depend on the block boundaries in the last
     bits, so the block rule is fixed.  BLAS runs on one thread
-    (`potkit._blas.one_thread`), which gives the same bits as two.
+    (`potkit._blas.one_thread`), which gives the same bits as two.  A block of
+    1 MiB spans every sum of the presets and scenarios but the probes of
+    `duality.to_potential` (200 or 64 points against thousands of nodes),
+    whose values only meet thresholds; FMM near-field leaves fit in one.
     """
     with _blas.one_thread():
         if (q == 0 and nodes.shape[1] == 2 and len(pts) * len(nodes) >= FMM_PAIRS

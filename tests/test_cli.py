@@ -363,3 +363,53 @@ def test_empty_or_missing_out_key_writes_nothing(tmp_path, monkeypatch, value):
     monkeypatch.chdir(tmp_path)
     assert run_cli(["run", str(path)]) == 0
     assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
+SWEEP = {"schema": 1, "name": "sweep",
+         "measures": {"theta": {"kind": "dirac", "point": [0.0, 0.0]},
+                      "mu": {"kind": "dirac", "point": [0.5, 0.0]}},
+         "family": {"kind": "harmonic-kernels",
+                    "S": {"type": "ball", "center": [0, 0], "radius": 1.0}, "count": 20},
+         "checks": [{"type": "check-linear", "theta": "theta", "mu": "mu"}]}
+CLASS = dict(SWEEP, family={"kind": "test-class", "tag": "sbh00+",
+                            "S_o": {"type": "ball", "center": [0, 0], "radius": 0.1},
+                            "r": 0.05, "b_minus": -1.0, "b_plus": 1.0,
+                            "D": {"type": "ball", "center": [0, 0], "radius": 1.0},
+                            "count": 6})
+PJ = {"schema": 1, "name": "pj",
+      "measures": {"theta": {"kind": "dirac", "point": [0.0, 0.0]},
+                   "mu": {"kind": "harmonic-measure", "center": [0, 0], "radius": 1.0,
+                          "x": [0.0, 0.0]},
+                   "riesz": {"kind": "dirac", "point": [0.5, 0.0]}},
+      "fields": {"u": {"kind": "log-distance", "point": [0.5, 0.0]}},
+      "checks": [{"type": "poisson-jensen", "theta": "theta", "mu": "mu",
+                  "u": "u", "riesz_u": "riesz"}]}
+
+
+@pytest.mark.parametrize("base, keys, value, where", [
+    # a family of no members would pass vacuously, and a fraction is no count
+    (SWEEP, ("family", "count"), 0, "checks[0].family.count"),
+    (SWEEP, ("family", "count"), -3, "checks[0].family.count"),
+    (SWEEP, ("family", "count"), 1.7, "checks[0].family.count"),
+    (SWEEP, ("family", "count"), "x", "checks[0].family.count"),
+    (CLASS, ("family", "count"), 0, "checks[0].family.count"),
+    (SWEEP, ("family", "ring_radius"), "far", "checks[0].family.ring_radius"),
+    (SWEEP, ("family", "ring_radius"), 0.5, "checks[0].family.ring_radius"),
+    (SWEEP, ("measures", "theta", "point"), "ab", "checks[0].theta.point"),
+    (SWEEP, ("measures", "theta", "weight"), "x", "checks[0].theta.weight"),
+    (SWEEP, ("checks", 0, "theta"), "nope", "checks[0].theta"),
+    (PJ, ("fields", "u", "point"), "zz", "checks[0].u.point"),
+    (PJ, ("checks", 0, "u"), "nofield", "checks[0].u"),
+])
+def test_malformed_value_is_a_schema_error_at_its_path(tmp_path, capsys, base, keys, value,
+                                                       where):
+    data = json.loads(json.dumps(base))
+    spec = data
+    for key in keys[:-1]:
+        spec = spec[key]
+    spec[keys[-1]] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{where}:" in err and repr(value) in err and "Traceback" not in err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ def test_atom_potential_is_the_scalar_loop_bitwise(d):
 # the direct kernel-sum engine
 
 
-def dense_kernel_sum(pts, nodes, weights, q, block=8_000_000):
+def dense_kernel_sum(pts, nodes, weights, q, block=1 << 17):
     """Reference: the (n, m, d) difference tensor per row block, then its norm."""
     out = np.empty(len(pts))
     step = max(1, block // max(1, len(nodes)))
@@ -248,14 +249,33 @@ def lattice_source(d, n, seed):
 
 
 @pytest.mark.parametrize("d,n", [(2, 40), (3, 12)])
-@pytest.mark.parametrize("block", [8_000_000, 9_999])
+@pytest.mark.parametrize("block", [None, 9_999], ids=["default", "9999"])
 def test_kernel_sum_matches_dense_reference_bitwise(d, n, block):
+    # about 1M kernel values each: at the default block (None) both span
+    # several blocks by their size alone, and both stay direct
     pts, nodes, w = lattice_source(d, n, seed=d)
     assert pts.flags.f_contiguous and nodes.flags.f_contiguous
+    assert 6 * 2 ** 17 < len(pts) * len(nodes) < potentials.FMM_PAIRS
+    size = {} if block is None else {"block": block}
     for p in (pts, np.ascontiguousarray(pts)):
-        ref = dense_kernel_sum(p, nodes, w, d - 2, block)
-        got = potentials._chunked_kernel_sum(p, nodes, w, d - 2, block)
+        ref = dense_kernel_sum(p, nodes, w, d - 2, **size)
+        got = potentials._chunked_kernel_sum(p, nodes, w, d - 2, **size)
         assert np.array_equal(ref, got)
+
+
+def test_kernel_sum_memory_is_one_block():
+    # to_potential's positivity probes, the largest direct sum of the presets:
+    # each kernel matrix is one heap block of at most 1 MiB, seen by tracemalloc
+    rng = np.random.default_rng(3)
+    pts, nodes = rng.uniform(-1, 1, (200, 2)), rng.uniform(-1, 1, (9_104, 2))
+    w = rng.normal(size=len(nodes))
+    tracemalloc.start()
+    try:
+        potentials._chunked_kernel_sum(pts, nodes, w, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * (2 ** 17 // len(nodes)) * len(nodes) <= peak <= 1.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -392,22 +412,6 @@ def test_fmm_never_takes_other_kernels_dimensions_or_thin_sums(fmm_calls, monkey
         assert np.array_equal(potentials._chunked_kernel_sum(p, x, v, 0),
                               dense_kernel_sum(p, x, v, 0))
     assert fmm_calls == []
-
-
-def test_mapped_kernel_blocks_sum_to_the_bits_of_heap_blocks(monkeypatch):
-    # a block of BLOCK_MAP_BYTES or more takes its own mapping; the matrix-vector
-    # product reads the same C-ordered values, so each row sum keeps its bits
-    rng = np.random.default_rng(11)
-    pts, nodes = rng.uniform(-1, 1, (1100, 2)), rng.uniform(-1, 1, (1000, 2))
-    w = rng.normal(size=1000)
-    assert 8 * len(pts) * len(nodes) >= potentials.BLOCK_MAP_BYTES
-    block = potentials._kernel_block(len(pts), len(nodes))
-    assert block.shape == (1100, 1000) and block.flags.c_contiguous and block.flags.writeable
-    mapped, heap = np.empty(len(pts)), np.empty(len(pts))
-    potentials._kernel_rows(pts, nodes, w, 0, mapped)
-    monkeypatch.setattr(potentials, "BLOCK_MAP_BYTES", 1 << 62)
-    potentials._kernel_rows(pts, nodes, w, 0, heap)
-    assert mapped.tobytes() == heap.tobytes()
 
 
 def test_fmm_round_trip_of_a_mollified_jensen_measure(monkeypatch):

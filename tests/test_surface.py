@@ -162,9 +162,10 @@ TEST_ONLY_ALLOWED = {
     "fields.harmonize_layer(residual_target)",
     # sphere means against the 512-node per-sphere references
     "fields.sphere_average(n)",
-    # the kernel sum split into several row blocks against the dense reference;
-    # the block must stay a parameter: perfbench/spans.py reads its default by
-    # signature
+    # the kernel sum split into row blocks of another size than its default
+    # 2^17 kernel values (1 MiB) against the dense reference; the block must
+    # stay a parameter: perfbench/spans.py reads its default by signature to
+    # size the blocks of its chunk_bytes_max counter
     "potentials._chunked_kernel_sum(block)",
     # the bound for mu - delta_o, the second form of the lower bound
     "potentials.lower_bound_check(o)",
@@ -229,9 +230,8 @@ def test_dimension_is_read_from_the_data():
     assert dimension_args == DIMENSION_ARGUMENT_ALLOWED
 
 
-def test_runtime_is_numpy_alone():
-    """No potkit module imports scipy, and numpy is the one runtime dependency;
-    scipy stays a test-only reference (the `test` extra)."""
+def _absolute_imports():
+    """(module stem, imported name) for every absolute import in potkit."""
     imports = []
     for p in sorted(TREES[0].glob("*.py")):
         for node in ast.walk(ast.parse(p.read_text())):
@@ -239,12 +239,27 @@ def test_runtime_is_numpy_alone():
                 imports += [(p.stem, a.name) for a in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imports.append((p.stem, node.module))
+    return imports
+
+
+def test_runtime_is_numpy_alone():
+    """No potkit module imports scipy, and numpy is the one runtime dependency;
+    scipy stays a test-only reference (the `test` extra)."""
+    imports = _absolute_imports()
     assert [(m, name) for m, name in imports if name.partition(".")[0] == "scipy"] == []
     assert ("geometry", "numpy") in imports
     pyproject = (ROOT / "pyproject.toml").read_text()
     block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
     assert [re.split(r"[<>=!~ ]", dep)[0] for dep in re.findall(r'"([^"]+)"', block)] == \
         ["numpy"]
+
+
+def test_memory_comes_from_numpy_alone():
+    """Only potkit._blas reaches a C library (OpenBLAS's thread count) through
+    ctypes, and no module maps memory of its own: every array is numpy's."""
+    imports = _absolute_imports()
+    assert [m for m, name in imports if name == "ctypes"] == ["_blas"]
+    assert [m for m, name in imports if name == "mmap"] == []
 
 
 
