@@ -39,6 +39,9 @@ MAX_CLOSURE_HEAD = 8  # max_closure pairs up this many leading members
 JENSEN_RING = 16  # kernels on each ring of standard_jensen_family
 LYONS_DEFECTS = 4  # wells of each Lyons member of build_test_family
 VALIDATE_TOL = 1e-7  # relative slack of its class-constraint re-validation
+# class tags build_test_family knows; scenario families are checked against them
+TEST_CLASS_TAGS = ("sbh00+", "sbh00", "sbh+0", "sbh+0o", "harmonic-kernels",
+                   "harmonic-polynomials")
 # lyons_example_pair: theta on r0 B; mu_E on r B, punched around n ring atoms
 LYONS_R0, LYONS_R, LYONS_ATOMS, LYONS_DEFECT_RADIUS = 0.35, 0.7, 5, 0.15
 
@@ -93,9 +96,9 @@ def _margin(lhs: float, rhs: float) -> float:
 
 
 def _evaluate_rows(theta: Measure, mu: Measure, family: TestFamily, tol_scale: float,
-                   symmetric: bool, seed: int):
+                   symmetric: bool):
     fields = [h for _, h in family.members]
-    pairs = zip(integrate_many(theta, fields, seed), integrate_many(mu, fields, seed))
+    pairs = zip(integrate_many(theta, fields), integrate_many(mu, fields))
     rows, indeterminate = [], []
     for (name, _), (lhs, rhs) in zip(family.members, pairs):
         # member order, lhs before rhs: the first failure decides the row
@@ -125,12 +128,12 @@ def _verdict(relation: str, passed: bool, rows: list, witness: str | None,
 
 
 def check_linear(theta: Measure, mu: Measure, family: TestFamily,
-                 tol_scale: float = 1e-7, seed: int = 0) -> Verdict:
+                 tol_scale: float = 1e-7) -> Verdict:
     """Sampled check of: integral of h against theta <= against mu, for every member.
 
     Symmetric families (H = -H) are held to equality within tolerance.
     """
-    rows, indeterminate = _evaluate_rows(theta, mu, family, tol_scale, family.symmetric, seed)
+    rows, indeterminate = _evaluate_rows(theta, mu, family, tol_scale, family.symmetric)
     witness = None
     failed = [r for r in rows if not r.passed]
     if failed:
@@ -141,7 +144,7 @@ def check_linear(theta: Measure, mu: Measure, family: TestFamily,
 
 
 def check_affine(theta: Measure, mu: Measure, family: TestFamily, S_o: Ball,
-                 tol_scale: float = 1e-7, seed: int = 0) -> Verdict:
+                 tol_scale: float = 1e-7) -> Verdict:
     """Affine balayage outside S_o: report C = max member margin of the restricted
     integrals and probe the family's orbits for divergence.
 
@@ -151,7 +154,7 @@ def check_affine(theta: Measure, mu: Measure, family: TestFamily, S_o: Ball,
     """
     theta_out = restrict(theta, S_o, complement=True)
     mu_out = restrict(mu, S_o, complement=True)
-    rows, indeterminate = _evaluate_rows(theta_out, mu_out, family, tol_scale, False, seed)
+    rows, indeterminate = _evaluate_rows(theta_out, mu_out, family, tol_scale, False)
     finite_margins = [r.margin for r in rows if math.isfinite(r.margin)]
     constant = max(finite_margins) if finite_margins else math.nan
     has_infinite = any(r.margin == math.inf for r in rows)
@@ -246,10 +249,9 @@ def build_test_family(tag: str, S_o: Ball, r: float, b_minus: float, b_plus: flo
     """
     from .green import green_ball
 
-    if not (0 < 3 * r < _dist_to_boundary(S_o, D)):
+    if not (0 < 3 * r < dist_to_boundary(S_o, D)):
         raise ValueError("need 0 < 3r < dist(S_o, boundary of D)")
-    if tag not in {"sbh00+", "sbh00", "sbh+0", "sbh+0o", "harmonic-kernels",
-                   "harmonic-polynomials"}:
+    if tag not in TEST_CLASS_TAGS:
         raise ValueError(f"unknown class tag {tag!r}")
     if tag == "harmonic-kernels":
         ring = Ball(D.center, 1.5 * D.radius).boundary_points(count)
@@ -285,7 +287,7 @@ def build_test_family(tag: str, S_o: Ball, r: float, b_minus: float, b_plus: flo
     return family
 
 
-def _dist_to_boundary(S_o: Ball, D: Ball) -> float:
+def dist_to_boundary(S_o: Ball, D: Ball) -> float:
     return D.radius - (float(np.linalg.norm(S_o.center - D.center)) + S_o.radius)
 
 
@@ -324,7 +326,7 @@ def _lyons_members(S_o: Ball, r: float, b_minus: float, b_plus: float, D: Ball,
     d = S_o.dimension
     o = S_o.center
     rho_big = float(np.linalg.norm(S_o.center - D.center)) + S_o.radius + 3 * r \
-        + 0.5 * (_dist_to_boundary(S_o, D) - 3 * r)
+        + 0.5 * (dist_to_boundary(S_o, D) - 3 * r)
     rho_big = min(rho_big, 0.95 * D.radius)
     # defects hug the outer support sphere, where the swept background
     # vanishes quadratically; tiny replacement spheres dig genuine wells

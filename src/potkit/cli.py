@@ -108,18 +108,18 @@ def _build_measure(spec: dict, where: str) -> Measure:
 def _build_field(spec: dict, where: str) -> ScalarField:
     _require(isinstance(spec, dict) and "kind" in spec, "field needs a kind", where)
     if spec["kind"] == "log-distance":
-        return ScalarField.log_distance(_point(spec["point"], where + ".point"),
+        return ScalarField.log_distance(_point(spec.get("point"), where + ".point"),
                                         _number(spec.get("coefficient", 1.0),
                                                 where + ".coefficient"))
     if spec["kind"] == "constant":
-        return ScalarField.constant(_number(spec["value"], where + ".value"))
+        return ScalarField.constant(_number(spec.get("value"), where + ".value"))
     raise SchemaError(f"unknown field kind {spec['kind']!r}", where)
 
 
 def _build_family(spec: dict, where: str):
     _require(isinstance(spec, dict) and "kind" in spec, "family needs a kind", where)
     if spec["kind"] == "harmonic-kernels":
-        S = _build_domain(spec["S"], where + ".S")
+        S = _build_domain(spec.get("S"), where + ".S")
         # the kernels' poles lie on a ring outside clos S
         radius = _number(spec.get("ring_radius", 1.5 * S.radius), where + ".ring_radius",
                          above=S.radius)
@@ -127,12 +127,22 @@ def _build_family(spec: dict, where: str):
             _count(spec.get("count", 20), 1, where + ".count"))
         return bal.harmonic_kernel_family(S, ring)
     if spec["kind"] == "test-class":
-        return bal.build_test_family(
-            spec["tag"], _build_domain(spec["S_o"], where + ".S_o"),
-            _number(spec["r"], where + ".r"), _number(spec["b_minus"], where + ".b_minus"),
-            _number(spec["b_plus"], where + ".b_plus"),
-            _build_domain(spec["D"], where + ".D"),
-            _count(spec.get("count", 16), 1, where + ".count"))
+        tag = spec.get("tag")
+        _require(tag in bal.TEST_CLASS_TAGS, f"unknown class tag {tag!r}", where + ".tag")
+        S_o = _build_domain(spec.get("S_o"), where + ".S_o")
+        r = _number(spec.get("r"), where + ".r", above=0.0)
+        b_minus = _number(spec.get("b_minus"), where + ".b_minus")
+        b_plus = _number(spec.get("b_plus"), where + ".b_plus")
+        _require(tag.startswith("harmonic") or b_minus < 0 < b_plus,
+                 f"must be < 0 < b_plus = {b_plus!r}, got {b_minus!r}", where + ".b_minus")
+        D = _build_domain(spec.get("D"), where + ".D")
+        _require(D.dimension == S_o.dimension, f"must have the dimension {S_o.dimension} of "
+                 f"S_o, got {D.center.tolist()!r}", where + ".D.center")
+        gap = bal.dist_to_boundary(S_o, D)
+        _require(3 * r < gap, f"3r must be < dist(S_o, boundary of D) = {gap!r}, got {r!r}",
+                 where + ".r")
+        return bal.build_test_family(tag, S_o, r, b_minus, b_plus, D,
+                                     _count(spec.get("count", 16), 1, where + ".count"))
     raise SchemaError(f"unknown family kind {spec['kind']!r}", where)
 
 
@@ -160,7 +170,7 @@ def _run_check(spec: dict, ctx: dict, seed: int, tol_scale: float, index: int):
         theta = _named(_build_measure, ctx["measures"], spec, "theta", where)
         mu = _named(_build_measure, ctx["measures"], spec, "mu", where)
         family = _build_family(ctx["family"], where + ".family")
-        verdict = bal.check_linear(theta, mu, family, tol_scale=1e-7 * tol_scale, seed=seed)
+        verdict = bal.check_linear(theta, mu, family, tol_scale=1e-7 * tol_scale)
         return {"type": ctype, "pass": verdict.passed == (expect == "pass"),
                 "raw_pass": verdict.passed,
                 "verdict": verdict.to_json()}, _margins([(ctype, verdict)]), {}
@@ -173,7 +183,7 @@ def _run_check(spec: dict, ctx: dict, seed: int, tol_scale: float, index: int):
         if "riesz_u" in spec:
             riesz = _named(_build_measure, ctx["measures"], spec, "riesz_u", where)
         rep = duality.verify_poisson_jensen(theta, mu, u, riesz_u=riesz,
-                                            tol_scale=1e-6 * tol_scale, seed=seed)
+                                            tol_scale=1e-6 * tol_scale)
         return {"type": ctype, "pass": rep.passed == (expect == "pass"),
                 "raw_pass": rep.passed, "report": rep.to_json()}, _margins([(ctype, rep)]), {}
 

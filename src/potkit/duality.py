@@ -64,7 +64,7 @@ def _certify(mu: Measure, x: np.ndarray, kind: str, D: Ball, seed: int):
         family = harmonic_kernel_family(D, ring)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    verdict = check_linear(delta, mu, family, seed=seed)
+    verdict = check_linear(delta, mu, family)
     if not verdict.passed:
         raise CertificationError(
             f"{kind} certification failed (witness {verdict.data['witness']}, "
@@ -185,7 +185,7 @@ def _hull_window(theta: Measure, mu: Measure) -> GridDomain:
 
 def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
                           riesz_u: Measure | None = None, K=None,
-                          tol_scale: float = 1e-6, seed: int = 0) -> Verdict:
+                          tol_scale: float = 1e-6) -> Verdict:
     """Check the generalized Poisson-Jensen identity for a har-balayage pair.
 
     int u dtheta + int_K pt_mu dRiesz(u) = int_K pt_theta dRiesz(u) + int u dmu.
@@ -202,7 +202,7 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
     radius = max(mu.support_radius(), theta.support_radius()) + 1e-9
     S = Ball(np.zeros(d), radius)
     ring = Ball(S.center, 1.35 * radius).boundary_points(24)
-    verdict = check_linear(theta, mu, harmonic_kernel_family(S, ring), seed=seed)
+    verdict = check_linear(theta, mu, harmonic_kernel_family(S, ring))
     if not verdict.passed:
         raise CertificationError(
             f"har-balayage certification failed (witness {verdict.data['witness']})")
@@ -215,10 +215,10 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
     pt_mu = Potential(mu)
     pt_theta = Potential(theta)
     try:
-        t_u_theta = integrate(theta, u, seed=seed)
-        t_mu_riesz = integrate(riesz_u, pt_mu, seed=seed)
-        t_theta_riesz = integrate(riesz_u, pt_theta, seed=seed)
-        t_u_mu = integrate(mu, u, seed=seed)
+        t_u_theta = integrate(theta, u)
+        t_mu_riesz = integrate(riesz_u, pt_mu)
+        t_theta_riesz = integrate(riesz_u, pt_theta)
+        t_u_mu = integrate(mu, u)
     except IndeterminateIntegral as exc:  # a failed verdict, not a crash
         return Verdict("poisson-jensen", False, [],
                        {"indeterminate": f"poisson-jensen integrals indeterminate: {exc}"})

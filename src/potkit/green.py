@@ -160,7 +160,7 @@ def jensen_measure_family(D: Ball, x, kind: str, *, a: float = 0.0, b: float = 1
     from .balayage import check_linear, standard_jensen_family
 
     family = standard_jensen_family(D, seed=seed)
-    verdict = check_linear(Measure(d, [Atom(x, 1.0)]), mu, family, seed=seed)
+    verdict = check_linear(Measure(d, [Atom(x, 1.0)]), mu, family)
     if not verdict.passed:
         raise ValueError(f"Jensen certification failed: {verdict.data['witness']} "
                          f"margin {verdict.worst_margin:.3g}")

@@ -13,38 +13,38 @@ Every kind implements one component protocol, and the measure-level
 operations (integrate, total_mass, restrict, jordan, support, scaling,
 JSON, mollifier sources) are plain loops over it:
 
-* ``dimension``, ``rows``, ``mass()``, ``scaled(a)``, ``jordan()`` -> (positive, negative)
+* ``dimension``, ``mass()``, ``scaled(a)``, ``jordan()`` -> (positive, negative)
 * ``to_json()`` -> its entries of a measure's ``components`` list, and
   ``from_json(entry)``; ``Measure.from_json`` picks the class by ``"type"``
 * ``support_radius(center)`` (exact) and ``support_points()`` (sampled)
-* ``discretize(use, seed, index)`` -> (points, weights) for a use below
+* ``discretize(use)`` -> (points, weights) for a use below
 * ``restrict(S, complement)`` -> list of components
 * ``resolution``: the lattice spacing of grid densities, 0 for exact kinds
 * ``newton_potential()``: the exact potential of plain sphere and ball
   layers in d = 2, 3 by Newton's theorem; None for every other component
 
 A cloud stands for its rows, each the atom component it would be alone: it
-counts ``rows`` components in the Monte-Carlo stream index, writes one
-``atom`` JSON entry per row, and every running sum folds it in row order
-with ``np.add.accumulate``, so results do not depend on how atoms are
-grouped.  Clouds arise only where atoms come from one array: the clip of a
-layer and ``zeros.counting_measure``.
+writes one ``atom`` JSON entry per row, and every running sum folds it in
+row order with ``np.add.accumulate``, so results do not depend on how atoms
+are grouped.  Clouds arise only where atoms come from one array: the clip
+of a layer and ``zeros.counting_measure``.
 
 Atoms discretize to themselves and grid densities to their charged cell
 centers, for every use.  Layers use quadrature nodes whose counts depend on
-the use; each count is defined once, in the ``NODES`` table of its class:
+the use alone, whatever the layer's dimension or density; each count is
+defined once, in the ``NODES`` table of its class:
 
-=========  =======================  ====================  ===================
-use        sphere, d = 2 or         sphere, plain,        ball (radial x
-           density-weighted         d = 3                 angular nodes)
-=========  =======================  ====================  ===================
-support    64                       64                    8 x 64
-integrate  rule default: 4096       2^16 seeded Monte-    32 x 256 (d = 2),
-           trapezoid (d = 2),       Carlo, stream         32 x 1024 (d = 3)
-           4096 product (d = 3)     ``sphere-mc-{i}``
-clip       rule default (as above)  16384                 32 x 512
-mollify    1024                     1024                  16 x 128
-=========  =======================  ====================  ===================
+=========  ==============================  ===========================
+use        sphere (plain or                ball (radial x angular
+           density-weighted)               nodes)
+=========  ==============================  ===========================
+support    64                              8 x 64
+integrate  rule default: 4096 trapezoid    32 x 256 (d = 2),
+           (d = 2), 4096 Gauss-Legendre    32 x 1024 (d = 3)
+           x trapezoid product (d = 3)
+clip       rule default (as above)         32 x 512
+mollify    1024                            16 x 128
+=========  ==============================  ===========================
 
 ``support`` feeds hulls and gaps, ``integrate`` feeds integration and the
 quadrature clouds of potentials, ``clip`` feeds restriction of a layer to a
@@ -57,11 +57,11 @@ collision raises.  ``integrate`` is the one-field case of ``integrate_many``,
 so there is one accumulation path.
 
 Measures are immutable after construction.  A sphere or ball layer builds
-its node cloud once per (use, seed, index) on first ``discretize`` (see
+its node cloud once per use on first ``discretize`` (see
 ``_Layer.discretize``), and a grid density its charged cells once for every
 use; ``scaled``, ``jordan`` and ``restrict`` build new components, which
-start without one.  The Monte-Carlo streams are derived from (seed,
-component index), so concurrent calls are deterministic.
+start without one.  Every rule is closed-form, so concurrent calls build
+equal clouds and results do not depend on call order.
 """
 
 from __future__ import annotations
@@ -119,10 +119,6 @@ class Atoms:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def rows(self) -> int:
-        return len(self.weights)
-
     def mass(self) -> float:
         return _fold(0.0, self.weights)
 
@@ -150,7 +146,7 @@ class Atoms:
     def support_points(self) -> np.ndarray:
         return self.points
 
-    def discretize(self, use: str = "integrate", seed: int = 0, index: int = 0):
+    def discretize(self, use: str = "integrate"):
         return self.points, self.weights
 
     def newton_potential(self):
@@ -193,7 +189,6 @@ class _Layer:
     total: float
 
     resolution = 0.0
-    rows = 1
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
@@ -203,7 +198,7 @@ class _Layer:
         if not 0 < self.radius < math.inf:
             raise ValueError(f"{layer} layer radius must be positive and finite, "
                              f"got {self.radius}")
-        object.__setattr__(self, "_clouds", {})  # (use, seed, index) -> discretize result
+        object.__setattr__(self, "_clouds", {})  # use -> discretize result
 
     @property
     def dimension(self) -> int:
@@ -225,21 +220,20 @@ class _Layer:
     def support_points(self) -> np.ndarray:
         return self._nodes("support")[0]
 
-    def _rule(self, use: str, seed: int = 0, index: int = 0):
+    def _rule(self, use: str):
         """Nodes and mean-normalized weights of the layer for `use`."""
-        return self._nodes(use, seed, index)
+        return self._nodes(use)
 
-    def discretize(self, use: str = "integrate", seed: int = 0, index: int = 0):
-        """Nodes and masses for `use`, built once per key and handed out read-only."""
-        key = (use, seed, index)
-        cloud = self._clouds.get(key)
+    def discretize(self, use: str = "integrate"):
+        """Nodes and masses for `use`, built once per use and handed out read-only."""
+        cloud = self._clouds.get(use)
         if cloud is None:
-            pts, w = self._rule(use, seed, index)
+            pts, w = self._rule(use)
             cloud = (pts, self.total * w)
             for a in cloud:
                 a.setflags(write=False)
             # threads racing here build equal clouds; every caller gets the first stored
-            cloud = self._clouds.setdefault(key, cloud)
+            cloud = self._clouds.setdefault(use, cloud)
         return cloud
 
     def _clip(self, S, complement: bool) -> list:
@@ -266,24 +260,15 @@ class SphereUniform(_Layer):
     density_spec: dict | None = None
 
     kind = "sphere_uniform"
-    # sphere-rule nodes per use: (d = 2 or density-weighted, plain in d = 3);
-    # None is the rule's default, "mc" the seeded Monte-Carlo stream
-    NODES = {"support": (64, 64), "integrate": (None, "mc"), "clip": (None, 16384),
-             "mollify": (1024, 1024)}
+    # sphere-rule nodes per use; None is the rule's default
+    NODES = {"support": 64, "integrate": None, "clip": None, "mollify": 1024}
 
-    def _nodes(self, use: str, seed: int = 0, index: int = 0):
-        d = self.dimension
-        n = self.NODES[use][self.density is None and d != 2]
-        if n == "mc":
-            nodes = quadrature.sphere_mc_nodes(d, quadrature.SPHERE_MC_SAMPLES, seed,
-                                               f"sphere-mc-{index}")
-            w = np.full(len(nodes), 1.0 / len(nodes))
-        else:
-            nodes, w = quadrature.sphere_rule(d, n)
+    def _nodes(self, use: str):
+        nodes, w = quadrature.sphere_rule(self.dimension, self.NODES[use])
         return self.center[None, :] + self.radius * nodes, w
 
-    def _rule(self, use: str, seed: int = 0, index: int = 0):
-        pts, w = self._nodes(use, seed, index)
+    def _rule(self, use: str):
+        pts, w = self._nodes(use)
         if self.density is not None:
             w = w * _eval_field(self.density, pts)
         return pts, w
@@ -332,7 +317,7 @@ class BallUniform(_Layer):
     NODES = {"support": (8, 64), "integrate": (None, None), "clip": (32, 512),
              "mollify": (16, 128)}
 
-    def _nodes(self, use: str, seed: int = 0, index: int = 0):
+    def _nodes(self, use: str):
         nodes, w = quadrature.ball_rule(self.dimension, *self.NODES[use])
         return self.center[None, :] + self.radius * nodes, w
 
@@ -391,7 +376,6 @@ class GridDensity:
     values: np.ndarray = field(repr=False)
 
     kind = "grid_density"
-    rows = 1
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -439,7 +423,7 @@ class GridDensity:
     def support_points(self) -> np.ndarray:
         return self.discretize()[0]
 
-    def discretize(self, use: str = "integrate", seed: int = 0, index: int = 0):
+    def discretize(self, use: str = "integrate"):
         """Centers and masses of the charged cells, the same for every use, built
         once and handed out read-only."""
         cloud = self.__dict__.get("_cloud")
@@ -529,7 +513,7 @@ class Measure:
         mass = 0.0
         for c in self.components:
             if c.kind == "atom":
-                near = np.zeros(c.rows, dtype=bool)
+                near = np.zeros(len(c.weights), dtype=bool)
                 for p in pts:
                     near |= _distance(c.points, p) <= ATOM_TOL
                 mass = _fold(mass, c.weights[near])
@@ -613,24 +597,25 @@ _ONE = np.ones(1)
 _ONE.setflags(write=False)
 
 
-def integrate(mu: Measure, f, seed: int = 0) -> float:
+def integrate(mu: Measure, f) -> float:
     """Integral of a field against the charge, as an extended real.
 
     The field must be evaluable |mu|-a.e. on the support; -inf values are
-    legal and propagate by the usual conventions.  `seed` feeds the d=3
-    Monte-Carlo sphere streams only.  Components without mass never see
-    the field.  A kernel field sign * K_{d-2}(., y) (``ScalarField.kernel``)
-    integrates exactly against layers with a ``newton_potential``: the
-    result is sign times that potential at y.  This is ``integrate_many``
-    of one field.
+    legal and propagate by the usual conventions.  Every component is
+    integrated by its deterministic ``integrate`` nodes, so the result
+    depends on the charge and the field alone.  Components without mass
+    never see the field.  A kernel field sign * K_{d-2}(., y)
+    (``ScalarField.kernel``) integrates exactly against layers with a
+    ``newton_potential``: the result is sign times that potential at y.
+    This is ``integrate_many`` of one field.
     """
-    (value,) = integrate_many(mu, [f], seed)
+    (value,) = integrate_many(mu, [f])
     if isinstance(value, Exception):
         raise value
     return value
 
 
-def integrate_many(mu: Measure, fields, seed: int = 0) -> list:
+def integrate_many(mu: Measure, fields) -> list:
     """Integrals of several fields against one charge, in one pass over its components.
 
     Entry j is bitwise what integrating ``fields[j]`` alone gives, or the
@@ -666,9 +651,7 @@ def integrate_many(mu: Measure, fields, seed: int = 0) -> list:
             except Exception as exc:  # recorded per member; the other members go on
                 results[j] = exc
 
-    start = 0  # component index of the Monte-Carlo streams: a cloud counts its rows
     for c in mu.components:
-        i, start = start, start + c.rows
         newton = c.newton_potential() if groups else None
         if newton is not None:
             # kernel fields against a plain layer: Newton's closed form at each pole
@@ -678,7 +661,7 @@ def integrate_many(mu: Measure, fields, seed: int = 0) -> list:
                     add(j, _ONE, False, np.multiply, fields[j].kernel_sign, at_pole)
         if not (others or (groups and newton is None)):
             continue  # no field needs the node cloud
-        pts, w = c.discretize("integrate", seed, i)
+        pts, w = c.discretize("integrate")
         if not np.all(w):  # zero-weight nodes never see a field
             pts, w = pts[w != 0.0], w[w != 0.0]
         if not len(w):

@@ -239,7 +239,7 @@ def preset_harmonic_measure(seed: int, tol_scale: float):
     ]
     rows, worst = [], 0.0
     for name, h, want in harmonics:
-        got = integrate(om, h, seed=seed)
+        got = integrate(om, h)
         rows.append(Row(name, got, want, got - want, abs(got - want) <= 1e-8 * tol_scale,
                         1e-8 * tol_scale))
         worst = max(worst, abs(got - want))
@@ -250,7 +250,7 @@ def preset_harmonic_measure(seed: int, tol_scale: float):
     g3 = green.green_ball(point(0, 0, 0), 1.0, point(0, 0, 0))
     om3 = green.harmonic_measure(g3, point(0.3, 0.1, -0.2))
     h3 = ScalarField(lambda p: p[:, 0] ** 2 - p[:, 2] ** 2)
-    got3 = integrate(om3, h3, seed=seed)
+    got3 = integrate(om3, h3)
     want3 = 0.3 ** 2 - 0.2 ** 2
     checks.append(Verdict("d=3 Poisson reproduction", abs(got3 - want3) <= 1e-8 * tol_scale,
                           data={"got": got3, "want": want3}))
@@ -267,7 +267,7 @@ def preset_harmonic_measure(seed: int, tol_scale: float):
         a = rng.uniform(-0.6, 0.6, 2)
         u = ScalarField.log_distance(a)
         lhs = u(x)
-        rhs = integrate(om, u, seed=seed)
+        rhs = integrate(om, u)
         margin = lhs - rhs
         worst = max(worst, margin)
         rows.append(Row(f"ln|z-a| #{j}", lhs, rhs, margin, margin <= 1e-8 * tol_scale,
@@ -289,14 +289,14 @@ def preset_balayage_mass(seed: int, tol_scale: float):
     fam = bal.harmonic_kernel_family(S, ring)
     fam.members.append(("const+1", ScalarField.constant(1.0)))
     fam.members.append(("const-1", ScalarField.constant(-1.0)))
-    verdict = bal.check_linear(theta, om, fam, tol_scale=1e-7 * tol_scale, seed=seed)
+    verdict = bal.check_linear(theta, om, fam, tol_scale=1e-7 * tol_scale)
     mass_gap = abs(total_mass(theta) - total_mass(om))
     checks.append(Verdict("Prop 5.2 equal masses under +-1",
                           verdict.passed and mass_gap <= 1e-9, verdict.rows,
                           {"mass_gap": mass_gap, "worst_margin": verdict.worst_margin}))
 
     sub = bal.TestFamily(fam.tag, fam.members[:10], symmetric=True)
-    verdict_sub = bal.check_linear(theta, om, sub, tol_scale=1e-7 * tol_scale, seed=seed)
+    verdict_sub = bal.check_linear(theta, om, sub, tol_scale=1e-7 * tol_scale)
     checks.append(Verdict("Prop 5.2(3) subfamily keeps the pass", verdict_sub.passed))
 
     # Prop 5.6 closure under mollification
@@ -308,8 +308,8 @@ def preset_balayage_mass(seed: int, tol_scale: float):
     checks.append(Verdict("Prop 5.6 mass conservation", mass_drift <= 1e-9,
                           data={"drift": mass_drift}))
     subfam = bal.standard_jensen_family(Ball(point(0, 0), 1.0), seed=seed)
-    v_mu = bal.check_linear(theta, mu_j, subfam, tol_scale=1e-7 * tol_scale, seed=seed)
-    v_beta = bal.check_linear(theta, beta, subfam, tol_scale=1e-7 * tol_scale, seed=seed)
+    v_mu = bal.check_linear(theta, mu_j, subfam, tol_scale=1e-7 * tol_scale)
+    v_beta = bal.check_linear(theta, beta, subfam, tol_scale=1e-7 * tol_scale)
     degrade = v_beta.worst_margin - v_mu.worst_margin
     checks.append(Verdict("Prop 5.6 margins degrade <= 1e-6",
                           v_beta.passed and degrade <= 1e-6 * tol_scale, v_beta.rows,
@@ -317,7 +317,7 @@ def preset_balayage_mass(seed: int, tol_scale: float):
 
     # Prop 5.8 transfer: ball average of delta is swept by the harmonic measure
     lam = Measure(d, [BallUniform(point(0, 0), 0.15, 1.0)])
-    v_tr = bal.check_linear(lam, om, subfam, tol_scale=1e-7 * tol_scale, seed=seed)
+    v_tr = bal.check_linear(lam, om, subfam, tol_scale=1e-7 * tol_scale)
     checks.append(Verdict("Prop 5.8 transfer instance", v_tr.passed,
                           data={"worst_margin": v_tr.worst_margin}))
 
@@ -337,7 +337,7 @@ def preset_lyons_example(seed: int, tol_scale: float):
     S = Ball(point(0, 0), 0.75)
     ring = Ball(point(0, 0), 1.2).boundary_points(20)
     fam_h = bal.harmonic_kernel_family(S, ring)
-    v1 = bal.check_linear(theta, mu_E, fam_h, tol_scale=1e-7 * tol_scale, seed=seed)
+    v1 = bal.check_linear(theta, mu_E, fam_h, tol_scale=1e-7 * tol_scale)
     checks.append(Verdict("harmonic kernel family passes", v1.passed, v1.rows,
                           {"worst_margin": v1.worst_margin}))
 
@@ -345,7 +345,7 @@ def preset_lyons_example(seed: int, tol_scale: float):
     near = pts * (1.0 + 1e-4)
     members += [(f"k@near[{j}]", ScalarField.kernel(e)) for j, e in enumerate(near)]
     fam_s = bal.TestFamily("subharmonic-kernels", members)
-    v2 = bal.check_linear(theta, mu_E, fam_s, tol_scale=1e-7 * tol_scale, seed=seed)
+    v2 = bal.check_linear(theta, mu_E, fam_s, tol_scale=1e-7 * tol_scale)
     witness = v2.data["witness"]
     expected_fail = (not v2.passed) and witness is not None
     checks.append(Verdict("subharmonic kernel family fails (expected)", expected_fail, v2.rows,
@@ -422,7 +422,7 @@ def preset_classical_pj(seed: int, tol_scale: float):
     u = ScalarField.log_distance(a)
     riesz_u = Measure(d, [Atom(a, 1.0)])
     rep = duality.verify_poisson_jensen(theta, om, u, riesz_u=riesz_u,
-                                        tol_scale=1e-6 * tol_scale, seed=seed)
+                                        tol_scale=1e-6 * tol_scale)
     # u(0) = ln 0.5 must equal 0 - g(a, 0) = -ln 2
     terms = rep.data["terms"]
     classical = abs(terms["u_theta"] - (terms["u_mu"] - g1(a)))
@@ -434,7 +434,7 @@ def preset_classical_pj(seed: int, tol_scale: float):
 
     u_h = ScalarField(lambda p: 2.0 * p[:, 0] * p[:, 1])
     rep_h = duality.verify_poisson_jensen(theta, om, u_h, riesz_u=Measure(d, []),
-                                          tol_scale=1e-6 * tol_scale, seed=seed)
+                                          tol_scale=1e-6 * tol_scale)
     reduction = abs(rep_h.data["terms"]["u_theta"] - rep_h.data["terms"]["u_mu"])
     checks.append(Verdict("harmonic u reduces to the mean identity",
                           rep_h.passed and reduction <= rep_h.data["tol"],
@@ -449,7 +449,7 @@ def preset_pj_suite(seed: int, tol_scale: float):
     worst = 0.0
     for name, theta, mu, u, riesz_u, K in _pj_instances(seed):
         rep = duality.verify_poisson_jensen(theta, mu, u, riesz_u=riesz_u, K=K,
-                                            tol_scale=1e-6 * tol_scale, seed=seed)
+                                            tol_scale=1e-6 * tol_scale)
         lhs, rhs, mismatch = rep.data["lhs"], rep.data["rhs"], rep.data["mismatch"]
         rows.append(Row(name, lhs, rhs, mismatch, rep.passed, rep.data["tol"]))
         worst = max(worst, mismatch / (1e-12 + abs(lhs) + abs(rhs) + 1.0))
@@ -499,7 +499,7 @@ def preset_duality_roundtrip(seed: int, tol_scale: float):
         grid_dom = GridDomain(point(-1.2, -1.2), h, np.ones((n, n), bool))
         rec = duality.from_potential(V, grid_dom, pole_exclusion=0.1)
         errs = []
-        for a, b in zip(swept, integrate_many(rec, probes, seed)):
+        for a, b in zip(swept, integrate_many(rec, probes)):
             for value in (a, b):  # the first failing integral, as one call per probe meets it
                 if isinstance(value, Exception):
                     raise value
@@ -513,7 +513,7 @@ def preset_duality_roundtrip(seed: int, tol_scale: float):
             mu = mk(i)
             V = duality.to_potential(mu, x0, kind=kind, D=Ball(x0, 1.6), seed=seed,
                                      tol=1e-8 * tol_scale)
-            swept = integrate_many(mu, probes, seed)
+            swept = integrate_many(mu, probes)
             e_coarse = roundtrip_err(swept, V, 0.02)
             e_fine = roundtrip_err(swept, V, 0.01)
             rows.append(Row(f"{kind}[{i}] h=0.02", e_coarse, 0.02, e_coarse - 0.02,

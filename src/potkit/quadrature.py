@@ -1,8 +1,9 @@
-"""Sphere and ball quadrature rules plus seeded Monte-Carlo sampling.
+"""Sphere and ball quadrature rules plus seeded sampling.
 
-Deterministic by construction: node layouts are closed-form, and the
-Monte-Carlo streams are derived from a (seed, tag) pair so that concurrent
-callers get reproducible, independent streams.
+Deterministic by construction: every quadrature node layout is closed-form,
+and the sampling streams (probes, family jitter) are derived from a
+(seed, tag) pair so that concurrent callers get reproducible, independent
+streams.
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ import zlib
 
 import numpy as np
 
-from .geometry import _distance
-
 # default node counts; see the module docstrings of measures/green for
 # which rule is used where
 CIRCLE_NODES = 4096          # 2**12, periodic trapezoid on circles
 SPHERE_PRODUCT_NODES = 4096  # 2**12 total for the d=3 product rule
-SPHERE_MC_SAMPLES = 65536    # 2**16, plain uniform layers in d=3
 BALL_RADIAL_NODES = 32
 
 
@@ -106,13 +104,6 @@ def sphere_rule(d: int, n: int | None = None):
     nodes.setflags(write=False)
     w.setflags(write=False)
     return nodes, w
-
-
-def sphere_mc_nodes(d: int, n: int, seed: int, tag: str) -> np.ndarray:
-    """Seeded uniform samples on the unit sphere."""
-    rng = rng_for(seed, tag)
-    x = rng.standard_normal((n, d))
-    return x / _distance(x, np.zeros(d))[:, None]
 
 
 def ball_rule(d: int, n_radial: int | None = None, n_angular: int | None = None):

@@ -277,7 +277,7 @@ def _zero_sum(pts: np.ndarray, weights: np.ndarray, v: ScalarField) -> float:
 
 
 def _variant(name: str, f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
-             family: TestFamily, subdivisor=None, seed: int = 0, *, ring: bool) -> Verdict:
+             family: TestFamily, subdivisor=None, *, ring: bool) -> Verdict:
     """One inequality variant: zero sums against the majorant charge integrals.
 
     With ``ring`` the majorant charge is integrated off the 3r-enlarged core
@@ -295,9 +295,9 @@ def _variant(name: str, f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r:
     rows = []
     for mname, v in family.members:
         lhs = _zero_sum(kept, weights, v)
-        rhs = integrate(mu_out, v, seed=seed)
+        rhs = integrate(mu_out, v)
         if ring:
-            rhs += -integrate(ring_minus, v, seed=seed)
+            rhs += -integrate(ring_minus, v)
         m = lhs - rhs
         rows.append(Row(mname, lhs, rhs, m, math.isfinite(m)))
     margins = [r.margin for r in rows]
@@ -324,7 +324,7 @@ def _run_variants(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float
     variants = {}
     for name, tag, ring, subdivisor in plan:
         fam = family or build_test_family(tag, S_o, r, b_minus, b_plus, f.domain, seed=seed)
-        variants[name] = _variant(name, f, majorant, S_o, r, fam, subdivisor, seed, ring=ring)
+        variants[name] = _variant(name, f, majorant, S_o, r, fam, subdivisor, ring=ring)
     return variants
 
 

@@ -384,6 +384,8 @@ PJ = {"schema": 1, "name": "pj",
       "fields": {"u": {"kind": "log-distance", "point": [0.5, 0.0]}},
       "checks": [{"type": "poisson-jensen", "theta": "theta", "mu": "mu",
                   "u": "u", "riesz_u": "riesz"}]}
+PJ_CONSTANT = dict(PJ, fields={"u": {"kind": "constant", "value": 1.0}})
+MISSING = object()  # a case value that deletes its key
 
 
 @pytest.mark.parametrize("base, keys, value, where", [
@@ -400,6 +402,19 @@ PJ = {"schema": 1, "name": "pj",
     (SWEEP, ("checks", 0, "theta"), "nope", "checks[0].theta"),
     (PJ, ("fields", "u", "point"), "zz", "checks[0].u.point"),
     (PJ, ("checks", 0, "u"), "nofield", "checks[0].u"),
+    # a test-class family outside its class constraints
+    (CLASS, ("family", "tag"), "nope", "checks[0].family.tag"),
+    (CLASS, ("family", "r"), 0.5, "checks[0].family.r"),  # 3r past the boundary of D
+    (CLASS, ("family", "r"), 0, "checks[0].family.r"),
+    (CLASS, ("family", "b_minus"), 0.5, "checks[0].family.b_minus"),
+    (CLASS, ("family", "D", "center"), [0.0, 0.0, 0.0], "checks[0].family.D.center"),
+    # a required key that is missing fails the check of its value
+    (CLASS, ("family", "tag"), MISSING, "checks[0].family.tag"),
+    (CLASS, ("family", "r"), MISSING, "checks[0].family.r"),
+    (CLASS, ("family", "S_o"), MISSING, "checks[0].family.S_o"),
+    (SWEEP, ("family", "S"), MISSING, "checks[0].family.S"),
+    (PJ, ("fields", "u", "point"), MISSING, "checks[0].u.point"),
+    (PJ_CONSTANT, ("fields", "u", "value"), MISSING, "checks[0].u.value"),
 ])
 def test_malformed_value_is_a_schema_error_at_its_path(tmp_path, capsys, base, keys, value,
                                                        where):
@@ -407,9 +422,13 @@ def test_malformed_value_is_a_schema_error_at_its_path(tmp_path, capsys, base, k
     spec = data
     for key in keys[:-1]:
         spec = spec[key]
-    spec[keys[-1]] = value
+    if value is MISSING:
+        del spec[keys[-1]]
+    else:
+        spec[keys[-1]] = value
     path = tmp_path / "s.json"
     path.write_text(json.dumps(data))
     assert run_cli(["run", str(path)]) == 2
     err = capsys.readouterr().err
-    assert f"{where}:" in err and repr(value) in err and "Traceback" not in err
+    assert f"{where}:" in err and "Traceback" not in err
+    assert value is MISSING or repr(value) in err

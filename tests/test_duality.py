@@ -416,8 +416,8 @@ def test_roundtrip_raises_the_first_failing_integral(monkeypatch, swept_fails,
 
     real, calls = presets.integrate_many, []
 
-    def failing(mu, fields, seed=0):
-        out = real(mu, fields, seed)
+    def failing(mu, fields):
+        out = real(mu, fields)
         side, j = (("swept", swept_fails), ("recovered", recovered_fails))[len(calls)]
         calls.append(side)
         out[j] = LookupError(f"{side} {j}")

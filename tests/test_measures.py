@@ -41,13 +41,21 @@ def test_integrate_ball_mass():
     assert integrate(mu, fields.ScalarField.constant(1.0)) == pytest.approx(math.pi, rel=1e-12)
 
 
-def test_integrate_sphere_mc_d3():
-    # plain d=3 layers go through the seeded Monte-Carlo rule; statistical tol
+def test_integrate_plain_sphere_d3_is_exact():
+    # plain d=3 layers take the Gauss-Legendre x trapezoid product rule, exact for
+    # x0^2 = (1 - z^2) cos^2(phi): the mean over the unit sphere is 1/3 up to rounding
     mu = Measure(3, [SphereUniform(point(0, 0, 0), 1.0, 1.0)])
     f = fields.ScalarField(lambda p: p[:, 0] ** 2)
-    got = integrate(mu, f, seed=0)
-    assert got == pytest.approx(1.0 / 3.0, abs=5e-3)
-    assert integrate(mu, f, seed=0) == got  # bit-reproducible
+    assert abs(integrate(mu, f) - 1.0 / 3.0) <= 1e-14
+
+
+def test_plain_and_unit_density_spheres_share_their_nodes_d3():
+    plain = SphereUniform(point(0.1, 0, -0.2), 0.7, 1.3)
+    unit = SphereUniform(point(0.1, 0, -0.2), 0.7, 1.3, lambda p: np.ones(len(p)))
+    for use in ("integrate", "clip"):
+        (pts, w), (upts, uw) = plain.discretize(use), unit.discretize(use)
+        assert len(w) == 4096, use
+        assert pts.tobytes() == upts.tobytes() and w.tobytes() == uw.tobytes(), use
 
 
 def test_total_mass_and_jordan():
@@ -492,17 +500,6 @@ def test_threads_integrating_one_measure_agree():
     assert len(mu.components[0]._clouds) == 1
 
 
-def test_sphere_mc_cloud_follows_the_seed():
-    def fresh():
-        return Measure(3, [SphereUniform(point(0, 0, 0.1), 0.4, 1.0)])
-
-    mu = fresh()
-    f = _smooth_field()
-    for seed in (0, 1, 0):
-        assert integrate(mu, f, seed=seed) == integrate(fresh(), f, seed=seed), seed
-    assert integrate(mu, f, seed=0) != integrate(mu, f, seed=1)
-
-
 def test_scaled_and_restricted_layers_match_fresh_components():
     om = _harmonic_measure((0.4, 0.1)).components[0]
     ball = BallUniform(point(0.1, 0), 0.6, -0.8)
@@ -536,17 +533,17 @@ def kernel_loop_values(f, pts):
     return f.kernel_sign * out
 
 
-def integrate_loop(mu, f, seed=0):
+def integrate_loop(mu, f):
     """Reference: one field at a time through every component, zero weights and
     infinite values masked out before each dot, as the extended-real sum is defined."""
     finite, signs = 0.0, set()
     pole = getattr(f, "kernel_pole", None)
-    for i, c in enumerate(mu.components):
+    for c in mu.components:
         newton = None if pole is None else c.newton_potential()
         if newton is not None:
             w, v = np.ones(1), f.kernel_sign * newton(pole[None, :])
         else:
-            pts, w = c.discretize("integrate", seed, i)
+            pts, w = c.discretize("integrate")
             if not np.any(w):
                 continue
             v = kernel_loop_values(f, pts) if pole is not None else measures._eval_field(f, pts)
@@ -598,7 +595,7 @@ def _many_cases():
         "poisson-d3": om3,
         "newton-layers-d2": Measure(2, [SphereUniform(point(0.1, 0), 0.5, 2.0),
                                         BallUniform(point(0, 0.1), 0.6, -0.8)]),
-        "mc-sphere-d3": Measure(3, [SphereUniform(point(0, 0, 0.1), 0.4, -1.25),
+        "plain-sphere-d3": Measure(3, [SphereUniform(point(0, 0, 0.1), 0.4, -1.25),
                                     BallUniform(point(0.1, 0, 0), 0.5, 1.1)]),
         "zero-weights": Measure(2, [_striped_sphere(point(0.1, 0.1), 0.5, 1.0),
                                     _striped_sphere(point(-0.2, 0), 0.3, -0.5)]),
@@ -610,15 +607,15 @@ def _many_cases():
     }
 
 
-def _many_fields(mu, seed):
+def _many_fields(mu):
     """Kernel members of signs +-1, 0.3 and 0 at poles on a node of each component (a
     zero-weight node where there is one), inside and far outside the support,
     interleaved with plain fields: a strided view, a field -inf on a node, a
     nan field, one that raises and, in 3-D, a kernel of the wrong dimension."""
     d = mu.dimension
     poles = [np.full(d, 2.5), np.full(d, 0.05)]
-    for i, c in enumerate(mu.components):
-        pts, w = c.discretize("integrate", seed, i)
+    for c in mu.components:
+        pts, w = c.discretize("integrate")
         poles.append(pts[len(pts) // 3].copy())
         if np.any(w == 0.0):
             poles.append(pts[np.flatnonzero(w == 0.0)[0]].copy())
@@ -637,16 +634,15 @@ def _many_fields(mu, seed):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf members
-@pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("name", list(_many_cases()))
-def test_integrate_many_is_the_member_loop_bit_for_bit(name, seed):
+def test_integrate_many_is_the_member_loop_bit_for_bit(name):
     mu = _many_cases()[name]
-    fs = _many_fields(mu, seed)
-    want = [_outcome(integrate_loop, mu, f, seed) for f in fs]
+    fs = _many_fields(mu)
+    want = [_outcome(integrate_loop, mu, f) for f in fs]
     got = [type(v) if isinstance(v, Exception) else v
-           for v in measures.integrate_many(mu, fs, seed)]
+           for v in measures.integrate_many(mu, fs)]
     assert got == want
-    assert [_outcome(integrate, mu, f, seed) for f in fs] == want
+    assert [_outcome(integrate, mu, f) for f in fs] == want
     # every path of the comparison is taken somewhere in the list
     assert measures.IndeterminateIntegral in want and fields.DomainError in want
     assert any(isinstance(v, float) and math.isfinite(v) for v in want)
@@ -669,7 +665,7 @@ def test_family_integral_fills_kernel_tiles_not_members(monkeypatch):
     family = balayage.harmonic_kernel_family(
         Ball(point(0, 0), 1.0), Ball(point(0, 0), 1.5).boundary_points(200))
     mu = _harmonic_measure(x)
-    nodes = len(mu.components[0].discretize("integrate", 0, 0)[0])  # the built cloud
+    nodes = len(mu.components[0].discretize("integrate")[0])  # the built cloud
     member_calls, fills = [], []
     for _, h in family.members:
         monkeypatch.setattr(h, "_evaluator",
@@ -862,7 +858,7 @@ def test_atom_splits_and_json_do_not_depend_on_grouping(grouping):
         kept = [(x, w) for x, w in atoms if S.contains(x) != complement]
         got = restrict(mu, S, complement)
         assert json.dumps(got.to_json()["components"]) == json.dumps(entries(kept))
-        assert sum(c.rows for c in got.components) == len(kept)
+        assert sum(len(c.weights) for c in got.components) == len(kept)
     assert S.contains(x) != S.contains_array(x[None, :])[0]  # the row that tells them apart
     back = Measure.from_json(json.loads(json.dumps(mu.to_json())))
     assert [type(c) for c in back.components] == [Atom] * len(atoms)  # never merged
@@ -907,7 +903,7 @@ def test_clip_cloud_integrals_match_the_per_atom_walk():
     from potkit.potentials import Potential
 
     (cloud,) = restrict(Measure(2, [CLIP_LAYER]), CLIP_SET).components
-    assert type(cloud) is measures.Atoms and cloud.rows == 5822
+    assert type(cloud) is measures.Atoms and len(cloud.weights) == 5822
     atoms = list(zip(cloud.points, cloud.weights))
     mu = Measure(2, [cloud])
     exact = [fields.ScalarField.constant(1.0), fields.ScalarField.kernel(point(0.9, 0.9)),
@@ -928,7 +924,7 @@ def test_clip_off_a_core_integrates_in_one_field_call(monkeypatch):
     clip = restrict(Measure(2, [CLIP_LAYER]), CLIP_SET)
     off = restrict(clip, Ball(point(0, 0), 0.05), complement=True)
     (cloud,) = off.components
-    assert cloud.rows == 5412
+    assert len(cloud.weights) == 5412
     one = fields.ScalarField.constant(1.0)
     want = _integral_reference(list(zip(cloud.points, cloud.weights)), one)
     calls, eval_field = [], measures._eval_field
@@ -940,19 +936,3 @@ def test_clip_off_a_core_integrates_in_one_field_call(monkeypatch):
     monkeypatch.setattr(measures, "_eval_field", counted)
     assert _bits(integrate(off, one)) == _bits(want)
     assert calls == [5412]
-
-
-def test_a_cloud_advances_the_monte_carlo_stream_index_by_its_rows():
-    # the clip of the ball is a 15,488-row cloud; the sphere after it keeps the
-    # stream sphere-mc-15488 it had as the 15,489th component, through jordan too
-    # (counted as one component, the cloud gives 0.1810268472393971)
-    mu = Measure(3, [BallUniform((0.3, 0, 0), 0.2, 1.0), SphereUniform(np.zeros(3), 0.5, 1.0)])
-    clipped = restrict(mu, Ball(np.zeros(3), 0.9))
-    assert [c.rows for c in clipped.components] == [15488, 1]
-
-    def f(p):
-        return p[:, 0] ** 2 + p[:, 1]
-
-    assert integrate(clipped, f, 0) == 0.18126986910615847
-    pos, neg = jordan(clipped)
-    assert integrate(pos, f, 0) == integrate(clipped, f, 0) and not neg.components

@@ -19,7 +19,6 @@ TREES = (Path(potkit.__file__).parent, ROOT / "tests", ROOT / "perfbench")
 # every check shares, so these two keep them settable like their siblings
 NEVER_SET_ALLOWED = {
     ("check_affine", "tol_scale"),
-    ("check_affine", "seed"),
     ("lower_bound_check", "tol"),
     ("lower_bound_check", "seed"),
 }
@@ -197,8 +196,8 @@ def test_options_only_tests_set_are_listed():
 # it from
 DIMENSION_ARGUMENT_ALLOWED = {
     # quadrature rules and direction sets on the unit sphere, ball and cell
-    "quadrature._unit_directions", "quadrature.sphere_rule", "quadrature.sphere_mc_nodes",
-    "quadrature.ball_rule", "quadrature.gauss_legendre_cell",
+    "quadrature._unit_directions", "quadrature.sphere_rule", "quadrature.ball_rule",
+    "quadrature.gauss_legendre_cell",
     # kernel constants
     "kernels.sphere_surface_area", "kernels.riesz_normalizer",
     # a measure carries its dimension, so an empty one has one too
@@ -228,6 +227,20 @@ def test_dimension_is_read_from_the_data():
                     dimension_args.add(f"{p.stem}.{qual}")
     assert configs == []
     assert dimension_args == DIMENSION_ARGUMENT_ALLOWED
+
+
+def test_integration_takes_no_seed():
+    """Every quadrature rule is closed-form, so nothing that only integrates takes a seed."""
+    from potkit import balayage, duality, measures
+
+    fns = [measures.integrate, measures.integrate_many, balayage.check_linear,
+           balayage.check_affine, duality.verify_poisson_jensen]
+    kinds = [cls for _, cls in inspect.getmembers(measures, inspect.isclass)
+             if cls.__module__ == measures.__name__ and hasattr(cls, "discretize")]
+    assert {"Atoms", "SphereUniform", "BallUniform", "GridDensity"} <= {
+        cls.__name__ for cls in kinds}
+    fns += [cls.discretize for cls in kinds]
+    assert [fn.__qualname__ for fn in fns if "seed" in inspect.signature(fn).parameters] == []
 
 
 def _absolute_imports():

@@ -236,7 +236,7 @@ def _zero_sum_reference(f_zeros, f_mults, v, S_o, subdivisor):
     return total
 
 
-def _variant_rows_reference(f, majorant, S_o, r, family, subdivisor, seed, ring):
+def _variant_rows_reference(f, majorant, S_o, r, family, subdivisor, ring):
     """The member loop zeros._variant replaced: restrictions rebuilt for every member."""
     from potkit.measures import integrate, restrict
 
@@ -247,11 +247,11 @@ def _variant_rows_reference(f, majorant, S_o, r, family, subdivisor, seed, ring)
     for mname, v in family.members:
         lhs = _zero_sum_reference(pts, mults, v, S_o, subdivisor)
         if ring:
-            rhs = integrate(restrict(mu_M, enlarged, complement=True), v, seed=seed)
+            rhs = integrate(restrict(mu_M, enlarged, complement=True), v)
             ring_minus = restrict(restrict(mu_minus, enlarged), S_o, complement=True)
-            rhs += -integrate(ring_minus, v, seed=seed)
+            rhs += -integrate(ring_minus, v)
         else:
-            rhs = integrate(restrict(mu_M, S_o, complement=True), v, seed=seed)
+            rhs = integrate(restrict(mu_M, S_o, complement=True), v)
         rows.append((mname, lhs, rhs, lhs - rhs))
     return rows
 
@@ -347,8 +347,8 @@ def test_variant_rows_match_per_member_reference(zero_families, zero_set, seed):
         for tag, ring, sub in (("sbh+0o", True, None), ("sbh+0", False, None),
                                ("sbh00+", False, SUBDIVISORS["zero-or-half"])):
             family = zero_families[tag, seed]
-            got = _variant("v", f, majorant, CORE, 0.03, family, sub, seed, ring=ring)
-            want = _variant_rows_reference(f, majorant, CORE, 0.03, family, sub, seed, ring)
+            got = _variant("v", f, majorant, CORE, 0.03, family, sub, ring=ring)
+            want = _variant_rows_reference(f, majorant, CORE, 0.03, family, sub, ring)
             assert len(got.rows) == len(want)
             for row, (name, lhs, rhs, margin) in zip(got.rows, want):
                 assert row.member == name
