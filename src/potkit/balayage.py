@@ -148,12 +148,18 @@ def check_affine(theta: Measure, mu: Measure, family: TestFamily, S_o: Ball,
     """Affine balayage outside S_o: report C = max member margin of the restricted
     integrals and probe the family's orbits for divergence.
 
-    Passes when every margin is finite (C exists for the sampled family) and
-    no orbit shows non-decaying growth; the reported C is the empirical
-    constant for this family only.
+    Fails on a +inf margin (no C exists for the sampled family), on an
+    indeterminate row, or on an orbit with non-decaying growth; finite and
+    -inf margins pass.  C is nan when no margin is finite, and the reported
+    C is the empirical constant for this family only.
     """
-    theta_out = restrict(theta, S_o, complement=True)
-    mu_out = restrict(mu, S_o, complement=True)
+    return _affine(restrict(theta, S_o, complement=True),
+                   restrict(mu, S_o, complement=True), family, tol_scale)
+
+
+def _affine(theta_out: Measure, mu_out: Measure, family: TestFamily,
+            tol_scale: float) -> Verdict:
+    """check_affine of charges already restricted off S_o."""
     rows, indeterminate = _evaluate_rows(theta_out, mu_out, family, tol_scale, False)
     finite_margins = [r.margin for r in rows if math.isfinite(r.margin)]
     constant = max(finite_margins) if finite_margins else math.nan

@@ -116,7 +116,7 @@ def _build_field(spec: dict, where: str) -> ScalarField:
     raise SchemaError(f"unknown field kind {spec['kind']!r}", where)
 
 
-def _build_family(spec: dict, where: str):
+def _build_family(spec: dict, where: str, seed: int):
     _require(isinstance(spec, dict) and "kind" in spec, "family needs a kind", where)
     if spec["kind"] == "harmonic-kernels":
         S = _build_domain(spec.get("S"), where + ".S")
@@ -142,7 +142,8 @@ def _build_family(spec: dict, where: str):
         _require(3 * r < gap, f"3r must be < dist(S_o, boundary of D) = {gap!r}, got {r!r}",
                  where + ".r")
         return bal.build_test_family(tag, S_o, r, b_minus, b_plus, D,
-                                     _count(spec.get("count", 16), 1, where + ".count"))
+                                     _count(spec.get("count", 16), 1, where + ".count"),
+                                     seed=seed)
     raise SchemaError(f"unknown family kind {spec['kind']!r}", where)
 
 
@@ -169,7 +170,7 @@ def _run_check(spec: dict, ctx: dict, seed: int, tol_scale: float, index: int):
     if ctype == "check-linear":
         theta = _named(_build_measure, ctx["measures"], spec, "theta", where)
         mu = _named(_build_measure, ctx["measures"], spec, "mu", where)
-        family = _build_family(ctx["family"], where + ".family")
+        family = _build_family(ctx["family"], where + ".family", seed)
         verdict = bal.check_linear(theta, mu, family, tol_scale=1e-7 * tol_scale)
         return {"type": ctype, "pass": verdict.passed == (expect == "pass"),
                 "raw_pass": verdict.passed,

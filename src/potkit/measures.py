@@ -27,7 +27,8 @@ A cloud stands for its rows, each the atom component it would be alone: it
 writes one ``atom`` JSON entry per row, and every running sum folds it in
 row order with ``np.add.accumulate``, so results do not depend on how atoms
 are grouped.  Clouds arise only where atoms come from one array: the clip
-of a layer and ``zeros.counting_measure``.
+of a layer and the zeros of ``zeros`` (``counting_measure`` and the
+criteria variants).
 
 Atoms discretize to themselves and grid densities to their charged cell
 centers, for every use.  Layers use quadrature nodes whose counts depend on

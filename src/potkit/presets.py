@@ -551,7 +551,8 @@ def preset_zeros_polynomial(seed: int, tol_scale: float):
     f = zeros.HoloFunction.polynomial([1, 0, -0.25])
     M = zeros.GrowthMajorant.constant(math.log(5.0 / 4.0))
     b_plus = 1.0
-    rep = zeros.check_thm_hol(f, M, S_o, 0.03, -1.0, b_plus, seed=seed)
+    rep = zeros.check_thm_hol(f, M, S_o, 0.03, -1.0, b_plus, seed=seed,
+                              tol_scale=1e-7 * tol_scale)
     c3 = rep.data["variants"]["ZIII"].data["C"]
     checks.append(Verdict("polynomial [ZI]/[ZII]/[ZIII] pass with C <= 2 b_plus",
                           rep.passed and c3 <= 2.0 * b_plus + 1e-9,
@@ -560,7 +561,8 @@ def preset_zeros_polynomial(seed: int, tol_scale: float):
     checks.append(Verdict("implication bound C2 <= C1 + max(b+,-b-)|mu_M|(ring)",
                           impl["ok"], data=impl))
 
-    crit = zeros.check_criterium3_forward(f, M, S_o, 0.03, -1.0, b_plus, seed=seed)
+    crit = zeros.check_criterium3_forward(f, M, S_o, 0.03, -1.0, b_plus, seed=seed,
+                                          tol_scale=1e-7 * tol_scale)
     checks.append(Verdict("criterium forward stages z2/z3/z4 pass", crit.passed,
                           data=crit.data["variants"]))
 
@@ -576,7 +578,8 @@ def preset_zeros_blaschke(seed: int, tol_scale: float):
     zs = [1 - 2.0 ** (-k) for k in range(1, 11)]
     f = zeros.HoloFunction.blaschke(zs)
     M = zeros.GrowthMajorant.constant(0.0)
-    rep = zeros.check_thm_hol(f, M, S_o, 0.03, -1.0, 3.5, seed=seed)
+    rep = zeros.check_thm_hol(f, M, S_o, 0.03, -1.0, 3.5, seed=seed,
+                              tol_scale=1e-7 * tol_scale)
     checks.append(Verdict("blaschke [ZI]/[ZII]/[ZIII] finite and passing", rep.passed,
                           data=rep.data["variants"]))
 
@@ -589,7 +592,8 @@ def preset_zeros_blaschke(seed: int, tol_scale: float):
                           abs(direct - oracle) <= 0.01 * oracle + 10 * c,
                           data={"direct": direct, "oracle": oracle}))
 
-    crit = zeros.check_criterium3_forward(f, M, S_o, 0.03, -1.0, 3.5, seed=seed)
+    crit = zeros.check_criterium3_forward(f, M, S_o, 0.03, -1.0, 3.5, seed=seed,
+                                          tol_scale=1e-7 * tol_scale)
     checks.append(Verdict("criterium forward stages pass", crit.passed,
                           data={"blaschke_sum": f.blaschke_sum}))
     return checks, {}
@@ -601,7 +605,8 @@ def preset_zeros_adversarial(seed: int, tol_scale: float):
     zs = [1 - 1.0 / k for k in range(2, 201)]
     f = zeros.HoloFunction.blaschke(zs)
     M = zeros.GrowthMajorant.constant(0.0)
-    rep = zeros.check_thm_hol(f, M, S_o, 0.03, -1.0, 3.5, seed=seed)
+    rep = zeros.check_thm_hol(f, M, S_o, 0.03, -1.0, 3.5, seed=seed,
+                              tol_scale=1e-7 * tol_scale)
     variants = rep.data["variants"]
     flagged = any(v.data["diverging"] for v in variants.values()) and not rep.passed
     checks.append(Verdict("divergent zero set flagged (expected)", flagged,

@@ -203,6 +203,26 @@ def test_scenario_test_class_family(tmp_path):
     assert run_cli(["run", str(path)]) == 0
 
 
+def test_run_seed_reaches_test_class_members(tmp_path):
+    # sbh00's Lyons members dig their wells where the seed puts them: at seed 1
+    # one sits at about (0.37, 0.38), where theta is, and at seed 0 none does
+    scenario = dict(CLASS, measures={"theta": {"kind": "dirac", "point": [0.3715, 0.3797]},
+                                     "mu": {"kind": "dirac", "point": [0.0, 0.2]}})
+    scenario["family"] = dict(CLASS["family"], tag="sbh00")
+    path = tmp_path / "wells.json"
+    path.write_text(json.dumps(scenario))
+    margins = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"out{seed}"
+        assert run_cli(["run", str(path), "--seed", seed, "--out", str(out)]) in (0, 1)
+        margins.append((out / "margins.csv").read_text())
+    assert margins[0] != margins[1]
+    lyons = [[line for line in m.splitlines() if "lyons" in line] for m in margins]
+    assert len(lyons[0]) == 2 and lyons[0] != lyons[1]
+    # lhs of lyons[0]: theta is in a well (negative) at seed 1 only
+    assert float(lyons[1][0].split(",")[2]) < 0 < float(lyons[0][0].split(",")[2])
+
+
 def _family_scenario(family):
     return {
         "schema": 1,

@@ -294,6 +294,21 @@ def test_point_stack_norms_go_through_row_norm():
     assert found == []
 
 
+# Every running sum adds atoms in one order, measures._fold's left-to-right
+# np.add.accumulate, so a cloud gives what its atoms give one by one.  A module
+# that folds for itself would hold a second copy of that order.
+def test_one_module_knows_the_atom_fold_order():
+    """No module but potkit/measures.py names `_fold`, in potkit, tests or perfbench."""
+    found = set()
+    for p in sorted(f for tree in TREES for f in tree.rglob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", None), getattr(node, "attr", None)])
+            if "_fold" in names:
+                found.add(p)
+    assert found == {TREES[0] / "measures.py"}
+
+
 # Atoms that come from one array form one `Atoms` cloud, so no code builds an
 # `Atom` per node.  The one exception is balayage.lyons_example_pair: each of
 # its atoms follows the ball punched around it, and integrals add components

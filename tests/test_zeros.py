@@ -220,11 +220,11 @@ def test_explicit_zero_set_variant():
 
 
 # ---------------------------------------------------------------------------
-# zero sums against the per-zero loop they replaced
+# variant rows against the per-zero and per-member loops they replaced
 
 
 def _zero_sum_reference(f_zeros, f_mults, v, S_o, subdivisor):
-    """The loop zeros._zero_sum replaced: one single-point call v(p) per kept zero."""
+    """The per-zero loop of the zero sums: one single-point call v(p) per kept zero."""
     total = 0.0
     for p, m in zip(f_zeros, f_mults):
         if S_o.contains(p):
@@ -233,11 +233,12 @@ def _zero_sum_reference(f_zeros, f_mults, v, S_o, subdivisor):
         if w == 0:
             continue
         total += w * float(v(np.asarray(p)))
-    return total
+    return float(total)
 
 
 def _variant_rows_reference(f, majorant, S_o, r, family, subdivisor, ring):
-    """The member loop zeros._variant replaced: restrictions rebuilt for every member."""
+    """The member loop of the variants: restrictions rebuilt for every member, and
+    the ring variant's majorant charge integrated as one charge."""
     from potkit.measures import integrate, restrict
 
     pts, mults = f.zero_points(), f.multiplicities
@@ -247,9 +248,8 @@ def _variant_rows_reference(f, majorant, S_o, r, family, subdivisor, ring):
     for mname, v in family.members:
         lhs = _zero_sum_reference(pts, mults, v, S_o, subdivisor)
         if ring:
-            rhs = integrate(restrict(mu_M, enlarged, complement=True), v)
             ring_minus = restrict(restrict(mu_minus, enlarged), S_o, complement=True)
-            rhs += -integrate(ring_minus, v)
+            rhs = integrate(restrict(mu_M, enlarged, complement=True) - ring_minus, v)
         else:
             rhs = integrate(restrict(mu_M, S_o, complement=True), v)
         rows.append((mname, lhs, rhs, lhs - rhs))
@@ -260,6 +260,14 @@ def _assert_same(got, want):
     """Equal values of the same type; nan matches nan."""
     assert type(got) is type(want)
     assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def _run_variant(f, family, subdivisor=None, majorant=None, ring=False):
+    from potkit.zeros import _variant
+
+    majorant = majorant or GrowthMajorant.constant(0.0)
+    return _variant("v", f, majorant, CORE, 0.03, family, subdivisor, ring=ring,
+                    tol_scale=1e-7)
 
 
 CORE = Ball(point(0, 0), 0.05)
@@ -279,6 +287,19 @@ SUBDIVISORS = {
 }
 
 
+def _charged_majorant():
+    """A nonzero majorant charge with a minus part, which reaches the ring term."""
+    from potkit.fields import ScalarField
+    from potkit.measures import BallUniform, Measure
+
+    c = math.log(5.0 / 4.0)
+    return GrowthMajorant(
+        ScalarField(lambda p: c + 0.5 * np.sum(p ** 2, axis=1)),
+        ScalarField(lambda p: 0.1 * np.sum(p ** 2, axis=1)),
+        Measure(2, [BallUniform(point(0, 0), 1.3, 3.38)]),
+        Measure(2, [BallUniform(point(0, 0), 1.3, 0.676)]))
+
+
 @pytest.fixture(scope="module")
 def zero_families():
     from potkit.balayage import build_test_family
@@ -291,69 +312,94 @@ def zero_families():
 @pytest.mark.parametrize("zero_set", sorted(ZERO_SETS))
 @pytest.mark.parametrize("sub", sorted(SUBDIVISORS))
 def test_zero_sum_matches_per_zero_reference(zero_families, seed, zero_set, sub):
-    from potkit.zeros import _kept_zeros, _zero_sum
-
+    # a variant's lhs is its counting measure off the core integrated as one atom
+    # cloud: the per-zero loop's value, as a float
     f, subdivisor = ZERO_SETS[zero_set](), SUBDIVISORS[sub]
     pts = f.zero_points()
-    kept, weights = _kept_zeros(pts, f.multiplicities, CORE, subdivisor)
     for tag in ("sbh+0o", "sbh+0", "sbh00+"):
-        for _, v in zero_families[tag, seed].members:
-            _assert_same(_zero_sum(kept, weights, v),
-                         _zero_sum_reference(pts, f.multiplicities, v, CORE, subdivisor))
+        family = zero_families[tag, seed]
+        got = _run_variant(f, family, subdivisor, ring=tag == "sbh+0o")
+        assert len(got.rows) == len(family.members)
+        for row, (_, v) in zip(got.rows, family.members):
+            _assert_same(row.lhs, _zero_sum_reference(pts, f.multiplicities, v, CORE,
+                                                      subdivisor))
 
 
 @pytest.mark.parametrize("sub", sorted(SUBDIVISORS))
 def test_zero_sum_infinite_members_match_reference(sub):
+    from potkit.balayage import TestFamily
     from potkit.fields import ScalarField
     from potkit.green import green_ball
-    from potkit.zeros import _kept_zeros, _zero_sum
 
     f, subdivisor = ZERO_SETS["rim"](), SUBDIVISORS[sub]
     pts = f.zero_points()
-    kept, weights = _kept_zeros(pts, f.multiplicities, CORE, subdivisor)
     minus_inf = ScalarField.log_distance(pts[6])  # -inf at -0.6i
     plus_inf = green_ball(point(0, 0), 1.0, pts[5])  # +inf at 0.3 + 0.1i
     members = [minus_inf, plus_inf, minus_inf + plus_inf,
                ScalarField.log_distance(pts[7], 0.5)]  # -inf at a zero "zero-or-half" drops
-    sums = []
-    for v in members:
+    family = TestFamily("infinite", [(f"m{k}", v) for k, v in enumerate(members)])
+    got = _run_variant(f, family, subdivisor)
+    for row, v in zip(got.rows, members):
         with np.errstate(invalid="ignore"):  # -inf + inf
-            got = _zero_sum(kept, weights, v)
             want = _zero_sum_reference(pts, f.multiplicities, v, CORE, subdivisor)
-        _assert_same(got, want)
-        sums.append(got)
-    assert sums[0] == -math.inf and sums[1] == math.inf and math.isnan(sums[2])
-    assert math.isfinite(sums[3]) == (sub == "zero-or-half")
+        if math.isnan(want):  # +inf and -inf terms: an indeterminate row
+            assert math.isnan(row.lhs) and math.isnan(row.rhs) and math.isnan(row.margin)
+        else:
+            _assert_same(row.lhs, want)
+            _assert_same(row.margin, want)  # the majorant charge is empty
+    margins = [row.margin for row in got.rows]
+    assert margins[0] == -math.inf and margins[1] == math.inf and math.isnan(margins[2])
+    assert math.isfinite(margins[3]) == (sub == "zero-or-half")
+    assert not got.passed and math.isnan(got.data["margins"]["m2"])
 
 
 @pytest.mark.parametrize("zero_set", ["blaschke", "polynomial"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_variant_rows_match_per_member_reference(zero_families, zero_set, seed):
-    from potkit.zeros import _variant
-
     f = ZERO_SETS[zero_set]()
     majorants = [GrowthMajorant.constant(0.0)]
-    if zero_set == "polynomial":  # a nonzero charge with a minus part reaches the ring term
-        from potkit.fields import ScalarField
-        from potkit.measures import BallUniform, Measure
-
-        c = math.log(5.0 / 4.0)
-        majorants = [GrowthMajorant(
-            ScalarField(lambda p: c + 0.5 * np.sum(p ** 2, axis=1)),
-            ScalarField(lambda p: 0.1 * np.sum(p ** 2, axis=1)),
-            Measure(2, [BallUniform(point(0, 0), 1.3, 3.38)]),
-            Measure(2, [BallUniform(point(0, 0), 1.3, 0.676)]))]
+    if zero_set == "polynomial":
+        majorants.append(_charged_majorant())
     for majorant in majorants:
         for tag, ring, sub in (("sbh+0o", True, None), ("sbh+0", False, None),
                                ("sbh00+", False, SUBDIVISORS["zero-or-half"])):
             family = zero_families[tag, seed]
-            got = _variant("v", f, majorant, CORE, 0.03, family, sub, ring=ring)
+            got = _run_variant(f, family, sub, majorant, ring)
             want = _variant_rows_reference(f, majorant, CORE, 0.03, family, sub, ring)
             assert len(got.rows) == len(want)
             for row, (name, lhs, rhs, margin) in zip(got.rows, want):
                 assert row.member == name
                 for a, b in ((row.lhs, lhs), (row.rhs, rhs), (row.margin, margin)):
                     _assert_same(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("zero_set", sorted(ZERO_SETS))
+@pytest.mark.parametrize("sub", sorted(SUBDIVISORS))
+def test_plain_variants_are_check_affine_off_the_core(zero_families, seed, zero_set, sub):
+    # without the ring a variant is check_affine of the whole weighted zero cloud
+    from potkit.balayage import check_affine
+    from potkit.measures import Measure, _atoms
+
+    f, subdivisor = ZERO_SETS[zero_set](), SUBDIVISORS[sub]
+    pts, weights = f.zero_points(), f.multiplicities.astype(float)
+    if subdivisor is not None:
+        weights = [subdivisor(p, m) for p, m in zip(pts, weights)]
+    theta = Measure(2, _atoms(pts, weights))
+    for majorant in (GrowthMajorant.constant(0.0), _charged_majorant()):
+        for tag in ("sbh+0", "sbh00+"):
+            family = zero_families[tag, seed]
+            got = _run_variant(f, family, subdivisor, majorant)
+            want = check_affine(theta, majorant.charge(), family, CORE)
+            assert got.passed == want.passed and len(got.rows) == len(want.rows)
+            for row, ref in zip(got.rows, want.rows):
+                assert (row.member, row.passed) == (ref.member, ref.passed)
+                for a, b in zip(row[1:4] + row[5:], ref[1:4] + ref[5:]):
+                    _assert_same(a, b)
+            for key, ref_key in (("C", "C"), ("diverging", "diverging_orbits"),
+                                 ("margins", "margins")):
+                assert got.data[key] == want.data[ref_key] or (
+                    key == "C" and math.isnan(got.data[key]) and math.isnan(want.data[key]))
 
 
 # (GreenModel._evaluate calls, single-point ScalarField.__call__ calls) per zeros preset
