@@ -158,8 +158,10 @@ def check_affine(theta: Measure, mu: Measure, family: TestFamily, S_o: Ball,
 
 
 def _affine(theta_out: Measure, mu_out: Measure, family: TestFamily,
-            tol_scale: float) -> Verdict:
-    """check_affine of charges already restricted off S_o."""
+            tol_scale: float = 1e-7) -> Verdict:
+    """check_affine of charges already restricted off S_o.  Restricting a layer
+    charge again regroups its shells, which moves the last bits of its integrals,
+    so a caller that builds its charge off S_o (``zeros._variant``) starts here."""
     rows, indeterminate = _evaluate_rows(theta_out, mu_out, family, tol_scale, False)
     finite_margins = [r.margin for r in rows if math.isfinite(r.margin)]
     constant = max(finite_margins) if finite_margins else math.nan

@@ -561,8 +561,7 @@ def preset_zeros_polynomial(seed: int, tol_scale: float):
     checks.append(Verdict("implication bound C2 <= C1 + max(b+,-b-)|mu_M|(ring)",
                           impl["ok"], data=impl))
 
-    crit = zeros.check_criterium3_forward(f, M, S_o, 0.03, -1.0, b_plus, seed=seed,
-                                          tol_scale=1e-7 * tol_scale)
+    crit = zeros.check_criterium3_forward(f, M, S_o, 0.03, -1.0, b_plus, seed=seed)
     checks.append(Verdict("criterium forward stages z2/z3/z4 pass", crit.passed,
                           data=crit.data["variants"]))
 
@@ -592,8 +591,7 @@ def preset_zeros_blaschke(seed: int, tol_scale: float):
                           abs(direct - oracle) <= 0.01 * oracle + 10 * c,
                           data={"direct": direct, "oracle": oracle}))
 
-    crit = zeros.check_criterium3_forward(f, M, S_o, 0.03, -1.0, 3.5, seed=seed,
-                                          tol_scale=1e-7 * tol_scale)
+    crit = zeros.check_criterium3_forward(f, M, S_o, 0.03, -1.0, 3.5, seed=seed)
     checks.append(Verdict("criterium forward stages pass", crit.passed,
                           data={"blaschke_sum": f.blaschke_sum}))
     return checks, {}

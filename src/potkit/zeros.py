@@ -261,7 +261,7 @@ def poincare_lelong_check(f: HoloFunction, grid: GridDomain, window: int = 2,
 
 
 def _variant(name: str, f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
-             family: TestFamily, subdivisor=None, *, ring: bool, tol_scale: float) -> Verdict:
+             family: TestFamily, subdivisor=None, *, ring: bool) -> Verdict:
     """One inequality variant: the affine balayage (``balayage._affine``) of the
     zeros off S_o, each weighted by its multiplicity m or by ``subdivisor(p, m)``,
     onto the majorant charge off S_o.
@@ -281,14 +281,14 @@ def _variant(name: str, f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r:
         mu_out = restrict(majorant.charge(), enlarged, complement=True) - ring_minus
     else:
         mu_out = restrict(majorant.charge(), S_o, complement=True)
-    v = _affine(theta, mu_out, family, tol_scale)
+    v = _affine(theta, mu_out, family)
     return Verdict(name, v.passed, v.rows, {"variant": name, "C": v.data["C"],
                    "diverging": v.data["diverging_orbits"], "margins": v.data["margins"]})
 
 
 def _run_variants(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
                   b_minus: float, b_plus: float, plan, family: TestFamily | None,
-                  seed: int, tol_scale: float) -> dict:
+                  seed: int) -> dict:
     """Check the majorant, then per (variant, class tag, ring, subdivisor) row of
     `plan` build its test family (or take `family`) and run the variant."""
     witness = majorant.check_dominates(f, seed=seed)
@@ -297,8 +297,7 @@ def _run_variants(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float
     variants = {}
     for name, tag, ring, subdivisor in plan:
         fam = family or build_test_family(tag, S_o, r, b_minus, b_plus, f.domain, seed=seed)
-        variants[name] = _variant(name, f, majorant, S_o, r, fam, subdivisor, ring=ring,
-                                  tol_scale=tol_scale)
+        variants[name] = _variant(name, f, majorant, S_o, r, fam, subdivisor, ring=ring)
     return variants
 
 
@@ -313,13 +312,13 @@ def check_thm_hol(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float
     complement; [ZIII] does the same for a positive family and an optional
     subdivisor.  ``data["variants"]`` holds the per-variant verdicts (their
     empirical constants and divergence flags), next to the internal
-    implication bound C_II <= C_I + max(b_plus, -b_minus) * |mu_M|(ring),
-    held to ten times ``tol_scale`` (relative, as in ``check_affine``).
+    implication bound C_II <= C_I + max(b_plus, -b_minus) * |mu_M|(ring).
+    ``tol_scale`` (relative, as in ``check_affine``) reaches only that bound,
+    held to ten times it: the variants' affine verdicts take no tolerance.
     """
     plan = (("ZI", "sbh+0o", True, None), ("ZII", "sbh+0", False, None),
             ("ZIII", "sbh00+", False, subdivisor))
-    variants = _run_variants(f, majorant, S_o, r, b_minus, b_plus, plan, family, seed,
-                             tol_scale)
+    variants = _run_variants(f, majorant, S_o, r, b_minus, b_plus, plan, family, seed)
 
     ring = Annulus(S_o.center, S_o.radius, S_o.radius + 3.0 * r)
     mu_plus_ring, mu_minus_ring = jordan(restrict(majorant.charge(), ring))
@@ -336,18 +335,16 @@ def check_thm_hol(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float
 
 
 def check_criterium3_forward(Z: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
-                             b_minus: float, b_plus: float, seed: int = 0,
-                             tol_scale: float = 1e-7) -> Verdict:
+                             b_minus: float, b_plus: float, seed: int = 0) -> Verdict:
     """Forward stages of the unit-disk zero-set criterium.
 
     Given the zero set of Z with |Z| <= exp M, the [z2]/[z3]/[z4]
     sampled inequality suites must all pass; their per-stage constants and
     divergence flags are reported.  (The nonconstructive converse is not
-    synthesized.)  ``tol_scale`` is relative, as in ``check_thm_hol``.
+    synthesized.)
     """
     plan = (("z2", "sbh+0o", True, None), ("z3", "sbh+0", False, None),
             ("z4", "sbh00", False, None))
-    variants = _run_variants(Z, majorant, S_o, r, b_minus, b_plus, plan, None, seed,
-                             tol_scale)
+    variants = _run_variants(Z, majorant, S_o, r, b_minus, b_plus, plan, None, seed)
     return Verdict("criterium3-forward", all(v.passed for v in variants.values()), [],
                    {"variants": variants, "blaschke_sum": Z.blaschke_sum})

@@ -91,7 +91,7 @@ def _poincare_lelong():
 
 def _variant_zi():
     f, M, S_o, r, fam = _zeros_setup()
-    v = _variant("ZI", f, M, S_o, r, fam, ring=True, tol_scale=1e-7)
+    v = _variant("ZI", f, M, S_o, r, fam, ring=True)
     assert v.name == "ZI" and len(v.rows) == len(fam.members)
     return v
 
@@ -128,25 +128,36 @@ def test_checker_returns_verdict(build):
 # rows without a tolerance, by member suffix: duality-roundtrip's "h=0.02"
 # rows hold each error to criterion 7's fixed 2 %, a contract threshold
 UNTOLERANCED = {"duality-roundtrip": "h=0.02"}
-# presets that return no rows: green-ball's checks and classical-pj's identity
-# are verdicts without margin rows
+# presets whose checks hold no rows: green-ball's checks and classical-pj's
+# identity are verdicts without margin rows, and the zeros presets' rows sit in
+# their variant verdicts, which an affine verdict decides with no tolerance
+# (+inf margins, indeterminate rows, diverging orbits)
 ROWLESS = ("green-ball", "classical-pj")
-
-
-def _preset_rows(preset, tol_scale):
-    """The rows of every check of a preset and of the variant verdicts in its data."""
-    checks, _ = run_preset(preset, 0, tol_scale)
-    return [row for c in checks
-            for rec in (c, *(v for v in c.data.values() if isinstance(v, Verdict)))
-            for row in rec.rows]
+ZEROS = ("zeros-adversarial", "zeros-blaschke", "zeros-polynomial")
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_preset_tolerances_follow_tol_scale(preset):
+def test_preset_tolerances_follow_tol_scale(preset, monkeypatch):
+    from potkit import zeros
+
     untoleranced = UNTOLERANCED.get(preset)
-    rows = {s: _preset_rows(preset, s) for s in (1.0, 10.0)}
+    rows, implication = {}, {}
+    for s in (1.0, 10.0):
+        # the zeros presets' one tolerance: check_thm_hol's ZI -> ZII implication bound
+        seen = implication[s] = []
+
+        def spy(lhs, rhs, tol_scale, seen=seen, pair_tol=zeros.pair_tol):
+            seen.append(tol_scale)
+            return pair_tol(lhs, rhs, tol_scale)
+
+        monkeypatch.setattr(zeros, "pair_tol", spy)
+        checks, _ = run_preset(preset, 0, s)
+        monkeypatch.undo()
+        rows[s] = [row for c in checks for row in c.rows]
     assert len(rows[1.0]) == len(rows[10.0])
-    assert bool(rows[1.0]) == (preset not in ROWLESS)
+    assert bool(rows[1.0]) == (preset not in ROWLESS + ZEROS)
+    assert implication[1.0] == ([1e-6] if preset in ZEROS else [])
+    assert implication[10.0] == [pytest.approx(1e-5, rel=1e-12)] * len(implication[1.0])
     for a, b in zip(rows[1.0], rows[10.0]):
         assert a.member == b.member
         if untoleranced and a.member.endswith(untoleranced):

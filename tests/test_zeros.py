@@ -266,8 +266,7 @@ def _run_variant(f, family, subdivisor=None, majorant=None, ring=False):
     from potkit.zeros import _variant
 
     majorant = majorant or GrowthMajorant.constant(0.0)
-    return _variant("v", f, majorant, CORE, 0.03, family, subdivisor, ring=ring,
-                    tol_scale=1e-7)
+    return _variant("v", f, majorant, CORE, 0.03, family, subdivisor, ring=ring)
 
 
 CORE = Ball(point(0, 0), 0.05)
