@@ -2,7 +2,7 @@
 
 Finite families stand in for the uncountable classes, so every verdict is a
 sampled verdict (a necessary-condition check) and is labeled as such in
-reports.  Margins are integral differences; inequality comparisons use the
+reports.  Margins are integral differences; linear comparisons use the
 scale-free tolerance tol = tol_scale * (1 + |lhs| + |rhs|).
 
 Divergence (an infinite affine constant) is probed through member "orbits":
@@ -21,7 +21,7 @@ from . import quadrature
 from .fields import ScalarField, sphere_averages
 from .geometry import Ball, _distance
 from .measures import (Atom, BallUniform, IndeterminateIntegral, Measure,
-                       SphereUniform, integrate_many, restrict)
+                       SphereUniform, integrate_many)
 from .verdict import Row, Verdict
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 DIVERGENCE_FLOOR = 1e-6  # orbit margins and increments up to this count as decayed
-MAX_CLOSURE_HEAD = 8  # max_closure pairs up this many leading members
 JENSEN_RING = 16  # kernels on each ring of standard_jensen_family
 LYONS_DEFECTS = 4  # wells of each Lyons member of build_test_family
 VALIDATE_TOL = 1e-7  # relative slack of its class-constraint re-validation
@@ -61,20 +60,6 @@ class TestFamily:
     symmetric: bool = False  # H = -H: balayage margins become equalities
     orbits: dict = field(default_factory=dict)  # orbit name -> ordered member indices
 
-    def max_closure(self) -> "TestFamily":
-        """Family extended by pairwise maxima of its first MAX_CLOSURE_HEAD members."""
-        extra = []
-        head = self.members[:MAX_CLOSURE_HEAD]
-        for i, (ni, fi) in enumerate(head):
-            for nj, fj in head[i + 1:]:
-                extra.append((f"max({ni},{nj})", fi.maximum(fj)))
-        return TestFamily(self.tag + "+max", list(self.members) + extra, self.S_o, self.r,
-                          self.b_minus, self.b_plus, self.symmetric, dict(self.orbits))
-
-    def pointwise_sup(self, pts: np.ndarray) -> np.ndarray:
-        vals = np.stack([f.evaluate_array(pts) for _, f in self.members])
-        return np.max(vals, axis=0)
-
 
 class FamilyError(ValueError):
     """A member could not be evaluated; carries the member id."""
@@ -95,25 +80,22 @@ def _margin(lhs: float, rhs: float) -> float:
     return lhs - rhs
 
 
-def _evaluate_rows(theta: Measure, mu: Measure, family: TestFamily, tol_scale: float,
-                   symmetric: bool):
+def _evaluate_rows(theta: Measure, mu: Measure, family: TestFamily):
+    """(member, lhs, rhs, margin) in member order, and the members whose integral is
+    indeterminate (nan lhs, rhs and margin); any other failure raises FamilyError."""
     fields = [h for _, h in family.members]
     pairs = zip(integrate_many(theta, fields), integrate_many(mu, fields))
-    rows, indeterminate = [], []
+    values, indeterminate = [], []
     for (name, _), (lhs, rhs) in zip(family.members, pairs):
         # member order, lhs before rhs: the first failure decides the row
         failure = next((v for v in (lhs, rhs) if isinstance(v, Exception)), None)
         if isinstance(failure, IndeterminateIntegral):
             indeterminate.append(name)
-            rows.append(Row(name, math.nan, math.nan, math.nan, False))
-            continue
-        if failure is not None:
+            lhs = rhs = math.nan
+        elif failure is not None:
             raise FamilyError(name, failure) from failure
-        tol = pair_tol(lhs, rhs, tol_scale)
-        m = _margin(lhs, rhs)
-        ok = abs(m) <= tol if symmetric else m <= tol
-        rows.append(Row(name, lhs, rhs, m, bool(ok), tol))
-    return rows, indeterminate
+        values.append((name, lhs, rhs, _margin(lhs, rhs)))
+    return values, indeterminate
 
 
 def _verdict(relation: str, passed: bool, rows: list, witness: str | None,
@@ -133,7 +115,12 @@ def check_linear(theta: Measure, mu: Measure, family: TestFamily,
 
     Symmetric families (H = -H) are held to equality within tolerance.
     """
-    rows, indeterminate = _evaluate_rows(theta, mu, family, tol_scale, family.symmetric)
+    values, indeterminate = _evaluate_rows(theta, mu, family)
+    rows = []
+    for name, lhs, rhs, m in values:  # an indeterminate row fails with tol 0.0
+        tol = 0.0 if math.isnan(m) else pair_tol(lhs, rhs, tol_scale)
+        ok = abs(m) <= tol if family.symmetric else m <= tol
+        rows.append(Row(name, lhs, rhs, m, bool(ok), tol))
     witness = None
     failed = [r for r in rows if not r.passed]
     if failed:
@@ -143,26 +130,18 @@ def check_linear(theta: Measure, mu: Measure, family: TestFamily,
                     indeterminate=indeterminate)
 
 
-def check_affine(theta: Measure, mu: Measure, family: TestFamily, S_o: Ball,
-                 tol_scale: float = 1e-7) -> Verdict:
-    """Affine balayage outside S_o: report C = max member margin of the restricted
-    integrals and probe the family's orbits for divergence.
+def check_affine(theta_out: Measure, mu_out: Measure, family: TestFamily) -> Verdict:
+    """Affine balayage outside S_o of charges the caller restricted off S_o
+    (``restrict(x, S_o, complement=True)``; restricting a layer again would move
+    last bits): report C = max finite member margin and probe the orbits.
 
     Fails on a +inf margin (no C exists for the sampled family), on an
-    indeterminate row, or on an orbit with non-decaying growth; finite and
-    -inf margins pass.  C is nan when no margin is finite, and the reported
-    C is the empirical constant for this family only.
+    indeterminate row, or on an orbit with non-decaying growth.  A row passes
+    when its margin is below +inf and not nan, with no tolerance (tol 0.0).  C
+    is nan when no margin is finite, and is the constant for this family only.
     """
-    return _affine(restrict(theta, S_o, complement=True),
-                   restrict(mu, S_o, complement=True), family, tol_scale)
-
-
-def _affine(theta_out: Measure, mu_out: Measure, family: TestFamily,
-            tol_scale: float = 1e-7) -> Verdict:
-    """check_affine of charges already restricted off S_o.  Restricting a layer
-    charge again regroups its shells, which moves the last bits of its integrals,
-    so a caller that builds its charge off S_o (``zeros._variant``) starts here."""
-    rows, indeterminate = _evaluate_rows(theta_out, mu_out, family, tol_scale, False)
+    values, indeterminate = _evaluate_rows(theta_out, mu_out, family)
+    rows = [Row(n, lhs, rhs, m, m < math.inf) for n, lhs, rhs, m in values]  # nan fails
     finite_margins = [r.margin for r in rows if math.isfinite(r.margin)]
     constant = max(finite_margins) if finite_margins else math.nan
     has_infinite = any(r.margin == math.inf for r in rows)

@@ -25,7 +25,7 @@ from . import balayage as bal
 from . import duality
 from .fields import ScalarField
 from .geometry import Ball
-from .measures import Atom, Measure
+from .measures import _KINDS, Atom, Measure
 from .presets import PRESETS, preset_table, run_preset
 from .verdict import jsonable
 
@@ -90,8 +90,13 @@ def _build_measure(spec: dict, where: str) -> Measure:
 
     _require(isinstance(spec, dict), "measure spec must be an object", where)
     kind = spec.get("kind", "components")
-    if kind == "components":
-        return Measure.from_json(spec)
+    if kind == "components":  # the entries Measure.to_json writes
+        entries = spec.get("components")
+        _require(isinstance(entries, list), f"must be a list of components, got {entries!r}",
+                 where + ".components")
+        return Measure(_count(spec.get("dimension"), 1, where + ".dimension"),
+                       [_build_component(e, f"{where}.components[{i}]")
+                        for i, e in enumerate(entries)])
     if kind == "dirac":
         x = _point(spec["point"], where + ".point")
         return Measure(x.size, [Atom(x, _number(spec.get("weight", 1.0), where + ".weight"))])
@@ -103,6 +108,15 @@ def _build_measure(spec: dict, where: str) -> Measure:
         gm = green.green_ball(ball.center, ball.radius, x)
         return green.harmonic_measure(gm, x)
     raise SchemaError(f"unknown measure kind {kind!r}", where)
+
+
+def _build_component(entry, where: str):
+    _require(isinstance(entry, dict) and entry.get("type") in sorted(_KINDS),
+             f"needs a type in {sorted(_KINDS)}, got {entry!r}", where)
+    try:
+        return _KINDS[entry["type"]].from_json(entry)
+    except (KeyError, TypeError, ValueError) as exc:  # a missing key or an unreadable value
+        raise SchemaError(f"cannot read the entry: {exc!r}", where) from None
 
 
 def _build_field(spec: dict, where: str) -> ScalarField:

@@ -28,7 +28,6 @@ __all__ = [
     "DomainError",
     "sphere_average",
     "sphere_averages",
-    "ball_average",
     "check_subharmonic",
     "riesz_measure",
     "glue_max",
@@ -109,12 +108,6 @@ class ScalarField:
     def __sub__(self, other) -> "ScalarField":
         return self + (-1.0) * as_field(other)
 
-    def maximum(self, other) -> "ScalarField":
-        other = as_field(other)
-        return ScalarField(lambda pts: np.maximum(self.evaluate_array(pts),
-                                                  other.evaluate_array(pts)),
-                           self.domain)
-
 
 def as_field(f) -> ScalarField:
     if isinstance(f, ScalarField):
@@ -168,17 +161,17 @@ class GridField(ScalarField):
 # averages and probes
 
 
-def _sampled_means(v: ScalarField, centers: np.ndarray, r: float, rule,
-                   what: str) -> Iterator[float]:
-    """Means of v under the unit-scale (nodes, weights) `rule` moved to each row of
-    `centers` and scaled by r, yielded in row order.
+def sphere_averages(v: ScalarField, centers, r: float, n: int | None) -> Iterator[float]:
+    """Means of v over the spheres of radius r about the rows of `centers`, in order,
+    with the `quadrature.sphere_rule` of n nodes (its default count for None).
 
-    v is evaluated once, on the nodes of every row before the first one whose
-    nodes leave v's domain; reaching that row raises DomainError.  A row
-    holding -inf has mean -inf; any other row is one dot product, so each mean
-    is bit for bit the one a call with that row alone gives.
+    v is evaluated once, on the nodes of every sphere before the first one that
+    leaves v's domain; reaching that sphere raises DomainError.  A sphere
+    holding -inf has mean -inf; any other mean is one dot product, so each mean
+    is bit for bit the one a call with that sphere alone gives.
     """
-    nodes, w = rule
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    nodes, w = quadrature.sphere_rule(centers.shape[1], n)
     (m, d), stop = nodes.shape, len(centers)
     pts, scaled = np.empty((stop, m, d)), r * nodes
     for k in range(d):  # axis by axis: the bits of centers[:, None, :] + r * nodes
@@ -191,26 +184,12 @@ def _sampled_means(v: ScalarField, centers: np.ndarray, r: float, rule,
         for row in vals:
             yield -math.inf if np.any(np.isneginf(row)) else float(np.dot(w, row))
     if stop < len(centers):
-        raise DomainError(f"{what} leaves the field's domain")
-
-
-def sphere_averages(v: ScalarField, centers, r: float, n: int | None) -> Iterator[float]:
-    """Means of v over the spheres of radius r about the rows of `centers`, in order,
-    with the `quadrature.sphere_rule` of n nodes (its default count for None)."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    return _sampled_means(v, centers, r, quadrature.sphere_rule(centers.shape[1], n),
-                          "probe sphere")
+        raise DomainError("probe sphere leaves the field's domain")
 
 
 def sphere_average(v: ScalarField, x, r: float, n: int | None = None) -> float:
     """Mean of v over the sphere of radius r about x."""
     return next(sphere_averages(v, x, r, n))
-
-
-def ball_average(v: ScalarField, x, r: float) -> float:
-    """Mean of v over the solid ball of radius r about x."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return next(_sampled_means(v, x, r, quadrature.ball_rule(x.shape[1]), "probe ball"))
 
 
 def check_subharmonic(v: ScalarField, probes, tol: float = 1e-6) -> Verdict:

@@ -229,9 +229,6 @@ class GridDomain:
     def shell(self, center) -> None:
         return None
 
-    def cell_volume(self) -> float:
-        return self.spacing ** self.dimension
-
     def centers(self) -> np.ndarray:
         """(n, d) centers of every window cell, masked or not, in C index order."""
         return self.origin[None, :] + np.indices(self.shape).reshape(self.dimension, -1).T \

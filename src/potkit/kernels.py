@@ -20,7 +20,6 @@ __all__ = [
     "k_eval_array",
     "kernel_rows",
     "tile_rows",
-    "riesz_kernel",
     "riesz_normalizer",
     "sphere_surface_area",
     "unit_ball_volume",
@@ -122,14 +121,3 @@ def kernel_rows(pts: np.ndarray, nodes: np.ndarray, q: float, out: np.ndarray) -
             if q > 0:
                 np.negative(out, out=out)
     return out
-
-
-def riesz_kernel(x, y) -> float:
-    """K_{d-2}(x, y) = k_{d-2}(|x-y|) with d = len(x); -inf on the diagonal for
-    d >= 2, 0 for d = 1."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = float(np.linalg.norm(x - y))
-    if r == 0.0:
-        return -math.inf if len(x) >= 2 else 0.0
-    return k_eval(len(x) - 2, r)

@@ -15,7 +15,7 @@ JSON, mollifier sources) are plain loops over it:
 
 * ``dimension``, ``mass()``, ``scaled(a)``, ``jordan()`` -> (positive, negative)
 * ``to_json()`` -> its entries of a measure's ``components`` list, and
-  ``from_json(entry)``; ``Measure.from_json`` picks the class by ``"type"``
+  ``from_json(entry)``; the CLI reads a measure, picking each class by ``"type"``
 * ``support_radius(center)`` (exact) and ``support_points()`` (sampled)
 * ``discretize(use)`` -> (points, weights) for a use below
 * ``restrict(S, complement)`` -> list of components
@@ -524,15 +524,6 @@ class Measure:
         """Components as JSON entries; a cloud gives one ``atom`` entry per row."""
         return {"dimension": self.dimension,
                 "components": [e for c in self.components for e in c.to_json()]}
-
-    @staticmethod
-    def from_json(data: dict) -> "Measure":
-        comps = []
-        for c in data["components"]:
-            if c["type"] not in _KINDS:
-                raise ValueError(f"unknown component type {c['type']!r}")
-            comps.append(_KINDS[c["type"]].from_json(c))
-        return Measure(int(data["dimension"]), comps)
 
     def __repr__(self):
         kinds = ", ".join(type(c).__name__ for c in self.components)

@@ -1,8 +1,6 @@
 """Potentials of charges: evaluation, difference potentials, asymptotics, bounds.
 
-A Potential is a ScalarField view of the kernel integral of a charge.
-Evaluations can also be requested in tagged form {finite, -inf, +inf,
-indeterminate} so divergence bookkeeping is visible to callers.  Atom
+A Potential is a ScalarField view of the kernel integral of a charge.  Atom
 contributions are exact and plain sphere/ball layers use Newton's closed
 forms; other layers and grid densities go through one kernel sum over their
 nodes, `_chunked_kernel_sum`.  When an evaluation point lies inside a
@@ -32,7 +30,6 @@ and the evaluation of the kept expansions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +41,6 @@ from .measures import Atom, Atoms, GridDensity, Measure, total_mass
 from .verdict import Row, Verdict
 
 __all__ = [
-    "DomValue",
     "Potential",
     "difference_potential",
     "asymptotic_check",
@@ -131,18 +127,6 @@ def _cell_mean(d: int, h: float, off: np.ndarray) -> np.ndarray:
     raise NotImplementedError("self-cell correction for d in {2, 3}")
 
 
-@dataclass(frozen=True)
-class DomValue:
-    """Tagged extended-real evaluation result."""
-
-    tag: str  # 'finite' | '-inf' | '+inf' | 'indeterminate'
-    value: float
-
-    @property
-    def finite(self) -> bool:
-        return self.tag == "finite"
-
-
 class Potential(ScalarField):
     """Kernel potential of a compactly supported charge under K_{d-2}, d its dimension."""
 
@@ -223,17 +207,6 @@ class Potential(ScalarField):
         out[rows[near]] += cell_mass[near] * (_cell_mean(d, h, off[near])
                                               - k_eval_array(q, r[near]))
         return out
-
-    def evaluate_tagged(self, y) -> DomValue:
-        """Extended-real evaluation with explicit divergence tags."""
-        val = self(np.asarray(y, dtype=float))
-        if math.isnan(val):
-            return DomValue("indeterminate", math.nan)
-        if val == math.inf:
-            return DomValue("+inf", val)
-        if val == -math.inf:
-            return DomValue("-inf", val)
-        return DomValue("finite", val)
 
     def total_mass(self) -> float:
         return total_mass(self.charge)

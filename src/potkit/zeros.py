@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quadrature
-from .balayage import TestFamily, _affine, build_test_family, pair_tol
+from .balayage import TestFamily, build_test_family, check_affine, pair_tol
 from .fields import ScalarField, riesz_measure
 from .geometry import Annulus, Ball, GridDomain
 from .measures import Measure, _atoms, jordan, restrict, total_mass
@@ -50,7 +50,8 @@ class HoloFunction:
 
     Variants: 'polynomial' (companion-matrix roots, derivative-test
     multiplicities), 'blaschke' (truncated product, zeros given), and
-    'explicit' (indexed zeros plus an evaluable |f|).
+    'explicit': ``HoloFunction("explicit", domain, zeros, multiplicities, abs_f)``
+    with indexed zeros and an evaluable |f|.
     """
 
     def __init__(self, kind: str, domain: Ball, zeros: np.ndarray,
@@ -96,12 +97,6 @@ class HoloFunction:
 
         return HoloFunction("blaschke", Ball(np.zeros(2), 1.0), uniq, mults, abs_f,
                             blaschke_sum=bsum)
-
-    @staticmethod
-    def explicit(zeros, multiplicities, abs_f, domain: Ball) -> "HoloFunction":
-        zeros = np.asarray(zeros, dtype=complex)
-        return HoloFunction("explicit", domain, zeros,
-                            np.asarray(multiplicities, dtype=int), abs_f)
 
     # -- evaluation -------------------------------------------------------
 
@@ -262,13 +257,14 @@ def poincare_lelong_check(f: HoloFunction, grid: GridDomain, window: int = 2,
 
 def _variant(name: str, f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
              family: TestFamily, subdivisor=None, *, ring: bool) -> Verdict:
-    """One inequality variant: the affine balayage (``balayage._affine``) of the
+    """One inequality variant: the affine balayage (``balayage.check_affine``) of the
     zeros off S_o, each weighted by its multiplicity m or by ``subdivisor(p, m)``,
     onto the majorant charge off S_o.
 
     With ``ring`` the majorant charge is taken off the 3r-enlarged core, less
     its minus part on the ring between, as one charge.  ``data`` holds the
-    affine constant C, the diverging orbits and the margins.
+    affine constant C, the diverging orbits, the margins, and what failed the
+    variant: its indeterminate members and the witness of a +inf margin.
     """
     theta = restrict(Measure(2, _atoms(f.zero_points(), f.multiplicities)), S_o,
                      complement=True)
@@ -281,9 +277,14 @@ def _variant(name: str, f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r:
         mu_out = restrict(majorant.charge(), enlarged, complement=True) - ring_minus
     else:
         mu_out = restrict(majorant.charge(), S_o, complement=True)
-    v = _affine(theta, mu_out, family)
-    return Verdict(name, v.passed, v.rows, {"variant": name, "C": v.data["C"],
-                   "diverging": v.data["diverging_orbits"], "margins": v.data["margins"]})
+    v = check_affine(theta, mu_out, family)
+    data = {"variant": name, "C": v.data["C"], "diverging": v.data["diverging_orbits"],
+            "margins": v.data["margins"]}
+    if v.data["indeterminate"]:
+        data["indeterminate"] = v.data["indeterminate"]
+    if v.worst_margin == math.inf:  # check_affine names the first +inf member
+        data["witness"] = v.data["witness"]
+    return Verdict(name, v.passed, v.rows, data)
 
 
 def _run_variants(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
@@ -313,7 +314,7 @@ def check_thm_hol(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float
     subdivisor.  ``data["variants"]`` holds the per-variant verdicts (their
     empirical constants and divergence flags), next to the internal
     implication bound C_II <= C_I + max(b_plus, -b_minus) * |mu_M|(ring).
-    ``tol_scale`` (relative, as in ``check_affine``) reaches only that bound,
+    ``tol_scale`` (relative, as in ``check_linear``) reaches only that bound,
     held to ten times it: the variants' affine verdicts take no tolerance.
     """
     plan = (("ZI", "sbh+0o", True, None), ("ZII", "sbh+0", False, None),

@@ -132,7 +132,7 @@ def test_criterion_8_riesz_recovery_and_poincare_lelong():
     grid = GridDomain(point(-1, -1), 0.02, np.ones((101, 101), bool))
     sq = ScalarField(lambda p: np.sum(p ** 2, axis=1))
     rec = riesz_measure(GridField.sample(sq, grid))
-    dens = np.asarray(rec.components[0].values) / grid.cell_volume()
+    dens = np.asarray(rec.components[0].values) / grid.spacing ** grid.dimension
     live = dens != 0
     ok = np.max(np.abs(dens[live] - 2.0 / math.pi)) <= 1e-8
 

@@ -10,11 +10,17 @@ from potkit.balayage import (TestFamily, build_test_family, check_affine, check_
 from potkit.fields import ScalarField, check_subharmonic, random_probes
 from potkit.geometry import Annulus, Ball, point
 from potkit.measures import (Atom, BallUniform, Measure, Mollifier,
-                             convolve_balayage, total_mass)
+                             convolve_balayage, restrict, total_mass)
 
 
 def delta(x=(0.0, 0.0), w=1.0):
     return Measure(len(x), [Atom(np.asarray(x, float), w)])
+
+
+def _affine_off(theta, mu, fam, S_o):
+    """check_affine of theta and mu restricted off S_o."""
+    return check_affine(restrict(theta, S_o, complement=True),
+                        restrict(mu, S_o, complement=True), fam)
 
 
 def _om_disk(x=(0.0, 0.0), R=1.0):
@@ -112,7 +118,7 @@ def test_check_affine_submeasure():
     half = om.scaled(0.5)
     fam = build_test_family("sbh00+", Ball(point(0, 0), 0.1), 0.05, -1.0, 1.0,
                             Ball(point(0, 0), 1.0), count=8)
-    verdict = check_affine(half, om, fam, Ball(point(0, 0), 0.1))
+    verdict = _affine_off(half, om, fam, Ball(point(0, 0), 0.1))
     assert verdict.passed
     assert verdict.data["C"] <= 1e-9  # positive family, sub-measure: C <= 0
 
@@ -126,7 +132,7 @@ def test_check_affine_criterium_instance():
     fam = build_test_family("sbh00+", S_o, 0.03, -1.0, b_plus, D, count=10)
     upsilon = delta((0.5, 0.0)) + delta((-0.5, 0.0))  # Riesz atoms of ln|f|
     mu_M = Measure(2, [])
-    verdict = check_affine(upsilon, mu_M, fam, S_o)
+    verdict = _affine_off(upsilon, mu_M, fam, S_o)
     assert verdict.passed
     assert verdict.data["C"] <= 2.0 * b_plus + 1e-9
 
@@ -141,7 +147,7 @@ def test_check_affine_divergence_flag():
     members = [(f"t={t}", ScalarField(lambda p, t=t: t * base.evaluate_array(p)))
                for t in (1.0, 2.0, 4.0, 8.0)]
     fam = TestFamily("scaled", members, orbits={"amplitude": [0, 1, 2, 3]})
-    verdict = check_affine(theta, mu, fam, S_o)
+    verdict = _affine_off(theta, mu, fam, S_o)
     assert not verdict.passed
     assert verdict.data["diverging_orbits"] == ["amplitude"]
 
@@ -221,7 +227,7 @@ def test_check_affine_indeterminate_verdict():
             return out
 
     fam = TestFamily("probe", [("patch", MinusInfPatch())])
-    verdict = check_affine(theta, mu, fam, Ball(point(-1, -1), 0.1))
+    verdict = _affine_off(theta, mu, fam, Ball(point(-1, -1), 0.1))
     assert not verdict.passed
     assert verdict.data["indeterminate"] == ["patch"]
 
@@ -265,15 +271,6 @@ def test_family_members_subharmonic_probes():
     probes = [(x, r) for x, r in probes if r > 0.004]
     for name, f in fam.members:
         assert check_subharmonic(f, probes, tol=1e-6).passed, name
-
-
-def test_upward_closure_idempotent_at_probes():
-    D = Ball(point(0, 0), 1.0)
-    fam = build_test_family("sbh00+", Ball(point(0, 0), 0.1), 0.05, -1.0, 1.0, D, count=6)
-    closed = fam.max_closure()
-    rng = np.random.default_rng(8)
-    pts = rng.uniform(-0.9, 0.9, size=(200, 2))
-    assert np.array_equal(fam.pointwise_sup(pts), closed.pointwise_sup(pts))
 
 
 def test_prop84_limit_structure():

@@ -405,6 +405,9 @@ PJ = {"schema": 1, "name": "pj",
       "checks": [{"type": "poisson-jensen", "theta": "theta", "mu": "mu",
                   "u": "u", "riesz_u": "riesz"}]}
 PJ_CONSTANT = dict(PJ, fields={"u": {"kind": "constant", "value": 1.0}})
+# mu as Measure.to_json writes it: a measure with no kind lists its components
+COMPONENTS = dict(SWEEP, measures=dict(SWEEP["measures"], mu={
+    "dimension": 2, "components": [{"type": "atom", "point": [0.5, 0.0], "weight": 1.0}]}))
 MISSING = object()  # a case value that deletes its key
 
 
@@ -435,6 +438,18 @@ MISSING = object()  # a case value that deletes its key
     (SWEEP, ("family", "S"), MISSING, "checks[0].family.S"),
     (PJ, ("fields", "u", "point"), MISSING, "checks[0].u.point"),
     (PJ_CONSTANT, ("fields", "u", "value"), MISSING, "checks[0].u.value"),
+    # a measure with no kind is a list of components
+    (PJ, ("measures", "mu", "kind"), MISSING, "checks[0].mu.components"),
+    (COMPONENTS, ("measures", "mu", "components"), "x", "checks[0].mu.components"),
+    (COMPONENTS, ("measures", "mu", "dimension"), MISSING, "checks[0].mu.dimension"),
+    (COMPONENTS, ("measures", "mu", "components", 0, "type"), "ring",
+     "checks[0].mu.components[0]"),
+    (COMPONENTS, ("measures", "mu", "components", 0, "type"), [],
+     "checks[0].mu.components[0]"),
+    (COMPONENTS, ("measures", "mu", "components", 0, "weight"), MISSING,
+     "checks[0].mu.components[0]"),
+    (COMPONENTS, ("measures", "mu", "components", 0, "weight"), "x",
+     "checks[0].mu.components[0]"),
 ])
 def test_malformed_value_is_a_schema_error_at_its_path(tmp_path, capsys, base, keys, value,
                                                        where):
@@ -452,3 +467,15 @@ def test_malformed_value_is_a_schema_error_at_its_path(tmp_path, capsys, base, k
     err = capsys.readouterr().err
     assert f"{where}:" in err and "Traceback" not in err
     assert value is MISSING or repr(value) in err
+
+
+def test_component_measure_is_its_dirac(tmp_path):
+    # an atom entry with no measure kind builds the charge the dirac kind builds
+    codes, outs = [], []
+    for k, data in enumerate((SWEEP, COMPONENTS)):
+        path, out = tmp_path / f"s{k}.json", tmp_path / f"out{k}"
+        path.write_text(json.dumps(data))
+        codes.append(run_cli(["run", str(path), "--out", str(out)]))
+        outs.append((out / "margins.csv").read_bytes())
+    assert codes == [1, 1]  # mu is no balayage of theta
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) > 1

@@ -31,19 +31,6 @@ def test_k_eval_strictly_increasing(q, t1, t2):
     assert kernels.k_eval(q, lo) < kernels.k_eval(q, hi)
 
 
-def test_riesz_kernel_cases():
-    assert kernels.riesz_kernel((0, 0), (2, 0)) == pytest.approx(math.log(2), abs=1e-12)
-    assert kernels.riesz_kernel((1, 1, 1), (1, 1, 1)) == -math.inf
-    assert kernels.riesz_kernel((0.5,), (0.5,)) == 0.0
-
-
-def test_riesz_kernel_symmetry():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        x, y = rng.normal(size=3), rng.normal(size=3)
-        assert kernels.riesz_kernel(x, y) == kernels.riesz_kernel(y, x)
-
-
 def test_riesz_normalizer_values():
     assert kernels.riesz_normalizer(2) == pytest.approx(1 / (2 * math.pi), rel=1e-14)
     assert kernels.riesz_normalizer(3) == pytest.approx(1 / (4 * math.pi), rel=1e-14)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from potkit import balayage, fields, green, measures, quadrature
+from potkit.cli import _build_measure
 from potkit.geometry import Annulus, Ball, GridDomain, point
 from potkit.kernels import k_eval_array
 from potkit.measures import (Atom, BallUniform, GridDensity, Measure, Mollifier,
@@ -39,6 +40,19 @@ def test_integrate_circle_mean_log():
 def test_integrate_ball_mass():
     mu = Measure(2, [BallUniform(point(0, 0), 1.0, math.pi)])
     assert integrate(mu, fields.ScalarField.constant(1.0)) == pytest.approx(math.pi, rel=1e-12)
+
+
+def test_integrate_ball_polar_oracles():
+    # a unit-mass ball layer integrates a field's ball mean with the ball rule
+    def unit(d):
+        return Measure(d, [BallUniform(np.zeros(d), 1.0, 1.0)])
+
+    sq = fields.ScalarField(lambda p: np.sum(p ** 2, axis=1))
+    # int_0^1 r^2 2r dr = 1/2, int_0^1 ln(r) 2r dr = -1/2, int_0^1 r^2 3r^2 dr = 3/5
+    assert integrate(unit(2), sq) == pytest.approx(0.5, abs=1e-12)
+    assert integrate(unit(2), fields.ScalarField.log_distance(point(0, 0))) == \
+        pytest.approx(-0.5, abs=1e-6)
+    assert integrate(unit(3), sq) == pytest.approx(0.6, abs=1e-10)
 
 
 def test_integrate_plain_sphere_d3_is_exact():
@@ -216,17 +230,17 @@ def test_measure_serialization_roundtrip():
     mu = Measure(2, [Atom(point(0.5, 0), 1.5),
                      BallUniform(point(0, 0), 0.7, -0.5)] + list(om.components))
     data = json.loads(json.dumps(mu.to_json()))
-    back = Measure.from_json(data)
+    back = _build_measure(data, "mu")
     f = fields.ScalarField(lambda p: np.cos(p[:, 0]) + p[:, 1])
     assert integrate(back, f) == pytest.approx(integrate(mu, f), abs=1e-12)
     # every component kind survives the round trip exactly
     for name, c in _protocol_cases().items():
         mu = Measure(c.dimension, [c])
-        back = Measure.from_json(json.loads(json.dumps(mu.to_json())))
+        back = _build_measure(json.loads(json.dumps(mu.to_json())), "mu")
         assert back.to_json() == mu.to_json(), name
         assert integrate(back, _smooth_field()) == integrate(mu, _smooth_field()), name
-    with pytest.raises(ValueError):
-        Measure.from_json({"dimension": 2, "components": [{"type": "ring"}]})
+    with pytest.raises(ValueError):  # the CLI's SchemaError
+        _build_measure({"dimension": 2, "components": [{"type": "ring"}]}, "mu")
 
 
 @pytest.mark.parametrize("name", list(_protocol_cases()))
@@ -253,9 +267,6 @@ def test_indeterminate_integral_raises():
 
     mu = atom((0.0, 0.0), 1.0) + atom((1.0, 0.0), -1.0)
     # field is -inf at both atoms: +inf and -inf collide
-    f = fields.ScalarField.log_distance(point(0, 0)).maximum(
-        fields.ScalarField.log_distance(point(1, 0)))
-
     class Both:
         def evaluate_array(self, pts):
             out = np.zeros(len(pts))
@@ -860,7 +871,7 @@ def test_atom_splits_and_json_do_not_depend_on_grouping(grouping):
         assert json.dumps(got.to_json()["components"]) == json.dumps(entries(kept))
         assert sum(len(c.weights) for c in got.components) == len(kept)
     assert S.contains(x) != S.contains_array(x[None, :])[0]  # the row that tells them apart
-    back = Measure.from_json(json.loads(json.dumps(mu.to_json())))
+    back = _build_measure(json.loads(json.dumps(mu.to_json())), "mu")
     assert [type(c) for c in back.components] == [Atom] * len(atoms)  # never merged
 
 

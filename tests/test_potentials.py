@@ -52,14 +52,6 @@ def test_potential_ball_layer_closed_vs_quadrature():
     assert pt(y_in) == pytest.approx(quad, abs=1e-3)  # quadrature is the rough side
 
 
-def test_tagged_evaluation():
-    mu = atom((0.0, 0.0), 1.0) + atom((1.0, 0.0), -1.0)
-    pt = Potential(mu)
-    assert pt.evaluate_tagged(point(0, 0)).tag == "-inf"
-    assert pt.evaluate_tagged(point(1, 0)).tag == "+inf"
-    assert pt.evaluate_tagged(point(0.5, 0)).tag == "finite"
-
-
 def test_difference_potential_green_identity():
     # pt_{omega - delta} equals the Green function inside, 0 outside
     g = green.green_ball(point(0, 0), 1.0, point(0, 0))

@@ -18,7 +18,6 @@ TREES = (Path(potkit.__file__).parent, ROOT / "tests", ROOT / "perfbench")
 # `--tol-scale` scales and the seeded probe stream are part of the contract
 # every check shares, so these two keep them settable like their siblings
 NEVER_SET_ALLOWED = {
-    ("check_affine", "tol_scale"),
     ("lower_bound_check", "tol"),
     ("lower_bound_check", "seed"),
 }
@@ -189,6 +188,77 @@ def test_every_option_has_a_caller():
 def test_options_only_tests_set_are_listed():
     """A default only tests override is kept for a reason TEST_ONLY_ALLOWED gives."""
     assert options_set_only_by_tests() == sorted(TEST_ONLY_ALLOWED)
+
+
+# public definitions that no potkit code reaches yet: paper verdicts that only
+# tests run, each waiting for a preset check that runs it
+UNREFERENCED_ALLOWED = {
+    # acceptance criterion 2 and the lower bound for mu - delta_o
+    "potentials.asymptotic_check", "potentials.lower_bound_check",
+    # acceptance criterion 8
+    "zeros.poincare_lelong_check",
+    # the SOR layer solve
+    "fields.harmonize_layer",
+    # the paper's rule for the Riesz measure under inversion
+    "geometry.inversion", "geometry.kelvin_transform",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of every public module-level function and class and
+    every public method, static method and property of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
+def _references(tree: ast.Module):
+    """(name, ids of the enclosing definitions) of every name and attribute read.
+
+    An attribute of an imported module (np.maximum, math.inf) names no potkit
+    definition, so it is skipped.
+    """
+    modules = {a.asname or a.name.partition(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, inside | {id(child)})
+                continue
+            if isinstance(child, ast.Name):
+                yield child.id, inside
+            elif isinstance(child, ast.Attribute):
+                root = child
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if not (isinstance(root, ast.Name) and root.id in modules):
+                    yield child.attr, inside
+            yield from visit(child, inside)
+
+    return visit(tree, frozenset())
+
+
+def unreferenced_definitions():
+    """Public potkit definitions whose name no potkit code reads outside the
+    definition itself.  Names match by name only, as calls do in the option scan."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(TREES[0].glob("*.py"))}
+    refs = {}
+    for tree in trees.values():
+        for name, inside in _references(tree):
+            refs.setdefault(name, []).append(inside)
+    return sorted(f"{stem}.{qual}" for stem, tree in trees.items()
+                  for qual, node in _public_definitions(tree)
+                  if all(id(node) in inside
+                         for inside in refs.get(qual.rsplit(".", 1)[-1], ())))
+
+
+def test_every_definition_has_a_caller():
+    """A public definition that only tests reach is deleted, or listed with its reason."""
+    assert unreferenced_definitions() == sorted(UNREFERENCED_ALLOWED)
 
 
 # the only potkit definitions that take a dimension argument: each builds its

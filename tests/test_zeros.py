@@ -210,7 +210,7 @@ def test_explicit_zero_set_variant():
     def abs_f(z):
         return np.abs(z - zs[0]) * np.abs(z - zs[1]) ** 2
 
-    f = HoloFunction.explicit(zs, mults, abs_f, Ball(point(0, 0), 1.0))
+    f = HoloFunction("explicit", Ball(point(0, 0), 1.0), zs, mults, abs_f)
     assert total_mass(counting_measure(f, Ball(point(0, 0), 1.0))) == 3.0
     rep = poincare_lelong_check(f, _grid(h=0.01))
     assert rep.passed
@@ -275,9 +275,10 @@ ZERO_SETS = {
     "polynomial": lambda: HoloFunction.polynomial([1, 0, -0.25]),
     # zeros at the core center, inside it, on its rim (0.03 + 0.04i rounds either way
     # under norm) and outside it, with multiplicities up to 3
-    "rim": lambda: HoloFunction.explicit(
+    "rim": lambda: HoloFunction(
+        "explicit", DISK,
         [0.0, 0.01 + 0.02j, 0.05, -0.05j, 0.03 + 0.04j, 0.3 + 0.1j, -0.6j, -0.45 - 0.2j],
-        [1, 2, 1, 3, 1, 2, 1, 3], lambda z: np.ones(len(z)), DISK),
+        [1, 2, 1, 3, 1, 2, 1, 3], lambda z: np.ones(len(z))),
 }
 SUBDIVISORS = {
     "none": None,
@@ -350,6 +351,9 @@ def test_zero_sum_infinite_members_match_reference(sub):
     assert margins[0] == -math.inf and margins[1] == math.inf and math.isnan(margins[2])
     assert math.isfinite(margins[3]) == (sub == "zero-or-half")
     assert not got.passed and math.isnan(got.data["margins"]["m2"])
+    # the reasons: the indeterminate member, and the +inf member that failed it
+    assert got.data["indeterminate"] == ["m2"] and got.data["witness"] == "m1"
+    assert [row.passed for row in got.rows] == [True, False, False, True]
 
 
 @pytest.mark.parametrize("zero_set", ["blaschke", "polynomial"])
@@ -376,20 +380,22 @@ def test_variant_rows_match_per_member_reference(zero_families, zero_set, seed):
 @pytest.mark.parametrize("zero_set", sorted(ZERO_SETS))
 @pytest.mark.parametrize("sub", sorted(SUBDIVISORS))
 def test_plain_variants_are_check_affine_off_the_core(zero_families, seed, zero_set, sub):
-    # without the ring a variant is check_affine of the whole weighted zero cloud
+    # without the ring a variant is check_affine of the whole weighted zero cloud,
+    # both charges restricted off the core
     from potkit.balayage import check_affine
-    from potkit.measures import Measure, _atoms
+    from potkit.measures import Measure, _atoms, restrict
 
     f, subdivisor = ZERO_SETS[zero_set](), SUBDIVISORS[sub]
     pts, weights = f.zero_points(), f.multiplicities.astype(float)
     if subdivisor is not None:
         weights = [subdivisor(p, m) for p, m in zip(pts, weights)]
-    theta = Measure(2, _atoms(pts, weights))
+    theta = restrict(Measure(2, _atoms(pts, weights)), CORE, complement=True)
     for majorant in (GrowthMajorant.constant(0.0), _charged_majorant()):
         for tag in ("sbh+0", "sbh00+"):
             family = zero_families[tag, seed]
             got = _run_variant(f, family, subdivisor, majorant)
-            want = check_affine(theta, majorant.charge(), family, CORE)
+            want = check_affine(theta, restrict(majorant.charge(), CORE, complement=True),
+                                family)
             assert got.passed == want.passed and len(got.rows) == len(want.rows)
             for row, ref in zip(got.rows, want.rows):
                 assert (row.member, row.passed) == (ref.member, ref.passed)
@@ -399,6 +405,21 @@ def test_plain_variants_are_check_affine_off_the_core(zero_families, seed, zero_
                                  ("margins", "margins")):
                 assert got.data[key] == want.data[ref_key] or (
                     key == "C" and math.isnan(got.data[key]) and math.isnan(want.data[key]))
+
+
+def test_passing_variants_hold_no_failed_row():
+    # an affine row passes by the verdict's own rule, margin < +inf and not nan,
+    # with no tolerance; a passing variant names no indeterminate member or witness
+    from potkit.presets import run_preset
+    from potkit.verdict import Verdict
+
+    checks, _ = run_preset("zeros-polynomial", 0, 1.0)
+    variants = [v for c in checks for v in c.data.values() if isinstance(v, Verdict)]
+    assert [v.name for v in variants] == ["ZI", "ZII", "ZIII", "z2", "z3", "z4"]
+    assert all(v.passed for v in variants)
+    rows = [row for v in variants for row in v.rows]
+    assert len(rows) == 106 and all(row.passed and row.tol == 0.0 for row in rows)
+    assert all(v.data.keys() == {"variant", "C", "diverging", "margins"} for v in variants)
 
 
 # (GreenModel._evaluate calls, single-point ScalarField.__call__ calls) per zeros preset
