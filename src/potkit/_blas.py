@@ -1,4 +1,4 @@
-"""BLAS held to one thread, and long dot products in one fixed reduction order.
+"""BLAS held to one thread.
 
 Each OpenBLAS call that splits its work over threads wakes the BLAS worker
 threads, which then spin for a while.  On a 2-core box that doubles the
@@ -6,15 +6,8 @@ process's CPU time for no gain, and when another process takes a core the
 spinning worker competes with the caller: measured on the duality-roundtrip
 preset, a busy-looping neighbour process nearly doubled its run time with two BLAS
 threads and left it unchanged with one.  potkit's kernel sums and long dots
-therefore run inside `one_thread`.
-
-OpenBLAS's ddot splits a product of more than SPLIT_MIN terms into one
-contiguous part per thread (widths by ceiling division, first part first)
-and adds the parts' dots to 0.0 in that order, so its last bits follow the
-thread count.  `dot` fixes the split at PARTS parts, each taken on one
-thread: its bits are those of a two-thread OpenBLAS ddot whatever the thread
-count.  The kernel sums' gemv and gemm give the same bits on one thread as
-on two.
+therefore run inside `one_thread`, and their last bits do not follow the
+thread count.
 """
 
 from __future__ import annotations
@@ -28,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 SPLIT_MIN = 10_000  # OpenBLAS's ddot runs on one thread up to this many terms
-PARTS = 2
 
 
 @functools.cache  # looked up on first use: a process that never holds pays nothing
@@ -77,17 +69,10 @@ def one_thread():
 
 
 def dot(w: np.ndarray, v: np.ndarray) -> float:
-    """sum_i w_i v_i of two contiguous float vectors, as np.vdot gives it on
-    one thread up to SPLIT_MIN terms, and beyond as the sum from 0.0 of the
-    dots of PARTS consecutive parts (ceiling widths).  Like np.vdot it raises
-    no floating-point warning."""
-    n = len(w)
-    if n <= SPLIT_MIN:
+    """sum_i w_i v_i of two contiguous float vectors by np.vdot on one thread:
+    beyond SPLIT_MIN terms under `one_thread`.  Like np.vdot it raises no
+    floating-point warning."""
+    if len(w) <= SPLIT_MIN:
         return float(np.vdot(w, v))
-    s, a = 0.0, 0
     with one_thread():
-        for k in range(PARTS, 0, -1):
-            b = a + -(-(n - a) // k)
-            s += float(np.vdot(w[a:b], v[a:b]))
-            a = b
-    return s
+        return float(np.vdot(w, v))

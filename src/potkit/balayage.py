@@ -20,8 +20,8 @@ import numpy as np
 from . import quadrature
 from .fields import ScalarField, sphere_averages
 from .geometry import Ball, _distance
-from .measures import (Atom, BallUniform, IndeterminateIntegral, Measure,
-                       SphereUniform, integrate_many)
+from .measures import (BallUniform, IndeterminateIntegral, Measure, SphereUniform, _atoms,
+                       integrate_many)
 from .verdict import Row, Verdict
 
 __all__ = [
@@ -415,11 +415,7 @@ def lyons_example_pair(seed: int = 0):
     rng = quadrature.rng_for(seed, "lyons-pair")
     angles = 2.0 * math.pi * (np.arange(n_atoms) + rng.random()) / n_atoms
     pts = ring_radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    comps = [BallUniform(np.zeros(d), r, 1.0)]
-    # each atom follows the ball punched around it, not one cloud after the
-    # balls: integrals add components in order, so the grouping fixes last bits
-    for e in pts:
-        m = (rj / r) ** d
-        comps.append(BallUniform(e, rj, -m))
-        comps.append(Atom(e, m))
+    m = (rj / r) ** d
+    comps = ([BallUniform(np.zeros(d), r, 1.0)] + [BallUniform(e, rj, -m) for e in pts]
+             + _atoms(pts, np.full(n_atoms, m)))
     return theta, Measure(d, comps), pts

@@ -63,6 +63,12 @@ def _point(value, where: str) -> np.ndarray:
     return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
 
+def _like_theta(theta: Measure, got: int, where: str):
+    """A SchemaError at `where` unless `got` is the dimension of theta."""
+    _require(got == theta.dimension,
+             f"must have the dimension {theta.dimension} of theta, got {got}", where)
+
+
 def _named(build, table: dict, spec: dict, key: str, where: str):
     """build(declaration, path) of the declaration that spec[key] names in `table`."""
     where = f"{where}.{key}"
@@ -94,9 +100,13 @@ def _build_measure(spec: dict, where: str) -> Measure:
         entries = spec.get("components")
         _require(isinstance(entries, list), f"must be a list of components, got {entries!r}",
                  where + ".components")
-        return Measure(_count(spec.get("dimension"), 1, where + ".dimension"),
-                       [_build_component(e, f"{where}.components[{i}]")
-                        for i, e in enumerate(entries)])
+        dimension = _count(spec.get("dimension"), 1, where + ".dimension")
+        components = [_build_component(e, f"{where}.components[{i}]")
+                      for i, e in enumerate(entries)]
+        for i, c in enumerate(components):
+            _require(c.dimension == dimension, f"must have the dimension {dimension} of the "
+                     f"measure, got {c.dimension}", f"{where}.components[{i}]")
+        return Measure(dimension, components)
     if kind == "dirac":
         x = _point(spec["point"], where + ".point")
         return Measure(x.size, [Atom(x, _number(spec.get("weight", 1.0), where + ".weight"))])
@@ -119,21 +129,23 @@ def _build_component(entry, where: str):
         raise SchemaError(f"cannot read the entry: {exc!r}", where) from None
 
 
-def _build_field(spec: dict, where: str) -> ScalarField:
+def _build_field(spec: dict, where: str, theta: Measure) -> ScalarField:
     _require(isinstance(spec, dict) and "kind" in spec, "field needs a kind", where)
     if spec["kind"] == "log-distance":
-        return ScalarField.log_distance(_point(spec.get("point"), where + ".point"),
-                                        _number(spec.get("coefficient", 1.0),
-                                                where + ".coefficient"))
+        p = _point(spec.get("point"), where + ".point")
+        _like_theta(theta, p.size, where + ".point")
+        return ScalarField.log_distance(p, _number(spec.get("coefficient", 1.0),
+                                                   where + ".coefficient"))
     if spec["kind"] == "constant":
         return ScalarField.constant(_number(spec.get("value"), where + ".value"))
     raise SchemaError(f"unknown field kind {spec['kind']!r}", where)
 
 
-def _build_family(spec: dict, where: str, seed: int):
+def _build_family(spec: dict, where: str, seed: int, theta: Measure):
     _require(isinstance(spec, dict) and "kind" in spec, "family needs a kind", where)
     if spec["kind"] == "harmonic-kernels":
         S = _build_domain(spec.get("S"), where + ".S")
+        _like_theta(theta, S.dimension, where + ".S.center")
         # the kernels' poles lie on a ring outside clos S
         radius = _number(spec.get("ring_radius", 1.5 * S.radius), where + ".ring_radius",
                          above=S.radius)
@@ -144,6 +156,7 @@ def _build_family(spec: dict, where: str, seed: int):
         tag = spec.get("tag")
         _require(tag in bal.TEST_CLASS_TAGS, f"unknown class tag {tag!r}", where + ".tag")
         S_o = _build_domain(spec.get("S_o"), where + ".S_o")
+        _like_theta(theta, S_o.dimension, where + ".S_o.center")
         r = _number(spec.get("r"), where + ".r", above=0.0)
         b_minus = _number(spec.get("b_minus"), where + ".b_minus")
         b_plus = _number(spec.get("b_plus"), where + ".b_plus")
@@ -181,10 +194,12 @@ def _run_check(spec: dict, ctx: dict, seed: int, tol_scale: float, index: int):
                  "raw_pass": ok, "checks": rows},
                 _margins([(f"{spec['name']}::{c.name}", c) for c in checks]), exports)
 
+    # every measure, domain and field point of a check has theta's dimension
     if ctype == "check-linear":
         theta = _named(_build_measure, ctx["measures"], spec, "theta", where)
         mu = _named(_build_measure, ctx["measures"], spec, "mu", where)
-        family = _build_family(ctx["family"], where + ".family", seed)
+        _like_theta(theta, mu.dimension, where + ".mu")
+        family = _build_family(ctx["family"], where + ".family", seed, theta)
         verdict = bal.check_linear(theta, mu, family, tol_scale=1e-7 * tol_scale)
         return {"type": ctype, "pass": verdict.passed == (expect == "pass"),
                 "raw_pass": verdict.passed,
@@ -193,10 +208,12 @@ def _run_check(spec: dict, ctx: dict, seed: int, tol_scale: float, index: int):
     if ctype == "poisson-jensen":
         theta = _named(_build_measure, ctx["measures"], spec, "theta", where)
         mu = _named(_build_measure, ctx["measures"], spec, "mu", where)
-        u = _named(_build_field, ctx["fields"], spec, "u", where)
+        _like_theta(theta, mu.dimension, where + ".mu")
+        u = _named(lambda s, w: _build_field(s, w, theta), ctx["fields"], spec, "u", where)
         riesz = None
         if "riesz_u" in spec:
             riesz = _named(_build_measure, ctx["measures"], spec, "riesz_u", where)
+            _like_theta(theta, riesz.dimension, where + ".riesz_u")
         rep = duality.verify_poisson_jensen(theta, mu, u, riesz_u=riesz,
                                             tol_scale=1e-6 * tol_scale)
         return {"type": ctype, "pass": rep.passed == (expect == "pass"),

@@ -193,8 +193,9 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
     supplied, else the inward-filled hull of the supports on a covering grid
     (padded one cell); the recovery charges only that grid's cells.  A given
     ``riesz_u`` is restricted to an explicit K (grid or ball), and integrated
-    as it is when no K is supplied.  Indeterminate integrals fail the check,
-    with the reason in ``data["indeterminate"]``.
+    as it is when no K is supplied.  A pair that fails the har-balayage
+    certification, and indeterminate integrals, fail the check, with the
+    reason in ``data["certification"]`` or ``data["indeterminate"]``.
     """
     from .balayage import check_linear, harmonic_kernel_family
 
@@ -203,9 +204,9 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
     S = Ball(np.zeros(d), radius)
     ring = Ball(S.center, 1.35 * radius).boundary_points(24)
     verdict = check_linear(theta, mu, harmonic_kernel_family(S, ring))
-    if not verdict.passed:
-        raise CertificationError(
-            f"har-balayage certification failed (witness {verdict.data['witness']})")
+    if not verdict.passed:  # a failed verdict, not a crash
+        return Verdict("poisson-jensen", False, [], {"certification": (
+            f"har-balayage certification failed (witness {verdict.data['witness']})")})
 
     if riesz_u is None:
         riesz_u = riesz_measure(u, _hull_window(theta, mu) if K is None else K)

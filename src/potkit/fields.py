@@ -142,15 +142,6 @@ class GridField(ScalarField):
 
         super().__init__(_eval, grid)
 
-    def to_json(self) -> dict:
-        return {"grid": self.grid.to_json(), "values": self.values.ravel().tolist()}
-
-    @staticmethod
-    def from_json(data: dict) -> "GridField":
-        grid = GridDomain.from_json(data["grid"])
-        vals = np.asarray(data["values"], float).reshape(grid.shape)
-        return GridField(grid, vals)
-
     @staticmethod
     def sample(field: ScalarField, grid: GridDomain) -> "GridField":
         vals = field.evaluate_array(grid.centers()).reshape(grid.shape)

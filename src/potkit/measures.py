@@ -24,11 +24,11 @@ JSON, mollifier sources) are plain loops over it:
   layers in d = 2, 3 by Newton's theorem; None for every other component
 
 A cloud stands for its rows, each the atom component it would be alone: it
-writes one ``atom`` JSON entry per row, and every running sum folds it in
-row order with ``np.add.accumulate``, so results do not depend on how atoms
-are grouped.  Clouds arise only where atoms come from one array: the clip
-of a layer and the zeros of ``zeros`` (``counting_measure`` and the
-criteria variants).
+writes one ``atom`` JSON entry per row.  Like every other node cloud it
+sums by one dot product, so how atoms are grouped moves a result by
+rounding only.  Clouds arise where atoms come from one array: the clip of
+a layer, the ring atoms of ``balayage.lyons_example_pair`` and the zeros of
+``zeros`` (``counting_measure`` and the criteria variants).
 
 Atoms discretize to themselves and grid densities to their charged cell
 centers, for every use.  Layers use quadrature nodes whose counts depend on
@@ -121,7 +121,7 @@ class Atoms:
         return self.points.shape[1]
 
     def mass(self) -> float:
-        return _fold(0.0, self.weights)
+        return float(np.sum(self.weights))
 
     def scaled(self, a: float) -> "Atoms":
         return replace(self, weights=a * self.weights)
@@ -140,9 +140,7 @@ class Atoms:
         return Atom(np.asarray(data["point"], float), float(data["weight"]))
 
     def support_radius(self, center: np.ndarray) -> float:
-        # per row bitwise np.linalg.norm(x - center), which np.linalg.norm(axis=1) is not
-        D = self.points - center
-        return float(np.max(np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])))
+        return float(np.max(_distance(self.points, center)))
 
     def support_points(self) -> np.ndarray:
         return self.points
@@ -154,9 +152,8 @@ class Atoms:
         return None
 
     def restrict(self, S, complement: bool = False) -> list:
-        # scalar membership per row: contains_array can round apart from it
-        keep = [S.contains(p) != complement for p in self.points]
-        return [self] if all(keep) else _atoms(self.points[keep], self.weights[keep])
+        keep = S.contains_array(self.points) != complement
+        return [self] if keep.all() else _atoms(self.points[keep], self.weights[keep])
 
 
 class Atom(Atoms):
@@ -170,15 +167,6 @@ def _atoms(points, weights) -> list:
     """Components holding the rows (points[i], weights[i]) in order: none for no
     row, an Atom for one, else one cloud."""
     return [(Atom if len(weights) == 1 else Atoms)(points, weights)] if len(weights) else []
-
-
-def _fold(start: float, terms) -> float:
-    """start + terms[0] + terms[1] + ..., added left to right: np.add.accumulate
-    never regroups, so a cloud folds into a running sum as its rows would."""
-    if len(terms) == 1:
-        return start + float(terms[0])
-    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: quiet
-        return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,7 +505,7 @@ class Measure:
                 near = np.zeros(len(c.weights), dtype=bool)
                 for p in pts:
                     near |= _distance(c.points, p) <= ATOM_TOL
-                mass = _fold(mass, c.weights[near])
+                mass += float(np.sum(c.weights[near]))
         return mass
 
     def to_json(self) -> dict:
@@ -554,16 +542,13 @@ class _ExtSum:
         self.finite = 0.0
         self.inf_signs: set = set()
 
-    def add_weighted(self, w: np.ndarray, v: np.ndarray, fold: bool = False):
-        """Add sum_i w_i v_i over nonzero weights: one dot product of the contiguous
-        arrays, or with `fold` (atoms) the terms one at a time in row order, as one
-        atom after another adds them.  A sum that is not finite is taken apart."""
+    def add_weighted(self, w: np.ndarray, v: np.ndarray):
+        """Add sum_i w_i v_i over nonzero weights, one dot product of the contiguous
+        arrays.  A sum that is not finite is taken apart."""
         if v.shape != w.shape:
             raise ValueError(f"{v.shape} field values for {w.shape} nodes")
 
         def plus(w, v):  # the finite part plus the terms
-            if fold:
-                return _fold(self.finite, w * v)
             # _blas.dot runs BLAS dots without np.dot's floating-point error check,
             # so a sum meeting +inf and -inf, taken apart below, stays quiet; an
             # np.errstate per call would cost about 2.5 us, and the scenarios
@@ -617,8 +602,7 @@ def integrate_many(mu: Measure, fields) -> list:
     pole; on each component's node cloud the kernel rows of the distinct
     poles are filled in tiles of at most ``kernels.TILE_BYTES`` and every
     member sharing a row reduces it by its own dot product, ``sign * row``
-    against the weights (an atom cloud folds it row by row instead).  Other
-    fields are evaluated one by one.
+    against the weights.  Other fields are evaluated one by one.
     """
     fields = list(fields)
     results: list = [None] * len(fields)  # an exception once a member fails
@@ -635,11 +619,11 @@ def integrate_many(mu: Measure, fields) -> list:
     groups = list(poles.values())
     P = np.array([fields[g[0]].kernel_pole for g in groups])
 
-    def add(j, w, fold, values, *args):
+    def add(j, w, values, *args):
         """Add values(*args) to member j unless it failed; its first exception is its result."""
         if results[j] is None:
             try:
-                accs[j].add_weighted(w, values(*args), fold)
+                accs[j].add_weighted(w, values(*args))
             except Exception as exc:  # recorded per member; the other members go on
                 results[j] = exc
 
@@ -650,7 +634,7 @@ def integrate_many(mu: Measure, fields) -> list:
             for pole, members in zip(P, groups):
                 at_pole = newton(pole[None, :])
                 for j in members:
-                    add(j, _ONE, False, np.multiply, fields[j].kernel_sign, at_pole)
+                    add(j, _ONE, np.multiply, fields[j].kernel_sign, at_pole)
         if not (others or (groups and newton is None)):
             continue  # no field needs the node cloud
         pts, w = c.discretize("integrate")
@@ -658,7 +642,6 @@ def integrate_many(mu: Measure, fields) -> list:
             pts, w = pts[w != 0.0], w[w != 0.0]
         if not len(w):
             continue
-        fold = c.kind == "atom"
         if newton is None:
             rows = tile_rows(len(pts))
             tile = np.empty((min(rows, len(P)), len(pts)))
@@ -666,9 +649,9 @@ def integrate_many(mu: Measure, fields) -> list:
                 K = kernel_rows(P[a:a + rows], pts, q, tile[:len(P) - a])
                 for members, row in zip(groups[a:a + rows], K):
                     for j in members:
-                        add(j, w, fold, np.multiply, fields[j].kernel_sign, row)
+                        add(j, w, np.multiply, fields[j].kernel_sign, row)
         for j in others:
-            add(j, w, fold, _eval_field, fields[j], pts)
+            add(j, w, _eval_field, fields[j], pts)
 
     for j, acc in enumerate(accs):
         if results[j] is None:
@@ -680,10 +663,8 @@ def integrate_many(mu: Measure, fields) -> list:
 
 
 def total_mass(mu: Measure) -> float:
-    """Sum of component masses in order, atom by atom (density-weighted layers
-    by their quadrature)."""
-    return _fold(0.0, np.concatenate(
-        [np.zeros(0)] + [c.weights if c.kind == "atom" else [c.mass()] for c in mu.components]))
+    """Sum of component masses in order (density-weighted layers by their quadrature)."""
+    return sum((c.mass() for c in mu.components), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +725,10 @@ class Mollifier:
 
     def profile(self, r2: np.ndarray) -> np.ndarray:
         """Density at squared distances `r2` from the centre."""
-        return self.normalizer * np.clip(1.0 - r2 / self.radius ** 2, 0.0, None) ** 4
+        t = np.clip(1.0 - r2 / self.radius ** 2, 0.0, None)
+        t *= t  # two squarings: `** 4` goes through libm pow element by element
+        t *= t
+        return self.normalizer * t
 
     def mass(self) -> float:
         """Mass under the module's ball quadrature (1 up to rule exactness)."""

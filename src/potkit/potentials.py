@@ -1,8 +1,8 @@
 """Potentials of charges: evaluation, difference potentials, asymptotics, bounds.
 
-A Potential is a ScalarField view of the kernel integral of a charge.  Atom
-contributions are exact and plain sphere/ball layers use Newton's closed
-forms; other layers and grid densities go through one kernel sum over their
+A Potential is a ScalarField view of the kernel integral of a charge.  Plain
+sphere/ball layers use Newton's closed forms; atoms (merged by position),
+other layers and grid densities go through one kernel sum over their
 nodes, `_chunked_kernel_sum`.  When an evaluation point lies inside a
 charged grid cell, that cell's point-mass term is replaced by the exact
 potential of the uniformly charged cell at the point: four corner-rectangle
@@ -47,11 +47,6 @@ __all__ = [
     "lower_bound_check",
 ]
 
-# mean of ln|x| over the unit square [-1/2, 1/2]^2 (closed form)
-LOG_SQUARE_MEAN = -0.5 * math.log(2.0) + math.pi / 4.0 - 1.5
-# mean of 1/|x| over the unit cube [-1/2, 1/2]^3: 2 * _box_inv_r(1, 1, 1)
-CUBE_MEAN_INV_R = 6.0 * math.asinh(1.0 / math.sqrt(2.0)) - 0.5 * math.pi
-
 # 2-D log-kernel sums of at least FMM_PAIRS (point, node) pairs, with at
 # least FMM_MIN_SIDE points and nodes, go through the fast multipole path of
 # potkit._fmm.  Measured on a 2-core x86 box: it beats the direct path from
@@ -67,15 +62,6 @@ ASYMPTOTIC_DIRECTIONS = 16  # asymptotic_check probe directions per radius
 RATIO_CAP = 1.1  # growth cap of its scaled error between consecutive radii
 ASYMPTOTIC_FLOOR = 1e-10  # errors below this count as zero
 LOWER_BOUND_PROBES = 128  # lower_bound_check interior (and boundary) probes
-
-
-def _self_cell_mean(d: int, h: float) -> float:
-    """Cell average of k_{d-2} over a cell of side h around its center."""
-    if d == 2:
-        return math.log(h) + LOG_SQUARE_MEAN
-    if d == 3:
-        return -CUBE_MEAN_INV_R / h
-    raise NotImplementedError("self-cell correction for d in {2, 3}")
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -137,7 +123,7 @@ class Potential(ScalarField):
         # np.array_equal does (-0.0 is 0.0, nan matches nothing)
         atoms: dict[tuple, tuple[np.ndarray, float]] = {}
         self._closed: list = []  # exact radial potentials of plain layers
-        self._clouds: list = []  # (nodes, weights) of the other layers
+        self._clouds: list = []  # (nodes, weights): the merged atoms, then other layers
         self._grids: list[GridDensity] = []
         for c in charge.components:
             if isinstance(c, Atoms):
@@ -150,7 +136,11 @@ class Potential(ScalarField):
                 self._closed.append(newton)
             else:
                 self._clouds.append(c.discretize())
-        self._atoms = list(atoms.values())
+        if atoms:
+            pts, w = map(np.array, zip(*atoms.values()))
+            live = w != 0.0  # 0 * -inf would put nan on a massless atom
+            if live.any():
+                self._clouds.insert(0, (pts[live], w[live]))
         # no ScalarField.__init__: its stored evaluator would be a bound method of
         # this Potential, a reference cycle that holds the charge and its clouds
         # until the cyclic collector runs; the evaluator is the method below
@@ -162,12 +152,6 @@ class Potential(ScalarField):
         pts = np.atleast_2d(pts)
         out = np.zeros(len(pts))
         q = self.charge.dimension - 2
-        # one vector add per atom: a 2-D np.add.accumulate, the stacked form of
-        # this order, costs 10-20 times as much per element
-        row = np.empty((1, len(pts)))
-        for x, w in self._atoms:
-            if w != 0.0:  # 0 * -inf would put nan on a massless atom
-                out += w * kernel_rows(x[None, :], pts, q, row)[0]
         for newton in self._closed:
             out += newton(pts)
         for nodes, w in self._clouds:
@@ -189,7 +173,6 @@ class Potential(ScalarField):
         # uniform cell at the point (removes the near-diagonal bias, and the
         # -inf on exact hits, where it is the cell average)
         h = g.grid.spacing
-        mean_k = _self_cell_mean(d, h)
         idx = np.rint((pts - g.grid.origin[None, :]) / h).astype(int)
         inside = np.flatnonzero(np.all((idx >= 0) & (idx < np.asarray(g.grid.shape)), axis=1))
         cell_mass = vals[tuple(idx[inside].T)]
@@ -198,14 +181,14 @@ class Potential(ScalarField):
         rows, cell_mass, off = inside[keep], cell_mass[keep], off[keep]
         r = _distance(off, np.zeros(d))
         hit = r == 0.0
-        for j, m in zip(rows[hit], cell_mass[hit]):
-            # exact hit: rebuild this row without the self node
+        for j in rows[hit]:
+            # exact hit: rebuild this row without the self node, whose kernel is -inf
             dist = _distance(centers, pts[j])
             live = dist > 0.0
-            out[j] = float(np.dot(masses[live], k_eval_array(q, dist[live]))) + m * mean_k
-        near = ~hit
-        out[rows[near]] += cell_mass[near] * (_cell_mean(d, h, off[near])
-                                              - k_eval_array(q, r[near]))
+            out[j] = float(np.dot(masses[live], k_eval_array(q, dist[live])))
+        k = np.zeros(len(r))
+        k[~hit] = k_eval_array(q, r[~hit])
+        out[rows] += cell_mass * (_cell_mean(d, h, off) - k)
         return out
 
     def total_mass(self) -> float:

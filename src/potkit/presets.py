@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import balayage as bal
-from . import duality, green, zeros
+from . import duality, green, quadrature, zeros
 from .fields import (ScalarField, check_subharmonic, fit_pole_coefficient, glue_max,
                      glue_quantitative, glue_with_green, random_probes)
 from .geometry import Annulus, Ball, GridDomain, point
@@ -25,18 +25,9 @@ __all__ = ["PRESETS", "run_preset", "preset_table"]
 
 
 def _annulus_draws(rng, n: int, r_in: float, r_out: float) -> np.ndarray:
-    """First n planar draws ``rng.uniform(-r_out, r_out, 2)`` with r_in < |x| < r_out.
-
-    One candidate at a time, not quadrature.sample_in: uniform(lo, hi) rounds
-    differently from center + half * (2u - 1), and callers sharing one
-    generator would see block draws shift their later points.
-    """
-    pts = []
-    while len(pts) < n:
-        x = rng.uniform(-r_out, r_out, 2)
-        if r_in < np.linalg.norm(x) < r_out:
-            pts.append(x)
-    return np.array(pts)
+    """First n draws on the square [-r_out, r_out]^2 with r_in < |x| < r_out."""
+    o = point(0, 0)
+    return quadrature.sample_in(rng, o, r_out, n, Annulus(o, r_in, r_out).contains_array)
 
 
 # ---------------------------------------------------------------------------

@@ -23,27 +23,12 @@ def two_threads():
 
 
 @pytest.mark.parametrize("n", [1, 17, _blas.SPLIT_MIN, _blas.SPLIT_MIN + 1, 31_596, 55_651])
-def test_dot_sums_the_parts_in_order(n):
+def test_dot_is_one_vdot_on_one_thread(n):
     rng = np.random.default_rng(n)
     w, v = rng.standard_normal(n), rng.standard_normal(n) * 1e3
-    if n <= _blas.SPLIT_MIN:
+    with _blas.one_thread():
         want = float(np.vdot(w, v))
-    else:
-        h = -(-n // 2)
-        with _blas.one_thread():
-            want = 0.0 + float(np.vdot(w[:h], v[:h])) + float(np.vdot(w[h:], v[h:]))
     assert _blas.dot(w, v) == want
-
-
-@needs_api
-def test_dot_has_the_bits_of_a_two_thread_ddot_on_one_thread(two_threads):
-    rng = np.random.default_rng(7)
-    for n in (10_001, 10_002, 23_888, 45_509):
-        w, v = rng.standard_normal(n), rng.exponential(size=n)
-        threaded = float(np.vdot(w, v))  # OpenBLAS splits this over its two threads
-        assert _blas.dot(w, v) == threaded
-        with _blas.one_thread():
-            assert _blas.dot(w, v) == threaded
 
 
 def test_dot_meets_opposite_infinities_without_a_warning():

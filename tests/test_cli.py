@@ -479,3 +479,55 @@ def test_component_measure_is_its_dirac(tmp_path):
         outs.append((out / "margins.csv").read_bytes())
     assert codes == [1, 1]  # mu is no balayage of theta
     assert outs[0] == outs[1] and len(outs[0].splitlines()) > 1
+
+
+@pytest.mark.parametrize("base, keys, value, where", [
+    # theta is the first object read, so a theta of its own dimension fails at mu
+    (SWEEP, ("measures", "theta", "point"), [0.0], "checks[0].mu"),
+    (SWEEP, ("family", "S", "center"), [0.0], "checks[0].family.S.center"),
+    (CLASS, ("family", "S_o", "center"), [0.0], "checks[0].family.S_o.center"),
+    (PJ, ("measures", "theta", "point"), [0.0], "checks[0].mu"),
+    (PJ, ("measures", "riesz", "point"), [0.5], "checks[0].riesz_u"),
+    (PJ, ("fields", "u", "point"), [0.5, 0.0, 0.0], "checks[0].u.point"),
+    # a component of another dimension than its measure
+    (COMPONENTS, ("measures", "mu", "dimension"), 3, "checks[0].mu.components[0]"),
+])
+def test_mixed_dimensions_are_a_schema_error_at_the_first_that_differs(
+        tmp_path, capsys, base, keys, value, where):
+    data = json.loads(json.dumps(base))
+    spec = data
+    for key in keys[:-1]:
+        spec = spec[key]
+    spec[keys[-1]] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{where}: must have the dimension" in err and "Traceback" not in err
+
+
+def test_failed_certification_is_a_failed_verdict(tmp_path, capsys):
+    # perfbench's s096-pj-pass of seed 0 with theta's y negated: mu, the harmonic
+    # measure of the reflected point, is no har-balayage of theta
+    scenario = {
+        "schema": 1,
+        "name": "pj-not-swept",
+        "measures": {
+            "theta": {"kind": "dirac", "point": [0.142999, -0.168709]},
+            "mu": {"kind": "harmonic-measure", "center": [-0.070904, -0.036259],
+                   "radius": 0.844687, "x": [0.142999, 0.168709]},
+            "riesz": {"kind": "dirac", "point": [-0.062022, -0.063891]},
+        },
+        "fields": {"u": {"kind": "log-distance", "point": [-0.062022, -0.063891]}},
+        "checks": [{"type": "poisson-jensen", "theta": "theta", "mu": "mu", "u": "u",
+                    "riesz_u": "riesz"}],
+    }
+    path = tmp_path / "pj.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(path), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    (check,) = json.loads((out / "verdicts.json").read_text())["checks"]
+    assert check["raw_pass"] is False and check["pass"] is False
+    assert check["report"]["certification"] == (
+        "har-balayage certification failed (witness k+[5])")

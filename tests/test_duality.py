@@ -153,8 +153,10 @@ def test_verify_poisson_jensen_rejects_non_balayage():
     om = _om()
     not_swept = delta((0.3, 0.2))
     u = ScalarField.log_distance(point(0.5, 0))
-    with pytest.raises(CertificationError):
-        verify_poisson_jensen(not_swept, om, u, riesz_u=delta((0.5, 0.0)))
+    rep = verify_poisson_jensen(not_swept, om, u, riesz_u=delta((0.5, 0.0)))
+    assert not rep.passed and rep.rows == []
+    assert rep.data["certification"].startswith(
+        "har-balayage certification failed (witness k")
 
 
 def test_phragmen_lindelof_bounds():

@@ -186,8 +186,10 @@ def test_potential_d1_atoms():
 
 def atom_loop_reference(atoms, pts, d):
     """Reference atom sum the scalar way: a norm and k_eval_array off each atom,
-    the kernel's limit at 0 on it (-inf signed by the weight, 0 for d = 1)."""
-    out = np.zeros(len(pts))
+    the kernel's limit at 0 on it (-inf signed by the weight, 0 for d = 1).
+    Returns the sums and n eps sum_j |w_j k_j|, the worst-case gap between two
+    summation orders of the n terms at each point."""
+    out, scale = np.zeros(len(pts)), np.zeros(len(pts))
     for x, w in atoms:
         if w == 0.0:
             continue
@@ -197,17 +199,20 @@ def atom_loop_reference(atoms, pts, d):
         contrib[~hit] = w * k_eval_array(d - 2, r[~hit])
         contrib[hit] = 0.0 if d == 1 else -math.copysign(math.inf, w)
         out += contrib
-    return out
+        scale += np.abs(contrib)
+    return out, len(atoms) * np.finfo(float).eps * scale
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_atom_potential_is_the_scalar_loop_bitwise(d):
+def test_atom_potential_is_the_scalar_loop(d):
     rng = np.random.default_rng(d)
     atoms = list(zip(rng.uniform(-1.0, 1.0, (6, d)), [1.0, -2.0, 0.5, -0.25, 3.0, 0.0]))
     pts = np.vstack([[x for x, _ in atoms], rng.uniform(-2.0, 2.0, (200, d))])  # hits first
     got = Potential(Measure(d, [Atom(x, w) for x, w in atoms])).evaluate_array(pts)
-    want = atom_loop_reference(atoms, pts, d)
-    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    want, bound = atom_loop_reference(atoms, pts, d)
+    fin = np.isfinite(want)
+    assert np.array_equal(got[~fin], want[~fin])  # the hits: -inf signed by the weight
+    assert np.all(np.abs(got[fin] - want[fin]) <= bound[fin])
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +555,11 @@ def test_cell_potential_matches_quadrature_2d():
             total += sp.dblquad(lambda y, x: 0.5 * math.log(x * x + y * y), x0, x1, y0, y1,
                                 epsabs=1e-15, epsrel=1e-13)[0]
     assert potentials._cell_mean(2, h, off)[0] == pytest.approx(total / h ** 2, abs=1e-12)
+    # at the centre: the mean of ln|x| over the unit square, ln 2 / 2 + pi/4 - 3/2 - ln 2,
+    # plus ln h
+    square_mean = -0.5 * math.log(2.0) + math.pi / 4.0 - 1.5
     assert potentials._cell_mean(2, h, np.zeros((1, 2)))[0] == pytest.approx(
-        potentials._self_cell_mean(2, h), abs=1e-14)
+        math.log(h) + square_mean, abs=1e-14)
 
 
 def test_cell_potential_matches_quadrature_3d():
@@ -565,10 +573,12 @@ def test_cell_potential_matches_quadrature_3d():
     # edges and faces of the cell: no nan from 0 * log 0 or 0 / 0
     edge = potentials._cell_mean(3, 0.1, np.array([[0.05, 0.05, 0.0], [0.05, 0.05, 0.05]]))
     assert np.all(np.isfinite(edge))
+    # at the centre: minus the mean of 1/|x| over the unit cube, over h
     h = 0.1
+    cube_mean = 6.0 * math.asinh(1.0 / math.sqrt(2.0)) - 0.5 * math.pi
+    assert cube_mean == pytest.approx(2.3800773639795, rel=1e-13)
     assert potentials._cell_mean(3, h, np.zeros((1, 3)))[0] == pytest.approx(
-        potentials._self_cell_mean(3, h), rel=1e-14)
-    assert potentials.CUBE_MEAN_INV_R == pytest.approx(2.3800773639795, rel=1e-13)
+        -cube_mean / h, rel=1e-14)
 
 
 def test_grid_charge_potential_inside_a_cell_is_the_cell_potential():
@@ -581,7 +591,7 @@ def test_grid_charge_potential_inside_a_cell_is_the_cell_potential():
     off = np.array([[0.0, 0.0], [0.02, -0.03], [0.049, 0.049]])
     got = pt.evaluate_array(point(0.1, 0.1)[None, :] + off)
     assert got == pytest.approx(2.0 * potentials._cell_mean(2, h, off), rel=1e-14)
-    assert got[0] == 2.0 * potentials._self_cell_mean(2, h)
+    assert got[0] == 2.0 * potentials._cell_mean(2, h, off[:1])[0]  # the exact hit
 
 
 def test_mollified_jensen_potential_is_positive_at_seed_4():
@@ -618,7 +628,8 @@ def test_kernel_integral_against_a_layer_is_exact():
 
 
 def _merged_atoms_reference(charge):
-    """Atom rows merged by rescanning every earlier one with np.array_equal."""
+    """Atom rows merged by rescanning every earlier one with np.array_equal, the
+    rows that net to zero dropped."""
     merged = []
     for c in charge.components:
         if isinstance(c, Atoms):
@@ -629,7 +640,12 @@ def _merged_atoms_reference(charge):
                         break
                 else:
                     merged.append((point, weight))
-    return merged
+    return [(p, w) for p, w in merged if w != 0.0]
+
+
+def _merged_atoms(pt):
+    """The merged atoms of a Potential: the rows of its first node cloud."""
+    return list(zip(*pt._clouds[0]))
 
 
 def _atom_bits(atoms):
@@ -660,7 +676,7 @@ def test_potential_atom_merge_matches_the_rescan(case):
     cloud = Atoms(np.array([x for x, _ in rows], float), [w for _, w in rows])
     for charge in (Measure(2, atoms + [SphereUniform((0.0, 0.0), 0.5, 1.0)]),
                    Measure(2, [atoms[0], cloud])):
-        got, want = Potential(charge)._atoms, _merged_atoms_reference(charge)
+        got, want = _merged_atoms(Potential(charge)), _merged_atoms_reference(charge)
         assert _atom_bits(got) == _atom_bits(want)  # the first point's bytes are kept
 
 
@@ -687,8 +703,8 @@ def test_potential_of_a_clipped_layer_builds_in_one_sweep():
     start = time.perf_counter()
     pt = Potential(clipped)
     assert time.perf_counter() - start < 5.0
-    assert len(pt._atoms) == 5822
+    assert len(_merged_atoms(pt)) == 5822
     head = Measure(2, [Atoms(cloud.points[:300], cloud.weights[:300]),
                        Atoms(cloud.points[100:150], cloud.weights[100:150])])
-    assert _atom_bits(Potential(head)._atoms) == _atom_bits(
+    assert _atom_bits(_merged_atoms(Potential(head))) == _atom_bits(
         _merged_atoms_reference(head))

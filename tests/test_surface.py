@@ -274,8 +274,8 @@ DIMENSION_ARGUMENT_ALLOWED = {
     "measures.Measure.__init__",
     # a mollifier is a bump in R^d before it meets a charge
     "measures.Mollifier",
-    # the closed-form self-cell averages of a grid charge
-    "potentials._self_cell_mean", "potentials._cell_mean",
+    # the closed-form cell averages of a grid charge
+    "potentials._cell_mean",
     # the harmonic polynomials of R^d
     "balayage._harmonic_polynomial_family",
 }
@@ -364,25 +364,8 @@ def test_point_stack_norms_go_through_row_norm():
     assert found == []
 
 
-# Every running sum adds atoms in one order, measures._fold's left-to-right
-# np.add.accumulate, so a cloud gives what its atoms give one by one.  A module
-# that folds for itself would hold a second copy of that order.
-def test_one_module_knows_the_atom_fold_order():
-    """No module but potkit/measures.py names `_fold`, in potkit, tests or perfbench."""
-    found = set()
-    for p in sorted(f for tree in TREES for f in tree.rglob("*.py")):
-        for node in ast.walk(ast.parse(p.read_text())):
-            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
-                     else [getattr(node, "id", None), getattr(node, "attr", None)])
-            if "_fold" in names:
-                found.add(p)
-    assert found == {TREES[0] / "measures.py"}
-
-
 # Atoms that come from one array form one `Atoms` cloud, so no code builds an
-# `Atom` per node.  The one exception is balayage.lyons_example_pair: each of
-# its atoms follows the ball punched around it, and integrals add components
-# in that order, so one cloud after the balls would move the margins' last bits.
+# `Atom` per node.
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -396,7 +379,7 @@ def test_no_atom_is_built_per_node():
                     if any(isinstance(n, ast.Call) and ast.unparse(n.func) == "Atom"
                            for n in ast.walk(loop)):
                         found.add(f"{p.stem}.{fn.name}")
-    assert sorted(found) == ["balayage.lyons_example_pair"]
+    assert sorted(found) == []
 
 
 # _distance(pts, c) subtracts c axis by axis so that no (n, d) difference is
