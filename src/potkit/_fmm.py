@@ -22,10 +22,16 @@ only on the offset of two boxes in box units:
         phi(z) = sum_{l=0}^p L_l ((z - c) / w)^l.
 M2M, M2L and L2L are Lemmas 2.3-2.5 of Greengard & Rokhlin in these
 variables (`_operators`).  M2M and L2L are exact on degree-p series, so M2L
-is the only truncation.  The near field is each leaf's targets against the
-nodes of its 3 x 3 neighbour leaves, summed by `potentials._kernel_rows`, so
-an exact hit gives -inf signed by its weight (and the nan of a zero weight or
-of colliding nodes of opposite weight) as the direct sum does.
+is the only truncation.
+
+Near field.  Each leaf's targets meet the nodes of its 3 x 3 neighbour leaves
+directly.  The nodes of leaf rows i-1..i+1, sorted by leaf column, form one
+slab per target leaf row i, in which each leaf's neighbours are one slice.
+The (targets x nodes) kernel ln|y - x|^2 fills row tiles of at most
+`kernels.TILE_BYTES` (one row if longer) and meets the weights halved:
+ln r = ln(r^2) / 2 saves a square root, and halving is exact.  So an
+exact hit gives -inf signed by its weight (and the nan of a zero weight or of
+colliding nodes of opposite weight) as the direct sum does.
 
 A-priori bound.  Let a node x sit in a source box and a target z in a box of
 its interaction list, with centres c_s and c_t, D = c_t - c_s, eta = x - c_s
@@ -49,16 +55,6 @@ right-hand sides) to the error, and
 in exact arithmetic; rounding adds a few units in the last place of the
 terms.  ORDER is the least p with error_bound(p) <= TOL.
 
-Reuse.  The far field (P2M, M2M, M2L and L2L, `_far_field`) depends on the
-order, the nodes, the weights, the box (corner and side), the leaf level and
-the leaves that hold a target, and on nothing else.  The leaf-level local
-expansions of the last call are kept with bitwise copies of all of these; a
-call that matches every one, such as a finer lattice of the same box against
-the same charge, skips the far field and runs only L2P and the near field, so
-each sum keeps its bits.  One entry is kept: 4^leaf (p + 1) complex values
-plus the copied nodes and weights, about 1 MB at leaf level 5 (13 MB at
-MAX_LEVEL).
-
 The evaluation is single-threaded, BLAS included (its caller holds BLAS to
 one thread), with one fixed order of every reduction, so its result is the
 same from run to run.
@@ -71,7 +67,7 @@ import math
 
 import numpy as np
 
-from .potentials import _kernel_rows
+from . import kernels
 
 __all__ = ["TOL", "ORDER", "error_bound", "log_kernel_sum"]
 
@@ -265,20 +261,12 @@ def _far_field(zs: np.ndarray, ws: np.ndarray, s_flat: np.ndarray, t_occ: np.nda
             for a in range(0, len(dst), ROWS):
                 local[dst[a:a + ROWS]] += src[a:a + ROWS] @ op.T
             local[dst, 0] += log_w * src[:, 0]
-    local = local.T.copy()
-    local.setflags(write=False)
-    return local
-
-
-# the far field of the last call, (key, local expansions); see log_kernel_sum
-_last_far_field = None
+    return local.T.copy()
 
 
 def log_kernel_sum(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_j weights_j ln|pts_i - nodes_j| for every row of pts (d = 2, finite
-    points), with expansions of order ORDER; a call that matches the far-field
-    inputs of the last one reuses its expansions (see Reuse above)."""
-    global _last_far_field
+    points), with expansions of order ORDER."""
     p = ORDER
     lo = np.minimum(pts.min(axis=0), nodes.min(axis=0))
     side = float(np.max(np.maximum(pts.max(axis=0), nodes.max(axis=0)) - lo)) or 1.0
@@ -289,53 +277,63 @@ def log_kernel_sum(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> n
 
     t_idx, s_idx = boxes(pts), boxes(nodes)
     leaf = _leaf_level(t_idx, s_idx)
-    shift = MAX_LEVEL - leaf
-    t_idx, s_idx = t_idx >> shift, s_idx >> shift
-    n = 1 << leaf
-    w_leaf = side / n
-    t_order, t_starts = _segments(t_idx[:, 0] * n + t_idx[:, 1], n * n)
-    s_order, s_starts = _segments(s_idx[:, 0] * n + s_idx[:, 1], n * n)
-    t_pts, s_pts, ws = pts[t_order], nodes[s_order], weights[s_order]
-    t_flat = (t_idx[:, 0] * n + t_idx[:, 1])[t_order]
+    shift, n, w_leaf = MAX_LEVEL - leaf, 1 << leaf, side / (1 << leaf)
+    t_flat, s_flat = (x[:, 0] * n + x[:, 1] for x in (t_idx >> shift, s_idx >> shift))
     t_occ = np.zeros(n * n, bool)
     t_occ[t_flat] = True
+    s_order, s_starts = _segments(s_flat, n * n)
+    s_pts, ws, s_flat = nodes[s_order], weights[s_order], s_flat[s_order]
+    # the far field first, while the targets are held only by their leaves
+    zs = (s_pts[:, 0] + 1j * s_pts[:, 1] - complex(lo[0], lo[1])) / w_leaf
+    local = _far_field(zs, ws, s_flat, t_occ, leaf, side, p)
 
-    key = (p, leaf, side, lo.tobytes(), t_occ.tobytes(), nodes.shape, nodes.tobytes(),
-           weights.tobytes())
-    last = _last_far_field  # one read: a thread replacing it swaps the whole pair
-    if last is not None and last[0] == key:
-        local = last[1]
-    else:
-        zs = (s_pts[:, 0] + 1j * s_pts[:, 1] - complex(lo[0], lo[1])) / w_leaf
-        s_flat = (s_idx[:, 0] * n + s_idx[:, 1])[s_order]
-        local = _far_field(zs, ws, s_flat, t_occ, leaf, side, p)
-        _last_far_field = (key, local)
-
-    # L2P and the near field, target leaf by target leaf (chunks for L2P)
-    zt = (t_pts[:, 0] + 1j * t_pts[:, 1] - complex(lo[0], lo[1])) / w_leaf
+    # L2P, in target chunks, then the near field
+    t_order, t_starts = _segments(t_flat, n * n)
+    t_pts, t_flat = pts[t_order], t_flat[t_order]
     out = np.empty(len(pts))
-    for a in range(0, len(zt), CHUNK):
-        box = t_flat[a:a + CHUNK]
-        z = zt[a:a + CHUNK] - _centres(box, n)
+    for a in range(0, len(t_pts), CHUNK):
+        box, y = t_flat[a:a + CHUNK], t_pts[a:a + CHUNK]
+        z = (y[:, 0] + 1j * y[:, 1] - complex(lo[0], lo[1])) / w_leaf - _centres(box, n)
         acc = local[p][box]  # one order at a time: no (chunk, p + 1) block is copied
         for k in range(p - 1, -1, -1):
             acc *= z
             acc += local[k][box]
         out[a:a + CHUNK] = acc.real
-    near = np.empty(len(pts))
-    for box in np.flatnonzero(t_occ):
-        i, j = divmod(box, n)
-        j0, j1 = max(j - 1, 0), min(j + 1, n - 1)
-        # the nodes of the 3 x 3 neighbour leaves: one run of the sorted nodes per row
-        runs = [slice(s_starts[r * n + j0], s_starts[r * n + j1 + 1])
-                for r in range(max(i - 1, 0), min(i + 1, n - 1) + 1)]
-        rows = slice(t_starts[box], t_starts[box + 1])
-        src = np.concatenate([s_pts[r] for r in runs])
-        if len(src):
-            _kernel_rows(t_pts[rows], src, np.concatenate([ws[r] for r in runs]), 0,
-                         near[rows])
-        else:
-            near[rows] = 0.0
+    _near_field(t_pts, t_starts, s_pts, ws, s_flat % n, s_starts, t_occ.reshape(n, n), out)
     result = np.empty(len(pts))
-    result[t_order] = near + out
+    result[t_order] = out
     return result
+
+
+def _near_field(t_pts, t_starts, s_pts, ws, s_col, s_starts, t_occ, out):
+    """Add to `out` each box-sorted target's sum over the nodes of its 3 x 3
+    neighbour leaves (see Near field); s_col is each box-sorted node's leaf column."""
+    n = len(t_occ)
+    tx, ty, half = t_pts[:, 0].copy(), t_pts[:, 1].copy(), 0.5 * ws
+    buf, sq = np.empty(kernels.TILE_BYTES // 8), np.empty(kernels.TILE_BYTES // 8)
+    col_starts = np.zeros(n + 1, dtype=np.intp)
+    with np.errstate(divide="ignore"):  # ln 0 = -inf on an exact hit
+        for i in np.flatnonzero(t_occ.any(axis=1)):
+            a, b = s_starts[max(i - 1, 0) * n], s_starts[(min(i + 1, n - 1) + 1) * n]
+            slab = np.argsort(s_col[a:b], kind="stable") + a
+            sx, sy, sw = s_pts[slab, 0], s_pts[slab, 1], half[slab]
+            np.cumsum(np.bincount(s_col[a:b], minlength=n), out=col_starts[1:])
+            for j in np.flatnonzero(t_occ[i]):
+                lo, hi = col_starts[max(j - 1, 0)], col_starts[min(j + 1, n - 1) + 1]
+                if hi == lo:
+                    continue
+                if hi - lo > len(buf):  # one row is longer than a tile
+                    buf, sq = np.empty(hi - lo), np.empty(hi - lo)
+                rows = kernels.tile_rows(hi - lo)
+                start, stop = t_starts[i * n + j], t_starts[i * n + j + 1]
+                for r in range(start, stop, rows):
+                    e = min(r + rows, stop)
+                    K = buf[:(e - r) * (hi - lo)].reshape(e - r, hi - lo)
+                    S = sq[:K.size].reshape(K.shape)
+                    np.subtract(tx[r:e, None], sx[lo:hi], out=K)
+                    np.square(K, out=K)
+                    np.subtract(ty[r:e, None], sy[lo:hi], out=S)
+                    np.square(S, out=S)
+                    K += S
+                    np.log(K, out=K)
+                    out[r:e] += K @ sw[lo:hi]

@@ -131,24 +131,22 @@ def _window_probes(window: Ball, x: np.ndarray, n: int, seed: int) -> np.ndarray
     return pts
 
 
-def from_potential(V: ASPotential, grid: GridDomain, pole_exclusion: float) -> Measure:
-    """Inverse duality map: grid Riesz measure off the pole plus the pole atom.
+def from_potential(V: ASPotential, samples: GridField, pole_exclusion: float) -> Measure:
+    """Inverse duality map: grid Riesz measure of V off the pole plus the pole atom.
 
-    The atom weight is 1 - (fitted pole coefficient); cells within the
-    exclusion radius of the pole are masked out of the recovery.  The
-    exclusion is a fixed physical radius, not a cell count: the pole's
-    stencil truncation error lives on the exclusion rim, so a rim that
-    shrinks under refinement does not converge.  The result carries the
-    recovery's ``singular_cells``.
+    ``samples`` holds V at every cell centre of its grid (``GridField.sample``),
+    or a finer lattice's samples at the even-index cells whose centres these
+    are; the pole and the fitted pole coefficient come from V.  The atom
+    weight is 1 - (fitted pole coefficient); cells within the exclusion
+    radius of the pole are masked out of the recovery.  The exclusion is a
+    fixed physical radius, not a cell count: the pole's stencil truncation
+    error lives on the exclusion rim, so a rim that shrinks under refinement
+    does not converge.  The result carries the recovery's ``singular_cells``.
     """
-    x = V.pole
-    h = grid.spacing
-    centers = grid.centers()
-    keep = (_distance(centers, x) > pole_exclusion).reshape(grid.shape)
-    masked = GridDomain(grid.origin, h, grid.mask & keep)
-    sampled = GridField.sample(V, masked)
-    vals = np.where(masked.mask, sampled.values, 0.0)
-    rec = riesz_measure(GridField(masked, vals))
+    x, grid = V.pole, samples.grid
+    keep = (_distance(grid.centers(), x) > pole_exclusion).reshape(grid.shape)
+    masked = grid.with_mask(grid.mask & keep)
+    rec = riesz_measure(GridField(masked, np.where(masked.mask, samples.values, 0.0)))
     atom_weight = 1.0 - V.pole_coefficient
     comps = list(rec.components)
     if abs(atom_weight) > 0:

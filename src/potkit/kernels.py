@@ -5,9 +5,9 @@ the kernel returns ``-inf`` on the diagonal for d >= 2 (an honest IEEE
 -infinity, never a large-float sentinel).
 
 ``kernel_rows`` fills a block of kernel values k_q(|x_i - y_j|) in place.
-Kernel fields, the kernel sums of potentials and the family integrals of
-``measures.integrate_many`` all fill their kernel values with it, the last
-two in row tiles of at most TILE_BYTES (``tile_rows``).
+Kernel fields, the direct kernel sums of potentials and the family integrals
+of ``measures.integrate_many`` fill their kernel values with it, the last two
+in row tiles of at most TILE_BYTES (``tile_rows``), as the FMM near field does.
 """
 
 from __future__ import annotations

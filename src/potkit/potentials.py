@@ -21,10 +21,8 @@ at least FMM_PAIRS (point, node) pairs, at least FMM_MIN_SIDE points and
 nodes, and finite coordinates; every other call is direct.  Its expansions
 have order p = _fmm.ORDER = 49, the least order whose a-priori bound
 (derived in `potkit._fmm`) gives |FMM - direct| <= 1e-13 * sum_j |w_j|.  Its
-near field goes through the direct path's kernel rows, so exact hits keep
--inf signed by weight.  It keeps the far field of its last sum, so sampling
-one charge on a finer lattice of the same box pays only for the near field
-and the evaluation of the kept expansions.
+near field sums each leaf's neighbour nodes directly, so exact hits keep -inf
+signed by weight.
 """
 
 from __future__ import annotations
@@ -216,7 +214,7 @@ def _chunked_kernel_sum(pts: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
     (`potkit._blas.one_thread`), which gives the same bits as two.  A block of
     1 MiB spans every sum of the presets and scenarios but the probes of
     `duality.to_potential` (200 or 64 points against thousands of nodes),
-    whose values only meet thresholds; FMM near-field leaves fit in one.
+    whose values only meet thresholds.
     """
     with _blas.one_thread():
         if (q == 0 and nodes.shape[1] == 2 and len(pts) * len(nodes) >= FMM_PAIRS

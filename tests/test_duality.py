@@ -8,7 +8,7 @@ from potkit import duality, green
 from potkit.duality import (ASPotential, CertificationError, from_potential,
                             phragmen_lindelof_bound, to_potential,
                             verify_poisson_jensen)
-from potkit.fields import ScalarField
+from potkit.fields import GridField, ScalarField
 from potkit.geometry import Ball, GridDomain, point
 from potkit.measures import Atom, Measure, SphereUniform, integrate, total_mass
 from potkit.potentials import Potential
@@ -69,7 +69,7 @@ def test_from_potential_examples():
     # V = g_disk(., 0): boundary-uniform unit mass plus a vanishing pole atom
     V = to_potential(_om(), point(0, 0), kind="arens-singer")
     grid = GridDomain(point(-1.2, -1.2), 0.02, np.ones((121, 121), bool))
-    rec = from_potential(V, grid, pole_exclusion=0.1)
+    rec = from_potential(V, GridField.sample(V, grid), pole_exclusion=0.1)
     assert total_mass(rec) == pytest.approx(1.0, rel=0.03)
     assert not any(isinstance(c, Atom) and abs(c.weight) > 1e-9 for c in rec.components)
     # mass concentrates on the boundary ring
@@ -85,7 +85,7 @@ def test_from_potential_zero_field_gives_atom():
     x = point(0, 0)
     V0 = ASPotential(ScalarField.constant(0.0), x, 0.0, 1.0, Ball(x, 0.5), "jensen")
     grid = GridDomain(point(-1, -1), 0.05, np.ones((41, 41), bool))
-    rec = from_potential(V0, grid, pole_exclusion=0.25)  # 5 h
+    rec = from_potential(V0, GridField.sample(V0, grid), pole_exclusion=0.25)  # 5 h
     atoms = [c for c in rec.components if isinstance(c, Atom)]
     assert len(atoms) == 1 and atoms[0].weight == pytest.approx(1.0)
     assert total_mass(rec) == pytest.approx(1.0, abs=1e-10)
@@ -97,7 +97,7 @@ def test_from_potential_scaled_green():
     half = ASPotential(ScalarField(lambda p: 0.5 * base.evaluate_array(p)), point(0, 0),
                        0.5, 1.0, base.support_window, "arens-singer")
     grid = GridDomain(point(-1.2, -1.2), 0.02, np.ones((121, 121), bool))
-    rec = from_potential(half, grid, pole_exclusion=0.1)
+    rec = from_potential(half, GridField.sample(half, grid), pole_exclusion=0.1)
     atoms = [c for c in rec.components if isinstance(c, Atom)]
     assert atoms[0].weight == pytest.approx(0.5, abs=1e-9)
     spread = total_mass(rec) - atoms[0].weight
@@ -108,7 +108,7 @@ def test_roundtrip_probe_integrals():
     mu = _om(0.7)
     V = to_potential(mu, point(0, 0), kind="jensen")
     grid = GridDomain(point(-1.0, -1.0), 0.02, np.ones((101, 101), bool))
-    rec = from_potential(V, grid, pole_exclusion=0.1)
+    rec = from_potential(V, GridField.sample(V, grid), pole_exclusion=0.1)
     for k in range(1, 6):
         f = ScalarField(lambda p, k=k: np.cos(0.5 * k * p[:, 0]) * np.exp(0.1 * k * p[:, 1]))
         a, b = integrate(mu, f), integrate(rec, f)
@@ -374,11 +374,14 @@ def test_layer_riesz_data_is_integrated_whole():
 # -- one integral pass per round-trip measure ---------------------------------
 # Counted at seed 0: integrate_many runs once per swept measure and once per
 # recovered one (10 + 20 + the preset's other 28), where one integrate call per
-# probe and side made 428 runs; GridDensity.discretize falls from 260 to 42.
-# The two mollified Jensen measures are each sampled on the h = 0.02 and
-# h = 0.01 lattices of one box: four FMM sums, and one far field per measure.
-ROUNDTRIP_WORK = {"integrate_many": 58, "GridDensity.discretize": 42,
-                  "log_kernel_sum": 4, "_far_field": 2}
+# probe and side made 428 runs.  Each round-trip potential is sampled once, on
+# the h = 0.01 lattice (241^2 = 58,081 cells), and the h = 0.02 recovery takes
+# its even-index samples: the two mollified Jensen measures make one FMM sum
+# and one far field each, and GridDensity.discretize runs 40 times (42 with a
+# second sampling, 260 before integrate_many).
+ROUNDTRIP_WORK = {"integrate_many": 58, "GridDensity.discretize": 40,
+                  "log_kernel_sum": 2, "_far_field": 2}
+ROUNDTRIP_FMM_TARGETS = [58_081, 58_081]
 
 
 def test_roundtrip_work_counters(monkeypatch):
@@ -388,10 +391,13 @@ def test_roundtrip_work_counters(monkeypatch):
     from potkit.presets import run_preset
 
     counts = dict.fromkeys(ROUNDTRIP_WORK, 0)
+    targets = []
 
     def counting(key, fn):
         def counted(*args, **kwargs):
             counts[key] += 1
+            if key == "log_kernel_sum":
+                targets.append(len(args[0]))
             return fn(*args, **kwargs)
         return counted
 
@@ -403,10 +409,10 @@ def test_roundtrip_work_counters(monkeypatch):
         "GridDensity.discretize", measures.GridDensity.discretize))
     for name in ("log_kernel_sum", "_far_field"):
         monkeypatch.setattr(_fmm, name, counting(name, getattr(_fmm, name)))
-    monkeypatch.setattr(_fmm, "_last_far_field", None)
     checks, _ = run_preset("duality-roundtrip", 0, 1.0)
     assert all(c.passed for c in checks)
     assert counts == ROUNDTRIP_WORK
+    assert targets == ROUNDTRIP_FMM_TARGETS
 
 
 @pytest.mark.parametrize("swept_fails, recovered_fails, raised", [

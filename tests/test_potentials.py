@@ -365,17 +365,34 @@ def test_fmm_lattice_on_lattice_exact_hits(fmm_calls):
     assert fmm_calls
 
 
-def test_fmm_exact_hits_zero_weight_and_collisions(fmm_calls):
+@pytest.mark.parametrize("crowd", [0, 2000], ids=["one-tile", "tiles"])
+def test_fmm_exact_hits_zero_weight_and_collisions(crowd, fmm_calls, monkeypatch):
     # one target on each node: weights 1 and -2 give -inf and +inf, a zero
-    # weight the dense sum's nan, and two opposite nodes on one point nan
-    nodes = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [-0.5, 0.5], [-0.5, 0.5]])
-    w = np.array([1.0, -2.0, 0.0, 1.0, -1.0])
-    far = np.random.default_rng(2).uniform(-1.0, 1.0, (400, 2))
+    # weight the dense sum's nan, and two opposite nodes on one point nan.
+    # With a crowd of nodes and targets on 4 x 4 leaves, each hit's leaf
+    # kernel spans several tiles.
+    from potkit import _fmm, kernels
+
+    rng = np.random.default_rng(2)
+    hits = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [-0.5, 0.5], [-0.5, 0.5]])
+    nodes = np.vstack([hits, rng.uniform(-1.0, 1.0, (crowd, 2))])
+    w = np.r_[1.0, -2.0, 0.0, 1.0, -1.0, rng.normal(size=crowd)]
+    pts = np.vstack([hits, rng.uniform(-1.0, 1.0, (400 + crowd, 2))])
+    if crowd:
+        monkeypatch.setattr(_fmm, "_leaf_level", lambda t_idx, s_idx: 2)
+        lo = np.minimum(pts.min(axis=0), nodes.min(axis=0))
+        side = np.max(np.maximum(pts.max(axis=0), nodes.max(axis=0)) - lo)
+        t_leaf, s_leaf = (np.clip(((x - lo) * (4 / side)).astype(int), 0, 3) for x in (pts, nodes))
+        for leaf in t_leaf[:5]:
+            targets = np.all(t_leaf == leaf, axis=1).sum()
+            sources = np.all(np.abs(s_leaf - leaf) <= 1, axis=1).sum()
+            assert 8 * targets * sources > 2 * kernels.TILE_BYTES
     with np.errstate(invalid="ignore"):
-        got, ref = assert_within_fmm_bound(np.vstack([nodes, far]), nodes, w)
+        got, ref = assert_within_fmm_bound(pts, nodes, w)
     assert got[0] == -math.inf and got[1] == math.inf
     assert math.isnan(got[2]) and math.isnan(got[3]) and math.isnan(got[4])
     assert np.all(np.isfinite(got[5:]))
+    assert fmm_calls
 
 
 @pytest.mark.parametrize("case", ["one-leaf", "collinear", "single-node", "far-targets"])
@@ -411,112 +428,62 @@ def test_fmm_never_takes_other_kernels_dimensions_or_thin_sums(fmm_calls, monkey
     assert fmm_calls == []
 
 
-def test_fmm_round_trip_of_a_mollified_jensen_measure(monkeypatch):
-    # duality-roundtrip's jensen[2] at h = 0.02, whose grid sampling is above
-    # the pair threshold: both engines give the same round-trip errors
-    from potkit import _fmm
-
+def _mollified_jensen():
+    """duality-roundtrip's jensen[2] potential, its ten probes and their exact integrals."""
     x0 = point(0, 0)
     om = green.harmonic_measure(green.green_ball(x0, 0.6, x0), x0)
     mu = convolve_balayage(om, Mollifier(0.1 * (1.0 - 0.6), 2), Ball(x0, 1.0),
                            cells_per_radius=6)
     V = duality.to_potential(mu, x0, kind="jensen", D=Ball(x0, 1.6), seed=0)
-    grid = GridDomain(point(-1.2, -1.2), 0.02, np.ones((121, 121), bool))
     probes = [ScalarField(lambda p, k=k: np.cos(0.7 * k * p[:, 0]) * np.exp(0.2 * k * p[:, 1]))
               for k in range(1, 6)]
     probes += [ScalarField(lambda p, k=k: (p[:, 0] ** 2 - p[:, 1] ** 2) * 0.1 * k + 1.0)
                for k in range(1, 6)]
-    exact = np.array([integrate(mu, f) for f in probes])
+    return V, probes, np.array([integrate(mu, f) for f in probes])
+
+
+def _round_trip_errors(V, samples, probes, exact):
+    rec = duality.from_potential(V, samples, pole_exclusion=0.1)
+    errs = np.abs(exact - [integrate(rec, f) for f in probes]) / (1.0 + np.abs(exact))
+    return errs, rec.singular_cells
+
+
+def test_fmm_round_trip_of_a_mollified_jensen_measure(monkeypatch):
+    # duality-roundtrip's jensen[2] at h = 0.02, whose grid sampling is above
+    # the pair threshold: both engines give the same round-trip errors
+    from potkit import _fmm
+
+    V, probes, exact = _mollified_jensen()
+    grid = GridDomain(point(-1.2, -1.2), 0.02, np.ones((121, 121), bool))
     calls, real = [], _fmm.log_kernel_sum
     monkeypatch.setattr(_fmm, "log_kernel_sum", lambda *a: calls.append(1) or real(*a))
     errs, cells = {}, {}
     for engine, pairs in (("direct", math.inf), ("fmm", potentials.FMM_PAIRS)):
         monkeypatch.setattr(potentials, "FMM_PAIRS", pairs)
-        rec = duality.from_potential(V, grid, pole_exclusion=0.1)
-        errs[engine] = (np.abs(exact - [integrate(rec, f) for f in probes])
-                        / (1.0 + np.abs(exact)))
-        cells[engine] = rec.singular_cells
+        errs[engine], cells[engine] = _round_trip_errors(V, GridField.sample(V, grid), probes,
+                                                         exact)
         assert bool(calls) == (engine == "fmm")
     assert np.max(np.abs(errs["fmm"] - errs["direct"])) <= 1e-12
     assert cells["fmm"] == cells["direct"]
 
 
-# -- one far field per source cloud and box ----------------------------------
+def test_round_trip_coarse_lattice_is_the_fine_one_strided():
+    # duality-roundtrip samples each potential once, on its h = 0.01 lattice:
+    # the h = 0.02 cell centres are bitwise its even-index ones, and the
+    # recovery from those samples matches a fresh h = 0.02 sampling
+    from potkit.presets import ROUNDTRIP_COARSE as coarse, ROUNDTRIP_FINE as fine
 
-
-@pytest.fixture
-def far_fields(monkeypatch):
-    """Start without a kept far field, and record every far field built by its
-    count of leaves holding a target."""
-    from potkit import _fmm
-
-    built, real = [], _fmm._far_field
-    monkeypatch.setattr(_fmm, "_last_far_field", None)
-    monkeypatch.setattr(_fmm, "_far_field", lambda *a: built.append(a[3].sum()) or real(*a))
-    return built
-
-
-def _unit_lattice(k):
-    """(k + 1)^2 targets on [0, 1]^2, corners included: the box of every call below."""
-    t = np.linspace(0.0, 1.0, k + 1)
-    return np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
-
-
-def _fresh_log_kernel_sum(monkeypatch, *args):
-    from potkit import _fmm
-
-    monkeypatch.setattr(_fmm, "_last_far_field", None)
-    return _fmm.log_kernel_sum(*args)
-
-
-def test_fmm_far_field_is_reused_bitwise(far_fields, monkeypatch):
-    # a finer lattice of the same box: same nodes, weights, box, leaf level
-    # and occupied leaves, so the second call keeps the first one's far field
-    from potkit import _fmm
-
-    rng = np.random.default_rng(21)
-    nodes, w = rng.uniform(0.1, 0.9, (3000, 2)), rng.normal(size=3000)
-    _fmm.log_kernel_sum(_unit_lattice(50), nodes, w)
-    hit = _fmm.log_kernel_sum(_unit_lattice(100), nodes, w)
-    assert far_fields == [256]  # one far field, all 16 x 16 leaves occupied
-    fresh = _fresh_log_kernel_sum(monkeypatch, _unit_lattice(100), nodes, w)
-    assert len(far_fields) == 2 and hit.tobytes() == fresh.tobytes()
-
-
-@pytest.mark.parametrize("change", ["weights", "node", "box", "occupancy"])
-def test_fmm_far_field_is_rebuilt_when_an_input_changes(change, far_fields, monkeypatch):
-    from potkit import _fmm
-
-    monkeypatch.setattr(_fmm, "_leaf_level", lambda t_idx, s_idx: 3)  # 8 x 8 leaves
-    rng = np.random.default_rng(22)
-    pts, nodes, w = _unit_lattice(100), rng.uniform(0.1, 0.9, (2000, 2)), rng.normal(size=2000)
-    _fmm.log_kernel_sum(pts, nodes, w)
-    pts, nodes, w = pts.copy(), nodes.copy(), w.copy()
-    if change == "weights":
-        w[7] = np.nextafter(w[7], np.inf)
-    elif change == "node":
-        nodes[7, 0] = np.nextafter(nodes[7, 0], np.inf)
-    elif change == "box":  # the lower corner moves; every leaf keeps its targets
-        pts += 2.0 ** -20
-    else:  # leaf (2, 2), [0.25, 0.375)^2, loses its targets; the corners stay
-        pts = pts[~np.all(np.abs(pts - 0.31) < 0.065, axis=1)]
-    got = _fmm.log_kernel_sum(pts, nodes, w)
-    assert far_fields == [64, 63 if change == "occupancy" else 64]
-    assert got.tobytes() == _fresh_log_kernel_sum(monkeypatch, pts, nodes, w).tobytes()
-
-
-def test_fmm_far_field_is_not_poisoned_by_the_callers_arrays(far_fields, monkeypatch):
-    # the kept far field holds copies: arrays changed in place after a call are new inputs
-    from potkit import _fmm
-
-    rng = np.random.default_rng(23)
-    pts, nodes, w = _unit_lattice(60), rng.uniform(0.1, 0.9, (2000, 2)), rng.normal(size=2000)
-    _fmm.log_kernel_sum(pts, nodes, w)
-    nodes[::5] += 0.01
-    w *= -2.0
-    got = _fmm.log_kernel_sum(pts, nodes, w)
-    assert len(far_fields) == 2
-    assert got.tobytes() == _fresh_log_kernel_sum(monkeypatch, pts, nodes, w).tobytes()
+    assert (coarse.shape, fine.shape) == ((121, 121), (241, 241))
+    strided = fine.centers().reshape(241, 241, 2)[::2, ::2]
+    assert strided.tobytes() == coarse.centers().reshape(121, 121, 2).tobytes()
+    V, probes, exact = _mollified_jensen()
+    errs, cells = {}, {}
+    for name, samples in (
+            ("fresh", GridField.sample(V, coarse)),
+            ("strided", GridField(coarse, GridField.sample(V, fine).values[::2, ::2]))):
+        errs[name], cells[name] = _round_trip_errors(V, samples, probes, exact)
+    assert np.max(np.abs(errs["strided"] - errs["fresh"])) <= 1e-12
+    assert cells["strided"] == cells["fresh"]
 
 
 def test_a_dropped_potential_is_freed_without_the_cyclic_collector():
