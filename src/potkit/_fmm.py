@@ -98,10 +98,6 @@ LEAF_COST = 2_500
 # nodes per P2M chunk and targets per L2P chunk: bounds the powers and the
 # gathered local coefficients to CHUNK * (ORDER + 1) complex values
 CHUNK = 4096
-# M2L rows per matrix product: small products stay on one BLAS thread (OpenBLAS
-# threads a product once m*n*k > 2^18), which keeps the pool's wake-up
-# latency, milliseconds per call on a busy host, off the hot loop
-ROWS = 64
 
 
 def _binomials(n: int) -> np.ndarray:
@@ -258,8 +254,7 @@ def _far_field(zs: np.ndarray, ws: np.ndarray, s_flat: np.ndarray, t_occ: np.nda
                 continue
             src = multi[level][si[ok] * m + sj[ok]]
             dst = ti[ok] * m + tj[ok]
-            for a in range(0, len(dst), ROWS):
-                local[dst[a:a + ROWS]] += src[a:a + ROWS] @ op.T
+            local[dst] += src @ op.T  # one source box per target box and offset
             local[dst, 0] += log_w * src[:, 0]
     return local.T.copy()
 

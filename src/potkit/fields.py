@@ -4,6 +4,13 @@ Fields are immutable wrappers around vectorized evaluators mapping (n, d)
 point stacks to (n,) extended-real values.  Probe checks and quadratures
 are pure; the layer solver works on a private grid and hands back an
 immutable field.
+
+A glued field (``glue_max``, ``glue_quantitative``, ``glue_with_green``)
+lists its ``pieces``: (holds, field) pairs, one per region of its
+evaluator, where holds(x, r) is True only when the closed ball of radius r
+about x lies in that region.  A sphere mean whose ball one region holds
+evaluates that piece alone, on the very nodes the glued evaluator would have
+handed it, so the mean keeps its bits and skips the membership tests.
 """
 
 from __future__ import annotations
@@ -57,6 +64,8 @@ class ScalarField:
     # set on kernel fields sign * K_{d-2}(., y): the pole y (d = y.size) and the sign
     kernel_pole = None
     kernel_sign = 1.0
+    # set on glued fields: their (holds, field) pieces, see the module docstring
+    pieces = ()
 
     def __init__(self, evaluator, domain=None):
         self._evaluator = evaluator
@@ -152,14 +161,26 @@ class GridField(ScalarField):
 # averages and probes
 
 
+def _piece(v: ScalarField, x, r: float) -> ScalarField:
+    """The field that v is on the closed ball of radius r about x: the piece of a
+    glued v whose region holds that ball, itself routed, else v."""
+    for holds, piece in v.pieces:
+        if holds(x, r):
+            return _piece(piece, x, r)
+    return v
+
+
 def sphere_averages(v: ScalarField, centers, r: float, n: int | None) -> Iterator[float]:
     """Means of v over the spheres of radius r about the rows of `centers`, in order,
     with the `quadrature.sphere_rule` of n nodes (its default count for None).
 
-    v is evaluated once, on the nodes of every sphere before the first one that
-    leaves v's domain; reaching that sphere raises DomainError.  A sphere
-    holding -inf has mean -inf; any other mean is one dot product, so each mean
-    is bit for bit the one a call with that sphere alone gives.
+    The nodes of every sphere before the first one that leaves v's domain are
+    evaluated, then reaching that sphere raises DomainError; a sphere that
+    the domain `holds` skips the node test.  v is evaluated once on all of
+    them, unless a sphere routes to a piece of a glued v: then each sphere is
+    evaluated alone, by its piece.  A sphere holding -inf has mean -inf; any
+    other mean is one dot product, so each mean is bit for bit the one a call
+    with that sphere alone gives.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     nodes, w = quadrature.sphere_rule(centers.shape[1], n)
@@ -168,10 +189,19 @@ def sphere_averages(v: ScalarField, centers, r: float, n: int | None) -> Iterato
     for k in range(d):  # axis by axis: the bits of centers[:, None, :] + r * nodes
         np.add(centers[:, k, None], scaled[:, k], out=pts[:, :, k])
     if v.domain is not None:
-        inside = v.domain.contains_array(pts.reshape(-1, d)).reshape(stop, m).all(axis=1)
+        holds = getattr(v.domain, "holds", None)  # a domain without it tests every node
+        test = np.array([holds is None or not holds(c, r) for c in centers], dtype=bool)
+        inside = ~test
+        if test.any():
+            inside[test] = v.domain.contains_array(pts[test].reshape(-1, d)).reshape(
+                -1, m).all(axis=1)
         stop = int(np.argmin(inside)) if not inside.all() else stop
     if stop:
-        vals = v.evaluate_array(pts[:stop].reshape(-1, d)).reshape(stop, -1)
+        pieces = [_piece(v, c, r) for c in centers[:stop]]
+        if all(f is v for f in pieces):
+            vals = v.evaluate_array(pts[:stop].reshape(-1, d)).reshape(stop, -1)
+        else:
+            vals = (f.evaluate_array(p) for f, p in zip(pieces, pts))
         for row in vals:
             yield -math.inf if np.any(np.isneginf(row)) else float(np.dot(w, row))
     if stop < len(centers):
@@ -352,15 +382,21 @@ def glue_max(O, O0, v: ScalarField, v0: ScalarField, tol: float = 1e-6) -> Scala
         _reject(xs, [(est > g.evaluate_array(xs) + tol + 0.5 * slack,
                       f"boundary compatibility fails on the {side} side")])
 
+    both = ScalarField(lambda p: np.maximum(v.evaluate_array(p), v0.evaluate_array(p)))
+
     def _eval(pts):
         in_O = O.contains_array(pts)
         in_O0 = O0.contains_array(pts)
         return _piecewise(pts, [
             (in_O0 & ~in_O, v0.evaluate_array),
-            (in_O & in_O0, lambda p: np.maximum(v.evaluate_array(p), v0.evaluate_array(p))),
+            (in_O & in_O0, both.evaluate_array),
             (in_O & ~in_O0, v.evaluate_array)])
 
-    return ScalarField(_eval, _Composite(O, O0, union=True))
+    glued = ScalarField(_eval, _Composite(O, O0, union=True))
+    glued.pieces = ((lambda x, r: O0.holds(x, r) and O.misses(x, r), v0),
+                    (lambda x, r: O.holds(x, r) and O0.holds(x, r), both),
+                    (lambda x, r: O.holds(x, r) and O0.misses(x, r), v))
+    return glued
 
 
 def glue_quantitative(O, O0, v: ScalarField, g: ScalarField, m_v: float, M_v: float,
@@ -436,6 +472,7 @@ def glue_with_green(v: ScalarField, green, S_o: Ball, S: Ball, m_v: float, M_v: 
         return (amp / M_g) * (2.0 * green.evaluate_array(pts) - M_g)
 
     v0 = ScalarField(v0_eval)
+    both = ScalarField(lambda p: np.maximum(v0.evaluate_array(p), v.evaluate_array(p)))
 
     def _eval(pts):
         rho = _distance(pts, S_o.center)
@@ -443,10 +480,13 @@ def glue_with_green(v: ScalarField, green, S_o: Ball, S: Ball, m_v: float, M_v: 
         in_S = S.contains_array(pts) & ~in_So
         return _piecewise(pts, [
             (in_So, v0.evaluate_array),
-            (in_S, lambda p: np.maximum(v0.evaluate_array(p), v.evaluate_array(p))),
+            (in_S, both.evaluate_array),
             (~(in_So | in_S), v.evaluate_array)])
 
     glued = ScalarField(_eval, ambient)
+    glued.pieces = ((S_o.holds, v0),
+                    (lambda x, r: S.holds(x, r) and S_o.misses(x, r), both),
+                    (lambda x, r: S.misses(x, r) and S_o.misses(x, r), v))
     glued.amplitude = amp
     glued.M_g = M_g
     glued.pole_coefficient = 2.0 * amp / M_g

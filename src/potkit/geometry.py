@@ -10,6 +10,15 @@ Domains answer their own shape questions, so callers never branch on type:
 (lo, hi) when the domain is {lo < |x - center| < hi}, else None),
 ``boundary_distance(x)`` on balls and annuli, and ``centers()`` (every window
 cell) on grids.  ``_Composite`` is the union or intersection of two domains.
+
+Two shape questions route a probe sphere without testing its nodes:
+``holds(x, r)`` is True only when the closed ball of radius r about x lies in
+the domain, and ``misses(x, r)`` only when that ball is disjoint from the
+domain's closure.  Each answer clears a margin (``_SLACK``) far above the
+rounding of a sphere-rule node x + r u and of its ``_distance``, so a held
+sphere has every node inside by ``contains_array`` and a missed one none.
+False means "not proven": a grid answers False to both, and a composite
+combines the answers of its parts.
 """
 
 from __future__ import annotations
@@ -88,6 +97,20 @@ def _distance(pts: np.ndarray, c) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
+# relative margin of holds/misses: a node x + r u rounds by a few ulps of |x| + r,
+# and its _distance to a center by a few more, both far below this
+_SLACK = 1e-12
+
+
+def _reach(domain, x, r: float, radius: float) -> tuple[float, float]:
+    """|x - center| for a sphere of radius r about x, and the margin a holds/misses
+    answer must clear: _SLACK times the sizes of x, the center, r and `radius`."""
+    x = _in_dimension_of(domain, np.asarray(x, dtype=float)).tolist()
+    c = domain.center.tolist()  # math on floats: a few times faster than on numpy scalars
+    rho = math.dist(x, c)
+    return rho, _SLACK * (rho + r + radius + math.hypot(*x) + math.hypot(*c))
+
+
 @dataclass(frozen=True, eq=False)
 class Ball:
     """Open Euclidean ball."""
@@ -126,6 +149,14 @@ class Ball:
     def contains_array(self, pts: np.ndarray) -> np.ndarray:
         pts = _in_dimension_of(self, np.atleast_2d(pts))
         return _distance(pts, self.center) < self.radius
+
+    def holds(self, x, r: float) -> bool:
+        rho, slack = _reach(self, x, r, self.radius)
+        return rho + r < self.radius - slack
+
+    def misses(self, x, r: float) -> bool:
+        rho, slack = _reach(self, x, r, self.radius)
+        return rho - r > self.radius + slack
 
     def boundary_points(self, n: int) -> np.ndarray:
         """n points on the sphere, along `quadrature._unit_directions`."""
@@ -181,6 +212,14 @@ class Annulus:
         pts = _in_dimension_of(self, np.atleast_2d(pts))
         r = _distance(pts, self.center)
         return (r > self.r_in) & (r < self.r_out)
+
+    def holds(self, x, r: float) -> bool:
+        rho, slack = _reach(self, x, r, self.r_out)
+        return self.r_in + slack < rho - r and rho + r < self.r_out - slack
+
+    def misses(self, x, r: float) -> bool:
+        rho, slack = _reach(self, x, r, self.r_out)
+        return rho + r < self.r_in - slack or rho - r > self.r_out + slack
 
     def boundary_points(self, n: int) -> np.ndarray:
         inner = Ball(self.center, self.r_in).boundary_points(n // 2)
@@ -263,6 +302,12 @@ class GridDomain:
             out[ok] = self.mask[sel]
         return out
 
+    def holds(self, x, r: float) -> bool:
+        return False
+
+    def misses(self, x, r: float) -> bool:
+        return False
+
     def boundary_cells(self) -> np.ndarray:
         """Boolean array marking mask cells adjacent to unmasked/out-of-window cells."""
         return self.mask & ~np.logical_and.reduce(list(_face_neighbours(self.mask)))
@@ -300,6 +345,16 @@ class _Composite:
     def contains_array(self, pts) -> np.ndarray:
         a, b = self.a.contains_array(pts), self.b.contains_array(pts)
         return a | b if self.union else a & b
+
+    def holds(self, x, r: float) -> bool:
+        if self.union:
+            return self.a.holds(x, r) or self.b.holds(x, r)
+        return self.a.holds(x, r) and self.b.holds(x, r)
+
+    def misses(self, x, r: float) -> bool:
+        if self.union:
+            return self.a.misses(x, r) and self.b.misses(x, r)
+        return self.a.misses(x, r) or self.b.misses(x, r)
 
 
 def _stencil(base: np.ndarray, reach: int, shape: tuple) -> tuple[np.ndarray, np.ndarray]:

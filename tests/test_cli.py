@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import potkit
+from potkit import balayage as bal
 from potkit.cli import main, preset_scenario, run_scenario
+from potkit.measures import IndeterminateIntegral
 from potkit.presets import PRESETS, preset_table
+from potkit.verdict import Verdict
 
 
 def run_cli(args):
@@ -531,3 +534,86 @@ def test_failed_certification_is_a_failed_verdict(tmp_path, capsys):
     assert check["raw_pass"] is False and check["pass"] is False
     assert check["report"]["certification"] == (
         "har-balayage certification failed (witness k+[5])")
+
+
+# -- presets whose check fails return failed verdicts --------------------------
+# Each failure is forced by a monkeypatch: no preset fails at seeds 0 or 1.
+
+
+_check_linear = bal.check_linear
+
+
+def _failed_certification(theta, mu, family, tol_scale=1e-7):
+    """check_linear, failing every har-balayage (harmonic-kernel) certification."""
+    if family.tag == "harmonic-kernels":
+        return Verdict("check-linear", False, [], {"witness": "forced"})
+    return _check_linear(theta, mu, family, tol_scale)
+
+
+def _indeterminate(*args, **kwargs):
+    raise IndeterminateIntegral("forced")
+
+
+def _run_failing_preset(name, tmp_path, capsys):
+    """Run the preset through the CLI; its verdicts with exit 1 and no traceback."""
+    out = tmp_path / "out"
+    assert run_cli(["run", "--preset", name, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    (run,) = json.loads((out / "verdicts.json").read_text())["checks"]
+    assert run["raw_pass"] is False and run["pass"] is False
+    assert (out / "margins.csv").exists()
+    return run["checks"]
+
+
+@pytest.mark.parametrize("target, replacement, reason", [
+    ("potkit.balayage.check_linear", _failed_certification, "certification"),
+    ("potkit.duality.integrate", _indeterminate, "indeterminate"),
+])
+def test_failed_poisson_jensen_presets_return_verdicts(tmp_path, capsys, monkeypatch,
+                                                       target, replacement, reason):
+    monkeypatch.setattr(target, replacement)
+    checks = _run_failing_preset("classical-pj", tmp_path, capsys)
+    assert [c["pass"] for c in checks] == [False, False]
+    assert all(reason in c["data"] for c in checks)
+
+    (suite,) = _run_failing_preset("pj-suite", tmp_path, capsys)
+    assert suite["pass"] is False
+    assert len(suite["data"]["reasons"]) == 12
+    assert all(reason in r for r in suite["data"]["reasons"].values())
+    rows = (tmp_path / "out" / "margins.csv").read_text().splitlines()[1:]
+    assert len(rows) == 12 and all(line.endswith(",nan,nan,nan,False") for line in rows)
+
+
+def test_uncertified_roundtrip_potentials_return_verdicts(tmp_path, capsys, monkeypatch):
+    from potkit import duality
+
+    certify = duality._certify
+
+    def jensen_fails(mu, x, kind, D, seed):
+        if kind == "jensen":
+            raise duality.CertificationError("jensen certification failed (forced)")
+        return certify(mu, x, kind, D, seed)
+
+    monkeypatch.setattr(duality, "_certify", jensen_fails)
+    checks = _run_failing_preset("duality-roundtrip", tmp_path, capsys)
+    assert [c["pass"] for c in checks] == [False] * 4
+    for c in checks[:2]:
+        assert sorted(c["data"]["certification"]) == [f"jensen[{i}]" for i in range(5)]
+    for c in checks[2:]:
+        assert c["data"]["certification"] == "jensen certification failed (forced)"
+    margins = (tmp_path / "out" / "margins.csv").read_text().splitlines()[1:]
+    assert len(margins) == 20
+    assert all((",nan," in line) == ("jensen[" in line) for line in margins)
+
+
+def test_roundtrip_pole_coefficient_above_one_is_a_failed_verdict(tmp_path, capsys,
+                                                                  monkeypatch):
+    from potkit import duality
+
+    def too_steep(V, green, **kwargs):
+        raise ValueError("pole coefficient 1.2 exceeds 1")
+
+    monkeypatch.setattr(duality, "phragmen_lindelof_bound", too_steep)
+    checks = _run_failing_preset("duality-roundtrip", tmp_path, capsys)
+    assert [c["pass"] for c in checks] == [True, True, False, True]
+    assert checks[2]["data"] == {"rejected": "pole coefficient 1.2 exceeds 1"}

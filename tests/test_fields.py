@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from potkit import fields, green, quadrature
 from potkit.fields import (SWEEPS_PER_NODE, GlueError, GridField,
@@ -850,13 +851,17 @@ def test_check_subharmonic_leaves_the_domain_at_the_same_probe():
 # -- work done by the gluing presets, in calls --------------------------------
 # Counted at seed 0: the checks and probe centres go through one stacked
 # evaluation each, so no single-point field call is left, and the domain and
-# field calls are those of the 500-probe sphere means (4,096 nodes each);
+# field calls are those of the 500-probe sphere means (4,096 nodes each).  A
+# sphere the glued field's domain holds skips the node test, and one a piece's
+# region holds is evaluated by that piece alone, with no membership test: 313
+# of glue-basic's 500 V spheres, 372 of its 500 Vq2 spheres and 331 of
+# glue-green's 500 (`test_preset_probe_spheres_route_to_one_piece`).
 # glue-green's two annulus samples add one Annulus call each.
 GLUING_PRESET_WORK = {
-    "glue-basic": {"Ball.contains_array": 3056, "Annulus.contains_array": 1022,
-                   "ScalarField.evaluate_array": 5978, "ScalarField.__call__": 0},
-    "glue-green": {"Ball.contains_array": 1010, "Annulus.contains_array": 2,
-                   "ScalarField.evaluate_array": 1742, "ScalarField.__call__": 0},
+    "glue-basic": {"Ball.contains_array": 514, "Annulus.contains_array": 224,
+                   "ScalarField.evaluate_array": 5747, "ScalarField.__call__": 0},
+    "glue-green": {"Ball.contains_array": 179, "Annulus.contains_array": 2,
+                   "ScalarField.evaluate_array": 1652, "ScalarField.__call__": 0},
 }
 
 
@@ -876,6 +881,86 @@ def test_gluing_preset_work_counters(monkeypatch, name):
     checks, _ = run_preset(name, 0, 1.0)
     assert all(c.passed for c in checks)
     assert counts == GLUING_PRESET_WORK[name]
+
+
+# -- sphere means routed to the glued piece that holds them ------------------
+
+
+def _preset_vq2():
+    """glue-basic's quantitative gluing: on the overlap B(0, 2), max(v, v0) is v."""
+    g_h = ScalarField(lambda p: -2.0 + 0.25 * (p[:, 0] ** 2 - p[:, 1] ** 2))
+    return glue_quantitative(Ball(point(0, 0), 4.0), Ball(point(0, 0), 2.0),
+                             ScalarField(lambda p: 0.5 * p[:, 1]), g_h,
+                             m_v=-1.0, M_v=1.0, m_g=0.0, M_g=2.0)
+
+
+def test_preset_probe_spheres_route_to_one_piece():
+    """The glued fields and probe spheres of glue-basic (V, Vq2) and glue-green."""
+    V, Vq2 = glue_max(*_valid_glue_pair()), _preset_vq2()
+    O, S_o, S, gm, v, m_v, M_v = _disk_glue_instance()
+    Vg = glue_with_green(v, gm, S_o, S, m_v, M_v, ambient=O)
+    sets = [(V, 2.9, 0, [((0.0, 0.0), 0.0)]), (Vq2, 3.9, 3, ()),
+            (Vg, 0.98, 0, [((0.0, 0.0), 0.0), ((0.8, 0.0), 0.0)])]
+    routed = []
+    for field, radius, seed, holes in sets:
+        probes = fields.random_probes(Ball(point(0, 0), radius), 500, seed, r_lo=2e-3,
+                                      holes=holes)
+        routed.append(sum(fields._piece(field, x, r) is not field for x, r in probes))
+    assert routed == [313, 372, 331]
+
+
+def _mean_reference(v, x, r):
+    """The sphere mean with no routing: every node tested against v's domain, then
+    v's own (glued) evaluator on all of them."""
+    nodes, w = quadrature.sphere_rule(x.size, None)
+    pts = x[None, :] + r * nodes
+    if v.domain is not None and not v.domain.contains_array(pts).all():
+        raise fields.DomainError("probe sphere leaves the field's domain")
+    vals = v.evaluate_array(pts)
+    return -math.inf if np.any(np.isneginf(vals)) else float(np.dot(w, vals))
+
+
+def _routing_cases():
+    """Glued fields with the circles that bound their pieces.  Off-centre, v0 is v
+    raised by 1e-7, inside glue_max's tolerance, so the glued field jumps across
+    the boundary of O0 and a sphere routed to the wrong piece changes its mean."""
+    V = glue_max(*_valid_glue_pair())
+    c, c0 = point(0.3, -0.2), point(-0.25, 0.4)
+    v = ScalarField(lambda p: 0.3 * p[:, 0] - 0.2 * p[:, 1] + 0.05 * p[:, 0] * p[:, 1])
+    off = glue_max(Annulus(c, 1.0, 3.0), Ball(c0, 2.0), v, v + 1e-7)
+    O, S_o, S, gm, vg, m_v, M_v = _disk_glue_instance()
+    Vg = glue_with_green(vg, gm, S_o, S, m_v, M_v, ambient=O)
+    zero = point(0, 0)
+    return {"glue-max": (V, [(zero, 1.0), (zero, 2.0), (zero, 3.0)]),
+            "glue-quantitative": (_preset_vq2(), [(zero, 2.0), (zero, 4.0)]),
+            "glue-max-off-centre": (off, [(c, 1.0), (c, 3.0), (c0, 2.0)]),
+            "glue-green": (Vg, [(zero, 0.2), (zero, 0.6), (zero, 1.0)])}
+
+
+_ROUTING_CASES = _routing_cases()
+
+
+@settings(max_examples=500, deadline=None)
+@given(name=st.sampled_from(sorted(_ROUTING_CASES)), which=st.integers(0, 2),
+       outside=st.booleans(), j=st.integers(0, quadrature.CIRCLE_NODES - 1),
+       r=st.floats(1e-3, 1.0),
+       offset=st.one_of(st.integers(-6, 6).map(lambda k: k * 2.0 ** -52),
+                        st.floats(-4e-11, 4e-11), st.floats(-0.5, 0.5)))
+def test_routed_sphere_means_keep_their_bits(name, which, outside, j, r, offset):
+    """Spheres tangent to a piece boundary at a rule node, moved by a few ulps, by
+    about the holds/misses margin or by a lot: the routed mean is bit for bit the
+    full evaluator's, and DomainError is raised for the same spheres."""
+    V, interfaces = _ROUTING_CASES[name]
+    c, R = interfaces[which % len(interfaces)]
+    u = quadrature.sphere_rule(2, None)[0][j]
+    x = c + (R + (r if outside else -r) + offset * R) * u
+    try:
+        want = _mean_reference(V, x, r)
+    except fields.DomainError:
+        with pytest.raises(fields.DomainError):
+            sphere_average(V, x, r)
+        return
+    assert np.float64(sphere_average(V, x, r)).tobytes() == np.float64(want).tobytes()
 
 
 # -- one probe stream against the overdraw-then-filter loop -------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 import potkit
-from potkit import fields
+from potkit import fields, quadrature
 from potkit.geometry import (Annulus, Ball, GridDomain, INFINITY, _Composite, _distance,
                              inversion, inward_filled_hull, kelvin_transform, parallel_set,
                              point)
@@ -530,6 +530,79 @@ def test_composite_membership(union):
         sa, sb = a.contains(x), b.contains(x)
         assert both.contains(x) == ((sa or sb) if union else (sa and sb))
     assert not both.contains(INFINITY)
+
+
+# -- the sphere questions: holds(x, r) and misses(x, r) -------------------------
+
+
+def _closure_holds(domain, pts):
+    """Per row of pts: in the closure of a ball, annulus or composite of them."""
+    if isinstance(domain, _Composite):
+        a, b = _closure_holds(domain.a, pts), _closure_holds(domain.b, pts)
+        return a | b if domain.union else a & b
+    rho = _distance(pts, domain.center)
+    if isinstance(domain, Ball):
+        return rho <= domain.radius
+    return (rho >= domain.r_in) & (rho <= domain.r_out)
+
+
+def _interfaces(domain):
+    """(center, radius) of every circle or sphere that bounds the domain."""
+    if isinstance(domain, _Composite):
+        return _interfaces(domain.a) + _interfaces(domain.b)
+    if isinstance(domain, Ball):
+        return [(domain.center, domain.radius)]
+    return [(domain.center, domain.r_in), (domain.center, domain.r_out)]
+
+
+def _sphere_domains():
+    out = {k: v for k, v in _protocol_domains().items() if "grid" not in k}
+    a, b = Ball(point(0, 0), 1.0), Annulus(point(0.8, 0.1), 0.3, 1.2)
+    out["union"], out["intersection"] = _Composite(a, b, True), _Composite(a, b, False)
+    return out
+
+
+@settings(max_examples=600, deadline=None)
+@given(name=st.sampled_from(sorted(_sphere_domains())), which=st.integers(0, 3),
+       outside=st.booleans(), j=st.integers(0, 4095), r=st.floats(1e-3, 1.0),
+       offset=st.one_of(st.integers(-6, 6).map(lambda k: k * 2.0 ** -52),
+                        st.floats(-4e-11, 4e-11), st.floats(-0.3, 0.3)))
+def test_holds_and_misses_are_proofs_for_the_sphere_nodes(name, which, outside, j, r,
+                                                         offset):
+    """A sphere tangent to one of the domain's interfaces at a rule node, moved by
+    a few ulps, by about the margin or by a lot: a held sphere has every node in
+    the domain, a missed one has none in its closure."""
+    domain = _sphere_domains()[name]
+    c, R = _interfaces(domain)[which % len(_interfaces(domain))]
+    nodes, _ = quadrature.sphere_rule(domain.dimension, None)
+    u = nodes[j % len(nodes)]
+    x = c + (R + (r if outside else -r) + offset * max(R, 1.0)) * u
+    pts = x[None, :] + r * nodes  # the bits sphere_averages gives its nodes
+    if domain.holds(x, r):
+        assert domain.contains_array(pts).all()
+    if domain.misses(x, r):
+        assert not _closure_holds(domain, pts).any()
+        assert not domain.contains_array(pts).any()
+
+
+def test_holds_and_misses_examples():
+    b, a = Ball(point(0, 0), 2.0), Annulus(point(0, 0), 1.0, 3.0)
+    assert b.holds(point(1, 0), 1 - 1e-9) and not b.holds(point(1, 0), 1.0)
+    assert b.misses(point(3.5, 0), 1.5 - 1e-9) and not b.misses(point(3.5, 0), 1.5)
+    assert a.holds(point(2, 0), 1 - 1e-9) and not a.holds(point(2, 0), 1.0)
+    assert not a.holds(point(0, 0.1), 2.0)  # the sphere lies in the annulus, the ball not
+    assert a.misses(point(0, 0), 0.5) and a.misses(point(0, 4), 0.9)
+    assert not a.misses(point(0, 0), 1.0) and not a.misses(point(0, 0), 4.0)
+    u = _Composite(Ball(point(0, 0), 1.0), Ball(point(1.5, 0), 1.0), union=True)
+    assert u.holds(point(0, 0), 0.5) and not u.holds(point(0.75, 0), 0.5)
+    assert u.misses(point(0, 3), 1.0) and not u.misses(point(0, 1.5), 1.0)
+    i = _Composite(Ball(point(0, 0), 1.0), Ball(point(1.5, 0), 1.0), union=False)
+    assert i.holds(point(0.75, 0), 0.2) and not i.holds(point(0, 0), 0.2)
+    assert i.misses(point(-0.5, 0), 0.2) and not i.misses(point(0.75, 0), 0.2)
+    grid = GridDomain(point(0, 0), 0.1, np.ones((9, 9), dtype=bool))
+    assert not grid.holds(point(0.4, 0.4), 1e-3) and not grid.misses(point(5, 5), 1e-3)
+    with pytest.raises(ValueError, match="dimension"):
+        b.holds(point(0, 0, 0), 0.1)
 
 
 def test_domain_type_is_decided_in_geometry():
