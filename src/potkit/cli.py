@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .presets import PRESETS, preset_table, run_preset
 from .verdict import jsonable
 
 SCHEMA_VERSION = 1
+NUMBER_MAX = 1e100  # largest scenario number: its square and cube stay finite
 
 
 class SchemaError(ValueError):
@@ -50,17 +52,27 @@ def _count(value, least: int, where: str) -> int:
 
 
 def _number(value, where: str, above: float = -math.inf) -> float:
-    """`value` as a float if it is a finite number > above (a bool is not), else a SchemaError."""
-    _require(type(value) in (int, float) and above < value and abs(value) <= sys.float_info.max,
-             f"must be a finite number > {above!r}, got {value!r}", where)
+    """`value` as a float if it is a number > above, at most NUMBER_MAX in size, else a
+    SchemaError (a bool is no number)."""
+    _require(type(value) in (int, float) and above < value and abs(value) <= NUMBER_MAX,
+             f"must be a number > {above!r} of size <= {NUMBER_MAX:g}, got {value!r}", where)
     return float(value)
 
 
 def _point(value, where: str) -> np.ndarray:
-    """`value` as a point when it is a nonempty list of finite numbers, else a SchemaError."""
+    """`value` as a point when it is a nonempty list of numbers, else a SchemaError."""
     _require(isinstance(value, list) and len(value) > 0,
              f"must be a nonempty list of coordinates, got {value!r}", where)
     return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(value)])
+
+
+@contextmanager
+def _rejected_at(where: str, *errors):
+    """A SchemaError at `where` for an exception of `errors` raised in the block."""
+    try:
+        yield
+    except errors as exc:
+        raise SchemaError(f"cannot build it: {exc!r}", where) from None
 
 
 def _like_theta(theta: Measure, got: int, where: str):
@@ -115,18 +127,16 @@ def _build_measure(spec: dict, where: str) -> Measure:
         x = _point(spec.get("x"), where + ".x")
         _require(x.shape == ball.center.shape and ball.contains(x),
                  "harmonic measure needs x inside the ball", where + ".x")
-        gm = green.green_ball(ball.center, ball.radius, x)
-        return green.harmonic_measure(gm, x)
+        with _rejected_at(where, NotImplementedError):  # a Green model in d other than 2, 3
+            return green.harmonic_measure(green.green_ball(ball.center, ball.radius, x), x)
     raise SchemaError(f"unknown measure kind {kind!r}", where)
 
 
 def _build_component(entry, where: str):
     _require(isinstance(entry, dict) and entry.get("type") in sorted(_KINDS),
              f"needs a type in {sorted(_KINDS)}, got {entry!r}", where)
-    try:
+    with _rejected_at(where, KeyError, TypeError, ValueError, OverflowError):
         return _KINDS[entry["type"]].from_json(entry)
-    except (KeyError, TypeError, ValueError) as exc:  # a missing key or an unreadable value
-        raise SchemaError(f"cannot read the entry: {exc!r}", where) from None
 
 
 def _build_field(spec: dict, where: str, theta: Measure) -> ScalarField:
@@ -151,7 +161,8 @@ def _build_family(spec: dict, where: str, seed: int, theta: Measure):
                          above=S.radius)
         ring = Ball(S.center, radius).boundary_points(
             _count(spec.get("count", 20), 1, where + ".count"))
-        return bal.harmonic_kernel_family(S, ring)
+        with _rejected_at(where, ValueError):  # a kernel pole in clos S
+            return bal.harmonic_kernel_family(S, ring)
     if spec["kind"] == "test-class":
         tag = spec.get("tag")
         _require(tag in bal.TEST_CLASS_TAGS, f"unknown class tag {tag!r}", where + ".tag")
@@ -168,9 +179,9 @@ def _build_family(spec: dict, where: str, seed: int, theta: Measure):
         gap = bal.dist_to_boundary(S_o, D)
         _require(3 * r < gap, f"3r must be < dist(S_o, boundary of D) = {gap!r}, got {r!r}",
                  where + ".r")
-        return bal.build_test_family(tag, S_o, r, b_minus, b_plus, D,
-                                     _count(spec.get("count", 16), 1, where + ".count"),
-                                     seed=seed)
+        count = _count(spec.get("count", 16), 1, where + ".count")
+        with _rejected_at(where, ValueError):  # a member outside the class
+            return bal.build_test_family(tag, S_o, r, b_minus, b_plus, D, count, seed=seed)
     raise SchemaError(f"unknown family kind {spec['kind']!r}", where)
 
 

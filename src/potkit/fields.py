@@ -5,12 +5,14 @@ point stacks to (n,) extended-real values.  Probe checks and quadratures
 are pure; the layer solver works on a private grid and hands back an
 immutable field.
 
-A glued field (``glue_max``, ``glue_quantitative``, ``glue_with_green``)
-lists its ``pieces``: (holds, field) pairs, one per region of its
-evaluator, where holds(x, r) is True only when the closed ball of radius r
-about x lies in that region.  A sphere mean whose ball one region holds
-evaluates that piece alone, on the very nodes the glued evaluator would have
-handed it, so the mean keeps its bits and skips the membership tests.
+A glued field (``glue_max``, ``glue_quantitative``, ``glue_with_green``,
+``harmonize_layer``) is patched from ``pieces``, each (inside, outside,
+field): the field applies where a point lies in every domain of `inside` and
+in none of `outside`, and the value is nan where no piece applies.  The same
+tuples route a probe sphere: a sphere whose ball every `inside` domain
+``holds`` and every `outside` domain ``misses`` is evaluated by that piece
+alone, on the very nodes the glued evaluator would have handed it, so the
+mean keeps its bits and skips the membership tests.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
+from functools import reduce
 
 import numpy as np
 
@@ -64,7 +67,7 @@ class ScalarField:
     # set on kernel fields sign * K_{d-2}(., y): the pole y (d = y.size) and the sign
     kernel_pole = None
     kernel_sign = 1.0
-    # set on glued fields: their (holds, field) pieces, see the module docstring
+    # set on glued fields: their (inside, outside, field) pieces, see the module docstring
     pieces = ()
 
     def __init__(self, evaluator, domain=None):
@@ -107,25 +110,22 @@ class ScalarField:
         return field
 
     def __add__(self, other) -> "ScalarField":
-        other = as_field(other)
-        return ScalarField(lambda pts: self.evaluate_array(pts) + other.evaluate_array(pts),
-                           self.domain)
+        """self + other, for a field or a number other."""
+        term = _term(other)
+        return ScalarField(lambda pts: self.evaluate_array(pts) + term(pts), self.domain)
 
     def __rmul__(self, a: float) -> "ScalarField":
         return ScalarField(lambda pts: a * self.evaluate_array(pts), self.domain)
 
     def __sub__(self, other) -> "ScalarField":
-        return self + (-1.0) * as_field(other)
+        """self - other, for a field or a number other."""
+        term = _term(other)
+        return ScalarField(lambda pts: self.evaluate_array(pts) - term(pts), self.domain)
 
 
-def as_field(f) -> ScalarField:
-    if isinstance(f, ScalarField):
-        return f
-    if isinstance(f, (int, float)):
-        return ScalarField.constant(float(f))
-    if callable(f):
-        return ScalarField(f)
-    raise TypeError(f"cannot interpret {type(f).__name__} as a field")
+def _term(other):
+    """The evaluator of a field, or of a number as a constant."""
+    return other.evaluate_array if isinstance(other, ScalarField) else lambda p, c=float(other): c
 
 
 class GridField(ScalarField):
@@ -162,11 +162,18 @@ class GridField(ScalarField):
 
 
 def _piece(v: ScalarField, x, r: float) -> ScalarField:
-    """The field that v is on the closed ball of radius r about x: the piece of a
-    glued v whose region holds that ball, itself routed, else v."""
-    for holds, piece in v.pieces:
-        if holds(x, r):
-            return _piece(piece, x, r)
+    """The field that v is on the closed ball of radius r about x: the piece of a glued
+    v whose `inside` domains hold that ball and `outside` ones miss it, routed, else v."""
+    for inside, outside, piece in v.pieces:  # plain loops: generators cost more here
+        for D in inside:
+            if not D.holds(x, r):
+                break
+        else:
+            for D in outside:
+                if not D.misses(x, r):
+                    break
+            else:
+                return _piece(piece, x, r)
     return v
 
 
@@ -366,6 +373,28 @@ def _piecewise(pts: np.ndarray, parts) -> np.ndarray:
     return out
 
 
+def _patch(pieces, domain) -> ScalarField:
+    """The field on `domain` patched from (inside, outside, field) pieces (see the
+    module docstring); each distinct domain's membership is tested once per call."""
+    regions = list(dict.fromkeys(D for inside, outside, _ in pieces for D in inside + outside))
+
+    def _eval(pts):
+        member = {D: D.contains_array(pts) for D in regions}
+        return _piecewise(pts, [(reduce(np.logical_and, [member[D] for D in inside]
+                                        + [~member[D] for D in outside]), f.evaluate_array)
+                                for inside, outside, f in pieces])
+
+    patched = ScalarField(_eval, domain)
+    patched.pieces = pieces
+    return patched
+
+
+def _rescaled(g: ScalarField, amp: float, m_g: float, M_g: float, domain) -> ScalarField:
+    """amp / (M_g - m_g) * (2 g - M_g - m_g): the v0 of the quantitative and Green gluings."""
+    coeff, shift = amp / (M_g - m_g), M_g + m_g
+    return ScalarField(lambda pts: coeff * (2.0 * g.evaluate_array(pts) - shift), domain)
+
+
 def glue_max(O, O0, v: ScalarField, v0: ScalarField, tol: float = 1e-6) -> ScalarField:
     """Two-sided gluing: v0 on O0\\O, max{v0, v} on the overlap, v on O\\O0.
 
@@ -383,20 +412,8 @@ def glue_max(O, O0, v: ScalarField, v0: ScalarField, tol: float = 1e-6) -> Scala
                       f"boundary compatibility fails on the {side} side")])
 
     both = ScalarField(lambda p: np.maximum(v.evaluate_array(p), v0.evaluate_array(p)))
-
-    def _eval(pts):
-        in_O = O.contains_array(pts)
-        in_O0 = O0.contains_array(pts)
-        return _piecewise(pts, [
-            (in_O0 & ~in_O, v0.evaluate_array),
-            (in_O & in_O0, both.evaluate_array),
-            (in_O & ~in_O0, v.evaluate_array)])
-
-    glued = ScalarField(_eval, _Composite(O, O0, union=True))
-    glued.pieces = ((lambda x, r: O0.holds(x, r) and O.misses(x, r), v0),
-                    (lambda x, r: O.holds(x, r) and O0.holds(x, r), both),
-                    (lambda x, r: O.holds(x, r) and O0.misses(x, r), v))
-    return glued
+    return _patch([((O0,), (O,), v0), ((O, O0), (), both), ((O,), (O0,), v)],
+                  _Composite(O, O0, union=True))
 
 
 def glue_quantitative(O, O0, v: ScalarField, g: ScalarField, m_v: float, M_v: float,
@@ -424,10 +441,7 @@ def glue_quantitative(O, O0, v: ScalarField, g: ScalarField, m_v: float, M_v: fl
     _reject(xs, [(est > M_v + tol + 0.5 * slack, "v exceeds M_v on the outer interface"),
                  (g.evaluate_array(xs) < M_g - tol, "g drops below M_g on the outer interface")])
 
-    amp = max(M_v, 0.0) + max(-m_v, 0.0)
-    coeff = amp / (M_g - m_g)
-    shift = M_g + m_g
-    v0 = ScalarField(lambda pts: coeff * (2.0 * g.evaluate_array(pts) - shift), O0)
+    v0 = _rescaled(g, max(M_v, 0.0) + max(-m_v, 0.0), m_g, M_g, O0)
     glued = glue_max(O, O0, v, v0, tol)
     glued.v0 = v0
     return glued
@@ -467,26 +481,9 @@ def glue_with_green(v: ScalarField, green, S_o: Ball, S: Ball, m_v: float, M_v: 
 
     M_g = mg_constant(green, S_o)
     amp = max(M_v, 0.0) + max(-m_v, 0.0)
-
-    def v0_eval(pts):
-        return (amp / M_g) * (2.0 * green.evaluate_array(pts) - M_g)
-
-    v0 = ScalarField(v0_eval)
+    v0 = _rescaled(green, amp, 0.0, M_g, None)  # m_g = 0: bitwise amp / M_g * (2 g - M_g)
     both = ScalarField(lambda p: np.maximum(v0.evaluate_array(p), v.evaluate_array(p)))
-
-    def _eval(pts):
-        rho = _distance(pts, S_o.center)
-        in_So = rho <= S_o.radius
-        in_S = S.contains_array(pts) & ~in_So
-        return _piecewise(pts, [
-            (in_So, v0.evaluate_array),
-            (in_S, both.evaluate_array),
-            (~(in_So | in_S), v.evaluate_array)])
-
-    glued = ScalarField(_eval, ambient)
-    glued.pieces = ((S_o.holds, v0),
-                    (lambda x, r: S.holds(x, r) and S_o.misses(x, r), both),
-                    (lambda x, r: S.misses(x, r) and S_o.misses(x, r), v))
+    glued = _patch([((S_o,), (), v0), ((S,), (S_o,), both), ((), (S, S_o), v)], ambient)
     glued.amplitude = amp
     glued.M_g = M_g
     glued.pole_coefficient = 2.0 * amp / M_g
@@ -504,12 +501,7 @@ def fit_pole_coefficient(field, o):
     o = np.asarray(o, dtype=float)
     radii = np.array(POLE_FIT_RADII)
     dirs = quadrature._unit_directions(o.size, OFFSET_DIRECTIONS)
-    ev = field.evaluate_array if hasattr(field, "evaluate_array") else field
-    ys = []
-    for t in radii:
-        pts = o[None, :] + t * dirs
-        ys.append(float(np.mean(np.asarray(ev(pts), dtype=float))))
-    ys = np.asarray(ys)
+    ys = np.array([float(np.mean(field.evaluate_array(o[None, :] + t * dirs))) for t in radii])
     if not np.all(np.isfinite(ys)):
         return math.nan, 0.0  # a sample hit a singularity: no reliable fit
     xs = -k_eval_array(o.size - 2, radii)
@@ -589,12 +581,7 @@ def harmonize_layer(v: ScalarField, layer: Annulus, cells: int = 128,
                            f"within {max_sweeps} sweeps")
 
     solution = GridField(grid, values)
-
-    def _eval(pts):
-        inside = layer.contains_array(pts)
-        return _piecewise(pts, [(inside, solution.evaluate_array), (~inside, v.evaluate_array)])
-
-    result = ScalarField(_eval, v.domain)
+    result = _patch([((layer,), (), solution), ((), (layer,), v)], v.domain)
     result.solver_grid = solution
     result.sweeps = sweep + 1
     return result

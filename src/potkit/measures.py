@@ -719,23 +719,12 @@ class Mollifier:
         d = self.dimension
         return math.gamma(d / 2.0 + 5.0) / (24.0 * math.pi ** (d / 2.0) * self.radius ** d)
 
-    def density(self, pts: np.ndarray) -> np.ndarray:
-        """Density at points `pts` (..., d) of the bump centred at the origin."""
-        return self.profile(np.sum(np.atleast_2d(pts) ** 2, axis=-1))
-
     def profile(self, r2: np.ndarray) -> np.ndarray:
         """Density at squared distances `r2` from the centre."""
         t = np.clip(1.0 - r2 / self.radius ** 2, 0.0, None)
         t *= t  # two squarings: `** 4` goes through libm pow element by element
         t *= t
         return self.normalizer * t
-
-    def mass(self) -> float:
-        """Mass under the module's ball quadrature (1 up to rule exactness)."""
-        nodes, w = quadrature.ball_rule(self.dimension)
-        vol = unit_ball_volume(self.dimension) * self.radius ** self.dimension
-        vals = self.density(self.radius * nodes)
-        return vol * float(np.dot(w, vals))
 
 
 def convolve_balayage(mu: Measure, smoother, O, cells_per_radius: int = 8) -> Measure:

@@ -38,9 +38,8 @@ def preset_glue_basic(seed: int, tol_scale: float):
     checks = []
     O = Annulus(point(0, 0), 1.0, 3.0)
     O0 = Ball(point(0, 0), 2.0)
-    v = ScalarField.log_distance(point(0, 0), coefficient=2.0) - ScalarField.constant(
-        2 * math.log(2))
-    v0 = ScalarField.log_distance(point(0, 0)) - ScalarField.constant(math.log(2))
+    v = ScalarField.log_distance(point(0, 0), coefficient=2.0) - 2 * math.log(2)
+    v0 = ScalarField.log_distance(point(0, 0)) - math.log(2)
     V = glue_max(O, O0, v, v0, tol=tol)
     probes = random_probes(Ball(point(0, 0), 2.9), 500, seed, r_lo=2e-3,
                            holes=[((0.0, 0.0), 0.0)])

@@ -453,6 +453,10 @@ MISSING = object()  # a case value that deletes its key
      "checks[0].mu.components[0]"),
     (COMPONENTS, ("measures", "mu", "components", 0, "weight"), "x",
      "checks[0].mu.components[0]"),
+    # a number whose square or cube overflows
+    (SWEEP, ("family", "S", "center", 0), 1e300, "checks[0].family.S.center[0]"),
+    (PJ, ("measures", "theta", "point", 0), -1e300, "checks[0].theta.point[0]"),
+    (PJ, ("measures", "mu", "radius"), 1e300, "checks[0].mu.radius"),
 ])
 def test_malformed_value_is_a_schema_error_at_its_path(tmp_path, capsys, base, keys, value,
                                                        where):
@@ -507,6 +511,29 @@ def test_mixed_dimensions_are_a_schema_error_at_the_first_that_differs(
     assert run_cli(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"{where}: must have the dimension" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("base, keys, value, where, message", [
+    (SWEEP, ("family", "S", "center", 0), 1e99, "checks[0].family",
+     "ValueError('probe point"),  # the ring of kernel poles falls in clos S
+    (CLASS, ("family", "count"), 24, "checks[0].family",
+     "ValueError('member ridge"),  # a member fails compact support near bd D
+    (PJ, ("measures", "mu"), {"kind": "harmonic-measure", "center": [0, 0, 0, 0],
+                              "radius": 1.0, "x": [0, 0, 0, 0]},
+     "checks[0].mu", "NotImplementedError('Green models"),
+])
+def test_objects_their_constructor_refuses_are_schema_errors(tmp_path, capsys, base, keys,
+                                                             value, where, message):
+    data = json.loads(json.dumps(base))
+    spec = data
+    for key in keys[:-1]:
+        spec = spec[key]
+    spec[keys[-1]] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{where}: cannot build it: {message}" in err and "Traceback" not in err
 
 
 def test_failed_certification_is_a_failed_verdict(tmp_path, capsys):

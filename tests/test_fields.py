@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from potkit import fields, green, quadrature
 from potkit.fields import (SWEEPS_PER_NODE, GlueError, GridField,
@@ -429,7 +429,9 @@ def test_glue_with_green_d3():
 
 # -- region dispatch against the evaluators it replaced ------------------------
 # The three gluing and patching evaluators once wrote out their own region
-# dispatch; these are those bodies, kept as references for fields._piecewise.
+# dispatch; these are those bodies, kept as references for fields._patch.  The
+# Green gluing's reference gives the closed rim of S_o to v0; the patched field
+# leaves the open ball's rim to max(v0, v), which is v0 there bit for bit.
 
 
 def _glue_max_reference(O, O0, v, v0):
@@ -855,12 +857,15 @@ def test_check_subharmonic_leaves_the_domain_at_the_same_probe():
 # sphere the glued field's domain holds skips the node test, and one a piece's
 # region holds is evaluated by that piece alone, with no membership test: 313
 # of glue-basic's 500 V spheres, 372 of its 500 Vq2 spheres and 331 of
-# glue-green's 500 (`test_preset_probe_spheres_route_to_one_piece`).
-# glue-green's two annulus samples add one Annulus call each.
+# glue-green's 500 (`test_preset_probe_spheres_route_to_one_piece`).  A glued
+# evaluation tests each distinct domain once (the identity glue's O0 once), and
+# glue-green's core S_o is a Ball like S.  A field minus a number is one
+# evaluation of the field.  glue-green's two annulus samples add one Annulus
+# call each.
 GLUING_PRESET_WORK = {
-    "glue-basic": {"Ball.contains_array": 514, "Annulus.contains_array": 224,
-                   "ScalarField.evaluate_array": 5747, "ScalarField.__call__": 0},
-    "glue-green": {"Ball.contains_array": 179, "Annulus.contains_array": 2,
+    "glue-basic": {"Ball.contains_array": 513, "Annulus.contains_array": 224,
+                   "ScalarField.evaluate_array": 3787, "ScalarField.__call__": 0},
+    "glue-green": {"Ball.contains_array": 356, "Annulus.contains_array": 2,
                    "ScalarField.evaluate_array": 1652, "ScalarField.__call__": 0},
 }
 
@@ -930,16 +935,31 @@ def _routing_cases():
     off = glue_max(Annulus(c, 1.0, 3.0), Ball(c0, 2.0), v, v + 1e-7)
     O, S_o, S, gm, vg, m_v, M_v = _disk_glue_instance()
     Vg = glue_with_green(vg, gm, S_o, S, m_v, M_v, ambient=O)
+    layer = Annulus(point(0.1, -0.05), 0.5, 1.0)
+    Vh = harmonize_layer(ScalarField.log_distance(point(0.85, -0.05)), layer, cells=48)
     zero = point(0, 0)
     return {"glue-max": (V, [(zero, 1.0), (zero, 2.0), (zero, 3.0)]),
             "glue-quantitative": (_preset_vq2(), [(zero, 2.0), (zero, 4.0)]),
             "glue-max-off-centre": (off, [(c, 1.0), (c, 3.0), (c0, 2.0)]),
-            "glue-green": (Vg, [(zero, 0.2), (zero, 0.6), (zero, 1.0)])}
+            "glue-green": (Vg, [(zero, 0.2), (zero, 0.6), (zero, 1.0)]),
+            "harmonize-layer": (Vh, [(layer.center, 0.5), (layer.center, 1.0)])}
 
 
 _ROUTING_CASES = _routing_cases()
+# spheres inside and outside S_o of glue-green whose node j, or the node
+# opposite it, lies exactly on the rim |x| = 0.2 (`test_rim_spheres_touch_the_rim`)
+_RIM_SPHERES = [(outside, j, r) for outside in (False, True) for j in (0, 1024)
+                for r in (2.0 ** -4, 2.0 ** -7)]
 
 
+def _rim_examples(test):
+    for outside, j, r in _RIM_SPHERES:
+        test = example(name="glue-green", which=0, outside=outside, j=j, r=r,
+                       offset=0.0)(test)
+    return test
+
+
+@_rim_examples
 @settings(max_examples=500, deadline=None)
 @given(name=st.sampled_from(sorted(_ROUTING_CASES)), which=st.integers(0, 2),
        outside=st.booleans(), j=st.integers(0, quadrature.CIRCLE_NODES - 1),
@@ -961,6 +981,20 @@ def test_routed_sphere_means_keep_their_bits(name, which, outside, j, r, offset)
             sphere_average(V, x, r)
         return
     assert np.float64(sphere_average(V, x, r)).tobytes() == np.float64(want).tobytes()
+
+
+def test_rim_spheres_touch_the_rim():
+    """Each of _RIM_SPHERES has a node on the rim of S_o, where the glued field
+    takes v0's bits: the open core leaves the rim to max(v0, v), and v0 >= v there."""
+    Vg, _ = _ROUTING_CASES["glue-green"]
+    nodes = quadrature.sphere_rule(2, None)[0]
+    for outside, j, r in _RIM_SPHERES:
+        x = (0.2 + (r if outside else -r)) * nodes[j]
+        pts = x + r * nodes
+        on_rim = fields._distance(pts, point(0, 0)) == 0.2
+        assert on_rim.sum() == 1
+        rim = pts[on_rim]
+        assert Vg.evaluate_array(rim).tobytes() == Vg.v0.evaluate_array(rim).tobytes()
 
 
 # -- one probe stream against the overdraw-then-filter loop -------------------

@@ -10,7 +10,7 @@ import pytest
 from potkit import _blas, balayage, fields, green, measures, quadrature
 from potkit.cli import _build_measure
 from potkit.geometry import Annulus, Ball, GridDomain, point
-from potkit.kernels import k_eval_array
+from potkit.kernels import k_eval_array, unit_ball_volume
 from potkit.measures import (Atom, BallUniform, GridDensity, Measure, Mollifier,
                              SphereUniform, convolve_balayage, integrate, jordan,
                              restrict, total_mass)
@@ -131,11 +131,13 @@ def test_restrict_non_concentric_sampled():
 def test_mollifier_mass_and_profile():
     for d in (2, 3):
         m = Mollifier(0.3, d)
-        assert m.mass() == pytest.approx(1.0, abs=1e-10)
-        assert np.all(m.density(np.zeros((1, d))) > 0)
-        outside = np.zeros((1, d))
-        outside[0, 0] = 0.31
-        assert m.density(outside)[0] == 0.0
+        # the mass under the ball quadrature: 1 up to rule exactness
+        nodes, w = quadrature.ball_rule(d)
+        r2 = np.sum((m.radius * nodes) ** 2, axis=-1)
+        mass = unit_ball_volume(d) * m.radius ** d * float(np.dot(w, m.profile(r2)))
+        assert mass == pytest.approx(1.0, abs=1e-10)
+        assert m.profile(np.zeros(1))[0] > 0
+        assert m.profile(np.array([0.31 ** 2]))[0] == 0.0
 
 
 def test_convolve_delta_gives_mollifier_density():
@@ -359,7 +361,8 @@ def bumps_on_grid_loop(pts, wts, moll, cells_per_radius):
         centers = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1).reshape(-1, d) * h \
             + lo[None, :]
         sample = centers[:, None, :] + h * gl_nodes[None, :, :]
-        dens = moll.density(sample.reshape(-1, d) - p).reshape(len(centers), -1)
+        dens = moll.profile(np.sum((sample.reshape(-1, d) - p) ** 2, axis=-1)).reshape(
+            len(centers), -1)
         cell_mass = (dens @ gl_w) * h ** d
         s = cell_mass.sum()
         if s <= 0.0:
