@@ -216,7 +216,10 @@ def standard_jensen_family(D: Ball, seed: int = 0) -> TestFamily:
 
 
 def _ridge_member(green_field, c: float, t: float) -> ScalarField:
-    """t * max(g - c, 0): subharmonic off the pole, supported where g >= c."""
+    """t * max(g - c, 0): subharmonic off the pole, supported where g >= c; a scale
+    t that is not finite raises ValueError."""
+    if not math.isfinite(t):
+        raise ValueError(f"ridge scale t = {t!r} at level c = {c!r} is not finite")
 
     def _eval(pts):
         return t * np.maximum(green_field.evaluate_array(pts) - c, 0.0)
@@ -251,6 +254,9 @@ def build_test_family(tag: str, S_o: Ball, r: float, b_minus: float, b_plus: flo
     o = S_o.center
     green = green_ball(D.center, D.radius, o)
     g_sup_boundary = float(np.max(green.evaluate_array(S_o.boundary_points(256))))
+    if not math.isfinite(g_sup_boundary):  # the boundary of S_o falls on the pole o
+        raise ValueError(f"sup of the Green function on the boundary of S_o is "
+                         f"{g_sup_boundary!r}, not finite")
 
     members = []
     deepening = []

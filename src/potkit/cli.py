@@ -14,6 +14,8 @@ byte-identical output).
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
 import json
 import math
 import sys
@@ -132,9 +134,23 @@ def _build_measure(spec: dict, where: str) -> Measure:
     raise SchemaError(f"unknown measure kind {kind!r}", where)
 
 
+def _bounded(value, where: str):
+    """A SchemaError at the first number in `value`, or in the lists and objects it
+    nests, that `_number` refuses."""
+    if type(value) in (int, float):
+        _number(value, where)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _bounded(v, f"{where}[{i}]")
+    elif isinstance(value, dict):
+        for key, v in value.items():
+            _bounded(v, f"{where}.{key}")
+
+
 def _build_component(entry, where: str):
     _require(isinstance(entry, dict) and entry.get("type") in sorted(_KINDS),
              f"needs a type in {sorted(_KINDS)}, got {entry!r}", where)
+    _bounded(entry, where)
     with _rejected_at(where, KeyError, TypeError, ValueError, OverflowError):
         return _KINDS[entry["type"]].from_json(entry)
 
@@ -278,13 +294,10 @@ def run_scenario(data: dict, seed: int, grid: int, tol_scale: float,
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "verdicts.json").write_text(
             json.dumps(jsonable(verdicts), sort_keys=True, indent=1) + "\n")
-        import csv
-
         with open(out_dir / "margins.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["check", "member", "lhs", "rhs", "margin", "pass"])
-            for row in all_margins:
-                writer.writerow(list(row))
+            writer.writerows(all_margins)
         if all_exports:
             fdir = out_dir / "fields"
             fdir.mkdir(exist_ok=True)
@@ -314,7 +327,9 @@ def preset_scenario(name: str) -> dict:
             "checks": [{"type": "preset", "name": name}]}
 
 
-def main(argv=None) -> int:
+@functools.cache  # built on first use, so importing the module does not pay for it
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, one per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="potkit",
                                      description="potential-theory scenario runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -331,8 +346,11 @@ def main(argv=None) -> int:
     p_run.add_argument("--tol-scale", type=float, default=1.0,
                        help="scale factor applied to report tolerances")
     p_run.add_argument("--out", type=Path, default=None, help="output directory")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "list-presets":
         rows = preset_table()

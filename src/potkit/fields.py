@@ -99,7 +99,14 @@ class ScalarField:
 
     @staticmethod
     def kernel(y, sign: float = 1.0) -> "ScalarField":
-        """sign * K_{d-2}(x, y) as a field of x, with d = y.size."""
+        """sign * K_{d-2}(x, y) as a field of x, with d = y.size and sign +1 or -1.
+
+        ``measures.integrate_many`` reduces each pole's kernel row once and
+        gives each member its sign times that sum, which is bitwise the
+        member's own sum only when the sign is +-1; other signs raise ValueError.
+        """
+        if sign not in (1.0, -1.0):
+            raise ValueError(f"a kernel field's sign must be +1 or -1, got {sign!r}")
         y = np.asarray(y, dtype=float)
 
         def _eval(pts):

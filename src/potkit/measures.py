@@ -535,43 +535,45 @@ def _eval_field(f, pts: np.ndarray) -> np.ndarray:
 
 
 class _ExtSum:
-    """Extended-real accumulator with the 0*(+-inf) = 0 convention: a finite part
-    and the signs (+-1.0) of the infinite terms."""
+    """Extended-real accumulator with the 0*(+-inf) = 0 convention: a finite part,
+    the signs (+-1.0) of the infinite terms and the first exception met."""
 
     def __init__(self):
         self.finite = 0.0
         self.inf_signs: set = set()
+        self.error: Exception | None = None
 
-    def add_weighted(self, w: np.ndarray, v: np.ndarray):
-        """Add sum_i w_i v_i over nonzero weights, one dot product of the contiguous
-        arrays.  A sum that is not finite is taken apart."""
-        if v.shape != w.shape:
-            raise ValueError(f"{v.shape} field values for {w.shape} nodes")
-
-        def plus(w, v):  # the finite part plus the terms
-            # _blas.dot runs BLAS dots without np.dot's floating-point error check,
-            # so a sum meeting +inf and -inf, taken apart below, stays quiet; an
-            # np.errstate per call would cost about 2.5 us, and the scenarios
-            # workload adds some 17,000 such sums per pass
-            return self.finite + _blas.dot(np.ascontiguousarray(w), np.ascontiguousarray(v))
-
-        if math.isfinite(s := plus(w, v)):
-            self.finite = s
-            return
-        if np.any(np.isnan(v)):
-            raise IndeterminateIntegral("field evaluated to nan on the support")
-        inf = np.isinf(v)
-        self.inf_signs.update((np.sign(v[inf]) * np.sign(w[inf])).tolist())
-        self.finite = plus(w[~inf], v[~inf])
-
-    def value(self) -> float:
+    def result(self):
+        """The integral, or the exception that decides it."""
+        if self.error is not None:
+            return self.error
         if len(self.inf_signs) == 2:
-            raise IndeterminateIntegral("positive and negative parts both diverge")
+            return IndeterminateIntegral("positive and negative parts both diverge")
         return math.inf * max(self.inf_signs) if self.inf_signs else self.finite
 
 
-_ONE = np.ones(1)
-_ONE.setflags(write=False)
+def _add(members, w: np.ndarray, v: np.ndarray):
+    """Add sign * sum_i w_i v_i, of contiguous w and v, to each (accumulator, sign)
+    of `members`, sign +-1.  The sum is one dot product; one that is not finite is
+    taken apart once: a nan value makes it indeterminate, else the signs of its
+    infinite terms and the sum of its finite ones are added."""
+    # _blas.dot runs BLAS dots without np.dot's floating-point error check, so a sum
+    # meeting +inf and -inf stays quiet; an np.errstate per sum would cost about 2.5 us
+    if math.isfinite(s := _blas.dot(w, v)):
+        for acc, sign in members:
+            acc.finite += sign * s
+        return
+    if np.any(np.isnan(v)):
+        for acc, _ in members:
+            if acc.error is None:
+                acc.error = IndeterminateIntegral("field evaluated to nan on the support")
+        return
+    inf = np.isinf(v)
+    signs = (np.sign(v[inf]) * np.sign(w[inf])).tolist()
+    s = _blas.dot(w[~inf], v[~inf])
+    for acc, sign in members:
+        acc.inf_signs.update(sign * t for t in signs)
+        acc.finite += sign * s
 
 
 def integrate(mu: Measure, f) -> float:
@@ -600,41 +602,35 @@ def integrate_many(mu: Measure, fields) -> list:
     failing field does not stop the others.  Kernel fields (``kernel_pole``
     set, of the charge's dimension d, so all of order d - 2) are grouped by
     pole; on each component's node cloud the kernel rows of the distinct
-    poles are filled in tiles of at most ``kernels.TILE_BYTES`` and every
-    member sharing a row reduces it by its own dot product, ``sign * row``
-    against the weights.  Other fields are evaluated one by one.
+    poles are filled in tiles of at most ``kernels.TILE_BYTES``, each row is
+    reduced once, by one dot product against the weights (on a plain layer,
+    Newton's closed form at the pole stands for it), and every member sharing
+    the row adds its sign (+-1) times that sum.  Negation is exact and a dot
+    product of -v is bitwise minus that of v, so this is the member's own
+    reduction of ``sign * row``.  Other fields are evaluated one by one, with
+    sign 1.  A sum that is not finite is taken apart once for all its members:
+    a nan term makes each of them indeterminate, and the signs of the infinite
+    terms and the sum of the finite ones are added like any other sum.
     """
     fields = list(fields)
-    results: list = [None] * len(fields)  # an exception once a member fails
     accs = [_ExtSum() for _ in fields]
     q = mu.dimension - 2
-    poles: dict = {}  # pole bytes -> indices of the members with it
+    poles: dict = {}  # pole bytes -> the pole and the (accumulator, sign) of its members
     others = []
-    for j, f in enumerate(fields):
+    for acc, f in zip(accs, fields):
         pole = getattr(f, "kernel_pole", None)
         if pole is not None and pole.size == mu.dimension:
-            poles.setdefault(pole.tobytes(), []).append(j)
+            poles.setdefault(pole.tobytes(), (pole, []))[1].append((acc, f.kernel_sign))
         else:
-            others.append(j)
-    groups = list(poles.values())
-    P = np.array([fields[g[0]].kernel_pole for g in groups])
-
-    def add(j, w, values, *args):
-        """Add values(*args) to member j unless it failed; its first exception is its result."""
-        if results[j] is None:
-            try:
-                accs[j].add_weighted(w, values(*args))
-            except Exception as exc:  # recorded per member; the other members go on
-                results[j] = exc
-
+            others.append((acc, f))
+    P = np.array([pole for pole, _ in poles.values()])
+    groups = [members for _, members in poles.values()]
     for c in mu.components:
         newton = c.newton_potential() if groups else None
         if newton is not None:
             # kernel fields against a plain layer: Newton's closed form at each pole
             for pole, members in zip(P, groups):
-                at_pole = newton(pole[None, :])
-                for j in members:
-                    add(j, _ONE, np.multiply, fields[j].kernel_sign, at_pole)
+                _add(members, np.ones(1), newton(pole[None, :]))
         if not (others or (groups and newton is None)):
             continue  # no field needs the node cloud
         pts, w = c.discretize("integrate")
@@ -642,24 +638,26 @@ def integrate_many(mu: Measure, fields) -> list:
             pts, w = pts[w != 0.0], w[w != 0.0]
         if not len(w):
             continue
+        w = np.ascontiguousarray(w)
         if newton is None:
             rows = tile_rows(len(pts))
             tile = np.empty((min(rows, len(P)), len(pts)))
             for a in range(0, len(P), rows):
                 K = kernel_rows(P[a:a + rows], pts, q, tile[:len(P) - a])
                 for members, row in zip(groups[a:a + rows], K):
-                    for j in members:
-                        add(j, w, np.multiply, fields[j].kernel_sign, row)
-        for j in others:
-            add(j, w, _eval_field, fields[j], pts)
-
-    for j, acc in enumerate(accs):
-        if results[j] is None:
+                    _add(members, w, row)
+        for acc, f in others:
+            if acc.error is not None:
+                continue  # a failed field is not evaluated again
             try:
-                results[j] = acc.value()
-            except IndeterminateIntegral as exc:
-                results[j] = exc
-    return results
+                v = np.ascontiguousarray(_eval_field(f, pts))
+                if v.shape != w.shape:
+                    raise ValueError(f"{v.shape} field values for {w.shape} nodes")
+            except Exception as exc:  # recorded per member; the other members go on
+                acc.error = exc
+                continue
+            _add(((acc, 1.0),), w, v)
+    return [acc.result() for acc in accs]
 
 
 def total_mass(mu: Measure) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from potkit import green
+from potkit import balayage, green
 from potkit.balayage import (TestFamily, build_test_family, check_affine, check_linear,
                              harmonic_kernel_family, lyons_example_pair,
                              standard_jensen_family)
@@ -259,6 +259,12 @@ def test_build_test_family_classes():
 
     with pytest.raises(ValueError):
         build_test_family("sbh00+", Ball(point(0, 0), 0.5), 0.2, -1.0, 1.0, D)
+    # the boundary of S_o falls on its center, where the Green function is +inf
+    with pytest.raises(ValueError, match="not finite"):
+        build_test_family("sbh00+", Ball(point(0, 0), 1e-300), 0.05, -1.0, 1.0, D)
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            balayage._ridge_member(fam.members[0][1], 0.5, t)
 
 
 def test_family_members_subharmonic_probes():

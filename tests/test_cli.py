@@ -364,6 +364,19 @@ def test_finite_positive_tol_scale_still_runs(tmp_path):
     assert json.loads((tmp_path / "verdicts.json").read_text())["tol_scale"] == 3.0
 
 
+def test_main_builds_one_parser_and_each_call_parses_its_own_flags(tmp_path):
+    from potkit import cli
+
+    cli._parser.cache_clear()
+    assert run_cli(["run", "--preset", "green-ball", "--tol-scale", "3", "--seed", "2",
+                    "--out", str(tmp_path / "a")]) == 0
+    assert run_cli(["run", "--preset", "green-ball", "--out", str(tmp_path / "b")]) == 0
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    written = [json.loads((tmp_path / d / "verdicts.json").read_text()) for d in "ab"]
+    assert [(v["tol_scale"], v["seed"]) for v in written] == [(3.0, 2), (1.0, 0)]
+
+
 def test_non_string_out_key_is_a_schema_error(tmp_path, capsys, monkeypatch):
     data = preset_scenario("green-ball")
     data["out"] = 5
@@ -457,6 +470,8 @@ MISSING = object()  # a case value that deletes its key
     (SWEEP, ("family", "S", "center", 0), 1e300, "checks[0].family.S.center[0]"),
     (PJ, ("measures", "theta", "point", 0), -1e300, "checks[0].theta.point[0]"),
     (PJ, ("measures", "mu", "radius"), 1e300, "checks[0].mu.radius"),
+    (COMPONENTS, ("measures", "mu", "components", 0, "point", 0), 1e300,
+     "checks[0].mu.components[0].point[0]"),
 ])
 def test_malformed_value_is_a_schema_error_at_its_path(tmp_path, capsys, base, keys, value,
                                                        where):
@@ -521,6 +536,8 @@ def test_mixed_dimensions_are_a_schema_error_at_the_first_that_differs(
     (PJ, ("measures", "mu"), {"kind": "harmonic-measure", "center": [0, 0, 0, 0],
                               "radius": 1.0, "x": [0, 0, 0, 0]},
      "checks[0].mu", "NotImplementedError('Green models"),
+    (CLASS, ("family", "S_o", "radius"), 1e-300, "checks[0].family",
+     "ValueError('sup of the Green"),  # the boundary of S_o falls on its center
 ])
 def test_objects_their_constructor_refuses_are_schema_errors(tmp_path, capsys, base, keys,
                                                              value, where, message):
