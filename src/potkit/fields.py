@@ -64,7 +64,7 @@ class GlueError(ValueError):
 class ScalarField:
     """Evaluable extended-real function on a domain."""
 
-    # set on kernel fields sign * K_{d-2}(., y): the pole y (d = y.size) and the sign
+    # set on kernel fields sign * K_{d-2}(., y): the pole y (d = y.size) and the sign (+-1)
     kernel_pole = None
     kernel_sign = 1.0
     # set on glued fields: their (inside, outside, field) pieces, see the module docstring
