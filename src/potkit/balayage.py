@@ -5,6 +5,10 @@ sampled verdict (a necessary-condition check) and is labeled as such in
 reports.  Margins are integral differences; linear comparisons use the
 scale-free tolerance tol = tol_scale * (1 + |lhs| + |rhs|).
 
+A Jensen (Arens-Singer) measure of x sweeps delta_x over subharmonic
+(harmonic) test functions; `certify` is the one place that checks this, and
+it raises `CertificationError`.  The Jensen constructors end with it.
+
 Divergence (an infinite affine constant) is probed through member "orbits":
 ordered subfamilies of growing amplitude or depth whose margins must not
 keep increasing without decay.
@@ -20,8 +24,10 @@ import numpy as np
 from . import quadrature
 from .fields import ScalarField, sphere_averages
 from .geometry import Ball, _distance
-from .measures import (BallUniform, IndeterminateIntegral, Measure, SphereUniform, _atoms,
-                       integrate_many)
+from .green import green_ball, harmonic_measure
+from .measures import (Atom, BallUniform, IndeterminateIntegral, Measure, Mollifier,
+                       SphereUniform, _atoms, convolve_balayage, integrate_many)
+from .potentials import Potential
 from .verdict import Row, Verdict
 
 __all__ = [
@@ -31,11 +37,15 @@ __all__ = [
     "harmonic_kernel_family",
     "build_test_family",
     "standard_jensen_family",
+    "CertificationError",
+    "certify",
+    "jensen_measure_family",
     "lyons_example_pair",
 ]
 
 DIVERGENCE_FLOOR = 1e-6  # orbit margins and increments up to this count as decayed
 JENSEN_RING = 16  # kernels on each ring of standard_jensen_family
+AS_RING = 24  # kernel poles of the Arens-Singer certification ring, at 1.3 D.radius
 LYONS_DEFECTS = 4  # wells of each Lyons member of build_test_family
 VALIDATE_TOL = 1e-7  # relative slack of its class-constraint re-validation
 # class tags build_test_family knows; scenario families are checked against them
@@ -59,6 +69,10 @@ class TestFamily:
     b_plus: float | None = None
     symmetric: bool = False  # H = -H: balayage margins become equalities
     orbits: dict = field(default_factory=dict)  # orbit name -> ordered member indices
+
+
+class CertificationError(ValueError):
+    """A measure that does not sweep theta over its kind's certification family."""
 
 
 class FamilyError(ValueError):
@@ -215,6 +229,77 @@ def standard_jensen_family(D: Ball, seed: int = 0) -> TestFamily:
     return TestFamily("subharmonic-kernels", members)
 
 
+def certify(theta: Measure, mu: Measure, kind: str, D: Ball, seed: int = 0) -> Verdict:
+    """Certify mu as a sweep of theta on D: the linear check over the standard
+    family of its kind, raising CertificationError when it fails.
+
+    kind 'jensen': `standard_jensen_family(D, seed)` (subharmonic probes).
+    kind 'arens-singer': +-kernels on AS_RING points of the sphere of radius
+    1.3 D.radius (harmonic probes, held to equality).
+    """
+    if kind == "jensen":
+        family = standard_jensen_family(D, seed=seed)
+    elif kind == "arens-singer":
+        ring = Ball(D.center, 1.3 * D.radius).boundary_points(AS_RING)
+        family = harmonic_kernel_family(D, ring)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    verdict = check_linear(theta, mu, family)
+    if not verdict.passed:
+        raise CertificationError(
+            f"{family.tag} certification failed (witness {verdict.data['witness']}, "
+            f"margin {verdict.worst_margin:.3g})")
+    return verdict
+
+
+def jensen_measure_family(D: Ball, x, kind: str, *, a: float = 0.0, b: float = 1.0,
+                          r: float = 0.3, sub_balls: list | None = None,
+                          seed: int = 0) -> Measure:
+    """Construct a Jensen measure for x in D of the requested kind.
+
+    kind 'mixture': a*delta_x + b*omega_D(x, .) with a+b = 1, a, b >= 0.
+    kind 'mollified': the radial bump alpha_r (orthogonally invariant).
+    kind 'sub-balls': sum of b_k * omega_{D_k}(x, .) over sub-balls of D.
+
+    The output is certified (`certify` of kind 'jensen' on D); a certification
+    failure raises CertificationError.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.size
+    delta = Measure(d, [Atom(x, 1.0)])
+    if kind == "mixture":
+        if a < 0 or b < 0 or abs(a + b - 1.0) > 1e-12:
+            raise ValueError("mixture weights must satisfy a, b >= 0 and a + b = 1")
+        parts = []
+        if a > 0:
+            parts.append(Atom(x, a))
+        if b > 0:
+            green = green_ball(D.center, D.radius, x)
+            parts.extend(harmonic_measure(green, x).scaled(b).components)
+        mu = Measure(d, parts)
+    elif kind == "mollified":
+        if not D.contains(x, margin=r):
+            raise ValueError("mollifier ball must stay inside D")
+        mu = convolve_balayage(delta, Mollifier(r, d), Ball(D.center, D.radius))
+    elif kind == "sub-balls":
+        if not sub_balls:
+            raise ValueError("sub-balls kind needs a list of (Ball, weight)")
+        total = sum(w for _, w in sub_balls)
+        if abs(total - 1.0) > 1e-12 or any(w < 0 for _, w in sub_balls):
+            raise ValueError("sub-ball weights must be positive and sum to 1")
+        parts = []
+        for ball, w in sub_balls:
+            if not ball.contains(x):
+                raise ValueError("every sub-ball must contain x")
+            green = green_ball(ball.center, ball.radius, x)
+            parts.extend(harmonic_measure(green, x).scaled(w).components)
+        mu = Measure(d, parts)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    certify(delta, mu, "jensen", D, seed)
+    return mu
+
+
 def _ridge_member(green_field, c: float, t: float) -> ScalarField:
     """t * max(g - c, 0): subharmonic off the pole, supported where g >= c; a scale
     t that is not finite raises ValueError."""
@@ -237,8 +322,6 @@ def build_test_family(tag: str, S_o: Ball, r: float, b_minus: float, b_plus: flo
     subtracted from a swept potential).  Every member is re-validated against
     the class constraints on sampled points before inclusion.
     """
-    from .green import green_ball
-
     if not (0 < 3 * r < dist_to_boundary(S_o, D)):
         raise ValueError("need 0 < 3r < dist(S_o, boundary of D)")
     if tag not in TEST_CLASS_TAGS:
@@ -340,8 +423,6 @@ def _lyons_members(S_o: Ball, r: float, b_minus: float, b_plus: float, D: Ball,
         base.append(BallUniform(e, defect_r, -m))
         base.append(SphereUniform(e, defect_r / 256.0, m))
     mu_e = Measure(d, base)
-    from .potentials import Potential
-
     raw = Potential(mu_e - theta)
 
     # scale into the class box: <= b_plus on the S_o boundary, >= b_minus on the ring

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import balayage as bal
-from . import duality
+from . import duality, green
 from .fields import ScalarField
 from .geometry import Ball
 from .measures import _KINDS, Atom, Measure
@@ -106,8 +106,6 @@ def _build_domain(spec: dict, where: str) -> Ball:
 
 
 def _build_measure(spec: dict, where: str) -> Measure:
-    from . import green
-
     _require(isinstance(spec, dict), "measure spec must be an object", where)
     kind = spec.get("kind", "components")
     if kind == "components":  # the entries Measure.to_json writes

@@ -2,9 +2,10 @@
 
 The forward map sends a swept measure mu (of delta_x) to the difference
 potential pt_{mu - delta_x}; the inverse recovers the measure from a grid
-Riesz recovery plus a fitted pole atom.  The limsup defining the pole
-coefficient is replaced throughout by a least-squares fitted limit over a
-radius ladder (r_squared >= 0.999 required).
+Riesz recovery plus a fitted pole atom.  The forward map and the verifier
+certify their measures with `balayage.certify`.  The limsup defining the
+pole coefficient is replaced throughout by a least-squares fitted limit over
+a radius ladder (r_squared >= 0.999 required).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from . import quadrature
+from .balayage import CertificationError, certify
 from .fields import GridField, ScalarField, fit_pole_coefficient, riesz_measure
 from .geometry import (Ball, GridDomain, _distance, _stencil, inward_filled_hull,
                        parallel_set)
@@ -35,10 +37,6 @@ PL_PROBES = 500  # seeded probes of V <= g_D(., o) in phragmen_lindelof_bound
 HULL_CELLS = 96  # cells across the widest extent of the Poisson-Jensen hull window
 
 
-class CertificationError(ValueError):
-    pass
-
-
 class ASPotential(ScalarField):
     """Arens-Singer (or Jensen) potential: swept-measure potential with pole data."""
 
@@ -53,33 +51,14 @@ class ASPotential(ScalarField):
         self.source = source
 
 
-def _certify(mu: Measure, x: np.ndarray, kind: str, D: Ball, seed: int):
-    from .balayage import check_linear, harmonic_kernel_family, standard_jensen_family
-
-    delta = Measure(mu.dimension, [Atom(x, 1.0)])
-    if kind == "jensen":
-        family = standard_jensen_family(D, seed=seed)
-    elif kind == "arens-singer":
-        ring = Ball(D.center, 1.3 * D.radius).boundary_points(24)
-        family = harmonic_kernel_family(D, ring)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    verdict = check_linear(delta, mu, family)
-    if not verdict.passed:
-        raise CertificationError(
-            f"{kind} certification failed (witness {verdict.data['witness']}, "
-            f"margin {verdict.worst_margin:.3g})")
-    return verdict
-
-
 def to_potential(mu: Measure, x, kind: str = "jensen", D: Ball | None = None,
-                 certificate=None, seed: int = 0, tol: float = 1e-8) -> ASPotential:
+                 seed: int = 0, tol: float = 1e-8) -> ASPotential:
     """Map a swept measure of delta_x to its difference potential pt_{mu - delta_x}.
 
-    The measure must be certified (a certificate from balayage.check_linear,
-    or it is re-certified here against the standard probe family for its
-    kind).  The result is validated: vanishing outside the support window,
-    fitted pole growth, and positivity for Jensen inputs.
+    The measure is certified first (`balayage.certify` of its kind on D).  The
+    result is validated: vanishing outside the support window, fitted pole
+    growth, and positivity for Jensen inputs; every failure raises
+    CertificationError.
     """
     x = np.asarray(x, dtype=float)
     d = mu.dimension
@@ -87,12 +66,8 @@ def to_potential(mu: Measure, x, kind: str = "jensen", D: Ball | None = None,
     window = Ball(x, 1.000001 * radius)
     if D is None:
         D = Ball(x, 1.5 * radius + 1e-3)
-    if certificate is None:
-        _certify(mu, x, kind, D, seed)
-    elif not getattr(certificate, "passed", False):
-        raise CertificationError("provided certificate does not pass")
-
     delta = Measure(d, [Atom(x, 1.0)])
+    certify(delta, mu, kind, D, seed)
     V = difference_potential(mu, delta)
     coeff, r2 = fit_pole_coefficient(V, x)
     if not (math.isfinite(coeff) and r2 >= 0.999):
@@ -192,22 +167,20 @@ def verify_poisson_jensen(theta: Measure, mu: Measure, u: ScalarField,
     (padded one cell); the recovery charges only that grid's cells.  A given
     ``riesz_u`` is restricted to an explicit K (grid or ball), and integrated
     as it is when no K is supplied.  A pair that fails the har-balayage
-    certification, and indeterminate integrals, fail the check, with the
-    reason in ``data["certification"]`` or ``data["indeterminate"]``.
+    certification (`balayage.certify` of kind 'arens-singer' on the ball
+    about the origin holding both supports), and indeterminate integrals,
+    fail the check, with the reason in ``data["certification"]`` or
+    ``data["indeterminate"]``.
     """
-    from .balayage import check_linear, harmonic_kernel_family
-
-    d = mu.dimension
     radius = max(mu.support_radius(), theta.support_radius()) + 1e-9
-    S = Ball(np.zeros(d), radius)
-    ring = Ball(S.center, 1.35 * radius).boundary_points(24)
-    verdict = check_linear(theta, mu, harmonic_kernel_family(S, ring))
-    if not verdict.passed:  # a failed verdict, not a crash
-        return Verdict("poisson-jensen", False, [], {"certification": (
-            f"har-balayage certification failed (witness {verdict.data['witness']})")})
+    try:
+        certify(theta, mu, "arens-singer", Ball(np.zeros(mu.dimension), radius))
+    except CertificationError as exc:  # a failed verdict, not a crash
+        return Verdict("poisson-jensen", False, [], {"certification": str(exc)})
 
     if riesz_u is None:
-        riesz_u = riesz_measure(u, _hull_window(theta, mu) if K is None else K)
+        grid = _hull_window(theta, mu) if K is None else K
+        riesz_u = riesz_measure(GridField.sample(u, grid))
     elif K is not None:
         riesz_u = restrict(riesz_u, K)
 

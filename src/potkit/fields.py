@@ -86,7 +86,7 @@ class ScalarField:
         return ScalarField(lambda pts: np.full(len(pts), float(c)), domain)
 
     @staticmethod
-    def log_distance(p, coefficient: float = 1.0, domain=None) -> "ScalarField":
+    def log_distance(p, coefficient: float = 1.0) -> "ScalarField":
         """coefficient * ln|x - p| (subharmonic on R^2, harmonic off p)."""
         p = np.asarray(p, dtype=float)
 
@@ -95,7 +95,7 @@ class ScalarField:
             with np.errstate(divide="ignore"):
                 return coefficient * np.log(r)
 
-        return ScalarField(_eval, domain)
+        return ScalarField(_eval)
 
     @staticmethod
     def kernel(y, sign: float = 1.0) -> "ScalarField":
@@ -203,8 +203,7 @@ def sphere_averages(v: ScalarField, centers, r: float, n: int | None) -> Iterato
     for k in range(d):  # axis by axis: the bits of centers[:, None, :] + r * nodes
         np.add(centers[:, k, None], scaled[:, k], out=pts[:, :, k])
     if v.domain is not None:
-        holds = getattr(v.domain, "holds", None)  # a domain without it tests every node
-        test = np.array([holds is None or not holds(c, r) for c in centers], dtype=bool)
+        test = np.array([not v.domain.holds(c, r) for c in centers], dtype=bool)
         inside = ~test
         if test.any():
             inside[test] = v.domain.contains_array(pts[test].reshape(-1, d)).reshape(
@@ -222,9 +221,9 @@ def sphere_averages(v: ScalarField, centers, r: float, n: int | None) -> Iterato
         raise DomainError("probe sphere leaves the field's domain")
 
 
-def sphere_average(v: ScalarField, x, r: float, n: int | None = None) -> float:
-    """Mean of v over the sphere of radius r about x."""
-    return next(sphere_averages(v, x, r, n))
+def sphere_average(v: ScalarField, x, r: float) -> float:
+    """Mean of v over the sphere of radius r about x, with the default sphere rule."""
+    return next(sphere_averages(v, x, r, None))
 
 
 def check_subharmonic(v: ScalarField, probes, tol: float = 1e-6) -> Verdict:
@@ -281,19 +280,15 @@ def random_probes(domain, n: int, seed: int, r_lo: float | None = None, holes=()
 # Riesz measure by discrete Laplacian
 
 
-def riesz_measure(v, grid: GridDomain | None = None) -> Measure:
-    """Recover c_d * (distributional Laplacian) as per-cell masses on a grid.
+def riesz_measure(samples: GridField) -> Measure:
+    """Recover c_d * (distributional Laplacian) as per-cell masses on the grid of
+    `samples` (``GridField.sample(v, grid)`` for a field v).
 
     Uses the 5-point (d=2) / 7-point (d=3) stencil on interior cells; the
     boundary ring is excluded.  Cells whose stencil touches a non-finite
     value are flagged on the result as ``singular_cells`` and excluded.
     """
-    if grid is None:
-        if not isinstance(v, GridField):
-            raise ValueError("need a GridField or an explicit grid")
-        grid, values = v.grid, v.values
-    else:
-        values = GridField.sample(v, grid).values
+    grid, values = samples.grid, samples.values
     d = grid.dimension
     h = grid.spacing
     finite = np.isfinite(values) & grid.mask

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quadrature import _unit_directions
+
 __all__ = [
     "INFINITY",
     "Ball",
@@ -160,8 +162,6 @@ class Ball:
 
     def boundary_points(self, n: int) -> np.ndarray:
         """n points on the sphere, along `quadrature._unit_directions`."""
-        from .quadrature import _unit_directions
-
         return self.center + self.radius * _unit_directions(self.dimension, n)
 
     def closure_contains(self, x) -> bool:

@@ -1,10 +1,10 @@
-"""Green functions, harmonic measures and Jensen measure constructors for balls.
+"""Green functions and harmonic measures for balls.
 
 Only balls in d = 2, 3 get closed-form Green models (image charges); other
 domains route through the grid machinery in `fields`.  Harmonic measures
-are Poisson-kernel densities on the boundary sphere, and the Jensen
-constructors certify their output against the standard subharmonic probe
-family before returning it.
+are Poisson-kernel densities on the boundary sphere.  The Jensen measure
+constructors built from them live in `balayage`, next to the family that
+certifies them.
 """
 
 from __future__ import annotations
@@ -15,15 +15,13 @@ import numpy as np
 
 from .fields import ScalarField
 from .geometry import Ball, _distance
-from .measures import (Atom, Measure, Mollifier, SphereUniform, convolve_balayage,
-                       density_from_spec)
+from .measures import Measure, SphereUniform, density_from_spec
 
 __all__ = [
     "GreenModel",
     "green_ball",
     "mg_constant",
     "harmonic_measure",
-    "jensen_measure_family",
 ]
 
 MG_BOUNDARY = 720  # points of the S_o sphere that mg_constant minimizes g over
@@ -108,60 +106,3 @@ def harmonic_measure(green: GreenModel, x) -> Measure:
         comp = SphereUniform(ball.center, ball.radius, 1.0,
                              density=density_from_spec(spec), density_spec=spec)
     return Measure(ball.dimension, [comp])
-
-
-def jensen_measure_family(D: Ball, x, kind: str, *, a: float = 0.0, b: float = 1.0,
-                          r: float = 0.3, sub_balls: list | None = None,
-                          seed: int = 0) -> Measure:
-    """Construct a Jensen measure for x in D of the requested kind.
-
-    kind 'mixture': a*delta_x + b*omega_D(x, .) with a+b = 1, a, b >= 0.
-    kind 'mollified': the radial bump alpha_r (orthogonally invariant).
-    kind 'sub-balls': sum of b_k * omega_{D_k}(x, .) over sub-balls of D.
-
-    The output is certified against the standard subharmonic probe family
-    (kernels centered on a ring outside D plus inside probes, and the
-    constants +-1); a certification failure raises.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    if kind == "mixture":
-        if a < 0 or b < 0 or abs(a + b - 1.0) > 1e-12:
-            raise ValueError("mixture weights must satisfy a, b >= 0 and a + b = 1")
-        parts = []
-        if a > 0:
-            parts.append(Atom(x, a))
-        if b > 0:
-            green = green_ball(D.center, D.radius, x)
-            parts.extend(harmonic_measure(green, x).scaled(b).components)
-        mu = Measure(d, parts)
-    elif kind == "mollified":
-        if not D.contains(x, margin=r):
-            raise ValueError("mollifier ball must stay inside D")
-        moll = Mollifier(r, d)
-        delta = Measure(d, [Atom(x, 1.0)])
-        mu = convolve_balayage(delta, moll, Ball(D.center, D.radius))
-    elif kind == "sub-balls":
-        if not sub_balls:
-            raise ValueError("sub-balls kind needs a list of (Ball, weight)")
-        total = sum(w for _, w in sub_balls)
-        if abs(total - 1.0) > 1e-12 or any(w < 0 for _, w in sub_balls):
-            raise ValueError("sub-ball weights must be positive and sum to 1")
-        parts = []
-        for ball, w in sub_balls:
-            if not ball.contains(x):
-                raise ValueError("every sub-ball must contain x")
-            green = green_ball(ball.center, ball.radius, x)
-            parts.extend(harmonic_measure(green, x).scaled(w).components)
-        mu = Measure(d, parts)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-
-    from .balayage import check_linear, standard_jensen_family
-
-    family = standard_jensen_family(D, seed=seed)
-    verdict = check_linear(Measure(d, [Atom(x, 1.0)]), mu, family)
-    if not verdict.passed:
-        raise ValueError(f"Jensen certification failed: {verdict.data['witness']} "
-                         f"margin {verdict.worst_margin:.3g}")
-    return mu

@@ -358,8 +358,8 @@ def _pj_instances(seed: int):
     deltax = Measure(d, [Atom(x1, 1.0)])
     lam = Measure(d, [BallUniform(point(0, 0), 0.2, 1.0)])
     mix = Measure(d, [Atom(point(0, 0), 0.4)] + list(om0.scaled(0.6).components))
-    moll = green.jensen_measure_family(Ball(point(0, 0), 1.0), point(0, 0),
-                                       "mollified", r=0.3, seed=seed)
+    moll = bal.jensen_measure_family(Ball(point(0, 0), 1.0), point(0, 0),
+                                     "mollified", r=0.3, seed=seed)
 
     def logd(a):
         return ScalarField.log_distance(np.asarray(a)), Measure(d, [Atom(np.asarray(a), 1.0)])
@@ -483,8 +483,8 @@ def preset_duality_roundtrip(seed: int, tol_scale: float):
 
     def mk_jensen(i):
         if i < 2:
-            return green.jensen_measure_family(D, x0, "mixture", a=0.2 + 0.2 * i,
-                                               b=0.8 - 0.2 * i, seed=seed)
+            return bal.jensen_measure_family(D, x0, "mixture", a=0.2 + 0.2 * i,
+                                             b=0.8 - 0.2 * i, seed=seed)
         if i < 4:
             # mollified sweep: C-infinity density supported off the pole,
             # the smooth-class measures of the restricted bijection; the
@@ -494,7 +494,7 @@ def preset_duality_roundtrip(seed: int, tol_scale: float):
             return convolve_balayage(om_sub, Mollifier(0.1 * (1.0 - R_sub), 2),
                                      Ball(x0, 1.0), cells_per_radius=6)
         sub = [(Ball(x0, 0.5), 0.5), (Ball(x0, 0.8), 0.5)]
-        return green.jensen_measure_family(D, x0, "sub-balls", sub_balls=sub, seed=seed)
+        return bal.jensen_measure_family(D, x0, "sub-balls", sub_balls=sub, seed=seed)
 
     probes = [ScalarField(lambda p, k=k: np.cos(0.7 * k * p[:, 0]) * np.exp(0.2 * k * p[:, 1]))
               for k in range(1, 6)]
@@ -519,11 +519,11 @@ def preset_duality_roundtrip(seed: int, tol_scale: float):
     slack = 1e-12 * tol_scale
     for i in range(5):
         for kind, mk in (("arens-singer", mk_as), ("jensen", mk_jensen)):
-            mu = mk(i)
             try:
+                mu = mk(i)
                 V = duality.to_potential(mu, x0, kind=kind, D=Ball(x0, 1.6), seed=seed,
                                          tol=1e-8 * tol_scale)
-            except duality.CertificationError as exc:  # a failed row, not a crash
+            except bal.CertificationError as exc:  # a failed row, not a crash
                 uncertified[f"{kind}[{i}]"] = str(exc)
                 rows.append(Row(f"{kind}[{i}] h=0.02", math.nan, 0.02, math.nan, False))
                 improve_rows.append(Row(f"{kind}[{i}] refine", math.nan, math.nan, math.nan,
@@ -549,7 +549,7 @@ def preset_duality_roundtrip(seed: int, tol_scale: float):
     om09 = green.harmonic_measure(green.green_ball(x0, 0.9, x0), x0)
     try:
         V9 = duality.to_potential(om09, x0, kind="jensen", seed=seed, tol=1e-8 * tol_scale)
-    except duality.CertificationError as exc:  # neither check has a potential to test
+    except bal.CertificationError as exc:  # neither check has a potential to test
         failed = {"certification": str(exc)}
         checks.append(Verdict("V <= g_D at 500 probes (pole coefficient <= 1)", False,
                               data=failed))

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import quadrature
 from .balayage import TestFamily, build_test_family, check_affine, pair_tol
-from .fields import ScalarField, riesz_measure
+from .fields import GridField, ScalarField, riesz_measure
 from .geometry import Annulus, Ball, GridDomain
 from .measures import Measure, _atoms, jordan, restrict, total_mass
 from .verdict import Row, Verdict
@@ -232,7 +232,7 @@ def poincare_lelong_check(f: HoloFunction, grid: GridDomain, window: int = 2,
             center = grid.origin + np.asarray(idx) * h
             if float(np.linalg.norm(p - center)) < h / 4.0:
                 raise RegridRequest(f"zero at {p} is within h/4 of a lattice point")
-    mu = riesz_measure(f.log_abs_field(), grid)
+    mu = riesz_measure(GridField.sample(f.log_abs_field(), grid))
     masses = np.asarray(mu.components[0].values)
     rows = []
     passed = True

@@ -388,10 +388,14 @@ def _well(j):
 
 
 class _Punctured:
-    """Every point but one: the domain of a member that leaves it at one sphere."""
+    """Every point but one: the domain of a member that leaves it at one sphere.
+    It proves no sphere inside it, so every sphere takes the node test."""
 
     def __init__(self, c):
         self.c = c
+
+    def holds(self, x, r):
+        return False
 
     def contains_array(self, pts):
         return ~np.all(np.atleast_2d(pts) == self.c, axis=1)

@@ -10,6 +10,7 @@ import pytest
 import potkit
 from potkit import balayage as bal
 from potkit.cli import main, preset_scenario, run_scenario
+from potkit.fields import ScalarField
 from potkit.measures import IndeterminateIntegral
 from potkit.presets import PRESETS, preset_table
 from potkit.verdict import Verdict
@@ -577,7 +578,7 @@ def test_failed_certification_is_a_failed_verdict(tmp_path, capsys):
     (check,) = json.loads((out / "verdicts.json").read_text())["checks"]
     assert check["raw_pass"] is False and check["pass"] is False
     assert check["report"]["certification"] == (
-        "har-balayage certification failed (witness k+[5])")
+        "harmonic-kernels certification failed (witness k-[19], margin 0.287)")
 
 
 # -- presets whose check fails return failed verdicts --------------------------
@@ -631,14 +632,12 @@ def test_failed_poisson_jensen_presets_return_verdicts(tmp_path, capsys, monkeyp
 def test_uncertified_roundtrip_potentials_return_verdicts(tmp_path, capsys, monkeypatch):
     from potkit import duality
 
-    certify = duality._certify
-
-    def jensen_fails(mu, x, kind, D, seed):
+    def jensen_fails(theta, mu, kind, D, seed=0):
         if kind == "jensen":
-            raise duality.CertificationError("jensen certification failed (forced)")
-        return certify(mu, x, kind, D, seed)
+            raise bal.CertificationError("jensen certification failed (forced)")
+        return bal.certify(theta, mu, kind, D, seed)
 
-    monkeypatch.setattr(duality, "_certify", jensen_fails)
+    monkeypatch.setattr(duality, "certify", jensen_fails)
     checks = _run_failing_preset("duality-roundtrip", tmp_path, capsys)
     assert [c["pass"] for c in checks] == [False] * 4
     for c in checks[:2]:
@@ -648,6 +647,25 @@ def test_uncertified_roundtrip_potentials_return_verdicts(tmp_path, capsys, monk
     margins = (tmp_path / "out" / "margins.csv").read_text().splitlines()[1:]
     assert len(margins) == 20
     assert all((",nan," in line) == ("jensen[" in line) for line in margins)
+
+
+def test_roundtrip_jensen_measure_failing_its_construction_is_a_failed_row(tmp_path, capsys,
+                                                                           monkeypatch):
+    # a superharmonic family on the unit disk, where the preset builds its Jensen
+    # mixtures and sub-ball measures: those fail their own certification, while
+    # the mollified ones (built without it) and every potential still pass
+    standard = bal.standard_jensen_family
+    bad = bal.TestFamily("superharmonic",
+                         [("k-neg", ScalarField.kernel([0.5, 0.0], sign=-1.0))])
+    monkeypatch.setattr(bal, "standard_jensen_family",
+                        lambda D, seed=0: bad if D.radius == 1.0 else standard(D, seed))
+    checks = _run_failing_preset("duality-roundtrip", tmp_path, capsys)
+    assert [c["pass"] for c in checks] == [False, False, True, True]
+    for c in checks[:2]:
+        failed = c["data"]["certification"]
+        assert sorted(failed) == ["jensen[0]", "jensen[1]", "jensen[4]"]
+        assert all(m.startswith("superharmonic certification failed (witness k-neg, ")
+                   for m in failed.values())
 
 
 def test_roundtrip_pole_coefficient_above_one_is_a_failed_verdict(tmp_path, capsys,

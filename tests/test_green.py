@@ -116,7 +116,7 @@ def test_harmonic_measure_jensen_inequality():
 def test_jensen_measure_family_kinds():
     D = Ball(point(0, 0), 1.0)
     x = point(0, 0)
-    delta = green.jensen_measure_family(D, x, "mixture", a=1.0, b=0.0)
+    delta = balayage.jensen_measure_family(D, x, "mixture", a=1.0, b=0.0)
     assert len(delta.components) == 1 and isinstance(delta.components[0], Atom)
 
     # the sigma-normalized unit-sphere measure belongs to J_0(r B) for r > 1,
@@ -126,11 +126,11 @@ def test_jensen_measure_family_kinds():
     verdict = balayage.check_linear(Measure(2, [Atom(x, 1.0)]), sigma, fam)
     assert verdict.passed
 
-    alpha = green.jensen_measure_family(D, x, "mollified", r=0.3)
+    alpha = balayage.jensen_measure_family(D, x, "mollified", r=0.3)
     assert total_mass(alpha) == pytest.approx(1.0, abs=1e-9)
 
     with pytest.raises(ValueError):
-        green.jensen_measure_family(D, x, "mixture", a=0.7, b=0.7)
+        balayage.jensen_measure_family(D, x, "mixture", a=0.7, b=0.7)
 
 
 def test_jensen_certification_failure_names_witness(monkeypatch):
@@ -140,8 +140,9 @@ def test_jensen_certification_failure_names_witness(monkeypatch):
     bad = balayage.TestFamily("superharmonic",
                               [("k-neg", ScalarField.kernel(point(0.5, 0), sign=-1.0))])
     monkeypatch.setattr(balayage, "standard_jensen_family", lambda *a, **k: bad)
-    with pytest.raises(ValueError, match=r"Jensen certification failed: k-neg margin"):
-        green.jensen_measure_family(D, point(0, 0), "mixture", a=0.0, b=1.0)
+    with pytest.raises(balayage.CertificationError,
+                       match=r"superharmonic certification failed \(witness k-neg, margin"):
+        balayage.jensen_measure_family(D, point(0, 0), "mixture", a=0.0, b=1.0)
 
 
 def test_duality_instance_potential_equality_and_domination():

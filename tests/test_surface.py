@@ -150,16 +150,10 @@ def options_set_only_by_tests():
 # test drives a path or a size through it that no preset needs; a new one
 # needs a reason here, or it is a constant
 TEST_ONLY_ALLOWED = {
-    # the certified path that skips the re-check of a measure
-    "duality.to_potential(certificate)",
-    # a log field bound to a domain, the field that leaves it in the probe tests
-    "fields.ScalarField.log_distance(domain)",
     # the layer solve at other resolutions, and an unreachable residual that
     # runs out its sweep budget
     "fields.harmonize_layer(cells)",
     "fields.harmonize_layer(residual_target)",
-    # sphere means against the 512-node per-sphere references
-    "fields.sphere_average(n)",
     # the kernel sum split into row blocks of another size than its default
     # 2^17 kernel values (1 MiB) against the dense reference; the block must
     # stay a parameter: perfbench/spans.py reads its default by signature to
@@ -344,6 +338,40 @@ def test_memory_comes_from_numpy_alone():
     assert [m for m, name in imports if name == "ctypes"] == ["_blas"]
     assert [m for m, name in imports if name == "mmap"] == []
 
+
+
+# Imports sit at the top of a module, so the import graph reads from the
+# module heads.  These three stay inside a function, each for its reason.
+FUNCTION_LEVEL_IMPORTS = {
+    # a deliberate lazy load: processes with only small kernel sums never
+    # import the fast multipole module
+    "potentials._chunked_kernel_sum -> _fmm",
+    # cycles: green builds its Green models on fields' ScalarField, and fields
+    # builds on geometry's domains
+    "fields.glue_with_green -> green",
+    "geometry.kelvin_transform -> fields",
+}
+
+
+def test_function_level_imports_are_listed():
+    """The only imports inside a function are the three listed with their reasons,
+    and a measure is certified in one place: of the functions that call
+    check_linear, only balayage.certify raises CertificationError."""
+    imports, certifying = set(), set()
+    for p in sorted(TREES[0].glob("*.py")):
+        for fn in ast.walk(ast.parse(p.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(ast.walk(fn))
+            imports.update(f"{p.stem}.{fn.name} -> {n.module or a.name}"
+                           for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))
+                           for a in n.names)
+            calls = {ast.unparse(n.func).rsplit(".", 1)[-1]
+                     for n in nodes if isinstance(n, ast.Call)}
+            if {"check_linear", "CertificationError"} <= calls:
+                certifying.add(f"{p.stem}.{fn.name}")
+    assert imports == FUNCTION_LEVEL_IMPORTS
+    assert certifying == {"balayage.certify"}
 
 
 # A stack of points takes its distances from geometry._distance(pts, c), which
