@@ -12,6 +12,13 @@ it raises `CertificationError`.  The Jensen constructors end with it.
 Divergence (an infinite affine constant) is probed through member "orbits":
 ordered subfamilies of growing amplitude or depth whose margins must not
 keep increasing without decay.
+
+The class families of `build_test_family` are Green ridges t * max(g - c, 0),
+plus two Lyons members s * u for the classes with a lower bound, all built by
+``ScalarField.pointwise`` on one g and one u: validation and
+``measures.integrate_many`` evaluate g and u once per point cloud.  The
+classes in LYONS_CLASS_TAGS share one member set, which one call builds and
+validates against each of them.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from .fields import ScalarField, sphere_averages
 from .geometry import Ball, _distance
 from .green import green_ball, harmonic_measure
 from .measures import (Atom, BallUniform, IndeterminateIntegral, Measure, Mollifier,
-                       SphereUniform, _atoms, convolve_balayage, integrate_many)
+                       SphereUniform, _atoms, _FieldValues, convolve_balayage,
+                       integrate_many)
 from .potentials import Potential
 from .verdict import Row, Verdict
 
@@ -51,6 +59,8 @@ VALIDATE_TOL = 1e-7  # relative slack of its class-constraint re-validation
 # class tags build_test_family knows; scenario families are checked against them
 TEST_CLASS_TAGS = ("sbh00+", "sbh00", "sbh+0", "sbh+0o", "harmonic-kernels",
                    "harmonic-polynomials")
+# the classes whose families add Lyons members to the ridges: one member set for all
+LYONS_CLASS_TAGS = ("sbh00", "sbh+0", "sbh+0o")
 # lyons_example_pair: theta on r0 B; mu_E on r B, punched around n ring atoms
 LYONS_R0, LYONS_R, LYONS_ATOMS, LYONS_DEFECT_RADIUS = 0.35, 0.7, 5, 0.15
 
@@ -302,18 +312,15 @@ def jensen_measure_family(D: Ball, x, kind: str, *, a: float = 0.0, b: float = 1
 
 def _ridge_member(green_field, c: float, t: float) -> ScalarField:
     """t * max(g - c, 0): subharmonic off the pole, supported where g >= c; a scale
-    t that is not finite raises ValueError."""
+    t that is not finite raises ValueError.  Ridges on one g share its evaluation
+    (``ScalarField.pointwise``)."""
     if not math.isfinite(t):
         raise ValueError(f"ridge scale t = {t!r} at level c = {c!r} is not finite")
-
-    def _eval(pts):
-        return t * np.maximum(green_field.evaluate_array(pts) - c, 0.0)
-
-    return ScalarField(_eval)
+    return ScalarField.pointwise(green_field, lambda g: t * np.maximum(g - c, 0.0))
 
 
-def build_test_family(tag: str, S_o: Ball, r: float, b_minus: float, b_plus: float,
-                      D: Ball, count: int = 16, seed: int = 0) -> TestFamily:
+def build_test_family(tag: str | tuple, S_o: Ball, r: float, b_minus: float,
+                      b_plus: float, D: Ball, count: int = 16, seed: int = 0) -> TestFamily:
     """Generate a finite family from one of the test-function classes.
 
     Positive members are scaled truncated Green ridges t * max(g_D(., o) - c, 0)
@@ -321,11 +328,20 @@ def build_test_family(tag: str, S_o: Ball, r: float, b_minus: float, b_plus: flo
     sign-varying members built from Lyons-type potentials (a harmonic bump
     subtracted from a swept potential).  Every member is re-validated against
     the class constraints on sampled points before inclusion.
+
+    `tag` may be a tuple of the classes in ``LYONS_CLASS_TAGS``, which share one
+    member set: the members are built once and validated against each class in
+    turn, and the family, tagged with the first, serves for all of them.
     """
+    tags = (tag,) if isinstance(tag, str) else tuple(tag)
+    tag = tags[0]
     if not (0 < 3 * r < dist_to_boundary(S_o, D)):
         raise ValueError("need 0 < 3r < dist(S_o, boundary of D)")
-    if tag not in TEST_CLASS_TAGS:
-        raise ValueError(f"unknown class tag {tag!r}")
+    for t in tags:
+        if t not in TEST_CLASS_TAGS:
+            raise ValueError(f"unknown class tag {t!r}")
+    if len(tags) > 1 and not set(tags) <= set(LYONS_CLASS_TAGS):
+        raise ValueError(f"class tags {tags!r} do not share one member set")
     if tag == "harmonic-kernels":
         ring = Ball(D.center, 1.5 * D.radius).boundary_points(count)
         return harmonic_kernel_family(D, ring)
@@ -354,12 +370,12 @@ def build_test_family(tag: str, S_o: Ball, r: float, b_minus: float, b_plus: flo
         t = 0.5 * b_plus / (g_sup_boundary - c)
         members.append((f"ridge-half[c={c:.4g}]", _ridge_member(green, float(c), float(t))))
 
-    if tag in {"sbh00", "sbh+0", "sbh+0o"}:
+    if tag in LYONS_CLASS_TAGS:
         members.extend(_lyons_members(S_o, r, b_minus, b_plus, D, seed))
 
     family = TestFamily(tag, members, S_o=S_o, r=r, b_minus=b_minus, b_plus=b_plus,
                         orbits={"deepening": deepening})
-    _validate_family(family, D, tag)
+    _validate_family(family, D, *tags)
     return family
 
 
@@ -441,7 +457,7 @@ def _lyons_members(S_o: Ball, r: float, b_minus: float, b_plus: float, D: Ball,
     out = []
     for k, frac in enumerate((1.0, 0.5)):
         sk = s * frac
-        member = ScalarField(lambda pts, sk=sk: sk * raw.evaluate_array(pts))
+        member = ScalarField.pointwise(raw, lambda v, sk=sk: sk * v)
         member.defect_centers = centers  # the wells live here (sign variation)
         out.append((f"lyons[{k}]", member))
     return out
@@ -457,33 +473,45 @@ def _ring_samples(S_o: Ball, width: float, n: int, seed: int) -> np.ndarray:
                                 S_o.radius + width, n, in_ring)
 
 
-def _validate_family(family: TestFamily, D: Ball, tag: str):
-    """Sampled re-validation of the class constraints for every member."""
+def _validate_family(family: TestFamily, D: Ball, *tags: str):
+    """Sampled re-validation of the class constraints of each tag in turn, for every
+    member in member order: S_o boundary, then 3r ring or sphere means, then near
+    the D boundary; the first failure raises.  Each member is evaluated once on
+    each point set, its base field once for all members on it (``_FieldValues``),
+    and every tag reads its constraints from those values."""
     tol = VALIDATE_TOL
     S_o, r, b_minus, b_plus = family.S_o, family.r, family.b_minus, family.b_plus
     bnd = S_o.boundary_points(128)
     ring = _ring_samples(S_o, 3 * r, 128, seed=1)
     near_boundary = Ball(D.center, 0.995 * D.radius).boundary_points(64)
-    if tag == "sbh+0o":
+    if "sbh+0o" in tags:
         mid = _ring_samples(Ball(S_o.center, S_o.radius + r), r, 32, seed=2)
-    for name, f in family.members:
-        vb = f.evaluate_array(bnd)
-        if np.max(vb) > b_plus + tol * (1 + abs(b_plus)):
-            raise ValueError(f"member {name} exceeds b_plus on the S_o boundary")
-        vr = f.evaluate_array(ring)
-        if tag in {"sbh00", "sbh+0"}:
-            if np.min(vr) < b_minus - tol * (1 + abs(b_minus)):
-                raise ValueError(f"member {name} drops below b_minus on the 3r ring")
-        elif tag == "sbh+0o":
-            # one evaluation of f on all 32 spheres; the first low mean in sphere order raises
-            for avg in sphere_averages(f, mid, r, 512):
-                if avg < b_minus - tol * (1 + abs(b_minus)):
-                    raise ValueError(f"member {name} sphere-average drops below b_minus")
-        vnb = f.evaluate_array(near_boundary)
-        if tag == "sbh00+" and np.max(np.abs(vnb)) > tol:
-            raise ValueError(f"member {name} fails compact support near the D boundary")
-        if tag in {"sbh00", "sbh+0", "sbh+0o"} and np.min(vnb) < -1e-5:
-            raise ValueError(f"member {name} is negative near the D boundary")
+    values = _FieldValues()  # the values of this validation, dropped with it
+    seen: dict = {}  # (member index, point set) -> the member's values there
+
+    def at(i, f, name, pts):
+        if (i, name) not in seen:
+            seen[i, name] = values(f, pts)
+        return seen[i, name]
+
+    for tag in tags:
+        for i, (name, f) in enumerate(family.members):
+            if np.max(at(i, f, "bnd", bnd)) > b_plus + tol * (1 + abs(b_plus)):
+                raise ValueError(f"member {name} exceeds b_plus on the S_o boundary")
+            if tag in {"sbh00", "sbh+0"}:
+                if np.min(at(i, f, "ring", ring)) < b_minus - tol * (1 + abs(b_minus)):
+                    raise ValueError(f"member {name} drops below b_minus on the 3r ring")
+            elif tag == "sbh+0o":
+                # one evaluation of f on all 32 spheres; the first low mean in sphere
+                # order raises, before a later sphere's DomainError
+                for avg in sphere_averages(f, mid, r, 512, values):
+                    if avg < b_minus - tol * (1 + abs(b_minus)):
+                        raise ValueError(f"member {name} sphere-average drops below b_minus")
+            vnb = at(i, f, "near", near_boundary)
+            if tag == "sbh00+" and np.max(np.abs(vnb)) > tol:
+                raise ValueError(f"member {name} fails compact support near the D boundary")
+            if tag in LYONS_CLASS_TAGS and np.min(vnb) < -1e-5:
+                raise ValueError(f"member {name} is negative near the D boundary")
 
 
 def lyons_example_pair(seed: int = 0):

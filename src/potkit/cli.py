@@ -264,6 +264,8 @@ def load_scenario(path: Path) -> dict:
              "scenario needs a nonempty checks list", str(path))
     _require(isinstance(data.get("out", ""), str),
              f"out must be a string, got {data.get('out')!r}", str(path))
+    _require(isinstance(data.get("name", ""), str),
+             f"name must be a string, got {data.get('name')!r}", str(path))
     return data
 
 

@@ -28,7 +28,7 @@ from . import quadrature
 from .geometry import (Annulus, Ball, GridDomain, _Composite, _distance,
                        _face_neighbours)
 from .kernels import kernel_rows, riesz_normalizer, k_eval_array
-from .measures import GridDensity, Measure
+from .measures import GridDensity, Measure, _eval_field
 from .verdict import Row, Verdict
 
 __all__ = [
@@ -67,6 +67,8 @@ class ScalarField:
     # set on kernel fields sign * K_{d-2}(., y): the pole y (d = y.size) and the sign (+-1)
     kernel_pole = None
     kernel_sign = 1.0
+    # set on fields built by `pointwise`: (g, fn), the field being fn of g's values
+    base = None
     # set on glued fields: their (inside, outside, field) pieces, see the module docstring
     pieces = ()
 
@@ -114,6 +116,19 @@ class ScalarField:
 
         field = ScalarField(_eval)
         field.kernel_pole, field.kernel_sign = y, float(sign)
+        return field
+
+    @staticmethod
+    def pointwise(g: "ScalarField", fn) -> "ScalarField":
+        """The field fn(g(x)), for fn mapping an array of g's values to the field's.
+
+        It carries ``base`` = (g, fn), so that fields on one g can share its
+        evaluation (``measures._FieldValues``): fn of g's values there is
+        bitwise each field's own evaluation.  fn must not write into the
+        values it is given, which those fields share.
+        """
+        field = ScalarField(lambda pts: fn(g.evaluate_array(pts)))
+        field.base = (g, fn)
         return field
 
     def __add__(self, other) -> "ScalarField":
@@ -184,9 +199,12 @@ def _piece(v: ScalarField, x, r: float) -> ScalarField:
     return v
 
 
-def sphere_averages(v: ScalarField, centers, r: float, n: int | None) -> Iterator[float]:
+def sphere_averages(v: ScalarField, centers, r: float, n: int | None,
+                    values=_eval_field) -> Iterator[float]:
     """Means of v over the spheres of radius r about the rows of `centers`, in order,
     with the `quadrature.sphere_rule` of n nodes (its default count for None).
+    ``values(f, pts)`` evaluates a field on a point stack; a caller taking the
+    means of several fields passes one ``measures._FieldValues`` to share it.
 
     The nodes of every sphere before the first one that leaves v's domain are
     evaluated, then reaching that sphere raises DomainError; a sphere that
@@ -212,9 +230,9 @@ def sphere_averages(v: ScalarField, centers, r: float, n: int | None) -> Iterato
     if stop:
         pieces = [_piece(v, c, r) for c in centers[:stop]]
         if all(f is v for f in pieces):
-            vals = v.evaluate_array(pts[:stop].reshape(-1, d)).reshape(stop, -1)
+            vals = values(v, pts[:stop].reshape(-1, d)).reshape(stop, -1)
         else:
-            vals = (f.evaluate_array(p) for f, p in zip(pieces, pts))
+            vals = (values(f, p) for f, p in zip(pieces, pts))
         for row in vals:
             yield -math.inf if np.any(np.isneginf(row)) else float(np.dot(w, row))
     if stop < len(centers):

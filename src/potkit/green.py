@@ -44,8 +44,8 @@ class GreenModel(ScalarField):
         b = a - c
         rho = np.linalg.norm(b)
         r_xa = _distance(pts, a)
-        out = np.zeros(len(pts))
-        inside = _distance(pts, c) <= R
+        # rho == 0: a - c is all zeros, so the distances to a are those to c, bit for bit
+        inside = (r_xa if rho == 0.0 else _distance(pts, c)) <= R
         with np.errstate(divide="ignore", invalid="ignore"):
             if d == 2:
                 if rho == 0.0:
@@ -63,7 +63,10 @@ class GreenModel(ScalarField):
                     vals = 1.0 / r_xa - (R / rho) / r_im
             else:
                 raise NotImplementedError("Green models are built for d in {2, 3}")
-        vals = np.where(r_xa == 0.0, math.inf, vals)
+        vals[r_xa == 0.0] = math.inf
+        if inside.all():
+            return vals
+        out = np.zeros(len(pts))
         out[inside] = vals[inside]
         return out
 

@@ -67,6 +67,7 @@ equal clouds and results do not depend on call order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -534,6 +535,35 @@ def _eval_field(f, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
+class _FieldValues:
+    """Field values on point clouds for one pass (one integration or one validation),
+    called as ``values(f, pts)``: each base field is evaluated once per cloud.
+
+    A field built by ``ScalarField.pointwise`` carries ``base`` = (g, fn) and is
+    fn of g's values; here fn is applied to g's values on the same points,
+    evaluated once for all such fields of one g, which is bitwise each field's
+    own evaluation.  A cloud is the same array or equal points.  Other fields
+    are evaluated as they are.  Nothing is kept past the pass: make one per pass.
+    """
+
+    def __init__(self):
+        self._bases = []  # (base g, points, values of g there)
+
+    def __call__(self, f, pts: np.ndarray) -> np.ndarray:
+        base = getattr(f, "base", None)
+        if base is None:
+            return _eval_field(f, pts)
+        g, fn = base
+        for seen_g, seen, vals in self._bases:
+            if seen_g is g and (seen is pts or (seen.shape == pts.shape
+                                                and np.array_equal(seen, pts))):
+                break
+        else:
+            vals = _eval_field(g, pts)
+            self._bases.append((g, pts, vals))
+        return np.asarray(fn(vals), dtype=float)
+
+
 class _ExtSum:
     """Extended-real accumulator with the 0*(+-inf) = 0 convention: a finite part,
     the signs (+-1.0) of the infinite terms and the first exception met."""
@@ -608,9 +638,11 @@ def integrate_many(mu: Measure, fields) -> list:
     the row adds its sign (+-1) times that sum.  Negation is exact and a dot
     product of -v is bitwise minus that of v, so this is the member's own
     reduction of ``sign * row``.  Other fields are evaluated one by one, with
-    sign 1.  A sum that is not finite is taken apart once for all its members:
-    a nan term makes each of them indeterminate, and the signs of the infinite
-    terms and the sum of the finite ones are added like any other sum.
+    sign 1; fields of one base (``ScalarField.pointwise``) take its values on
+    each node cloud from one evaluation (``_FieldValues``).  A sum that is not
+    finite is taken apart once for all its members: a nan term makes each of
+    them indeterminate, and the signs of the infinite terms and the sum of the
+    finite ones are added like any other sum.
     """
     fields = list(fields)
     accs = [_ExtSum() for _ in fields]
@@ -646,11 +678,12 @@ def integrate_many(mu: Measure, fields) -> list:
                 K = kernel_rows(P[a:a + rows], pts, q, tile[:len(P) - a])
                 for members, row in zip(groups[a:a + rows], K):
                     _add(members, w, row)
+        values = _FieldValues()
         for acc, f in others:
             if acc.error is not None:
                 continue  # a failed field is not evaluated again
             try:
-                v = np.ascontiguousarray(_eval_field(f, pts))
+                v = np.ascontiguousarray(values(f, pts))
                 if v.shape != w.shape:
                     raise ValueError(f"{v.shape} field values for {w.shape} nodes")
             except Exception as exc:  # recorded per member; the other members go on
@@ -718,11 +751,14 @@ class Mollifier:
         return math.gamma(d / 2.0 + 5.0) / (24.0 * math.pi ** (d / 2.0) * self.radius ** d)
 
     def profile(self, r2: np.ndarray) -> np.ndarray:
-        """Density at squared distances `r2` from the centre."""
-        t = np.clip(1.0 - r2 / self.radius ** 2, 0.0, None)
+        """Density at squared distances `r2` from the centre, in one new array."""
+        t = np.divide(r2, self.radius ** 2)
+        np.subtract(1.0, t, out=t)
+        np.clip(t, 0.0, None, out=t)
         t *= t  # two squarings: `** 4` goes through libm pow element by element
         t *= t
-        return self.normalizer * t
+        t *= self.normalizer
+        return t
 
 
 def convolve_balayage(mu: Measure, smoother, O, cells_per_radius: int = 8) -> Measure:
@@ -788,6 +824,7 @@ def _bumps_on_grid(pts: np.ndarray, wts: np.ndarray, moll: Mollifier,
     cells = (2 * reach + 1) ** d
     step = max(1, BUMP_CHUNK_BYTES // (8 * cells * len(gl_w) * d))
     flat_values = values.reshape(-1)
+    r2_chunk = np.empty((min(step, len(pts)), cells, len(gl_w)))  # reused by every chunk
     for a in range(0, len(pts), step):
         p, w = pts[a:a + step], wts[a:a + step]
         base = np.rint((p - lo) / h).astype(int)
@@ -795,19 +832,27 @@ def _bumps_on_grid(pts: np.ndarray, wts: np.ndarray, moll: Mollifier,
         # squared distance of every Gauss-Legendre node of every stencil cell to
         # its bump's centre, as an (n, cells, nodes) C-ordered block: coordinate k
         # of a node depends on the cell's k-th offset and the node's k-th 1-D
-        # node only, so each axis is an (n, 2 reach + 1, order) block broadcast
-        # into place, and the squares add left to right as np.sum adds d < 8 terms
+        # node only, so each axis squares an (n, 2 reach + 1, order) block, and
+        # each node tuple adds its d squares left to right over all the cells
         squares = []
         for k in range(d):
             centre = (base[:, k, None] + offsets) * h + lo[k]
-            x = (centre[:, :, None] + ht) - p[:, k, None, None]
-            at = [len(p)] + [1] * (2 * d)  # axes (bump, cell offsets, node indices)
-            at[1 + k], at[1 + d + k] = len(offsets), order
-            squares.append((x ** 2).reshape(at))
-        r2 = sum(squares[1:], squares[0])
+            squares.append(((centre[:, :, None] + ht) - p[:, k, None, None]) ** 2)
+        r2 = r2_chunk[:len(p)]
+        box = r2.reshape((len(p),) + (len(offsets),) * d + (order,) * d)
+        for node in itertools.product(range(order), repeat=d):
+            out = box[(Ellipsis,) + node]  # (bump, cell offsets) at this node tuple
+            terms = []
+            for k, i in enumerate(node):
+                at = [len(p)] + [1] * d
+                at[1 + k] = len(offsets)
+                terms.append(squares[k][:, :, i].reshape(at))
+            np.add(terms[0], terms[1], out=out)
+            for term in terms[2:]:
+                np.add(out, term, out=out)
         # per-cell Gauss-Legendre mass of each translated bump, then exact rescale;
         # the (cells, nodes) block is C-ordered because gemv's last bits follow layout
-        dens = moll.profile(r2.reshape(len(p), cells, len(gl_w)))
+        dens = moll.profile(r2)
         cell_mass = (dens.reshape(-1, len(gl_w)) @ gl_w).reshape(len(p), cells) * h ** d
         s = cell_mass.sum(axis=1)
         if np.any(s <= 0.0):

@@ -3,6 +3,11 @@
 Holomorphic data lives on planar domains; zeros are counted with
 multiplicity and compared against Riesz recoveries of ln|f| and against the
 inequality suites that relate zero distributions to growth majorants.
+
+The suites run over the test families of their class tags, which
+`class_families` builds once per distinct member set; a preset that runs
+both `check_thm_hol` and `check_criterium3_forward` builds them once and
+passes them to each.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quadrature
-from .balayage import TestFamily, build_test_family, check_affine, pair_tol
+from .balayage import (LYONS_CLASS_TAGS, TestFamily, build_test_family, check_affine,
+                       pair_tol)
 from .fields import GridField, ScalarField, riesz_measure
 from .geometry import Annulus, Ball, GridDomain
 from .measures import Measure, _atoms, jordan, restrict, total_mass
@@ -24,6 +30,7 @@ __all__ = [
     "GrowthMajorant",
     "RegridRequest",
     "counting_measure",
+    "class_families",
     "poincare_lelong_check",
     "check_thm_hol",
     "check_criterium3_forward",
@@ -35,6 +42,8 @@ DERIVATIVE_TOL = 1e-9  # derivative test of root multiplicity, on the same scale
 ZERO_MERGE_TOL = 1e-12  # Blaschke zeros this close count as one
 DOMINATE_SAMPLES = 10_000  # seeded samples of |f| <= exp(M) in check_dominates
 DOMINATE_TOL = 1e-9  # and its absolute slack
+# the class tags of the criteria variants: [ZI]/z2, [ZII]/z3, [ZIII] and z4
+CRITERIA_CLASS_TAGS = ("sbh+0o", "sbh+0", "sbh00+", "sbh00")
 
 
 class RegridRequest(ValueError):
@@ -119,16 +128,19 @@ class HoloFunction:
 
 
 def _dedupe(zeros: np.ndarray):
-    uniq, mults = [], []
+    """The distinct zeros in first-seen order and their counts: a zero within
+    ZERO_MERGE_TOL of a kept one counts for the first such kept zero."""
+    uniq, mults = np.empty(len(zeros), dtype=complex), np.zeros(len(zeros), dtype=int)
+    n = 0
     for z in zeros:
-        for i, u in enumerate(uniq):
-            if abs(z - u) <= ZERO_MERGE_TOL:
-                mults[i] += 1
-                break
+        # np.abs of a complex is hypot, as Python's abs is: the same booleans
+        hit = np.flatnonzero(np.abs(z - uniq[:n]) <= ZERO_MERGE_TOL)
+        if len(hit):
+            mults[hit[0]] += 1
         else:
-            uniq.append(z)
-            mults.append(1)
-    return np.asarray(uniq, dtype=complex), np.asarray(mults, dtype=int)
+            uniq[n], mults[n] = z, 1
+            n += 1
+    return uniq[:n], mults[:n]
 
 
 def _cluster_roots(coeff, roots, scale):
@@ -287,23 +299,44 @@ def _variant(name: str, f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r:
     return Verdict(name, v.passed, v.rows, data)
 
 
+def class_families(S_o: Ball, r: float, b_minus: float, b_plus: float, D: Ball,
+                   seed: int = 0, tags: tuple = CRITERIA_CLASS_TAGS) -> dict:
+    """The test family of each class tag in `tags`, by tag, for the zero criteria.
+
+    The classes in ``balayage.LYONS_CLASS_TAGS`` share one member set and so
+    one family, which ``build_test_family`` of their tuple builds once and
+    validates against each in turn; every other tag gets its own.  A preset
+    passes the result to ``check_thm_hol`` and ``check_criterium3_forward``.
+    """
+    lyons = tuple(tag for tag in tags if tag in LYONS_CLASS_TAGS)
+    families = {}
+    if lyons:
+        families = dict.fromkeys(lyons, build_test_family(lyons, S_o, r, b_minus, b_plus, D,
+                                                          seed=seed))
+    for tag in tags:
+        if tag not in families:
+            families[tag] = build_test_family(tag, S_o, r, b_minus, b_plus, D, seed=seed)
+    return families
+
+
 def _run_variants(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
-                  b_minus: float, b_plus: float, plan, family: TestFamily | None,
+                  b_minus: float, b_plus: float, plan, families: dict | None,
                   seed: int) -> dict:
-    """Check the majorant, then per (variant, class tag, ring, subdivisor) row of
-    `plan` build its test family (or take `family`) and run the variant."""
+    """Check the majorant, then run each (variant, class tag, ring, subdivisor) row
+    of `plan` over the family of its tag in `families` (``class_families`` of the
+    plan's tags when None)."""
     witness = majorant.check_dominates(f, seed=seed)
     if witness is not None:
         raise ValueError(f"majorant violated at {witness}")
-    variants = {}
-    for name, tag, ring, subdivisor in plan:
-        fam = family or build_test_family(tag, S_o, r, b_minus, b_plus, f.domain, seed=seed)
-        variants[name] = _variant(name, f, majorant, S_o, r, fam, subdivisor, ring=ring)
-    return variants
+    if families is None:
+        families = class_families(S_o, r, b_minus, b_plus, f.domain, seed,
+                                  tags=tuple(tag for _, tag, _, _ in plan))
+    return {name: _variant(name, f, majorant, S_o, r, families[tag], subdivisor, ring=ring)
+            for name, tag, ring, subdivisor in plan}
 
 
 def check_thm_hol(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
-                  b_minus: float, b_plus: float, family: TestFamily | None = None,
+                  b_minus: float, b_plus: float, families: dict | None = None,
                   subdivisor=None, seed: int = 0, tol_scale: float = 1e-7) -> Verdict:
     """Run the three zero-distribution inequality variants against a majorant.
 
@@ -311,7 +344,9 @@ def check_thm_hol(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float
     ``_variant``).  [ZI] takes the majorant charge off the 3r-enlarged core,
     less its minus part on the intermediate ring; [ZII] uses the plain core
     complement; [ZIII] does the same for a positive family and an optional
-    subdivisor.  ``data["variants"]`` holds the per-variant verdicts (their
+    subdivisor.  The variants run over the families of classes sbh+0o, sbh+0
+    and sbh00+ in `families` (by tag, as ``class_families`` gives them), built
+    here when None.  ``data["variants"]`` holds the per-variant verdicts (their
     empirical constants and divergence flags), next to the internal
     implication bound C_II <= C_I + max(b_plus, -b_minus) * |mu_M|(ring).
     ``tol_scale`` (relative, as in ``check_linear``) reaches only that bound,
@@ -319,7 +354,7 @@ def check_thm_hol(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float
     """
     plan = (("ZI", "sbh+0o", True, None), ("ZII", "sbh+0", False, None),
             ("ZIII", "sbh00+", False, subdivisor))
-    variants = _run_variants(f, majorant, S_o, r, b_minus, b_plus, plan, family, seed)
+    variants = _run_variants(f, majorant, S_o, r, b_minus, b_plus, plan, families, seed)
 
     ring = Annulus(S_o.center, S_o.radius, S_o.radius + 3.0 * r)
     mu_plus_ring, mu_minus_ring = jordan(restrict(majorant.charge(), ring))
@@ -336,16 +371,18 @@ def check_thm_hol(f: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float
 
 
 def check_criterium3_forward(Z: HoloFunction, majorant: GrowthMajorant, S_o: Ball, r: float,
-                             b_minus: float, b_plus: float, seed: int = 0) -> Verdict:
+                             b_minus: float, b_plus: float, families: dict | None = None,
+                             seed: int = 0) -> Verdict:
     """Forward stages of the unit-disk zero-set criterium.
 
     Given the zero set of Z with |Z| <= exp M, the [z2]/[z3]/[z4]
     sampled inequality suites must all pass; their per-stage constants and
     divergence flags are reported.  (The nonconstructive converse is not
-    synthesized.)
+    synthesized.)  The stages run over the families of classes sbh+0o, sbh+0
+    and sbh00 in `families`, as in ``check_thm_hol``.
     """
     plan = (("z2", "sbh+0o", True, None), ("z3", "sbh+0", False, None),
             ("z4", "sbh00", False, None))
-    variants = _run_variants(Z, majorant, S_o, r, b_minus, b_plus, plan, None, seed)
+    variants = _run_variants(Z, majorant, S_o, r, b_minus, b_plus, plan, families, seed)
     return Verdict("criterium3-forward", all(v.passed for v in variants.values()), [],
                    {"variants": variants, "blaschke_sum": Z.blaschke_sum})

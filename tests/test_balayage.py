@@ -463,3 +463,92 @@ def test_sphere_averages_match_per_sphere_reference(seed, b_plus):
     assert _validate_family(family, DISK, "sbh+0o") is None
     for domain in (None, DISK):  # no centres, no means, with or without a domain
         assert list(sphere_averages(ScalarField.constant(1.0, domain), mid[:0], R, None)) == []
+
+
+# ---------------------------------------------------------------------------
+# one member set for several classes, and ridges sharing their Green values
+
+
+def _validation_sets(S_o, r, D):
+    """The point sets _validate_family evaluates members on, as it builds them."""
+    from potkit import quadrature
+    from potkit.balayage import _ring_samples
+
+    mid = _ring_samples(Ball(S_o.center, S_o.radius + r), r, 32, seed=2)
+    spheres = (mid[:, None, :] + r * quadrature.sphere_rule(2, 512)[0]).reshape(-1, 2)
+    return [S_o.boundary_points(128), _ring_samples(S_o, 3 * r, 128, seed=1),
+            Ball(D.center, 0.995 * D.radius).boundary_points(64), spheres]
+
+
+def test_members_share_one_base_evaluation_bitwise(monkeypatch):
+    from potkit.green import GreenModel
+    from potkit.measures import SphereUniform, _FieldValues, _atoms, integrate_many
+
+    calls = []  # GreenModel binds its evaluator when built: count from before the build
+    evaluate = GreenModel._evaluate
+    monkeypatch.setattr(GreenModel, "_evaluate", lambda g, p: calls.append(1) or evaluate(g, p))
+    family = build_test_family(("sbh+0o", "sbh+0", "sbh00"), CORE, R, -1.0, 3.5, DISK)
+    # the sup on the S_o boundary, then one evaluation per validation point set
+    assert len(calls) == 5
+    fields = [f for _, f in family.members]
+    # 16 ridges on one Green field, then 2 Lyons members on one potential
+    bases = [f.base[0] for f in fields]
+    assert len(fields) == 18 and all(b is bases[0] for b in bases[:16])
+    assert bases[16] is bases[17] and bases[16] is not bases[0]
+
+    calls.clear()
+    values, sets = _FieldValues(), _validation_sets(CORE, R, DISK)
+    shared = [[values(f, pts) for f in fields] for pts in sets]
+    shared += [[values(f, pts.copy()) for f in fields] for pts in sets]  # equal points
+    assert len(calls) == len(sets)
+    for pts, row in zip(sets + sets, shared):
+        for f, v in zip(fields, row):
+            assert v.tobytes() == f.evaluate_array(pts).tobytes()
+
+    rng = np.random.default_rng(0)
+    mu = Measure(2, _atoms(rng.uniform(-0.6, 0.6, size=(30, 2)), rng.uniform(0.5, 2.0, 30))
+                 + [SphereUniform(point(0.1, 0.0), 0.4, 1.5), BallUniform(point(0, 0.2), 0.3, -0.7)])
+    calls.clear()
+    got = integrate_many(mu, fields)
+    assert len(calls) == len(mu.components)  # one Green evaluation per node cloud
+    own = integrate_many(mu, [ScalarField(f.evaluate_array) for f in fields])  # no base
+    assert got == own and all(isinstance(v, float) for v in got)
+
+
+def _classwise_outcome(family, *tags):
+    """What validating the classes one at a time, in order, raises first."""
+    from potkit.balayage import _validate_family
+
+    return next(filter(None, (_outcome(_validate_family, family, DISK, t) for t in tags)),
+                None)
+
+
+LOW = ScalarField.constant(-2.0)  # below b_minus on the ring and on every sphere
+CLASS_ORDER_FAMILIES = {
+    "low": _sbh0o(("low", LOW)),
+    "well-then-low": _sbh0o(("well", _well(5)), ("low", LOW)),
+    "domain-then-low": _sbh0o(("punctured", _leaves_at(4, ZERO)), ("low", LOW)),
+    "passes": _sbh0o(("zero", ZERO)),
+}
+
+
+@pytest.mark.parametrize("tags", [("sbh+0o", "sbh+0"), ("sbh+0", "sbh+0o"),
+                                  ("sbh+0", "sbh00", "sbh+0o")])
+@pytest.mark.parametrize("case", sorted(CLASS_ORDER_FAMILIES))
+def test_one_validation_of_several_classes_raises_what_classwise_ones_do(case, tags):
+    from potkit.balayage import _validate_family
+
+    family = CLASS_ORDER_FAMILIES[case]
+    got = _outcome(_validate_family, family, DISK, *tags)
+    assert got == _classwise_outcome(family, *tags)
+    assert (got is None) == (case == "passes")
+
+
+def test_build_test_family_takes_only_classes_of_one_member_set():
+    fam = build_test_family(("sbh+0o", "sbh00"), CORE, R, -1.0, 3.5, DISK)
+    assert fam.tag == "sbh+0o" and sum(n.startswith("lyons") for n, _ in fam.members) == 2
+    for tags in (("sbh00+", "sbh00"), ("sbh+0", "harmonic-kernels")):
+        with pytest.raises(ValueError, match="do not share one member set"):
+            build_test_family(tags, CORE, R, -1.0, 3.5, DISK)
+    with pytest.raises(ValueError, match="unknown class tag 'nope'"):
+        build_test_family(("sbh+0", "nope"), CORE, R, -1.0, 3.5, DISK)

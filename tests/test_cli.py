@@ -428,6 +428,16 @@ COMPONENTS = dict(SWEEP, measures=dict(SWEEP["measures"], mu={
 MISSING = object()  # a case value that deletes its key
 
 
+@pytest.mark.parametrize("name", [{}, [], True, 3, None], ids=repr)
+def test_non_string_name_is_a_schema_error(tmp_path, capsys, name):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(dict(SWEEP, name=name)))
+    assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"name must be a string, got {name!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("base, keys, value, where", [
     # a family of no members would pass vacuously, and a fraction is no count
     (SWEEP, ("family", "count"), 0, "checks[0].family.count"),

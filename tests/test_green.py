@@ -29,6 +29,41 @@ def test_green_ball_preconditions():
         green.green_ball(point(0), 1.0, point(0.1, 0.2))
 
 
+def _green_reference(g, pts):
+    """GreenModel._evaluate as it was: both distances, np.where on the pole, zero fill."""
+    c, R, a = g.domain.center, g.domain.radius, g.pole
+    b = a - c
+    rho = np.linalg.norm(b)
+    r_xa = np.linalg.norm(pts - a, axis=1)
+    out = np.zeros(len(pts))
+    inside = np.linalg.norm(pts - c, axis=1) <= R
+    with np.errstate(divide="ignore", invalid="ignore"):
+        image = c + (R ** 2 / rho ** 2) * b if rho else None
+        if a.size == 2:
+            vals = (np.log(R / r_xa) if rho == 0.0 else
+                    np.log((rho * np.linalg.norm(pts - image, axis=1)) / (R * r_xa)))
+        else:
+            vals = (1.0 / r_xa - 1.0 / R if rho == 0.0 else
+                    1.0 / r_xa - (R / rho) / np.linalg.norm(pts - image, axis=1))
+    vals = np.where(r_xa == 0.0, math.inf, vals)
+    out[inside] = vals[inside]
+    return out
+
+
+@pytest.mark.parametrize("centre, pole", [
+    ((0.0, 0.0), (0.0, 0.0)), ((0.1, -0.2), (0.1, -0.2)), ((0.0, 0.0), (-0.0, 0.0)),
+    ((0.0, 0.0), (0.3, 0.2)), ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((0.0, 0.0, 0.0), (0.3, 0.2, -0.1))])
+def test_green_evaluation_matches_the_reference_bitwise(centre, pole):
+    g = green.green_ball(np.array(centre), 1.0, np.array(pole))
+    rng = np.random.default_rng(len(centre))
+    inside = np.array(centre) + rng.uniform(-0.6, 0.6, size=(50, len(centre)))
+    for pts in (inside, np.vstack([inside, g.pole, 3.0 + inside]), inside[:0]):
+        got = g.evaluate_array(pts)
+        assert got.tobytes() == _green_reference(g, pts).tobytes()
+    assert g.evaluate_array(g.pole)[0] == math.inf
+
+
 OFF_CENTRE_POLES = [point(0.3, 0.2), point(0.3, 0.2, -0.1)]
 
 

@@ -141,6 +141,18 @@ def test_mollifier_mass_and_profile():
         assert m.profile(np.array([0.31 ** 2]))[0] == 0.0
 
 
+def test_mollifier_profile_is_the_closed_form_bitwise_and_keeps_its_input():
+    m = Mollifier(0.3, 2)
+    r2 = np.random.default_rng(5).uniform(0.0, 0.12, size=(4, 7, 9))
+    r2[0, 0, :3] = (0.0, 0.09, 0.0900001)  # the centre, the rim and just past it
+    before = r2.copy()
+    t = np.clip(1.0 - r2 / m.radius ** 2, 0.0, None)
+    want = m.normalizer * (t * t) ** 2
+    got = m.profile(r2)
+    assert got.tobytes() == want.tobytes() and got.shape == r2.shape
+    assert r2.tobytes() == before.tobytes()
+
+
 def test_convolve_delta_gives_mollifier_density():
     moll = Mollifier(0.2, 2)
     beta = convolve_balayage(atom((0.0, 0.0)), moll, Ball(point(0, 0), 1.0))

@@ -165,8 +165,7 @@ TEST_ONLY_ALLOWED = {
     "zeros.GrowthMajorant(M_minus)",
     "zeros.GrowthMajorant(mu_minus)",
     "zeros.GrowthMajorant(mu_plus)",
-    # a given test family and a zero subdivisor for [ZIII]
-    "zeros.check_thm_hol(family)",
+    # a zero subdivisor for [ZIII]
     "zeros.check_thm_hol(subdivisor)",
     # multiplicity recovery at other windows and tolerances
     "zeros.poincare_lelong_check(rel_tol)",

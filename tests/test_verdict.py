@@ -99,7 +99,8 @@ def _variant_zi():
 
 def _thm_hol():
     f, M, S_o, r, fam = _zeros_setup()
-    v = check_thm_hol(f, M, S_o, r, -1.0, 1.0, family=fam)
+    v = check_thm_hol(f, M, S_o, r, -1.0, 1.0,
+                      families=dict.fromkeys(("sbh+0o", "sbh+0", "sbh00+"), fam))
     assert sum(len(sub.rows) for sub in v.data["variants"].values()) > 2
     return v
 

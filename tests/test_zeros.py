@@ -196,7 +196,8 @@ def test_check_thm_hol_with_explicit_family():
 
     f, M, S_o, r = _setup_poly()
     fam = build_test_family("sbh00+", S_o, r, -1.0, 1.0, f.domain, count=6)
-    rep = check_thm_hol(f, M, S_o, r, -1.0, 1.0, family=fam)
+    rep = check_thm_hol(f, M, S_o, r, -1.0, 1.0,
+                        families=dict.fromkeys(("sbh+0o", "sbh+0", "sbh00+"), fam))
     assert rep.passed
     # all three variants ran over the same supplied members
     sizes = {len(res.rows) for res in rep.data["variants"].values()}
@@ -427,12 +428,68 @@ def test_passing_variants_hold_no_failed_row():
 
 
 # (GreenModel._evaluate calls, single-point ScalarField.__call__ calls) per zeros preset
-# at seed 0; a count that grows means a per-zero or per-sphere loop came back
+# at seed 0; a count that grows means a per-member, per-zero or per-sphere loop came back
 ZEROS_PRESET_WORK = {
-    "zeros-polynomial": (422, 0),
-    "zeros-blaschke": (432, 10),  # the preset's own direct sum over its 10 zeros
-    "zeros-adversarial": (211, 0),
+    "zeros-polynomial": (14, 0),
+    "zeros-blaschke": (24, 10),  # the preset's own direct sum over its 10 zeros
+    "zeros-adversarial": (11, 0),
 }
+
+
+# the class tags of each build_test_family call per zeros preset: the ridges and
+# Lyons members once for all their classes, the ridges alone once for sbh00+
+ZEROS_PRESET_BUILDS = {
+    "zeros-polynomial": [("sbh+0o", "sbh+0", "sbh00"), "sbh00+"],
+    "zeros-blaschke": [("sbh+0o", "sbh+0", "sbh00"), "sbh00+"],
+    "zeros-adversarial": [("sbh+0o", "sbh+0"), "sbh00+"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZEROS_PRESET_BUILDS))
+def test_zeros_preset_builds_each_member_set_once(monkeypatch, name):
+    from potkit import balayage, zeros
+    from potkit.presets import run_preset
+
+    builds, lyons = [], []
+    build, lyons_members = zeros.build_test_family, balayage._lyons_members
+    monkeypatch.setattr(zeros, "build_test_family",
+                        lambda tag, *a, **k: builds.append(tag) or build(tag, *a, **k))
+    monkeypatch.setattr(balayage, "_lyons_members",
+                        lambda *a: lyons.append(a) or lyons_members(*a))
+    for _ in range(2):  # nothing is kept from one run to the next: both do the same work
+        builds.clear()
+        lyons.clear()
+        run_preset(name, 0, 1.0)
+        assert builds == ZEROS_PRESET_BUILDS[name] and len(lyons) == 1
+
+
+def _dedupe_reference(zeros):
+    """zeros._dedupe as it was: Python's abs against each kept zero in turn."""
+    uniq, mults = [], []
+    for z in zeros:
+        for i, u in enumerate(uniq):
+            if abs(z - u) <= 1e-12:
+                mults[i] += 1
+                break
+        else:
+            uniq.append(z)
+            mults.append(1)
+    return np.asarray(uniq, dtype=complex), np.asarray(mults, dtype=int)
+
+
+def test_dedupe_matches_the_pairwise_loop():
+    from potkit.zeros import _dedupe
+
+    rng = np.random.default_rng(3)
+    base = rng.uniform(-0.7, 0.7, 40) + 1j * rng.uniform(-0.7, 0.7, 40)
+    step = 0.8e-12 * np.exp(0.3j)
+    # repeats, a chain of points 0.8e-12 apart and near-ties at the tolerance, shuffled
+    zs = np.concatenate([base, base[:5], base[7] + step * np.arange(1, 4),
+                         [base[9] + 1e-12, base[9] - 1.0000001e-12j, 0j, 0j]])
+    rng.shuffle(zs)
+    for got, want in zip(_dedupe(zs), _dedupe_reference(zs)):
+        assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+    assert [len(a) for a in _dedupe(zs[:0])] == [0, 0]
 
 
 @pytest.mark.parametrize("name", sorted(ZEROS_PRESET_WORK))
